@@ -21,7 +21,7 @@ from scipy.stats import norm
 
 from .classical import hill, moment_stat
 from .data import ExcessSet, SortedSample
-from .epd import DELTA_MAX, EPDParams, delta_lower_bound, epd_log_likelihood, epd_tail_prob
+from .epd import DELTA_MAX, EPDParams, delta_lower_bound, epd_tail_prob
 
 __all__ = [
     "ClosedFormError",
@@ -136,18 +136,78 @@ def log_prior_delta(delta: float, prior: PriorSpec) -> float:
     )
 
 
+class _LogTarget:
+    """The per-observation log posterior of one (excesses, tau, prior), built once.
+
+    Holds what stays fixed while (xi, delta) move: log y, the coefficients
+    a = 1 - y**tau and b = 1 - (1 + tau) * y**tau (the rows of ``coef``)
+    with their extremes, and the prior normalisers. A call performs the
+    same floating-point operations in the same order as composing
+    ``epd_log_likelihood`` with the two log priors, so it returns the same
+    bits; a row-wise ``np.add.reduce`` sums each row as ``np.mean`` sums a
+    1-D array. Both perturbation terms are affine in delta, and rounded
+    products and sums are monotone, so positivity over the sample is
+    exactly positivity at the coefficient extremes.
+
+    A call writes into scratch space owned by the instance, so one instance
+    serves one caller at a time.
+    """
+
+    def __init__(self, e: ExcessSet, tau: float, prior: PriorSpec) -> None:
+        y = e.y
+        if np.any(y < 1.0):
+            raise ValueError("excesses must be >= 1")
+        self.k = e.k
+        self.prior = prior
+        self.lo = delta_lower_bound(tau) if tau < 0 else math.inf
+        self.log_y = np.log(y)
+        p = y ** tau
+        self.coef = np.vstack([1.0 - p, 1.0 - (1.0 + tau) * p])
+        self.a, self.b = self.coef
+        self.ext = (float(self.a.min()), float(self.a.max()),
+                    float(self.b.min()), float(self.b.max()))
+        self._work = np.empty_like(self.coef)
+        self._work_a = self._work[0]
+        sigma = math.sqrt(prior.sigma2)
+        self.log_gamma = float(gammaln(prior.gamma_shape))
+        self.log_norm = math.log(math.sqrt(2.0 * math.pi) * sigma)
+        self.log_trunc = math.log(float(norm.sf(prior.trunc_lower / sigma)))
+
+    def inadmissible(self, delta: float) -> bool:
+        """Whether 1 + delta*a or 1 + delta*b fails to be positive somewhere on the sample."""
+        a_lo, a_hi, b_lo, b_hi = self.ext
+        return (1.0 + delta * a_lo <= 0.0 or 1.0 + delta * a_hi <= 0.0
+                or 1.0 + delta * b_lo <= 0.0 or 1.0 + delta * b_hi <= 0.0)
+
+    def __call__(self, xi: float, delta: float) -> float:
+        if not (xi > 0 and delta > self.lo) or self.inadmissible(delta):
+            return -math.inf
+        k = self.k
+        w = self._work
+        np.multiply(self.coef, delta, out=w)
+        np.add(w, 1.0, out=w)
+        np.log(w, out=w)
+        np.add(self._work_a, self.log_y, out=self._work_a)
+        s1, s2 = np.add.reduce(w, axis=1)
+        ll = -math.log(xi) - (1.0 / xi + 1.0) * (float(s1) / k) + float(s2) / k
+        if ll == -math.inf:
+            return -math.inf
+        prior = self.prior
+        if delta <= prior.trunc_lower:
+            return -math.inf
+        lp = ((prior.gamma_shape - 1.0) * math.log(xi) - xi - self.log_gamma
+              + (-0.5 * delta * delta / prior.sigma2 - self.log_norm - self.log_trunc))
+        if lp == -math.inf:
+            return -math.inf
+        return ll + lp / k
+
+
 def log_posterior(xi: float, delta: float, e: ExcessSet, tau: float, prior: PriorSpec) -> float:
     """Per-observation log posterior: mean log-likelihood plus (1/k) log priors.
 
     Out-of-region parameters give -inf, matching the likelihood sentinel.
     """
-    ll = epd_log_likelihood(xi, delta, tau, e)
-    if ll == -math.inf:
-        return -math.inf
-    lp = log_prior_xi(xi, prior.gamma_shape) + log_prior_delta(delta, prior)
-    if lp == -math.inf:
-        return -math.inf
-    return ll + lp / e.k
+    return _LogTarget(e, tau, prior)(xi, delta)
 
 
 def _system_coefficients(
@@ -231,21 +291,14 @@ def _profile_posterior_mode(
     is unbounded along that boundary but carries negligible posterior
     mass, so it is an artifact rather than a usable mode.
     """
-    y = e.y
+    target = _LogTarget(e, tau, prior)
     k = e.k
-    lo = delta_lower_bound(tau)
-    xi_floor = 0.05 * float(np.mean(np.log(y)))
-    p_pow = y ** tau
-    a = 1.0 - p_pow
-    b = 1.0 - (1.0 + tau) * p_pow
-    # both perturbation terms are affine in delta, so positivity over the
-    # sample reduces to positivity at the coefficient extremes
-    ext = np.array([a.min(), a.max(), b.min(), b.max()])
-    mean_logy = float(np.mean(np.log(y)))
-    sigma = math.sqrt(prior.sigma2)
-    lp_const = -math.log(math.sqrt(2.0 * math.pi) * sigma) - math.log(
-        float(norm.sf(prior.trunc_lower / sigma))
-    ) - float(gammaln(prior.gamma_shape))
+    lo = target.lo
+    a, b = target.a, target.b
+    ext = np.array(target.ext)
+    mean_logy = float(np.mean(target.log_y))
+    xi_floor = 0.05 * mean_logy
+    lp_const = -target.log_norm - target.log_trunc - target.log_gamma
     bq = k + 1.0 - prior.gamma_shape
 
     def profile_xi(g: np.ndarray) -> np.ndarray:
@@ -270,7 +323,7 @@ def _profile_posterior_mode(
         return np.where(ok, val, -np.inf), xi
 
     def neg_total(delta: float) -> float:
-        if np.any(1.0 + delta * ext <= 0.0):
+        if target.inadmissible(delta):
             return math.inf
         g = mean_logy + float(np.mean(np.log1p(delta * a)))
         if g <= 0.0:
@@ -396,9 +449,10 @@ def metropolis_sample(
     if fixed is not None and fixed <= prior.trunc_lower:
         raise ValueError("fix_delta lies outside the admissible range")
 
+    target = _LogTarget(e, tau, prior)
     u = math.log(h)
     d = 0.0 if fixed is None else fixed
-    lp = k * log_posterior(math.exp(u), d, e, tau, prior)
+    lp = k * target(math.exp(u), d)
     if lp == -math.inf:
         raise ValueError("starting point has zero posterior density")
 
@@ -414,7 +468,7 @@ def metropolis_sample(
         z = rng.standard_normal(2)
         u_new = u + s_u * z[0]
         d_new = d if fixed is not None else d + s_d * z[1]
-        lp_new = k * log_posterior(math.exp(u_new), d_new, e, tau, prior)
+        lp_new = k * target(math.exp(u_new), d_new)
         # Jacobian of xi = exp(u): add u to the log target on the sampling scale
         log_alpha = (lp_new + u_new) - (lp + u)
         if math.log(rng.random()) < log_alpha:

@@ -2,14 +2,20 @@
 
 These deliberately re-derive quantities through different routes than the
 library (brute-force grid refinement, quadrature, batch means) so that
-agreement is evidence, not tautology.
+agreement is evidence, not tautology. ``oracle_metropolis`` is the
+exception: it keeps the straightforward Metropolis loop as the reference
+that the library's precomputed sampler must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import gammaln
 from scipy.stats import norm
+
+from epdtail import epd_log_likelihood, hill, log_prior_delta, log_prior_xi
 
 
 def oracle_log_posterior(xi, delta, y, tau, sigma2, gamma_shape=1e-4):
@@ -105,3 +111,59 @@ def pareto_sample(xi, n, seed):
     rng = np.random.default_rng(seed)
     u = np.maximum(rng.random(n), np.finfo(float).tiny)
     return u ** (-xi)
+
+
+def oracle_metropolis(e, tau, prior, config):
+    """The Metropolis loop with the log posterior composed on every proposal.
+
+    Evaluates ``epd_log_likelihood + (log_prior_xi + log_prior_delta) / k``
+    from scratch for each proposal and draws random numbers in the same
+    order as ``metropolis_sample``. Returns ``(draws, logpost,
+    acceptance_rate)``.
+    """
+    def log_post(xi, delta):
+        ll = epd_log_likelihood(xi, delta, tau, e)
+        if ll == -math.inf:
+            return -math.inf
+        lp = log_prior_xi(xi, prior.gamma_shape) + log_prior_delta(delta, prior)
+        if lp == -math.inf:
+            return -math.inf
+        return ll + lp / e.k
+
+    k = e.k
+    rng = np.random.default_rng(config.seed)
+    fixed = config.fix_delta
+    u = math.log(hill(e).xi)
+    d = 0.0 if fixed is None else fixed
+    lp = k * log_post(math.exp(u), d)
+    s_u, s_d = config.step_log_xi, config.step_delta
+    retained = config.iterations - config.burn_in
+    draws = np.empty((retained, 2))
+    logpost = np.empty(retained)
+    accepted_post = 0
+    batch_accepts = 0
+    for t in range(config.iterations):
+        z = rng.standard_normal(2)
+        u_new = u + s_u * z[0]
+        d_new = d if fixed is not None else d + s_d * z[1]
+        lp_new = k * log_post(math.exp(u_new), d_new)
+        log_alpha = (lp_new + u_new) - (lp + u)
+        if math.log(rng.random()) < log_alpha:
+            u, d, lp = u_new, d_new, lp_new
+            batch_accepts += 1
+            if t >= config.burn_in:
+                accepted_post += 1
+        if t < config.burn_in and (t + 1) % config.adapt_interval == 0:
+            rate = batch_accepts / config.adapt_interval
+            factor = math.exp(1.5 * (rate - config.target_accept))
+            s_u = min(10.0, max(1e-4, s_u * factor))
+            s_d = min(10.0, max(1e-4, s_d * factor))
+            batch_accepts = 0
+        elif (t + 1) == config.burn_in:
+            batch_accepts = 0
+        if t >= config.burn_in:
+            i = t - config.burn_in
+            draws[i, 0] = math.exp(u)
+            draws[i, 1] = d
+            logpost[i] = lp
+    return draws, logpost, accepted_post / retained

@@ -10,7 +10,7 @@ from scipy.stats import norm
 import epdtail as et
 from epdtail.bayes import ClosedFormError, _profile_posterior_mode
 from conftest import pareto_excesses
-from oracles import grid_map_oracle, oracle_log_posterior
+from oracles import grid_map_oracle, oracle_log_posterior, oracle_metropolis
 
 
 def _excess_set(y):
@@ -212,6 +212,53 @@ class TestMetropolis:
         cfg = et.MCMCConfig(iterations=1200, burn_in=200, seed=3, fix_delta=0.0)
         chain = et.metropolis_sample(e, tau, prior, cfg)
         assert np.all(chain.draws[:, 1] == 0.0)
+
+
+# tau = -2 puts the model bound at -0.5; the prior's truncation sits at
+# that bound, below it (-1.0) or inside the model's range (-0.3)
+_TRUNCATIONS = {"model_bound": None, "minus_one": -1.0, "inside_model": -0.3}
+_MATCH_CONFIGS = {
+    "default": dict(iterations=1500, burn_in=500),
+    "fix_delta": dict(iterations=1500, burn_in=500, fix_delta=0.0),
+    "no_burn_in": dict(iterations=1000, burn_in=0),
+    "adapt_every_step": dict(iterations=1500, burn_in=500, adapt_interval=1),
+}
+
+
+class TestMetropolisMatchesSeedLoop:
+    """The precomputed log target reproduces the per-proposal composition bit for bit."""
+
+    @pytest.mark.parametrize("config", sorted(_MATCH_CONFIGS))
+    @pytest.mark.parametrize("truncation", sorted(_TRUNCATIONS))
+    @pytest.mark.parametrize("sigma2", [1e-3, 50.0])
+    @pytest.mark.parametrize("k", [10, 200])
+    def test_bit_identical(self, k, sigma2, truncation, config):
+        tau = -2.0
+        e = pareto_excesses(0.6, k, (83, k))
+        if _TRUNCATIONS[truncation] is None:
+            prior = et.PriorSpec.for_tau(sigma2, tau)
+        else:
+            prior = et.PriorSpec(sigma2, trunc_lower=_TRUNCATIONS[truncation])
+        cfg = et.MCMCConfig(seed=k + 7, **_MATCH_CONFIGS[config])
+        chain = et.metropolis_sample(e, tau, prior, cfg)
+        draws, logpost, rate = oracle_metropolis(e, tau, prior, cfg)
+        assert np.array_equal(chain.draws, draws)
+        assert np.array_equal(chain.logpost, logpost)
+        assert chain.acceptance_rate == rate
+
+    @pytest.mark.parametrize("trunc_lower", [None, -0.1])
+    def test_log_posterior_matches_composition(self, burr_k200, trunc_lower):
+        e, tau, prior = burr_k200
+        if trunc_lower is not None:
+            prior = et.PriorSpec(prior.sigma2, trunc_lower=trunc_lower)
+        lo = et.delta_lower_bound(tau)
+        for xi in (1e-300, 0.3, 0.8, 5.0, math.inf):
+            for d in (lo - 0.1, lo, lo + 1e-12, -0.2, -0.1, 0.0, 0.7, 9.0, 1e200):
+                ll = et.epd_log_likelihood(xi, d, tau, e)
+                lp = et.log_prior_xi(xi, prior.gamma_shape) + et.log_prior_delta(d, prior)
+                want = -math.inf if -math.inf in (ll, lp) else ll + lp / e.k
+                got = et.log_posterior(xi, d, e, tau, prior)
+                assert got == want, (xi, d)
 
 
 class TestPosteriorMode:
