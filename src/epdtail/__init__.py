@@ -30,7 +30,6 @@ from .bayes import (
     log_prior_delta,
     log_prior_xi,
     metropolis_sample,
-    ml_first_order,
     posterior_mode,
     prior_variance,
     smooth_path,
@@ -51,7 +50,6 @@ from .epd import (
 )
 from .second_order import (
     NonEstimableError,
-    SecondOrderParams,
     clamp_rho,
     resolve_rho,
     rho_fraga,

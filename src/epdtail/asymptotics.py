@@ -93,14 +93,6 @@ def asym_var(r: AsymptoticRegime) -> float:
     return r.xi ** 2 * num / (rho4 + r.zeta) ** 2
 
 
-def _asym_var_raw(r: AsymptoticRegime) -> float:
-    # literal form with the rho**-4 factor; kept for the equality check
-    rho = r.rho
-    return (r.xi ** 2 / (1.0 + r.zeta * rho ** -4) ** 2) * (
-        ((1.0 - rho) / rho) ** 2 + r.zeta ** 2 / rho ** 8 + 2.0 * r.zeta / rho ** 4
-    )
-
-
 def zeta_opt(xi: float, rho: float, lam: float) -> float:
     """MSE-minimizing prior strength; +inf when the bias scale vanishes."""
     if lam == 0.0:

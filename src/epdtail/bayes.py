@@ -21,7 +21,7 @@ from scipy.stats import norm
 
 from .classical import hill, moment_stat
 from .data import ExcessSet, SortedSample
-from .epd import DELTA_MAX, EPDParams, delta_lower_bound, epd_tail_prob
+from .epd import DELTA_MAX, EPDParams, _Likelihood, delta_lower_bound, epd_tail_prob
 
 __all__ = [
     "ClosedFormError",
@@ -34,16 +34,12 @@ __all__ = [
     "log_prior_delta",
     "log_posterior",
     "bayes_closed_form",
-    "ml_first_order",
     "metropolis_sample",
     "posterior_mode",
     "hpd_interval",
     "bayes_tail_prob",
     "smooth_path",
 ]
-
-Centering = Literal["pareto-limit", "rate-reciprocal"]
-
 
 class ClosedFormError(RuntimeError):
     """The first-order estimating system has no usable solution."""
@@ -139,57 +135,23 @@ def log_prior_delta(delta: float, prior: PriorSpec) -> float:
 class _LogTarget:
     """The per-observation log posterior of one (excesses, tau, prior), built once.
 
-    Holds what stays fixed while (xi, delta) move: log y, the coefficients
-    a = 1 - y**tau and b = 1 - (1 + tau) * y**tau (the rows of ``coef``)
-    with their extremes, and the prior normalisers. A call performs the
-    same floating-point operations in the same order as composing
-    ``epd_log_likelihood`` with the two log priors, so it returns the same
-    bits; a row-wise ``np.add.reduce`` sums each row as ``np.mean`` sums a
-    1-D array. Both perturbation terms are affine in delta, and rounded
-    products and sums are monotone, so positivity over the sample is
-    exactly positivity at the coefficient extremes.
-
-    A call writes into scratch space owned by the instance, so one instance
-    serves one caller at a time.
+    Adds the prior normalisers to the likelihood kernel ``lik``. A call
+    performs the same floating-point operations in the same order as
+    composing ``epd_log_likelihood`` with the two log priors, so it returns
+    the same bits.
     """
 
     def __init__(self, e: ExcessSet, tau: float, prior: PriorSpec) -> None:
-        y = e.y
-        if np.any(y < 1.0):
-            raise ValueError("excesses must be >= 1")
+        self.lik = _Likelihood(e, tau)
         self.k = e.k
         self.prior = prior
-        self.lo = delta_lower_bound(tau) if tau < 0 else math.inf
-        self.log_y = np.log(y)
-        p = y ** tau
-        self.coef = np.vstack([1.0 - p, 1.0 - (1.0 + tau) * p])
-        self.a, self.b = self.coef
-        self.ext = (float(self.a.min()), float(self.a.max()),
-                    float(self.b.min()), float(self.b.max()))
-        self._work = np.empty_like(self.coef)
-        self._work_a = self._work[0]
         sigma = math.sqrt(prior.sigma2)
         self.log_gamma = float(gammaln(prior.gamma_shape))
         self.log_norm = math.log(math.sqrt(2.0 * math.pi) * sigma)
         self.log_trunc = math.log(float(norm.sf(prior.trunc_lower / sigma)))
 
-    def inadmissible(self, delta: float) -> bool:
-        """Whether 1 + delta*a or 1 + delta*b fails to be positive somewhere on the sample."""
-        a_lo, a_hi, b_lo, b_hi = self.ext
-        return (1.0 + delta * a_lo <= 0.0 or 1.0 + delta * a_hi <= 0.0
-                or 1.0 + delta * b_lo <= 0.0 or 1.0 + delta * b_hi <= 0.0)
-
     def __call__(self, xi: float, delta: float) -> float:
-        if not (xi > 0 and delta > self.lo) or self.inadmissible(delta):
-            return -math.inf
-        k = self.k
-        w = self._work
-        np.multiply(self.coef, delta, out=w)
-        np.add(w, 1.0, out=w)
-        np.log(w, out=w)
-        np.add(self._work_a, self.log_y, out=self._work_a)
-        s1, s2 = np.add.reduce(w, axis=1)
-        ll = -math.log(xi) - (1.0 / xi + 1.0) * (float(s1) / k) + float(s2) / k
+        ll = self.lik(xi, delta)
         if ll == -math.inf:
             return -math.inf
         prior = self.prior
@@ -199,7 +161,7 @@ class _LogTarget:
               + (-0.5 * delta * delta / prior.sigma2 - self.log_norm - self.log_trunc))
         if lp == -math.inf:
             return -math.inf
-        return ll + lp / k
+        return ll + lp / self.k
 
 
 def log_posterior(xi: float, delta: float, e: ExcessSet, tau: float, prior: PriorSpec) -> float:
@@ -211,13 +173,13 @@ def log_posterior(xi: float, delta: float, e: ExcessSet, tau: float, prior: Prio
 
 
 def _system_coefficients(
-    e: ExcessSet, tau: float, weight: float, centering: Centering
+    e: ExcessSet, tau: float, weight: float
 ) -> tuple[float, float, float, float, float]:
     """Coefficients of the first-order estimating system.
 
     With E1 = moment_stat(tau) and E2 = moment_stat(2*tau), the system is
         xi    = H + delta * (1 - E1)
-        delta = (1 - H*tau) * (E1 - c) / D(xi)
+        delta = (1 - H*tau) * (E1 - 1/(1 - H*tau)) / D(xi)
     where D(xi) = weight*xi - bracket(xi) and bracket is affine in xi.
     Returns (H, E1, rhs, a2, a1) for the equivalent quadratic
     a2*delta**2 + a1*delta - rhs = 0.
@@ -227,8 +189,7 @@ def _system_coefficients(
         raise ClosedFormError("the estimating system requires a positive Hill estimate")
     e1 = moment_stat(e, tau)
     e2 = moment_stat(e, 2.0 * tau)
-    c = 1.0 / (1.0 - h * tau) if centering == "pareto-limit" else 1.0 / (h * tau)
-    rhs = (1.0 - h * tau) * (e1 - c)
+    rhs = (1.0 - h * tau) * (e1 - 1.0 / (1.0 - h * tau))
     b0 = 1.0 - 2.0 * e1 + e2 - tau * (1.0 - e1) * e1
     b1 = 2.0 * tau * e1 - (2.0 * tau + tau * tau) * e2
     a1 = (weight - b1) * h - b0
@@ -236,16 +197,14 @@ def _system_coefficients(
     return h, e1, rhs, a2, a1
 
 
-def _solve_first_order(
-    e: ExcessSet, tau: float, weight: float, centering: Centering, delta_max: float
-) -> tuple[float, float]:
+def _solve_first_order(e: ExcessSet, tau: float, weight: float) -> tuple[float, float]:
     """Solve the estimating system exactly via its quadratic reduction.
 
     Among real roots, picks the admissible one of smallest magnitude (the
     branch that vanishes in the strong-prior limit). Raises
     ClosedFormError when no admissible real root exists.
     """
-    h, e1, rhs, a2, a1 = _system_coefficients(e, tau, weight, centering)
+    h, e1, rhs, a2, a1 = _system_coefficients(e, tau, weight)
     lo = delta_lower_bound(tau)
     candidates: list[float] = []
     if abs(a2) < 1e-300:
@@ -261,14 +220,13 @@ def _solve_first_order(
             candidates.append(0.0)
         else:
             q = -(a1 + math.copysign(sq, a1)) / 2.0
-            if abs(a2) > 0:
-                candidates.append(q / a2)
+            candidates.append(q / a2)
             if abs(q) > 0:
                 candidates.append(-rhs / q)
     feasible = []
     for d in candidates:
         xi = h + d * (1.0 - e1)
-        if xi > 0 and lo < d <= delta_max:
+        if xi > 0 and lo < d <= DELTA_MAX:
             feasible.append((abs(d), d, xi))
     if not feasible:
         raise ClosedFormError("no admissible solution of the estimating system")
@@ -276,9 +234,7 @@ def _solve_first_order(
     return xi, delta
 
 
-def _profile_posterior_mode(
-    e: ExcessSet, tau: float, prior: PriorSpec, delta_max: float = DELTA_MAX
-) -> tuple[float, float]:
+def _profile_posterior_mode(e: ExcessSet, tau: float, prior: PriorSpec) -> tuple[float, float]:
     """Exact posterior mode by profiling xi out and searching over delta.
 
     For fixed delta the xi maximizer of the total posterior solves a
@@ -292,11 +248,12 @@ def _profile_posterior_mode(
     mass, so it is an artifact rather than a usable mode.
     """
     target = _LogTarget(e, tau, prior)
+    lik = target.lik
     k = e.k
-    lo = target.lo
-    a, b = target.a, target.b
-    ext = np.array(target.ext)
-    mean_logy = float(np.mean(target.log_y))
+    lo = lik.lo
+    a, b = lik.a, lik.b
+    ext = np.array(lik.ext)
+    mean_logy = float(np.mean(lik.log_y))
     xi_floor = 0.05 * mean_logy
     lp_const = -target.log_norm - target.log_trunc - target.log_gamma
     bq = k + 1.0 - prior.gamma_shape
@@ -323,7 +280,7 @@ def _profile_posterior_mode(
         return np.where(ok, val, -np.inf), xi
 
     def neg_total(delta: float) -> float:
-        if target.inadmissible(delta):
+        if lik.inadmissible(delta):
             return math.inf
         g = mean_logy + float(np.mean(np.log1p(delta * a)))
         if g <= 0.0:
@@ -340,14 +297,14 @@ def _profile_posterior_mode(
         )
         return -val
 
-    grid = np.linspace(lo + 1e-9 * max(1.0, abs(lo)), delta_max, 481)
+    grid = np.linspace(lo + 1e-9 * max(1.0, abs(lo)), DELTA_MAX, 481)
     vals, _ = total_grid(grid)
     best = int(np.argmax(vals))
     if vals[best] == -np.inf:
         raise ClosedFormError("posterior mode search found no admissible point")
     step = grid[1] - grid[0]
     left = max(lo + 1e-12 * max(1.0, abs(lo)), grid[best] - step)
-    right = min(delta_max, grid[best] + step)
+    right = min(DELTA_MAX, grid[best] + step)
     res = minimize_scalar(neg_total, bounds=(left, right), method="bounded",
                           options={"xatol": 1e-10})
     delta_hat = float(res.x) if res.fun <= -vals[best] else float(grid[best])
@@ -356,51 +313,26 @@ def _profile_posterior_mode(
     return xi_hat, delta_hat
 
 
-def bayes_closed_form(
-    e: ExcessSet,
-    tau: float,
-    prior: PriorSpec,
-    centering: Centering = "pareto-limit",
-    prior_term_sign: float = 1.0,
-    delta_max: float = DELTA_MAX,
-    allow_map_fallback: bool = True,
-) -> BayesEstimate:
+def bayes_closed_form(e: ExcessSet, tau: float, prior: PriorSpec) -> BayesEstimate:
     """Posterior-mode approximation from the first-order estimating system.
 
     The system couples the Hill estimate with the tau and 2*tau moment
     statistics; the prior enters through xi / (k * sigma2). It is solved
     exactly through its quadratic reduction. In strong-bias regimes the
     linearized system can lack a real admissible solution; the estimator
-    then falls back to the exact posterior mode found by profile search
-    (disable with ``allow_map_fallback=False`` to get the raw error).
-
-    ``centering`` selects the constant the tau-moment statistic is
-    compared against: its strict-Pareto limit 1/(1 - H*tau) (default) or
-    the reciprocal 1/(H*tau). ``prior_term_sign`` flips the sign of the
-    prior term in the system denominator. Both alternates exist for
-    diagnostic comparison and lose systematically against the posterior
-    mode; see the test suite.
+    then falls back to the exact posterior mode found by profile search.
+    ``BayesEstimate.solver`` records which route ran.
     """
     if e.k < 10:
         raise ValueError(f"need at least 10 excesses, got {e.k}")
     if tau >= 0:
         raise ValueError(f"tau must be negative, got {tau}")
-    weight = prior_term_sign / (e.k * prior.sigma2)
     try:
-        xi, delta = _solve_first_order(e, tau, weight, centering, delta_max)
+        xi, delta = _solve_first_order(e, tau, 1.0 / (e.k * prior.sigma2))
         return BayesEstimate(xi=xi, delta=delta, method="closed_form", solver="linear")
     except ClosedFormError:
-        if not allow_map_fallback:
-            raise
-        xi, delta = _profile_posterior_mode(e, tau, prior, delta_max)
+        xi, delta = _profile_posterior_mode(e, tau, prior)
         return BayesEstimate(xi=xi, delta=delta, method="closed_form", solver="profile-map")
-
-
-def ml_first_order(e: ExcessSet, tau: float, delta_max: float = DELTA_MAX) -> tuple[float, float]:
-    """First-order likelihood-only system: the same equations without the prior term."""
-    if tau >= 0:
-        raise ValueError(f"tau must be negative, got {tau}")
-    return _solve_first_order(e, tau, 0.0, "pareto-limit", delta_max)
 
 
 @dataclass(frozen=True)
@@ -540,16 +472,18 @@ def bayes_tail_prob(
 def smooth_path(series, window: int = 5) -> np.ndarray:
     """Centered moving average with a symmetric shrinking window at the edges.
 
-    The window must be odd; width 1 is the identity. Output length equals
-    input length and constant series pass through unchanged.
+    Missing (non-finite) cells are skipped, and a cell whose window holds
+    no finite value is NaN. The window must be odd; width 1 is the
+    identity on finite cells. Output length equals input length.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
     x = np.asarray(series, dtype=float)
     r = window // 2
-    length = x.size
     out = np.empty_like(x)
-    for i in range(length):
-        ri = min(r, i, length - 1 - i)
-        out[i] = x[i - ri: i + ri + 1].mean()
+    for i in range(x.size):
+        ri = min(r, i, x.size - 1 - i)
+        seg = x[i - ri: i + ri + 1]
+        good = np.isfinite(seg)
+        out[i] = seg[good].mean() if good.any() else np.nan
     return out

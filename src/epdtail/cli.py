@@ -127,15 +127,17 @@ def _parse_rho_flag(text: str) -> tuple[str, float | None]:
 
 
 def _parse_dist(text: str):
-    parts = text.split(":")
-    kind = parts[0]
-    args = [float(p) for p in parts[1:]]
-    if kind == "frechet" and len(args) == 1:
-        return frechet(args[0])
-    if kind == "burr" and len(args) == 2:
-        return burr(args[0], args[1])
-    if kind == "loggamma" and len(args) in (0, 2):
-        return loggamma(*args) if args else loggamma()
+    kind, *parts = text.split(":")
+    try:
+        args = [float(p) for p in parts]
+        if kind == "frechet" and len(args) == 1:
+            return frechet(args[0])
+        if kind == "burr" and len(args) == 2:
+            return burr(args[0], args[1])
+        if kind == "loggamma" and len(args) in (0, 2):
+            return loggamma(*args) if args else loggamma()
+    except ValueError as exc:
+        raise UsageError(f"bad distribution {text!r}: {exc}") from None
     raise UsageError(
         f"unknown distribution {text!r}; supported: frechet:<xi>, "
         "burr:<xi>:<rho>, loggamma[:<shape>:<rate>]"

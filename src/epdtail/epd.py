@@ -70,8 +70,64 @@ class EPDFit:
     iterations: int
 
 
-def _in_region(xi: float, delta: float, tau: float) -> bool:
-    return xi > 0 and tau < 0 and delta > delta_lower_bound(tau)
+class _Likelihood:
+    """The mean log-likelihood of one excess set at fixed tau, built once.
+
+    Holds what stays fixed while (xi, delta) move: log y and the
+    coefficients a = 1 - y**tau and b = 1 - (1 + tau) * y**tau (the rows
+    of ``coef``) with their extremes. Both perturbation terms 1 + delta*a
+    and 1 + delta*b are affine in delta, and rounded products and sums are
+    monotone, so positivity over the sample is exactly positivity at the
+    coefficient extremes. Means are a row-wise ``np.add.reduce`` divided
+    by k, the value ``np.mean`` returns for each row.
+
+    A call writes into scratch space owned by the instance, so one
+    instance serves one caller at a time.
+    """
+
+    def __init__(self, e: ExcessSet, tau: float) -> None:
+        y = e.y
+        if np.any(y < 1.0):
+            raise ValueError("excesses must be >= 1")
+        self.k = e.k
+        self.lo = delta_lower_bound(tau) if tau < 0 else math.inf
+        self.log_y = np.log(y)
+        p = y ** tau
+        self.coef = np.vstack([1.0 - p, 1.0 - (1.0 + tau) * p])
+        self.a, self.b = self.coef
+        self.ext = (float(self.a.min()), float(self.a.max()),
+                    float(self.b.min()), float(self.b.max()))
+        self._work = np.empty_like(self.coef)
+        self._work_a = self._work[0]
+
+    def inadmissible(self, delta: float) -> bool:
+        """Whether 1 + delta*a or 1 + delta*b fails to be positive somewhere on the sample."""
+        a_lo, a_hi, b_lo, b_hi = self.ext
+        return (1.0 + delta * a_lo <= 0.0 or 1.0 + delta * a_hi <= 0.0
+                or 1.0 + delta * b_lo <= 0.0 or 1.0 + delta * b_hi <= 0.0)
+
+    def __call__(self, xi: float, delta: float) -> float:
+        if not (xi > 0 and delta > self.lo) or self.inadmissible(delta):
+            return -math.inf
+        w = self._work
+        np.multiply(self.coef, delta, out=w)
+        np.add(w, 1.0, out=w)
+        np.log(w, out=w)
+        np.add(self._work_a, self.log_y, out=self._work_a)
+        s1, s2 = np.add.reduce(w, axis=1)
+        k = self.k
+        return -math.log(xi) - (1.0 / xi + 1.0) * (float(s1) / k) + float(s2) / k
+
+    def grad(self, xi: float, delta: float) -> tuple[float, float]:
+        if not (xi > 0 and delta > self.lo) or self.inadmissible(delta):
+            raise ValueError("gradient requested outside the parameter region")
+        t = 1.0 + delta * self.coef
+        s1 = np.add.reduce(self.log_y + np.log(t[0]))
+        r1, r2 = np.add.reduce(self.coef / t, axis=1)
+        k = self.k
+        d_xi = -1.0 / xi + (float(s1) / k) / xi ** 2
+        d_delta = -(1.0 / xi + 1.0) * (float(r1) / k) + float(r2) / k
+        return d_xi, d_delta
 
 
 def epd_survival(p: EPDParams, y):
@@ -91,41 +147,15 @@ def epd_log_likelihood(xi: float, delta: float, tau: float, e: ExcessSet) -> flo
     optimizers and samplers can reject naturally; malformed excess data
     raises instead.
     """
-    y = e.y
-    if np.any(y < 1.0):
-        raise ValueError("excesses must be >= 1")
-    if not _in_region(xi, delta, tau):
-        return -math.inf
-    p = y ** tau
-    t1 = 1.0 + delta * (1.0 - p)
-    t2 = 1.0 + delta * (1.0 - (1.0 + tau) * p)
-    if np.any(t1 <= 0.0) or np.any(t2 <= 0.0):
-        return -math.inf
-    return float(
-        -math.log(xi)
-        - (1.0 / xi + 1.0) * np.mean(np.log(y) + np.log(t1))
-        + np.mean(np.log(t2))
-    )
+    return _Likelihood(e, tau)(xi, delta)
 
 
 def epd_loglik_grad(xi: float, delta: float, tau: float, e: ExcessSet) -> tuple[float, float]:
     """Analytic gradient of the mean log-likelihood in (xi, delta)."""
-    y = e.y
-    if not _in_region(xi, delta, tau):
-        raise ValueError("gradient requested outside the parameter region")
-    p = y ** tau
-    a = 1.0 - p
-    b = 1.0 - (1.0 + tau) * p
-    t1 = 1.0 + delta * a
-    t2 = 1.0 + delta * b
-    if np.any(t1 <= 0.0) or np.any(t2 <= 0.0):
-        raise ValueError("gradient requested outside the parameter region")
-    d_xi = -1.0 / xi + np.mean(np.log(y) + np.log(t1)) / xi ** 2
-    d_delta = -(1.0 / xi + 1.0) * np.mean(a / t1) + np.mean(b / t2)
-    return float(d_xi), float(d_delta)
+    return _Likelihood(e, tau).grad(xi, delta)
 
 
-def epd_ml_fit(e: ExcessSet, tau: float, delta_max: float = DELTA_MAX) -> EPDFit:
+def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
     """Maximum-likelihood fit of (xi, delta) at fixed tau.
 
     Quasi-Newton search on (log xi, logit-mapped delta) so both
@@ -140,8 +170,9 @@ def epd_ml_fit(e: ExcessSet, tau: float, delta_max: float = DELTA_MAX) -> EPDFit
     if h <= 0:
         raise ValueError("all excesses are ties; the likelihood has no interior maximum")
 
-    lo = delta_lower_bound(tau)
-    span = delta_max - lo
+    lik = _Likelihood(e, tau)
+    lo = lik.lo
+    span = DELTA_MAX - lo
 
     def unpack(w: np.ndarray) -> tuple[float, float, float]:
         u = float(np.clip(w[0], -40.0, 40.0))
@@ -150,14 +181,14 @@ def epd_ml_fit(e: ExcessSet, tau: float, delta_max: float = DELTA_MAX) -> EPDFit
 
     def neg_loglik(w: np.ndarray) -> float:
         xi, delta, _ = unpack(w)
-        val = epd_log_likelihood(xi, delta, tau, e)
+        val = lik(xi, delta)
         # big finite penalty so the line search backtracks from the region edge
         return 1e12 if val == -math.inf else -val
 
     def neg_grad(w: np.ndarray) -> np.ndarray:
         xi, delta, sig = unpack(w)
         try:
-            d_xi, d_delta = epd_loglik_grad(xi, delta, tau, e)
+            d_xi, d_delta = lik.grad(xi, delta)
         except ValueError:
             return np.zeros(2)
         return -np.array([d_xi * xi, d_delta * span * sig * (1.0 - sig)])

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -12,7 +10,6 @@ from .data import SortedSample
 
 __all__ = [
     "NonEstimableError",
-    "SecondOrderParams",
     "rho_fraga",
     "clamp_rho",
     "tau_hat",
@@ -22,24 +19,6 @@ __all__ = [
 
 class NonEstimableError(ValueError):
     """Raised when a statistic cannot be estimated from the given data."""
-
-
-@dataclass(frozen=True)
-class SecondOrderParams:
-    """Second-order rate ``rho`` and the per-threshold rate ``tau = rho / hill``."""
-
-    rho: float
-    tau: float
-    hill: float
-    source: Literal["estimated", "fixed_minus_one", "user"]
-
-    def __post_init__(self) -> None:
-        if not self.rho < 0:
-            raise ValueError("rho must be negative")
-        if not self.tau < 0:
-            raise ValueError("tau must be negative")
-        if abs(self.tau * self.hill - self.rho) > 1e-9 * max(1.0, abs(self.rho)):
-            raise ValueError("tau must equal rho / hill")
 
 
 def rho_fraga(s: SortedSample, k1: int | None = None, tuning: float = 0.0) -> float:

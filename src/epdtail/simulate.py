@@ -26,6 +26,7 @@ from .bayes import (
     metropolis_sample,
     posterior_mode,
     prior_variance,
+    smooth_path,
 )
 from .classical import hill, weissman_tail_prob
 from .data import SortedSample, excesses
@@ -161,18 +162,18 @@ def sample_distribution(d: SimDistribution, n: int, seed) -> SortedSample:
 class MCStudyConfig:
     """Design of a replicated estimation study on a reference law.
 
-    ``k_grid`` defaults (when empty) to every k from 10 to n-10 in steps
-    of 5. ``smooth_window`` is the moving-average width applied to each
-    replication's posterior-mode paths over k before aggregation; 0
-    disables smoothing. ``target_p`` fixes the exceedance level whose
-    probability is re-estimated at x equal to the true (1 - target_p)
-    quantile.
+    ``k_grid`` defaults (when None) to every k from 10 to n-10 in steps
+    of 5; an empty grid is rejected. ``smooth_window`` is the
+    moving-average width applied to each replication's posterior-mode
+    paths over k before aggregation; 0 disables smoothing. ``target_p``
+    fixes the exceedance level whose probability is re-estimated at x
+    equal to the true (1 - target_p) quantile.
     """
 
     dist: SimDistribution
     n: int = 500
     reps: int = 1000
-    k_grid: tuple[int, ...] = ()
+    k_grid: tuple[int, ...] | None = None
     estimators: tuple[str, ...] = ("hill", "epd_ml", "bayes_closed")
     rho_mode: str = "fraga"
     target_p: float = 1.0 / 500.0
@@ -197,14 +198,16 @@ class MCStudyConfig:
             raise ValueError("target_p must be in (0, 1)")
         if self.smooth_window < 0 or (self.smooth_window > 1 and self.smooth_window % 2 == 0):
             raise ValueError("smooth_window must be 0 (off) or odd")
-        for k in self.k_grid:
+        if self.k_grid is not None and not self.k_grid:
+            raise ValueError("bad k grid: it holds no k")
+        for k in self.k_grid or ():
             if not 10 <= k <= self.n - 1:
                 raise ValueError(f"every k must lie in [10, n-1]; got {k}")
 
     def resolved_k_grid(self) -> tuple[int, ...]:
-        if self.k_grid:
-            return tuple(self.k_grid)
-        return tuple(range(10, self.n - 9, 5))
+        if self.k_grid is None:
+            return tuple(range(10, self.n - 9, 5))
+        return tuple(self.k_grid)
 
 
 @dataclass(frozen=True)
@@ -230,18 +233,6 @@ class MCStudyResult:
     reps_used: int
     exclusion_fraction: float
     runtime: float
-
-
-def _smooth_nan_aware(x: np.ndarray, window: int) -> np.ndarray:
-    """Centered shrinking-window mean that skips missing cells."""
-    r = window // 2
-    out = np.empty_like(x)
-    for i in range(x.size):
-        ri = min(r, i, x.size - 1 - i)
-        seg = x[i - ri: i + ri + 1]
-        good = np.isfinite(seg)
-        out[i] = seg[good].mean() if good.any() else np.nan
-    return out
 
 
 def _study_rep(cfg: MCStudyConfig, k_grid: tuple[int, ...], x_level: float, rep: int):
@@ -302,8 +293,8 @@ def _study_rep(cfg: MCStudyConfig, k_grid: tuple[int, ...], x_level: float, rep:
     if cfg.smooth_window >= 3:
         for i, name in enumerate(est_names):
             if name in ("bayes_closed", "bayes_mcmc"):
-                xi_out[i] = _smooth_nan_aware(xi_out[i], cfg.smooth_window)
-                p_out[i] = _smooth_nan_aware(p_out[i], cfg.smooth_window)
+                xi_out[i] = smooth_path(xi_out[i], cfg.smooth_window)
+                p_out[i] = smooth_path(p_out[i], cfg.smooth_window)
     return xi_out, p_out
 
 

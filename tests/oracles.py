@@ -2,9 +2,12 @@
 
 These deliberately re-derive quantities through different routes than the
 library (brute-force grid refinement, quadrature, batch means) so that
-agreement is evidence, not tautology. ``oracle_metropolis`` is the
-exception: it keeps the straightforward Metropolis loop as the reference
-that the library's precomputed sampler must reproduce bit for bit.
+agreement is evidence, not tautology. The exceptions keep a
+straightforward form of a library computation as the reference that the
+library must reproduce bit for bit: ``oracle_epd_log_likelihood`` and
+``oracle_metropolis``. ``oracle_first_order`` keeps the estimating-system
+variants that the library rejects, and ``asym_var_raw`` the literal form
+of the limiting variance.
 """
 
 from __future__ import annotations
@@ -15,7 +18,28 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import norm
 
-from epdtail import epd_log_likelihood, hill, log_prior_delta, log_prior_xi
+from epdtail import delta_lower_bound, hill, log_prior_delta, log_prior_xi, moment_stat
+from epdtail.bayes import ClosedFormError
+from epdtail.epd import DELTA_MAX
+
+
+def oracle_epd_log_likelihood(xi, delta, tau, e):
+    """Mean EPD log-likelihood, rebuilding every term from the excesses on each call."""
+    y = e.y
+    if np.any(y < 1.0):
+        raise ValueError("excesses must be >= 1")
+    if not (xi > 0 and tau < 0 and delta > delta_lower_bound(tau)):
+        return -math.inf
+    p = y ** tau
+    t1 = 1.0 + delta * (1.0 - p)
+    t2 = 1.0 + delta * (1.0 - (1.0 + tau) * p)
+    if np.any(t1 <= 0.0) or np.any(t2 <= 0.0):
+        return -math.inf
+    return float(
+        -math.log(xi)
+        - (1.0 / xi + 1.0) * np.mean(np.log(y) + np.log(t1))
+        + np.mean(np.log(t2))
+    )
 
 
 def oracle_log_posterior(xi, delta, y, tau, sigma2, gamma_shape=1e-4):
@@ -116,13 +140,13 @@ def pareto_sample(xi, n, seed):
 def oracle_metropolis(e, tau, prior, config):
     """The Metropolis loop with the log posterior composed on every proposal.
 
-    Evaluates ``epd_log_likelihood + (log_prior_xi + log_prior_delta) / k``
+    Evaluates ``oracle_epd_log_likelihood + (log_prior_xi + log_prior_delta) / k``
     from scratch for each proposal and draws random numbers in the same
     order as ``metropolis_sample``. Returns ``(draws, logpost,
     acceptance_rate)``.
     """
     def log_post(xi, delta):
-        ll = epd_log_likelihood(xi, delta, tau, e)
+        ll = oracle_epd_log_likelihood(xi, delta, tau, e)
         if ll == -math.inf:
             return -math.inf
         lp = log_prior_xi(xi, prior.gamma_shape) + log_prior_delta(delta, prior)
@@ -167,3 +191,56 @@ def oracle_metropolis(e, tau, prior, config):
             draws[i, 1] = d
             logpost[i] = lp
     return draws, logpost, accepted_post / retained
+
+
+def oracle_first_order(e, tau, prior, centering="pareto-limit", prior_term_sign=1.0):
+    """The first-order estimating system with the conventions the library rejects.
+
+    A copy of the library's quadratic reduction with two switches:
+    ``centering`` compares the tau-moment statistic with its strict-Pareto
+    limit 1/(1 - H*tau) ("pareto-limit", the library's choice) or with the
+    reciprocal 1/(H*tau) ("rate-reciprocal"), and ``prior_term_sign``
+    flips the sign of the prior term. Returns (xi, delta), or raises
+    ClosedFormError where the system has no admissible root.
+    """
+    weight = prior_term_sign / (e.k * prior.sigma2)
+    h = hill(e).xi
+    e1 = moment_stat(e, tau)
+    e2 = moment_stat(e, 2.0 * tau)
+    c = 1.0 / (1.0 - h * tau) if centering == "pareto-limit" else 1.0 / (h * tau)
+    rhs = (1.0 - h * tau) * (e1 - c)
+    b0 = 1.0 - 2.0 * e1 + e2 - tau * (1.0 - e1) * e1
+    b1 = 2.0 * tau * e1 - (2.0 * tau + tau * tau) * e2
+    a1 = (weight - b1) * h - b0
+    a2 = (weight - b1) * (1.0 - e1)
+    candidates = []
+    if abs(a2) < 1e-300:
+        if abs(a1) < 1e-12:
+            raise ClosedFormError("singular estimating system")
+        candidates.append(rhs / a1)
+    else:
+        disc = a1 * a1 + 4.0 * a2 * rhs
+        if disc < 0.0:
+            raise ClosedFormError("the estimating system has no real solution")
+        if rhs == 0.0:
+            candidates.append(0.0)
+        else:
+            q = -(a1 + math.copysign(math.sqrt(disc), a1)) / 2.0
+            candidates.append(q / a2)
+            if abs(q) > 0:
+                candidates.append(-rhs / q)
+    lo = delta_lower_bound(tau)
+    feasible = [(abs(d), d, h + d * (1.0 - e1)) for d in candidates
+                if h + d * (1.0 - e1) > 0 and lo < d <= DELTA_MAX]
+    if not feasible:
+        raise ClosedFormError("no admissible solution of the estimating system")
+    _, delta, xi = min(feasible)
+    return xi, delta
+
+
+def asym_var_raw(r):
+    """Limiting variance in the literal form with the rho**-4 factor."""
+    rho = r.rho
+    return (r.xi ** 2 / (1.0 + r.zeta * rho ** -4) ** 2) * (
+        ((1.0 - rho) / rho) ** 2 + r.zeta ** 2 / rho ** 8 + 2.0 * r.zeta / rho ** 4
+    )

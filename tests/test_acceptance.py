@@ -15,10 +15,10 @@ import pytest
 from scipy.stats import kstest
 
 import epdtail as et
-from epdtail.bayes import ClosedFormError
+from epdtail.bayes import ClosedFormError, _solve_first_order
 from epdtail.cli import main
 from conftest import pareto_excesses
-from oracles import batch_means_se, grid_map_oracle, quadrature_xi_mean
+from oracles import batch_means_se, grid_map_oracle, oracle_first_order, quadrature_xi_mean
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -119,9 +119,8 @@ def test_criterion_04_closed_form_vs_map_oracle():
             small_delta += 1
         # centering adjudication at the same design point
         try:
-            variant = et.bayes_closed_form(e, tau, prior, centering="rate-reciprocal",
-                                           allow_map_fallback=False)
-            gaps_centering.append(abs(variant.xi - xi_map))
+            xi_v, _ = oracle_first_order(e, tau, prior, centering="rate-reciprocal")
+            gaps_centering.append(abs(xi_v - xi_map))
         except (ClosedFormError, ValueError):
             gaps_centering.append(math.inf)
         # prior-term-sign adjudication where the linear branch solves (k=50)
@@ -129,12 +128,11 @@ def test_criterion_04_closed_form_vs_map_oracle():
         tau50 = et.tau_hat(rho, et.hill(e50).xi)
         p50 = et.PriorSpec.for_tau(et.prior_variance(50, n, rho), tau50)
         try:
-            d0 = et.bayes_closed_form(e50, tau50, p50, allow_map_fallback=False)
-            v0 = et.bayes_closed_form(e50, tau50, p50, prior_term_sign=-1.0,
-                                      allow_map_fallback=False)
+            xi_d, _ = _solve_first_order(e50, tau50, 1.0 / (e50.k * p50.sigma2))
+            xi_s, _ = oracle_first_order(e50, tau50, p50, prior_term_sign=-1.0)
             xm, _, _ = grid_map_oracle(e50.y, tau50, p50.sigma2)
-            gaps_sign_default.append(abs(d0.xi - xm))
-            gaps_sign_variant.append(abs(v0.xi - xm))
+            gaps_sign_default.append(abs(xi_d - xm))
+            gaps_sign_variant.append(abs(xi_s - xm))
         except (ClosedFormError, ValueError):
             pass
 
@@ -165,8 +163,7 @@ def test_criterion_05_prior_limits():
         e = pareto_excesses(1.0, 100, (71, seed))
         tau = -1.0 / et.hill(e).xi
         try:
-            et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(1e12, tau),
-                                 allow_map_fallback=False)
+            _solve_first_order(e, tau, 1.0 / (e.k * 1e12))
             cases.append((e, tau))
         except ClosedFormError:
             pass
@@ -176,9 +173,9 @@ def test_criterion_05_prior_limits():
     worst_flat = worst_delta = worst_xi = 0.0
     for e, tau in cases:
         h = et.hill(e).xi
-        est_inf = et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(1e12, tau),
-                                       allow_map_fallback=False)
-        xi_ml, d_ml = et.ml_first_order(e, tau)
+        est_inf = et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(1e12, tau))
+        assert est_inf.solver == "linear"
+        xi_ml, d_ml = _solve_first_order(e, tau, 0.0)
         worst_flat = max(worst_flat, abs(est_inf.xi - xi_ml), abs(est_inf.delta - d_ml))
         est_0 = et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(1e-12, tau))
         worst_delta = max(worst_delta, abs(est_0.delta))

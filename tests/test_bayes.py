@@ -4,13 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import gammaln
 from scipy.stats import norm
 
 import epdtail as et
-from epdtail.bayes import ClosedFormError, _profile_posterior_mode
+from epdtail.bayes import ClosedFormError, _profile_posterior_mode, _solve_first_order
 from conftest import pareto_excesses
-from oracles import grid_map_oracle, oracle_log_posterior, oracle_metropolis
+from oracles import (
+    grid_map_oracle,
+    oracle_epd_log_likelihood,
+    oracle_log_posterior,
+    oracle_metropolis,
+)
 
 
 def _excess_set(y):
@@ -97,8 +105,7 @@ def _solvable_pareto_cases(count=20, k=100, sigma2=1e12):
         e = pareto_excesses(1.0, k, (71, seed))
         tau = -1.0 / et.hill(e).xi
         try:
-            et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(sigma2, tau),
-                                 allow_map_fallback=False)
+            _solve_first_order(e, tau, 1.0 / (e.k * sigma2))
             cases.append((e, tau))
         except ClosedFormError:
             pass
@@ -120,9 +127,9 @@ class TestClosedForm:
 
     def test_flat_prior_matches_ml_system(self):
         for e, tau in _solvable_pareto_cases():
-            est = et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(1e12, tau),
-                                       allow_map_fallback=False)
-            xi_ml, d_ml = et.ml_first_order(e, tau)
+            est = et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(1e12, tau))
+            assert est.solver == "linear"
+            xi_ml, d_ml = _solve_first_order(e, tau, 0.0)
             assert est.xi == pytest.approx(xi_ml, abs=1e-6)
             assert est.delta == pytest.approx(d_ml, abs=1e-6)
 
@@ -132,8 +139,8 @@ class TestClosedForm:
         grid = [1e2, 1.0, 1e-2, 1e-4, 1e-6]
         deltas = []
         for s2 in grid:
-            est = et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(s2, tau),
-                                       allow_map_fallback=False)
+            est = et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(s2, tau))
+            assert est.solver == "linear"
             deltas.append(abs(est.delta))
         assert all(a >= b - 1e-14 for a, b in zip(deltas, deltas[1:]))
         final = et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(grid[-1], tau))
@@ -164,7 +171,7 @@ class TestClosedForm:
         # the linearized system provably has no real solution here
         e, tau, prior = burr_k200
         with pytest.raises(ClosedFormError):
-            et.bayes_closed_form(e, tau, prior, allow_map_fallback=False)
+            _solve_first_order(e, tau, 1.0 / (e.k * prior.sigma2))
         est = et.bayes_closed_form(e, tau, prior)
         assert est.solver == "profile-map"
         xi_map, d_map, _ = grid_map_oracle(e.y, tau, prior.sigma2)
@@ -254,7 +261,7 @@ class TestMetropolisMatchesSeedLoop:
         lo = et.delta_lower_bound(tau)
         for xi in (1e-300, 0.3, 0.8, 5.0, math.inf):
             for d in (lo - 0.1, lo, lo + 1e-12, -0.2, -0.1, 0.0, 0.7, 9.0, 1e200):
-                ll = et.epd_log_likelihood(xi, d, tau, e)
+                ll = oracle_epd_log_likelihood(xi, d, tau, e)
                 lp = et.log_prior_xi(xi, prior.gamma_shape) + et.log_prior_delta(d, prior)
                 want = -math.inf if -math.inf in (ll, lp) else ll + lp / e.k
                 got = et.log_posterior(xi, d, e, tau, prior)
@@ -335,9 +342,32 @@ class TestBayesTailProb:
         )
 
 
+# float paths of any length up to 40, with NaN and infinite cells among them
+_PATHS = arrays(np.float64, st.integers(0, 40), elements=st.floats(width=64))
+_WINDOWS = st.sampled_from([1, 3, 5, 7, 9])
+# constants with at most 41 significant bits: a sum of up to 9 copies is exact
+_DYADIC = st.builds(math.ldexp, st.integers(-2**40, 2**40), st.integers(-1000, 950))
+
+
 class TestSmoothPath:
-    def test_constant_unchanged(self):
-        assert np.array_equal(et.smooth_path(np.full(8, 2.5), 5), np.full(8, 2.5))
+    @given(_DYADIC, st.integers(1, 40), _WINDOWS)
+    @example(2.5, 8, 5)
+    def test_constant_unchanged(self, c, n, window):
+        assert np.array_equal(et.smooth_path(np.full(n, c), window), np.full(n, c))
+
+    @given(_PATHS, _WINDOWS)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_window_without_finite_cell_is_nan(self, x, window):
+        out = et.smooth_path(x, window)
+        r = window // 2
+        for i in range(x.size):
+            ri = min(r, i, x.size - 1 - i)
+            if not np.isfinite(x[i - ri: i + ri + 1]).any():
+                assert np.isnan(out[i])
+
+    def test_skips_missing_cells(self):
+        out = et.smooth_path(np.array([1.0, np.nan, 3.0, 4.0, np.inf]), 3)
+        assert np.array_equal(out, [1.0, 2.0, 3.5, 3.5, np.nan], equal_nan=True)
 
     def test_hand_value(self):
         out = et.smooth_path(np.arange(1.0, 11.0), 5)

@@ -145,6 +145,23 @@ class TestSimulate:
         assert main(self._args(tmp_path, **{"--dist": "zipf:2"})) == 1
         assert "supported" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", [
+        {"--dist": "frechet:0.5", "--k-min": "60", "--k-max": "50"},
+        {"--k-step": "-5"},
+        {"--k-step": "0"},
+    ])
+    def test_empty_k_grid_is_usage_error(self, tmp_path, capsys, grid):
+        # an empty grid must not fall through to the study's default grid
+        assert main(self._args(tmp_path, **grid)) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "study.csv").exists()
+
+    @pytest.mark.parametrize("dist", ["burr:abc:-1", "frechet:-1", "frechet:", "burr:0.5:0.5",
+                                      "loggamma:0:2"])
+    def test_bad_distribution_values_are_usage_errors(self, tmp_path, capsys, dist):
+        assert main(self._args(tmp_path, **{"--dist": dist})) == 1
+        assert f"usage error: bad distribution {dist!r}" in capsys.readouterr().err
+
     def test_bundled_config_loads_with_overrides(self, tmp_path):
         out = tmp_path / "cfg.csv"
         code = main(["simulate", "--config", "burr_fig2", "--reps", "2",

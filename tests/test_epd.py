@@ -8,6 +8,7 @@ from scipy.stats import kstest
 
 import epdtail as et
 from conftest import pareto_excesses
+from oracles import oracle_epd_log_likelihood
 
 
 def _excess_set(y):
@@ -75,6 +76,14 @@ class TestLogLikelihood:
         assert et.epd_log_likelihood(1.0, -1.0, -1.0, e) == -math.inf
         assert et.epd_log_likelihood(-0.5, 0.0, -1.0, e) == -math.inf
         assert et.epd_log_likelihood(1.0, 0.0, 0.5, e) == -math.inf
+
+    def test_matches_straightforward_form_bit_for_bit(self, burr_k200):
+        e, tau, _ = burr_k200
+        lo = et.delta_lower_bound(tau)
+        for xi in (1e-300, 0.3, 0.8, 5.0, math.inf):
+            for d in (lo - 0.1, lo, lo + 1e-12, -0.2, 0.0, 0.7, 9.0, 1e200):
+                assert et.epd_log_likelihood(xi, d, tau, e) == oracle_epd_log_likelihood(
+                    xi, d, tau, e), (xi, d)
 
     def test_malformed_excesses_raise(self):
         bad = et.ExcessSet.__new__(et.ExcessSet)

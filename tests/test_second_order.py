@@ -35,17 +35,6 @@ class TestTauHat:
         assert et.tau_hat(rho, h) * h == pytest.approx(rho, rel=1e-15)
 
 
-class TestSecondOrderParams:
-    def test_consistency_enforced(self):
-        et.SecondOrderParams(rho=-1.0, tau=-2.0, hill=0.5, source="estimated")
-        with pytest.raises(ValueError, match="tau must equal"):
-            et.SecondOrderParams(rho=-1.0, tau=-1.5, hill=0.5, source="estimated")
-
-    def test_signs_enforced(self):
-        with pytest.raises(ValueError):
-            et.SecondOrderParams(rho=0.5, tau=-1.0, hill=0.5, source="user")
-
-
 class TestRhoFraga:
     def test_burr_recovers_rho(self, burr_dist):
         # median over replications should bracket the true rho = -0.75

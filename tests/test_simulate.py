@@ -83,6 +83,9 @@ class TestConfig:
             et.MCStudyConfig(dist=burr_dist, estimators=("hill", "pickands"))
         with pytest.raises(ValueError):
             et.MCStudyConfig(dist=burr_dist, k_grid=(5,))
+        # only None selects the default grid; an empty range must not fall through to it
+        with pytest.raises(ValueError, match="bad k grid"):
+            et.MCStudyConfig(dist=burr_dist, k_grid=tuple(range(60, 50, 5)))
         with pytest.raises(ValueError):
             et.MCStudyConfig(dist=burr_dist, smooth_window=4)
         with pytest.raises(ValueError):
@@ -180,11 +183,6 @@ class TestRunStudy:
         monkeypatch.setattr(sim, "_study_rep", mostly_failing)
         with pytest.raises(et.StudyError, match="aborting"):
             et.run_study(cfg)
-
-    def test_smoothing_matches_library_smoother_on_finite_paths(self):
-        rng = np.random.default_rng(0)
-        path = rng.normal(size=9)
-        assert np.allclose(sim._smooth_nan_aware(path, 5), et.smooth_path(path, 5))
 
     def test_rows_and_payload(self, burr_dist):
         cfg = _small_cfg(burr_dist, reps=2)
