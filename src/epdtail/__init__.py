@@ -22,7 +22,6 @@ from .bayes import (
     ClosedFormError,
     MCMCConfig,
     PosteriorChain,
-    PriorSpec,
     bayes_closed_form,
     bayes_tail_prob,
     hpd_interval,

@@ -23,29 +23,19 @@ __all__ = [
     "limit_mse",
 ]
 
-_IDENTITY_RTOL = 1e-12
-
-
-def _zeta_mu_product(xi: float, rho: float) -> float:
-    # zeta * mu is pinned to this constant by the regime definition
-    return xi * xi * (1.0 - 2.0 * rho) * (1.0 - rho) ** 2
-
 
 @dataclass(frozen=True)
 class AsymptoticRegime:
-    """A limiting regime (xi, rho, lam) plus prior strength zeta (or mu).
+    """A limiting regime (xi, rho, lam) plus the prior strength zeta >= 0.
 
-    Exactly one of ``zeta`` and ``mu`` may be omitted; the other is
-    derived from zeta * mu = xi**2 * (1-2*rho) * (1-rho)**2. When both
-    are given they must satisfy that identity to within 1e-12 relative.
-    zeta = inf encodes the no-shrinkage (Hill) regime, with mu = 0.
+    zeta = inf encodes the no-shrinkage (Hill) regime and zeta = 0 the
+    unshrunk (ML) one.
     """
 
     xi: float
     rho: float
     lam: float
-    zeta: float | None = None
-    mu: float | None = None
+    zeta: float
 
     def __post_init__(self) -> None:
         if not self.xi > 0:
@@ -54,24 +44,8 @@ class AsymptoticRegime:
             raise ValueError("rho must be negative")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
-        prod = _zeta_mu_product(self.xi, self.rho)
-        if self.zeta is None and self.mu is None:
-            raise ValueError("one of zeta or mu is required")
-        if self.zeta is None:
-            if not self.mu > 0:
-                raise ValueError("mu must be positive")
-            object.__setattr__(self, "zeta", prod / self.mu)
-        elif self.mu is None:
-            if self.zeta < 0:
-                raise ValueError("zeta must be nonnegative")
-            object.__setattr__(self, "mu", 0.0 if math.isinf(self.zeta) else
-                               (math.inf if self.zeta == 0 else prod / self.zeta))
-        else:
-            if math.isinf(self.zeta):
-                if self.mu != 0.0:
-                    raise ValueError("zeta = inf requires mu = 0")
-            elif abs(self.zeta * self.mu - prod) > _IDENTITY_RTOL * prod:
-                raise ValueError("zeta and mu violate the regime identity")
+        if not self.zeta >= 0:
+            raise ValueError("zeta must be nonnegative")
 
 
 def asym_mean(r: AsymptoticRegime) -> float:

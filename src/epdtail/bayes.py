@@ -25,7 +25,6 @@ from .epd import DELTA_MAX, EPDParams, _Likelihood, delta_lower_bound, epd_tail_
 
 __all__ = [
     "ClosedFormError",
-    "PriorSpec",
     "PosteriorChain",
     "BayesEstimate",
     "MCMCConfig",
@@ -41,46 +40,28 @@ __all__ = [
     "smooth_path",
 ]
 
+# shape of the proper gamma (scale 1) approximation to the information prior on xi
+_GAMMA_SHAPE = 1e-4
+# Metropolis tuning: initial step scales in (log xi, delta), and the burn-in
+# adaptation that every _ADAPT_INTERVAL proposals nudges both scales toward
+# the _TARGET_ACCEPT acceptance rate (Roberts, Gelman & Gilks 1997)
+_STEP_LOG_XI = 0.15
+_STEP_DELTA = 0.3
+_ADAPT_INTERVAL = 50
+_TARGET_ACCEPT = 0.234
+
+
 class ClosedFormError(RuntimeError):
     """The first-order estimating system has no usable solution."""
 
 
 @dataclass(frozen=True)
-class PriorSpec:
-    """Hyperparameters of the priors on (xi, delta).
-
-    ``sigma2`` is the variance of the normal prior on delta, left
-    truncated at ``trunc_lower`` to respect the model support;
-    ``gamma_shape`` is the shape of the proper gamma (scale 1)
-    approximation to the information prior on xi.
-    """
-
-    sigma2: float
-    gamma_shape: float = 1e-4
-    trunc_lower: float = -1.0
-
-    def __post_init__(self) -> None:
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
-        if not self.gamma_shape > 0:
-            raise ValueError("gamma_shape must be positive")
-        if not -1.0 <= self.trunc_lower < 0.0:
-            raise ValueError("trunc_lower must lie in [-1, 0)")
-
-    @classmethod
-    def for_tau(cls, sigma2: float, tau: float, gamma_shape: float = 1e-4) -> "PriorSpec":
-        return cls(sigma2=sigma2, gamma_shape=gamma_shape, trunc_lower=delta_lower_bound(tau))
-
-
-@dataclass(frozen=True)
 class BayesEstimate:
-    """Posterior-mode estimate of (xi, delta)."""
+    """Posterior-mode estimate of (xi, delta) and the route that found it."""
 
     xi: float
     delta: float
-    method: Literal["closed_form", "mcmc"]
-    hpd_xi: tuple[float, float, float] | None = None
-    solver: str = "linear"
+    solver: Literal["linear", "profile-map", "mcmc"]
 
     def __post_init__(self) -> None:
         if not self.xi > 0:
@@ -94,14 +75,18 @@ class PosteriorChain:
     draws: np.ndarray
     logpost: np.ndarray
     acceptance_rate: float
-    burn_in: int
-    seed: int
 
     def __post_init__(self) -> None:
         if self.draws.shape[0] != self.logpost.shape[0]:
             raise ValueError("draws and logpost must have matching lengths")
         if not 0.0 <= self.acceptance_rate <= 1.0:
             raise ValueError("acceptance rate must lie in [0, 1]")
+
+
+def _check_sigma2(sigma2: float) -> None:
+    # prior_variance underflows to 0.0 when |rho| is huge
+    if not sigma2 > 0:
+        raise ValueError(f"sigma2 must be positive, got {sigma2}")
 
 
 def prior_variance(k: int, n: int, rho: float) -> float:
@@ -113,63 +98,64 @@ def prior_variance(k: int, n: int, rho: float) -> float:
     return (k / n) ** (-2.0 * rho)
 
 
-def log_prior_xi(xi: float, gamma_shape: float = 1e-4) -> float:
+def log_prior_xi(xi: float) -> float:
     """Log density of the gamma(shape, scale=1) prior on the tail index."""
     if xi <= 0:
         return -math.inf
-    return (gamma_shape - 1.0) * math.log(xi) - xi - float(gammaln(gamma_shape))
+    return (_GAMMA_SHAPE - 1.0) * math.log(xi) - xi - float(gammaln(_GAMMA_SHAPE))
 
 
-def log_prior_delta(delta: float, prior: PriorSpec) -> float:
-    """Log density of the left-truncated normal prior on delta."""
-    if delta <= prior.trunc_lower:
+def log_prior_delta(delta: float, sigma2: float, tau: float) -> float:
+    """Log density of the normal(0, sigma2) prior on delta, truncated at the model bound."""
+    _check_sigma2(sigma2)
+    lo = delta_lower_bound(tau)
+    if delta <= lo:
         return -math.inf
-    sigma = math.sqrt(prior.sigma2)
+    sigma = math.sqrt(sigma2)
     return (
-        -0.5 * delta * delta / prior.sigma2
+        -0.5 * delta * delta / sigma2
         - math.log(math.sqrt(2.0 * math.pi) * sigma)
-        - math.log(float(norm.sf(prior.trunc_lower / sigma)))
+        - math.log(float(norm.sf(lo / sigma)))
     )
 
 
 class _LogTarget:
-    """The per-observation log posterior of one (excesses, tau, prior), built once.
+    """The per-observation log posterior of one (excesses, tau, sigma2), built once.
 
-    Adds the prior normalisers to the likelihood kernel ``lik``. A call
-    performs the same floating-point operations in the same order as
-    composing ``epd_log_likelihood`` with the two log priors, so it returns
-    the same bits.
+    Adds the prior normalisers to the likelihood kernel ``lik``, which
+    already returns -inf at or below the truncation point of the delta
+    prior. A call performs the same floating-point operations in the same
+    order as composing ``epd_log_likelihood`` with the two log priors, so
+    it returns the same bits.
     """
 
-    def __init__(self, e: ExcessSet, tau: float, prior: PriorSpec) -> None:
+    def __init__(self, e: ExcessSet, tau: float, sigma2: float) -> None:
+        _check_sigma2(sigma2)
         self.lik = _Likelihood(e, tau)
         self.k = e.k
-        self.prior = prior
-        sigma = math.sqrt(prior.sigma2)
-        self.log_gamma = float(gammaln(prior.gamma_shape))
+        self.sigma2 = sigma2
+        sigma = math.sqrt(sigma2)
+        self.log_gamma = float(gammaln(_GAMMA_SHAPE))
         self.log_norm = math.log(math.sqrt(2.0 * math.pi) * sigma)
-        self.log_trunc = math.log(float(norm.sf(prior.trunc_lower / sigma)))
+        self.log_trunc = math.log(float(norm.sf(delta_lower_bound(tau) / sigma)))
 
     def __call__(self, xi: float, delta: float) -> float:
         ll = self.lik(xi, delta)
         if ll == -math.inf:
             return -math.inf
-        prior = self.prior
-        if delta <= prior.trunc_lower:
-            return -math.inf
-        lp = ((prior.gamma_shape - 1.0) * math.log(xi) - xi - self.log_gamma
-              + (-0.5 * delta * delta / prior.sigma2 - self.log_norm - self.log_trunc))
+        lp = ((_GAMMA_SHAPE - 1.0) * math.log(xi) - xi - self.log_gamma
+              + (-0.5 * delta * delta / self.sigma2 - self.log_norm - self.log_trunc))
         if lp == -math.inf:
             return -math.inf
         return ll + lp / self.k
 
 
-def log_posterior(xi: float, delta: float, e: ExcessSet, tau: float, prior: PriorSpec) -> float:
+def log_posterior(xi: float, delta: float, e: ExcessSet, tau: float, sigma2: float) -> float:
     """Per-observation log posterior: mean log-likelihood plus (1/k) log priors.
 
     Out-of-region parameters give -inf, matching the likelihood sentinel.
     """
-    return _LogTarget(e, tau, prior)(xi, delta)
+    return _LogTarget(e, tau, sigma2)(xi, delta)
 
 
 def _system_coefficients(
@@ -234,7 +220,7 @@ def _solve_first_order(e: ExcessSet, tau: float, weight: float) -> tuple[float, 
     return xi, delta
 
 
-def _profile_posterior_mode(e: ExcessSet, tau: float, prior: PriorSpec) -> tuple[float, float]:
+def _profile_posterior_mode(e: ExcessSet, tau: float, sigma2: float) -> tuple[float, float]:
     """Exact posterior mode by profiling xi out and searching over delta.
 
     For fixed delta the xi maximizer of the total posterior solves a
@@ -247,7 +233,7 @@ def _profile_posterior_mode(e: ExcessSet, tau: float, prior: PriorSpec) -> tuple
     is unbounded along that boundary but carries negligible posterior
     mass, so it is an artifact rather than a usable mode.
     """
-    target = _LogTarget(e, tau, prior)
+    target = _LogTarget(e, tau, sigma2)
     lik = target.lik
     k = e.k
     lo = lik.lo
@@ -256,7 +242,7 @@ def _profile_posterior_mode(e: ExcessSet, tau: float, prior: PriorSpec) -> tuple
     mean_logy = float(np.mean(lik.log_y))
     xi_floor = 0.05 * mean_logy
     lp_const = -target.log_norm - target.log_trunc - target.log_gamma
-    bq = k + 1.0 - prior.gamma_shape
+    bq = k + 1.0 - _GAMMA_SHAPE
 
     def profile_xi(g: np.ndarray) -> np.ndarray:
         return (-bq + np.sqrt(bq * bq + 4.0 * k * g)) / 2.0
@@ -272,9 +258,9 @@ def _profile_posterior_mode(e: ExcessSet, tau: float, prior: PriorSpec) -> tuple
         ok &= xi >= xi_floor
         val = (
             k * (-np.log(xi) - (1.0 / xi + 1.0) * g_safe + t2.mean(axis=1))
-            + (prior.gamma_shape - 1.0) * np.log(xi)
+            + (_GAMMA_SHAPE - 1.0) * np.log(xi)
             - xi
-            - 0.5 * deltas * deltas / prior.sigma2
+            - 0.5 * deltas * deltas / sigma2
             + lp_const
         )
         return np.where(ok, val, -np.inf), xi
@@ -290,9 +276,9 @@ def _profile_posterior_mode(e: ExcessSet, tau: float, prior: PriorSpec) -> tuple
             return math.inf
         val = (
             k * (-math.log(xi) - (1.0 / xi + 1.0) * g + float(np.mean(np.log1p(delta * b))))
-            + (prior.gamma_shape - 1.0) * math.log(xi)
+            + (_GAMMA_SHAPE - 1.0) * math.log(xi)
             - xi
-            - 0.5 * delta * delta / prior.sigma2
+            - 0.5 * delta * delta / sigma2
             + lp_const
         )
         return -val
@@ -313,11 +299,11 @@ def _profile_posterior_mode(e: ExcessSet, tau: float, prior: PriorSpec) -> tuple
     return xi_hat, delta_hat
 
 
-def bayes_closed_form(e: ExcessSet, tau: float, prior: PriorSpec) -> BayesEstimate:
+def bayes_closed_form(e: ExcessSet, tau: float, sigma2: float) -> BayesEstimate:
     """Posterior-mode approximation from the first-order estimating system.
 
     The system couples the Hill estimate with the tau and 2*tau moment
-    statistics; the prior enters through xi / (k * sigma2). It is solved
+    statistics; the prior variance sigma2 enters through xi / (k * sigma2). It is solved
     exactly through its quadratic reduction. In strong-bias regimes the
     linearized system can lack a real admissible solution; the estimator
     then falls back to the exact posterior mode found by profile search.
@@ -327,12 +313,13 @@ def bayes_closed_form(e: ExcessSet, tau: float, prior: PriorSpec) -> BayesEstima
         raise ValueError(f"need at least 10 excesses, got {e.k}")
     if tau >= 0:
         raise ValueError(f"tau must be negative, got {tau}")
+    _check_sigma2(sigma2)
     try:
-        xi, delta = _solve_first_order(e, tau, 1.0 / (e.k * prior.sigma2))
-        return BayesEstimate(xi=xi, delta=delta, method="closed_form", solver="linear")
+        xi, delta = _solve_first_order(e, tau, 1.0 / (e.k * sigma2))
+        return BayesEstimate(xi=xi, delta=delta, solver="linear")
     except ClosedFormError:
-        xi, delta = _profile_posterior_mode(e, tau, prior)
-        return BayesEstimate(xi=xi, delta=delta, method="closed_form", solver="profile-map")
+        xi, delta = _profile_posterior_mode(e, tau, sigma2)
+        return BayesEstimate(xi=xi, delta=delta, solver="profile-map")
 
 
 @dataclass(frozen=True)
@@ -340,30 +327,22 @@ class MCMCConfig:
     """Random-walk Metropolis configuration.
 
     Step scales adapt toward the target acceptance rate during burn-in
-    (every ``adapt_interval`` proposals) and are frozen afterwards.
-    ``fix_delta`` pins delta for one-dimensional validation runs.
+    and are frozen afterwards. ``fix_delta`` pins delta for
+    one-dimensional validation runs.
     """
 
     iterations: int = 12000
     burn_in: int = 2000
-    step_log_xi: float = 0.15
-    step_delta: float = 0.3
     seed: int = 0
-    adapt_interval: int = 50
-    target_accept: float = 0.234
     fix_delta: float | None = None
 
     def __post_init__(self) -> None:
         if not self.iterations > self.burn_in >= 0:
             raise ValueError("need iterations > burn_in >= 0")
-        if self.step_log_xi <= 0 or self.step_delta <= 0:
-            raise ValueError("step scales must be positive")
-        if self.adapt_interval < 1:
-            raise ValueError("adapt_interval must be >= 1")
 
 
 def metropolis_sample(
-    e: ExcessSet, tau: float, prior: PriorSpec, config: MCMCConfig
+    e: ExcessSet, tau: float, sigma2: float, config: MCMCConfig
 ) -> PosteriorChain:
     """Random-walk Metropolis on (log xi, delta) targeting the posterior.
 
@@ -373,23 +352,23 @@ def metropolis_sample(
     Deterministic for a fixed seed.
     """
     k = e.k
+    target = _LogTarget(e, tau, sigma2)
     rng = np.random.default_rng(config.seed)
     h = hill(e).xi
     if h <= 0:
         raise ValueError("all excesses are ties; posterior has no interior mass")
     fixed = config.fix_delta
-    if fixed is not None and fixed <= prior.trunc_lower:
+    if fixed is not None and fixed <= target.lik.lo:
         raise ValueError("fix_delta lies outside the admissible range")
 
-    target = _LogTarget(e, tau, prior)
     u = math.log(h)
     d = 0.0 if fixed is None else fixed
     lp = k * target(math.exp(u), d)
     if lp == -math.inf:
         raise ValueError("starting point has zero posterior density")
 
-    s_u = config.step_log_xi
-    s_d = config.step_delta
+    s_u = _STEP_LOG_XI
+    s_d = _STEP_DELTA
     retained = config.iterations - config.burn_in
     draws = np.empty((retained, 2))
     logpost = np.empty(retained)
@@ -408,9 +387,9 @@ def metropolis_sample(
             batch_accepts += 1
             if t >= config.burn_in:
                 accepted_post += 1
-        if t < config.burn_in and (t + 1) % config.adapt_interval == 0:
-            rate = batch_accepts / config.adapt_interval
-            factor = math.exp(1.5 * (rate - config.target_accept))
+        if t < config.burn_in and (t + 1) % _ADAPT_INTERVAL == 0:
+            rate = batch_accepts / _ADAPT_INTERVAL
+            factor = math.exp(1.5 * (rate - _TARGET_ACCEPT))
             s_u = min(10.0, max(1e-4, s_u * factor))
             s_d = min(10.0, max(1e-4, s_d * factor))
             batch_accepts = 0
@@ -427,13 +406,7 @@ def metropolis_sample(
         raise RuntimeError(f"degenerate chain: post-burn-in acceptance rate {rate}")
     draws.setflags(write=False)
     logpost.setflags(write=False)
-    return PosteriorChain(
-        draws=draws,
-        logpost=logpost,
-        acceptance_rate=float(rate),
-        burn_in=config.burn_in,
-        seed=config.seed,
-    )
+    return PosteriorChain(draws=draws, logpost=logpost, acceptance_rate=float(rate))
 
 
 def posterior_mode(chain: PosteriorChain) -> tuple[float, float]:

@@ -26,7 +26,6 @@ from .bayes import (
     BayesEstimate,
     ClosedFormError,
     MCMCConfig,
-    PriorSpec,
     bayes_closed_form,
     bayes_tail_prob,
     hpd_interval,
@@ -188,20 +187,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         try:
             tau = tau_hat(rho, h)
             sigma2 = prior_variance(k, n, rho)
-            prior = PriorSpec.for_tau(sigma2, tau)
             fit = epd_ml_fit(e, tau)
             if use_mcmc:
                 seed = int(np.random.SeedSequence((args.seed, k)).generate_state(1)[0])
                 chain = metropolis_sample(
-                    e, tau, prior,
+                    e, tau, sigma2,
                     MCMCConfig(iterations=args.mcmc_iters, burn_in=args.burn_in, seed=seed),
                 )
                 xi_b, delta_b = posterior_mode(chain)
                 hpd = hpd_interval(chain.draws[:, 0], args.alpha)
-                best = BayesEstimate(xi=xi_b, delta=delta_b, method="mcmc",
-                                     hpd_xi=(hpd[0], hpd[1], 1.0 - args.alpha))
+                best = BayesEstimate(xi=xi_b, delta=delta_b, solver="mcmc")
             else:
-                best = bayes_closed_form(e, tau, prior)
+                best = bayes_closed_form(e, tau, sigma2)
             row += [fit.params.xi, fit.params.delta, best.xi, best.delta, rho, tau, sigma2]
             if args.x is not None:
                 if args.x < e.threshold:
@@ -214,7 +211,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                         bayes_tail_prob(sample, k, args.x, best, tau),
                     ]
             if use_mcmc:
-                row += [best.hpd_xi[0], best.hpd_xi[1]]
+                row += list(hpd)
         except (NonEstimableError, ClosedFormError, RuntimeError, ValueError) as exc:
             pad = len(header) - len(row) - 1
             row += [None] * pad
@@ -253,7 +250,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- simulate
 
-def _load_config_file(name: str) -> dict[str, str]:
+# the keys a study config file may set, each with the type of its value;
+# a key is also the name of the flag that overrides it
+_CONFIG_KEYS = {
+    "dist": str, "n": int, "reps": int, "k-min": int, "k-max": int, "k-step": int,
+    "rho": str, "estimators": str, "target-p": float, "seed": int,
+    "smooth-window": int, "mcmc-iters": int, "burn-in": int,
+}
+
+
+def _load_config_file(name: str) -> dict[str, object]:
     path = Path(name)
     if path.is_file():
         text = path.read_text()
@@ -263,7 +269,7 @@ def _load_config_file(name: str) -> dict[str, str]:
             text = candidate.read_text()
         else:
             raise DataFormatError(f"config file {name!r} not found (and not a bundled name)")
-    values: dict[str, str] = {}
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line or (line.startswith("[") and line.endswith("]")):
@@ -271,43 +277,48 @@ def _load_config_file(name: str) -> dict[str, str]:
         if "=" not in line:
             raise DataFormatError(f"bad config line {lineno}: {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip().replace("_", "-")] = value.strip()
+        key, value = key.strip().replace("_", "-"), value.strip()
+        cast = _CONFIG_KEYS.get(key)
+        if cast is None:
+            raise DataFormatError(f"bad config line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = cast(value)
+        except ValueError:
+            raise DataFormatError(
+                f"bad config line {lineno}: {key!r} needs a value of type "
+                f"{cast.__name__}, got {value!r}"
+            ) from None
     return values
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
 
-    def pick(flag_value, key: str, default, cast):
+    def pick(key: str, default):
+        flag_value = getattr(args, key.replace("-", "_"))
         if flag_value is not None:
             return flag_value
-        if key in file_cfg:
-            return cast(file_cfg[key])
-        return default
+        return file_cfg.get(key, default)
 
-    dist_text = pick(args.dist, "dist", None, str)
+    dist_text = pick("dist", None)
     if dist_text is None:
         raise UsageError("a distribution is required (--dist or config file)")
     dist = _parse_dist(dist_text)
-    n = pick(args.n, "n", 500, int)
-    reps = pick(args.reps, "reps", 1000, int)
-    if reps < 1:
-        raise UsageError(f"reps must be >= 1, got {reps}")
-    k_min = pick(args.k_min, "k-min", 10, int)
-    k_max = pick(args.k_max, "k-max", n - 10, int)
-    k_step = pick(args.k_step, "k-step", 5, int)
-    rho_text = pick(args.rho, "rho", "auto", str)
+    n = pick("n", 500)
+    reps = pick("reps", 1000)
+    k_min = pick("k-min", 10)
+    k_max = pick("k-max", n - 10)
+    k_step = pick("k-step", 5)
+    rho_text = pick("rho", "auto")
     rho_mode, rho_fixed = _parse_rho_flag(rho_text)
     if rho_mode == "fixed" and rho_fixed != -1.0:
         raise UsageError("studies support --rho auto or fixed:-1")
-    estimators = tuple(
-        pick(args.estimators, "estimators", "hill,epd_ml,bayes_closed", str).split(",")
-    )
-    target_p = pick(args.target_p, "target-p", 1.0 / 500.0, float)
-    seed = pick(args.seed, "seed", 0, int)
-    smooth = pick(args.smooth_window, "smooth-window", 5, int)
-    mcmc_iters = pick(args.mcmc_iters, "mcmc-iters", 3000, int)
-    burn_in = pick(args.burn_in, "burn-in", 1000, int)
+    estimators = tuple(pick("estimators", "hill,epd_ml,bayes_closed").split(","))
+    target_p = pick("target-p", 1.0 / 500.0)
+    seed = pick("seed", 0)
+    smooth = pick("smooth-window", 5)
+    mcmc_iters = pick("mcmc-iters", 3000)
+    burn_in = pick("burn-in", 1000)
 
     try:
         cfg = MCStudyConfig(

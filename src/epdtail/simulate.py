@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import gammaincc, gammainccinv
 
 from .bayes import (
     BayesEstimate,
     MCMCConfig,
-    PriorSpec,
     bayes_closed_form,
     bayes_tail_prob,
     metropolis_sample,
@@ -108,8 +107,8 @@ def survival(d: SimDistribution, x) -> np.ndarray | float:
 def true_quantile(d: SimDistribution, p: float) -> float:
     """Quantile function of the reference law at probability p.
 
-    Analytic for the Fréchet and Burr laws; bisection on the survival
-    function (to 1e-12 relative) for the loggamma law.
+    Analytic for the Fréchet and Burr laws; through the inverse of the
+    regularized upper incomplete gamma function for the loggamma law.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
@@ -121,19 +120,8 @@ def true_quantile(d: SimDistribution, p: float) -> float:
         s = 1.0 - p
         return float((s ** rho - 1.0) ** (-xi / rho))
     if d.kind == "loggamma":
-        target = 1.0 - p
-        lo, hi = 1.0, 2.0
-        while survival(d, hi) > target:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if survival(d, mid) > target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * lo:
-                break
-        return 0.5 * (lo + hi)
+        shape, rate = d.args
+        return math.exp(float(gammainccinv(shape, 1.0 - p)) / rate)
     raise ValueError(f"unknown distribution kind {d.kind!r}")
 
 
@@ -268,15 +256,15 @@ def _study_rep(cfg: MCStudyConfig, k_grid: tuple[int, ...], x_level: float, rep:
                     xi_out[i, j] = fit.params.xi
                     p_out[i, j] = epd_tail_prob(s, k, x_level, fit.params)
                 else:
-                    prior = PriorSpec.for_tau(prior_variance(k, cfg.n, rho), tau)
+                    sigma2 = prior_variance(k, cfg.n, rho)
                     if name == "bayes_closed":
-                        est = bayes_closed_form(e, tau, prior)
+                        est = bayes_closed_form(e, tau, sigma2)
                     else:
                         seed = int(np.random.SeedSequence((cfg.master_seed, rep, k)).generate_state(1)[0])
                         chain = metropolis_sample(
                             e,
                             tau,
-                            prior,
+                            sigma2,
                             MCMCConfig(
                                 iterations=cfg.mcmc_iterations,
                                 burn_in=cfg.mcmc_burn_in,
@@ -284,7 +272,7 @@ def _study_rep(cfg: MCStudyConfig, k_grid: tuple[int, ...], x_level: float, rep:
                             ),
                         )
                         xi_m, delta_m = posterior_mode(chain)
-                        est = BayesEstimate(xi=xi_m, delta=delta_m, method="mcmc")
+                        est = BayesEstimate(xi=xi_m, delta=delta_m, solver="mcmc")
                     xi_out[i, j] = est.xi
                     p_out[i, j] = bayes_tail_prob(s, k, x_level, est, tau)
             except (ValueError, RuntimeError, ArithmeticError):

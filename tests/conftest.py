@@ -34,13 +34,12 @@ def burr_sample(burr_dist):
 
 @pytest.fixture(scope="session")
 def burr_k200(burr_sample):
-    """Excesses, tau and prior at k=200 on the shared Burr sample."""
+    """Excesses, tau and prior variance at k=200 on the shared Burr sample."""
     e = et.excesses(burr_sample, 200)
     h = et.hill(e).xi
     rho, _ = et.resolve_rho(burr_sample)
     tau = et.tau_hat(rho, h)
-    prior = et.PriorSpec.for_tau(et.prior_variance(200, 500, rho), tau)
-    return e, tau, prior
+    return e, tau, et.prior_variance(200, 500, rho)
 
 
 def pareto_excesses(xi: float, k: int, seed) -> "et.ExcessSet":

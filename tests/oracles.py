@@ -137,7 +137,14 @@ def pareto_sample(xi, n, seed):
     return u ** (-xi)
 
 
-def oracle_metropolis(e, tau, prior, config):
+# the sampler's tuning, kept here so that the identity test pins it
+STEP_LOG_XI = 0.15
+STEP_DELTA = 0.3
+ADAPT_INTERVAL = 50
+TARGET_ACCEPT = 0.234
+
+
+def oracle_metropolis(e, tau, sigma2, config, adapt_interval=ADAPT_INTERVAL):
     """The Metropolis loop with the log posterior composed on every proposal.
 
     Evaluates ``oracle_epd_log_likelihood + (log_prior_xi + log_prior_delta) / k``
@@ -149,7 +156,7 @@ def oracle_metropolis(e, tau, prior, config):
         ll = oracle_epd_log_likelihood(xi, delta, tau, e)
         if ll == -math.inf:
             return -math.inf
-        lp = log_prior_xi(xi, prior.gamma_shape) + log_prior_delta(delta, prior)
+        lp = log_prior_xi(xi) + log_prior_delta(delta, sigma2, tau)
         if lp == -math.inf:
             return -math.inf
         return ll + lp / e.k
@@ -160,7 +167,7 @@ def oracle_metropolis(e, tau, prior, config):
     u = math.log(hill(e).xi)
     d = 0.0 if fixed is None else fixed
     lp = k * log_post(math.exp(u), d)
-    s_u, s_d = config.step_log_xi, config.step_delta
+    s_u, s_d = STEP_LOG_XI, STEP_DELTA
     retained = config.iterations - config.burn_in
     draws = np.empty((retained, 2))
     logpost = np.empty(retained)
@@ -177,9 +184,9 @@ def oracle_metropolis(e, tau, prior, config):
             batch_accepts += 1
             if t >= config.burn_in:
                 accepted_post += 1
-        if t < config.burn_in and (t + 1) % config.adapt_interval == 0:
-            rate = batch_accepts / config.adapt_interval
-            factor = math.exp(1.5 * (rate - config.target_accept))
+        if t < config.burn_in and (t + 1) % adapt_interval == 0:
+            rate = batch_accepts / adapt_interval
+            factor = math.exp(1.5 * (rate - TARGET_ACCEPT))
             s_u = min(10.0, max(1e-4, s_u * factor))
             s_d = min(10.0, max(1e-4, s_d * factor))
             batch_accepts = 0
@@ -193,7 +200,7 @@ def oracle_metropolis(e, tau, prior, config):
     return draws, logpost, accepted_post / retained
 
 
-def oracle_first_order(e, tau, prior, centering="pareto-limit", prior_term_sign=1.0):
+def oracle_first_order(e, tau, sigma2, centering="pareto-limit", prior_term_sign=1.0):
     """The first-order estimating system with the conventions the library rejects.
 
     A copy of the library's quadratic reduction with two switches:
@@ -203,7 +210,7 @@ def oracle_first_order(e, tau, prior, centering="pareto-limit", prior_term_sign=
     flips the sign of the prior term. Returns (xi, delta), or raises
     ClosedFormError where the system has no admissible root.
     """
-    weight = prior_term_sign / (e.k * prior.sigma2)
+    weight = prior_term_sign / (e.k * sigma2)
     h = hill(e).xi
     e1 = moment_stat(e, tau)
     e2 = moment_stat(e, 2.0 * tau)

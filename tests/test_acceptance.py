@@ -109,9 +109,9 @@ def test_criterion_04_closed_form_vs_map_oracle():
         h = et.hill(e).xi
         rho, _ = et.resolve_rho(s)
         tau = et.tau_hat(rho, h)
-        prior = et.PriorSpec.for_tau(et.prior_variance(k, n, rho), tau)
-        est = et.bayes_closed_form(e, tau, prior)
-        xi_map, _, _ = grid_map_oracle(e.y, tau, prior.sigma2)
+        sigma2 = et.prior_variance(k, n, rho)
+        est = et.bayes_closed_form(e, tau, sigma2)
+        xi_map, _, _ = grid_map_oracle(e.y, tau, sigma2)
         gaps_default.append(abs(est.xi - xi_map))
         if abs(est.xi - xi_map) < 0.05:
             agree += 1
@@ -119,18 +119,18 @@ def test_criterion_04_closed_form_vs_map_oracle():
             small_delta += 1
         # centering adjudication at the same design point
         try:
-            xi_v, _ = oracle_first_order(e, tau, prior, centering="rate-reciprocal")
+            xi_v, _ = oracle_first_order(e, tau, sigma2, centering="rate-reciprocal")
             gaps_centering.append(abs(xi_v - xi_map))
         except (ClosedFormError, ValueError):
             gaps_centering.append(math.inf)
         # prior-term-sign adjudication where the linear branch solves (k=50)
         e50 = et.excesses(s, 50)
         tau50 = et.tau_hat(rho, et.hill(e50).xi)
-        p50 = et.PriorSpec.for_tau(et.prior_variance(50, n, rho), tau50)
+        s50 = et.prior_variance(50, n, rho)
         try:
-            xi_d, _ = _solve_first_order(e50, tau50, 1.0 / (e50.k * p50.sigma2))
-            xi_s, _ = oracle_first_order(e50, tau50, p50, prior_term_sign=-1.0)
-            xm, _, _ = grid_map_oracle(e50.y, tau50, p50.sigma2)
+            xi_d, _ = _solve_first_order(e50, tau50, 1.0 / (e50.k * s50))
+            xi_s, _ = oracle_first_order(e50, tau50, s50, prior_term_sign=-1.0)
+            xm, _, _ = grid_map_oracle(e50.y, tau50, s50)
             gaps_sign_default.append(abs(xi_d - xm))
             gaps_sign_variant.append(abs(xi_s - xm))
         except (ClosedFormError, ValueError):
@@ -173,11 +173,11 @@ def test_criterion_05_prior_limits():
     worst_flat = worst_delta = worst_xi = 0.0
     for e, tau in cases:
         h = et.hill(e).xi
-        est_inf = et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(1e12, tau))
+        est_inf = et.bayes_closed_form(e, tau, 1e12)
         assert est_inf.solver == "linear"
         xi_ml, d_ml = _solve_first_order(e, tau, 0.0)
         worst_flat = max(worst_flat, abs(est_inf.xi - xi_ml), abs(est_inf.delta - d_ml))
-        est_0 = et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(1e-12, tau))
+        est_0 = et.bayes_closed_form(e, tau, 1e-12)
         worst_delta = max(worst_delta, abs(est_0.delta))
         worst_xi = max(worst_xi, abs(est_0.xi - h))
     ok = worst_flat <= 1e-6 and worst_delta < 1e-6 and worst_xi < 1e-8
@@ -189,23 +189,23 @@ def test_criterion_05_prior_limits():
 # ------------------------------------------------------------------ 6
 
 def test_criterion_06_mcmc_validity(burr_k200):
-    e, tau, prior = burr_k200
+    e, tau, sigma2 = burr_k200
     cfg = et.MCMCConfig(iterations=12000, burn_in=2000, seed=606)
-    chain = et.metropolis_sample(e, tau, prior, cfg)
-    chain_again = et.metropolis_sample(e, tau, prior, cfg)
+    chain = et.metropolis_sample(e, tau, sigma2, cfg)
+    chain_again = et.metropolis_sample(e, tau, sigma2, cfg)
     identical = np.array_equal(chain.draws, chain_again.draws) and np.array_equal(
         chain.logpost, chain_again.logpost
     )
     xi_mode, _ = et.posterior_mode(chain)
-    xi_map, _, _ = grid_map_oracle(e.y, tau, prior.sigma2)
+    xi_map, _, _ = grid_map_oracle(e.y, tau, sigma2)
     mode_gap = abs(xi_mode - xi_map)
 
     slice_chain = et.metropolis_sample(
-        e, tau, prior,
+        e, tau, sigma2,
         et.MCMCConfig(iterations=12000, burn_in=2000, seed=607, fix_delta=0.0),
     )
     mean_chain = float(slice_chain.draws[:, 0].mean())
-    mean_quad = quadrature_xi_mean(e.y, tau, prior.sigma2)
+    mean_quad = quadrature_xi_mean(e.y, tau, sigma2)
     se = batch_means_se(slice_chain.draws[:, 0])
     quad_ok = abs(mean_chain - mean_quad) <= 3.0 * se
     ok = identical and mode_gap < 0.05 and quad_ok

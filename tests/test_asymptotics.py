@@ -18,25 +18,14 @@ def _regime(xi, rho, lam, zeta):
 
 
 class TestRegime:
-    def test_mu_derived_from_zeta(self):
-        r = _regime(0.5, -1.0, 1.0, zeta=0.75)
-        assert r.mu == pytest.approx(0.25 * 3.0 * 4.0 / 0.75)
-
-    def test_zeta_derived_from_mu(self):
-        r = et.AsymptoticRegime(xi=0.5, rho=-1.0, lam=1.0, mu=4.0)
-        assert r.zeta == pytest.approx(0.75)
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError, match="identity"):
-            et.AsymptoticRegime(xi=0.5, rho=-1.0, lam=1.0, zeta=1.0, mu=1.0)
-
-    def test_infinite_zeta_means_zero_mu(self):
-        r = _regime(0.5, -1.0, 1.0, zeta=math.inf)
-        assert r.mu == 0.0
-
-    def test_requires_one_of_zeta_mu(self):
-        with pytest.raises(ValueError):
+    def test_requires_zeta(self):
+        with pytest.raises(TypeError):
             et.AsymptoticRegime(xi=0.5, rho=-1.0, lam=1.0)
+
+    @pytest.mark.parametrize("zeta", [-1.0, -math.inf, math.nan])
+    def test_negative_zeta_rejected(self, zeta):
+        with pytest.raises(ValueError, match="zeta"):
+            _regime(0.5, -1.0, 1.0, zeta)
 
 
 class TestMeanVar:

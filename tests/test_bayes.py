@@ -11,6 +11,7 @@ from scipy.special import gammaln
 from scipy.stats import norm
 
 import epdtail as et
+from epdtail import bayes
 from epdtail.bayes import ClosedFormError, _profile_posterior_mode, _solve_first_order
 from conftest import pareto_excesses
 from oracles import (
@@ -38,43 +39,54 @@ class TestPriorVariance:
         with pytest.raises(ValueError):
             et.prior_variance(500, 500, -1.0)
 
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan])
+    def test_nonpositive_value_rejected_by_the_estimators(self, burr_k200, sigma2):
+        # prior_variance underflows to 0.0 for a huge |rho|; it must not be divided by
+        e, tau, _ = burr_k200
+        with pytest.raises(ValueError, match="sigma2"):
+            et.bayes_closed_form(e, tau, sigma2)
+        with pytest.raises(ValueError, match="sigma2"):
+            et.metropolis_sample(e, tau, sigma2, et.MCMCConfig(iterations=20, burn_in=10))
+        with pytest.raises(ValueError, match="sigma2"):
+            et.log_posterior(0.5, 0.0, e, tau, sigma2)
+
 
 class TestPriorSpec:
+    """The delta prior is specified by sigma2 alone and truncated at the model bound."""
+
     def test_for_tau_sets_truncation(self):
-        assert et.PriorSpec.for_tau(1.0, -2.0).trunc_lower == -0.5
-        assert et.PriorSpec.for_tau(1.0, -0.5).trunc_lower == -1.0
+        for tau, lo in ((-2.0, -0.5), (-0.5, -1.0)):
+            assert et.log_prior_delta(lo, 1.0, tau) == -math.inf
+            assert math.isfinite(et.log_prior_delta(lo + 1e-9, 1.0, tau))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            et.PriorSpec(sigma2=0.0)
+            et.log_prior_delta(0.0, 0.0, -1.0)
         with pytest.raises(ValueError):
-            et.PriorSpec(sigma2=1.0, trunc_lower=0.5)
+            et.log_prior_delta(0.0, 1.0, 0.5)
 
 
 class TestLogPosterior:
     def test_hand_value(self):
         e = _excess_set([2.0, 4.0])
-        prior = et.PriorSpec(sigma2=1.0, gamma_shape=1e-4, trunc_lower=-1.0)
         loglik = -3.0 * math.log(2.0)
         lp_xi = (1e-4 - 1.0) * 0.0 - 1.0 - float(gammaln(1e-4))
         lp_delta = -0.0 - math.log(math.sqrt(2 * math.pi)) - math.log(float(norm.sf(-1.0)))
         expected = loglik + (lp_xi + lp_delta) / 2.0
-        assert et.log_posterior(1.0, 0.0, e, -1.0, prior) == pytest.approx(expected, rel=1e-12)
+        assert et.log_posterior(1.0, 0.0, e, -1.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_truncation_sentinel(self):
         e = _excess_set([2.0, 4.0])
-        prior = et.PriorSpec.for_tau(1.0, -2.0)
-        assert et.log_posterior(1.0, -0.5, e, -2.0, prior) == -math.inf
+        assert et.log_posterior(1.0, -0.5, e, -2.0, 1.0) == -math.inf
 
     def test_flat_prior_limit(self):
         # with a huge sigma2 the delta prior is flat: posterior differences
         # minus the xi-prior differences reduce to likelihood differences
         e = pareto_excesses(0.8, 60, 5)
-        prior = et.PriorSpec.for_tau(1e12, -1.0)
         pts = [(0.5, 0.1), (0.9, -0.2), (1.4, 0.6)]
 
         def centered(xi, d):
-            return et.log_posterior(xi, d, e, -1.0, prior) - et.log_prior_xi(xi) / e.k
+            return et.log_posterior(xi, d, e, -1.0, 1e12) - et.log_prior_xi(xi) / e.k
 
         base_c = centered(*pts[0])
         base_l = et.epd_log_likelihood(*pts[0], -1.0, e)
@@ -84,15 +96,14 @@ class TestLogPosterior:
             assert diff_c == pytest.approx(diff_l, abs=1e-6)
 
     def test_agrees_with_oracle_implementation(self, burr_k200):
-        e, tau, prior = burr_k200
+        e, tau, sigma2 = burr_k200
         rng = np.random.default_rng(3)
         for _ in range(20):
             xi = float(rng.uniform(0.2, 2.0))
             d = float(rng.uniform(et.delta_lower_bound(tau) + 0.05, 2.0))
-            mine = e.k * et.log_posterior(xi, d, e, tau, prior)
+            mine = e.k * et.log_posterior(xi, d, e, tau, sigma2)
             other = float(
-                oracle_log_posterior(np.array([xi]), np.array([d]), e.y, tau,
-                                     prior.sigma2, prior.gamma_shape)[0, 0]
+                oracle_log_posterior(np.array([xi]), np.array([d]), e.y, tau, sigma2)[0, 0]
             )
             assert mine == pytest.approx(other, rel=1e-10)
 
@@ -120,14 +131,14 @@ class TestClosedForm:
             e = pareto_excesses(0.7, 80, (61, rep))
             h = et.hill(e).xi
             tau = -1.0 / h
-            est = et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(1e-12, tau))
+            est = et.bayes_closed_form(e, tau, 1e-12)
             assert est.solver == "linear"
             assert abs(est.delta) < 1e-6
             assert abs(est.xi - h) < 1e-8
 
     def test_flat_prior_matches_ml_system(self):
         for e, tau in _solvable_pareto_cases():
-            est = et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(1e12, tau))
+            est = et.bayes_closed_form(e, tau, 1e12)
             assert est.solver == "linear"
             xi_ml, d_ml = _solve_first_order(e, tau, 0.0)
             assert est.xi == pytest.approx(xi_ml, abs=1e-6)
@@ -139,17 +150,16 @@ class TestClosedForm:
         grid = [1e2, 1.0, 1e-2, 1e-4, 1e-6]
         deltas = []
         for s2 in grid:
-            est = et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(s2, tau))
+            est = et.bayes_closed_form(e, tau, s2)
             assert est.solver == "linear"
             deltas.append(abs(est.delta))
         assert all(a >= b - 1e-14 for a, b in zip(deltas, deltas[1:]))
-        final = et.bayes_closed_form(e, tau, et.PriorSpec.for_tau(grid[-1], tau))
+        final = et.bayes_closed_form(e, tau, grid[-1])
         assert final.xi == pytest.approx(h, abs=1e-3)
 
     def test_small_k_rejected(self):
         with pytest.raises(ValueError, match="at least 10"):
-            et.bayes_closed_form(pareto_excesses(1.0, 5, 0), -1.0,
-                                 et.PriorSpec.for_tau(1.0, -1.0))
+            et.bayes_closed_form(pareto_excesses(1.0, 5, 0), -1.0, 1.0)
 
     def test_linear_branch_tracks_grid_map(self, burr_dist):
         # benign regime: moderate k, shrinkage active, linearization valid
@@ -160,53 +170,53 @@ class TestClosedForm:
             h = et.hill(e).xi
             rho, _ = et.resolve_rho(s)
             tau = et.tau_hat(rho, h)
-            prior = et.PriorSpec.for_tau(et.prior_variance(50, 500, rho), tau)
-            est = et.bayes_closed_form(e, tau, prior)
-            xi_map, _, _ = grid_map_oracle(e.y, tau, prior.sigma2, xi_hint=h)
+            sigma2 = et.prior_variance(50, 500, rho)
+            est = et.bayes_closed_form(e, tau, sigma2)
+            xi_map, _, _ = grid_map_oracle(e.y, tau, sigma2, xi_hint=h)
             if est.solver == "linear" and abs(est.xi - xi_map) < 0.05:
                 hits += 1
         assert hits >= 8
 
     def test_map_fallback_in_strong_bias_regime(self, burr_k200):
         # the linearized system provably has no real solution here
-        e, tau, prior = burr_k200
+        e, tau, sigma2 = burr_k200
         with pytest.raises(ClosedFormError):
-            _solve_first_order(e, tau, 1.0 / (e.k * prior.sigma2))
-        est = et.bayes_closed_form(e, tau, prior)
+            _solve_first_order(e, tau, 1.0 / (e.k * sigma2))
+        est = et.bayes_closed_form(e, tau, sigma2)
         assert est.solver == "profile-map"
-        xi_map, d_map, _ = grid_map_oracle(e.y, tau, prior.sigma2)
+        xi_map, d_map, _ = grid_map_oracle(e.y, tau, sigma2)
         assert est.xi == pytest.approx(xi_map, abs=0.01)
         assert est.delta == pytest.approx(d_map, abs=0.02)
 
     def test_profile_mode_matches_grid_oracle(self, burr_k200):
-        e, tau, prior = burr_k200
-        xi_p, d_p = _profile_posterior_mode(e, tau, prior)
-        xi_g, d_g, _ = grid_map_oracle(e.y, tau, prior.sigma2)
+        e, tau, sigma2 = burr_k200
+        xi_p, d_p = _profile_posterior_mode(e, tau, sigma2)
+        xi_g, d_g, _ = grid_map_oracle(e.y, tau, sigma2)
         assert xi_p == pytest.approx(xi_g, abs=0.01)
         assert d_p == pytest.approx(d_g, abs=0.02)
 
 
 class TestMetropolis:
     def test_deterministic(self, burr_k200):
-        e, tau, prior = burr_k200
+        e, tau, sigma2 = burr_k200
         cfg = et.MCMCConfig(iterations=1500, burn_in=500, seed=4)
-        c1 = et.metropolis_sample(e, tau, prior, cfg)
-        c2 = et.metropolis_sample(e, tau, prior, cfg)
+        c1 = et.metropolis_sample(e, tau, sigma2, cfg)
+        c2 = et.metropolis_sample(e, tau, sigma2, cfg)
         assert np.array_equal(c1.draws, c2.draws)
         assert np.array_equal(c1.logpost, c2.logpost)
 
     def test_acceptance_in_band(self, burr_k200):
-        e, tau, prior = burr_k200
+        e, tau, sigma2 = burr_k200
         cfg = et.MCMCConfig(iterations=4000, burn_in=1000, seed=11)
-        chain = et.metropolis_sample(e, tau, prior, cfg)
+        chain = et.metropolis_sample(e, tau, sigma2, cfg)
         assert 0.1 <= chain.acceptance_rate <= 0.6
 
     def test_draws_stay_in_region(self, burr_k200):
-        e, tau, prior = burr_k200
-        chain = et.metropolis_sample(e, tau, prior,
+        e, tau, sigma2 = burr_k200
+        chain = et.metropolis_sample(e, tau, sigma2,
                                      et.MCMCConfig(iterations=2000, burn_in=500, seed=2))
         assert np.all(chain.draws[:, 0] > 0)
-        assert np.all(chain.draws[:, 1] > prior.trunc_lower)
+        assert np.all(chain.draws[:, 1] > et.delta_lower_bound(tau))
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
@@ -215,20 +225,21 @@ class TestMetropolis:
             et.MCMCConfig(iterations=100, burn_in=-1)
 
     def test_fix_delta_pins_coordinate(self, burr_k200):
-        e, tau, prior = burr_k200
+        e, tau, sigma2 = burr_k200
         cfg = et.MCMCConfig(iterations=1200, burn_in=200, seed=3, fix_delta=0.0)
-        chain = et.metropolis_sample(e, tau, prior, cfg)
+        chain = et.metropolis_sample(e, tau, sigma2, cfg)
         assert np.all(chain.draws[:, 1] == 0.0)
 
 
-# tau = -2 puts the model bound at -0.5; the prior's truncation sits at
-# that bound, below it (-1.0) or inside the model's range (-0.3)
-_TRUNCATIONS = {"model_bound": None, "minus_one": -1.0, "inside_model": -0.3}
+# The delta prior is truncated at the model bound max(-1, 1/tau); tau puts
+# it at -0.5 (tau = -2), at -1.0, or at -0.3, inside the tau = -2 range
+_TRUNCATIONS = {"model_bound": -2.0, "minus_one": -1.0, "inside_model": 1.0 / -0.3}
+# (MCMCConfig fields, adaptation interval); None keeps the sampler's own
 _MATCH_CONFIGS = {
-    "default": dict(iterations=1500, burn_in=500),
-    "fix_delta": dict(iterations=1500, burn_in=500, fix_delta=0.0),
-    "no_burn_in": dict(iterations=1000, burn_in=0),
-    "adapt_every_step": dict(iterations=1500, burn_in=500, adapt_interval=1),
+    "default": (dict(iterations=1500, burn_in=500), None),
+    "fix_delta": (dict(iterations=1500, burn_in=500, fix_delta=0.0), None),
+    "no_burn_in": (dict(iterations=1000, burn_in=0), None),
+    "adapt_every_step": (dict(iterations=1500, burn_in=500), 1),
 }
 
 
@@ -239,32 +250,36 @@ class TestMetropolisMatchesSeedLoop:
     @pytest.mark.parametrize("truncation", sorted(_TRUNCATIONS))
     @pytest.mark.parametrize("sigma2", [1e-3, 50.0])
     @pytest.mark.parametrize("k", [10, 200])
-    def test_bit_identical(self, k, sigma2, truncation, config):
-        tau = -2.0
+    def test_bit_identical(self, k, sigma2, truncation, config, monkeypatch):
+        tau = _TRUNCATIONS[truncation]
         e = pareto_excesses(0.6, k, (83, k))
-        if _TRUNCATIONS[truncation] is None:
-            prior = et.PriorSpec.for_tau(sigma2, tau)
+        fields, adapt_interval = _MATCH_CONFIGS[config]
+        cfg = et.MCMCConfig(seed=k + 7, **fields)
+        if adapt_interval is None:
+            oracle = oracle_metropolis(e, tau, sigma2, cfg)
         else:
-            prior = et.PriorSpec(sigma2, trunc_lower=_TRUNCATIONS[truncation])
-        cfg = et.MCMCConfig(seed=k + 7, **_MATCH_CONFIGS[config])
-        chain = et.metropolis_sample(e, tau, prior, cfg)
-        draws, logpost, rate = oracle_metropolis(e, tau, prior, cfg)
+            monkeypatch.setattr(bayes, "_ADAPT_INTERVAL", adapt_interval)
+            oracle = oracle_metropolis(e, tau, sigma2, cfg, adapt_interval)
+        chain = et.metropolis_sample(e, tau, sigma2, cfg)
+        draws, logpost, rate = oracle
         assert np.array_equal(chain.draws, draws)
         assert np.array_equal(chain.logpost, logpost)
         assert chain.acceptance_rate == rate
 
+    # the truncation point of the delta prior, placed through tau = 1/trunc_lower;
+    # None keeps the fixture's tau
     @pytest.mark.parametrize("trunc_lower", [None, -0.1])
     def test_log_posterior_matches_composition(self, burr_k200, trunc_lower):
-        e, tau, prior = burr_k200
+        e, tau, sigma2 = burr_k200
         if trunc_lower is not None:
-            prior = et.PriorSpec(prior.sigma2, trunc_lower=trunc_lower)
+            tau = 1.0 / trunc_lower
         lo = et.delta_lower_bound(tau)
         for xi in (1e-300, 0.3, 0.8, 5.0, math.inf):
             for d in (lo - 0.1, lo, lo + 1e-12, -0.2, -0.1, 0.0, 0.7, 9.0, 1e200):
                 ll = oracle_epd_log_likelihood(xi, d, tau, e)
-                lp = et.log_prior_xi(xi, prior.gamma_shape) + et.log_prior_delta(d, prior)
+                lp = et.log_prior_xi(xi) + et.log_prior_delta(d, sigma2, tau)
                 want = -math.inf if -math.inf in (ll, lp) else ll + lp / e.k
-                got = et.log_posterior(xi, d, e, tau, prior)
+                got = et.log_posterior(xi, d, e, tau, sigma2)
                 assert got == want, (xi, d)
 
 
@@ -273,7 +288,7 @@ class TestPosteriorMode:
         draws = np.column_stack([np.linspace(1.0, 2.0, len(logpost)),
                                  np.zeros(len(logpost))])
         return et.PosteriorChain(draws=draws, logpost=np.asarray(logpost, float),
-                                 acceptance_rate=0.3, burn_in=0, seed=0)
+                                 acceptance_rate=0.3)
 
     def test_unique_max(self):
         chain = self._chain([-5.0, -1.0, -3.0])
@@ -287,7 +302,7 @@ class TestPosteriorMode:
 
     def test_empty_chain_rejected(self):
         chain = et.PosteriorChain(draws=np.empty((0, 2)), logpost=np.empty(0),
-                                  acceptance_rate=0.5, burn_in=0, seed=0)
+                                  acceptance_rate=0.5)
         with pytest.raises(ValueError, match="empty"):
             et.posterior_mode(chain)
 
@@ -325,18 +340,18 @@ class TestBayesTailProb:
         return et.SortedSample(np.arange(1.0, 101.0))
 
     def test_reduces_to_weissman_at_zero_delta(self):
-        est = et.BayesEstimate(xi=0.5, delta=0.0, method="closed_form")
+        est = et.BayesEstimate(xi=0.5, delta=0.0, solver="linear")
         s = self._sample()
         assert et.bayes_tail_prob(s, 10, 360.0, est, -1.0) == et.weissman_tail_prob(
             s, 10, 360.0, 0.5
         )
 
     def test_at_threshold(self):
-        est = et.BayesEstimate(xi=0.5, delta=0.2, method="closed_form")
+        est = et.BayesEstimate(xi=0.5, delta=0.2, solver="linear")
         assert et.bayes_tail_prob(self._sample(), 10, 90.0, est, -1.0) == pytest.approx(0.1)
 
     def test_hand_value(self):
-        est = et.BayesEstimate(xi=0.5, delta=0.1, method="closed_form")
+        est = et.BayesEstimate(xi=0.5, delta=0.1, solver="linear")
         assert et.bayes_tail_prob(self._sample(), 10, 180.0, est, -1.0) == pytest.approx(
             0.1 * (2.0 * 1.05) ** -2
         )

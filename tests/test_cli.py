@@ -55,6 +55,19 @@ class TestEstimate:
         assert rows[1]["error"] == ""
         assert float(rows[1]["p_weissman"]) > 0
 
+    @pytest.mark.parametrize("method", ["closed", "mcmc"])
+    def test_underflowing_prior_variance_marks_rows_and_continues(self, tmp_path, method):
+        # at rho = -400 the prior variance (k/n)**800 underflows to 0.0
+        data = _pareto_grid_file(tmp_path)
+        out = tmp_path / "est.csv"
+        code = main(["estimate", str(data), "--rho", "fixed:-400", "--method", method,
+                     "--mcmc-iters", "400", "--burn-in", "100",
+                     "--k-min", "20", "--k-max", "50", "--k-step", "30", "--out", str(out)])
+        assert code == 0
+        rows = _read_rows(out)
+        assert [r["error"] for r in rows] == ["ValueError", "ValueError"]
+        assert all(r["hill_xi"] and not r["bayes_xi"] for r in rows)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         data = _pareto_grid_file(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -189,6 +202,22 @@ class TestSimulate:
         conf = tmp_path / "bad.conf"
         conf.write_text("dist frechet:0.5\n")
         assert main(["simulate", "--config", str(conf)]) == 2
+
+    @pytest.mark.parametrize("line, key", [
+        ("n = abc", "'n'"),
+        ("reps = 2.5", "'reps'"),
+        ("target_p = often", "'target-p'"),
+        ("estimator = hill", "'estimator'"),
+    ])
+    def test_bad_config_value_or_key_is_data_error(self, tmp_path, capsys, line, key):
+        # a misspelt key must not leave the study on its default for that key
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"dist = frechet:0.5\nn = 150\nreps = 2\n{line}\n")
+        out = tmp_path / "bad.csv"
+        assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: bad config line 4") and key in err
+        assert not out.exists()
 
     def test_missing_dist_is_usage_error(self, tmp_path):
         assert main(["simulate", "--reps", "2"]) == 1

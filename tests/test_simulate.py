@@ -22,8 +22,10 @@ class TestDistributions:
         )
 
     def test_loggamma_quantile_round_trip(self):
-        d = et.loggamma()
-        for p in (0.5, 0.99, 1 - 1 / 500):
+        # (0.5, 3) at p = 1e-6: the quantile lies within 3e-13 of 1, where
+        # the survival falls steeply
+        for d, p in [(et.loggamma(), 0.5), (et.loggamma(), 0.99),
+                     (et.loggamma(), 1 - 1 / 500), (et.loggamma(0.5, 3.0), 1e-6)]:
             q = et.true_quantile(d, p)
             assert et.survival(d, q) == pytest.approx(1 - p, abs=1e-10)
 
