@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -42,6 +42,7 @@ from .simulate import (
     StudyError,
     burr,
     frechet,
+    k_range,
     loggamma,
     run_study,
     study_payload,
@@ -72,9 +73,9 @@ class RunManifest:
     command: str
     config: dict
     seed: int | None
-    version: str
     input_digest: str | None
-    timestamp: str
+    version: str = __version__
+    timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
 
     def write(self, out_path: Path) -> None:
         path = out_path.with_name(out_path.name + ".manifest.json")
@@ -145,12 +146,6 @@ def _parse_dist(text: str):
 
 # ---------------------------------------------------------------- estimate
 
-def _add_common_k_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k-min", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--k-step", type=int, default=None)
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     sample = load_sample(args.data, column=args.column)
     n = sample.n
@@ -165,11 +160,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if rho_mode == "auto":
         rho, rho_source = resolve_rho(sample, k1=args.rho_k1, tuning=args.rho_tuning)
     else:
-        if rho_fixed >= 0:
+        if not rho_fixed < 0:
             raise UsageError("a fixed rho must be negative")
         rho, rho_source = rho_fixed, "user"
 
     use_mcmc = args.method == "mcmc"
+    if use_mcmc:
+        if not 0.0 < args.alpha < 1.0:
+            raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
+        try:
+            mcmc = MCMCConfig(args.mcmc_iters, args.burn_in)
+        except ValueError as exc:
+            raise UsageError(f"--mcmc-iters and --burn-in: {exc}") from None
     header = ["k", "threshold", "hill_xi", "ml_xi", "ml_delta", "bayes_xi",
               "bayes_delta", "rho", "tau", "sigma2"]
     if args.x is not None:
@@ -190,10 +192,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             fit = epd_ml_fit(e, tau)
             if use_mcmc:
                 seed = int(np.random.SeedSequence((args.seed, k)).generate_state(1)[0])
-                chain = metropolis_sample(
-                    e, tau, sigma2,
-                    MCMCConfig(iterations=args.mcmc_iters, burn_in=args.burn_in, seed=seed),
-                )
+                chain = metropolis_sample(e, tau, sigma2, replace(mcmc, seed=seed))
                 xi_b, delta_b = posterior_mode(chain)
                 hpd = hpd_interval(chain.draws[:, 0], args.alpha)
                 best = BayesEstimate(xi=xi_b, delta=delta_b, solver="mcmc")
@@ -241,21 +240,23 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "burn_in": args.burn_in, "format": args.format,
         },
         seed=args.seed,
-        version=__version__,
         input_digest=_digest(Path(args.data)),
-        timestamp=datetime.now(timezone.utc).isoformat(),
     ).write(out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- simulate
 
-# the keys a study config file may set, each with the type of its value;
-# a key is also the name of the flag that overrides it
+# the settings of a study: each key is the name of its flag and of its
+# config-file key, with the type of its value and the MCStudyConfig field it
+# fills; the k bounds fill no field of their own, they build k_grid
 _CONFIG_KEYS = {
-    "dist": str, "n": int, "reps": int, "k-min": int, "k-max": int, "k-step": int,
-    "rho": str, "estimators": str, "target-p": float, "seed": int,
-    "smooth-window": int, "mcmc-iters": int, "burn-in": int,
+    "dist": (str, "dist"), "n": (int, "n"), "reps": (int, "reps"),
+    "k-min": (int, None), "k-max": (int, None), "k-step": (int, None),
+    "rho": (str, "rho_mode"), "estimators": (str, "estimators"),
+    "target-p": (float, "target_p"), "seed": (int, "master_seed"),
+    "smooth-window": (int, "smooth_window"), "mcmc-iters": (int, "mcmc_iterations"),
+    "burn-in": (int, "mcmc_burn_in"),
 }
 
 
@@ -278,9 +279,9 @@ def _load_config_file(name: str) -> dict[str, object]:
             raise DataFormatError(f"bad config line {lineno}: {raw!r}")
         key, value = line.split("=", 1)
         key, value = key.strip().replace("_", "-"), value.strip()
-        cast = _CONFIG_KEYS.get(key)
-        if cast is None:
+        if key not in _CONFIG_KEYS:
             raise DataFormatError(f"bad config line {lineno}: unknown key {key!r}")
+        cast = _CONFIG_KEYS[key][0]
         try:
             values[key] = cast(value)
         except ValueError:
@@ -292,67 +293,39 @@ def _load_config_file(name: str) -> dict[str, object]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-
-    def pick(key: str, default):
-        flag_value = getattr(args, key.replace("-", "_"))
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    dist_text = pick("dist", None)
-    if dist_text is None:
+    # a flag wins over the file; a setting given nowhere keeps its MCStudyConfig default
+    given = _load_config_file(args.config) if args.config else {}
+    given.update({key: value for key in _CONFIG_KEYS
+                  if (value := getattr(args, key.replace("-", "_"))) is not None})
+    if "dist" not in given:
         raise UsageError("a distribution is required (--dist or config file)")
-    dist = _parse_dist(dist_text)
-    n = pick("n", 500)
-    reps = pick("reps", 1000)
-    k_min = pick("k-min", 10)
-    k_max = pick("k-max", n - 10)
-    k_step = pick("k-step", 5)
-    rho_text = pick("rho", "auto")
-    rho_mode, rho_fixed = _parse_rho_flag(rho_text)
-    if rho_mode == "fixed" and rho_fixed != -1.0:
-        raise UsageError("studies support --rho auto or fixed:-1")
-    estimators = tuple(pick("estimators", "hill,epd_ml,bayes_closed").split(","))
-    target_p = pick("target-p", 1.0 / 500.0)
-    seed = pick("seed", 0)
-    smooth = pick("smooth-window", 5)
-    mcmc_iters = pick("mcmc-iters", 3000)
-    burn_in = pick("burn-in", 1000)
-
+    given["dist"] = _parse_dist(given["dist"])
+    if "rho" in given:
+        rho_mode, rho_fixed = _parse_rho_flag(given["rho"])
+        if rho_mode == "fixed" and rho_fixed != -1.0:
+            raise UsageError("studies support --rho auto or fixed:-1")
+        given["rho"] = "fraga" if rho_mode == "auto" else "fixed_minus_one"
+    if "estimators" in given:
+        given["estimators"] = tuple(given["estimators"].split(","))
+    fields = {f: given[key] for key, (_, f) in _CONFIG_KEYS.items() if f and key in given}
+    bounds = {key.replace("-", "_"): given[key]
+              for key, (_, f) in _CONFIG_KEYS.items() if not f and key in given}
     try:
-        cfg = MCStudyConfig(
-            dist=dist,
-            n=n,
-            reps=reps,
-            k_grid=tuple(range(k_min, k_max + 1, k_step)),
-            estimators=estimators,
-            rho_mode="fraga" if rho_mode == "auto" else "fixed_minus_one",
-            target_p=target_p,
-            master_seed=seed,
-            smooth_window=smooth,
-            mcmc_iterations=mcmc_iters,
-            mcmc_burn_in=burn_in,
-        )
+        if bounds:
+            fields["k_grid"] = k_range(fields.get("n", MCStudyConfig.n), **bounds)
+        cfg = MCStudyConfig(**fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
     result = run_study(cfg, workers=args.workers)
 
     out = Path(args.out) if args.out else Path("study.csv")
-    header = ["estimator", "k", "bias", "variance", "mse",
-              "rel_bias", "rel_variance", "rel_mse", "excluded"]
-    rows = [[r[h] for h in header] for r in study_rows(result)]
-    _write_csv(out, header, rows)
+    rows = study_rows(result)
+    _write_csv(out, list(rows[0]), [list(r.values()) for r in rows])
     payload = study_payload(result)
     out.with_suffix(".json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     RunManifest(
-        command="simulate",
-        config=payload["config"],
-        seed=seed,
-        version=__version__,
-        input_digest=None,
-        timestamp=datetime.now(timezone.utc).isoformat(),
+        command="simulate", config=payload["config"], seed=cfg.master_seed, input_digest=None,
     ).write(out)
     print(f"study written to {out} ({len(rows)} rows, "
           f"{result.exclusion_fraction:.2%} cells excluded)")
@@ -362,9 +335,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- asymptotics
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
-    if args.lambda_max < args.lambda_min or args.lambda_step <= 0:
+    # written so that NaN fails every check
+    if not (args.lambda_max >= args.lambda_min and args.lambda_step > 0):
         raise UsageError("bad lambda grid")
-    if args.xi <= 0 or args.rho >= 0:
+    if not (args.xi > 0 and args.rho < 0):
         raise UsageError("need xi > 0 and rho < 0")
     lams = np.arange(args.lambda_min, args.lambda_max + 1e-12, args.lambda_step)
     header = ["lambda", "mse_hill", "mse_ml", "mse_opt", "bias_opt", "var_opt"]
@@ -388,9 +362,7 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
         config={"xi": args.xi, "rho": args.rho, "lambda_min": args.lambda_min,
                 "lambda_max": args.lambda_max, "lambda_step": args.lambda_step},
         seed=None,
-        version=__version__,
         input_digest=None,
-        timestamp=datetime.now(timezone.utc).isoformat(),
     ).write(out)
     return EXIT_OK
 
@@ -404,13 +376,15 @@ def build_parser() -> _Parser:
     p_est = sub.add_parser("estimate", help="estimate tail index and tail probabilities from a data file")
     p_est.add_argument("data", help="CSV or plain-text file of positive observations")
     p_est.add_argument("--column", type=int, default=None)
-    _add_common_k_flags(p_est)
+    p_est.add_argument("--k-min", type=int, default=None)
+    p_est.add_argument("--k-max", type=int, default=None)
+    p_est.add_argument("--k-step", type=int, default=None)
     p_est.add_argument("--rho", default="auto", help="auto | fixed:<value>")
     p_est.add_argument("--rho-k1", type=int, default=None)
     p_est.add_argument("--rho-tuning", type=float, default=0.0)
     p_est.add_argument("--method", choices=("closed", "mcmc"), default="closed")
-    p_est.add_argument("--mcmc-iters", type=int, default=12000)
-    p_est.add_argument("--burn-in", type=int, default=2000)
+    p_est.add_argument("--mcmc-iters", type=int, default=MCMCConfig.iterations)
+    p_est.add_argument("--burn-in", type=int, default=MCMCConfig.burn_in)
     p_est.add_argument("--alpha", type=float, default=0.05)
     p_est.add_argument("--x", type=float, default=None, help="tail level for P(X > x) columns")
     p_est.add_argument("--seed", type=int, default=0)
@@ -421,17 +395,9 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="run a replicated estimation study")
     p_sim.add_argument("--config", default=None,
                        help="config file path or bundled name (burr_fig2, frechet_fig1)")
-    p_sim.add_argument("--dist", default=None)
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--reps", type=int, default=None)
-    _add_common_k_flags(p_sim)
-    p_sim.add_argument("--rho", default=None, help="auto | fixed:-1")
-    p_sim.add_argument("--estimators", default=None)
-    p_sim.add_argument("--target-p", type=float, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--smooth-window", type=int, default=None)
-    p_sim.add_argument("--mcmc-iters", type=int, default=None)
-    p_sim.add_argument("--burn-in", type=int, default=None)
+    for key, (cast, _) in _CONFIG_KEYS.items():
+        p_sim.add_argument(f"--{key}", type=cast, default=None,
+                           help="auto | fixed:-1" if key == "rho" else None)
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=cmd_simulate)

@@ -9,9 +9,8 @@ a run aborts when exclusions exceed 5% of all cells.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -41,6 +40,7 @@ __all__ = [
     "survival",
     "true_quantile",
     "sample_distribution",
+    "k_range",
     "MCStudyConfig",
     "EstimatorMetrics",
     "MCStudyResult",
@@ -146,6 +146,14 @@ def sample_distribution(d: SimDistribution, n: int, seed) -> SortedSample:
     return SortedSample(x)
 
 
+def k_range(n: int, k_min: int = 10, k_max: int | None = None, k_step: int = 5) -> tuple[int, ...]:
+    """Every k from k_min to k_max (default n - 10) in steps of k_step.
+
+    Its defaults give the grid of a study that sets no k.
+    """
+    return tuple(range(k_min, (n - 10 if k_max is None else k_max) + 1, k_step))
+
+
 @dataclass(frozen=True)
 class MCStudyConfig:
     """Design of a replicated estimation study on a reference law.
@@ -155,7 +163,8 @@ class MCStudyConfig:
     moving-average width applied to each replication's posterior-mode
     paths over k before aggregation; 0 disables smoothing. ``target_p``
     fixes the exceedance level whose probability is re-estimated at x
-    equal to the true (1 - target_p) quantile.
+    equal to the true (1 - target_p) quantile. The chain lengths of the
+    ``bayes_mcmc`` estimator follow the rule of ``MCMCConfig``.
     """
 
     dist: SimDistribution
@@ -191,11 +200,10 @@ class MCStudyConfig:
         for k in self.k_grid or ():
             if not 10 <= k <= self.n - 1:
                 raise ValueError(f"every k must lie in [10, n-1]; got {k}")
+        MCMCConfig(self.mcmc_iterations, self.mcmc_burn_in)
 
     def resolved_k_grid(self) -> tuple[int, ...]:
-        if self.k_grid is None:
-            return tuple(range(10, self.n - 9, 5))
-        return tuple(self.k_grid)
+        return k_range(self.n) if self.k_grid is None else tuple(self.k_grid)
 
 
 @dataclass(frozen=True)
@@ -218,9 +226,7 @@ class MCStudyResult:
     config: MCStudyConfig
     k_grid: tuple[int, ...]
     metrics: dict[str, EstimatorMetrics]
-    reps_used: int
     exclusion_fraction: float
-    runtime: float
 
 
 def _study_rep(cfg: MCStudyConfig, k_grid: tuple[int, ...], x_level: float, rep: int):
@@ -288,7 +294,6 @@ def _study_rep(cfg: MCStudyConfig, k_grid: tuple[int, ...], x_level: float, rep:
 
 def run_study(cfg: MCStudyConfig, workers: int = 1) -> MCStudyResult:
     """Run the replicated study; deterministic in master_seed, any worker count."""
-    t0 = time.perf_counter()
     k_grid = cfg.resolved_k_grid()
     x_level = true_quantile(cfg.dist, 1.0 - cfg.target_p)
     rep_fn = partial(_study_rep, cfg, k_grid, x_level)
@@ -338,14 +343,7 @@ def run_study(cfg: MCStudyConfig, workers: int = 1) -> MCStudyResult:
             rel_mse=rel_bias ** 2 + rel_var,
             excluded=excl,
         )
-    return MCStudyResult(
-        config=cfg,
-        k_grid=k_grid,
-        metrics=metrics,
-        reps_used=cfg.reps,
-        exclusion_fraction=frac,
-        runtime=time.perf_counter() - t0,
-    )
+    return MCStudyResult(config=cfg, k_grid=k_grid, metrics=metrics, exclusion_fraction=frac)
 
 
 def study_rows(result: MCStudyResult) -> list[dict]:
@@ -371,32 +369,14 @@ def study_rows(result: MCStudyResult) -> list[dict]:
 
 
 def study_payload(result: MCStudyResult) -> dict:
-    """Full provenance payload (config, seed, exclusions, metrics).
+    """Full provenance payload: the config with its resolved k grid, exclusions, metrics.
 
-    Volatile fields (wall-clock runtime) are deliberately left out so the
-    payload is byte-stable across reruns.
+    It holds no volatile field, so it is byte-stable across reruns.
     """
     cfg = result.config
     return {
-        "config": {
-            "dist": {
-                "kind": cfg.dist.kind,
-                "args": list(cfg.dist.args),
-                "true_xi": cfg.dist.true_xi,
-                "true_rho": cfg.dist.true_rho,
-            },
-            "n": cfg.n,
-            "reps": cfg.reps,
-            "k_grid": list(result.k_grid),
-            "estimators": list(cfg.estimators),
-            "rho_mode": cfg.rho_mode,
-            "target_p": cfg.target_p,
-            "master_seed": cfg.master_seed,
-            "smooth_window": cfg.smooth_window,
-            "mcmc_iterations": cfg.mcmc_iterations,
-            "mcmc_burn_in": cfg.mcmc_burn_in,
-        },
-        "reps_used": result.reps_used,
+        "config": {**asdict(cfg), "k_grid": list(result.k_grid)},
+        "reps_used": cfg.reps,
         "exclusion_fraction": result.exclusion_fraction,
         "rows": study_rows(result),
     }

@@ -3,13 +3,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import epdtail as et
-from epdtail.cli import main
+from epdtail.cli import _CONFIG_KEYS, main
 
 
 def _pareto_grid_file(tmp_path: Path, n=200, xi=1.0) -> Path:
@@ -118,6 +119,28 @@ class TestEstimate:
         data = _pareto_grid_file(tmp_path)
         assert main(["estimate", str(data), "--rho", "sometimes"]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--method", "mcmc", "--alpha", "1.5"],
+        ["--rho", "fixed:nan"],
+        ["--method", "mcmc", "--mcmc-iters", "100", "--burn-in", "200"],
+    ])
+    def test_bad_flags_are_usage_errors_before_any_row(self, tmp_path, capsys, flags):
+        # these used to run every row and exit 0 with ValueError in each row
+        data = _pareto_grid_file(tmp_path)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", str(data), "--k-min", "50", "--k-max", "50",
+                     "--out", str(out)] + flags) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_chain_flags_are_ignored_by_the_closed_form(self, tmp_path):
+        data = _pareto_grid_file(tmp_path)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", str(data), "--k-min", "50", "--k-max", "50",
+                     "--alpha", "1.5", "--mcmc-iters", "100", "--burn-in", "200",
+                     "--out", str(out)]) == 0
+        assert _read_rows(out)[0]["error"] == ""
+
 
 class TestSimulate:
     def _args(self, tmp_path, **over):
@@ -153,6 +176,34 @@ class TestSimulate:
 
     def test_zero_reps_is_usage_error(self, tmp_path):
         assert main(self._args(tmp_path, **{"--reps": "0"})) == 1
+
+    def test_chain_without_draws_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        import epdtail.cli as cli
+
+        def must_not_run(cfg, workers=1):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli, "run_study", must_not_run)
+        argv = self._args(tmp_path, **{"--estimators": "bayes_mcmc", "--mcmc-iters": "100",
+                                       "--burn-in": "200"})
+        assert main(argv) == 1
+        assert "usage error: need iterations > burn_in" in capsys.readouterr().err
+
+    def test_payload_config_is_the_study_config(self, tmp_path):
+        # settings given nowhere take the MCStudyConfig defaults, and the
+        # payload serialises every field of the config
+        out = tmp_path / "d.csv"
+        assert main(["simulate", "--dist", "frechet:0.5", "--n", "60", "--reps", "2",
+                     "--estimators", "hill", "--out", str(out)]) == 0
+        payload = json.loads(out.with_suffix(".json").read_text())
+        cfg = et.MCStudyConfig(dist=et.frechet(0.5), n=60, reps=2, estimators=("hill",))
+        expected = json.loads(json.dumps({**asdict(cfg), "k_grid": list(cfg.resolved_k_grid())}))
+        assert payload["config"] == expected
+        assert payload["reps_used"] == 2
+
+    def test_each_study_field_is_filled_by_one_key(self):
+        filled = sorted(f for _, f in _CONFIG_KEYS.values() if f)
+        assert filled == sorted(f.name for f in fields(et.MCStudyConfig) if f.name != "k_grid")
 
     def test_unknown_distribution_lists_supported(self, tmp_path, capsys):
         assert main(self._args(tmp_path, **{"--dist": "zipf:2"})) == 1
@@ -253,9 +304,18 @@ class TestAsymptoticsCmd:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_grid_is_usage_error(self, tmp_path):
-        assert main(["asymptotics", "--xi", "0.5", "--rho", "-1",
-                     "--lambda-min", "2", "--lambda-max", "1"]) == 1
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys):
+        for flags in (["--lambda-min", "2", "--lambda-max", "1"], ["--lambda-step", "nan"],
+                      ["--lambda-max", "nan"]):
+            out = tmp_path / "curves.csv"
+            assert main(["asymptotics", "--xi", "0.5", "--rho", "-1",
+                         "--out", str(out)] + flags) == 1
+            assert "usage error: bad lambda grid" in capsys.readouterr().err
+            assert not out.exists()
 
-    def test_positive_xi_required(self):
-        assert main(["asymptotics", "--xi", "-0.5", "--rho", "-1"]) == 1
+    def test_positive_xi_required(self, tmp_path, capsys):
+        for xi, rho in (("-0.5", "-1"), ("nan", "-1"), ("0.5", "nan")):
+            out = tmp_path / "curves.csv"
+            assert main(["asymptotics", "--xi", xi, "--rho", rho, "--out", str(out)]) == 1
+            assert "usage error: need xi > 0" in capsys.readouterr().err
+            assert not out.exists()

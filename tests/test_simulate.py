@@ -92,6 +92,9 @@ class TestConfig:
             et.MCStudyConfig(dist=burr_dist, smooth_window=4)
         with pytest.raises(ValueError):
             et.MCStudyConfig(dist=burr_dist, rho_mode="oracle")
+        # a chain with no draws left after burn-in, by the rule of MCMCConfig
+        with pytest.raises(ValueError, match="need iterations > burn_in"):
+            et.MCStudyConfig(dist=burr_dist, mcmc_iterations=100, mcmc_burn_in=200)
 
 
 def _small_cfg(dist, **kw):
@@ -194,3 +197,11 @@ class TestRunStudy:
         payload = sim.study_payload(res)
         assert payload["config"]["master_seed"] == 42
         assert "runtime" not in payload
+        # a new MCStudyConfig field shows up here as a change to the study JSON
+        assert set(payload["config"]) == {
+            "dist", "n", "reps", "k_grid", "estimators", "rho_mode", "target_p",
+            "master_seed", "smooth_window", "mcmc_iterations", "mcmc_burn_in",
+        }
+        assert set(payload["config"]["dist"]) == {"kind", "args", "true_xi", "true_rho"}
+        assert payload["config"]["k_grid"] == [20, 40, 60]
+        assert payload["reps_used"] == cfg.reps
