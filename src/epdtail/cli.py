@@ -149,19 +149,24 @@ def _parse_dist(text: str):
 def cmd_estimate(args: argparse.Namespace) -> int:
     sample = load_sample(args.data, column=args.column)
     n = sample.n
-    k_min = args.k_min if args.k_min is not None else 10
-    k_max = args.k_max if args.k_max is not None else max(k_min, n - 10)
-    k_step = args.k_step if args.k_step is not None else 5
-    if k_min < 10 or k_max > n - 1 or k_step < 1 or k_min > k_max:
+    bounds = {key: value for key in ("k_min", "k_max", "k_step")
+              if (value := getattr(args, key)) is not None}
+    if bounds.get("k_step", 1) < 1:
+        raise UsageError(f"bad k step {bounds['k_step']}")
+    k_values = k_range(n, **bounds)
+    k_min, k_max, k_step = k_values.start, k_values.stop - 1, k_values.step
+    if k_min < 10 or k_max > n - 1 or not k_values:
         raise UsageError(f"bad k grid [{k_min}, {k_max}] step {k_step} for n={n}")
-    k_values = list(range(k_min, k_max + 1, k_step))
 
     rho_mode, rho_fixed = _parse_rho_flag(args.rho)
     if rho_mode == "auto":
-        rho, rho_source = resolve_rho(sample, k1=args.rho_k1, tuning=args.rho_tuning)
+        try:
+            rho, rho_source = resolve_rho(sample, k1=args.rho_k1, tuning=args.rho_tuning)
+        except ValueError as exc:  # the checks of --rho-k1 and --rho-tuning
+            raise UsageError(f"--rho-k1 or --rho-tuning: {exc}") from None
     else:
-        if not rho_fixed < 0:
-            raise UsageError("a fixed rho must be negative")
+        if not -np.inf < rho_fixed < 0:
+            raise UsageError("a fixed rho must be finite and negative")
         rho, rho_source = rho_fixed, "user"
 
     use_mcmc = args.method == "mcmc"
@@ -312,7 +317,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
               for key, (_, f) in _CONFIG_KEYS.items() if not f and key in given}
     try:
         if bounds:
-            fields["k_grid"] = k_range(fields.get("n", MCStudyConfig.n), **bounds)
+            fields["k_grid"] = tuple(k_range(fields.get("n", MCStudyConfig.n), **bounds))
         cfg = MCStudyConfig(**fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

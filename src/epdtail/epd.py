@@ -8,10 +8,15 @@ the strict Pareto exactly.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
@@ -130,6 +135,68 @@ class _Likelihood:
         return d_xi, d_delta
 
 
+@cache
+def _scipy_openblas() -> tuple | None:
+    """The (get, set) thread-count functions of scipy's bundled OpenBLAS, or None.
+
+    The Linux wheels of scipy ship their OpenBLAS in ``scipy.libs`` next to
+    the package, and loading that file again returns the handle scipy
+    already holds. Where no such file is found (a scipy built on a system
+    BLAS or MKL, another wheel layout) the result is None, and fits leave
+    the thread count alone.
+    """
+    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob("*scipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Context that runs scipy's OpenBLAS on one thread and then restores the count.
+
+    L-BFGS-B calls BLAS on two-vectors, where a second BLAS thread only
+    spins on another core: it doubles the CPU of a serial fit and starves
+    the other workers of a process pool. The thread count is global to
+    the process, so concurrent fits share one cap: the first to enter
+    saves the caller's count and the last to leave restores it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+
+    def __enter__(self) -> None:
+        api = _scipy_openblas()
+        if api is None:
+            return
+        get, set_ = api
+        with self._lock:
+            if self._depth == 0:
+                self._saved = get()
+                set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        api = _scipy_openblas()
+        if api is None:
+            return
+        _, set_ = api
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                set_(self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def epd_survival(p: EPDParams, y):
     """Survival function of the excess model, vectorized over y >= 1."""
     y_arr = np.asarray(y, dtype=float)
@@ -194,13 +261,14 @@ def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
         return -np.array([d_xi * xi, d_delta * span * sig * (1.0 - sig)])
 
     w0 = np.array([math.log(h), float(logit((0.0 - lo) / span))])
-    res = minimize(
-        neg_loglik,
-        w0,
-        jac=neg_grad,
-        method="L-BFGS-B",
-        options={"gtol": 1e-9, "ftol": 1e-14, "maxiter": 500},
-    )
+    with _ONE_BLAS_THREAD:
+        res = minimize(
+            neg_loglik,
+            w0,
+            jac=neg_grad,
+            method="L-BFGS-B",
+            options={"gtol": 1e-9, "ftol": 1e-14, "maxiter": 500},
+        )
     xi_hat, delta_hat, _ = unpack(res.x)
     return EPDFit(
         params=EPDParams(xi=xi_hat, delta=delta_hat, tau=tau),

@@ -146,12 +146,14 @@ def sample_distribution(d: SimDistribution, n: int, seed) -> SortedSample:
     return SortedSample(x)
 
 
-def k_range(n: int, k_min: int = 10, k_max: int | None = None, k_step: int = 5) -> tuple[int, ...]:
+def k_range(n: int, k_min: int = 10, k_max: int | None = None, k_step: int = 5) -> range:
     """Every k from k_min to k_max (default n - 10) in steps of k_step.
 
-    Its defaults give the grid of a study that sets no k.
+    Its defaults give the grid of a study or an ``estimate`` run that sets
+    no k. The range keeps its resolved bounds as ``start``, ``stop - 1``
+    and ``step``.
     """
-    return tuple(range(k_min, (n - 10 if k_max is None else k_max) + 1, k_step))
+    return range(k_min, (n - 10 if k_max is None else k_max) + 1, k_step)
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,7 @@ class MCStudyConfig:
         MCMCConfig(self.mcmc_iterations, self.mcmc_burn_in)
 
     def resolved_k_grid(self) -> tuple[int, ...]:
-        return k_range(self.n) if self.k_grid is None else tuple(self.k_grid)
+        return tuple(k_range(self.n) if self.k_grid is None else self.k_grid)
 
 
 @dataclass(frozen=True)

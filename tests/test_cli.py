@@ -123,13 +123,44 @@ class TestEstimate:
         ["--method", "mcmc", "--alpha", "1.5"],
         ["--rho", "fixed:nan"],
         ["--method", "mcmc", "--mcmc-iters", "100", "--burn-in", "200"],
+        ["--rho", "fixed:-inf"],
+        ["--rho-tuning", "0.5"],
+        ["--rho-tuning", "nan"],
+        ["--rho-k1", "5"],
+        ["--rho-k1", "500"],
     ])
     def test_bad_flags_are_usage_errors_before_any_row(self, tmp_path, capsys, flags):
-        # these used to run every row and exit 0 with ValueError in each row
+        # these used to run every row and exit 0 with ValueError in each row,
+        # or, for the rho estimate's flags, end in a ValueError traceback
         data = _pareto_grid_file(tmp_path)
         out = tmp_path / "est.csv"
         assert main(["estimate", str(data), "--k-min", "50", "--k-max", "50",
                      "--out", str(out)] + flags) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_grid_is_the_study_default(self, tmp_path):
+        data = _pareto_grid_file(tmp_path)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", str(data), "--out", str(out)]) == 0
+        assert [int(r["k"]) for r in _read_rows(out)] == list(range(10, 191, 5))
+        assert main(["estimate", str(data), "--k-min", "185", "--out", str(out)]) == 0
+        assert [int(r["k"]) for r in _read_rows(out)] == [185, 190]
+
+    @pytest.mark.parametrize("grid", [
+        ["--k-min", "195"],
+        ["--k-min", "60", "--k-max", "50"],
+        ["--k-min", "60", "--k-max", "20", "--k-step", "-5"],
+        ["--k-step", "0"],
+        ["--k-max", "200"],
+        ["--k-min", "5"],
+    ])
+    def test_bad_k_grid_is_usage_error(self, tmp_path, capsys, grid):
+        # with k-min above the default k-max of n - 10 the grid is empty; it used
+        # to run the single row k = k-min
+        data = _pareto_grid_file(tmp_path)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", str(data), "--out", str(out)] + grid) == 1
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 

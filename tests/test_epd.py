@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.stats import kstest
 
 import epdtail as et
+from epdtail import epd
 from conftest import pareto_excesses
 from oracles import oracle_epd_log_likelihood
 
@@ -162,6 +166,90 @@ class TestMLFit:
         f2 = et.epd_ml_fit(et.excesses(scaled, 100), -1.0)
         assert f1.params.xi == f2.params.xi
         assert f1.params.delta == f2.params.delta
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def threads(self):
+        # a caller's count of 2, which the cap must lower to 1 and then restore
+        api = epd._scipy_openblas()
+        if api is None:
+            pytest.skip("scipy's bundled OpenBLAS is not loaded")
+        get, set_ = api
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_fit_runs_on_one_thread_and_restores_the_count(self, threads, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(threads())
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(epd, "minimize", spy)
+        et.epd_ml_fit(pareto_excesses(1.0, 100, 0), -1.0)
+        assert seen == [1]
+        assert threads() == 2
+
+    def test_count_restored_when_the_minimizer_raises(self, threads, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("minimizer failed")
+
+        monkeypatch.setattr(epd, "minimize", boom)
+        with pytest.raises(RuntimeError, match="minimizer failed"):
+            et.epd_ml_fit(pareto_excesses(1.0, 100, 0), -1.0)
+        assert threads() == 2
+
+    def test_overlapping_caps_restore_when_the_last_one_leaves(self, threads):
+        cap = epd._OneBlasThread()
+        with cap:
+            with cap:
+                assert threads() == 1
+            assert threads() == 1
+        assert threads() == 2
+
+    def test_concurrent_fits_leave_the_count_restored(self, threads):
+        # more threads than cores, switching often, so that entries and exits interleave
+        errors = []
+
+        def work(rep):
+            try:
+                for j in range(10):
+                    et.epd_ml_fit(pareto_excesses(1.0, 60, (rep, j)), -1.0)
+            except Exception as exc:  # reported below, a thread cannot raise into the test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(rep,)) for rep in range(6)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert errors == []
+        assert threads() == 2
+
+    def test_fits_without_the_library_are_the_same_bits(self, monkeypatch):
+        # one repetition of the burr_fig2 design: its 65 thresholds and its rho estimate
+        s = et.sample_distribution(et.burr(0.75, -0.75), 500, np.random.SeedSequence((202408, 0)))
+        rho, _ = et.resolve_rho(s)
+
+        def fits():
+            out = []
+            for k in range(90, 411, 5):
+                e = et.excesses(s, k)
+                out.append(repr(et.epd_ml_fit(e, et.tau_hat(rho, et.hill(e).xi))))
+            return out
+
+        capped = fits()
+        monkeypatch.setattr(epd, "_scipy_openblas", lambda: None)
+        assert fits() == capped
 
 
 class TestQuantileAndSampling:
