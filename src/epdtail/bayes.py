@@ -16,8 +16,7 @@ from typing import Literal
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import gammaln
-from scipy.stats import norm
+from scipy.special import gammaln, ndtr
 
 from .classical import hill, moment_stat
 from .data import ExcessSet, SortedSample
@@ -115,7 +114,7 @@ def log_prior_delta(delta: float, sigma2: float, tau: float) -> float:
     return (
         -0.5 * delta * delta / sigma2
         - math.log(math.sqrt(2.0 * math.pi) * sigma)
-        - math.log(float(norm.sf(lo / sigma)))
+        - math.log(float(ndtr(-(lo / sigma))))
     )
 
 
@@ -137,7 +136,7 @@ class _LogTarget:
         sigma = math.sqrt(sigma2)
         self.log_gamma = float(gammaln(_GAMMA_SHAPE))
         self.log_norm = math.log(math.sqrt(2.0 * math.pi) * sigma)
-        self.log_trunc = math.log(float(norm.sf(delta_lower_bound(tau) / sigma)))
+        self.log_trunc = math.log(float(ndtr(-(delta_lower_bound(tau) / sigma))))
 
     def __call__(self, xi: float, delta: float) -> float:
         ll = self.lik(xi, delta)
@@ -237,45 +236,51 @@ def _profile_posterior_mode(e: ExcessSet, tau: float, sigma2: float) -> tuple[fl
     lik = target.lik
     k = e.k
     lo = lik.lo
-    a, b = lik.a, lik.b
     ext = np.array(lik.ext)
     mean_logy = float(np.mean(lik.log_y))
     xi_floor = 0.05 * mean_logy
     lp_const = -target.log_norm - target.log_trunc - target.log_gamma
     bq = k + 1.0 - _GAMMA_SHAPE
 
-    def profile_xi(g: np.ndarray) -> np.ndarray:
-        return (-bq + np.sqrt(bq * bq + 4.0 * k * g)) / 2.0
+    def profile_xi(g, sqrt=math.sqrt):
+        return (-bq + sqrt(bq * bq + 4.0 * k * g)) / 2.0
 
-    def total_grid(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def profile(delta: float) -> tuple[float, float]:  # g and the mean of log1p(delta*b)
+        m1, m2 = np.add.reduce(np.log1p(delta * lik.coef), axis=1) / k
+        return mean_logy + float(m1), float(m2)
+
+    def total_grid(deltas: np.ndarray) -> np.ndarray:
         ok = (1.0 + np.outer(deltas, ext) > 0.0).all(axis=1)
-        t1 = np.log1p(np.outer(deltas, a), where=ok[:, None], out=np.zeros((deltas.size, a.size)))
-        t2 = np.log1p(np.outer(deltas, b), where=ok[:, None], out=np.zeros((deltas.size, b.size)))
-        g = mean_logy + t1.mean(axis=1)
+        # log1p of every row at once; the inadmissible rows are masked below
+        t = np.multiply.outer(deltas, lik.coef)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.log1p(t, out=t)
+        m = np.add.reduce(t, axis=2) / k
+        g = mean_logy + m[:, 0]
         ok &= g > 0.0
         g_safe = np.where(ok, g, 1.0)
-        xi = profile_xi(g_safe)
+        xi = profile_xi(g_safe, np.sqrt)
         ok &= xi >= xi_floor
         val = (
-            k * (-np.log(xi) - (1.0 / xi + 1.0) * g_safe + t2.mean(axis=1))
+            k * (-np.log(xi) - (1.0 / xi + 1.0) * g_safe + m[:, 1])
             + (_GAMMA_SHAPE - 1.0) * np.log(xi)
             - xi
             - 0.5 * deltas * deltas / sigma2
             + lp_const
         )
-        return np.where(ok, val, -np.inf), xi
+        return np.where(ok, val, -np.inf)
 
     def neg_total(delta: float) -> float:
         if lik.inadmissible(delta):
             return math.inf
-        g = mean_logy + float(np.mean(np.log1p(delta * a)))
+        g, m2 = profile(delta)
         if g <= 0.0:
             return math.inf
-        xi = float(profile_xi(np.array(g)))
+        xi = profile_xi(g)
         if xi < xi_floor:
             return math.inf
         val = (
-            k * (-math.log(xi) - (1.0 / xi + 1.0) * g + float(np.mean(np.log1p(delta * b))))
+            k * (-math.log(xi) - (1.0 / xi + 1.0) * g + m2)
             + (_GAMMA_SHAPE - 1.0) * math.log(xi)
             - xi
             - 0.5 * delta * delta / sigma2
@@ -284,7 +289,7 @@ def _profile_posterior_mode(e: ExcessSet, tau: float, sigma2: float) -> tuple[fl
         return -val
 
     grid = np.linspace(lo + 1e-9 * max(1.0, abs(lo)), DELTA_MAX, 481)
-    vals, _ = total_grid(grid)
+    vals = total_grid(grid)
     best = int(np.argmax(vals))
     if vals[best] == -np.inf:
         raise ClosedFormError("posterior mode search found no admissible point")
@@ -294,9 +299,7 @@ def _profile_posterior_mode(e: ExcessSet, tau: float, sigma2: float) -> tuple[fl
     res = minimize_scalar(neg_total, bounds=(left, right), method="bounded",
                           options={"xatol": 1e-10})
     delta_hat = float(res.x) if res.fun <= -vals[best] else float(grid[best])
-    g_hat = mean_logy + float(np.mean(np.log1p(delta_hat * a)))
-    xi_hat = float(profile_xi(np.array(g_hat)))
-    return xi_hat, delta_hat
+    return profile_xi(profile(delta_hat)[0]), delta_hat
 
 
 def bayes_closed_form(e: ExcessSet, tau: float, sigma2: float) -> BayesEstimate:

@@ -151,9 +151,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     n = sample.n
     bounds = {key: value for key in ("k_min", "k_max", "k_step")
               if (value := getattr(args, key)) is not None}
-    if bounds.get("k_step", 1) < 1:
-        raise UsageError(f"bad k step {bounds['k_step']}")
-    k_values = k_range(n, **bounds)
+    try:
+        k_values = k_range(n, **bounds)
+    except ValueError as exc:  # a k step below 1
+        raise UsageError(str(exc)) from None
     k_min, k_max, k_step = k_values.start, k_values.stop - 1, k_values.step
     if k_min < 10 or k_max > n - 1 or not k_values:
         raise UsageError(f"bad k grid [{k_min}, {k_max}] step {k_step} for n={n}")

@@ -12,7 +12,7 @@ import ctypes
 import math
 import threading
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -123,16 +123,28 @@ class _Likelihood:
         k = self.k
         return -math.log(xi) - (1.0 / xi + 1.0) * (float(s1) / k) + float(s2) / k
 
-    def grad(self, xi: float, delta: float) -> tuple[float, float]:
+    def value_and_grad(self, xi: float, delta: float) -> tuple[float, float, float] | None:
+        """The value and gradient from one 1 + delta*coef and one log; None outside the region."""
         if not (xi > 0 and delta > self.lo) or self.inadmissible(delta):
-            raise ValueError("gradient requested outside the parameter region")
-        t = 1.0 + delta * self.coef
-        s1 = np.add.reduce(self.log_y + np.log(t[0]))
+            return None
+        t = self._work
+        np.multiply(self.coef, delta, out=t)
+        np.add(t, 1.0, out=t)
         r1, r2 = np.add.reduce(self.coef / t, axis=1)
+        np.log(t, out=t)
+        np.add(self._work_a, self.log_y, out=self._work_a)
+        s1, s2 = np.add.reduce(t, axis=1)
         k = self.k
+        value = -math.log(xi) - (1.0 / xi + 1.0) * (float(s1) / k) + float(s2) / k
         d_xi = -1.0 / xi + (float(s1) / k) / xi ** 2
         d_delta = -(1.0 / xi + 1.0) * (float(r1) / k) + float(r2) / k
-        return d_xi, d_delta
+        return value, d_xi, d_delta
+
+    def grad(self, xi: float, delta: float) -> tuple[float, float]:
+        out = self.value_and_grad(xi, delta)
+        if out is None:
+            raise ValueError("gradient requested outside the parameter region")
+        return out[1:]
 
 
 @cache
@@ -241,35 +253,32 @@ def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
     lo = lik.lo
     span = DELTA_MAX - lo
 
-    def unpack(w: np.ndarray) -> tuple[float, float, float]:
-        u = float(np.clip(w[0], -40.0, 40.0))
-        sig = float(expit(w[1]))
-        return math.exp(u), lo + span * sig, sig
+    def unpack(u: float, v: float) -> tuple[float, float, float]:
+        sig = float(expit(v))
+        return math.exp(min(max(u, -40.0), 40.0)), lo + span * sig, sig
 
-    def neg_loglik(w: np.ndarray) -> float:
-        xi, delta, _ = unpack(w)
-        val = lik(xi, delta)
-        # big finite penalty so the line search backtracks from the region edge
-        return 1e12 if val == -math.inf else -val
-
-    def neg_grad(w: np.ndarray) -> np.ndarray:
-        xi, delta, sig = unpack(w)
-        try:
-            d_xi, d_delta = lik.grad(xi, delta)
-        except ValueError:
-            return np.zeros(2)
-        return -np.array([d_xi * xi, d_delta * span * sig * (1.0 - sig)])
+    # L-BFGS-B asks for the value and then the gradient at each point: one evaluation
+    # serves both, through a cache that costs less than scipy's jac=True memo
+    @lru_cache(maxsize=1)
+    def neg_loglik_and_grad(u: float, v: float) -> tuple[float, np.ndarray]:
+        xi, delta, sig = unpack(u, v)
+        out = lik.value_and_grad(xi, delta)
+        if out is None:
+            # big finite penalty so the line search backtracks from the region edge
+            return 1e12, np.zeros(2)
+        val, d_xi, d_delta = out
+        return -val, -np.array([d_xi * xi, d_delta * span * sig * (1.0 - sig)])
 
     w0 = np.array([math.log(h), float(logit((0.0 - lo) / span))])
     with _ONE_BLAS_THREAD:
         res = minimize(
-            neg_loglik,
+            lambda w: neg_loglik_and_grad(*w.tolist())[0],
             w0,
-            jac=neg_grad,
+            jac=lambda w: neg_loglik_and_grad(*w.tolist())[1],
             method="L-BFGS-B",
             options={"gtol": 1e-9, "ftol": 1e-14, "maxiter": 500},
         )
-    xi_hat, delta_hat, _ = unpack(res.x)
+    xi_hat, delta_hat, _ = unpack(*res.x.tolist())
     return EPDFit(
         params=EPDParams(xi=xi_hat, delta=delta_hat, tau=tau),
         loglik=-float(res.fun),

@@ -151,8 +151,10 @@ def k_range(n: int, k_min: int = 10, k_max: int | None = None, k_step: int = 5) 
 
     Its defaults give the grid of a study or an ``estimate`` run that sets
     no k. The range keeps its resolved bounds as ``start``, ``stop - 1``
-    and ``step``.
+    and ``step``. A k step below 1 is a ValueError.
     """
+    if k_step < 1:
+        raise ValueError(f"bad k step {k_step}")
     return range(k_min, (n - 10 if k_max is None else k_max) + 1, k_step)
 
 

@@ -4,8 +4,9 @@ These deliberately re-derive quantities through different routes than the
 library (brute-force grid refinement, quadrature, batch means) so that
 agreement is evidence, not tautology. The exceptions keep a
 straightforward form of a library computation as the reference that the
-library must reproduce bit for bit: ``oracle_epd_log_likelihood`` and
-``oracle_metropolis``. ``oracle_first_order`` keeps the estimating-system
+library must reproduce bit for bit: ``oracle_epd_log_likelihood``,
+``oracle_metropolis``, ``oracle_loglik_grad``, ``oracle_epd_ml_fit`` and
+``oracle_profile_posterior_mode``. ``oracle_first_order`` keeps the estimating-system
 variants that the library rejects, and ``asym_var_raw`` the literal form
 of the limiting variance.
 """
@@ -15,12 +16,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.optimize import minimize, minimize_scalar
+from scipy.special import expit, gammaln, logit
 from scipy.stats import norm
 
-from epdtail import delta_lower_bound, hill, log_prior_delta, log_prior_xi, moment_stat
+from epdtail import (
+    EPDFit, EPDParams, delta_lower_bound, hill, log_prior_delta, log_prior_xi, moment_stat,
+)
 from epdtail.bayes import ClosedFormError
-from epdtail.epd import DELTA_MAX
+from epdtail.epd import _ONE_BLAS_THREAD, DELTA_MAX, _Likelihood
 
 
 def oracle_epd_log_likelihood(xi, delta, tau, e):
@@ -251,3 +255,129 @@ def asym_var_raw(r):
     return (r.xi ** 2 / (1.0 + r.zeta * rho ** -4) ** 2) * (
         ((1.0 - rho) / rho) ** 2 + r.zeta ** 2 / rho ** 8 + 2.0 * r.zeta / rho ** 4
     )
+
+
+def oracle_loglik_grad(lik, xi, delta):
+    """Gradient of ``_Likelihood`` ``lik`` in (xi, delta), with its own 1 + delta*coef and log.
+
+    The arithmetic the library's gradient had before it shared one pass
+    with the value. Raises ValueError outside the parameter region.
+    """
+    if not (xi > 0 and delta > lik.lo) or lik.inadmissible(delta):
+        raise ValueError("gradient requested outside the parameter region")
+    t = 1.0 + delta * lik.coef
+    s1 = np.add.reduce(lik.log_y + np.log(t[0]))
+    r1, r2 = np.add.reduce(lik.coef / t, axis=1)
+    k = lik.k
+    d_xi = -1.0 / xi + (float(s1) / k) / xi ** 2
+    d_delta = -(1.0 / xi + 1.0) * (float(r1) / k) + float(r2) / k
+    return d_xi, d_delta
+
+
+def oracle_epd_ml_fit(e, tau):
+    """``epd_ml_fit`` with the value and the gradient as two L-BFGS-B callbacks.
+
+    Each callback builds its own 1 + delta*coef and log; the library's one
+    fused callback must give the same fit, bit for bit.
+    """
+    if e.k < 10:
+        raise ValueError(f"need at least 10 excesses to fit, got {e.k}")
+    if tau >= 0:
+        raise ValueError(f"tau must be negative, got {tau}")
+    h = hill(e).xi
+    if h <= 0:
+        raise ValueError("all excesses are ties; the likelihood has no interior maximum")
+    lik = _Likelihood(e, tau)
+    lo = lik.lo
+    span = DELTA_MAX - lo
+
+    def unpack(w):
+        u = float(np.clip(w[0], -40.0, 40.0))
+        sig = float(expit(w[1]))
+        return math.exp(u), lo + span * sig, sig
+
+    def neg_loglik(w):
+        xi, delta, _ = unpack(w)
+        val = lik(xi, delta)
+        return 1e12 if val == -math.inf else -val
+
+    def neg_grad(w):
+        xi, delta, sig = unpack(w)
+        try:
+            d_xi, d_delta = oracle_loglik_grad(lik, xi, delta)
+        except ValueError:
+            return np.zeros(2)
+        return -np.array([d_xi * xi, d_delta * span * sig * (1.0 - sig)])
+
+    w0 = np.array([math.log(h), float(logit((0.0 - lo) / span))])
+    with _ONE_BLAS_THREAD:
+        res = minimize(neg_loglik, w0, jac=neg_grad, method="L-BFGS-B",
+                       options={"gtol": 1e-9, "ftol": 1e-14, "maxiter": 500})
+    xi_hat, delta_hat, _ = unpack(res.x)
+    return EPDFit(params=EPDParams(xi=xi_hat, delta=delta_hat, tau=tau), loglik=-float(res.fun),
+                  converged=bool(res.success), iterations=int(res.nit))
+
+
+def oracle_profile_posterior_mode(e, tau, sigma2, gamma_shape=1e-4):
+    """``bayes._profile_posterior_mode`` with two masked log1p passes on its grid.
+
+    The grid fills two zero-filled (grid x k) arrays, one per coefficient
+    row, and takes ``mean`` of each; the polish and the final xi use
+    ``np.mean`` and 0-d arrays, and the prior truncation comes from
+    ``scipy.stats.norm.sf``. The library must return the same bits.
+    """
+    lik = _Likelihood(e, tau)
+    k = e.k
+    lo = lik.lo
+    a, b = lik.a, lik.b
+    ext = np.array(lik.ext)
+    mean_logy = float(np.mean(lik.log_y))
+    xi_floor = 0.05 * mean_logy
+    sigma = math.sqrt(sigma2)
+    lp_const = (-math.log(math.sqrt(2.0 * math.pi) * sigma)
+                - math.log(float(norm.sf(delta_lower_bound(tau) / sigma)))
+                - float(gammaln(gamma_shape)))
+    bq = k + 1.0 - gamma_shape
+
+    def profile_xi(g):
+        return (-bq + np.sqrt(bq * bq + 4.0 * k * g)) / 2.0
+
+    def total_grid(deltas):
+        ok = (1.0 + np.outer(deltas, ext) > 0.0).all(axis=1)
+        t1 = np.log1p(np.outer(deltas, a), where=ok[:, None], out=np.zeros((deltas.size, a.size)))
+        t2 = np.log1p(np.outer(deltas, b), where=ok[:, None], out=np.zeros((deltas.size, b.size)))
+        g = mean_logy + t1.mean(axis=1)
+        ok &= g > 0.0
+        g_safe = np.where(ok, g, 1.0)
+        xi = profile_xi(g_safe)
+        ok &= xi >= xi_floor
+        val = (k * (-np.log(xi) - (1.0 / xi + 1.0) * g_safe + t2.mean(axis=1))
+               + (gamma_shape - 1.0) * np.log(xi) - xi - 0.5 * deltas * deltas / sigma2 + lp_const)
+        return np.where(ok, val, -np.inf)
+
+    def neg_total(delta):
+        if lik.inadmissible(delta):
+            return math.inf
+        g = mean_logy + float(np.mean(np.log1p(delta * a)))
+        if g <= 0.0:
+            return math.inf
+        xi = float(profile_xi(np.array(g)))
+        if xi < xi_floor:
+            return math.inf
+        val = (k * (-math.log(xi) - (1.0 / xi + 1.0) * g + float(np.mean(np.log1p(delta * b))))
+               + (gamma_shape - 1.0) * math.log(xi) - xi - 0.5 * delta * delta / sigma2 + lp_const)
+        return -val
+
+    grid = np.linspace(lo + 1e-9 * max(1.0, abs(lo)), DELTA_MAX, 481)
+    vals = total_grid(grid)
+    best = int(np.argmax(vals))
+    if vals[best] == -np.inf:
+        raise ClosedFormError("posterior mode search found no admissible point")
+    step = grid[1] - grid[0]
+    left = max(lo + 1e-12 * max(1.0, abs(lo)), grid[best] - step)
+    right = min(DELTA_MAX, grid[best] + step)
+    res = minimize_scalar(neg_total, bounds=(left, right), method="bounded",
+                          options={"xatol": 1e-10})
+    delta_hat = float(res.x) if res.fun <= -vals[best] else float(grid[best])
+    g_hat = mean_logy + float(np.mean(np.log1p(delta_hat * a)))
+    return float(profile_xi(np.array(g_hat))), delta_hat

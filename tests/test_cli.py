@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import subprocess
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -244,6 +246,7 @@ class TestSimulate:
         {"--dist": "frechet:0.5", "--k-min": "60", "--k-max": "50"},
         {"--k-step": "-5"},
         {"--k-step": "0"},
+        {"--dist": "frechet:0.5", "--k-min": "60", "--k-max": "20", "--k-step": "-5"},
     ])
     def test_empty_k_grid_is_usage_error(self, tmp_path, capsys, grid):
         # an empty grid must not fall through to the study's default grid
@@ -350,3 +353,11 @@ class TestAsymptoticsCmd:
             assert main(["asymptotics", "--xi", xi, "--rho", rho, "--out", str(out)]) == 1
             assert "usage error: need xi > 0" in capsys.readouterr().err
             assert not out.exists()
+
+
+def test_import_loads_no_scipy_stats():
+    # importing scipy.stats costs about half a second and 20 MB in every process
+    code = "import sys, epdtail, epdtail.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(et.__file__).parent.parent,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
