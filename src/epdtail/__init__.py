@@ -13,8 +13,6 @@ from .asymptotics import (
     limit_mse,
     mse_opt,
     mse_opt_weighted,
-    mu_opt,
-    sigma2_opt,
     zeta_opt,
 )
 from .bayes import (
@@ -25,7 +23,6 @@ from .bayes import (
     bayes_closed_form,
     bayes_tail_prob,
     hpd_interval,
-    log_posterior,
     log_prior_delta,
     log_prior_xi,
     metropolis_sample,

@@ -16,8 +16,6 @@ __all__ = [
     "asym_mean",
     "asym_var",
     "zeta_opt",
-    "mu_opt",
-    "sigma2_opt",
     "mse_opt",
     "mse_opt_weighted",
     "limit_mse",
@@ -72,16 +70,6 @@ def zeta_opt(xi: float, rho: float, lam: float) -> float:
     if lam == 0.0:
         return math.inf
     return xi * xi * (1.0 - 2.0 * rho) / (lam * lam)
-
-
-def mu_opt(rho: float, lam: float) -> float:
-    """Optimal limit of k times the prior variance."""
-    return (1.0 - rho) ** 2 * lam * lam
-
-
-def sigma2_opt(rho: float, a_nk: float) -> float:
-    """Optimal prior variance given the second-order term a(n/k)."""
-    return (1.0 - rho) ** 2 * a_nk * a_nk
 
 
 def mse_opt(xi: float, rho: float, lam: float) -> float:

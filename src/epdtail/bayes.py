@@ -30,7 +30,6 @@ __all__ = [
     "prior_variance",
     "log_prior_xi",
     "log_prior_delta",
-    "log_posterior",
     "bayes_closed_form",
     "metropolis_sample",
     "posterior_mode",
@@ -147,14 +146,6 @@ class _LogTarget:
         if lp == -math.inf:
             return -math.inf
         return ll + lp / self.k
-
-
-def log_posterior(xi: float, delta: float, e: ExcessSet, tau: float, sigma2: float) -> float:
-    """Per-observation log posterior: mean log-likelihood plus (1/k) log priors.
-
-    Out-of-region parameters give -inf, matching the likelihood sentinel.
-    """
-    return _LogTarget(e, tau, sigma2)(xi, delta)
 
 
 def _system_coefficients(

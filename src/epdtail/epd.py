@@ -12,12 +12,12 @@ import ctypes
 import math
 import threading
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 from scipy.special import expit, logit
 
 from .classical import hill
@@ -37,6 +37,15 @@ __all__ = [
 ]
 
 DELTA_MAX = 10.0  # upper search bound for the perturbation amplitude
+
+# the ML fit's L-BFGS-B settings: memory 10, ftol 1e-14 (as factr = ftol/eps),
+# gtol 1e-9, 20 line-search steps, and scipy's maxiter and maxfun limits
+_LBFGSB_M = 10
+_LBFGSB_FACTR = 1e-14 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-9
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXITER = 500
+_LBFGSB_MAXFUN = 15000
 
 
 def delta_lower_bound(tau: float) -> float:
@@ -240,6 +249,13 @@ def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
     Quasi-Newton search on (log xi, logit-mapped delta) so both
     constraints hold throughout; started at the Hill estimate with
     delta = 0. Requires at least 10 excesses.
+
+    The search is scipy's L-BFGS-B core, ``_lbfgsb.setulb``, driven by
+    the loop that ``scipy.optimize.minimize(method="L-BFGS-B")`` runs,
+    with its settings and stopping rules: the same calls give the same
+    bits, without the per-point cost of scipy's Python wrappers. The fit
+    converged when the core stops with CONVERGENCE (task 4); the
+    log-likelihood is minus the last value handed to the core.
     """
     if e.k < 10:
         raise ValueError(f"need at least 10 excesses to fit, got {e.k}")
@@ -257,33 +273,49 @@ def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
         sig = float(expit(v))
         return math.exp(min(max(u, -40.0), 40.0)), lo + span * sig, sig
 
-    # L-BFGS-B asks for the value and then the gradient at each point: one evaluation
-    # serves both, through a cache that costs less than scipy's jac=True memo
-    @lru_cache(maxsize=1)
-    def neg_loglik_and_grad(u: float, v: float) -> tuple[float, np.ndarray]:
-        xi, delta, sig = unpack(u, v)
-        out = lik.value_and_grad(xi, delta)
-        if out is None:
-            # big finite penalty so the line search backtracks from the region edge
-            return 1e12, np.zeros(2)
-        val, d_xi, d_delta = out
-        return -val, -np.array([d_xi * xi, d_delta * span * sig * (1.0 - sig)])
-
-    w0 = np.array([math.log(h), float(logit((0.0 - lo) / span))])
+    # setulb's arguments with scipy's argument order and workspace sizes; nbd = 0
+    # leaves both coordinates unbounded, so the two bound vectors are never read
+    n = 2
+    x = np.array([math.log(h), float(logit((0.0 - lo) / span))])
+    f, g = 0.0, np.zeros(n)
+    no_bound, nbd = np.zeros(n), np.zeros(n, np.int32)
+    wa = np.zeros(2 * _LBFGSB_M * n + 5 * n + 11 * _LBFGSB_M ** 2 + 8 * _LBFGSB_M)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    iterations = evaluations = 0
     with _ONE_BLAS_THREAD:
-        res = minimize(
-            lambda w: neg_loglik_and_grad(*w.tolist())[0],
-            w0,
-            jac=lambda w: neg_loglik_and_grad(*w.tolist())[1],
-            method="L-BFGS-B",
-            options={"gtol": 1e-9, "ftol": 1e-14, "maxiter": 500},
-        )
-    xi_hat, delta_hat, _ = unpack(*res.x.tolist())
+        while True:
+            _lbfgsb.setulb(_LBFGSB_M, x, no_bound, no_bound, nbd, f, g, _LBFGSB_FACTR,
+                           _LBFGSB_PGTOL, wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS,
+                           ln_task)
+            if task[0] == 3:  # FG: the value and the gradient at x
+                evaluations += 1
+                xi, delta, sig = unpack(*x.tolist())
+                out = lik.value_and_grad(xi, delta)
+                if out is None:
+                    # big finite penalty so the line search backtracks from the region edge
+                    f = 1e12
+                    g[:] = 0.0
+                else:
+                    val, d_xi, d_delta = out
+                    f = -val
+                    g[0] = -(d_xi * xi)
+                    g[1] = -(d_delta * span * sig * (1.0 - sig))
+            elif task[0] == 1:  # NEW_X: an iteration is done; scipy's two limits
+                iterations += 1
+                if iterations >= _LBFGSB_MAXITER:
+                    task[:] = 5, 504
+                elif evaluations > _LBFGSB_MAXFUN:
+                    task[:] = 5, 502
+            else:
+                break
+    xi_hat, delta_hat, _ = unpack(*x.tolist())
     return EPDFit(
         params=EPDParams(xi=xi_hat, delta=delta_hat, tau=tau),
-        loglik=-float(res.fun),
-        converged=bool(res.success),
-        iterations=int(res.nit),
+        loglik=-f,
+        converged=bool(task[0] == 4),
+        iterations=iterations,
     )
 
 

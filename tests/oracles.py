@@ -8,7 +8,10 @@ library must reproduce bit for bit: ``oracle_epd_log_likelihood``,
 ``oracle_metropolis``, ``oracle_loglik_grad``, ``oracle_epd_ml_fit`` and
 ``oracle_profile_posterior_mode``. ``oracle_first_order`` keeps the estimating-system
 variants that the library rejects, and ``asym_var_raw`` the literal form
-of the limiting variance.
+of the limiting variance. ``mu_opt``, ``sigma2_opt`` and ``log_posterior``
+are formulas the library does not need: the optimal prior scale in its
+two parametrisations, and the per-observation log posterior as one call
+of the library's Metropolis target.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from scipy.stats import norm
 from epdtail import (
     EPDFit, EPDParams, delta_lower_bound, hill, log_prior_delta, log_prior_xi, moment_stat,
 )
-from epdtail.bayes import ClosedFormError
+from epdtail.bayes import ClosedFormError, _LogTarget
 from epdtail.epd import _ONE_BLAS_THREAD, DELTA_MAX, _Likelihood
 
 
@@ -249,6 +252,24 @@ def oracle_first_order(e, tau, sigma2, centering="pareto-limit", prior_term_sign
     return xi, delta
 
 
+def mu_opt(rho, lam):
+    """Optimal limit of k times the prior variance."""
+    return (1.0 - rho) ** 2 * lam * lam
+
+
+def sigma2_opt(rho, a_nk):
+    """Optimal prior variance given the second-order term a(n/k)."""
+    return (1.0 - rho) ** 2 * a_nk * a_nk
+
+
+def log_posterior(xi, delta, e, tau, sigma2):
+    """Per-observation log posterior: mean log-likelihood plus (1/k) log priors.
+
+    Out-of-region parameters give -inf, matching the likelihood sentinel.
+    """
+    return _LogTarget(e, tau, sigma2)(xi, delta)
+
+
 def asym_var_raw(r):
     """Limiting variance in the literal form with the rho**-4 factor."""
     rho = r.rho
@@ -275,10 +296,13 @@ def oracle_loglik_grad(lik, xi, delta):
 
 
 def oracle_epd_ml_fit(e, tau):
-    """``epd_ml_fit`` with the value and the gradient as two L-BFGS-B callbacks.
+    """``epd_ml_fit`` through ``scipy.optimize.minimize``, with two callbacks.
 
-    Each callback builds its own 1 + delta*coef and log; the library's one
-    fused callback must give the same fit, bit for bit.
+    The value and the gradient each build their own 1 + delta*coef and
+    log. The library drives scipy's private L-BFGS-B core itself, with
+    one evaluation per point, and must give the same fit, bit for bit: a
+    scipy release that changes that core's arguments or its loop shows
+    here.
     """
     if e.k < 10:
         raise ValueError(f"need at least 10 excesses to fit, got {e.k}")

