@@ -46,7 +46,6 @@ from .epd import (
 )
 from .second_order import (
     NonEstimableError,
-    clamp_rho,
     resolve_rho,
     rho_fraga,
     tau_hat,

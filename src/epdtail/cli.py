@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -22,25 +22,14 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import AsymptoticRegime, asym_mean, asym_var, limit_mse, mse_opt, zeta_opt
-from .bayes import (
-    BayesEstimate,
-    ClosedFormError,
-    MCMCConfig,
-    bayes_closed_form,
-    bayes_tail_prob,
-    hpd_interval,
-    metropolis_sample,
-    posterior_mode,
-    prior_variance,
-)
-from .classical import hill, weissman_tail_prob
-from .data import DataFormatError, excesses, load_sample
-from .epd import epd_ml_fit, epd_tail_prob
-from .second_order import NonEstimableError, resolve_rho, tau_hat
+from .bayes import ClosedFormError, MCMCConfig, hpd_interval
+from .data import DataFormatError, load_sample
+from .second_order import NonEstimableError, resolve_rho
 from .simulate import (
     MCStudyConfig,
     StudyError,
     burr,
+    estimate_cell,
     frechet,
     k_range,
     loggamma,
@@ -170,59 +159,44 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             raise UsageError("a fixed rho must be finite and negative")
         rho, rho_source = rho_fixed, "user"
 
-    use_mcmc = args.method == "mcmc"
-    if use_mcmc:
+    if args.x is not None and np.isnan(args.x):
+        raise UsageError("--x must be a number, got nan")
+    mcmc = None
+    if args.method == "mcmc":
         if not 0.0 < args.alpha < 1.0:
             raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         try:
             mcmc = MCMCConfig(args.mcmc_iters, args.burn_in)
         except ValueError as exc:
             raise UsageError(f"--mcmc-iters and --burn-in: {exc}") from None
+        if mcmc.iterations - mcmc.burn_in < 2:
+            raise UsageError("an HPD interval needs at least 2 draws after --burn-in")
+    names = ("hill", "epd_ml", "bayes_mcmc" if mcmc else "bayes_closed")
     header = ["k", "threshold", "hill_xi", "ml_xi", "ml_delta", "bayes_xi",
               "bayes_delta", "rho", "tau", "sigma2"]
     if args.x is not None:
         header += ["p_weissman", "p_epd_ml", "p_bayes"]
-    if use_mcmc:
+    if mcmc:
         header += ["hpd_lower", "hpd_upper"]
     header.append("error")
 
     rows: list[list] = []
     for k in k_values:
-        e = excesses(sample, k)
-        h = hill(e).xi
-        row: list = [k, e.threshold, h]
-        note = ""
-        try:
-            tau = tau_hat(rho, h)
-            sigma2 = prior_variance(k, n, rho)
-            fit = epd_ml_fit(e, tau)
-            if use_mcmc:
-                seed = int(np.random.SeedSequence((args.seed, k)).generate_state(1)[0])
-                chain = metropolis_sample(e, tau, sigma2, replace(mcmc, seed=seed))
-                xi_b, delta_b = posterior_mode(chain)
-                hpd = hpd_interval(chain.draws[:, 0], args.alpha)
-                best = BayesEstimate(xi=xi_b, delta=delta_b, solver="mcmc")
-            else:
-                best = bayes_closed_form(e, tau, sigma2)
-            row += [fit.params.xi, fit.params.delta, best.xi, best.delta, rho, tau, sigma2]
-            if args.x is not None:
-                if args.x < e.threshold:
-                    row += [None, None, None]
-                    note = "x_below_threshold"
-                else:
-                    row += [
-                        weissman_tail_prob(sample, k, args.x, h),
-                        epd_tail_prob(sample, k, args.x, fit.params),
-                        bayes_tail_prob(sample, k, args.x, best, tau),
-                    ]
-            if use_mcmc:
-                row += list(hpd)
-        except (NonEstimableError, ClosedFormError, RuntimeError, ValueError) as exc:
-            pad = len(header) - len(row) - 1
-            row += [None] * pad
-            note = type(exc).__name__
-        row.append(note)
-        rows.append(row)
+        cell = estimate_cell(sample, k, rho, names, args.x, mcmc, (args.seed,))
+        row: list = [k, cell.threshold, cell.hill]
+        if cell.errors:  # the row names the first estimator that failed
+            rows.append(row + [None] * (len(header) - 4) + [next(iter(cell.errors.values()))])
+            continue
+        ml, bayes = cell.estimates["epd_ml"], cell.estimates[names[2]]
+        row += [*ml[:2], *bayes[:2], rho, cell.tau, cell.sigma2]
+        if args.x is not None:  # a probability below the threshold is NaN, written blank
+            row += [cell.estimates[name][2] for name in names]
+        if mcmc:
+            row += list(hpd_interval(cell.chain.draws[:, 0], args.alpha))
+        below = args.x is not None and args.x < cell.threshold
+        rows.append(row + ["x_below_threshold" if below else ""])
 
     out = Path(args.out) if args.out else Path("estimates.csv")
     if args.format == "csv":

@@ -11,7 +11,6 @@ from .data import SortedSample
 __all__ = [
     "NonEstimableError",
     "rho_fraga",
-    "clamp_rho",
     "tau_hat",
     "resolve_rho",
 ]
@@ -69,11 +68,6 @@ def rho_fraga(s: SortedSample, k1: int | None = None, tuning: float = 0.0) -> fl
     return rho
 
 
-def clamp_rho(rho: float) -> float:
-    """Cap the rate estimate away from zero: min(-0.5, rho)."""
-    return min(-0.5, rho)
-
-
 def tau_hat(rho: float, hill: float) -> float:
     """Map the second-order rate to the excess-scale rate, rho / hill."""
     if hill <= 0:
@@ -86,11 +80,12 @@ def resolve_rho(
     k1: int | None = None,
     tuning: float = 0.0,
 ) -> tuple[float, str]:
-    """Estimate rho with the clamped three-moment estimator, falling back to -1.
+    """Estimate rho with the three-moment estimator, falling back to -1.
 
-    Returns the rho value and its source ("estimated" or "fixed_minus_one").
+    The estimate is capped away from zero at min(-0.5, rho). Returns the
+    rho value and its source ("estimated" or "fixed_minus_one").
     """
     try:
-        return clamp_rho(rho_fraga(s, k1=k1, tuning=tuning)), "estimated"
+        return min(-0.5, rho_fraga(s, k1=k1, tuning=tuning)), "estimated"
     except NonEstimableError:
         return -1.0, "fixed_minus_one"

@@ -2,15 +2,16 @@
 
 Replications are independent work units with per-replication seeds
 derived from the master seed, so results are bit-identical for any
-worker count. Estimator failures are excluded cell-wise and counted;
-a run aborts when exclusions exceed 5% of all cells.
+worker count. Each threshold is one ``estimate_cell``, as in ``epdtail
+estimate``; an estimator's ValueError or RuntimeError is excluded
+cell-wise and counted, and a run aborts when exclusions exceed 5%.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -19,6 +20,7 @@ from scipy.special import gammaincc, gammainccinv
 from .bayes import (
     BayesEstimate,
     MCMCConfig,
+    PosteriorChain,
     bayes_closed_form,
     bayes_tail_prob,
     metropolis_sample,
@@ -29,7 +31,7 @@ from .bayes import (
 from .classical import hill, weissman_tail_prob
 from .data import SortedSample, excesses
 from .epd import epd_ml_fit, epd_tail_prob
-from .second_order import NonEstimableError, resolve_rho, tau_hat
+from .second_order import resolve_rho, tau_hat
 
 __all__ = [
     "StudyError",
@@ -41,6 +43,8 @@ __all__ = [
     "true_quantile",
     "sample_distribution",
     "k_range",
+    "Cell",
+    "estimate_cell",
     "MCStudyConfig",
     "EstimatorMetrics",
     "MCStudyResult",
@@ -50,6 +54,11 @@ __all__ = [
 ]
 
 ESTIMATORS = ("hill", "epd_ml", "bayes_closed", "bayes_mcmc")
+
+# what an estimator may raise on data it cannot estimate from, among them
+# NonEstimableError (a ValueError) and ClosedFormError (a RuntimeError)
+_CELL_ERRORS = (ValueError, RuntimeError)
+_FAILED = (math.nan, math.nan, math.nan)
 
 
 class StudyError(RuntimeError):
@@ -186,6 +195,8 @@ class MCStudyConfig:
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n < 21:
             raise ValueError("n must allow k in [10, n-10]")
         for name in self.estimators:
@@ -233,63 +244,82 @@ class MCStudyResult:
     exclusion_fraction: float
 
 
+@dataclass(frozen=True)
+class Cell:
+    """The estimates at one threshold k: each requested estimator's (xi, delta, P(X > x)).
+
+    Hill's delta is 0; a probability is NaN without x or with x below the
+    threshold. A failed estimator has three NaNs and the class name of its
+    error in ``errors``, which keeps the requested order. ``chain`` holds
+    the draws of ``bayes_mcmc`` when it ran.
+    """
+
+    threshold: float
+    hill: float
+    tau: float
+    sigma2: float
+    estimates: dict[str, tuple[float, float, float]]
+    errors: dict[str, str]
+    chain: PosteriorChain | None = None
+
+
+def estimate_cell(sample: SortedSample, k: int, rho: float, estimators: tuple[str, ...],
+                  x: float | None = None, mcmc: MCMCConfig | None = None,
+                  run_key: tuple[int, ...] = ()) -> Cell:
+    """Run each of ``estimators`` (names from ``ESTIMATORS``) at threshold k.
+
+    A ValueError or RuntimeError fails only the estimator that raised it;
+    when tau cannot be estimated every estimator fails. Other errors
+    propagate. The ``bayes_mcmc`` chain runs ``mcmc`` with its seed drawn
+    from ``SeedSequence((*run_key, k))``.
+    """
+    e = excesses(sample, k)
+    h = hill(e).xi
+    try:
+        tau, sigma2 = tau_hat(rho, h), prior_variance(k, sample.n, rho)
+    except _CELL_ERRORS as exc:  # every estimator needs tau
+        return Cell(e.threshold, h, math.nan, math.nan, dict.fromkeys(estimators, _FAILED),
+                    dict.fromkeys(estimators, type(exc).__name__))
+    tail = x is not None and x >= e.threshold
+    estimates, errors, chain = {}, {}, None
+    for name in estimators:
+        try:
+            if name == "hill":
+                estimates[name] = (h, 0.0, weissman_tail_prob(sample, k, x, h) if tail else math.nan)
+            elif name == "epd_ml":
+                params = epd_ml_fit(e, tau).params
+                estimates[name] = (params.xi, params.delta,
+                                   epd_tail_prob(sample, k, x, params) if tail else math.nan)
+            else:
+                if name == "bayes_closed":
+                    est = bayes_closed_form(e, tau, sigma2)
+                else:
+                    seed = int(np.random.SeedSequence((*run_key, k)).generate_state(1)[0])
+                    chain = metropolis_sample(e, tau, sigma2, replace(mcmc, seed=seed))
+                    est = BayesEstimate(*posterior_mode(chain), solver="mcmc")
+                estimates[name] = (est.xi, est.delta,
+                                   bayes_tail_prob(sample, k, x, est, tau) if tail else math.nan)
+        except _CELL_ERRORS as exc:
+            estimates[name] = _FAILED
+            errors[name] = type(exc).__name__
+    return Cell(e.threshold, h, tau, sigma2, estimates, errors, chain)
+
+
 def _study_rep(cfg: MCStudyConfig, k_grid: tuple[int, ...], x_level: float, rep: int):
     """One replication: estimate xi and the tail probability on every k.
 
     Returns two (n_estimators, n_k) arrays; failed cells are nan.
     """
-    est_names = cfg.estimators
-    n_k = len(k_grid)
-    xi_out = np.full((len(est_names), n_k), np.nan)
-    p_out = np.full((len(est_names), n_k), np.nan)
-
     s = sample_distribution(cfg.dist, cfg.n, np.random.SeedSequence((cfg.master_seed, rep)))
-    if cfg.rho_mode == "fraga":
-        rho, _ = resolve_rho(s)
-    else:
-        rho = -1.0
-
-    for j, k in enumerate(k_grid):
-        e = excesses(s, k)
-        h = hill(e).xi
-        try:
-            tau = tau_hat(rho, h)
-        except NonEstimableError:
-            continue
-        for i, name in enumerate(est_names):
-            try:
-                if name == "hill":
-                    xi_out[i, j] = h
-                    p_out[i, j] = weissman_tail_prob(s, k, x_level, h)
-                elif name == "epd_ml":
-                    fit = epd_ml_fit(e, tau)
-                    xi_out[i, j] = fit.params.xi
-                    p_out[i, j] = epd_tail_prob(s, k, x_level, fit.params)
-                else:
-                    sigma2 = prior_variance(k, cfg.n, rho)
-                    if name == "bayes_closed":
-                        est = bayes_closed_form(e, tau, sigma2)
-                    else:
-                        seed = int(np.random.SeedSequence((cfg.master_seed, rep, k)).generate_state(1)[0])
-                        chain = metropolis_sample(
-                            e,
-                            tau,
-                            sigma2,
-                            MCMCConfig(
-                                iterations=cfg.mcmc_iterations,
-                                burn_in=cfg.mcmc_burn_in,
-                                seed=seed,
-                            ),
-                        )
-                        xi_m, delta_m = posterior_mode(chain)
-                        est = BayesEstimate(xi=xi_m, delta=delta_m, solver="mcmc")
-                    xi_out[i, j] = est.xi
-                    p_out[i, j] = bayes_tail_prob(s, k, x_level, est, tau)
-            except (ValueError, RuntimeError, ArithmeticError):
-                continue
+    rho = resolve_rho(s)[0] if cfg.rho_mode == "fraga" else -1.0
+    mcmc = MCMCConfig(cfg.mcmc_iterations, cfg.mcmc_burn_in)
+    cells = [estimate_cell(s, k, rho, cfg.estimators, x_level, mcmc, (cfg.master_seed, rep))
+             for k in k_grid]
+    est = np.array([[c.estimates[name] for c in cells] for name in cfg.estimators])
+    xi_out, p_out = est[..., 0], est[..., 2]
 
     if cfg.smooth_window >= 3:
-        for i, name in enumerate(est_names):
+        for i, name in enumerate(cfg.estimators):
             if name in ("bayes_closed", "bayes_mcmc"):
                 xi_out[i] = smooth_path(xi_out[i], cfg.smooth_window)
                 p_out[i] = smooth_path(p_out[i], cfg.smooth_window)

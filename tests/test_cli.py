@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import epdtail as et
-from epdtail.cli import _CONFIG_KEYS, main
+import epdtail.simulate as sim
+from epdtail.cli import _CONFIG_KEYS, _fmt, main
 
 
 def _pareto_grid_file(tmp_path: Path, n=200, xi=1.0) -> Path:
@@ -130,10 +131,14 @@ class TestEstimate:
         ["--rho-tuning", "nan"],
         ["--rho-k1", "5"],
         ["--rho-k1", "500"],
+        ["--method", "mcmc", "--seed", "-1"],
+        ["--x", "nan"],
+        ["--method", "mcmc", "--mcmc-iters", "201", "--burn-in", "200"],
     ])
     def test_bad_flags_are_usage_errors_before_any_row(self, tmp_path, capsys, flags):
-        # these used to run every row and exit 0 with ValueError in each row,
-        # or, for the rho estimate's flags, end in a ValueError traceback
+        # these used to run every row and exit 0 with ValueError in each row
+        # (with blank probabilities and no error for --x nan), or, for the rho
+        # estimate's flags, end in a ValueError traceback
         data = _pareto_grid_file(tmp_path)
         out = tmp_path / "est.csv"
         assert main(["estimate", str(data), "--k-min", "50", "--k-max", "50",
@@ -173,6 +178,76 @@ class TestEstimate:
                      "--alpha", "1.5", "--mcmc-iters", "100", "--burn-in", "200",
                      "--out", str(out)]) == 0
         assert _read_rows(out)[0]["error"] == ""
+
+
+def _write_sample(path: Path, sample) -> Path:
+    path.write_text("\n".join(repr(float(v)) for v in sample.values) + "\n")
+    return path
+
+
+class TestSharedCell:
+    """``estimate`` and the study run one per-threshold cell, ``simulate.estimate_cell``."""
+
+    K_GRID = (20, 40, 60)
+
+    def _study(self):
+        cfg = et.MCStudyConfig(dist=et.burr(0.75, -0.75), n=200, reps=1, k_grid=self.K_GRID,
+                               estimators=("hill", "epd_ml", "bayes_closed"),
+                               rho_mode="fixed_minus_one", target_p=0.01, master_seed=42,
+                               smooth_window=0)
+        x = et.true_quantile(cfg.dist, 1.0 - cfg.target_p)
+        sample = et.sample_distribution(cfg.dist, cfg.n, np.random.SeedSequence((42, 0)))
+        return cfg, x, sample
+
+    def _estimate(self, tmp_path, sample, x) -> list[dict]:
+        out = tmp_path / "est.csv"
+        assert main(["estimate", str(_write_sample(tmp_path / "s.csv", sample)),
+                     "--rho", "fixed:-1", "--x", repr(x), "--k-min", "20", "--k-max", "60",
+                     "--k-step", "20", "--out", str(out)]) == 0
+        return _read_rows(out)
+
+    def test_estimate_rows_equal_the_study_cells(self, tmp_path):
+        cfg, x, sample = self._study()
+        xi, p = sim._study_rep(cfg, self.K_GRID, x, 0)
+        rows = self._estimate(tmp_path, sample, x)
+        for j, row in enumerate(rows):
+            assert [row[c] for c in ("hill_xi", "ml_xi", "bayes_xi")] == [_fmt(v) for v in xi[:, j]]
+            assert [row[c] for c in ("p_weissman", "p_epd_ml", "p_bayes")] == [_fmt(v) for v in p[:, j]]
+
+    def test_a_failed_fit_fails_only_its_estimator(self, tmp_path, monkeypatch):
+        real = sim.epd_ml_fit
+
+        def failing_at_40(e, tau):
+            if e.k == 40:
+                raise RuntimeError("no fit")
+            return real(e, tau)
+
+        monkeypatch.setattr(sim, "epd_ml_fit", failing_at_40)
+        cfg, x, sample = self._study()
+        xi, p = sim._study_rep(cfg, self.K_GRID, x, 0)
+        assert np.isnan(xi[1, 1]) and np.isnan(p[1, 1])
+        assert np.isfinite(xi[[0, 2], 1]).all() and np.isfinite(p[[0, 2], 1]).all()
+        assert np.isfinite(xi[:, [0, 2]]).all()
+        rows = self._estimate(tmp_path, sample, x)
+        assert [r["error"] for r in rows] == ["", "RuntimeError", ""]
+        assert rows[1]["hill_xi"] and not rows[1]["ml_xi"] and not rows[1]["bayes_xi"]
+
+    def test_mcmc_row_is_the_chain_seeded_from_seed_and_k(self, tmp_path):
+        cfg, x, sample = self._study()
+        out = tmp_path / "est.csv"
+        assert main(["estimate", str(_write_sample(tmp_path / "s.csv", sample)),
+                     "--method", "mcmc", "--rho", "fixed:-1", "--mcmc-iters", "800",
+                     "--burn-in", "200", "--alpha", "0.1", "--seed", "7",
+                     "--k-min", "40", "--k-max", "40", "--out", str(out)]) == 0
+        (row,) = _read_rows(out)
+        e = et.excesses(sample, 40)
+        tau = et.tau_hat(-1.0, et.hill(e).xi)
+        seed = int(np.random.SeedSequence((7, 40)).generate_state(1)[0])
+        chain = et.metropolis_sample(e, tau, et.prior_variance(40, cfg.n, -1.0),
+                                     et.MCMCConfig(800, 200, seed=seed))
+        expected = [*et.posterior_mode(chain), *et.hpd_interval(chain.draws[:, 0], 0.1)]
+        got = [row[c] for c in ("bayes_xi", "bayes_delta", "hpd_lower", "hpd_upper")]
+        assert got == [_fmt(v) for v in expected]
 
 
 class TestSimulate:
@@ -247,9 +322,12 @@ class TestSimulate:
         {"--k-step": "-5"},
         {"--k-step": "0"},
         {"--dist": "frechet:0.5", "--k-min": "60", "--k-max": "20", "--k-step": "-5"},
+        {"--seed": "-1"},
     ])
     def test_empty_k_grid_is_usage_error(self, tmp_path, capsys, grid):
-        # an empty grid must not fall through to the study's default grid
+        # an empty grid must not fall through to the study's default grid, and
+        # a negative seed, which numpy's SeedSequence rejects, must stop the
+        # study before it runs instead of ending in a traceback
         assert main(self._args(tmp_path, **grid)) == 1
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "study.csv").exists()

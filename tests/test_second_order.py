@@ -6,19 +6,29 @@ import numpy as np
 import pytest
 
 import epdtail as et
+import epdtail.second_order as so
 from epdtail.second_order import NonEstimableError
 from oracles import pareto_sample
 
 
 class TestClampRho:
-    def test_caps_values_near_zero(self):
-        assert et.clamp_rho(-0.2) == -0.5
+    """``resolve_rho`` caps the three-moment estimate at min(-0.5, rho)."""
 
-    def test_leaves_lower_values(self):
-        assert et.clamp_rho(-1.3) == -1.3
+    @staticmethod
+    def _resolved(monkeypatch, estimate: float) -> float:
+        monkeypatch.setattr(so, "rho_fraga", lambda s, k1=None, tuning=0.0: estimate)
+        rho, source = so.resolve_rho(et.SortedSample(pareto_sample(1.0, 50, 0)))
+        assert source == "estimated"
+        return rho
 
-    def test_boundary(self):
-        assert et.clamp_rho(-0.5) == -0.5
+    def test_caps_values_near_zero(self, monkeypatch):
+        assert self._resolved(monkeypatch, -0.2) == -0.5
+
+    def test_leaves_lower_values(self, monkeypatch):
+        assert self._resolved(monkeypatch, -1.3) == -1.3
+
+    def test_boundary(self, monkeypatch):
+        assert self._resolved(monkeypatch, -0.5) == -0.5
 
 
 class TestTauHat:

@@ -95,6 +95,8 @@ class TestConfig:
         # a chain with no draws left after burn-in, by the rule of MCMCConfig
         with pytest.raises(ValueError, match="need iterations > burn_in"):
             et.MCStudyConfig(dist=burr_dist, mcmc_iterations=100, mcmc_burn_in=200)
+        with pytest.raises(ValueError, match="master_seed"):
+            et.MCStudyConfig(dist=burr_dist, master_seed=-1)
 
 
 def _small_cfg(dist, **kw):
@@ -188,6 +190,16 @@ class TestRunStudy:
         monkeypatch.setattr(sim, "_study_rep", mostly_failing)
         with pytest.raises(et.StudyError, match="aborting"):
             et.run_study(cfg)
+
+    def test_arithmetic_error_in_a_cell_propagates(self, burr_dist, monkeypatch):
+        # only ValueError and RuntimeError fail an estimator; anything else is
+        # a fault and stops the study instead of becoming an exclusion
+        def dividing(e, tau, sigma2):
+            raise ZeroDivisionError("a fault, not a domain error")
+
+        monkeypatch.setattr(sim, "bayes_closed_form", dividing)
+        with pytest.raises(ZeroDivisionError):
+            et.run_study(_small_cfg(burr_dist, reps=2))
 
     def test_rows_and_payload(self, burr_dist):
         cfg = _small_cfg(burr_dist, reps=2)
