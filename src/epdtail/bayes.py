@@ -263,13 +263,13 @@ def _profile_posterior_mode(e: ExcessSet, tau: float, sigma2: float) -> tuple[fl
 
     def neg_total(delta: float) -> float:
         if lik.inadmissible(delta):
-            return math.inf
+            return penalty
         g, m2 = profile(delta)
         if g <= 0.0:
-            return math.inf
+            return penalty
         xi = profile_xi(g)
         if xi < xi_floor:
-            return math.inf
+            return penalty
         val = (
             k * (-math.log(xi) - (1.0 / xi + 1.0) * g + m2)
             + (_GAMMA_SHAPE - 1.0) * math.log(xi)
@@ -284,6 +284,9 @@ def _profile_posterior_mode(e: ExcessSet, tau: float, sigma2: float) -> tuple[fl
     best = int(np.argmax(vals))
     if vals[best] == -np.inf:
         raise ClosedFormError("posterior mode search found no admissible point")
+    # finite, so the polish's parabolic steps never do arithmetic on inf, and
+    # worse than the grid's best, so the guard below rejects a polish ending there
+    penalty = 1.0 - float(vals[best])
     step = grid[1] - grid[0]
     left = max(lo + 1e-12 * max(1.0, abs(lo)), grid[best] - step)
     right = min(DELTA_MAX, grid[best] + step)

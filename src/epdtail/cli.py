@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -38,7 +37,7 @@ from .simulate import (
     study_rows,
 )
 
-__all__ = ["main", "RunManifest"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,22 +52,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse would exit(2); we map to 1
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written next to every output file."""
-
-    command: str
-    config: dict
-    seed: int | None
-    input_digest: str | None
-    version: str = __version__
-    timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
-
-    def write(self, out_path: Path) -> None:
-        path = out_path.with_name(out_path.name + ".manifest.json")
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 def _fmt(value) -> str:
@@ -100,8 +83,24 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_manifest(out: Path, args: argparse.Namespace, seed: int | None = None,
+                    data: str | None = None, config: dict | None = None, **resolved) -> None:
+    """Write ``<out>.manifest.json``: the command, the settings it ran with, and provenance.
+
+    The settings are ``config`` if given, else every parsed flag (less
+    argparse's dispatch fields) updated by ``resolved``, so a new flag is
+    recorded with no edit here. ``data`` is the input file to digest.
+    """
+    if config is None:
+        config = {key: value for key, value in vars(args).items()
+                  if key not in ("command", "func")} | resolved
+    manifest = {
+        "command": args.command, "config": config, "seed": seed,
+        "input_digest": hashlib.sha256(Path(data).read_bytes()).hexdigest() if data else None,
+        "version": __version__, "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    path = out.with_name(out.name + ".manifest.json")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_rho_flag(text: str) -> tuple[str, float | None]:
@@ -198,7 +197,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         below = args.x is not None and args.x < cell.threshold
         rows.append(row + ["x_below_threshold" if below else ""])
 
-    out = Path(args.out) if args.out else Path("estimates.csv")
+    out = Path(args.out)
     if args.format == "csv":
         _write_csv(out, header, rows)
     else:
@@ -210,18 +209,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "rho_source": rho_source,
         }
         out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    RunManifest(
-        command="estimate",
-        config={
-            "data": str(args.data), "column": args.column, "k_min": k_min,
-            "k_max": k_max, "k_step": k_step, "rho": args.rho,
-            "rho_source": rho_source, "method": args.method, "x": args.x,
-            "alpha": args.alpha, "mcmc_iters": args.mcmc_iters,
-            "burn_in": args.burn_in, "format": args.format,
-        },
-        seed=args.seed,
-        input_digest=_digest(Path(args.data)),
-    ).write(out)
+    _write_manifest(out, args, seed=args.seed, data=args.data, k_min=k_min, k_max=k_max,
+                    k_step=k_step, rho_source=rho_source)
     return EXIT_OK
 
 
@@ -299,14 +288,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     result = run_study(cfg, workers=args.workers)
 
-    out = Path(args.out) if args.out else Path("study.csv")
+    out = Path(args.out)
     rows = study_rows(result)
     _write_csv(out, list(rows[0]), [list(r.values()) for r in rows])
     payload = study_payload(result)
     out.with_suffix(".json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    RunManifest(
-        command="simulate", config=payload["config"], seed=cfg.master_seed, input_digest=None,
-    ).write(out)
+    _write_manifest(out, args, seed=cfg.master_seed, config=payload["config"])
     print(f"study written to {out} ({len(rows)} rows, "
           f"{result.exclusion_fraction:.2%} cells excluded)")
     return EXIT_OK
@@ -335,15 +322,9 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
             asym_mean(regime),
             asym_var(regime),
         ])
-    out = Path(args.out) if args.out else Path("asymptotics.csv")
+    out = Path(args.out)
     _write_csv(out, header, rows)
-    RunManifest(
-        command="asymptotics",
-        config={"xi": args.xi, "rho": args.rho, "lambda_min": args.lambda_min,
-                "lambda_max": args.lambda_max, "lambda_step": args.lambda_step},
-        seed=None,
-        input_digest=None,
-    ).write(out)
+    _write_manifest(out, args)
     return EXIT_OK
 
 
@@ -368,7 +349,7 @@ def build_parser() -> _Parser:
     p_est.add_argument("--alpha", type=float, default=0.05)
     p_est.add_argument("--x", type=float, default=None, help="tail level for P(X > x) columns")
     p_est.add_argument("--seed", type=int, default=0)
-    p_est.add_argument("--out", default=None)
+    p_est.add_argument("--out", default="estimates.csv")
     p_est.add_argument("--format", choices=("csv", "json"), default="csv")
     p_est.set_defaults(func=cmd_estimate)
 
@@ -379,7 +360,7 @@ def build_parser() -> _Parser:
         p_sim.add_argument(f"--{key}", type=cast, default=None,
                            help="auto | fixed:-1" if key == "rho" else None)
     p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--out", default=None)
+    p_sim.add_argument("--out", default="study.csv")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_asy = sub.add_parser("asymptotics", help="emit limiting MSE curves over a lambda grid")
@@ -388,7 +369,7 @@ def build_parser() -> _Parser:
     p_asy.add_argument("--lambda-min", type=float, default=0.0)
     p_asy.add_argument("--lambda-max", type=float, default=5.0)
     p_asy.add_argument("--lambda-step", type=float, default=0.1)
-    p_asy.add_argument("--out", default=None)
+    p_asy.add_argument("--out", default="asymptotics.csv")
     p_asy.set_defaults(func=cmd_asymptotics)
     return parser
 

@@ -295,7 +295,7 @@ def oracle_loglik_grad(lik, xi, delta):
     return d_xi, d_delta
 
 
-def oracle_epd_ml_fit(e, tau):
+def oracle_epd_ml_fit(e, tau, maxiter=500, maxfun=15000):
     """``epd_ml_fit`` through ``scipy.optimize.minimize``, with two callbacks.
 
     The value and the gradient each build their own 1 + delta*coef and
@@ -336,7 +336,8 @@ def oracle_epd_ml_fit(e, tau):
     w0 = np.array([math.log(h), float(logit((0.0 - lo) / span))])
     with _ONE_BLAS_THREAD:
         res = minimize(neg_loglik, w0, jac=neg_grad, method="L-BFGS-B",
-                       options={"gtol": 1e-9, "ftol": 1e-14, "maxiter": 500})
+                       options={"gtol": 1e-9, "ftol": 1e-14, "maxiter": maxiter,
+                                "maxfun": maxfun})
     xi_hat, delta_hat, _ = unpack(res.x)
     return EPDFit(params=EPDParams(xi=xi_hat, delta=delta_hat, tau=tau), loglik=-float(res.fun),
                   converged=bool(res.success), iterations=int(res.nit))

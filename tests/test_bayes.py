@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,19 @@ class TestClosedForm:
         xi_g, d_g, _ = grid_map_oracle(e.y, tau, sigma2)
         assert xi_p == pytest.approx(xi_g, abs=0.01)
         assert d_p == pytest.approx(d_g, abs=0.02)
+
+    def test_profile_mode_polish_sees_only_finite_values(self):
+        # replication 4, k=190 of `epdtail simulate --dist frechet:0.5 --n 200
+        # --reps 6 --rho fixed:-1`: the polish bracket holds inadmissible deltas,
+        # and an infinite objective there made scipy's parabolic step subtract inf
+        s = et.sample_distribution(et.frechet(0.5), 200, np.random.SeedSequence((0, 4)))
+        e = et.excesses(s, 190)
+        tau, sigma2 = et.tau_hat(-1.0, et.hill(e).xi), et.prior_variance(190, 200, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            xi_p, d_p = _profile_posterior_mode(e, tau, sigma2)
+        _, _, best = grid_map_oracle(e.y, tau, sigma2)
+        assert oracle_log_posterior(xi_p, d_p, e.y, tau, sigma2) >= best - 1e-9
 
 
 class TestMetropolis:

@@ -13,7 +13,7 @@ import pytest
 
 import epdtail as et
 import epdtail.simulate as sim
-from epdtail.cli import _CONFIG_KEYS, _fmt, main
+from epdtail.cli import _CONFIG_KEYS, _fmt, build_parser, main
 
 
 def _pareto_grid_file(tmp_path: Path, n=200, xi=1.0) -> Path:
@@ -109,6 +109,33 @@ class TestEstimate:
         assert manifest["command"] == "estimate"
         assert len(manifest["input_digest"]) == 64
         assert manifest["version"] == et.__version__
+
+    def test_manifest_config_holds_every_flag(self, tmp_path):
+        data = _pareto_grid_file(tmp_path)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", str(data), "--k-min", "50", "--rho-k1", "150",
+                     "--rho-tuning", "1", "--seed", "7", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "est.csv.manifest.json").read_text())
+        config = manifest["config"]
+        flags = vars(build_parser().parse_args(["estimate", str(data)]))
+        assert set(config) == set(flags) - {"command", "func"} | {"rho_source"}
+        assert (config["rho_k1"], config["rho_tuning"], config["seed"]) == (150, 1.0, 7)
+        assert manifest["seed"] == 7
+        # the k bounds are the grid that ran, not the flags as given
+        assert (config["k_min"], config["k_max"], config["k_step"]) == (50, 190, 5)
+        assert config["rho_source"] == "estimated"
+
+    def test_manifests_of_runs_with_other_rho_tuning_differ(self, tmp_path):
+        # rho, and so the prior, depends on --rho-tuning: a manifest that left
+        # it out would describe two different runs by one config
+        data = _pareto_grid_file(tmp_path)
+        out = tmp_path / "est.csv"
+        configs = []
+        for tuning in ("0", "1"):
+            assert main(["estimate", str(data), "--k-min", "50", "--k-max", "60",
+                         "--rho-tuning", tuning, "--out", str(out)]) == 0
+            configs.append(json.loads((tmp_path / "est.csv.manifest.json").read_text())["config"])
+        assert {key for key in configs[0] if configs[0][key] != configs[1][key]} == {"rho_tuning"}
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.csv")]) == 2
@@ -273,6 +300,8 @@ class TestSimulate:
         assert payload["config"]["n"] == 200
         manifest = json.loads((tmp_path / "study.csv.manifest.json").read_text())
         assert manifest["command"] == "simulate"
+        assert manifest["config"] == payload["config"] and manifest["seed"] == 9
+        assert manifest["input_digest"] is None
 
     def test_byte_identical_across_reruns_and_workers(self, tmp_path):
         out1 = tmp_path / "s1.csv"
@@ -323,11 +352,13 @@ class TestSimulate:
         {"--k-step": "0"},
         {"--dist": "frechet:0.5", "--k-min": "60", "--k-max": "20", "--k-step": "-5"},
         {"--seed": "-1"},
+        {"--rho": "fixed:-2"},
     ])
     def test_empty_k_grid_is_usage_error(self, tmp_path, capsys, grid):
-        # an empty grid must not fall through to the study's default grid, and
-        # a negative seed, which numpy's SeedSequence rejects, must stop the
-        # study before it runs instead of ending in a traceback
+        # an empty grid must not fall through to the study's default grid; a
+        # negative seed, which numpy's SeedSequence rejects, must stop the
+        # study before it runs instead of ending in a traceback; and a study
+        # fixes rho only at -1
         assert main(self._args(tmp_path, **grid)) == 1
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "study.csv").exists()
@@ -415,6 +446,18 @@ class TestAsymptoticsCmd:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_manifest_config_is_its_flags(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["asymptotics", "--xi", "0.5", "--rho", "-0.75", "--lambda-step", "0.5"]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "asymptotics.csv.manifest.json").read_text())
+        flags = vars(build_parser().parse_args(argv))
+        del flags["command"], flags["func"]
+        assert manifest["config"] == flags
+        assert flags["out"] == "asymptotics.csv"  # the file written, not an unset flag
+        assert manifest["command"] == "asymptotics" and manifest["seed"] is None
+        assert manifest["input_digest"] is None
 
     def test_bad_grid_is_usage_error(self, tmp_path, capsys):
         for flags in (["--lambda-min", "2", "--lambda-max", "1"], ["--lambda-step", "nan"],

@@ -85,6 +85,19 @@ def test_compared_fits_include_one_that_does_not_converge():
     assert converged == {True, False}
 
 
+@pytest.mark.parametrize("limit, option, value", [("_LBFGSB_MAXITER", "maxiter", 2),
+                                                  ("_LBFGSB_MAXFUN", "maxfun", 3)])
+def test_ml_fit_stops_at_scipys_limits_like_the_oracle(monkeypatch, limit, option, value):
+    # the iteration limit (task 504) and the evaluation limit (task 502),
+    # which no fit of the designs above reaches
+    monkeypatch.setattr(et.epd, limit, value)
+    k, e, tau, _ = _rep_cells(*DESIGNS["burr_fig2"])[22]
+    assert k == 200
+    got = et.epd_ml_fit(e, tau)
+    assert not got.converged
+    assert repr(got) == repr(oracle_epd_ml_fit(e, tau, **{option: value}))
+
+
 def test_both_raise_where_no_grid_point_is_admissible():
     # all excesses tie at the threshold: g = 0 on the whole grid
     e = et.ExcessSet(y=np.ones(20), k=20, threshold=1.0)
