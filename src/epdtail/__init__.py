@@ -12,7 +12,6 @@ from .asymptotics import (
     asym_var,
     limit_mse,
     mse_opt,
-    mse_opt_weighted,
     zeta_opt,
 )
 from .bayes import (
@@ -23,21 +22,18 @@ from .bayes import (
     bayes_closed_form,
     bayes_tail_prob,
     hpd_interval,
-    log_prior_delta,
-    log_prior_xi,
     metropolis_sample,
     posterior_mode,
     prior_variance,
     smooth_path,
 )
-from .classical import HillEstimate, hill, moment_stat, weissman_tail_prob
+from .classical import hill, moment_stat, weissman_tail_prob
 from .data import DataFormatError, ExcessSet, SortedSample, excesses, load_sample
 from .epd import (
     EPDFit,
     EPDParams,
     delta_lower_bound,
     epd_log_likelihood,
-    epd_loglik_grad,
     epd_ml_fit,
     epd_quantile,
     epd_sample,

@@ -17,7 +17,6 @@ __all__ = [
     "asym_var",
     "zeta_opt",
     "mse_opt",
-    "mse_opt_weighted",
     "limit_mse",
 ]
 
@@ -81,20 +80,6 @@ def mse_opt(xi: float, rho: float, lam: float) -> float:
     num = xi2 * one_m2r + lam2 * rho4 * (1.0 - rho) ** 2
     den = (xi2 * one_m2r + lam2 * rho4) ** 2
     return xi2 + xi2 * rho * rho * (one_m2r / (1.0 - rho) ** 2) * lam2 * num / den
-
-
-def mse_opt_weighted(xi: float, rho: float, lam: float) -> float:
-    """Optimal limiting MSE as the weighted average of the two baseline MSEs."""
-    xi2 = xi * xi
-    lam2 = lam * lam
-    rho4 = rho ** 4
-    one_m2r = 1.0 - 2.0 * rho
-    w_hill = xi2 * xi2 * one_m2r ** 2
-    w_cross = 2.0 * xi2 * rho4 * lam2 * one_m2r
-    w_ml = lam2 * lam2 * rho4 * rho4
-    mse_hill = xi2 + lam2 * rho * rho / (1.0 - rho) ** 2
-    mse_ml = xi2 * (1.0 - rho) ** 2 / (rho * rho)
-    return (w_hill * mse_hill + w_cross * xi2 + w_ml * mse_ml) / (w_hill + w_cross + w_ml)
 
 
 def limit_mse(kind: str, xi: float, rho: float, lam: float) -> float:

@@ -28,8 +28,6 @@ __all__ = [
     "BayesEstimate",
     "MCMCConfig",
     "prior_variance",
-    "log_prior_xi",
-    "log_prior_delta",
     "bayes_closed_form",
     "metropolis_sample",
     "posterior_mode",
@@ -96,35 +94,15 @@ def prior_variance(k: int, n: int, rho: float) -> float:
     return (k / n) ** (-2.0 * rho)
 
 
-def log_prior_xi(xi: float) -> float:
-    """Log density of the gamma(shape, scale=1) prior on the tail index."""
-    if xi <= 0:
-        return -math.inf
-    return (_GAMMA_SHAPE - 1.0) * math.log(xi) - xi - float(gammaln(_GAMMA_SHAPE))
-
-
-def log_prior_delta(delta: float, sigma2: float, tau: float) -> float:
-    """Log density of the normal(0, sigma2) prior on delta, truncated at the model bound."""
-    _check_sigma2(sigma2)
-    lo = delta_lower_bound(tau)
-    if delta <= lo:
-        return -math.inf
-    sigma = math.sqrt(sigma2)
-    return (
-        -0.5 * delta * delta / sigma2
-        - math.log(math.sqrt(2.0 * math.pi) * sigma)
-        - math.log(float(ndtr(-(lo / sigma))))
-    )
-
-
 class _LogTarget:
     """The per-observation log posterior of one (excesses, tau, sigma2), built once.
 
     Adds the prior normalisers to the likelihood kernel ``lik``, which
     already returns -inf at or below the truncation point of the delta
     prior. A call performs the same floating-point operations in the same
-    order as composing ``epd_log_likelihood`` with the two log priors, so
-    it returns the same bits.
+    order as composing ``epd_log_likelihood`` with the gamma log prior on
+    xi and the truncated normal log prior on delta, so it returns the same
+    bits as that composition.
     """
 
     def __init__(self, e: ExcessSet, tau: float, sigma2: float) -> None:
@@ -160,7 +138,7 @@ def _system_coefficients(
     Returns (H, E1, rhs, a2, a1) for the equivalent quadratic
     a2*delta**2 + a1*delta - rhs = 0.
     """
-    h = hill(e).xi
+    h = hill(e)
     if h <= 0:
         raise ClosedFormError("the estimating system requires a positive Hill estimate")
     e1 = moment_stat(e, tau)
@@ -324,14 +302,12 @@ class MCMCConfig:
     """Random-walk Metropolis configuration.
 
     Step scales adapt toward the target acceptance rate during burn-in
-    and are frozen afterwards. ``fix_delta`` pins delta for
-    one-dimensional validation runs.
+    and are frozen afterwards.
     """
 
     iterations: int = 12000
     burn_in: int = 2000
     seed: int = 0
-    fix_delta: float | None = None
 
     def __post_init__(self) -> None:
         if not self.iterations > self.burn_in >= 0:
@@ -351,15 +327,11 @@ def metropolis_sample(
     k = e.k
     target = _LogTarget(e, tau, sigma2)
     rng = np.random.default_rng(config.seed)
-    h = hill(e).xi
+    h = hill(e)
     if h <= 0:
         raise ValueError("all excesses are ties; posterior has no interior mass")
-    fixed = config.fix_delta
-    if fixed is not None and fixed <= target.lik.lo:
-        raise ValueError("fix_delta lies outside the admissible range")
 
-    u = math.log(h)
-    d = 0.0 if fixed is None else fixed
+    u, d = math.log(h), 0.0
     lp = k * target(math.exp(u), d)
     if lp == -math.inf:
         raise ValueError("starting point has zero posterior density")
@@ -375,7 +347,7 @@ def metropolis_sample(
     for t in range(config.iterations):
         z = rng.standard_normal(2)
         u_new = u + s_u * z[0]
-        d_new = d if fixed is not None else d + s_d * z[1]
+        d_new = d + s_d * z[1]
         lp_new = k * target(math.exp(u_new), d_new)
         # Jacobian of xi = exp(u): add u to the log target on the sampling scale
         log_alpha = (lp_new + u_new) - (lp + u)

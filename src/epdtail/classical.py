@@ -2,30 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import ExcessSet, SortedSample
 
-__all__ = ["HillEstimate", "hill", "moment_stat", "weissman_tail_prob"]
+__all__ = ["hill", "moment_stat", "weissman_tail_prob"]
 
 
-@dataclass(frozen=True)
-class HillEstimate:
-    """Tail index estimate from the mean of log-excesses."""
-
-    xi: float
-    k: int
-
-
-def hill(e: ExcessSet) -> HillEstimate:
+def hill(e: ExcessSet) -> float:
     """Hill estimator: the average log-excess above the threshold.
 
     All-tie excesses give exactly 0; consumers dividing by the estimate
     must guard against that.
     """
-    return HillEstimate(xi=float(np.mean(np.log(e.y))), k=e.k)
+    return float(np.mean(np.log(e.y)))
 
 
 def moment_stat(e: ExcessSet, s: float) -> float:

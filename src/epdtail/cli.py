@@ -135,6 +135,8 @@ def _parse_dist(text: str):
 # ---------------------------------------------------------------- estimate
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    if args.column is not None and args.column < 0:
+        raise UsageError(f"--column must be >= 0, got {args.column}")
     sample = load_sample(args.data, column=args.column)
     n = sample.n
     bounds = {key: value for key in ("k_min", "k_max", "k_step")
@@ -262,6 +264,8 @@ def _load_config_file(name: str) -> dict[str, object]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     # a flag wins over the file; a setting given nowhere keeps its MCStudyConfig default
     given = _load_config_file(args.config) if args.config else {}
     given.update({key: value for key in _CONFIG_KEYS
@@ -307,7 +311,10 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
         raise UsageError("bad lambda grid")
     if not (args.xi > 0 and args.rho < 0):
         raise UsageError("need xi > 0 and rho < 0")
-    lams = np.arange(args.lambda_min, args.lambda_max + 1e-12, args.lambda_step)
+    try:
+        lams = np.arange(args.lambda_min, args.lambda_max + 1e-12, args.lambda_step)
+    except ValueError:  # numpy's "Maximum allowed size exceeded", raised before allocating
+        raise UsageError("bad lambda grid") from None
     header = ["lambda", "mse_hill", "mse_ml", "mse_opt", "bias_opt", "var_opt"]
     rows = []
     for lam in lams:

@@ -103,10 +103,10 @@ def load_sample(
 ) -> SortedSample:
     """Read positive observations from CSV or plain text.
 
-    One numeric value per record, or the value at ``column`` (0-based)
-    when records are comma-separated. A single leading header line is
-    detected automatically: if the first non-blank line does not parse
-    as a number it is skipped.
+    One numeric value per record, or the value at ``column`` (0-based; a
+    negative column is a ValueError) when records are comma-separated. A
+    single leading header line is detected automatically: if the first
+    non-blank line does not parse as a number it is skipped.
 
     Raises
     ------
@@ -114,6 +114,8 @@ def load_sample(
         On unparsable records, nonpositive values (both reported with
         their 1-based line number) or fewer than two usable values.
     """
+    if column is not None and column < 0:
+        raise ValueError(f"column must be >= 0, got {column}")
     values: list[float] = []
     first_data_line = True
     for lineno, raw in enumerate(_open_text(source), start=1):

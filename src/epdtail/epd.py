@@ -29,7 +29,6 @@ __all__ = [
     "delta_lower_bound",
     "epd_survival",
     "epd_log_likelihood",
-    "epd_loglik_grad",
     "epd_ml_fit",
     "epd_quantile",
     "epd_sample",
@@ -149,12 +148,6 @@ class _Likelihood:
         d_delta = -(1.0 / xi + 1.0) * (float(r1) / k) + float(r2) / k
         return value, d_xi, d_delta
 
-    def grad(self, xi: float, delta: float) -> tuple[float, float]:
-        out = self.value_and_grad(xi, delta)
-        if out is None:
-            raise ValueError("gradient requested outside the parameter region")
-        return out[1:]
-
 
 @cache
 def _scipy_openblas() -> tuple | None:
@@ -238,11 +231,6 @@ def epd_log_likelihood(xi: float, delta: float, tau: float, e: ExcessSet) -> flo
     return _Likelihood(e, tau)(xi, delta)
 
 
-def epd_loglik_grad(xi: float, delta: float, tau: float, e: ExcessSet) -> tuple[float, float]:
-    """Analytic gradient of the mean log-likelihood in (xi, delta)."""
-    return _Likelihood(e, tau).grad(xi, delta)
-
-
 def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
     """Maximum-likelihood fit of (xi, delta) at fixed tau.
 
@@ -261,7 +249,7 @@ def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
         raise ValueError(f"need at least 10 excesses to fit, got {e.k}")
     if tau >= 0:
         raise ValueError(f"tau must be negative, got {tau}")
-    h = hill(e).xi
+    h = hill(e)
     if h <= 0:
         raise ValueError("all excesses are ties; the likelihood has no interior maximum")
 

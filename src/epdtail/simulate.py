@@ -59,6 +59,7 @@ ESTIMATORS = ("hill", "epd_ml", "bayes_closed", "bayes_mcmc")
 # NonEstimableError (a ValueError) and ClosedFormError (a RuntimeError)
 _CELL_ERRORS = (ValueError, RuntimeError)
 _FAILED = (math.nan, math.nan, math.nan)
+_CHUNKSIZE = 8  # replications per task of the process pool
 
 
 class StudyError(RuntimeError):
@@ -274,7 +275,7 @@ def estimate_cell(sample: SortedSample, k: int, rho: float, estimators: tuple[st
     from ``SeedSequence((*run_key, k))``.
     """
     e = excesses(sample, k)
-    h = hill(e).xi
+    h = hill(e)
     try:
         tau, sigma2 = tau_hat(rho, h), prior_variance(k, sample.n, rho)
     except _CELL_ERRORS as exc:  # every estimator needs tau
@@ -332,9 +333,9 @@ def run_study(cfg: MCStudyConfig, workers: int = 1) -> MCStudyResult:
     x_level = true_quantile(cfg.dist, 1.0 - cfg.target_p)
     rep_fn = partial(_study_rep, cfg, k_grid, x_level)
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(rep_fn, range(cfg.reps), chunksize=8))
+    if workers > 1:  # a process past one per chunk of replications would have no work
+        with ProcessPoolExecutor(max_workers=min(workers, math.ceil(cfg.reps / _CHUNKSIZE))) as pool:
+            per_rep = list(pool.map(rep_fn, range(cfg.reps), chunksize=_CHUNKSIZE))
     else:
         per_rep = [rep_fn(r) for r in range(cfg.reps)]
 

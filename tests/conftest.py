@@ -36,7 +36,7 @@ def burr_sample(burr_dist):
 def burr_k200(burr_sample):
     """Excesses, tau and prior variance at k=200 on the shared Burr sample."""
     e = et.excesses(burr_sample, 200)
-    h = et.hill(e).xi
+    h = et.hill(e)
     rho, _ = et.resolve_rho(burr_sample)
     tau = et.tau_hat(rho, h)
     return e, tau, et.prior_variance(200, 500, rho)

@@ -11,7 +11,10 @@ variants that the library rejects, and ``asym_var_raw`` the literal form
 of the limiting variance. ``mu_opt``, ``sigma2_opt`` and ``log_posterior``
 are formulas the library does not need: the optimal prior scale in its
 two parametrisations, and the per-observation log posterior as one call
-of the library's Metropolis target.
+of the library's Metropolis target. ``log_prior_xi`` and
+``log_prior_delta`` are the two log priors that the library's target
+inlines, and ``mse_opt_weighted`` the paper's weighted-average form of
+the optimal limiting MSE, a second route to ``mse_opt``.
 """
 
 from __future__ import annotations
@@ -20,14 +23,34 @@ import math
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import expit, gammaln, logit
+from scipy.special import expit, gammaln, logit, ndtr
 from scipy.stats import norm
 
-from epdtail import (
-    EPDFit, EPDParams, delta_lower_bound, hill, log_prior_delta, log_prior_xi, moment_stat,
-)
+from epdtail import EPDFit, EPDParams, delta_lower_bound, hill, moment_stat
 from epdtail.bayes import ClosedFormError, _LogTarget
 from epdtail.epd import _ONE_BLAS_THREAD, DELTA_MAX, _Likelihood
+
+
+def log_prior_xi(xi, gamma_shape=1e-4):
+    """Log density of the gamma(shape, scale=1) prior on the tail index."""
+    if xi <= 0:
+        return -math.inf
+    return (gamma_shape - 1.0) * math.log(xi) - xi - float(gammaln(gamma_shape))
+
+
+def log_prior_delta(delta, sigma2, tau):
+    """Log density of the normal(0, sigma2) prior on delta, truncated at the model bound."""
+    if not sigma2 > 0:
+        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    lo = delta_lower_bound(tau)
+    if delta <= lo:
+        return -math.inf
+    sigma = math.sqrt(sigma2)
+    return (
+        -0.5 * delta * delta / sigma2
+        - math.log(math.sqrt(2.0 * math.pi) * sigma)
+        - math.log(float(ndtr(-(lo / sigma))))
+    )
 
 
 def oracle_epd_log_likelihood(xi, delta, tau, e):
@@ -151,13 +174,14 @@ ADAPT_INTERVAL = 50
 TARGET_ACCEPT = 0.234
 
 
-def oracle_metropolis(e, tau, sigma2, config, adapt_interval=ADAPT_INTERVAL):
+def oracle_metropolis(e, tau, sigma2, config, adapt_interval=ADAPT_INTERVAL, fix_delta=None):
     """The Metropolis loop with the log posterior composed on every proposal.
 
     Evaluates ``oracle_epd_log_likelihood + (log_prior_xi + log_prior_delta) / k``
     from scratch for each proposal and draws random numbers in the same
-    order as ``metropolis_sample``. Returns ``(draws, logpost,
-    acceptance_rate)``.
+    order as ``metropolis_sample``. ``fix_delta`` pins delta at that value
+    and moves only xi: the one-dimensional slice that a quadrature can
+    check. Returns ``(draws, logpost, acceptance_rate)``.
     """
     def log_post(xi, delta):
         ll = oracle_epd_log_likelihood(xi, delta, tau, e)
@@ -170,9 +194,8 @@ def oracle_metropolis(e, tau, sigma2, config, adapt_interval=ADAPT_INTERVAL):
 
     k = e.k
     rng = np.random.default_rng(config.seed)
-    fixed = config.fix_delta
-    u = math.log(hill(e).xi)
-    d = 0.0 if fixed is None else fixed
+    u = math.log(hill(e))
+    d = 0.0 if fix_delta is None else fix_delta
     lp = k * log_post(math.exp(u), d)
     s_u, s_d = STEP_LOG_XI, STEP_DELTA
     retained = config.iterations - config.burn_in
@@ -183,7 +206,7 @@ def oracle_metropolis(e, tau, sigma2, config, adapt_interval=ADAPT_INTERVAL):
     for t in range(config.iterations):
         z = rng.standard_normal(2)
         u_new = u + s_u * z[0]
-        d_new = d if fixed is not None else d + s_d * z[1]
+        d_new = d if fix_delta is not None else d + s_d * z[1]
         lp_new = k * log_post(math.exp(u_new), d_new)
         log_alpha = (lp_new + u_new) - (lp + u)
         if math.log(rng.random()) < log_alpha:
@@ -218,7 +241,7 @@ def oracle_first_order(e, tau, sigma2, centering="pareto-limit", prior_term_sign
     ClosedFormError where the system has no admissible root.
     """
     weight = prior_term_sign / (e.k * sigma2)
-    h = hill(e).xi
+    h = hill(e)
     e1 = moment_stat(e, tau)
     e2 = moment_stat(e, 2.0 * tau)
     c = 1.0 / (1.0 - h * tau) if centering == "pareto-limit" else 1.0 / (h * tau)
@@ -270,6 +293,20 @@ def log_posterior(xi, delta, e, tau, sigma2):
     return _LogTarget(e, tau, sigma2)(xi, delta)
 
 
+def mse_opt_weighted(xi, rho, lam):
+    """Optimal limiting MSE as the weighted average of the two baseline MSEs."""
+    xi2 = xi * xi
+    lam2 = lam * lam
+    rho4 = rho ** 4
+    one_m2r = 1.0 - 2.0 * rho
+    w_hill = xi2 * xi2 * one_m2r ** 2
+    w_cross = 2.0 * xi2 * rho4 * lam2 * one_m2r
+    w_ml = lam2 * lam2 * rho4 * rho4
+    mse_hill = xi2 + lam2 * rho * rho / (1.0 - rho) ** 2
+    mse_ml = xi2 * (1.0 - rho) ** 2 / (rho * rho)
+    return (w_hill * mse_hill + w_cross * xi2 + w_ml * mse_ml) / (w_hill + w_cross + w_ml)
+
+
 def asym_var_raw(r):
     """Limiting variance in the literal form with the rho**-4 factor."""
     rho = r.rho
@@ -308,7 +345,7 @@ def oracle_epd_ml_fit(e, tau, maxiter=500, maxfun=15000):
         raise ValueError(f"need at least 10 excesses to fit, got {e.k}")
     if tau >= 0:
         raise ValueError(f"tau must be negative, got {tau}")
-    h = hill(e).xi
+    h = hill(e)
     if h <= 0:
         raise ValueError("all excesses are ties; the likelihood has no interior maximum")
     lik = _Likelihood(e, tau)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import epdtail as et
-from oracles import asym_var_raw, mu_opt, sigma2_opt
+from oracles import asym_var_raw, mse_opt_weighted, mu_opt, sigma2_opt
 
 GRID_XI = (0.25, 0.5, 1.0)
 GRID_RHO = (-2.0, -1.0, -0.5)
@@ -100,7 +100,7 @@ class TestMSE:
             for rho in GRID_RHO:
                 for lam in GRID_LAM:
                     assert et.mse_opt(xi, rho, lam) == pytest.approx(
-                        et.mse_opt_weighted(xi, rho, lam), rel=1e-10
+                        mse_opt_weighted(xi, rho, lam), rel=1e-10
                     )
 
     def test_equals_bias_squared_plus_variance_at_optimum(self):

@@ -13,11 +13,13 @@ from scipy.stats import norm
 
 import epdtail as et
 from epdtail import bayes
-from epdtail.bayes import ClosedFormError, _profile_posterior_mode, _solve_first_order
+from epdtail.bayes import ClosedFormError, _LogTarget, _profile_posterior_mode, _solve_first_order
 from conftest import pareto_excesses
 from oracles import (
     grid_map_oracle,
     log_posterior,
+    log_prior_delta,
+    log_prior_xi,
     oracle_epd_log_likelihood,
     oracle_log_posterior,
     oracle_metropolis,
@@ -57,15 +59,18 @@ class TestPriorSpec:
     """The delta prior is specified by sigma2 alone and truncated at the model bound."""
 
     def test_for_tau_sets_truncation(self):
+        e = _excess_set([1.0, 2.0, 4.0])
         for tau, lo in ((-2.0, -0.5), (-0.5, -1.0)):
-            assert et.log_prior_delta(lo, 1.0, tau) == -math.inf
-            assert math.isfinite(et.log_prior_delta(lo + 1e-9, 1.0, tau))
+            target = _LogTarget(e, tau, 1.0)
+            assert target(1.0, lo) == -math.inf
+            assert math.isfinite(target(1.0, lo + 1e-9))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            et.log_prior_delta(0.0, 0.0, -1.0)
-        with pytest.raises(ValueError):
-            et.log_prior_delta(0.0, 1.0, 0.5)
+        e = _excess_set([1.0, 2.0, 4.0])
+        with pytest.raises(ValueError, match="sigma2"):
+            _LogTarget(e, -1.0, 0.0)
+        with pytest.raises(ValueError, match="tau"):
+            _LogTarget(e, 0.5, 1.0)
 
 
 class TestLogPosterior:
@@ -88,7 +93,7 @@ class TestLogPosterior:
         pts = [(0.5, 0.1), (0.9, -0.2), (1.4, 0.6)]
 
         def centered(xi, d):
-            return log_posterior(xi, d, e, -1.0, 1e12) - et.log_prior_xi(xi) / e.k
+            return log_posterior(xi, d, e, -1.0, 1e12) - log_prior_xi(xi) / e.k
 
         base_c = centered(*pts[0])
         base_l = et.epd_log_likelihood(*pts[0], -1.0, e)
@@ -116,7 +121,7 @@ def _solvable_pareto_cases(count=20, k=100, sigma2=1e12):
     seed = 0
     while len(cases) < count and seed < 200:
         e = pareto_excesses(1.0, k, (71, seed))
-        tau = -1.0 / et.hill(e).xi
+        tau = -1.0 / et.hill(e)
         try:
             _solve_first_order(e, tau, 1.0 / (e.k * sigma2))
             cases.append((e, tau))
@@ -131,7 +136,7 @@ class TestClosedForm:
     def test_degenerate_prior_recovers_hill(self):
         for rep in range(20):
             e = pareto_excesses(0.7, 80, (61, rep))
-            h = et.hill(e).xi
+            h = et.hill(e)
             tau = -1.0 / h
             est = et.bayes_closed_form(e, tau, 1e-12)
             assert est.solver == "linear"
@@ -148,7 +153,7 @@ class TestClosedForm:
 
     def test_shrinkage_is_monotone_in_sigma2(self):
         e, tau = _solvable_pareto_cases(count=1)[0]
-        h = et.hill(e).xi
+        h = et.hill(e)
         grid = [1e2, 1.0, 1e-2, 1e-4, 1e-6]
         deltas = []
         for s2 in grid:
@@ -169,7 +174,7 @@ class TestClosedForm:
         for rep in range(10):
             s = et.sample_distribution(burr_dist, 500, (81, rep))
             e = et.excesses(s, 50)
-            h = et.hill(e).xi
+            h = et.hill(e)
             rho, _ = et.resolve_rho(s)
             tau = et.tau_hat(rho, h)
             sigma2 = et.prior_variance(50, 500, rho)
@@ -203,7 +208,7 @@ class TestClosedForm:
         # and an infinite objective there made scipy's parabolic step subtract inf
         s = et.sample_distribution(et.frechet(0.5), 200, np.random.SeedSequence((0, 4)))
         e = et.excesses(s, 190)
-        tau, sigma2 = et.tau_hat(-1.0, et.hill(e).xi), et.prior_variance(190, 200, -1.0)
+        tau, sigma2 = et.tau_hat(-1.0, et.hill(e)), et.prior_variance(190, 200, -1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             xi_p, d_p = _profile_posterior_mode(e, tau, sigma2)
@@ -239,12 +244,6 @@ class TestMetropolis:
         with pytest.raises(ValueError):
             et.MCMCConfig(iterations=100, burn_in=-1)
 
-    def test_fix_delta_pins_coordinate(self, burr_k200):
-        e, tau, sigma2 = burr_k200
-        cfg = et.MCMCConfig(iterations=1200, burn_in=200, seed=3, fix_delta=0.0)
-        chain = et.metropolis_sample(e, tau, sigma2, cfg)
-        assert np.all(chain.draws[:, 1] == 0.0)
-
 
 # The delta prior is truncated at the model bound max(-1, 1/tau); tau puts
 # it at -0.5 (tau = -2), at -1.0, or at -0.3, inside the tau = -2 range
@@ -252,7 +251,6 @@ _TRUNCATIONS = {"model_bound": -2.0, "minus_one": -1.0, "inside_model": 1.0 / -0
 # (MCMCConfig fields, adaptation interval); None keeps the sampler's own
 _MATCH_CONFIGS = {
     "default": (dict(iterations=1500, burn_in=500), None),
-    "fix_delta": (dict(iterations=1500, burn_in=500, fix_delta=0.0), None),
     "no_burn_in": (dict(iterations=1000, burn_in=0), None),
     "adapt_every_step": (dict(iterations=1500, burn_in=500), 1),
 }
@@ -292,7 +290,7 @@ class TestMetropolisMatchesSeedLoop:
         for xi in (1e-300, 0.3, 0.8, 5.0, math.inf):
             for d in (lo - 0.1, lo, lo + 1e-12, -0.2, -0.1, 0.0, 0.7, 9.0, 1e200):
                 ll = oracle_epd_log_likelihood(xi, d, tau, e)
-                lp = et.log_prior_xi(xi) + et.log_prior_delta(d, sigma2, tau)
+                lp = log_prior_xi(xi) + log_prior_delta(d, sigma2, tau)
                 want = -math.inf if -math.inf in (ll, lp) else ll + lp / e.k
                 got = log_posterior(xi, d, e, tau, sigma2)
                 assert got == want, (xi, d)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import math
 import subprocess
@@ -40,7 +41,7 @@ class TestEstimate:
         rows = _read_rows(out)
         assert len(rows) == 1
         sample = et.load_sample(data)
-        expected = et.hill(et.excesses(sample, 100)).xi
+        expected = et.hill(et.excesses(sample, 100))
         assert float(rows[0]["hill_xi"]) == pytest.approx(expected, rel=1e-10)
         assert rows[0]["error"] == ""
 
@@ -161,11 +162,14 @@ class TestEstimate:
         ["--method", "mcmc", "--seed", "-1"],
         ["--x", "nan"],
         ["--method", "mcmc", "--mcmc-iters", "201", "--burn-in", "200"],
+        ["--column", "-1"],
+        ["--column", "-5"],
     ])
     def test_bad_flags_are_usage_errors_before_any_row(self, tmp_path, capsys, flags):
         # these used to run every row and exit 0 with ValueError in each row
         # (with blank probabilities and no error for --x nan), or, for the rho
-        # estimate's flags, end in a ValueError traceback
+        # estimate's flags, end in a ValueError traceback; a negative --column
+        # would index the fields from the end
         data = _pareto_grid_file(tmp_path)
         out = tmp_path / "est.csv"
         assert main(["estimate", str(data), "--k-min", "50", "--k-max", "50",
@@ -268,7 +272,7 @@ class TestSharedCell:
                      "--k-min", "40", "--k-max", "40", "--out", str(out)]) == 0
         (row,) = _read_rows(out)
         e = et.excesses(sample, 40)
-        tau = et.tau_hat(-1.0, et.hill(e).xi)
+        tau = et.tau_hat(-1.0, et.hill(e))
         seed = int(np.random.SeedSequence((7, 40)).generate_state(1)[0])
         chain = et.metropolis_sample(e, tau, et.prior_variance(40, cfg.n, -1.0),
                                      et.MCMCConfig(800, 200, seed=seed))
@@ -313,6 +317,17 @@ class TestSimulate:
 
     def test_zero_reps_is_usage_error(self, tmp_path):
         assert main(self._args(tmp_path, **{"--reps": "0"})) == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch, workers):
+        import epdtail.cli as cli
+
+        def must_not_run(cfg, workers=1):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli, "run_study", must_not_run)
+        assert main(self._args(tmp_path, **{"--workers": workers})) == 1
+        assert "usage error: --workers must be >= 1" in capsys.readouterr().err
 
     def test_chain_without_draws_is_usage_error(self, tmp_path, capsys, monkeypatch):
         import epdtail.cli as cli
@@ -460,8 +475,9 @@ class TestAsymptoticsCmd:
         assert manifest["input_digest"] is None
 
     def test_bad_grid_is_usage_error(self, tmp_path, capsys):
+        # a step of 1e-300 asks np.arange for more elements than it can index
         for flags in (["--lambda-min", "2", "--lambda-max", "1"], ["--lambda-step", "nan"],
-                      ["--lambda-max", "nan"]):
+                      ["--lambda-max", "nan"], ["--lambda-step", "1e-300"]):
             out = tmp_path / "curves.csv"
             assert main(["asymptotics", "--xi", "0.5", "--rho", "-1",
                          "--out", str(out)] + flags) == 1
@@ -482,3 +498,18 @@ def test_import_loads_no_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], cwd=Path(et.__file__).parent.parent,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module, name", [
+    ("bayes", "log_prior_xi"), ("bayes", "log_prior_delta"), ("classical", "HillEstimate"),
+    ("asymptotics", "mse_opt_weighted"), ("epd", "epd_loglik_grad"),
+])
+def test_test_only_names_are_not_in_the_library(module, name):
+    # their reference copies, where a test still needs one, are in tests/oracles.py
+    mod = importlib.import_module(f"epdtail.{module}")
+    assert not hasattr(et, name) and name not in dir(mod) and name not in mod.__all__
+
+
+def test_likelihood_and_chain_config_keep_only_what_the_library_uses():
+    assert not hasattr(et.epd._Likelihood, "grad")
+    assert "fix_delta" not in {f.name for f in fields(et.MCMCConfig)}

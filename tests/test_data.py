@@ -50,6 +50,13 @@ class TestLoadSample:
         with pytest.raises(DataFormatError, match="column 3"):
             et.load_sample(b"1,2\n3,4\n", column=3)
 
+    @pytest.mark.parametrize("column", [-1, -5])
+    def test_negative_column_rejected_before_reading(self, tmp_path, column):
+        # a negative index would count the fields from the end
+        with pytest.raises(ValueError, match="column must be >= 0") as info:
+            et.load_sample(tmp_path / "never_read.csv", column=column)
+        assert type(info.value) is ValueError
+
     def test_file_and_stream_sources(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("2\n1\n4\n")

@@ -130,6 +130,35 @@ class TestRunStudy:
                 assert np.array_equal(a, b, equal_nan=True)
                 assert np.array_equal(a, c, equal_nan=True)
 
+    @pytest.mark.parametrize("reps, workers, started", [(2, 5000, 1), (16, 2, 2), (17, 5, 3)])
+    def test_pool_starts_at_most_one_process_per_chunk(self, frechet_dist, monkeypatch,
+                                                        reps, workers, started):
+        # the pool hands out chunks of 8 replications, so a process past one per
+        # chunk has no work; this fake pool records its size and starts no process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize):
+                assert chunksize == 8
+                return map(fn, iterable)
+
+        cfg = _small_cfg(frechet_dist, reps=reps, estimators=("hill",))
+        serial = et.run_study(cfg, workers=1)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        pooled = et.run_study(cfg, workers=workers)
+        assert sizes == [started]
+        assert np.array_equal(pooled.metrics["hill"].mse, serial.metrics["hill"].mse,
+                              equal_nan=True)
+
     def test_mse_identity(self, burr_dist):
         res = et.run_study(_small_cfg(burr_dist))
         for m in res.metrics.values():
@@ -147,7 +176,7 @@ class TestRunStudy:
             for rep in range(cfg.reps):
                 s = et.sample_distribution(cfg.dist, cfg.n,
                                            np.random.SeedSequence((cfg.master_seed, rep)))
-                xis.append(et.hill(et.excesses(s, k)).xi)
+                xis.append(et.hill(et.excesses(s, k)))
             assert res.metrics["hill"].bias[j] == pytest.approx(
                 np.mean(xis) - cfg.dist.true_xi, abs=1e-12
             )
