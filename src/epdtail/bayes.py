@@ -45,6 +45,9 @@ _STEP_LOG_XI = 0.15
 _STEP_DELTA = 0.3
 _ADAPT_INTERVAL = 50
 _TARGET_ACCEPT = 0.234
+# the chain's bound table: cells _CELL wide in delta from the model bound, filled
+# _BLOCK at a time, none where some 1 + delta*coef is below _FLOOR, widened by _MARGIN
+_CELL, _BLOCK, _FLOOR, _MARGIN = 0.005, 32, 0.05, 1e-9
 
 
 class ClosedFormError(RuntimeError):
@@ -115,15 +118,50 @@ class _LogTarget:
         self.log_norm = math.log(math.sqrt(2.0 * math.pi) * sigma)
         self.log_trunc = math.log(float(ndtr(-(delta_lower_bound(tau) / sigma))))
 
+    def log_prior(self, xi: float, delta: float) -> float:
+        """The total log prior at xi > 0 and delta above the truncation point."""
+        return ((_GAMMA_SHAPE - 1.0) * math.log(xi) - xi - self.log_gamma
+                + (-0.5 * delta * delta / self.sigma2 - self.log_norm - self.log_trunc))
+
     def __call__(self, xi: float, delta: float) -> float:
         ll = self.lik(xi, delta)
         if ll == -math.inf:
             return -math.inf
-        lp = ((_GAMMA_SHAPE - 1.0) * math.log(xi) - xi - self.log_gamma
-              + (-0.5 * delta * delta / self.sigma2 - self.log_norm - self.log_trunc))
+        lp = self.log_prior(xi, delta)
         if lp == -math.inf:
             return -math.inf
         return ll + lp / self.k
+
+
+class _BoundTable:
+    """Bounds on the row sums S1 = sum(log(1 + delta*a) + log y), S2 = sum(log(1 + delta*b)).
+
+    Both are concave in delta: over a cell the chord lies below S1 and the
+    lower end tangent above S2. At fraction f of cell j = (c1, e1, p0, q0, p1, q1),
+    S1 >= c1 + e1*f and S2 <= min(p0 + q0*f, p1 + q1*f), widened by _MARGIN*(|S| + k),
+    far above any rounding. A cell is None until filled, and NaN where left out.
+    """
+
+    def __init__(self, lik: _Likelihood) -> None:
+        self.lik = lik
+        self.cells: list = [None] * (_BLOCK * math.ceil((DELTA_MAX - lik.lo) / (_CELL * _BLOCK)))
+
+    def fill(self, j: int) -> tuple:
+        """Fill the block of cell j by one (_BLOCK + 1, 2, k) pass; return cell j."""
+        lik = self.lik
+        j0 = j - j % _BLOCK
+        nodes = lik.lo + _CELL * np.arange(j0, j0 + _BLOCK + 1)
+        ok = (1.0 + np.outer(nodes, lik.ext)).min(axis=1) >= _FLOOR
+        t = np.multiply.outer(np.where(ok, nodes, 0.0), lik.coef)
+        q = _CELL * np.add.reduce(lik.b / (1.0 + t[:, 1]), axis=1)  # _CELL * dS2/ddelta
+        s1, s2 = np.add.reduce(np.log1p(t, out=t), axis=2).T
+        s1 = s1 + np.add.reduce(lik.log_y)
+        m1, m2 = (_MARGIN * (np.maximum(abs(s[:-1]), abs(s[1:])) + lik.k) for s in (s1, s2))
+        rows = np.column_stack([s1[:-1] - m1, s1[1:] - s1[:-1], s2[:-1] + m2, q[:-1],
+                                s2[1:] - q[1:] + m2, q[1:]])
+        rows[~(ok[:-1] & ok[1:])] = np.nan
+        self.cells[j0:j0 + _BLOCK] = map(tuple, rows.tolist())
+        return self.cells[j]
 
 
 def _system_coefficients(
@@ -323,6 +361,10 @@ def metropolis_sample(
     retained draws follow the posterior of (xi, delta) itself. Stored
     log-posterior values are on the total (not per-observation) scale.
     Deterministic for a fixed seed.
+
+    A proposal is first tested against a ``_BoundTable`` upper bound of its
+    log posterior, by the exact value's arithmetic. Rounding is monotone, so
+    the likelihood runs only where the bound is not already rejected.
     """
     k = e.k
     target = _LogTarget(e, tau, sigma2)
@@ -343,22 +385,37 @@ def metropolis_sample(
     logpost = np.empty(retained)
     accepted_post = 0
     batch_accepts = 0
+    table = _BoundTable(target.lik)
+    cells, fill, n_cells, lo = table.cells, table.fill, len(table.cells), target.lik.lo
+    log_prior, normal, uniform = target.log_prior, rng.standard_normal, rng.random
+    exp, log = math.exp, math.log
 
     for t in range(config.iterations):
-        z = rng.standard_normal(2)
-        u_new = u + s_u * z[0]
-        d_new = d + s_d * z[1]
-        lp_new = k * target(math.exp(u_new), d_new)
-        # Jacobian of xi = exp(u): add u to the log target on the sampling scale
-        log_alpha = (lp_new + u_new) - (lp + u)
-        if math.log(rng.random()) < log_alpha:
-            u, d, lp = u_new, d_new, lp_new
-            batch_accepts += 1
-            if t >= config.burn_in:
-                accepted_post += 1
+        u_new = u + s_u * normal()
+        d_new = d + s_d * normal()
+        log_u = log(uniform())
+        xi_new = exp(u_new)
+        x = (d_new - lo) / _CELL
+        rejected = False
+        if 0.0 <= x < n_cells and xi_new > 0.0:
+            j = int(x)
+            c1, e1, p0, q0, p1, q1 = cells[j] or fill(j)
+            f = x - j
+            lp_hi = k * (-log(xi_new) - (1.0 / xi_new + 1.0) * ((c1 + e1 * f) / k)
+                         + min(p0 + q0 * f, p1 + q1 * f) / k + log_prior(xi_new, d_new) / k)
+            # Jacobian of xi = exp(u): add u to the log target on the sampling scale;
+            # a left-out cell's NaN bound rejects nothing
+            rejected = log_u >= (lp_hi + u_new) - (lp + u)
+        if not rejected:
+            lp_new = k * target(xi_new, d_new)
+            if log_u < (lp_new + u_new) - (lp + u):
+                u, d, lp = u_new, d_new, lp_new
+                batch_accepts += 1
+                if t >= config.burn_in:
+                    accepted_post += 1
         if t < config.burn_in and (t + 1) % _ADAPT_INTERVAL == 0:
             rate = batch_accepts / _ADAPT_INTERVAL
-            factor = math.exp(1.5 * (rate - _TARGET_ACCEPT))
+            factor = exp(1.5 * (rate - _TARGET_ACCEPT))
             s_u = min(10.0, max(1e-4, s_u * factor))
             s_d = min(10.0, max(1e-4, s_d * factor))
             batch_accepts = 0
@@ -366,7 +423,7 @@ def metropolis_sample(
             batch_accepts = 0
         if t >= config.burn_in:
             i = t - config.burn_in
-            draws[i, 0] = math.exp(u)
+            draws[i, 0] = exp(u)
             draws[i, 1] = d
             logpost[i] = lp
 

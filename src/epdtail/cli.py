@@ -306,15 +306,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- asymptotics
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
-    # written so that NaN fails every check
-    if not (args.lambda_max >= args.lambda_min and args.lambda_step > 0):
+    stop = args.lambda_max + 1e-12
+    # written so that NaN fails every check; np.arange gets at most 10**6 rows
+    if not (args.lambda_max >= args.lambda_min and args.lambda_step > 0
+            and (stop - args.lambda_min) / args.lambda_step <= 10**6):
         raise UsageError("bad lambda grid")
     if not (args.xi > 0 and args.rho < 0):
         raise UsageError("need xi > 0 and rho < 0")
-    try:
-        lams = np.arange(args.lambda_min, args.lambda_max + 1e-12, args.lambda_step)
-    except ValueError:  # numpy's "Maximum allowed size exceeded", raised before allocating
-        raise UsageError("bad lambda grid") from None
+    lams = np.arange(args.lambda_min, stop, args.lambda_step)
     header = ["lambda", "mse_hill", "mse_ml", "mse_opt", "bias_opt", "var_opt"]
     rows = []
     for lam in lams:
@@ -388,6 +387,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # e.g. the draw array of an enormous --mcmc-iters
+        detail = str(exc) or "MemoryError"
+        print(f"usage error: not enough memory for the requested run ({detail})", file=sys.stderr)
         return EXIT_USAGE
     except (DataFormatError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,20 @@ import epdtail as et
 # property tests draw the same examples on every run and have no time limit
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 settings.load_profile("deterministic")
+
+
+def pytest_runtest_makereport(item, call):
+    # After a failing property test, hypothesis imports its patch writer, whose
+    # libcst import warns from mypy_extensions. Under the DeprecationWarning
+    # error filter of pyproject.toml that warning ended the whole session with
+    # an INTERNALERROR instead of a failure report, so it is imported here first.
+    if call.excinfo is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:  # without libcst hypothesis writes no patch
+                pass
 
 
 @pytest.fixture(scope="session")

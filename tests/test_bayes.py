@@ -13,7 +13,16 @@ from scipy.stats import norm
 
 import epdtail as et
 from epdtail import bayes
-from epdtail.bayes import ClosedFormError, _LogTarget, _profile_posterior_mode, _solve_first_order
+from epdtail.bayes import (
+    _BLOCK,
+    _CELL,
+    ClosedFormError,
+    _BoundTable,
+    _LogTarget,
+    _profile_posterior_mode,
+    _solve_first_order,
+)
+from epdtail.epd import DELTA_MAX
 from conftest import pareto_excesses
 from oracles import (
     grid_map_oracle,
@@ -294,6 +303,90 @@ class TestMetropolisMatchesSeedLoop:
                 want = -math.inf if -math.inf in (ll, lp) else ll + lp / e.k
                 got = log_posterior(xi, d, e, tau, sigma2)
                 assert got == want, (xi, d)
+
+
+class TestMetropolisMcmcCliRegime:
+    """The chains of ``estimate --method mcmc`` on an n = 2 000 Burr(0.75, -0.75) file."""
+
+    @pytest.fixture(scope="class")
+    def burr_2000(self):
+        return et.sample_distribution(et.burr(0.75, -0.75), 2000, 20261018)
+
+    @pytest.mark.parametrize("k", [100, 500])
+    def test_bound_skips_most_passes_and_keeps_every_draw(self, burr_2000, k, monkeypatch):
+        e = et.excesses(burr_2000, k)
+        rho, _ = et.resolve_rho(burr_2000)
+        tau, sigma2 = et.tau_hat(rho, et.hill(e)), et.prior_variance(k, burr_2000.n, rho)
+        cfg = et.MCMCConfig(seed=k)
+        draws, logpost, rate = oracle_metropolis(e, tau, sigma2, cfg)
+        passes = []
+        exact = _LogTarget.__call__
+
+        def spy(self, xi, delta):
+            passes.append(delta)
+            return exact(self, xi, delta)
+
+        monkeypatch.setattr(_LogTarget, "__call__", spy)
+        chain = et.metropolis_sample(e, tau, sigma2, cfg)
+        assert np.array_equal(chain.draws, draws)
+        assert np.array_equal(chain.logpost, logpost)
+        assert chain.acceptance_rate == rate
+        # one pass at the starting point, then one per proposal the bound let through
+        assert len(passes) - 1 < 0.6 * cfg.iterations
+
+
+def _bound(target, table, xi, delta):
+    """The chain's upper bound of k * target(xi, delta); None outside the table.
+
+    The same arithmetic as the bound test in ``metropolis_sample``.
+    """
+    x = (delta - table.lik.lo) / _CELL
+    if not 0.0 <= x < len(table.cells):
+        return None
+    j = int(x)
+    c1, e1, p0, q0, p1, q1 = table.cells[j] or table.fill(j)
+    f = x - j
+    k = target.k
+    s1 = c1 + e1 * f
+    s2 = min(p0 + q0 * f, p1 + q1 * f)
+    return k * (-math.log(xi) - (1.0 / xi + 1.0) * (s1 / k) + s2 / k
+                + target.log_prior(xi, delta) / k)
+
+
+class TestBoundTable:
+    """The bound that lets the chain skip a likelihood pass is never below the exact value."""
+
+    @given(
+        dist=st.sampled_from([et.burr(0.75, -0.75), et.frechet(0.5)]),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(10, 499),
+        tau=st.floats(-5.0, -0.05),
+        log_xi=st.floats(-6.0, 3.0),
+        sigma2=st.floats(1e-3, 10.0),
+        where=st.sampled_from(["node", "between", "near_lo", "far_out"]),
+        pos=st.floats(0.0, 1.0),
+    )
+    def test_bound_is_above_the_exact_value(self, dist, seed, k, tau, log_xi, sigma2,
+                                             where, pos):
+        e = et.excesses(et.sample_distribution(dist, 500, seed), k)
+        target = _LogTarget(e, tau, sigma2)
+        table = _BoundTable(target.lik)
+        lo, n_cells = target.lik.lo, len(table.cells)
+        far_out = (DELTA_MAX / 2 - lo + pos * DELTA_MAX / 2) / _CELL
+        x = {"node": math.floor(pos * (n_cells - 1)), "between": pos * (n_cells - 1),
+             "near_lo": pos * 100.0, "far_out": far_out}[where]
+        xi = math.exp(log_xi)
+        # the drawn point, then every node of its block and three points inside each cell
+        j0 = min(int(x), n_cells - 1) // _BLOCK * _BLOCK
+        offsets = [x] + [j + f for j in range(j0, j0 + _BLOCK) for f in (0.0, 0.25, 0.5, 0.999)]
+        checked = 0
+        for off in offsets:
+            delta = lo + _CELL * off
+            bound, value = _bound(target, table, xi, delta), e.k * target(xi, delta)
+            if bound is not None and math.isfinite(bound) and math.isfinite(value):
+                assert bound >= value, (delta, bound, value)
+                checked += 1
+        assert checked or where == "near_lo"
 
 
 class TestPosteriorMode:

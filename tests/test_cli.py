@@ -83,6 +83,20 @@ class TestEstimate:
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_chain_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # --mcmc-iters 1000000000000 asks metropolis_sample for a 14.6 TiB draw array
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 14.6 TiB")
+
+        monkeypatch.setattr(sim, "metropolis_sample", out_of_memory)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", str(_pareto_grid_file(tmp_path)), "--method", "mcmc",
+                     "--mcmc-iters", "1000000000000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("usage error: not enough memory for the requested run "
+                       "(Unable to allocate 14.6 TiB)\n")
+        assert not out.exists()
+
     def test_mcmc_adds_hpd_columns(self, tmp_path):
         data = _pareto_grid_file(tmp_path)
         out = tmp_path / "est.csv"
@@ -341,6 +355,18 @@ class TestSimulate:
         assert main(argv) == 1
         assert "usage error: need iterations > burn_in" in capsys.readouterr().err
 
+    def test_chain_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(sim, "metropolis_sample", out_of_memory)
+        argv = self._args(tmp_path, **{"--estimators": "bayes_mcmc",
+                                       "--mcmc-iters": "1000000000000"})
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: not enough memory for the requested run (MemoryError)\n"
+        assert not (tmp_path / "study.csv").exists()
+
     def test_payload_config_is_the_study_config(self, tmp_path):
         # settings given nowhere take the MCStudyConfig defaults, and the
         # payload serialises every field of the config
@@ -483,6 +509,19 @@ class TestAsymptoticsCmd:
                          "--out", str(out)] + flags) == 1
             assert "usage error: bad lambda grid" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["1e-12", "1e-9"])
+    def test_long_grid_is_rejected_before_allocating(self, tmp_path, capsys, monkeypatch, step):
+        # 5e12 and 5e9 rows: numpy would try to allocate 36.4 TiB and 37 GiB
+        def must_not_run(*args):
+            raise AssertionError("np.arange ran")
+
+        monkeypatch.setattr(np, "arange", must_not_run)
+        out = tmp_path / "curves.csv"
+        assert main(["asymptotics", "--xi", "1", "--rho", "-1", "--lambda-step", step,
+                     "--out", str(out)]) == 1
+        assert "usage error: bad lambda grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_positive_xi_required(self, tmp_path, capsys):
         for xi, rho in (("-0.5", "-1"), ("nan", "-1"), ("0.5", "nan")):
