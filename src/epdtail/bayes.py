@@ -48,6 +48,8 @@ _TARGET_ACCEPT = 0.234
 # the chain's bound table: cells _CELL wide in delta from the model bound, filled
 # _BLOCK at a time, none where some 1 + delta*coef is below _FLOOR, widened by _MARGIN
 _CELL, _BLOCK, _FLOOR, _MARGIN = 0.005, 32, 0.05, 1e-9
+# the posterior-mode scan computes every _STRIDE-th grid node, then the others its bounds keep
+_STRIDE = 8
 
 
 class ClosedFormError(RuntimeError):
@@ -152,9 +154,9 @@ class _BoundTable:
         j0 = j - j % _BLOCK
         nodes = lik.lo + _CELL * np.arange(j0, j0 + _BLOCK + 1)
         ok = (1.0 + np.outer(nodes, lik.ext)).min(axis=1) >= _FLOOR
-        t = np.multiply.outer(np.where(ok, nodes, 0.0), lik.coef)
-        q = _CELL * np.add.reduce(lik.b / (1.0 + t[:, 1]), axis=1)  # _CELL * dS2/ddelta
-        s1, s2 = np.add.reduce(np.log1p(t, out=t), axis=2).T
+        s, q = lik.row_sums(np.where(ok, nodes, 0.0), slope=True)
+        q = _CELL * q  # _CELL * dS2/ddelta
+        s1, s2 = s.T
         s1 = s1 + np.add.reduce(lik.log_y)
         m1, m2 = (_MARGIN * (np.maximum(abs(s[:-1]), abs(s[1:])) + lik.k) for s in (s1, s2))
         rows = np.column_stack([s1[:-1] - m1, s1[1:] - s1[:-1], s2[:-1] + m2, q[:-1],
@@ -226,56 +228,88 @@ def _solve_first_order(e: ExcessSet, tau: float, weight: float) -> tuple[float, 
     return xi, delta
 
 
+class _Profile:
+    """The log posterior of one (excesses, tau, sigma2) over delta, with xi profiled out.
+
+    At fixed delta the maximizing xi solves a quadratic in g = mean(log y +
+    log1p(delta*a)), so delta enters through the delta prior and the row
+    sums S1 of log1p(delta*a) and S2 of log1p(delta*b). The profile is -inf
+    outside the admissible range, where g <= 0, and along the collapse
+    direction where the profiled xi falls below 5% of mean(log y): the
+    density is unbounded there but carries negligible posterior mass. The
+    mode search scans ``grid``, 481 nodes from just above the model bound.
+    """
+
+    def __init__(self, e: ExcessSet, tau: float, sigma2: float) -> None:
+        target = _LogTarget(e, tau, sigma2)
+        self.lik, self.k, self.sigma2 = target.lik, e.k, sigma2
+        self.ext = np.array(self.lik.ext)
+        self.mean_logy = float(np.mean(self.lik.log_y))
+        self.xi_floor = 0.05 * self.mean_logy
+        self.lp_const = -target.log_norm - target.log_trunc - target.log_gamma
+        self.bq = e.k + 1.0 - _GAMMA_SHAPE
+        self.grid = np.linspace(self.lik.lo + 1e-9 * max(1.0, abs(self.lik.lo)), DELTA_MAX, 481)
+
+    def xi(self, g, sqrt=math.sqrt):
+        """The profiled tail index at g."""
+        bq = self.bq
+        return (-bq + sqrt(bq * bq + 4.0 * self.k * g)) / 2.0
+
+    def from_sums(self, deltas, ok, s1, s2) -> np.ndarray:
+        """The profile at deltas from their row sums; -inf where ok is False or masked."""
+        k = self.k
+        g = self.mean_logy + s1 / k
+        ok = ok & (g > 0.0)
+        g_safe = np.where(ok, g, 1.0)
+        xi = self.xi(g_safe, np.sqrt)
+        ok &= xi >= self.xi_floor
+        val = (k * (-np.log(xi) - (1.0 / xi + 1.0) * g_safe + s2 / k)
+               + (_GAMMA_SHAPE - 1.0) * np.log(xi) - xi - 0.5 * deltas * deltas / self.sigma2
+               + self.lp_const)
+        return np.where(ok, val, -np.inf)
+
+    def exact(self, deltas: np.ndarray, slope: bool = False) -> tuple:
+        """The profile at deltas by one row-sum pass, with its admissible mask, sums and slopes."""
+        ok = (1.0 + np.outer(deltas, self.ext) > 0.0).all(axis=1)
+        s, q = self.lik.row_sums(np.where(ok, deltas, 0.0), slope)
+        return self.from_sums(deltas, ok, s[:, 0], s[:, 1]), ok, s, q
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The profile at every _STRIDE-th node of the grid, and upper bounds of it at the others.
+
+        Row j bounds the nodes between coarse nodes j and j + 1. S1 and S2 are
+        concave in delta, so on a cell S1 lies above its chord and S2 below
+        both end tangents; the profile falls as S1 rises and rises with S2.
+        Both are widened by _MARGIN*(|S| + k), far above any rounding. A bound
+        is inf where it is masked or an end of its cell is inadmissible.
+        """
+        c = self.grid[::_STRIDE]
+        v, ok, s, q = self.exact(c, slope=True)
+        x = self.grid[:-1].reshape(-1, _STRIDE)[:, 1:]
+        lo, hi = c[:-1, None], c[1:, None]
+        s1 = s[:-1, 0, None] + (s[1:, 0, None] - s[:-1, 0, None]) * ((x - lo) / (hi - lo))
+        s2 = np.minimum(s[:-1, 1, None] + q[:-1, None] * (x - lo),
+                        s[1:, 1, None] + q[1:, None] * (x - hi))
+        k = self.k
+        bound = self.from_sums(x, True, s1 - _MARGIN * (abs(s1) + k), s2 + _MARGIN * (abs(s2) + k))
+        return v, np.where((ok[:-1] & ok[1:])[:, None] & (bound > -np.inf), bound, np.inf)
+
+
 def _profile_posterior_mode(e: ExcessSet, tau: float, sigma2: float) -> tuple[float, float]:
     """Exact posterior mode by profiling xi out and searching over delta.
 
-    For fixed delta the xi maximizer of the total posterior solves a
-    quadratic, so the mode reduces to a one-dimensional search over the
-    admissible delta range: a vectorized coarse scan followed by a
-    bounded local polish around its maximum.
-
-    The search excludes the degenerate collapse direction where the
-    profiled tail index falls below 5% of the Hill estimate: the density
-    is unbounded along that boundary but carries negligible posterior
-    mass, so it is an artifact rather than a usable mode.
+    The ``_Profile`` is scanned on its grid over the admissible delta range,
+    and a bounded local polish runs around the grid's maximum. The scan
+    computes every _STRIDE-th node and then only the nodes whose upper bound
+    reaches the best of those. A node it skips stays -inf, and it could not
+    have been the maximum, so the result is that of the full scan.
     """
-    target = _LogTarget(e, tau, sigma2)
-    lik = target.lik
-    k = e.k
-    lo = lik.lo
-    ext = np.array(lik.ext)
-    mean_logy = float(np.mean(lik.log_y))
-    xi_floor = 0.05 * mean_logy
-    lp_const = -target.log_norm - target.log_trunc - target.log_gamma
-    bq = k + 1.0 - _GAMMA_SHAPE
-
-    def profile_xi(g, sqrt=math.sqrt):
-        return (-bq + sqrt(bq * bq + 4.0 * k * g)) / 2.0
+    p = _Profile(e, tau, sigma2)
+    lik, k, mean_logy, lo, grid = p.lik, p.k, p.mean_logy, p.lik.lo, p.grid
 
     def profile(delta: float) -> tuple[float, float]:  # g and the mean of log1p(delta*b)
         m1, m2 = np.add.reduce(np.log1p(delta * lik.coef), axis=1) / k
         return mean_logy + float(m1), float(m2)
-
-    def total_grid(deltas: np.ndarray) -> np.ndarray:
-        ok = (1.0 + np.outer(deltas, ext) > 0.0).all(axis=1)
-        # log1p of every row at once; the inadmissible rows are masked below
-        t = np.multiply.outer(deltas, lik.coef)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            np.log1p(t, out=t)
-        m = np.add.reduce(t, axis=2) / k
-        g = mean_logy + m[:, 0]
-        ok &= g > 0.0
-        g_safe = np.where(ok, g, 1.0)
-        xi = profile_xi(g_safe, np.sqrt)
-        ok &= xi >= xi_floor
-        val = (
-            k * (-np.log(xi) - (1.0 / xi + 1.0) * g_safe + m[:, 1])
-            + (_GAMMA_SHAPE - 1.0) * np.log(xi)
-            - xi
-            - 0.5 * deltas * deltas / sigma2
-            + lp_const
-        )
-        return np.where(ok, val, -np.inf)
 
     def neg_total(delta: float) -> float:
         if lik.inadmissible(delta):
@@ -283,20 +317,16 @@ def _profile_posterior_mode(e: ExcessSet, tau: float, sigma2: float) -> tuple[fl
         g, m2 = profile(delta)
         if g <= 0.0:
             return penalty
-        xi = profile_xi(g)
-        if xi < xi_floor:
+        xi = p.xi(g)
+        if xi < p.xi_floor:
             return penalty
-        val = (
-            k * (-math.log(xi) - (1.0 / xi + 1.0) * g + m2)
-            + (_GAMMA_SHAPE - 1.0) * math.log(xi)
-            - xi
-            - 0.5 * delta * delta / sigma2
-            + lp_const
-        )
-        return -val
+        return -(k * (-math.log(xi) - (1.0 / xi + 1.0) * g + m2) + (_GAMMA_SHAPE - 1.0) * math.log(xi)
+                 - xi - 0.5 * delta * delta / sigma2 + p.lp_const)
 
-    grid = np.linspace(lo + 1e-9 * max(1.0, abs(lo)), DELTA_MAX, 481)
-    vals = total_grid(grid)
+    vals = np.full(grid.size, -np.inf)
+    vals[::_STRIDE], bound = p.bounds()
+    i = np.arange(grid.size - 1).reshape(-1, _STRIDE)[:, 1:][bound >= vals.max()]
+    vals[i] = p.exact(grid[i])[0]
     best = int(np.argmax(vals))
     if vals[best] == -np.inf:
         raise ClosedFormError("posterior mode search found no admissible point")
@@ -309,7 +339,7 @@ def _profile_posterior_mode(e: ExcessSet, tau: float, sigma2: float) -> tuple[fl
     res = minimize_scalar(neg_total, bounds=(left, right), method="bounded",
                           options={"xatol": 1e-10})
     delta_hat = float(res.x) if res.fun <= -vals[best] else float(grid[best])
-    return profile_xi(profile(delta_hat)[0]), delta_hat
+    return p.xi(profile(delta_hat)[0]), delta_hat
 
 
 def bayes_closed_form(e: ExcessSet, tau: float, sigma2: float) -> BayesEstimate:

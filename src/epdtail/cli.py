@@ -311,7 +311,7 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
     if not (args.lambda_max >= args.lambda_min and args.lambda_step > 0
             and (stop - args.lambda_min) / args.lambda_step <= 10**6):
         raise UsageError("bad lambda grid")
-    if not (args.xi > 0 and args.rho < 0):
+    if not (0 < args.xi < np.inf and -np.inf < args.rho < 0):
         raise UsageError("need xi > 0 and rho < 0")
     lams = np.arange(args.lambda_min, stop, args.lambda_step)
     header = ["lambda", "mse_hill", "mse_ml", "mse_opt", "bias_opt", "var_opt"]

@@ -119,6 +119,16 @@ class _Likelihood:
         return (1.0 + delta * a_lo <= 0.0 or 1.0 + delta * a_hi <= 0.0
                 or 1.0 + delta * b_lo <= 0.0 or 1.0 + delta * b_hi <= 0.0)
 
+    def row_sums(self, deltas: np.ndarray, slope: bool = False) -> tuple:
+        """Per admissible delta, the sums of log1p(delta*a) and log1p(delta*b), by one pass.
+
+        Returns them as an (n, 2) array, and the n sums of b/(1 + delta*b),
+        the second's derivative in delta, if ``slope`` (else None).
+        """
+        t = np.multiply.outer(deltas, self.coef)
+        q = np.add.reduce(self.b / (1.0 + t[:, 1]), axis=1) if slope else None
+        return np.add.reduce(np.log1p(t, out=t), axis=2), q
+
     def __call__(self, xi: float, delta: float) -> float:
         if not (xi > 0 and delta > self.lo) or self.inadmissible(delta):
             return -math.inf

@@ -78,22 +78,22 @@ class SimDistribution:
 
 def frechet(xi: float) -> SimDistribution:
     """Fréchet law with distribution function exp(-x**(-1/xi)); rho = -1."""
-    if xi <= 0:
-        raise ValueError("xi must be positive")
+    if not 0 < xi < math.inf:  # so that NaN and inf fail too
+        raise ValueError("xi must be positive and finite")
     return SimDistribution("frechet", (xi,), true_xi=xi, true_rho=-1.0)
 
 
 def burr(xi: float, rho: float) -> SimDistribution:
     """Burr law with survival (1 + x**(-rho/xi))**(1/rho)."""
-    if xi <= 0 or rho >= 0:
-        raise ValueError("need xi > 0 and rho < 0")
+    if not (0 < xi < math.inf and -math.inf < rho < 0):
+        raise ValueError("need finite xi > 0 and rho < 0")
     return SimDistribution("burr", (xi, rho), true_xi=xi, true_rho=rho)
 
 
 def loggamma(shape: float = 4.0, rate: float = 2.0) -> SimDistribution:
     """Exponential of a gamma variable; tail index 1/rate, no second-order rate."""
-    if shape <= 0 or rate <= 0:
-        raise ValueError("shape and rate must be positive")
+    if not (0 < shape < math.inf and 0 < rate < math.inf):
+        raise ValueError("shape and rate must be positive and finite")
     return SimDistribution("loggamma", (shape, rate), true_xi=1.0 / rate, true_rho=0.0)
 
 

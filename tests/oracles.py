@@ -381,12 +381,14 @@ def oracle_epd_ml_fit(e, tau, maxiter=500, maxfun=15000):
 
 
 def oracle_profile_posterior_mode(e, tau, sigma2, gamma_shape=1e-4):
-    """``bayes._profile_posterior_mode`` with two masked log1p passes on its grid.
+    """``bayes._profile_posterior_mode`` without pruning: the unpruned reference.
 
-    The grid fills two zero-filled (grid x k) arrays, one per coefficient
-    row, and takes ``mean`` of each; the polish and the final xi use
-    ``np.mean`` and 0-d arrays, and the prior truncation comes from
-    ``scipy.stats.norm.sf``. The library must return the same bits.
+    The grid evaluates all 481 nodes, where the library evaluates only
+    those whose upper bound reaches its best coarse node. It fills two
+    zero-filled (grid x k) arrays, one per coefficient row, and takes
+    ``mean`` of each; the polish and the final xi use ``np.mean`` and 0-d
+    arrays, and the prior truncation comes from ``scipy.stats.norm.sf``.
+    The library must return the same bits.
     """
     lik = _Likelihood(e, tau)
     k = e.k

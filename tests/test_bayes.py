@@ -16,9 +16,11 @@ from epdtail import bayes
 from epdtail.bayes import (
     _BLOCK,
     _CELL,
+    _STRIDE,
     ClosedFormError,
     _BoundTable,
     _LogTarget,
+    _Profile,
     _profile_posterior_mode,
     _solve_first_order,
 )
@@ -387,6 +389,35 @@ class TestBoundTable:
                 assert bound >= value, (delta, bound, value)
                 checked += 1
         assert checked or where == "near_lo"
+
+
+class TestProfileBound:
+    """The bounds that let the mode search skip grid nodes are never below the exact profile."""
+
+    @given(
+        dist=st.sampled_from([et.burr(0.75, -0.75), et.frechet(0.5)]),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(10, 499),
+        log10_neg_tau=st.floats(-9.0, math.log10(5.0)),
+        log10_sigma2=st.floats(-4.0, 2.0),
+    )
+    # tau near 0 makes both row sums nearly linear in delta: the bounds then
+    # exceed the exact value by less than its rounding, and only the margin
+    # keeps them above it
+    @example(dist=et.burr(0.75, -0.75), seed=2, k=10, log10_neg_tau=-7.0, log10_sigma2=2.0)
+    @example(dist=et.frechet(0.5), seed=2, k=10, log10_neg_tau=-7.0, log10_sigma2=2.0)
+    def test_bound_is_above_the_exact_value(self, dist, seed, k, log10_neg_tau, log10_sigma2):
+        e = et.excesses(et.sample_distribution(dist, 500, seed), k)
+        p = _Profile(e, -(10.0 ** log10_neg_tau), 10.0 ** log10_sigma2)
+        coarse, bound = p.bounds()
+        exact = p.exact(p.grid)[0]
+        assert np.array_equal(coarse, exact[::_STRIDE])
+        inner = exact[:-1].reshape(-1, _STRIDE)[:, 1:]
+        assert bound.shape == inner.shape
+        bad = np.argwhere(bound < inner)
+        assert bad.size == 0, [(j, i, bound[j, i], inner[j, i]) for j, i in bad[:5]]
+        # a bound the search can prune with stands at nearly every node
+        assert np.isfinite(bound).mean() > 0.9
 
 
 class TestPosteriorMode:

@@ -405,7 +405,8 @@ class TestSimulate:
         assert not (tmp_path / "study.csv").exists()
 
     @pytest.mark.parametrize("dist", ["burr:abc:-1", "frechet:-1", "frechet:", "burr:0.5:0.5",
-                                      "loggamma:0:2"])
+                                      "loggamma:0:2", "frechet:nan", "frechet:inf", "burr:inf:-1",
+                                      "burr:0.5:-inf", "loggamma:nan:1", "loggamma:4:inf"])
     def test_bad_distribution_values_are_usage_errors(self, tmp_path, capsys, dist):
         assert main(self._args(tmp_path, **{"--dist": dist})) == 1
         assert f"usage error: bad distribution {dist!r}" in capsys.readouterr().err
@@ -524,9 +525,10 @@ class TestAsymptoticsCmd:
         assert not out.exists()
 
     def test_positive_xi_required(self, tmp_path, capsys):
-        for xi, rho in (("-0.5", "-1"), ("nan", "-1"), ("0.5", "nan")):
+        # an infinite xi wrote a file of inf and blank cells
+        for xi, rho in (("-0.5", "-1"), ("nan", "-1"), ("0.5", "nan"), ("inf", "-1"), ("0.5", "-inf")):
             out = tmp_path / "curves.csv"
-            assert main(["asymptotics", "--xi", xi, "--rho", rho, "--out", str(out)]) == 1
+            assert main(["asymptotics", f"--xi={xi}", f"--rho={rho}", "--out", str(out)]) == 1
             assert "usage error: need xi > 0" in capsys.readouterr().err
             assert not out.exists()
 

@@ -4,8 +4,10 @@
 copies in ``tests/oracles.py`` through ``repr``, which round-trips every
 bit of a float, on every k of one replication of each bundled study
 design and of a design with tau < -1, and of a second Fréchet
-replication whose fits include one that does not converge. The cells
-are built the way a study replication builds them.
+replication whose fits include one that does not converge. The mode
+search is also compared on four more Burr replications and on cells
+built to put its maximum or its masks at the edges of the grid. The
+study cells are built the way a study replication builds them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 import epdtail as et
-from epdtail.bayes import ClosedFormError, _profile_posterior_mode
+from epdtail.bayes import _STRIDE, ClosedFormError, _profile_posterior_mode, _Profile
 from epdtail.epd import _Likelihood
 from oracles import oracle_epd_ml_fit, oracle_loglik_grad, oracle_profile_posterior_mode
 
@@ -45,10 +47,15 @@ DESIGNS = {
 # (design, replication) pairs compared: replication 1 of frechet_fig1 holds
 # an ML fit that ends ABNORMAL in its line search, with converged=False
 REPS = [(name, 0) for name in DESIGNS] + [("frechet_fig1", 1)]
+# the mode search, which most burr_fig2 cells run, is compared on four more replications
+MODE_REPS = REPS + [("burr_fig2", rep) for rep in range(1, 5)]
 
 
-@pytest.fixture(scope="module", params=REPS,
-                ids=lambda p: p[0] if p[1] == 0 else f"{p[0]}_rep{p[1]}")
+def _rep_id(p):
+    return p[0] if p[1] == 0 else f"{p[0]}_rep{p[1]}"
+
+
+@pytest.fixture(scope="module", params=REPS, ids=_rep_id)
 def cells(request):
     name, rep = request.param
     return _rep_cells(*DESIGNS[name], rep=rep)
@@ -66,10 +73,75 @@ def test_designs_cover_tau_below_minus_one():
     assert max(taus) < -1.0
 
 
-def test_profile_posterior_mode_matches_oracle(cells):
-    for k, e, tau, sigma2 in cells:
+@pytest.mark.parametrize("name, rep", MODE_REPS, ids=[_rep_id(p) for p in MODE_REPS])
+def test_profile_posterior_mode_matches_oracle(name, rep):
+    for k, e, tau, sigma2 in _rep_cells(*DESIGNS[name], rep=rep):
         got = _outcome(_profile_posterior_mode, e, tau, sigma2)
         assert got == _outcome(oracle_profile_posterior_mode, e, tau, sigma2), k
+
+
+def _full_scan(e, tau, sigma2):
+    """The exact profile at every node of the search's grid."""
+    p = _Profile(e, tau, sigma2)
+    return p.exact(p.grid)[0]
+
+
+def _sample_cell(dist, seed, k):
+    return et.excesses(et.sample_distribution(dist, 500, seed), k)
+
+
+def _epd_cell(xi, delta, tau, k, seed):
+    y = et.epd_sample(et.EPDParams(xi=xi, delta=delta, tau=tau), k, seed)
+    return et.ExcessSet(y=np.sort(y)[::-1], k=k, threshold=1.0)
+
+
+def _first(vals):
+    return int(np.flatnonzero(vals > -np.inf)[0])
+
+
+# cells that put the maximum or the masks of the grid where the search prunes
+# least: (excesses, tau, sigma2, what the exact profile on the full grid shows).
+# No grid node above the model bound fails 1 + delta*coef > 0, so the masked
+# nodes are those of the collapse floor on xi, next to the bound.
+EDGE_CELLS = {
+    "max_at_node_0": (_sample_cell(et.burr(0.5, -2.0), 837, 219), -0.2589, 7.68,
+                      lambda v: _first(v) == 0 and np.argmax(v) == 0),
+    "max_at_first_admissible_node": (_sample_cell(et.frechet(0.5), 620, 10), -0.9496, 0.204,
+                                     lambda v: _first(v) == 1 and np.argmax(v) == 1),
+    "max_at_delta_max": (_epd_cell(0.3, 30.0, -0.5, 300, 7), -0.5, 1e4,
+                         lambda v: _first(v) == 0 and np.argmax(v) == v.size - 1),
+    "coarse_node_masked": (_sample_cell(et.burr(0.75, -0.75), 153, 46), -0.9976, 0.00472,
+                           lambda v: v[0] == -np.inf and _first(v[::_STRIDE]) == 1),
+    "floor_masks_inner_nodes": (_epd_cell(0.5, 50.0, -1.0, 300, 7), -1.0, 1e4,
+                                lambda v: _first(v) == 3 and np.argmax(v) == v.size - 1),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CELLS)
+def test_profile_posterior_mode_matches_oracle_at_the_edges(name):
+    e, tau, sigma2, shows = EDGE_CELLS[name]
+    assert shows(_full_scan(e, tau, sigma2))
+    got = _outcome(_profile_posterior_mode, e, tau, sigma2)
+    assert not got.startswith("ClosedFormError")
+    assert got == _outcome(oracle_profile_posterior_mode, e, tau, sigma2)
+
+
+def test_mode_search_prunes_most_of_the_grid(monkeypatch):
+    # the exact pass sees every row the search evaluates; with pruning bypassed
+    # it would see all 481 rows of each call
+    rows = []
+    row_sums = _Likelihood.row_sums
+
+    def spy(self, deltas, slope=False):
+        rows[-1] += len(deltas)
+        return row_sums(self, deltas, slope)
+
+    monkeypatch.setattr(_Likelihood, "row_sums", spy)
+    for _, e, tau, sigma2 in _rep_cells(*DESIGNS["burr_fig2"]):
+        rows.append(0)
+        _profile_posterior_mode(e, tau, sigma2)
+    assert len(rows) == 65
+    assert max(rows) <= 0.4 * 481, rows
 
 
 def test_ml_fit_matches_oracle(cells):
