@@ -28,7 +28,7 @@ from .simulate import (
     MCStudyConfig,
     StudyError,
     burr,
-    estimate_cell,
+    estimate_cells,
     frechet,
     k_range,
     loggamma,
@@ -185,7 +185,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     rows: list[list] = []
     for k in k_values:
-        cell = estimate_cell(sample, k, rho, names, args.x, mcmc, (args.seed,))
+        (cell,) = estimate_cells([(sample, rho, (args.seed,))], k, names, args.x, mcmc)
         row: list = [k, cell.threshold, cell.hill]
         if cell.errors:  # the row names the first estimator that failed
             rows.append(row + [None] * (len(header) - 4) + [next(iter(cell.errors.values()))])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ctypes
 import math
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 from scipy.optimize import _lbfgsb
-from scipy.special import expit, logit
+from scipy.special import logit
 
 from .classical import hill
 from .data import ExcessSet, SortedSample
@@ -30,6 +31,7 @@ __all__ = [
     "epd_survival",
     "epd_log_likelihood",
     "epd_ml_fit",
+    "epd_ml_fits",
     "epd_quantile",
     "epd_sample",
     "epd_tail_prob",
@@ -100,16 +102,18 @@ class _Likelihood:
 
     def __init__(self, e: ExcessSet, tau: float) -> None:
         y = e.y
-        if np.any(y < 1.0):
+        if (y < 1.0).any():
             raise ValueError("excesses must be >= 1")
         self.k = e.k
         self.lo = delta_lower_bound(tau) if tau < 0 else math.inf
         self.log_y = np.log(y)
         p = y ** tau
-        self.coef = np.vstack([1.0 - p, 1.0 - (1.0 + tau) * p])
+        self.coef = np.empty((2, y.size))
         self.a, self.b = self.coef
-        self.ext = (float(self.a.min()), float(self.a.max()),
-                    float(self.b.min()), float(self.b.max()))
+        np.subtract(1.0, p, out=self.a)
+        np.subtract(1.0, np.multiply(1.0 + tau, p, out=self.b), out=self.b)
+        (a_lo, b_lo), (a_hi, b_hi) = self.coef.min(axis=1).tolist(), self.coef.max(axis=1).tolist()
+        self.ext = (a_lo, a_hi, b_lo, b_hi)
         self._work = np.empty_like(self.coef)
         self._work_a = self._work[0]
 
@@ -142,21 +146,53 @@ class _Likelihood:
         return -math.log(xi) - (1.0 / xi + 1.0) * (float(s1) / k) + float(s2) / k
 
     def value_and_grad(self, xi: float, delta: float) -> tuple[float, float, float] | None:
-        """The value and gradient from one 1 + delta*coef and one log; None outside the region."""
+        """The value and gradient by the ML fit's pass, on one lane; None outside the region."""
         if not (xi > 0 and delta > self.lo) or self.inadmissible(delta):
             return None
-        t = self._work
-        np.multiply(self.coef, delta, out=t)
-        np.add(t, 1.0, out=t)
-        r1, r2 = np.add.reduce(self.coef / t, axis=1)
-        np.log(t, out=t)
-        np.add(self._work_a, self.log_y, out=self._work_a)
-        s1, s2 = np.add.reduce(t, axis=1)
-        k = self.k
-        value = -math.log(xi) - (1.0 / xi + 1.0) * (float(s1) / k) + float(s2) / k
-        d_xi = -1.0 / xi + (float(s1) / k) / xi ** 2
-        d_delta = -(1.0 / xi + 1.0) * (float(r1) / k) + float(r2) / k
-        return value, d_xi, d_delta
+        (sums,) = _fg_sums(self.coef[:, None], self.log_y[None], np.array([delta]))
+        return _value_and_grad(xi, self.k, *sums)
+
+
+def _fg_sums(coef: np.ndarray, log_y: np.ndarray, deltas: np.ndarray):
+    """Per lane, the four sums that the value and gradient need, by one pass.
+
+    ``coef`` stacks the lanes' coefficient rows as (2 x lanes x k),
+    ``log_y`` their log excesses (lanes x k), and ``deltas`` holds one
+    delta per lane. Yields per lane the sums of log y + log(1 + delta*a),
+    log(1 + delta*b), a/(1 + delta*a) and b/(1 + delta*b): one multiply,
+    add, divide and log over a (4 x lanes x k) block and one row-wise
+    ``np.add.reduce``. Each row is reduced alone, so a lane's sums do not
+    depend on the others.
+    """
+    w = np.empty((4, *log_y.shape))
+    t = w[:2]
+    np.multiply(coef, deltas[:, None], out=t)
+    np.add(t, 1.0, out=t)
+    np.divide(coef, t, out=w[2:])
+    np.log(t, out=t)
+    np.add(w[0], log_y, out=w[0])
+    return zip(*np.add.reduce(w, axis=2).tolist())
+
+
+def _value_and_grad(xi: float, k: int, s1: float, s2: float,
+                    r1: float, r2: float) -> tuple[float, float, float]:
+    """The mean log-likelihood and its gradient in (xi, delta) from one lane's ``_fg_sums``."""
+    value = -math.log(xi) - (1.0 / xi + 1.0) * (s1 / k) + s2 / k
+    d_xi = -1.0 / xi + (s1 / k) / xi ** 2
+    d_delta = -(1.0 / xi + 1.0) * (r1 / k) + r2 / k
+    return value, d_xi, d_delta
+
+
+def _expit(v: float) -> float:
+    """scipy's ``expit`` on a Python float, without the cost of a ufunc call.
+
+    scipy computes the same 1 / (1 + exp(-v)), so the bits agree; where
+    exp(-v) overflows both give 0.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
 
 
 @cache
@@ -241,8 +277,124 @@ def epd_log_likelihood(xi: float, delta: float, tau: float, e: ExcessSet) -> flo
     return _Likelihood(e, tau)(xi, delta)
 
 
+class _Lane:
+    """One ML fit's L-BFGS-B state: the point, value and gradient, and the core's workspace.
+
+    The arguments of ``_lbfgsb.setulb`` keep scipy's order and workspace
+    sizes; nbd = 0 leaves both coordinates unbounded, so the two bound
+    vectors are never read.
+    """
+
+    def __init__(self, e: ExcessSet, tau: float) -> None:
+        if e.k < 10:
+            raise ValueError(f"need at least 10 excesses to fit, got {e.k}")
+        if tau >= 0:
+            raise ValueError(f"tau must be negative, got {tau}")
+        h = hill(e)
+        if h <= 0:
+            raise ValueError("all excesses are ties; the likelihood has no interior maximum")
+        self.lik = _Likelihood(e, tau)
+        self.tau = tau
+        self.lo = self.lik.lo
+        self.span = DELTA_MAX - self.lo
+        n = 2
+        self.x = np.array([math.log(h), float(logit((0.0 - self.lo) / self.span))])
+        self.f, self.g = 0.0, np.zeros(n)
+        self.no_bound, self.nbd = np.zeros(n), np.zeros(n, np.int32)
+        self.wa = np.zeros(2 * _LBFGSB_M * n + 5 * n + 11 * _LBFGSB_M ** 2 + 8 * _LBFGSB_M)
+        self.iwa = np.zeros(3 * n, np.int32)
+        self.task, self.ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+        self.lsave, self.isave, self.dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+        self.iterations = self.evaluations = 0
+
+    def unpack(self) -> tuple[float, float, float]:
+        """(xi, delta, sigmoid) at the core's point (log xi, logit-mapped delta)."""
+        u, v = self.x.tolist()
+        sig = _expit(v)
+        return math.exp(min(max(u, -40.0), 40.0)), self.lo + self.span * sig, sig
+
+    def advance(self) -> bool:
+        """Run the core until it asks for the value and gradient at x (True) or stops (False).
+
+        The loop is the one ``scipy.optimize.minimize(method="L-BFGS-B")``
+        runs, with scipy's iteration and evaluation limits.
+        """
+        task = self.task
+        while True:
+            _lbfgsb.setulb(_LBFGSB_M, self.x, self.no_bound, self.no_bound, self.nbd, self.f,
+                           self.g, _LBFGSB_FACTR, _LBFGSB_PGTOL, self.wa, self.iwa, task,
+                           self.lsave, self.isave, self.dsave, _LBFGSB_MAXLS, self.ln_task)
+            if task[0] == 3:  # FG: the value and the gradient at x
+                self.evaluations += 1
+                return True
+            if task[0] != 1:
+                return False
+            self.iterations += 1  # NEW_X: an iteration is done; scipy's two limits
+            if self.iterations >= _LBFGSB_MAXITER:
+                task[:] = 5, 504
+            elif self.evaluations > _LBFGSB_MAXFUN:
+                task[:] = 5, 502
+
+    def result(self) -> EPDFit:
+        xi, delta, _ = self.unpack()
+        return EPDFit(params=EPDParams(xi=xi, delta=delta, tau=self.tau), loglik=-self.f,
+                      converged=bool(self.task[0] == 4), iterations=self.iterations)
+
+
+def epd_ml_fits(lanes: Sequence[tuple[ExcessSet, float]]) -> list[EPDFit | ValueError]:
+    """Maximum-likelihood fits of (xi, delta) at fixed tau, one per (excesses, tau) lane.
+
+    Every lane runs its own L-BFGS-B search, ``_Lane``, and the lanes
+    advance in lockstep: each round, one ``_fg_sums`` pass answers every
+    lane that asks for a value and gradient. A lane's fit is the bits it
+    gets alone, since no sum mixes lanes. The lanes share k; a lane that
+    cannot be fit holds its ValueError.
+    """
+    out: list = []
+    for e, tau in lanes:
+        try:
+            out.append(_Lane(e, tau))
+        except ValueError as exc:
+            out.append(exc)
+    live = [lane for lane in out if isinstance(lane, _Lane)]
+    if len({lane.lik.k for lane in live}) > 1:
+        raise ValueError("the lanes of a lockstep fit must share k")
+    if live:
+        coef = np.stack([lane.lik.coef for lane in live], axis=1)
+        log_y = np.stack([lane.lik.log_y for lane in live])
+        with _ONE_BLAS_THREAD:
+            asking = [i for i, lane in enumerate(live) if lane.advance()]
+            while asking:
+                rows, deltas, todo = [], [], []
+                for i in asking:
+                    lane = live[i]
+                    xi, delta, sig = lane.unpack()
+                    if xi > 0 and delta > lane.lo and not lane.lik.inadmissible(delta):
+                        rows.append(i)
+                        deltas.append(delta)
+                        todo.append((lane, xi, sig))
+                    else:  # big finite penalty so the line search backtracks from the region edge
+                        lane.f = 1e12
+                        lane.g[:] = 0.0
+                if todo:  # one pass for the lanes inside the region, all of them if all ask
+                    block = (coef, log_y) if len(rows) == len(live) else (coef[:, rows], log_y[rows])
+                    for (lane, xi, sig), sums in zip(todo, _fg_sums(*block, np.array(deltas))):
+                        value, d_xi, d_delta = _value_and_grad(xi, lane.lik.k, *sums)
+                        lane.f = -value
+                        lane.g[0] = -(d_xi * xi)
+                        lane.g[1] = -(d_delta * lane.span * sig * (1.0 - sig))
+                asking = [i for i in asking if live[i].advance()]
+    fits = []
+    for lane in out:
+        try:
+            fits.append(lane.result() if isinstance(lane, _Lane) else lane)
+        except ValueError as exc:  # the search ended on the edge of the region
+            fits.append(exc)
+    return fits
+
+
 def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
-    """Maximum-likelihood fit of (xi, delta) at fixed tau.
+    """Maximum-likelihood fit of (xi, delta) at fixed tau: ``epd_ml_fits`` on one lane.
 
     Quasi-Newton search on (log xi, logit-mapped delta) so both
     constraints hold throughout; started at the Hill estimate with
@@ -255,66 +407,10 @@ def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
     converged when the core stops with CONVERGENCE (task 4); the
     log-likelihood is minus the last value handed to the core.
     """
-    if e.k < 10:
-        raise ValueError(f"need at least 10 excesses to fit, got {e.k}")
-    if tau >= 0:
-        raise ValueError(f"tau must be negative, got {tau}")
-    h = hill(e)
-    if h <= 0:
-        raise ValueError("all excesses are ties; the likelihood has no interior maximum")
-
-    lik = _Likelihood(e, tau)
-    lo = lik.lo
-    span = DELTA_MAX - lo
-
-    def unpack(u: float, v: float) -> tuple[float, float, float]:
-        sig = float(expit(v))
-        return math.exp(min(max(u, -40.0), 40.0)), lo + span * sig, sig
-
-    # setulb's arguments with scipy's argument order and workspace sizes; nbd = 0
-    # leaves both coordinates unbounded, so the two bound vectors are never read
-    n = 2
-    x = np.array([math.log(h), float(logit((0.0 - lo) / span))])
-    f, g = 0.0, np.zeros(n)
-    no_bound, nbd = np.zeros(n), np.zeros(n, np.int32)
-    wa = np.zeros(2 * _LBFGSB_M * n + 5 * n + 11 * _LBFGSB_M ** 2 + 8 * _LBFGSB_M)
-    iwa = np.zeros(3 * n, np.int32)
-    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
-    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
-    iterations = evaluations = 0
-    with _ONE_BLAS_THREAD:
-        while True:
-            _lbfgsb.setulb(_LBFGSB_M, x, no_bound, no_bound, nbd, f, g, _LBFGSB_FACTR,
-                           _LBFGSB_PGTOL, wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS,
-                           ln_task)
-            if task[0] == 3:  # FG: the value and the gradient at x
-                evaluations += 1
-                xi, delta, sig = unpack(*x.tolist())
-                out = lik.value_and_grad(xi, delta)
-                if out is None:
-                    # big finite penalty so the line search backtracks from the region edge
-                    f = 1e12
-                    g[:] = 0.0
-                else:
-                    val, d_xi, d_delta = out
-                    f = -val
-                    g[0] = -(d_xi * xi)
-                    g[1] = -(d_delta * span * sig * (1.0 - sig))
-            elif task[0] == 1:  # NEW_X: an iteration is done; scipy's two limits
-                iterations += 1
-                if iterations >= _LBFGSB_MAXITER:
-                    task[:] = 5, 504
-                elif evaluations > _LBFGSB_MAXFUN:
-                    task[:] = 5, 502
-            else:
-                break
-    xi_hat, delta_hat, _ = unpack(*x.tolist())
-    return EPDFit(
-        params=EPDParams(xi=xi_hat, delta=delta_hat, tau=tau),
-        loglik=-f,
-        converged=bool(task[0] == 4),
-        iterations=iterations,
-    )
+    (fit,) = epd_ml_fits([(e, tau)])
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit
 
 
 def _invert_survival(p: EPDParams, targets: np.ndarray, rtol: float = 1e-13) -> np.ndarray:

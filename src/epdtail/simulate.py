@@ -1,16 +1,22 @@
 """Monte Carlo study harness: reference distributions, replication, aggregation.
 
-Replications are independent work units with per-replication seeds
-derived from the master seed, so results are bit-identical for any
-worker count. Each threshold is one ``estimate_cell``, as in ``epdtail
-estimate``; an estimator's ValueError or RuntimeError is excluded
-cell-wise and counted, and a run aborts when exclusions exceed 5%.
+Every replication draws its sample from its own seed, derived from the
+master seed. A study runs its replications in chunks, the work unit of
+the process pool, and a chunk runs threshold by threshold: at each k,
+``estimate_cells`` estimates on every replication of the chunk (its
+lanes), as ``epdtail estimate`` does on its one sample. The lanes' ML
+fits run in lockstep, one likelihood pass per step for all of them
+(``epd_ml_fits``); every other estimator runs lane by lane. No sum mixes
+lanes, so results are bit-identical for any chunking and worker count.
+An estimator's ValueError or RuntimeError is excluded cell-wise and
+counted, and a run aborts when exclusions exceed 5%.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
@@ -30,7 +36,7 @@ from .bayes import (
 )
 from .classical import hill, weissman_tail_prob
 from .data import SortedSample, excesses
-from .epd import epd_ml_fit, epd_tail_prob
+from .epd import epd_ml_fits, epd_tail_prob
 from .second_order import resolve_rho, tau_hat
 
 __all__ = [
@@ -44,7 +50,7 @@ __all__ = [
     "sample_distribution",
     "k_range",
     "Cell",
-    "estimate_cell",
+    "estimate_cells",
     "MCStudyConfig",
     "EstimatorMetrics",
     "MCStudyResult",
@@ -59,7 +65,8 @@ ESTIMATORS = ("hill", "epd_ml", "bayes_closed", "bayes_mcmc")
 # NonEstimableError (a ValueError) and ClosedFormError (a RuntimeError)
 _CELL_ERRORS = (ValueError, RuntimeError)
 _FAILED = (math.nan, math.nan, math.nan)
-_CHUNKSIZE = 8  # replications per task of the process pool
+# replications per chunk: reps / workers, clamped to [_CHUNK_MIN, _CHUNK_MAX]
+_CHUNK_MIN, _CHUNK_MAX = 8, 32
 
 
 class StudyError(RuntimeError):
@@ -150,7 +157,10 @@ def sample_distribution(d: SimDistribution, n: int, seed) -> SortedSample:
         x = (s ** rho - 1.0) ** (-xi / rho)
     elif d.kind == "loggamma":
         shape, rate = d.args
-        x = np.exp(rng.gamma(shape, 1.0 / rate, size=n))
+        with np.errstate(over="ignore"):  # reported below, as an OverflowError
+            x = np.exp(rng.gamma(shape, 1.0 / rate, size=n))
+        if not np.isfinite(x).all():
+            raise OverflowError(f"a {d.kind}{d.args} draw overflows a float")
     else:
         raise ValueError(f"unknown distribution kind {d.kind!r}")
     return SortedSample(x)
@@ -205,10 +215,14 @@ class MCStudyConfig:
                 raise ValueError(f"unknown estimator {name!r}; supported: {ESTIMATORS}")
         if not self.estimators:
             raise ValueError("need at least one estimator")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ValueError(f"an estimator is named twice in {','.join(self.estimators)}")
         if self.rho_mode not in ("fraga", "fixed_minus_one"):
             raise ValueError("rho_mode must be 'fraga' or 'fixed_minus_one'")
-        if not 0.0 < self.target_p < 1.0:
-            raise ValueError("target_p must be in (0, 1)")
+        # 1 - target_p, the level of the true quantile, must also lie below 1: it
+        # rounds to 1 at target_p <= 2**-54
+        if not (0.0 < self.target_p < 1.0 and 1.0 - self.target_p < 1.0):
+            raise ValueError(f"target_p must be in (0, 1) with 1 - target_p below 1, got {self.target_p}")
         if self.smooth_window < 0 or (self.smooth_window > 1 and self.smooth_window % 2 == 0):
             raise ValueError("smooth_window must be 0 (off) or odd")
         if self.k_grid is not None and not self.k_grid:
@@ -264,66 +278,95 @@ class Cell:
     chain: PosteriorChain | None = None
 
 
-def estimate_cell(sample: SortedSample, k: int, rho: float, estimators: tuple[str, ...],
-                  x: float | None = None, mcmc: MCMCConfig | None = None,
-                  run_key: tuple[int, ...] = ()) -> Cell:
-    """Run each of ``estimators`` (names from ``ESTIMATORS``) at threshold k.
+def estimate_cells(lanes: Sequence[tuple[SortedSample, float, tuple[int, ...]]], k: int,
+                   estimators: tuple[str, ...], x: float | None = None,
+                   mcmc: MCMCConfig | None = None) -> list[Cell]:
+    """Run each of ``estimators`` (names from ``ESTIMATORS``) at threshold k, lane by lane.
 
-    A ValueError or RuntimeError fails only the estimator that raised it;
-    when tau cannot be estimated every estimator fails. Other errors
-    propagate. The ``bayes_mcmc`` chain runs ``mcmc`` with its seed drawn
-    from ``SeedSequence((*run_key, k))``.
+    A lane is a (sample, rho, run_key) triple; one Cell per lane comes
+    back. The ML fits of all lanes run in lockstep (``epd_ml_fits``), and
+    each gives the bits of a fit alone. A ValueError or RuntimeError
+    fails only the estimator that raised it; when tau cannot be estimated
+    every estimator fails. Other errors propagate. The ``bayes_mcmc``
+    chain runs ``mcmc`` with its seed drawn from ``SeedSequence((*run_key, k))``.
     """
-    e = excesses(sample, k)
-    h = hill(e)
-    try:
-        tau, sigma2 = tau_hat(rho, h), prior_variance(k, sample.n, rho)
-    except _CELL_ERRORS as exc:  # every estimator needs tau
-        return Cell(e.threshold, h, math.nan, math.nan, dict.fromkeys(estimators, _FAILED),
-                    dict.fromkeys(estimators, type(exc).__name__))
-    tail = x is not None and x >= e.threshold
-    estimates, errors, chain = {}, {}, None
-    for name in estimators:
+    heads = []  # per lane: its excesses, Hill, and (tau, sigma2) or the error every estimator gets
+    for sample, rho, _ in lanes:
+        e = excesses(sample, k)
+        h = hill(e)
         try:
-            if name == "hill":
-                estimates[name] = (h, 0.0, weissman_tail_prob(sample, k, x, h) if tail else math.nan)
-            elif name == "epd_ml":
-                params = epd_ml_fit(e, tau).params
-                estimates[name] = (params.xi, params.delta,
-                                   epd_tail_prob(sample, k, x, params) if tail else math.nan)
-            else:
-                if name == "bayes_closed":
-                    est = bayes_closed_form(e, tau, sigma2)
+            heads.append((e, h, (tau_hat(rho, h), prior_variance(k, sample.n, rho))))
+        except _CELL_ERRORS as exc:  # every estimator needs tau
+            heads.append((e, h, exc))
+    fitted = [(e, prior[0]) for e, _, prior in heads if isinstance(prior, tuple)]
+    fits = iter(epd_ml_fits(fitted) if "epd_ml" in estimators else ())
+    cells = []
+    for (sample, _, run_key), (e, h, prior) in zip(lanes, heads):
+        if not isinstance(prior, tuple):
+            cells.append(Cell(e.threshold, h, math.nan, math.nan, dict.fromkeys(estimators, _FAILED),
+                              dict.fromkeys(estimators, type(prior).__name__)))
+            continue
+        tau, sigma2 = prior
+        tail = x is not None and x >= e.threshold
+        estimates, errors, chain = {}, {}, None
+        for name in estimators:
+            try:
+                if name == "hill":
+                    estimates[name] = (h, 0.0, weissman_tail_prob(sample, k, x, h) if tail else math.nan)
+                elif name == "epd_ml":
+                    fit = next(fits)
+                    if isinstance(fit, Exception):
+                        raise fit
+                    estimates[name] = (fit.params.xi, fit.params.delta,
+                                       epd_tail_prob(sample, k, x, fit.params) if tail else math.nan)
                 else:
-                    seed = int(np.random.SeedSequence((*run_key, k)).generate_state(1)[0])
-                    chain = metropolis_sample(e, tau, sigma2, replace(mcmc, seed=seed))
-                    est = BayesEstimate(*posterior_mode(chain), solver="mcmc")
-                estimates[name] = (est.xi, est.delta,
-                                   bayes_tail_prob(sample, k, x, est, tau) if tail else math.nan)
-        except _CELL_ERRORS as exc:
-            estimates[name] = _FAILED
-            errors[name] = type(exc).__name__
-    return Cell(e.threshold, h, tau, sigma2, estimates, errors, chain)
+                    if name == "bayes_closed":
+                        est = bayes_closed_form(e, tau, sigma2)
+                    else:
+                        seed = int(np.random.SeedSequence((*run_key, k)).generate_state(1)[0])
+                        chain = metropolis_sample(e, tau, sigma2, replace(mcmc, seed=seed))
+                        est = BayesEstimate(*posterior_mode(chain), solver="mcmc")
+                    estimates[name] = (est.xi, est.delta,
+                                       bayes_tail_prob(sample, k, x, est, tau) if tail else math.nan)
+            except _CELL_ERRORS as exc:
+                estimates[name] = _FAILED
+                errors[name] = type(exc).__name__
+        cells.append(Cell(e.threshold, h, tau, sigma2, estimates, errors, chain))
+    return cells
 
 
-def _study_rep(cfg: MCStudyConfig, k_grid: tuple[int, ...], x_level: float, rep: int):
-    """One replication: estimate xi and the tail probability on every k.
+def _chunk_size(reps: int, workers: int) -> int:
+    """Replications per chunk: an equal share per worker, at least 8 and at most 32.
 
-    Returns two (n_estimators, n_k) arrays; failed cells are nan.
+    A chunk of 8 or more keeps a pool at ``ceil(reps / 8)`` processes or
+    fewer; above 32 lanes the lockstep fits gain little more.
     """
-    s = sample_distribution(cfg.dist, cfg.n, np.random.SeedSequence((cfg.master_seed, rep)))
-    rho = resolve_rho(s)[0] if cfg.rho_mode == "fraga" else -1.0
+    return min(max(math.ceil(reps / workers), _CHUNK_MIN), _CHUNK_MAX)
+
+
+def _study_chunk(cfg: MCStudyConfig, k_grid: tuple[int, ...], x_level: float, reps: range):
+    """A chunk of replications: estimate xi and the tail probability on every k.
+
+    Returns two (n_reps, n_estimators, n_k) arrays; failed cells are nan.
+    """
+    lanes = []
+    for rep in reps:
+        s = sample_distribution(cfg.dist, cfg.n, np.random.SeedSequence((cfg.master_seed, rep)))
+        rho = resolve_rho(s)[0] if cfg.rho_mode == "fraga" else -1.0
+        lanes.append((s, rho, (cfg.master_seed, rep)))
     mcmc = MCMCConfig(cfg.mcmc_iterations, cfg.mcmc_burn_in)
-    cells = [estimate_cell(s, k, rho, cfg.estimators, x_level, mcmc, (cfg.master_seed, rep))
-             for k in k_grid]
-    est = np.array([[c.estimates[name] for c in cells] for name in cfg.estimators])
+    est = np.empty((len(reps), len(cfg.estimators), len(k_grid), 3))
+    for j, k in enumerate(k_grid):
+        for lane, cell in enumerate(estimate_cells(lanes, k, cfg.estimators, x_level, mcmc)):
+            est[lane, :, j] = [cell.estimates[name] for name in cfg.estimators]
     xi_out, p_out = est[..., 0], est[..., 2]
 
     if cfg.smooth_window >= 3:
         for i, name in enumerate(cfg.estimators):
             if name in ("bayes_closed", "bayes_mcmc"):
-                xi_out[i] = smooth_path(xi_out[i], cfg.smooth_window)
-                p_out[i] = smooth_path(p_out[i], cfg.smooth_window)
+                for lane in range(len(reps)):
+                    xi_out[lane, i] = smooth_path(xi_out[lane, i], cfg.smooth_window)
+                    p_out[lane, i] = smooth_path(p_out[lane, i], cfg.smooth_window)
     return xi_out, p_out
 
 
@@ -331,16 +374,18 @@ def run_study(cfg: MCStudyConfig, workers: int = 1) -> MCStudyResult:
     """Run the replicated study; deterministic in master_seed, any worker count."""
     k_grid = cfg.resolved_k_grid()
     x_level = true_quantile(cfg.dist, 1.0 - cfg.target_p)
-    rep_fn = partial(_study_rep, cfg, k_grid, x_level)
+    chunk_fn = partial(_study_chunk, cfg, k_grid, x_level)
+    size = _chunk_size(cfg.reps, workers)
+    chunks = [range(start, min(start + size, cfg.reps)) for start in range(0, cfg.reps, size)]
 
-    if workers > 1:  # a process past one per chunk of replications would have no work
-        with ProcessPoolExecutor(max_workers=min(workers, math.ceil(cfg.reps / _CHUNKSIZE))) as pool:
-            per_rep = list(pool.map(rep_fn, range(cfg.reps), chunksize=_CHUNKSIZE))
+    if workers > 1:  # a process past one per chunk would have no work
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            per_chunk = list(pool.map(chunk_fn, chunks))
     else:
-        per_rep = [rep_fn(r) for r in range(cfg.reps)]
+        per_chunk = [chunk_fn(c) for c in chunks]
 
-    xi_all = np.stack([r[0] for r in per_rep])  # (reps, est, k)
-    p_all = np.stack([r[1] for r in per_rep])
+    xi_all = np.concatenate([c[0] for c in per_chunk])  # (reps, est, k)
+    p_all = np.concatenate([c[1] for c in per_chunk])
     valid = np.isfinite(xi_all) & np.isfinite(p_all)
     excluded_total = int(valid.size - valid.sum())
     frac = excluded_total / valid.size

@@ -231,7 +231,13 @@ def _write_sample(path: Path, sample) -> Path:
 
 
 class TestSharedCell:
-    """``estimate`` and the study run one per-threshold cell, ``simulate.estimate_cell``."""
+    """``estimate`` and the study run one per-threshold cell, ``simulate.estimate_cells``.
+
+    ``estimate`` runs it on one sample; the study's chunk unit runs it on
+    every replication of the chunk, whose ML fits run in lockstep. The
+    study side here is a chunk of three replications, of which the sample
+    is the first.
+    """
 
     K_GRID = (20, 40, 60)
 
@@ -251,25 +257,30 @@ class TestSharedCell:
                      "--k-step", "20", "--out", str(out)]) == 0
         return _read_rows(out)
 
+    def _chunk(self, cfg, x):
+        """Replication 0's (n_estimators, n_k) xi and probability arrays, from a chunk of three."""
+        xi, p = sim._study_chunk(cfg, self.K_GRID, x, range(3))
+        return xi[0], p[0]
+
     def test_estimate_rows_equal_the_study_cells(self, tmp_path):
         cfg, x, sample = self._study()
-        xi, p = sim._study_rep(cfg, self.K_GRID, x, 0)
+        xi, p = self._chunk(cfg, x)
         rows = self._estimate(tmp_path, sample, x)
         for j, row in enumerate(rows):
             assert [row[c] for c in ("hill_xi", "ml_xi", "bayes_xi")] == [_fmt(v) for v in xi[:, j]]
             assert [row[c] for c in ("p_weissman", "p_epd_ml", "p_bayes")] == [_fmt(v) for v in p[:, j]]
 
     def test_a_failed_fit_fails_only_its_estimator(self, tmp_path, monkeypatch):
-        real = sim.epd_ml_fit
+        real = sim.epd_ml_fits
 
-        def failing_at_40(e, tau):
-            if e.k == 40:
-                raise RuntimeError("no fit")
-            return real(e, tau)
+        def failing_at_40(lanes):
+            # every lane's fit fails at k = 40, as an error the driver hands back
+            fits = real(lanes)
+            return [RuntimeError("no fit") if e.k == 40 else fit for (e, _), fit in zip(lanes, fits)]
 
-        monkeypatch.setattr(sim, "epd_ml_fit", failing_at_40)
+        monkeypatch.setattr(sim, "epd_ml_fits", failing_at_40)
         cfg, x, sample = self._study()
-        xi, p = sim._study_rep(cfg, self.K_GRID, x, 0)
+        xi, p = self._chunk(cfg, x)
         assert np.isnan(xi[1, 1]) and np.isnan(p[1, 1])
         assert np.isfinite(xi[[0, 2], 1]).all() and np.isfinite(p[[0, 2], 1]).all()
         assert np.isfinite(xi[:, [0, 2]]).all()
@@ -365,6 +376,29 @@ class TestSimulate:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == "usage error: not enough memory for the requested run (MemoryError)\n"
+        assert not (tmp_path / "study.csv").exists()
+
+    @pytest.mark.parametrize("dist", ["frechet:1e308", "loggamma:4:1e-308"])
+    def test_overflowing_law_is_a_numerical_failure(self, tmp_path, capsys, dist):
+        # the Fréchet quantile or the loggamma draws overflow a float: one line, exit 3
+        out = tmp_path / "study.csv"
+        assert main(["simulate", "--dist", dist, "--n", "60", "--reps", "2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target_p", ["5e-17", "1e-320"])
+    def test_target_p_below_the_float_spacing_at_one_is_usage_error(self, tmp_path, capsys,
+                                                                     target_p):
+        # 1 - target_p rounds to 1, where the true quantile is not defined
+        argv = self._args(tmp_path, **{"--dist": "frechet:0.5", "--target-p": target_p})
+        assert main(argv) == 1
+        assert "usage error: target_p" in capsys.readouterr().err
+        assert not (tmp_path / "study.csv").exists()
+
+    def test_estimator_named_twice_is_usage_error(self, tmp_path, capsys):
+        assert main(self._args(tmp_path, **{"--estimators": "hill,hill"})) == 1
+        assert "usage error: an estimator is named twice" in capsys.readouterr().err
         assert not (tmp_path / "study.csv").exists()
 
     def test_payload_config_is_the_study_config(self, tmp_path):

@@ -6,6 +6,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.special import expit
 from scipy.stats import kstest
 
 import epdtail as et
@@ -204,6 +207,48 @@ class TestOneBlasThread:
             et.epd_ml_fit(pareto_excesses(1.0, 100, 0), -1.0)
         assert threads() == 2
 
+    def test_lockstep_fits_enter_the_cap_once_and_run_on_one_thread(self, threads, monkeypatch):
+        seen, entries = [], []
+        setulb = epd._lbfgsb.setulb
+        cap = epd._ONE_BLAS_THREAD
+
+        def spy(*args):
+            seen.append(threads())
+            return setulb(*args)
+
+        class CountingCap:
+            def __enter__(self):
+                entries.append(threads())
+                return cap.__enter__()
+
+            def __exit__(self, *exc):
+                return cap.__exit__(*exc)
+
+        monkeypatch.setattr(epd._lbfgsb, "setulb", spy)
+        monkeypatch.setattr(epd, "_ONE_BLAS_THREAD", CountingCap())
+        fits = epd.epd_ml_fits([(pareto_excesses(1.0, 100, (0, j)), -1.0) for j in range(8)])
+        assert all(isinstance(fit, et.EPDFit) for fit in fits)
+        assert entries == [2]
+        assert len(seen) > 8 and set(seen) == {1}
+        assert threads() == 2
+
+    def test_count_restored_when_a_lane_of_a_lockstep_fit_raises(self, threads, monkeypatch):
+        # the core fails on its 20th call, a few rounds into the fit of 8 lanes
+        calls = []
+        setulb = epd._lbfgsb.setulb
+
+        def failing(*args):
+            calls.append(threads())
+            if len(calls) == 20:
+                raise RuntimeError("minimizer failed")
+            return setulb(*args)
+
+        monkeypatch.setattr(epd._lbfgsb, "setulb", failing)
+        with pytest.raises(RuntimeError, match="minimizer failed"):
+            epd.epd_ml_fits([(pareto_excesses(1.0, 100, (0, j)), -1.0) for j in range(8)])
+        assert len(calls) == 20 and set(calls) == {1}
+        assert threads() == 2
+
     def test_overlapping_caps_restore_when_the_last_one_leaves(self, threads):
         cap = epd._OneBlasThread()
         with cap:
@@ -252,6 +297,18 @@ class TestOneBlasThread:
         capped = fits()
         monkeypatch.setattr(epd, "_scipy_openblas", lambda: None)
         assert fits() == capped
+
+
+@given(st.one_of(st.floats(-50.0, 50.0), st.floats(allow_nan=True, allow_infinity=True)))
+@example(-709.78)
+@example(-709.8)
+@example(-745.2)
+@example(40.0)
+@example(-40.0)
+def test_expit_is_scipys_to_the_bit(v):
+    # the fit maps its second coordinate to delta through this sigmoid; an
+    # overflow of exp(-v) must give scipy's 0, not raise
+    assert repr(epd._expit(v)) == repr(float(expit(v)))
 
 
 class TestQuantileAndSampling:

@@ -7,7 +7,9 @@ design and of a design with tau < -1, and of a second Fréchet
 replication whose fits include one that does not converge. The mode
 search is also compared on four more Burr replications and on cells
 built to put its maximum or its masks at the edges of the grid. The
-study cells are built the way a study replication builds them.
+study cells are built the way a study replication builds them. The
+lockstep ML driver, ``epd_ml_fits``, must give every lane the fit that
+lane gets alone, on chunks of up to 32 replications of both designs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 
 import epdtail as et
 from epdtail.bayes import _STRIDE, ClosedFormError, _profile_posterior_mode, _Profile
-from epdtail.epd import _Likelihood
+from epdtail.epd import _Likelihood, epd_ml_fits
 from oracles import oracle_epd_ml_fit, oracle_loglik_grad, oracle_profile_posterior_mode
 
 DESIGN_SEED = 202408  # master seed of both bundled study designs
@@ -225,3 +227,62 @@ class TestFusedLikelihood:
         (pen, pen_grad, _), (val, _, _) = calls[1:3]
         assert pen == 1e12 and pen_grad == [0.0, 0.0]
         assert val < 1e12
+
+
+# the thresholds at which the lockstep fits are compared: both ends and the middle of each grid
+LANE_KS = {"burr_fig2": (90, 200, 410), "frechet_fig1": (10, 35, 60)}
+
+
+def _lanes(name, k, count):
+    """(excesses, tau) at k of the first ``count`` replications of a design, as a chunk holds them."""
+    dist, _, rho_mode = DESIGNS[name]
+    lanes = []
+    for rep in range(count):
+        s = et.sample_distribution(dist, 500, np.random.SeedSequence((DESIGN_SEED, rep)))
+        rho = et.resolve_rho(s)[0] if rho_mode == "fraga" else rho_mode
+        e = et.excesses(s, k)
+        lanes.append((e, et.tau_hat(rho, et.hill(e))))
+    return lanes
+
+
+@pytest.fixture(scope="module", params=sorted(LANE_KS))
+def lane_sets(request):
+    return {k: _lanes(request.param, k, 32) for k in LANE_KS[request.param]}
+
+
+@pytest.mark.parametrize("count", [1, 2, 8, 32])
+def test_lockstep_fits_equal_one_lane_fits_and_the_oracle(lane_sets, count):
+    for k, lanes in lane_sets.items():
+        got = [repr(fit) for fit in epd_ml_fits(lanes[:count])]
+        assert got == [repr(et.epd_ml_fit(e, tau)) for e, tau in lanes[:count]], k
+        assert got == [repr(oracle_epd_ml_fit(e, tau)) for e, tau in lanes[:count]], k
+
+
+def test_a_lane_that_raises_leaves_the_others_alone():
+    # all excesses tie at the threshold: Hill is 0 and the fit has no interior maximum
+    lanes = _lanes("frechet_fig1", 20, 3)
+    tie = (et.ExcessSet(y=np.ones(20), k=20, threshold=1.0), -1.0)
+    got = epd_ml_fits([tie, lanes[0], lanes[1], tie, lanes[2]])
+    for fit in (got[0], got[3]):
+        assert isinstance(fit, ValueError) and "ties" in str(fit)
+    assert [repr(got[i]) for i in (1, 2, 4)] == [repr(et.epd_ml_fit(e, tau)) for e, tau in lanes]
+    with pytest.raises(ValueError, match="ties"):
+        et.epd_ml_fit(*tie)
+    assert epd_ml_fits([tie, tie])[1].args == got[0].args
+
+
+def test_lanes_of_different_k_are_rejected():
+    with pytest.raises(ValueError, match="share k"):
+        epd_ml_fits(_lanes("frechet_fig1", 20, 1) + _lanes("frechet_fig1", 25, 1))
+
+
+@pytest.mark.parametrize("limit, option, value", [("_LBFGSB_MAXITER", "maxiter", 2),
+                                                  ("_LBFGSB_MAXFUN", "maxfun", 3)])
+def test_lockstep_lanes_stop_at_scipys_limits_like_the_oracle(monkeypatch, limit, option, value):
+    monkeypatch.setattr(et.epd, limit, value)
+    lanes = _lanes("burr_fig2", 200, 8)
+    got = epd_ml_fits(lanes)
+    assert not any(fit.converged for fit in got)
+    assert [repr(fit) for fit in got] == [repr(et.epd_ml_fit(e, tau)) for e, tau in lanes]
+    assert [repr(fit) for fit in got] == [repr(oracle_epd_ml_fit(e, tau, **{option: value}))
+                                          for e, tau in lanes]

@@ -72,6 +72,11 @@ class TestSampling:
     def test_all_positive(self, frechet_dist):
         assert et.sample_distribution(frechet_dist, 5000, 1).values.min() > 0
 
+    def test_overflowing_draws_are_an_arithmetic_error(self):
+        # exp(gamma / rate) is inf for a tiny rate; a study reports that as a numerical failure
+        with pytest.raises(OverflowError, match="overflows"):
+            et.sample_distribution(et.loggamma(4.0, 1e-308), 60, 0)
+
 
 class TestConfig:
     def test_defaults_resolve_k_grid(self, burr_dist):
@@ -97,6 +102,19 @@ class TestConfig:
             et.MCStudyConfig(dist=burr_dist, mcmc_iterations=100, mcmc_burn_in=200)
         with pytest.raises(ValueError, match="master_seed"):
             et.MCStudyConfig(dist=burr_dist, master_seed=-1)
+
+    def test_rejects_an_estimator_named_twice(self, burr_dist):
+        # the cells keep estimates by name, so a second "hill" would be fitted and counted twice
+        with pytest.raises(ValueError, match="named twice"):
+            et.MCStudyConfig(dist=burr_dist, estimators=("hill", "epd_ml", "hill"))
+
+    @pytest.mark.parametrize("target_p", [5e-17, 1e-320, 2.0 ** -54])
+    def test_rejects_target_p_whose_complement_rounds_to_one(self, burr_dist, target_p):
+        # the true quantile is taken at 1 - target_p, which must lie in (0, 1)
+        assert 1.0 - target_p == 1.0
+        with pytest.raises(ValueError, match="target_p"):
+            et.MCStudyConfig(dist=burr_dist, target_p=target_p)
+        et.MCStudyConfig(dist=burr_dist, target_p=2.0 ** -53)
 
 
 def _small_cfg(dist, **kw):
@@ -133,8 +151,9 @@ class TestRunStudy:
     @pytest.mark.parametrize("reps, workers, started", [(2, 5000, 1), (16, 2, 2), (17, 5, 3)])
     def test_pool_starts_at_most_one_process_per_chunk(self, frechet_dist, monkeypatch,
                                                         reps, workers, started):
-        # the pool hands out chunks of 8 replications, so a process past one per
-        # chunk has no work; this fake pool records its size and starts no process
+        # the pool hands out chunks of at least 8 replications (here exactly 8,
+        # as reps / workers is at most 8), so a process past one per chunk has
+        # no work; this fake pool records its size and starts no process
         sizes = []
 
         class RecordingPool:
@@ -147,9 +166,11 @@ class TestRunStudy:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable, chunksize):
-                assert chunksize == 8
-                return map(fn, iterable)
+            def map(self, fn, chunks):
+                chunks = list(chunks)
+                assert [len(c) for c in chunks[:-1]] == [8] * (len(chunks) - 1)
+                assert 1 <= len(chunks[-1]) <= 8
+                return map(fn, chunks)
 
         cfg = _small_cfg(frechet_dist, reps=reps, estimators=("hill",))
         serial = et.run_study(cfg, workers=1)
@@ -158,6 +179,36 @@ class TestRunStudy:
         assert sizes == [started]
         assert np.array_equal(pooled.metrics["hill"].mse, serial.metrics["hill"].mse,
                               equal_nan=True)
+
+    @pytest.mark.parametrize("reps, workers, size", [(1, 1, 8), (5, 2, 8), (33, 1, 32),
+                                                     (40, 2, 20), (200, 1, 32), (200, 16, 13)])
+    def test_chunk_size_rule(self, reps, workers, size):
+        assert sim._chunk_size(reps, workers) == size
+
+    @pytest.mark.parametrize("reps", [1, 5, 33, 40])
+    def test_metrics_do_not_depend_on_chunks_or_workers(self, burr_dist, monkeypatch, reps):
+        # chunks of one replication run every fit alone, as a study did before
+        # the fits ran in lockstep; the module rule and chunks of 3 must agree
+        # with that bit for bit, serial and pooled
+        cfg = _small_cfg(burr_dist, reps=reps)
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_CHUNK_MIN", 1)
+            m.setattr(sim, "_CHUNK_MAX", 1)
+            alone = et.run_study(cfg)
+        for size in (None, 3):
+            with monkeypatch.context() as m:
+                if size:
+                    m.setattr(sim, "_CHUNK_MIN", size)
+                    m.setattr(sim, "_CHUNK_MAX", size)
+                for workers in (1, 2):
+                    res = et.run_study(cfg, workers=workers)
+                    assert res.exclusion_fraction == alone.exclusion_fraction
+                    for name in cfg.estimators:
+                        for field in ("bias", "variance", "mse", "rel_bias", "rel_variance",
+                                      "rel_mse", "excluded"):
+                            assert np.array_equal(getattr(res.metrics[name], field),
+                                                  getattr(alone.metrics[name], field),
+                                                  equal_nan=True), (size, workers, name, field)
 
     def test_mse_identity(self, burr_dist):
         res = et.run_study(_small_cfg(burr_dist))
@@ -208,15 +259,16 @@ class TestRunStudy:
 
     def test_excessive_failures_abort(self, burr_dist, monkeypatch):
         cfg = _small_cfg(burr_dist)
-        real = sim._study_rep
+        real = sim._study_chunk
 
-        def mostly_failing(c, kg, x, rep):
-            xi, p = real(c, kg, x, rep)
-            if rep % 2 == 0:
-                xi[:] = np.nan
+        def mostly_failing(c, kg, x, reps):
+            xi, p = real(c, kg, x, reps)
+            for lane, rep in enumerate(reps):
+                if rep % 2 == 0:
+                    xi[lane] = np.nan
             return xi, p
 
-        monkeypatch.setattr(sim, "_study_rep", mostly_failing)
+        monkeypatch.setattr(sim, "_study_chunk", mostly_failing)
         with pytest.raises(et.StudyError, match="aborting"):
             et.run_study(cfg)
 
