@@ -64,9 +64,9 @@ class ExcessSet:
             raise ValueError("k must match the number of excesses and be >= 1")
         if self.threshold <= 0.0:
             raise ValueError("threshold must be positive")
-        if np.any(arr < 1.0):
+        if (arr < 1.0).any():
             raise ValueError("excesses must be >= 1")
-        if np.any(arr[:-1] < arr[1:]):
+        if (arr[:-1] < arr[1:]).any():
             raise ValueError("excesses must be non-increasing")
         arr = np.array(arr, dtype=float)
         arr.setflags(write=False)

@@ -184,11 +184,7 @@ def _value_and_grad(xi: float, k: int, s1: float, s2: float,
 
 
 def _expit(v: float) -> float:
-    """scipy's ``expit`` on a Python float, without the cost of a ufunc call.
-
-    scipy computes the same 1 / (1 + exp(-v)), so the bits agree; where
-    exp(-v) overflows both give 0.
-    """
+    """scipy's ``expit``, 1 / (1 + exp(-v)), without a ufunc call: the same bits, 0 where exp overflows."""
     try:
         return 1.0 / (1.0 + math.exp(-v))
     except OverflowError:
@@ -260,7 +256,7 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 def epd_survival(p: EPDParams, y):
     """Survival function of the excess model, vectorized over y >= 1."""
     y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr < 1.0):
+    if (y_arr < 1.0).any():
         raise ValueError("survival is defined for y >= 1 only")
     base = y_arr * (1.0 + p.delta - p.delta * y_arr ** p.tau)
     out = base ** (-1.0 / p.xi)
@@ -357,9 +353,7 @@ def epd_ml_fits(lanes: Sequence[tuple[ExcessSet, float]]) -> list[EPDFit | Value
         except ValueError as exc:
             out.append(exc)
     live = [lane for lane in out if isinstance(lane, _Lane)]
-    if len({lane.lik.k for lane in live}) > 1:
-        raise ValueError("the lanes of a lockstep fit must share k")
-    if live:
+    if live:  # np.stack raises a ValueError where the lanes' k differ
         coef = np.stack([lane.lik.coef for lane in live], axis=1)
         log_y = np.stack([lane.lik.log_y for lane in live])
         with _ONE_BLAS_THREAD:

@@ -65,8 +65,7 @@ ESTIMATORS = ("hill", "epd_ml", "bayes_closed", "bayes_mcmc")
 # NonEstimableError (a ValueError) and ClosedFormError (a RuntimeError)
 _CELL_ERRORS = (ValueError, RuntimeError)
 _FAILED = (math.nan, math.nan, math.nan)
-# replications per chunk: reps / workers, clamped to [_CHUNK_MIN, _CHUNK_MAX]
-_CHUNK_MIN, _CHUNK_MAX = 8, 32
+_CHUNK_MIN, _CHUNK_MAX = 8, 32  # the bounds of a chunk's replications, see _chunk_size
 
 
 class StudyError(RuntimeError):
@@ -336,10 +335,10 @@ def estimate_cells(lanes: Sequence[tuple[SortedSample, float, tuple[int, ...]]],
 
 
 def _chunk_size(reps: int, workers: int) -> int:
-    """Replications per chunk: an equal share per worker, at least 8 and at most 32.
+    """Replications per chunk: an equal share per worker, clamped to [8, 32].
 
-    A chunk of 8 or more keeps a pool at ``ceil(reps / 8)`` processes or
-    fewer; above 32 lanes the lockstep fits gain little more.
+    At least 8 keeps a pool at ``ceil(reps / 8)`` processes; past 32 lanes
+    the lockstep fits gain little.
     """
     return min(max(math.ceil(reps / workers), _CHUNK_MIN), _CHUNK_MAX)
 
@@ -376,7 +375,7 @@ def run_study(cfg: MCStudyConfig, workers: int = 1) -> MCStudyResult:
     x_level = true_quantile(cfg.dist, 1.0 - cfg.target_p)
     chunk_fn = partial(_study_chunk, cfg, k_grid, x_level)
     size = _chunk_size(cfg.reps, workers)
-    chunks = [range(start, min(start + size, cfg.reps)) for start in range(0, cfg.reps, size)]
+    chunks = [range(cfg.reps)[start:start + size] for start in range(0, cfg.reps, size)]
 
     if workers > 1:  # a process past one per chunk would have no work
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:

@@ -272,7 +272,7 @@ def test_a_lane_that_raises_leaves_the_others_alone():
 
 
 def test_lanes_of_different_k_are_rejected():
-    with pytest.raises(ValueError, match="share k"):
+    with pytest.raises(ValueError):
         epd_ml_fits(_lanes("frechet_fig1", 20, 1) + _lanes("frechet_fig1", 25, 1))
 
 
