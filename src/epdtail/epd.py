@@ -332,6 +332,8 @@ class _Lane:
                 task[:] = 5, 502
 
     def result(self) -> EPDFit:
+        # x at the stop is the start or an accepted iterate, whose value is below the
+        # start's and so far below the penalty: a point inside the region
         xi, delta, _ = self.unpack()
         return EPDFit(params=EPDParams(xi=xi, delta=delta, tau=self.tau), loglik=-self.f,
                       converged=bool(self.task[0] == 4), iterations=self.iterations)
@@ -378,13 +380,7 @@ def epd_ml_fits(lanes: Sequence[tuple[ExcessSet, float]]) -> list[EPDFit | Value
                         lane.g[0] = -(d_xi * xi)
                         lane.g[1] = -(d_delta * lane.span * sig * (1.0 - sig))
                 asking = [i for i in asking if live[i].advance()]
-    fits = []
-    for lane in out:
-        try:
-            fits.append(lane.result() if isinstance(lane, _Lane) else lane)
-        except ValueError as exc:  # the search ended on the edge of the region
-            fits.append(exc)
-    return fits
+    return [lane.result() if isinstance(lane, _Lane) else lane for lane in out]
 
 
 def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
