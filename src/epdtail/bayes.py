@@ -5,17 +5,19 @@ variance shrinks with the threshold, and the tail index gets a proper
 gamma approximation of the maximal-data-information prior. Estimation is
 by posterior mode, either through the first-order estimating equations
 (with an exact-mode fallback where those have no solution) or through a
-random-walk Metropolis chain.
+random-walk Metropolis chain. The exact-mode search runs on lanes that
+share k in lockstep, in passes of a fixed size, and polishes with an
+in-house port of scipy's bounded scalar minimizer.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, ndtr
 
 from .classical import hill, moment_stat
@@ -36,8 +38,10 @@ __all__ = [
     "smooth_path",
 ]
 
-# shape of the proper gamma (scale 1) approximation to the information prior on xi
+# shape of the proper gamma (scale 1) approximation to the information prior on xi, and
+# the log of its normaliser
 _GAMMA_SHAPE = 1e-4
+_LOG_GAMMA = float(gammaln(_GAMMA_SHAPE))
 # Metropolis tuning: initial step scales in (log xi, delta), and the burn-in
 # adaptation that every _ADAPT_INTERVAL proposals nudges both scales toward
 # the _TARGET_ACCEPT acceptance rate (Roberts, Gelman & Gilks 1997)
@@ -48,8 +52,12 @@ _TARGET_ACCEPT = 0.234
 # the chain's bound table: cells _CELL wide in delta from the model bound, filled
 # _BLOCK at a time, none where some 1 + delta*coef is below _FLOOR, widened by _MARGIN
 _CELL, _BLOCK, _FLOOR, _MARGIN = 0.005, 32, 0.05, 1e-9
-# the posterior-mode scan computes every _STRIDE-th grid node, then the others its bounds keep
+# the posterior-mode scan computes every _STRIDE-th grid node, then the others its bounds keep.
+# Its row-sum passes hold at most _BUDGET doubles at a time, and its bound algebra, about 16
+# arrays of 481 doubles per lane, runs on _SCAN_LANES lanes at a time
 _STRIDE = 8
+_BUDGET = 2 ** 16
+_SCAN_LANES = _BUDGET // (16 * 481)
 
 
 class ClosedFormError(RuntimeError):
@@ -99,6 +107,12 @@ def prior_variance(k: int, n: int, rho: float) -> float:
     return (k / n) ** (-2.0 * rho)
 
 
+def _delta_prior_logs(lo: float, sigma2: float) -> tuple[float, float]:
+    """The logs of the delta prior's normal normaliser and of its mass above the bound lo."""
+    sigma = math.sqrt(sigma2)
+    return math.log(math.sqrt(2.0 * math.pi) * sigma), math.log(float(ndtr(-(lo / sigma))))
+
+
 class _LogTarget:
     """The per-observation log posterior of one (excesses, tau, sigma2), built once.
 
@@ -115,14 +129,11 @@ class _LogTarget:
         self.lik = _Likelihood(e, tau)
         self.k = e.k
         self.sigma2 = sigma2
-        sigma = math.sqrt(sigma2)
-        self.log_gamma = float(gammaln(_GAMMA_SHAPE))
-        self.log_norm = math.log(math.sqrt(2.0 * math.pi) * sigma)
-        self.log_trunc = math.log(float(ndtr(-(delta_lower_bound(tau) / sigma))))
+        self.log_norm, self.log_trunc = _delta_prior_logs(delta_lower_bound(tau), sigma2)
 
     def log_prior(self, xi: float, delta: float) -> float:
         """The total log prior at xi > 0 and delta above the truncation point."""
-        return ((_GAMMA_SHAPE - 1.0) * math.log(xi) - xi - self.log_gamma
+        return ((_GAMMA_SHAPE - 1.0) * math.log(xi) - xi - _LOG_GAMMA
                 + (-0.5 * delta * delta / self.sigma2 - self.log_norm - self.log_trunc))
 
     def __call__(self, xi: float, delta: float) -> float:
@@ -228,8 +239,8 @@ def _solve_first_order(e: ExcessSet, tau: float, weight: float) -> tuple[float, 
     return xi, delta
 
 
-class _Profile:
-    """The log posterior of one (excesses, tau, sigma2) over delta, with xi profiled out.
+class _Profiles:
+    """The log posteriors of lanes (likelihood, sigma2) over delta, with xi profiled out.
 
     At fixed delta the maximizing xi solves a quadratic in g = mean(log y +
     log1p(delta*a)), so delta enters through the delta prior and the row
@@ -237,109 +248,308 @@ class _Profile:
     outside the admissible range, where g <= 0, and along the collapse
     direction where the profiled xi falls below 5% of mean(log y): the
     density is unbounded there but carries negligible posterior mass. The
-    mode search scans ``grid``, 481 nodes from just above the model bound.
+    mode search scans ``grid``, 481 nodes per lane from just above its
+    model bound.
+
+    The lanes share k. A row is one (lane, delta) pair: the per-lane
+    constants are arrays over the lanes, indexed by the rows' lanes, and
+    the row sums of any set of rows come from passes of at most _BUDGET
+    doubles (half as many again for the slopes), in scratch space reused
+    across blocks and calls.
     """
 
-    def __init__(self, e: ExcessSet, tau: float, sigma2: float) -> None:
-        target = _LogTarget(e, tau, sigma2)
-        self.lik, self.k, self.sigma2 = target.lik, e.k, sigma2
-        self.ext = np.array(self.lik.ext)
-        self.mean_logy = float(np.mean(self.lik.log_y))
+    def __init__(self, lanes: Sequence[tuple[_Likelihood, float]]) -> None:
+        liks = [lik for lik, _ in lanes]
+        self.k = k = liks[0].k
+        if any(lik.k != k for lik in liks):
+            raise ValueError("the lanes' k differ")
+        self.coef = np.array([lik.coef for lik in liks])  # (lanes, 2, k)
+        self.ext = np.array([lik.ext for lik in liks])
+        self.sigma2 = np.array([sigma2 for _, sigma2 in lanes])
+        self.mean_logy = np.array([float(np.add.reduce(lik.log_y)) / k for lik in liks])
         self.xi_floor = 0.05 * self.mean_logy
-        self.lp_const = -target.log_norm - target.log_trunc - target.log_gamma
-        self.bq = e.k + 1.0 - _GAMMA_SHAPE
-        self.grid = np.linspace(self.lik.lo + 1e-9 * max(1.0, abs(self.lik.lo)), DELTA_MAX, 481)
+        self.lp_const = np.array([-log_norm - log_trunc - _LOG_GAMMA for log_norm, log_trunc
+                                  in (_delta_prior_logs(lik.lo, sigma2) for lik, sigma2 in lanes)])
+        self.bq = k + 1.0 - _GAMMA_SHAPE
+        # np.linspace(start, DELTA_MAX, 481) of every lane, by linspace's own arithmetic
+        lo = np.array([lik.lo for lik in liks])
+        start = (lo + 1e-9 * np.maximum(1.0, abs(lo)))[:, None]
+        self.grid = np.arange(481.0) * ((DELTA_MAX - start) / 480) + start
+        self.grid[:, -1] = DELTA_MAX
+        # a block holds the coarse nodes of a scan's lanes, or as many rows as fit in _BUDGET
+        rows = max(1, min(_BUDGET // (2 * k), min(len(lanes), _SCAN_LANES) * (480 // _STRIDE + 1)))
+        self._work, self._slope = np.empty((rows, 2, k)), np.empty((rows, k))
 
     def xi(self, g, sqrt=math.sqrt):
         """The profiled tail index at g."""
         bq = self.bq
         return (-bq + sqrt(bq * bq + 4.0 * self.k * g)) / 2.0
 
-    def from_sums(self, deltas, ok, s1, s2) -> np.ndarray:
-        """The profile at deltas from their row sums; -inf where ok is False or masked."""
+    def row_sums(self, lane: np.ndarray | None, deltas: np.ndarray, slope: bool = False) -> tuple:
+        """Per row, lane's sums of log1p(delta*a) and log1p(delta*b) at an admissible delta.
+
+        Returns them as an (n, 2) array, and the n sums of b/(1 + delta*b),
+        the second's derivative in delta, if ``slope`` (else None). Row i
+        is lane i where ``lane`` is None. A block of rows gathers its lanes'
+        coefficients into the scratch space and scales them by delta in
+        place; each row is reduced alone, so its sums are those of a pass
+        over its lane alone.
+        """
+        sums, slopes, size = [], [], len(self._work)
+        for i in range(0, len(deltas) or 1, size):  # one empty block for no rows
+            d = deltas[i:i + size, None]
+            w = self._work[:len(d)]
+            coef = (self.coef[i:i + size] if lane is None
+                    else self.coef.take(lane[i:i + size], axis=0, out=w, mode="clip"))
+            if slope:
+                u = np.add(np.multiply(coef[:, 1], d, out=self._slope[:len(d)]), 1.0, out=self._slope[:len(d)])
+                slopes.append(np.add.reduce(np.divide(coef[:, 1], u, out=u), axis=1))
+            sums.append(np.add.reduce(np.log1p(np.multiply(coef, d[:, None], out=w), out=w), axis=2))
+        if len(sums) > 1:
+            return np.concatenate(sums), (np.concatenate(slopes) if slope else None)
+        return sums[0], (slopes[0] if slope else None)
+
+    def from_sums(self, lane, deltas, ok, s1, s2) -> np.ndarray:
+        """The profile at rows (lane, delta) from their row sums; -inf where ok is False or masked."""
         k = self.k
-        g = self.mean_logy + s1 / k
+        g = self.mean_logy[lane] + s1 / k
         ok = ok & (g > 0.0)
         g_safe = np.where(ok, g, 1.0)
         xi = self.xi(g_safe, np.sqrt)
-        ok &= xi >= self.xi_floor
-        val = (k * (-np.log(xi) - (1.0 / xi + 1.0) * g_safe + s2 / k)
-               + (_GAMMA_SHAPE - 1.0) * np.log(xi) - xi - 0.5 * deltas * deltas / self.sigma2
-               + self.lp_const)
+        ok &= xi >= self.xi_floor[lane]
+        log_xi = np.log(xi)
+        val = (k * (-log_xi - (1.0 / xi + 1.0) * g_safe + s2 / k)
+               + (_GAMMA_SHAPE - 1.0) * log_xi - xi - 0.5 * deltas * deltas / self.sigma2[lane]
+               + self.lp_const[lane])
         return np.where(ok, val, -np.inf)
 
-    def exact(self, deltas: np.ndarray, slope: bool = False) -> tuple:
-        """The profile at deltas by one row-sum pass, with its admissible mask, sums and slopes."""
-        ok = (1.0 + np.outer(deltas, self.ext) > 0.0).all(axis=1)
-        s, q = self.lik.row_sums(np.where(ok, deltas, 0.0), slope)
-        return self.from_sums(deltas, ok, s[:, 0], s[:, 1]), ok, s, q
+    def exact(self, lane: np.ndarray, deltas: np.ndarray, slope: bool = False) -> tuple:
+        """The profile at rows (lane, delta) by row-sum passes, with its admissible mask, sums and slopes."""
+        ok = (1.0 + deltas[:, None] * self.ext[lane] > 0.0).all(axis=1)
+        s, q = self.row_sums(lane, np.where(ok, deltas, 0.0), slope)
+        return self.from_sums(lane, deltas, ok, s[:, 0], s[:, 1]), ok, s, q
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """The profile at every _STRIDE-th node of the grid, and upper bounds of it at the others.
+    def bounds(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Per lane of ``block``, the profile at every _STRIDE-th grid node, and upper bounds of it at the others.
 
-        Row j bounds the nodes between coarse nodes j and j + 1. S1 and S2 are
-        concave in delta, so on a cell S1 lies above its chord and S2 below
-        both end tangents; the profile falls as S1 rises and rises with S2.
-        Both are widened by _MARGIN*(|S| + k), far above any rounding. A bound
-        is inf where it is masked or an end of its cell is inadmissible.
+        Row j of a lane bounds the nodes between coarse nodes j and j + 1.
+        S1 and S2 are concave in delta, so on a cell S1 lies above its chord
+        and S2 below both end tangents; the profile falls as S1 rises and
+        rises with S2. Both are widened by _MARGIN*(|S| + k), far above any
+        rounding. A bound is inf where it is masked or an end of its cell is
+        inadmissible.
         """
-        c = self.grid[::_STRIDE]
-        v, ok, s, q = self.exact(c, slope=True)
-        x = self.grid[:-1].reshape(-1, _STRIDE)[:, 1:]
-        lo, hi = c[:-1, None], c[1:, None]
-        s1 = s[:-1, 0, None] + (s[1:, 0, None] - s[:-1, 0, None]) * ((x - lo) / (hi - lo))
-        s2 = np.minimum(s[:-1, 1, None] + q[:-1, None] * (x - lo),
-                        s[1:, 1, None] + q[1:, None] * (x - hi))
+        grid = self.grid[block]
+        c = grid[:, ::_STRIDE].copy()
+        ok = (1.0 + c[:, :, None] * self.ext[block, None] > 0.0).all(axis=2)
+        lane = np.arange(len(self.grid))[block].repeat(c.shape[1])
+        s, q = self.row_sums(lane, np.where(ok, c, 0.0).ravel(), slope=True)
+        s1, s2 = s.T.reshape(2, *c.shape, 1)  # copies, so that each is contiguous
+        q = q.reshape(*c.shape, 1)
+        v = self.from_sums((block, None), c, ok, s1[..., 0], s2[..., 0])
+        x = grid[:, :-1].reshape(len(c), -1, _STRIDE)[:, :, 1:]
+        lo, hi = c[:, :-1, None], c[:, 1:, None]
+        s1 = s1[:, :-1] + (s1[:, 1:] - s1[:, :-1]) * ((x - lo) / (hi - lo))
+        s2 = np.minimum(s2[:, :-1] + q[:, :-1] * (x - lo), s2[:, 1:] + q[:, 1:] * (x - hi))
         k = self.k
-        bound = self.from_sums(x, True, s1 - _MARGIN * (abs(s1) + k), s2 + _MARGIN * (abs(s2) + k))
-        return v, np.where((ok[:-1] & ok[1:])[:, None] & (bound > -np.inf), bound, np.inf)
+        bound = self.from_sums((block, None, None), x, True,
+                               s1 - _MARGIN * (abs(s1) + k), s2 + _MARGIN * (abs(s2) + k))
+        return v, np.where((ok[:, :-1] & ok[:, 1:])[:, :, None] & (bound > -np.inf), bound, np.inf)
+
+
+def _polish(a: float, b: float):
+    """scipy's bounded scalar minimizer, ``_minimize_scalar_bounded``, as a generator.
+
+    It yields each point x in [a, b] to evaluate and is sent f(x) back;
+    it returns (x, f(x), evaluations) at its best point. The arithmetic
+    is scipy's, step by step, with ``xatol`` 1e-10 and scipy's ``maxiter``
+    500, so the same values sent give the same bits.
+    """
+    xatol, maxiter = 1e-10, 500
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = yield x
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = yield x
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, fx, num
+
+
+def _sign(v: float) -> float:
+    """scipy's np.sign(v) + (v == 0): -1 below 0, 1 at and above, NaN at NaN."""
+    return -1.0 if v < 0.0 else 1.0 if v >= 0.0 else v
+
+
+def _profile_posterior_modes(
+    lanes: Sequence[tuple[_Likelihood, float]]
+) -> list[tuple[float, float] | ClosedFormError]:
+    """Exact posterior modes of lanes (likelihood, sigma2) that share k, by profiling xi out.
+
+    Each lane's profile is scanned on its grid over the admissible delta
+    range, and a bounded local polish, ``_polish``, runs around the grid's
+    maximum. The scan computes every _STRIDE-th node of every lane, then
+    only the nodes whose upper bound reaches the best of their lane's. A
+    node it skips stays -inf, and it could not have been the maximum, so
+    the result is that of the full scan. The lanes run in lockstep: one
+    set of row-sum passes for the coarse nodes of all lanes, one for the
+    nodes kept, and one per polish round for every lane's next point. No
+    sum mixes lanes, so a lane's mode is the bits it gets alone. A lane
+    with no admissible grid node holds a ClosedFormError.
+    """
+    p = _Profiles(lanes)
+    liks = [lik for lik, _ in lanes]
+    k, grid = p.k, p.grid
+    vals = np.full(grid.shape, -np.inf)
+    for first in range(0, len(lanes), _SCAN_LANES):  # the scan, a block of lanes at a time
+        block = slice(first, first + _SCAN_LANES)
+        vals[block, ::_STRIDE], bound = p.bounds(block)
+        lane, cell, node = np.nonzero(bound >= vals[block].max(axis=1)[:, None, None])
+        lane += first
+        node += _STRIDE * cell + 1
+        vals[lane, node] = p.exact(lane, grid[lane, node])[0]
+    best, top = vals.argmax(axis=1), vals.max(axis=1).tolist()
+    mean_logy, xi_floor, sigma2, lp_const = (a.tolist() for a in
+                                             (p.mean_logy, p.xi_floor, p.sigma2, p.lp_const))
+    out: list = [None] * len(lanes)
+    asks, penalty = {}, {}  # per lane in the polish: its search and the point it asks for; its penalty
+
+    def neg_total(i: int, delta: float, inside: bool, m1: float, m2: float) -> float:
+        g = mean_logy[i] + m1
+        if not inside or g <= 0.0:
+            return penalty[i]
+        xi = p.xi(g)
+        if xi < xi_floor[i]:
+            return penalty[i]
+        return -(k * (-math.log(xi) - (1.0 / xi + 1.0) * g + m2) + (_GAMMA_SHAPE - 1.0) * math.log(xi)
+                 - xi - 0.5 * delta * delta / sigma2[i] + lp_const[i])
+
+    for i, (b, v) in enumerate(zip(best.tolist(), top)):
+        if v == -math.inf:
+            out[i] = ClosedFormError("posterior mode search found no admissible point")
+            continue
+        # finite, so the polish's parabolic steps never do arithmetic on inf, and
+        # worse than the grid's best, so the rule below rejects a polish ending there
+        penalty[i] = 1.0 - v
+        lo = liks[i].lo
+        step = grid[i, 1] - grid[i, 0]
+        polish = _polish(max(lo + 1e-12 * max(1.0, abs(lo)), float(grid[i, b] - step)),
+                         min(DELTA_MAX, float(grid[i, b] + step)))
+        asks[i] = (polish, next(polish))
+    while asks:  # a round: every lane's next point by one row-sum pass
+        rows = list(asks)
+        xs = [asks[i][1] for i in rows]
+        inside = [not liks[i].inadmissible(x) for i, x in zip(rows, xs)]
+        s = p.row_sums(None if len(rows) == len(lanes) else np.array(rows),
+                       np.array([x if ok else 0.0 for x, ok in zip(xs, inside)]))[0]
+        for i, x, ok, (m1, m2) in zip(rows, xs, inside, (s / k).tolist()):
+            polish = asks[i][0]
+            try:
+                asks[i] = (polish, polish.send(neg_total(i, x, ok, m1, m2)))
+            except StopIteration as stop:
+                del asks[i]
+                x_hat, f_hat, _ = stop.value
+                out[i] = x_hat if f_hat <= -top[i] else float(grid[i, best[i]])
+    done = [i for i, mode in enumerate(out) if not isinstance(mode, ClosedFormError)]
+    if done:
+        s = p.row_sums(None if len(done) == len(lanes) else np.array(done),
+                       np.array([out[i] for i in done]))[0]
+        for i, s1 in zip(done, (s[:, 0] / k).tolist()):
+            out[i] = (p.xi(mean_logy[i] + s1), out[i])
+    return out
 
 
 def _profile_posterior_mode(e: ExcessSet, tau: float, sigma2: float) -> tuple[float, float]:
-    """Exact posterior mode by profiling xi out and searching over delta.
+    """Exact posterior mode of one (excesses, tau, sigma2): ``_profile_posterior_modes`` on one lane."""
+    (mode,) = _profile_posterior_modes([(_Likelihood(e, tau), sigma2)])
+    if isinstance(mode, ClosedFormError):
+        raise mode
+    return mode
 
-    The ``_Profile`` is scanned on its grid over the admissible delta range,
-    and a bounded local polish runs around the grid's maximum. The scan
-    computes every _STRIDE-th node and then only the nodes whose upper bound
-    reaches the best of those. A node it skips stays -inf, and it could not
-    have been the maximum, so the result is that of the full scan.
+
+def _closed_forms(
+    lanes: Sequence[tuple[ExcessSet, _Likelihood, float]]
+) -> list[BayesEstimate | ValueError | ClosedFormError]:
+    """``bayes_closed_form`` on lanes (excesses, their likelihood at tau, sigma2) that share k.
+
+    The linear route runs lane by lane; the lanes it leaves run the exact
+    mode search together (``_profile_posterior_modes``). A lane that
+    cannot be estimated holds its error.
     """
-    p = _Profile(e, tau, sigma2)
-    lik, k, mean_logy, lo, grid = p.lik, p.k, p.mean_logy, p.lik.lo, p.grid
-
-    def profile(delta: float) -> tuple[float, float]:  # g and the mean of log1p(delta*b)
-        m1, m2 = np.add.reduce(np.log1p(delta * lik.coef), axis=1) / k
-        return mean_logy + float(m1), float(m2)
-
-    def neg_total(delta: float) -> float:
-        if lik.inadmissible(delta):
-            return penalty
-        g, m2 = profile(delta)
-        if g <= 0.0:
-            return penalty
-        xi = p.xi(g)
-        if xi < p.xi_floor:
-            return penalty
-        return -(k * (-math.log(xi) - (1.0 / xi + 1.0) * g + m2) + (_GAMMA_SHAPE - 1.0) * math.log(xi)
-                 - xi - 0.5 * delta * delta / sigma2 + p.lp_const)
-
-    vals = np.full(grid.size, -np.inf)
-    vals[::_STRIDE], bound = p.bounds()
-    i = np.arange(grid.size - 1).reshape(-1, _STRIDE)[:, 1:][bound >= vals.max()]
-    vals[i] = p.exact(grid[i])[0]
-    best = int(np.argmax(vals))
-    if vals[best] == -np.inf:
-        raise ClosedFormError("posterior mode search found no admissible point")
-    # finite, so the polish's parabolic steps never do arithmetic on inf, and
-    # worse than the grid's best, so the guard below rejects a polish ending there
-    penalty = 1.0 - float(vals[best])
-    step = grid[1] - grid[0]
-    left = max(lo + 1e-12 * max(1.0, abs(lo)), grid[best] - step)
-    right = min(DELTA_MAX, grid[best] + step)
-    res = minimize_scalar(neg_total, bounds=(left, right), method="bounded",
-                          options={"xatol": 1e-10})
-    delta_hat = float(res.x) if res.fun <= -vals[best] else float(grid[best])
-    return p.xi(profile(delta_hat)[0]), delta_hat
+    out: list = []
+    search = []
+    for e, lik, sigma2 in lanes:
+        try:
+            if e.k < 10:
+                raise ValueError(f"need at least 10 excesses, got {e.k}")
+            if lik.tau >= 0:
+                raise ValueError(f"tau must be negative, got {lik.tau}")
+            _check_sigma2(sigma2)
+            xi, delta = _solve_first_order(e, lik.tau, 1.0 / (e.k * sigma2))
+            out.append(BayesEstimate(xi=xi, delta=delta, solver="linear"))
+        except ClosedFormError:
+            search.append(len(out))
+            out.append(None)
+        except ValueError as exc:
+            out.append(exc)
+    if search:
+        for i, mode in zip(search, _profile_posterior_modes([lanes[i][1:] for i in search])):
+            out[i] = mode if isinstance(mode, ClosedFormError) else BayesEstimate(*mode, solver="profile-map")
+    return out
 
 
 def bayes_closed_form(e: ExcessSet, tau: float, sigma2: float) -> BayesEstimate:
@@ -350,19 +560,13 @@ def bayes_closed_form(e: ExcessSet, tau: float, sigma2: float) -> BayesEstimate:
     exactly through its quadratic reduction. In strong-bias regimes the
     linearized system can lack a real admissible solution; the estimator
     then falls back to the exact posterior mode found by profile search.
-    ``BayesEstimate.solver`` records which route ran.
+    ``BayesEstimate.solver`` records which route ran. This is
+    ``_closed_forms`` on one lane.
     """
-    if e.k < 10:
-        raise ValueError(f"need at least 10 excesses, got {e.k}")
-    if tau >= 0:
-        raise ValueError(f"tau must be negative, got {tau}")
-    _check_sigma2(sigma2)
-    try:
-        xi, delta = _solve_first_order(e, tau, 1.0 / (e.k * sigma2))
-        return BayesEstimate(xi=xi, delta=delta, solver="linear")
-    except ClosedFormError:
-        xi, delta = _profile_posterior_mode(e, tau, sigma2)
-        return BayesEstimate(xi=xi, delta=delta, solver="profile-map")
+    (est,) = _closed_forms([(e, _Likelihood(e, tau), sigma2)])
+    if isinstance(est, Exception):
+        raise est
+    return est
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -106,13 +107,15 @@ def load_sample(
     One numeric value per record, or the value at ``column`` (0-based; a
     negative column is a ValueError) when records are comma-separated. A
     single leading header line is detected automatically: if the first
-    non-blank line does not parse as a number it is skipped.
+    non-blank line does not parse as a number it is skipped. A line that
+    parses as inf or nan is data, not a header, and is rejected.
 
     Raises
     ------
     DataFormatError
-        On unparsable records, nonpositive values (both reported with
-        their 1-based line number) or fewer than two usable values.
+        On unparsable records, non-finite or nonpositive values (all
+        reported with their 1-based line number) or fewer than two usable
+        values.
     """
     if column is not None and column < 0:
         raise ValueError(f"column must be >= 0, got {column}")
@@ -131,14 +134,14 @@ def load_sample(
             field = line
         try:
             value = float(field)
-            if not np.isfinite(value):
-                raise ValueError
         except ValueError:
             if first_data_line:
                 first_data_line = False  # header line
                 continue
             raise DataFormatError(f"cannot parse value at line {lineno}: {field!r}") from None
         first_data_line = False
+        if not math.isfinite(value):
+            raise DataFormatError(f"non-finite value at line {lineno}: {field!r}")
         if value <= 0.0:
             raise DataFormatError(f"nonpositive value at line {lineno}")
         values.append(value)

@@ -21,7 +21,6 @@ import scipy
 from scipy.optimize import _lbfgsb
 from scipy.special import logit
 
-from .classical import hill
 from .data import ExcessSet, SortedSample
 
 __all__ = [
@@ -88,7 +87,7 @@ class EPDFit:
 class _Likelihood:
     """The mean log-likelihood of one excess set at fixed tau, built once.
 
-    Holds what stays fixed while (xi, delta) move: log y and the
+    Holds what stays fixed while (xi, delta) move: tau, log y and the
     coefficients a = 1 - y**tau and b = 1 - (1 + tau) * y**tau (the rows
     of ``coef``) with their extremes. Both perturbation terms 1 + delta*a
     and 1 + delta*b are affine in delta, and rounded products and sums are
@@ -104,7 +103,7 @@ class _Likelihood:
         y = e.y
         if (y < 1.0).any():
             raise ValueError("excesses must be >= 1")
-        self.k = e.k
+        self.k, self.tau = e.k, tau
         self.lo = delta_lower_bound(tau) if tau < 0 else math.inf
         self.log_y = np.log(y)
         p = y ** tau
@@ -149,28 +148,33 @@ class _Likelihood:
         """The value and gradient by the ML fit's pass, on one lane; None outside the region."""
         if not (xi > 0 and delta > self.lo) or self.inadmissible(delta):
             return None
-        (sums,) = _fg_sums(self.coef[:, None], self.log_y[None], np.array([delta]))
+        (sums,) = _fg_sums(self.coef[:, None], self.log_y[None], np.array([[delta]]),
+                           _fg_views(np.empty((4, 1, self.k))))
         return _value_and_grad(xi, self.k, *sums)
 
 
-def _fg_sums(coef: np.ndarray, log_y: np.ndarray, deltas: np.ndarray):
+def _fg_views(w: np.ndarray) -> tuple:
+    """A (4 x lanes x k) scratch block and the views of it that ``_fg_sums`` writes."""
+    return w, w[:2], w[2:], w[0]
+
+
+def _fg_sums(coef: np.ndarray, log_y: np.ndarray, deltas: np.ndarray, views: tuple):
     """Per lane, the four sums that the value and gradient need, by one pass.
 
     ``coef`` stacks the lanes' coefficient rows as (2 x lanes x k),
     ``log_y`` their log excesses (lanes x k), and ``deltas`` holds one
-    delta per lane. Yields per lane the sums of log y + log(1 + delta*a),
-    log(1 + delta*b), a/(1 + delta*a) and b/(1 + delta*b): one multiply,
-    add, divide and log over a (4 x lanes x k) block and one row-wise
-    ``np.add.reduce``. Each row is reduced alone, so a lane's sums do not
-    depend on the others.
+    delta per lane as a (lanes x 1) column. Yields per lane the sums of
+    log y + log(1 + delta*a), log(1 + delta*b), a/(1 + delta*a) and
+    b/(1 + delta*b): one multiply, add, divide and log over a scratch
+    block with its ``_fg_views``, and one row-wise ``np.add.reduce``.
+    Each row is reduced alone, so a lane's sums do not depend on the others.
     """
-    w = np.empty((4, *log_y.shape))
-    t = w[:2]
-    np.multiply(coef, deltas[:, None], out=t)
+    w, t, r, s1 = views
+    np.multiply(coef, deltas, out=t)
     np.add(t, 1.0, out=t)
-    np.divide(coef, t, out=w[2:])
+    np.divide(coef, t, out=r)
     np.log(t, out=t)
-    np.add(w[0], log_y, out=w[0])
+    np.add(s1, log_y, out=s1)
     return zip(*np.add.reduce(w, axis=2).tolist())
 
 
@@ -281,17 +285,16 @@ class _Lane:
     vectors are never read.
     """
 
-    def __init__(self, e: ExcessSet, tau: float) -> None:
-        if e.k < 10:
-            raise ValueError(f"need at least 10 excesses to fit, got {e.k}")
-        if tau >= 0:
-            raise ValueError(f"tau must be negative, got {tau}")
-        h = hill(e)
+    def __init__(self, lik: _Likelihood) -> None:
+        if lik.k < 10:
+            raise ValueError(f"need at least 10 excesses to fit, got {lik.k}")
+        if lik.tau >= 0:
+            raise ValueError(f"tau must be negative, got {lik.tau}")
+        h = float(np.add.reduce(lik.log_y)) / lik.k  # the Hill estimate, as ``hill`` computes it
         if h <= 0:
             raise ValueError("all excesses are ties; the likelihood has no interior maximum")
-        self.lik = _Likelihood(e, tau)
-        self.tau = tau
-        self.lo = self.lik.lo
+        self.lik = lik
+        self.lo = lik.lo
         self.span = DELTA_MAX - self.lo
         n = 2
         self.x = np.array([math.log(h), float(logit((0.0 - self.lo) / self.span))])
@@ -335,47 +338,55 @@ class _Lane:
         # x at the stop is the start or an accepted iterate, whose value is below the
         # start's and so far below the penalty: a point inside the region
         xi, delta, _ = self.unpack()
-        return EPDFit(params=EPDParams(xi=xi, delta=delta, tau=self.tau), loglik=-self.f,
+        return EPDFit(params=EPDParams(xi=xi, delta=delta, tau=self.lik.tau), loglik=-self.f,
                       converged=bool(self.task[0] == 4), iterations=self.iterations)
 
 
-def epd_ml_fits(lanes: Sequence[tuple[ExcessSet, float]]) -> list[EPDFit | ValueError]:
+def epd_ml_fits(lanes: Sequence[tuple[ExcessSet | _Likelihood, float]]) -> list[EPDFit | ValueError]:
     """Maximum-likelihood fits of (xi, delta) at fixed tau, one per (excesses, tau) lane.
 
-    Every lane runs its own L-BFGS-B search, ``_Lane``, and the lanes
-    advance in lockstep: each round, one ``_fg_sums`` pass answers every
-    lane that asks for a value and gradient. A lane's fit is the bits it
-    gets alone, since no sum mixes lanes. The lanes share k; a lane that
-    cannot be fit holds its ValueError.
+    A caller that has built a lane's ``_Likelihood`` at tau may pass it in
+    place of the excesses. Every lane runs its own L-BFGS-B search,
+    ``_Lane``, and the lanes advance in lockstep: each round, one
+    ``_fg_sums`` pass answers every lane that asks for a value and
+    gradient. A lane's fit is the bits it gets alone, since no sum mixes
+    lanes. The lanes share k; a lane that cannot be fit holds its ValueError.
     """
     out: list = []
     for e, tau in lanes:
         try:
-            out.append(_Lane(e, tau))
+            out.append(_Lane(e if isinstance(e, _Likelihood) else _Likelihood(e, tau)))
         except ValueError as exc:
             out.append(exc)
     live = [lane for lane in out if isinstance(lane, _Lane)]
-    if live:  # np.stack raises a ValueError where the lanes' k differ
-        coef = np.stack([lane.lik.coef for lane in live], axis=1)
-        log_y = np.stack([lane.lik.log_y for lane in live])
+    if live:
+        k = live[0].lik.k
+        if any(lane.lik.k != k for lane in live):
+            raise ValueError("the lanes' k differ")
+        coef, log_y = np.empty((2, len(live), k)), np.empty((len(live), k))
+        for i, lane in enumerate(live):
+            coef[:, i], log_y[i] = lane.lik.coef, lane.lik.log_y
+        work, deltas = _fg_views(np.empty((4, len(live), k))), np.empty((len(live), 1))
         with _ONE_BLAS_THREAD:
             asking = [i for i, lane in enumerate(live) if lane.advance()]
             while asking:
-                rows, deltas, todo = [], [], []
+                rows, todo = [], []
                 for i in asking:
                     lane = live[i]
                     xi, delta, sig = lane.unpack()
                     if xi > 0 and delta > lane.lo and not lane.lik.inadmissible(delta):
+                        deltas[len(rows), 0] = delta
                         rows.append(i)
-                        deltas.append(delta)
                         todo.append((lane, xi, sig))
                     else:  # big finite penalty so the line search backtracks from the region edge
                         lane.f = 1e12
                         lane.g[:] = 0.0
                 if todo:  # one pass for the lanes inside the region, all of them if all ask
-                    block = (coef, log_y) if len(rows) == len(live) else (coef[:, rows], log_y[rows])
-                    for (lane, xi, sig), sums in zip(todo, _fg_sums(*block, np.array(deltas))):
-                        value, d_xi, d_delta = _value_and_grad(xi, lane.lik.k, *sums)
+                    m = len(rows)
+                    block = ((coef, log_y, deltas, work) if m == len(live) else
+                             (coef[:, rows], log_y[rows], deltas[:m], _fg_views(work[0][:, :m])))
+                    for (lane, xi, sig), sums in zip(todo, _fg_sums(*block)):
+                        value, d_xi, d_delta = _value_and_grad(xi, k, *sums)
                         lane.f = -value
                         lane.g[0] = -(d_xi * xi)
                         lane.g[1] = -(d_delta * lane.span * sig * (1.0 - sig))

@@ -6,8 +6,10 @@ the process pool, and a chunk runs threshold by threshold: at each k,
 ``estimate_cells`` estimates on every replication of the chunk (its
 lanes), as ``epdtail estimate`` does on its one sample. The lanes' ML
 fits run in lockstep, one likelihood pass per step for all of them
-(``epd_ml_fits``); every other estimator runs lane by lane. No sum mixes
-lanes, so results are bit-identical for any chunking and worker count.
+(``epd_ml_fits``), and so do the exact posterior-mode searches of the
+lanes whose first-order system has no admissible root; the other
+estimators run lane by lane. No sum mixes lanes, so results are
+bit-identical for any chunking and worker count.
 An estimator's ValueError or RuntimeError is excluded cell-wise and
 counted, and a run aborts when exclusions exceed 5%.
 """
@@ -27,7 +29,7 @@ from .bayes import (
     BayesEstimate,
     MCMCConfig,
     PosteriorChain,
-    bayes_closed_form,
+    _closed_forms,
     bayes_tail_prob,
     metropolis_sample,
     posterior_mode,
@@ -36,7 +38,7 @@ from .bayes import (
 )
 from .classical import hill, weissman_tail_prob
 from .data import SortedSample, excesses
-from .epd import epd_ml_fits, epd_tail_prob
+from .epd import _Likelihood, epd_ml_fits, epd_tail_prob
 from .second_order import resolve_rho, tau_hat
 
 __all__ = [
@@ -283,11 +285,14 @@ def estimate_cells(lanes: Sequence[tuple[SortedSample, float, tuple[int, ...]]],
     """Run each of ``estimators`` (names from ``ESTIMATORS``) at threshold k, lane by lane.
 
     A lane is a (sample, rho, run_key) triple; one Cell per lane comes
-    back. The ML fits of all lanes run in lockstep (``epd_ml_fits``), and
-    each gives the bits of a fit alone. A ValueError or RuntimeError
-    fails only the estimator that raised it; when tau cannot be estimated
-    every estimator fails. Other errors propagate. The ``bayes_mcmc``
-    chain runs ``mcmc`` with its seed drawn from ``SeedSequence((*run_key, k))``.
+    back. Each lane's likelihood at (excesses, tau) is built once. The ML
+    fits of all lanes run in lockstep (``epd_ml_fits``), and so do the
+    exact mode searches of the lanes whose ``bayes_closed`` linear route
+    fails (``bayes._closed_forms``); each gives the bits of a lane alone.
+    A ValueError or RuntimeError fails only the estimator that raised it;
+    when tau cannot be estimated every estimator fails. Other errors
+    propagate. The ``bayes_mcmc`` chain runs ``mcmc`` with its seed drawn
+    from ``SeedSequence((*run_key, k))``.
     """
     heads = []  # per lane: its excesses, Hill, and (tau, sigma2) or the error every estimator gets
     for sample, rho, _ in lanes:
@@ -297,8 +302,10 @@ def estimate_cells(lanes: Sequence[tuple[SortedSample, float, tuple[int, ...]]],
             heads.append((e, h, (tau_hat(rho, h), prior_variance(k, sample.n, rho))))
         except _CELL_ERRORS as exc:  # every estimator needs tau
             heads.append((e, h, exc))
-    fitted = [(e, prior[0]) for e, _, prior in heads if isinstance(prior, tuple)]
-    fits = iter(epd_ml_fits(fitted) if "epd_ml" in estimators else ())
+    ready = [(e, _Likelihood(e, prior[0]), prior[1]) for e, _, prior in heads
+             if isinstance(prior, tuple) and {"epd_ml", "bayes_closed"}.intersection(estimators)]
+    fits = iter(epd_ml_fits([(lik, lik.tau) for _, lik, _ in ready]) if "epd_ml" in estimators else ())
+    closed = iter(_closed_forms(ready) if "bayes_closed" in estimators else ())
     cells = []
     for (sample, _, run_key), (e, h, prior) in zip(lanes, heads):
         if not isinstance(prior, tuple):
@@ -313,14 +320,12 @@ def estimate_cells(lanes: Sequence[tuple[SortedSample, float, tuple[int, ...]]],
                 if name == "hill":
                     estimates[name] = (h, 0.0, weissman_tail_prob(sample, k, x, h) if tail else math.nan)
                 elif name == "epd_ml":
-                    fit = next(fits)
-                    if isinstance(fit, Exception):
-                        raise fit
+                    fit = _result(fits)
                     estimates[name] = (fit.params.xi, fit.params.delta,
                                        epd_tail_prob(sample, k, x, fit.params) if tail else math.nan)
                 else:
                     if name == "bayes_closed":
-                        est = bayes_closed_form(e, tau, sigma2)
+                        est = _result(closed)
                     else:
                         seed = int(np.random.SeedSequence((*run_key, k)).generate_state(1)[0])
                         chain = metropolis_sample(e, tau, sigma2, replace(mcmc, seed=seed))
@@ -332,6 +337,14 @@ def estimate_cells(lanes: Sequence[tuple[SortedSample, float, tuple[int, ...]]],
                 errors[name] = type(exc).__name__
         cells.append(Cell(e.threshold, h, tau, sigma2, estimates, errors, chain))
     return cells
+
+
+def _result(results):
+    """The next of a lockstep driver's per-lane results, raising it if it is an error."""
+    result = next(results)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _chunk_size(reps: int, workers: int) -> int:

@@ -384,7 +384,9 @@ def oracle_profile_posterior_mode(e, tau, sigma2, gamma_shape=1e-4):
     """``bayes._profile_posterior_mode`` without pruning: the unpruned reference.
 
     The grid evaluates all 481 nodes, where the library evaluates only
-    those whose upper bound reaches its best coarse node. It fills two
+    those whose upper bound reaches its best coarse node, and the polish
+    is scipy's ``minimize_scalar``, which the library's in-house
+    ``_polish`` reproduces, one lane at a time. It fills two
     zero-filled (grid x k) arrays, one per coefficient row, and takes
     ``mean`` of each; the polish and the final xi use ``np.mean`` and 0-d
     arrays, and the prior truncation comes from ``scipy.stats.norm.sf``.

@@ -20,11 +20,11 @@ from epdtail.bayes import (
     ClosedFormError,
     _BoundTable,
     _LogTarget,
-    _Profile,
+    _Profiles,
     _profile_posterior_mode,
     _solve_first_order,
 )
-from epdtail.epd import DELTA_MAX
+from epdtail.epd import DELTA_MAX, _Likelihood
 from conftest import pareto_excesses
 from oracles import (
     grid_map_oracle,
@@ -408,9 +408,9 @@ class TestProfileBound:
     @example(dist=et.frechet(0.5), seed=2, k=10, log10_neg_tau=-7.0, log10_sigma2=2.0)
     def test_bound_is_above_the_exact_value(self, dist, seed, k, log10_neg_tau, log10_sigma2):
         e = et.excesses(et.sample_distribution(dist, 500, seed), k)
-        p = _Profile(e, -(10.0 ** log10_neg_tau), 10.0 ** log10_sigma2)
-        coarse, bound = p.bounds()
-        exact = p.exact(p.grid)[0]
+        p = _Profiles([(_Likelihood(e, -(10.0 ** log10_neg_tau)), 10.0 ** log10_sigma2)])
+        coarse, bound = (a[0] for a in p.bounds(slice(None)))
+        exact = p.exact(np.zeros(p.grid.shape[1], int), p.grid[0])[0]
         assert np.array_equal(coarse, exact[::_STRIDE])
         inner = exact[:-1].reshape(-1, _STRIDE)[:, 1:]
         assert bound.shape == inner.shape

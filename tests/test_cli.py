@@ -160,6 +160,15 @@ class TestEstimate:
         bad.write_text("1\nx\ny\n")
         assert main(["estimate", str(bad)]) == 2
 
+    def test_non_finite_first_value_is_data_error(self, tmp_path, capsys):
+        # a first line of inf was taken for a header: the run exited 0 without it
+        bad = tmp_path / "inf_first.csv"
+        bad.write_text("inf\n" + "\n".join(repr(v) for v in np.arange(1.5, 25.25, 0.5)) + "\n")
+        out = tmp_path / "est.csv"
+        assert main(["estimate", str(bad), "--out", str(out)]) == 2
+        assert "non-finite value at line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_rho_flag_is_usage_error(self, tmp_path):
         data = _pareto_grid_file(tmp_path)
         assert main(["estimate", str(data), "--rho", "sometimes"]) == 1

@@ -42,6 +42,21 @@ class TestLoadSample:
         with pytest.raises(DataFormatError, match="line 2"):
             et.load_sample(b"1\nnan\n2\n")
 
+    @pytest.mark.parametrize("first", ["inf", "-inf", "nan", "Infinity", " NaN "])
+    def test_non_finite_first_value_is_data_not_a_header(self, first):
+        # it parses as a float, so it is no header: it used to be skipped as one,
+        # and a file of inf, 1.5, 2 loaded as 1.5, 2
+        with pytest.raises(DataFormatError, match="non-finite value at line 1"):
+            et.load_sample(f"{first}\n1.5\n2\n".encode())
+
+    def test_non_finite_value_reports_its_line(self):
+        with pytest.raises(DataFormatError, match="non-finite value at line 3"):
+            et.load_sample(b"\n\ninf\n2\n3\n")
+        with pytest.raises(DataFormatError, match="non-finite value at line 2"):
+            et.load_sample(b"loss\n-inf\n2\n3\n")
+        with pytest.raises(DataFormatError, match="non-finite value at line 1"):
+            et.load_sample(b"x,inf\ny,2\nz,3\n", column=1)
+
     def test_too_few_values(self):
         with pytest.raises(DataFormatError, match="at least 2"):
             et.load_sample(b"7\n")

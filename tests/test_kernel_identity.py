@@ -9,18 +9,38 @@ search is also compared on four more Burr replications and on cells
 built to put its maximum or its masks at the edges of the grid. The
 study cells are built the way a study replication builds them. The
 lockstep ML driver, ``epd_ml_fits``, must give every lane the fit that
-lane gets alone, on chunks of up to 32 replications of both designs.
+lane gets alone, on chunks of up to 32 replications of both designs, and
+the lockstep mode search, ``_profile_posterior_modes``, the oracle's mode
+on chunks of up to 32 replications of all three designs and on the edge
+cells. Its polish, ``_polish``, must return scipy's bounded minimizer's
+bits.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 import epdtail as et
-from epdtail.bayes import _STRIDE, ClosedFormError, _profile_posterior_mode, _Profile
+from epdtail import bayes
+from epdtail.bayes import (
+    _BUDGET,
+    _STRIDE,
+    ClosedFormError,
+    _closed_forms,
+    _polish,
+    _profile_posterior_mode,
+    _profile_posterior_modes,
+    _Profiles,
+)
 from epdtail.epd import _Likelihood, epd_ml_fits
 from oracles import oracle_epd_ml_fit, oracle_loglik_grad, oracle_profile_posterior_mode
 
@@ -84,8 +104,8 @@ def test_profile_posterior_mode_matches_oracle(name, rep):
 
 def _full_scan(e, tau, sigma2):
     """The exact profile at every node of the search's grid."""
-    p = _Profile(e, tau, sigma2)
-    return p.exact(p.grid)[0]
+    p = _Profiles([(_Likelihood(e, tau), sigma2)])
+    return p.exact(np.zeros(p.grid.shape[1], int), p.grid[0])[0]
 
 
 def _sample_cell(dist, seed, k):
@@ -129,16 +149,16 @@ def test_profile_posterior_mode_matches_oracle_at_the_edges(name):
 
 
 def test_mode_search_prunes_most_of_the_grid(monkeypatch):
-    # the exact pass sees every row the search evaluates; with pruning bypassed
-    # it would see all 481 rows of each call
+    # the exact pass sees every grid row the search evaluates; with pruning
+    # bypassed it would see all 481 rows of each call
     rows = []
-    row_sums = _Likelihood.row_sums
+    exact = _Profiles.exact
 
-    def spy(self, deltas, slope=False):
+    def spy(self, lane, deltas, slope=False):
         rows[-1] += len(deltas)
-        return row_sums(self, deltas, slope)
+        return exact(self, lane, deltas, slope)
 
-    monkeypatch.setattr(_Likelihood, "row_sums", spy)
+    monkeypatch.setattr(_Profiles, "exact", spy)
     for _, e, tau, sigma2 in _rep_cells(*DESIGNS["burr_fig2"]):
         rows.append(0)
         _profile_posterior_mode(e, tau, sigma2)
@@ -286,3 +306,191 @@ def test_lockstep_lanes_stop_at_scipys_limits_like_the_oracle(monkeypatch, limit
     assert [repr(fit) for fit in got] == [repr(et.epd_ml_fit(e, tau)) for e, tau in lanes]
     assert [repr(fit) for fit in got] == [repr(oracle_epd_ml_fit(e, tau, **{option: value}))
                                           for e, tau in lanes]
+
+
+# the lockstep mode search: the thresholds at which it is compared, both ends and the middle of each grid
+MODE_KS = {"burr_fig2": (90, 250, 410), "frechet_fig1": (10, 35, 60),
+           "burr_tau_below_minus_one": (20, 240, 480)}
+
+
+def _mode_cells(name, k, count):
+    """(excesses, tau, sigma2) at k of the first ``count`` replications of a design."""
+    dist, _, rho_mode = DESIGNS[name]
+    return [_rep_cells(dist, (k,), rho_mode, rep=rep)[0][1:] for rep in range(count)]
+
+
+def _shown(result):
+    """A lockstep driver's result for one lane, as ``_outcome`` shows that of a one-lane call."""
+    return f"{type(result).__name__}: {result}" if isinstance(result, Exception) else repr(result)
+
+
+def _lockstep(cells):
+    """The lockstep search on cells (excesses, tau, sigma2), each mode as ``_outcome`` shows it."""
+    return [_shown(mode) for mode in
+            _profile_posterior_modes([(_Likelihood(e, tau), sigma2) for e, tau, sigma2 in cells])]
+
+
+def _oracle(cells):
+    return [_outcome(oracle_profile_posterior_mode, *cell) for cell in cells]
+
+
+def _tie(k):
+    """All excesses tie at the threshold: g = 0 on the whole grid, so no node is admissible."""
+    return et.ExcessSet(y=np.ones(k), k=k, threshold=1.0), -1.0, 1.0
+
+
+@pytest.fixture(scope="module", params=sorted(MODE_KS))
+def mode_sets(request):
+    """Per k: 32 replications' cells and the oracle's mode of each."""
+    sets = {}
+    for k in MODE_KS[request.param]:
+        cells = _mode_cells(request.param, k, 32)
+        sets[k] = cells, _oracle(cells)
+    return sets
+
+
+@pytest.mark.parametrize("count", [1, 2, 8, 16, 32])
+def test_lockstep_modes_equal_the_oracle(mode_sets, count):
+    for k, (cells, want) in mode_sets.items():
+        assert _lockstep(cells[:count]) == want[:count], k
+
+
+@pytest.mark.parametrize("name", EDGE_CELLS)
+def test_lockstep_modes_equal_the_oracle_at_the_edges(name):
+    # each edge cell between burr_fig2 replications at its k
+    e, tau, sigma2, _ = EDGE_CELLS[name]
+    cells = _mode_cells("burr_fig2", e.k, 3)
+    cells.insert(1, (e, tau, sigma2))
+    assert _lockstep(cells) == _oracle(cells)
+
+
+def _spy_on_polish(monkeypatch) -> list:
+    """Record every polish the search runs: the values sent to it and its end (x, f(x), evaluations)."""
+    runs = []
+
+    def spy(a, b):
+        run = {"sent": []}
+        runs.append(run)
+        search = _polish(a, b)
+        x = next(search)
+        while True:
+            f = yield x
+            run["sent"].append(f)
+            try:
+                x = search.send(f)
+            except StopIteration as stop:
+                run["end"] = stop.value
+                return stop.value
+
+    monkeypatch.setattr(bayes, "_polish", spy)
+    return runs
+
+
+def test_lanes_without_a_mode_leave_the_others_alone(monkeypatch):
+    runs = _spy_on_polish(monkeypatch)
+    tops = {}
+    for name in ("max_at_first_admissible_node", "max_at_delta_max"):
+        e, tau, sigma2, _ = EDGE_CELLS[name]
+        tops[name] = float(np.max(_full_scan(e, tau, sigma2)))
+        cells = [_tie(e.k), (e, tau, sigma2)] + _mode_cells("burr_fig2", e.k, 2) + [_tie(e.k)]
+        got = _lockstep(cells)
+        assert got == _oracle(cells)
+        assert got[0].startswith("ClosedFormError") and got[-1] == got[0]
+        assert not any(mode.startswith("ClosedFormError") for mode in got[1:-1])
+    # the lanes without a mode run no polish: three per chunk ran, the edge cell's first.
+    # One edge cell's polish is sent the penalty 1 - top on masked points; in the
+    # other the grid node beats the polish's end, and the node is the mode
+    assert len(runs) == 6
+    assert 1.0 - tops["max_at_first_admissible_node"] in runs[0]["sent"]
+    assert runs[3]["end"][1] > -tops["max_at_delta_max"]
+
+
+def test_mode_lanes_of_different_k_are_rejected():
+    cells = _mode_cells("frechet_fig1", 20, 1) + _mode_cells("frechet_fig1", 25, 1)
+    with pytest.raises(ValueError):
+        _lockstep(cells)
+
+
+def test_closed_forms_equal_one_lane_calls():
+    # both routes, a lane without a mode and two lanes that cannot be estimated, at one k
+    cells = _mode_cells("burr_fig2", 150, 8)
+    e, tau, sigma2 = cells[0]
+    cells += [_tie(150), (e, tau, 0.0), (e, 0.5, sigma2)]
+    got = [_shown(est) for est in _closed_forms([(e, _Likelihood(e, tau), s) for e, tau, s in cells])]
+    assert got == [_outcome(et.bayes_closed_form, *cell) for cell in cells]
+    assert {est.split("solver=")[-1] for est in got[:8]} == {"'linear')", "'profile-map')"}
+    assert [est.split(":")[0] for est in got[8:]] == ["ClosedFormError", "ValueError", "ValueError"]
+
+
+def _drive(search, f):
+    """Run a ``_polish`` search on f; return its end (x, f(x), evaluations)."""
+    x = next(search)
+    try:
+        while True:
+            x = search.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _objective(kind, coefs, cut):
+    """A finite test function: a polynomial, a damped sine, or a polynomial with a step to 1e3 below cut."""
+    def poly(x):
+        return sum(c * x ** i for i, c in enumerate(coefs))
+
+    if kind == "poly":
+        return poly
+    if kind == "sine":
+        return lambda x: math.sin(coefs[0] * x) * math.exp(-abs(x) / 50.0) + coefs[-1] * x
+    if kind == "step":  # the mode search's penalty on its masked points
+        return lambda x: 1e3 if x < cut else poly(x)
+    return lambda x: coefs[0]  # flat
+
+
+@given(kind=st.sampled_from(["poly", "sine", "step", "flat"]),
+       coefs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5),
+       a=st.floats(-100.0, 100.0), log10_width=st.floats(-13.0, 2.0), cut=st.floats(0.0, 1.0))
+# a flat function, which the search meets where every point it tries is masked, and an
+# interval narrower than tol2, where the search stops at its first point
+@example(kind="flat", coefs=[2.5], a=0.3, log10_width=0.0, cut=0.0)
+@example(kind="poly", coefs=[0.0, -1.0, 1.0], a=1.0, log10_width=-10.0, cut=0.0)
+# a step worse than both kept points right after an improving one, which moves the oldest point
+@example(kind="sine", coefs=[-4.8, 0.3, 4.8, 3.8], a=-0.7, log10_width=0.1, cut=0.5)
+def test_polish_is_scipys_bounded_minimizer(kind, coefs, a, log10_width, cut):
+    f = _objective(kind, coefs, cut)
+    b = a + 10.0 ** log10_width
+    res = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": 1e-10})
+    x, fx, evaluations = _drive(_polish(a, b), f)
+    assert (repr(x), repr(fx), evaluations) == (repr(float(res.x)), repr(float(res.fun)), res.nfev)
+    if log10_width == -10.0:
+        assert evaluations == 1
+
+
+def test_search_memory_stays_within_its_blocks():
+    # 32 lanes at k = 450: the passes hold one block of _BUDGET doubles and half one
+    # for the slopes, and the scan's bound algebra about as much again; the
+    # coarse nodes of all lanes in one pass would hold 32 * 61 * 2 * 450 doubles
+    # (14 MB), and the kept nodes about a third of that
+    lanes = [(_Likelihood(e, tau), sigma2) for e, tau, sigma2 in _mode_cells("burr_fig2", 450, 32)]
+    tracemalloc.start()
+    try:
+        modes = _profile_posterior_modes(lanes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(mode, Exception) for mode in modes)
+    assert peak < 4 * 8 * _BUDGET, peak
+
+
+def test_only_the_ml_core_comes_from_scipy_optimize():
+    # the mode search's polish is in-house; scipy's minimizers serve only as oracles
+    found = set()
+    for path in sorted(Path(et.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                found |= {(path.name, f"{node.module}.{alias.name}") for alias in node.names}
+            elif isinstance(node, ast.Import):
+                found |= {(path.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                found.add((path.name, f"{node.value.id}.{node.attr}"))
+    assert {(name, what) for name, what in found if "scipy.optimize" in what} == {
+        ("epd.py", "scipy.optimize._lbfgsb")}

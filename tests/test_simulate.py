@@ -275,10 +275,10 @@ class TestRunStudy:
     def test_arithmetic_error_in_a_cell_propagates(self, burr_dist, monkeypatch):
         # only ValueError and RuntimeError fail an estimator; anything else is
         # a fault and stops the study instead of becoming an exclusion
-        def dividing(e, tau, sigma2):
+        def dividing(lanes):
             raise ZeroDivisionError("a fault, not a domain error")
 
-        monkeypatch.setattr(sim, "bayes_closed_form", dividing)
+        monkeypatch.setattr(sim, "_closed_forms", dividing)
         with pytest.raises(ZeroDivisionError):
             et.run_study(_small_cfg(burr_dist, reps=2))
 
