@@ -146,6 +146,40 @@ class _LogTarget:
         return ll + lp / self.k
 
 
+def _row_scratch(rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch space for ``_row_sums`` in blocks of ``rows`` rows (at least one): sums, then slopes."""
+    rows = max(1, rows)
+    return np.empty((rows, 2, k)), np.empty((rows, k))
+
+
+def _row_sums(coef: np.ndarray, lane: np.ndarray | None, deltas: np.ndarray,
+              scratch: tuple[np.ndarray, np.ndarray], slope: bool = False) -> tuple:
+    """Per row, its lane's sums of log1p(delta*a) and log1p(delta*b) at an admissible delta.
+
+    ``coef`` stacks the lanes' coefficient rows as (lanes x 2 x k); row i
+    is lane ``lane[i]``, or lane i where ``lane`` is None. Returns the
+    sums as an (n, 2) array, and the n sums of b/(1 + delta*b), the
+    second's derivative in delta, if ``slope`` (else None). The rows run
+    in blocks, each in the ``scratch`` space of ``_row_scratch``: a block
+    gathers its lanes' coefficients and scales them by delta in place.
+    Each row is reduced alone, so its sums are those of a pass over its
+    lane alone.
+    """
+    work, u = scratch
+    sums, slopes, size = [], [], len(work)
+    for i in range(0, len(deltas) or 1, size):  # one empty block for no rows
+        d = deltas[i:i + size, None]
+        w = work[:len(d)]
+        c = coef[i:i + size] if lane is None else coef.take(lane[i:i + size], axis=0, out=w, mode="clip")
+        if slope:
+            t = np.add(np.multiply(c[:, 1], d, out=u[:len(d)]), 1.0, out=u[:len(d)])
+            slopes.append(np.add.reduce(np.divide(c[:, 1], t, out=t), axis=1))
+        sums.append(np.add.reduce(np.log1p(np.multiply(c, d[:, None], out=w), out=w), axis=2))
+    if len(sums) > 1:
+        return np.concatenate(sums), (np.concatenate(slopes) if slope else None)
+    return sums[0], (slopes[0] if slope else None)
+
+
 class _BoundTable:
     """Bounds on the row sums S1 = sum(log(1 + delta*a) + log y), S2 = sum(log(1 + delta*b)).
 
@@ -158,17 +192,19 @@ class _BoundTable:
     def __init__(self, lik: _Likelihood) -> None:
         self.lik = lik
         self.cells: list = [None] * (_BLOCK * math.ceil((DELTA_MAX - lik.lo) / (_CELL * _BLOCK)))
+        self._coef = np.broadcast_to(lik.coef, (_BLOCK + 1, *lik.coef.shape))  # one lane per node
+        self._scratch = _row_scratch(min(_BLOCK + 1, _BUDGET // (2 * lik.k)), lik.k)
 
     def fill(self, j: int) -> tuple:
-        """Fill the block of cell j by one (_BLOCK + 1, 2, k) pass; return cell j."""
+        """Fill the block of cell j by row-sum passes over its _BLOCK + 1 nodes; return cell j."""
         lik = self.lik
         j0 = j - j % _BLOCK
         nodes = lik.lo + _CELL * np.arange(j0, j0 + _BLOCK + 1)
         ok = (1.0 + np.outer(nodes, lik.ext)).min(axis=1) >= _FLOOR
-        s, q = lik.row_sums(np.where(ok, nodes, 0.0), slope=True)
+        s, q = _row_sums(self._coef, None, np.where(ok, nodes, 0.0), self._scratch, slope=True)
         q = _CELL * q  # _CELL * dS2/ddelta
         s1, s2 = s.T
-        s1 = s1 + np.add.reduce(lik.log_y)
+        s1 = s1 + lik.sum_log_y
         m1, m2 = (_MARGIN * (np.maximum(abs(s[:-1]), abs(s[1:])) + lik.k) for s in (s1, s2))
         rows = np.column_stack([s1[:-1] - m1, s1[1:] - s1[:-1], s2[:-1] + m2, q[:-1],
                                 s2[1:] - q[1:] + m2, q[1:]])
@@ -266,7 +302,7 @@ class _Profiles:
         self.coef = np.array([lik.coef for lik in liks])  # (lanes, 2, k)
         self.ext = np.array([lik.ext for lik in liks])
         self.sigma2 = np.array([sigma2 for _, sigma2 in lanes])
-        self.mean_logy = np.array([float(np.add.reduce(lik.log_y)) / k for lik in liks])
+        self.mean_logy = np.array([lik.sum_log_y / k for lik in liks])
         self.xi_floor = 0.05 * self.mean_logy
         self.lp_const = np.array([-log_norm - log_trunc - _LOG_GAMMA for log_norm, log_trunc
                                   in (_delta_prior_logs(lik.lo, sigma2) for lik, sigma2 in lanes)])
@@ -277,37 +313,13 @@ class _Profiles:
         self.grid = np.arange(481.0) * ((DELTA_MAX - start) / 480) + start
         self.grid[:, -1] = DELTA_MAX
         # a block holds the coarse nodes of a scan's lanes, or as many rows as fit in _BUDGET
-        rows = max(1, min(_BUDGET // (2 * k), min(len(lanes), _SCAN_LANES) * (480 // _STRIDE + 1)))
-        self._work, self._slope = np.empty((rows, 2, k)), np.empty((rows, k))
+        coarse = min(len(lanes), _SCAN_LANES) * (480 // _STRIDE + 1)
+        self.scratch = _row_scratch(min(_BUDGET // (2 * k), coarse), k)
 
     def xi(self, g, sqrt=math.sqrt):
         """The profiled tail index at g."""
         bq = self.bq
         return (-bq + sqrt(bq * bq + 4.0 * self.k * g)) / 2.0
-
-    def row_sums(self, lane: np.ndarray | None, deltas: np.ndarray, slope: bool = False) -> tuple:
-        """Per row, lane's sums of log1p(delta*a) and log1p(delta*b) at an admissible delta.
-
-        Returns them as an (n, 2) array, and the n sums of b/(1 + delta*b),
-        the second's derivative in delta, if ``slope`` (else None). Row i
-        is lane i where ``lane`` is None. A block of rows gathers its lanes'
-        coefficients into the scratch space and scales them by delta in
-        place; each row is reduced alone, so its sums are those of a pass
-        over its lane alone.
-        """
-        sums, slopes, size = [], [], len(self._work)
-        for i in range(0, len(deltas) or 1, size):  # one empty block for no rows
-            d = deltas[i:i + size, None]
-            w = self._work[:len(d)]
-            coef = (self.coef[i:i + size] if lane is None
-                    else self.coef.take(lane[i:i + size], axis=0, out=w, mode="clip"))
-            if slope:
-                u = np.add(np.multiply(coef[:, 1], d, out=self._slope[:len(d)]), 1.0, out=self._slope[:len(d)])
-                slopes.append(np.add.reduce(np.divide(coef[:, 1], u, out=u), axis=1))
-            sums.append(np.add.reduce(np.log1p(np.multiply(coef, d[:, None], out=w), out=w), axis=2))
-        if len(sums) > 1:
-            return np.concatenate(sums), (np.concatenate(slopes) if slope else None)
-        return sums[0], (slopes[0] if slope else None)
 
     def from_sums(self, lane, deltas, ok, s1, s2) -> np.ndarray:
         """The profile at rows (lane, delta) from their row sums; -inf where ok is False or masked."""
@@ -326,7 +338,7 @@ class _Profiles:
     def exact(self, lane: np.ndarray, deltas: np.ndarray, slope: bool = False) -> tuple:
         """The profile at rows (lane, delta) by row-sum passes, with its admissible mask, sums and slopes."""
         ok = (1.0 + deltas[:, None] * self.ext[lane] > 0.0).all(axis=1)
-        s, q = self.row_sums(lane, np.where(ok, deltas, 0.0), slope)
+        s, q = _row_sums(self.coef, lane, np.where(ok, deltas, 0.0), self.scratch, slope)
         return self.from_sums(lane, deltas, ok, s[:, 0], s[:, 1]), ok, s, q
 
     def bounds(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +355,7 @@ class _Profiles:
         c = grid[:, ::_STRIDE].copy()
         ok = (1.0 + c[:, :, None] * self.ext[block, None] > 0.0).all(axis=2)
         lane = np.arange(len(self.grid))[block].repeat(c.shape[1])
-        s, q = self.row_sums(lane, np.where(ok, c, 0.0).ravel(), slope=True)
+        s, q = _row_sums(self.coef, lane, np.where(ok, c, 0.0).ravel(), self.scratch, slope=True)
         s1, s2 = s.T.reshape(2, *c.shape, 1)  # copies, so that each is contiguous
         q = q.reshape(*c.shape, 1)
         v = self.from_sums((block, None), c, ok, s1[..., 0], s2[..., 0])
@@ -494,8 +506,8 @@ def _profile_posterior_modes(
         rows = list(asks)
         xs = [asks[i][1] for i in rows]
         inside = [not liks[i].inadmissible(x) for i, x in zip(rows, xs)]
-        s = p.row_sums(None if len(rows) == len(lanes) else np.array(rows),
-                       np.array([x if ok else 0.0 for x, ok in zip(xs, inside)]))[0]
+        s = _row_sums(p.coef, None if len(rows) == len(lanes) else np.array(rows),
+                      np.array([x if ok else 0.0 for x, ok in zip(xs, inside)]), p.scratch)[0]
         for i, x, ok, (m1, m2) in zip(rows, xs, inside, (s / k).tolist()):
             polish = asks[i][0]
             try:
@@ -506,8 +518,8 @@ def _profile_posterior_modes(
                 out[i] = x_hat if f_hat <= -top[i] else float(grid[i, best[i]])
     done = [i for i, mode in enumerate(out) if not isinstance(mode, ClosedFormError)]
     if done:
-        s = p.row_sums(None if len(done) == len(lanes) else np.array(done),
-                       np.array([out[i] for i in done]))[0]
+        s = _row_sums(p.coef, None if len(done) == len(lanes) else np.array(done),
+                      np.array([out[i] for i in done]), p.scratch)[0]
         for i, s1 in zip(done, (s[:, 0] / k).tolist()):
             out[i] = (p.xi(mean_logy[i] + s1), out[i])
     return out

@@ -87,13 +87,14 @@ class EPDFit:
 class _Likelihood:
     """The mean log-likelihood of one excess set at fixed tau, built once.
 
-    Holds what stays fixed while (xi, delta) move: tau, log y and the
-    coefficients a = 1 - y**tau and b = 1 - (1 + tau) * y**tau (the rows
-    of ``coef``) with their extremes. Both perturbation terms 1 + delta*a
-    and 1 + delta*b are affine in delta, and rounded products and sums are
-    monotone, so positivity over the sample is exactly positivity at the
-    coefficient extremes. Means are a row-wise ``np.add.reduce`` divided
-    by k, the value ``np.mean`` returns for each row.
+    Holds what stays fixed while (xi, delta) move: tau, log y and its sum
+    (k times the Hill estimate), and the coefficients a = 1 - y**tau and
+    b = 1 - (1 + tau) * y**tau (the rows of ``coef``) with their extremes.
+    Both perturbation terms 1 + delta*a and 1 + delta*b are affine in
+    delta, and rounded products and sums are monotone, so positivity over
+    the sample is exactly positivity at the coefficient extremes. Means
+    are a row-wise ``np.add.reduce`` divided by k, the value ``np.mean``
+    returns for each row.
 
     A call writes into scratch space owned by the instance, so one
     instance serves one caller at a time.
@@ -106,6 +107,7 @@ class _Likelihood:
         self.k, self.tau = e.k, tau
         self.lo = delta_lower_bound(tau) if tau < 0 else math.inf
         self.log_y = np.log(y)
+        self.sum_log_y = float(np.add.reduce(self.log_y))
         p = y ** tau
         self.coef = np.empty((2, y.size))
         self.a, self.b = self.coef
@@ -121,16 +123,6 @@ class _Likelihood:
         a_lo, a_hi, b_lo, b_hi = self.ext
         return (1.0 + delta * a_lo <= 0.0 or 1.0 + delta * a_hi <= 0.0
                 or 1.0 + delta * b_lo <= 0.0 or 1.0 + delta * b_hi <= 0.0)
-
-    def row_sums(self, deltas: np.ndarray, slope: bool = False) -> tuple:
-        """Per admissible delta, the sums of log1p(delta*a) and log1p(delta*b), by one pass.
-
-        Returns them as an (n, 2) array, and the n sums of b/(1 + delta*b),
-        the second's derivative in delta, if ``slope`` (else None).
-        """
-        t = np.multiply.outer(deltas, self.coef)
-        q = np.add.reduce(self.b / (1.0 + t[:, 1]), axis=1) if slope else None
-        return np.add.reduce(np.log1p(t, out=t), axis=2), q
 
     def __call__(self, xi: float, delta: float) -> float:
         if not (xi > 0 and delta > self.lo) or self.inadmissible(delta):
@@ -290,7 +282,7 @@ class _Lane:
             raise ValueError(f"need at least 10 excesses to fit, got {lik.k}")
         if lik.tau >= 0:
             raise ValueError(f"tau must be negative, got {lik.tau}")
-        h = float(np.add.reduce(lik.log_y)) / lik.k  # the Hill estimate, as ``hill`` computes it
+        h = lik.sum_log_y / lik.k  # the Hill estimate, as ``hill`` computes it
         if h <= 0:
             raise ValueError("all excesses are ties; the likelihood has no interior maximum")
         self.lik = lik
@@ -342,20 +334,19 @@ class _Lane:
                       converged=bool(self.task[0] == 4), iterations=self.iterations)
 
 
-def epd_ml_fits(lanes: Sequence[tuple[ExcessSet | _Likelihood, float]]) -> list[EPDFit | ValueError]:
-    """Maximum-likelihood fits of (xi, delta) at fixed tau, one per (excesses, tau) lane.
+def epd_ml_fits(lanes: Sequence[_Likelihood]) -> list[EPDFit | ValueError]:
+    """Maximum-likelihood fits of (xi, delta) at fixed tau, one per lane's likelihood at its tau.
 
-    A caller that has built a lane's ``_Likelihood`` at tau may pass it in
-    place of the excesses. Every lane runs its own L-BFGS-B search,
-    ``_Lane``, and the lanes advance in lockstep: each round, one
-    ``_fg_sums`` pass answers every lane that asks for a value and
-    gradient. A lane's fit is the bits it gets alone, since no sum mixes
-    lanes. The lanes share k; a lane that cannot be fit holds its ValueError.
+    Every lane runs its own L-BFGS-B search, ``_Lane``, and the lanes
+    advance in lockstep: each round, one ``_fg_sums`` pass answers every
+    lane that asks for a value and gradient. A lane's fit is the bits it
+    gets alone, since no sum mixes lanes. The lanes share k; a lane that
+    cannot be fit holds its ValueError.
     """
     out: list = []
-    for e, tau in lanes:
+    for lik in lanes:
         try:
-            out.append(_Lane(e if isinstance(e, _Likelihood) else _Likelihood(e, tau)))
+            out.append(_Lane(lik))
         except ValueError as exc:
             out.append(exc)
     live = [lane for lane in out if isinstance(lane, _Lane)]
@@ -408,7 +399,7 @@ def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
     converged when the core stops with CONVERGENCE (task 4); the
     log-likelihood is minus the last value handed to the core.
     """
-    (fit,) = epd_ml_fits([(e, tau)])
+    (fit,) = epd_ml_fits([_Likelihood(e, tau)])
     if isinstance(fit, ValueError):
         raise fit
     return fit

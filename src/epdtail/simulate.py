@@ -304,7 +304,7 @@ def estimate_cells(lanes: Sequence[tuple[SortedSample, float, tuple[int, ...]]],
             heads.append((e, h, exc))
     ready = [(e, _Likelihood(e, prior[0]), prior[1]) for e, _, prior in heads
              if isinstance(prior, tuple) and {"epd_ml", "bayes_closed"}.intersection(estimators)]
-    fits = iter(epd_ml_fits([(lik, lik.tau) for _, lik, _ in ready]) if "epd_ml" in estimators else ())
+    fits = iter(epd_ml_fits([lik for _, lik, _ in ready]) if "epd_ml" in estimators else ())
     closed = iter(_closed_forms(ready) if "bayes_closed" in estimators else ())
     cells = []
     for (sample, _, run_key), (e, h, prior) in zip(lanes, heads):

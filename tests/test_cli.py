@@ -285,7 +285,7 @@ class TestSharedCell:
         def failing_at_40(lanes):
             # every lane's fit fails at k = 40, as an error the driver hands back
             fits = real(lanes)
-            return [RuntimeError("no fit") if e.k == 40 else fit for (e, _), fit in zip(lanes, fits)]
+            return [RuntimeError("no fit") if lik.k == 40 else fit for lik, fit in zip(lanes, fits)]
 
         monkeypatch.setattr(sim, "epd_ml_fits", failing_at_40)
         cfg, x, sample = self._study()

@@ -226,7 +226,7 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(epd._lbfgsb, "setulb", spy)
         monkeypatch.setattr(epd, "_ONE_BLAS_THREAD", CountingCap())
-        fits = epd.epd_ml_fits([(pareto_excesses(1.0, 100, (0, j)), -1.0) for j in range(8)])
+        fits = epd.epd_ml_fits([epd._Likelihood(pareto_excesses(1.0, 100, (0, j)), -1.0) for j in range(8)])
         assert all(isinstance(fit, et.EPDFit) for fit in fits)
         assert entries == [2]
         assert len(seen) > 8 and set(seen) == {1}
@@ -245,7 +245,7 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(epd._lbfgsb, "setulb", failing)
         with pytest.raises(RuntimeError, match="minimizer failed"):
-            epd.epd_ml_fits([(pareto_excesses(1.0, 100, (0, j)), -1.0) for j in range(8)])
+            epd.epd_ml_fits([epd._Likelihood(pareto_excesses(1.0, 100, (0, j)), -1.0) for j in range(8)])
         assert len(calls) == 20 and set(calls) == {1}
         assert threads() == 2
 

@@ -149,20 +149,27 @@ def test_profile_posterior_mode_matches_oracle_at_the_edges(name):
 
 
 def test_mode_search_prunes_most_of_the_grid(monkeypatch):
-    # the exact pass sees every grid row the search evaluates; with pruning
-    # bypassed it would see all 481 rows of each call
+    # the scan evaluates the coarse nodes in ``bounds`` and the nodes it keeps
+    # in ``exact``; with pruning bypassed it would evaluate all 481 of each call
     rows = []
-    exact = _Profiles.exact
+    bounds, exact = _Profiles.bounds, _Profiles.exact
 
-    def spy(self, lane, deltas, slope=False):
+    def bounds_spy(self, block):
+        v, bound = bounds(self, block)
+        rows[-1] += v.size
+        return v, bound
+
+    def exact_spy(self, lane, deltas, slope=False):
         rows[-1] += len(deltas)
         return exact(self, lane, deltas, slope)
 
-    monkeypatch.setattr(_Profiles, "exact", spy)
+    monkeypatch.setattr(_Profiles, "bounds", bounds_spy)
+    monkeypatch.setattr(_Profiles, "exact", exact_spy)
     for _, e, tau, sigma2 in _rep_cells(*DESIGNS["burr_fig2"]):
         rows.append(0)
         _profile_posterior_mode(e, tau, sigma2)
     assert len(rows) == 65
+    assert min(rows) > 481 // _STRIDE + 1, rows
     assert max(rows) <= 0.4 * 481, rows
 
 
@@ -265,6 +272,11 @@ def _lanes(name, k, count):
     return lanes
 
 
+def _liks(lanes):
+    """The likelihood of each (excesses, tau) lane, as ``epd_ml_fits`` takes them."""
+    return [_Likelihood(e, tau) for e, tau in lanes]
+
+
 @pytest.fixture(scope="module", params=sorted(LANE_KS))
 def lane_sets(request):
     return {k: _lanes(request.param, k, 32) for k in LANE_KS[request.param]}
@@ -273,7 +285,7 @@ def lane_sets(request):
 @pytest.mark.parametrize("count", [1, 2, 8, 32])
 def test_lockstep_fits_equal_one_lane_fits_and_the_oracle(lane_sets, count):
     for k, lanes in lane_sets.items():
-        got = [repr(fit) for fit in epd_ml_fits(lanes[:count])]
+        got = [repr(fit) for fit in epd_ml_fits(_liks(lanes[:count]))]
         assert got == [repr(et.epd_ml_fit(e, tau)) for e, tau in lanes[:count]], k
         assert got == [repr(oracle_epd_ml_fit(e, tau)) for e, tau in lanes[:count]], k
 
@@ -282,18 +294,18 @@ def test_a_lane_that_raises_leaves_the_others_alone():
     # all excesses tie at the threshold: Hill is 0 and the fit has no interior maximum
     lanes = _lanes("frechet_fig1", 20, 3)
     tie = (et.ExcessSet(y=np.ones(20), k=20, threshold=1.0), -1.0)
-    got = epd_ml_fits([tie, lanes[0], lanes[1], tie, lanes[2]])
+    got = epd_ml_fits(_liks([tie, lanes[0], lanes[1], tie, lanes[2]]))
     for fit in (got[0], got[3]):
         assert isinstance(fit, ValueError) and "ties" in str(fit)
     assert [repr(got[i]) for i in (1, 2, 4)] == [repr(et.epd_ml_fit(e, tau)) for e, tau in lanes]
     with pytest.raises(ValueError, match="ties"):
         et.epd_ml_fit(*tie)
-    assert epd_ml_fits([tie, tie])[1].args == got[0].args
+    assert epd_ml_fits(_liks([tie, tie]))[1].args == got[0].args
 
 
 def test_lanes_of_different_k_are_rejected():
     with pytest.raises(ValueError):
-        epd_ml_fits(_lanes("frechet_fig1", 20, 1) + _lanes("frechet_fig1", 25, 1))
+        epd_ml_fits(_liks(_lanes("frechet_fig1", 20, 1) + _lanes("frechet_fig1", 25, 1)))
 
 
 @pytest.mark.parametrize("limit, option, value", [("_LBFGSB_MAXITER", "maxiter", 2),
@@ -301,7 +313,7 @@ def test_lanes_of_different_k_are_rejected():
 def test_lockstep_lanes_stop_at_scipys_limits_like_the_oracle(monkeypatch, limit, option, value):
     monkeypatch.setattr(et.epd, limit, value)
     lanes = _lanes("burr_fig2", 200, 8)
-    got = epd_ml_fits(lanes)
+    got = epd_ml_fits(_liks(lanes))
     assert not any(fit.converged for fit in got)
     assert [repr(fit) for fit in got] == [repr(et.epd_ml_fit(e, tau)) for e, tau in lanes]
     assert [repr(fit) for fit in got] == [repr(oracle_epd_ml_fit(e, tau, **{option: value}))
