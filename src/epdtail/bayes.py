@@ -5,9 +5,10 @@ variance shrinks with the threshold, and the tail index gets a proper
 gamma approximation of the maximal-data-information prior. Estimation is
 by posterior mode, either through the first-order estimating equations
 (with an exact-mode fallback where those have no solution) or through a
-random-walk Metropolis chain. The exact-mode search runs on lanes that
-share k in lockstep, in passes of a fixed size, and polishes with an
-in-house port of scipy's bounded scalar minimizer.
+random-walk Metropolis chain. The exact-mode search runs on lanes of a
+likelihood stack (``epd._Likelihood``) in lockstep, reading the stack in
+place in passes of a fixed size, and polishes with an in-house port of
+scipy's bounded scalar minimizer.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.special import gammaln, ndtr
 
 from .classical import hill, moment_stat
 from .data import ExcessSet, SortedSample
-from .epd import DELTA_MAX, EPDParams, _Likelihood, delta_lower_bound, epd_tail_prob
+from .epd import DELTA_MAX, EPDParams, _inadmissible, _Likelihood, delta_lower_bound, epd_tail_prob
 
 __all__ = [
     "ClosedFormError",
@@ -126,7 +127,7 @@ class _LogTarget:
 
     def __init__(self, e: ExcessSet, tau: float, sigma2: float) -> None:
         _check_sigma2(sigma2)
-        self.lik = _Likelihood(e, tau)
+        self.lik = _Likelihood([(e, tau)])
         self.k = e.k
         self.sigma2 = sigma2
         self.log_norm, self.log_trunc = _delta_prior_logs(delta_lower_bound(tau), sigma2)
@@ -152,16 +153,16 @@ def _row_scratch(rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((rows, 2, k)), np.empty((rows, k))
 
 
-def _row_sums(coef: np.ndarray, lane: np.ndarray | None, deltas: np.ndarray,
+def _row_sums(coef: np.ndarray, lane: np.ndarray, deltas: np.ndarray,
               scratch: tuple[np.ndarray, np.ndarray], slope: bool = False) -> tuple:
     """Per row, its lane's sums of log1p(delta*a) and log1p(delta*b) at an admissible delta.
 
-    ``coef`` stacks the lanes' coefficient rows as (lanes x 2 x k); row i
-    is lane ``lane[i]``, or lane i where ``lane`` is None. Returns the
-    sums as an (n, 2) array, and the n sums of b/(1 + delta*b), the
-    second's derivative in delta, if ``slope`` (else None). The rows run
-    in blocks, each in the ``scratch`` space of ``_row_scratch``: a block
-    gathers its lanes' coefficients and scales them by delta in place.
+    ``coef`` stacks the lanes' coefficient rows as (lanes x 2 x k), and
+    row i is lane ``lane[i]``. Returns the sums as an (n, 2) array, and
+    the n sums of b/(1 + delta*b), the second's derivative in delta, if
+    ``slope`` (else None). The rows run in blocks, each in the ``scratch``
+    space of ``_row_scratch``: a block gathers its lanes' coefficients and
+    scales them by delta in place.
     Each row is reduced alone, so its sums are those of a pass over its
     lane alone.
     """
@@ -170,7 +171,7 @@ def _row_sums(coef: np.ndarray, lane: np.ndarray | None, deltas: np.ndarray,
     for i in range(0, len(deltas) or 1, size):  # one empty block for no rows
         d = deltas[i:i + size, None]
         w = work[:len(d)]
-        c = coef[i:i + size] if lane is None else coef.take(lane[i:i + size], axis=0, out=w, mode="clip")
+        c = coef.take(lane[i:i + size], axis=0, out=w, mode="clip")
         if slope:
             t = np.add(np.multiply(c[:, 1], d, out=u[:len(d)]), 1.0, out=u[:len(d)])
             slopes.append(np.add.reduce(np.divide(c[:, 1], t, out=t), axis=1))
@@ -190,21 +191,21 @@ class _BoundTable:
     """
 
     def __init__(self, lik: _Likelihood) -> None:
-        self.lik = lik
-        self.cells: list = [None] * (_BLOCK * math.ceil((DELTA_MAX - lik.lo) / (_CELL * _BLOCK)))
-        self._coef = np.broadcast_to(lik.coef, (_BLOCK + 1, *lik.coef.shape))  # one lane per node
+        self.lik, self.lo = lik, float(lik.lo[0])  # a one-lane stack
+        self.cells: list = [None] * (_BLOCK * math.ceil((DELTA_MAX - self.lo) / (_CELL * _BLOCK)))
         self._scratch = _row_scratch(min(_BLOCK + 1, _BUDGET // (2 * lik.k)), lik.k)
 
     def fill(self, j: int) -> tuple:
         """Fill the block of cell j by row-sum passes over its _BLOCK + 1 nodes; return cell j."""
         lik = self.lik
         j0 = j - j % _BLOCK
-        nodes = lik.lo + _CELL * np.arange(j0, j0 + _BLOCK + 1)
+        nodes = self.lo + _CELL * np.arange(j0, j0 + _BLOCK + 1)
         ok = (1.0 + np.outer(nodes, lik.ext)).min(axis=1) >= _FLOOR
-        s, q = _row_sums(self._coef, None, np.where(ok, nodes, 0.0), self._scratch, slope=True)
+        s, q = _row_sums(lik.coef, np.zeros(_BLOCK + 1, int), np.where(ok, nodes, 0.0), self._scratch,
+                         slope=True)
         q = _CELL * q  # _CELL * dS2/ddelta
         s1, s2 = s.T
-        s1 = s1 + lik.sum_log_y
+        s1 = s1 + lik.sum_log_y[0]
         m1, m2 = (_MARGIN * (np.maximum(abs(s[:-1]), abs(s[1:])) + lik.k) for s in (s1, s2))
         rows = np.column_stack([s1[:-1] - m1, s1[1:] - s1[:-1], s2[:-1] + m2, q[:-1],
                                 s2[1:] - q[1:] + m2, q[1:]])
@@ -276,7 +277,7 @@ def _solve_first_order(e: ExcessSet, tau: float, weight: float) -> tuple[float, 
 
 
 class _Profiles:
-    """The log posteriors of lanes (likelihood, sigma2) over delta, with xi profiled out.
+    """The log posteriors of lanes of a stack over delta, with xi profiled out.
 
     At fixed delta the maximizing xi solves a quadratic in g = mean(log y +
     log1p(delta*a)), so delta enters through the delta prior and the row
@@ -287,33 +288,31 @@ class _Profiles:
     mode search scans ``grid``, 481 nodes per lane from just above its
     model bound.
 
-    The lanes share k. A row is one (lane, delta) pair: the per-lane
-    constants are arrays over the lanes, indexed by the rows' lanes, and
-    the row sums of any set of rows come from passes of at most _BUDGET
-    doubles (half as many again for the slopes), in scratch space reused
-    across blocks and calls.
+    It searches the stack lanes ``rows``, ascending. A row is one (lane,
+    delta) pair: the per-lane constants are arrays over those lanes, and
+    the row sums of any rows come from passes over the stack's ``coef`` of
+    at most _BUDGET doubles (half as many again for the slopes), in
+    scratch space reused across blocks and calls.
     """
 
-    def __init__(self, lanes: Sequence[tuple[_Likelihood, float]]) -> None:
-        liks = [lik for lik, _ in lanes]
-        self.k = k = liks[0].k
-        if any(lik.k != k for lik in liks):
-            raise ValueError("the lanes' k differ")
-        self.coef = np.array([lik.coef for lik in liks])  # (lanes, 2, k)
-        self.ext = np.array([lik.ext for lik in liks])
-        self.sigma2 = np.array([sigma2 for _, sigma2 in lanes])
-        self.mean_logy = np.array([lik.sum_log_y / k for lik in liks])
+    def __init__(self, lik: _Likelihood, sigma2: Sequence[float], lanes: Sequence[int] | None = None) -> None:
+        self.k = k = lik.k
+        self.coef = lik.coef
+        self.rows = rows = np.arange(len(lik.coef)) if lanes is None else np.asarray(lanes, dtype=int)
+        self.ext = lik.ext[rows]
+        self.sigma2 = np.asarray(sigma2, dtype=float)[rows]
+        self.mean_logy = lik.sum_log_y[rows] / k
         self.xi_floor = 0.05 * self.mean_logy
-        self.lp_const = np.array([-log_norm - log_trunc - _LOG_GAMMA for log_norm, log_trunc
-                                  in (_delta_prior_logs(lik.lo, sigma2) for lik, sigma2 in lanes)])
+        self.lo = lo = lik.lo[rows]
+        self.lp_const = np.array([-log_norm - log_trunc - _LOG_GAMMA for log_norm, log_trunc in
+                                  map(_delta_prior_logs, lo.tolist(), self.sigma2.tolist())])
         self.bq = k + 1.0 - _GAMMA_SHAPE
         # np.linspace(start, DELTA_MAX, 481) of every lane, by linspace's own arithmetic
-        lo = np.array([lik.lo for lik in liks])
         start = (lo + 1e-9 * np.maximum(1.0, abs(lo)))[:, None]
         self.grid = np.arange(481.0) * ((DELTA_MAX - start) / 480) + start
         self.grid[:, -1] = DELTA_MAX
         # a block holds the coarse nodes of a scan's lanes, or as many rows as fit in _BUDGET
-        coarse = min(len(lanes), _SCAN_LANES) * (480 // _STRIDE + 1)
+        coarse = min(len(rows), _SCAN_LANES) * (480 // _STRIDE + 1)
         self.scratch = _row_scratch(min(_BUDGET // (2 * k), coarse), k)
 
     def xi(self, g, sqrt=math.sqrt):
@@ -338,7 +337,7 @@ class _Profiles:
     def exact(self, lane: np.ndarray, deltas: np.ndarray, slope: bool = False) -> tuple:
         """The profile at rows (lane, delta) by row-sum passes, with its admissible mask, sums and slopes."""
         ok = (1.0 + deltas[:, None] * self.ext[lane] > 0.0).all(axis=1)
-        s, q = _row_sums(self.coef, lane, np.where(ok, deltas, 0.0), self.scratch, slope)
+        s, q = _row_sums(self.coef, self.rows[lane], np.where(ok, deltas, 0.0), self.scratch, slope)
         return self.from_sums(lane, deltas, ok, s[:, 0], s[:, 1]), ok, s, q
 
     def bounds(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +353,7 @@ class _Profiles:
         grid = self.grid[block]
         c = grid[:, ::_STRIDE].copy()
         ok = (1.0 + c[:, :, None] * self.ext[block, None] > 0.0).all(axis=2)
-        lane = np.arange(len(self.grid))[block].repeat(c.shape[1])
+        lane = self.rows[block].repeat(c.shape[1])
         s, q = _row_sums(self.coef, lane, np.where(ok, c, 0.0).ravel(), self.scratch, slope=True)
         s1, s2 = s.T.reshape(2, *c.shape, 1)  # copies, so that each is contiguous
         q = q.reshape(*c.shape, 1)
@@ -448,26 +447,26 @@ def _sign(v: float) -> float:
 
 
 def _profile_posterior_modes(
-    lanes: Sequence[tuple[_Likelihood, float]]
+    lik: _Likelihood, sigma2: Sequence[float], lanes: Sequence[int] | None = None
 ) -> list[tuple[float, float] | ClosedFormError]:
-    """Exact posterior modes of lanes (likelihood, sigma2) that share k, by profiling xi out.
+    """Exact posterior modes of the stack lanes ``lanes`` (all where None), by profiling xi out.
 
-    Each lane's profile is scanned on its grid over the admissible delta
-    range, and a bounded local polish, ``_polish``, runs around the grid's
-    maximum. The scan computes every _STRIDE-th node of every lane, then
-    only the nodes whose upper bound reaches the best of their lane's. A
-    node it skips stays -inf, and it could not have been the maximum, so
-    the result is that of the full scan. The lanes run in lockstep: one
-    set of row-sum passes for the coarse nodes of all lanes, one for the
-    nodes kept, and one per polish round for every lane's next point. No
-    sum mixes lanes, so a lane's mode is the bits it gets alone. A lane
-    with no admissible grid node holds a ClosedFormError.
+    ``sigma2`` holds every stack lane's prior variance. Each lane's profile
+    is scanned on its grid over the admissible delta range, and a bounded
+    local polish, ``_polish``, runs around the grid's maximum. The scan
+    computes every _STRIDE-th node of every lane, then only the nodes
+    whose upper bound reaches the best of their lane's. A node it skips
+    stays -inf, and it could not have been the maximum, so the result is
+    that of the full scan. The lanes run in lockstep: one set of row-sum
+    passes for the coarse nodes of all lanes, one for the nodes kept, and
+    one per polish round for every lane's next point. No sum mixes lanes,
+    so a lane's mode is the bits it gets alone. A lane with no admissible
+    grid node holds a ClosedFormError.
     """
-    p = _Profiles(lanes)
-    liks = [lik for lik, _ in lanes]
-    k, grid = p.k, p.grid
+    p = _Profiles(lik, sigma2, lanes)
+    n, k, grid = len(p.rows), p.k, p.grid
     vals = np.full(grid.shape, -np.inf)
-    for first in range(0, len(lanes), _SCAN_LANES):  # the scan, a block of lanes at a time
+    for first in range(0, n, _SCAN_LANES):  # the scan, a block of lanes at a time
         block = slice(first, first + _SCAN_LANES)
         vals[block, ::_STRIDE], bound = p.bounds(block)
         lane, cell, node = np.nonzero(bound >= vals[block].max(axis=1)[:, None, None])
@@ -475,9 +474,9 @@ def _profile_posterior_modes(
         node += _STRIDE * cell + 1
         vals[lane, node] = p.exact(lane, grid[lane, node])[0]
     best, top = vals.argmax(axis=1), vals.max(axis=1).tolist()
-    mean_logy, xi_floor, sigma2, lp_const = (a.tolist() for a in
-                                             (p.mean_logy, p.xi_floor, p.sigma2, p.lp_const))
-    out: list = [None] * len(lanes)
+    mean_logy, xi_floor, sigma2, lp_const, ext, lo = (a.tolist() for a in (
+        p.mean_logy, p.xi_floor, p.sigma2, p.lp_const, p.ext, p.lo))
+    out: list = [None] * n
     asks, penalty = {}, {}  # per lane in the polish: its search and the point it asks for; its penalty
 
     def neg_total(i: int, delta: float, inside: bool, m1: float, m2: float) -> float:
@@ -497,17 +496,16 @@ def _profile_posterior_modes(
         # finite, so the polish's parabolic steps never do arithmetic on inf, and
         # worse than the grid's best, so the rule below rejects a polish ending there
         penalty[i] = 1.0 - v
-        lo = liks[i].lo
         step = grid[i, 1] - grid[i, 0]
-        polish = _polish(max(lo + 1e-12 * max(1.0, abs(lo)), float(grid[i, b] - step)),
+        polish = _polish(max(lo[i] + 1e-12 * max(1.0, abs(lo[i])), float(grid[i, b] - step)),
                          min(DELTA_MAX, float(grid[i, b] + step)))
         asks[i] = (polish, next(polish))
     while asks:  # a round: every lane's next point by one row-sum pass
         rows = list(asks)
         xs = [asks[i][1] for i in rows]
-        inside = [not liks[i].inadmissible(x) for i, x in zip(rows, xs)]
-        s = _row_sums(p.coef, None if len(rows) == len(lanes) else np.array(rows),
-                      np.array([x if ok else 0.0 for x, ok in zip(xs, inside)]), p.scratch)[0]
+        inside = [not _inadmissible(ext[i], x) for i, x in zip(rows, xs)]
+        s = _row_sums(p.coef, p.rows[rows], np.array([x if ok else 0.0 for x, ok in zip(xs, inside)]),
+                      p.scratch)[0]
         for i, x, ok, (m1, m2) in zip(rows, xs, inside, (s / k).tolist()):
             polish = asks[i][0]
             try:
@@ -518,25 +516,16 @@ def _profile_posterior_modes(
                 out[i] = x_hat if f_hat <= -top[i] else float(grid[i, best[i]])
     done = [i for i, mode in enumerate(out) if not isinstance(mode, ClosedFormError)]
     if done:
-        s = _row_sums(p.coef, None if len(done) == len(lanes) else np.array(done),
-                      np.array([out[i] for i in done]), p.scratch)[0]
+        s = _row_sums(p.coef, p.rows[done], np.array([out[i] for i in done]), p.scratch)[0]
         for i, s1 in zip(done, (s[:, 0] / k).tolist()):
             out[i] = (p.xi(mean_logy[i] + s1), out[i])
     return out
 
 
-def _profile_posterior_mode(e: ExcessSet, tau: float, sigma2: float) -> tuple[float, float]:
-    """Exact posterior mode of one (excesses, tau, sigma2): ``_profile_posterior_modes`` on one lane."""
-    (mode,) = _profile_posterior_modes([(_Likelihood(e, tau), sigma2)])
-    if isinstance(mode, ClosedFormError):
-        raise mode
-    return mode
-
-
 def _closed_forms(
-    lanes: Sequence[tuple[ExcessSet, _Likelihood, float]]
+    lik: _Likelihood, excess: Sequence[ExcessSet], sigma2: Sequence[float]
 ) -> list[BayesEstimate | ValueError | ClosedFormError]:
-    """``bayes_closed_form`` on lanes (excesses, their likelihood at tau, sigma2) that share k.
+    """``bayes_closed_form`` on the lanes of the stack ``lik``: their excesses and their sigma2.
 
     The linear route runs lane by lane; the lanes it leaves run the exact
     mode search together (``_profile_posterior_modes``). A lane that
@@ -544,14 +533,14 @@ def _closed_forms(
     """
     out: list = []
     search = []
-    for e, lik, sigma2 in lanes:
+    for e, tau, s2 in zip(excess, lik.tau.tolist(), sigma2):
         try:
             if e.k < 10:
                 raise ValueError(f"need at least 10 excesses, got {e.k}")
-            if lik.tau >= 0:
-                raise ValueError(f"tau must be negative, got {lik.tau}")
-            _check_sigma2(sigma2)
-            xi, delta = _solve_first_order(e, lik.tau, 1.0 / (e.k * sigma2))
+            if tau >= 0:
+                raise ValueError(f"tau must be negative, got {tau}")
+            _check_sigma2(s2)
+            xi, delta = _solve_first_order(e, tau, 1.0 / (e.k * s2))
             out.append(BayesEstimate(xi=xi, delta=delta, solver="linear"))
         except ClosedFormError:
             search.append(len(out))
@@ -559,7 +548,7 @@ def _closed_forms(
         except ValueError as exc:
             out.append(exc)
     if search:
-        for i, mode in zip(search, _profile_posterior_modes([lanes[i][1:] for i in search])):
+        for i, mode in zip(search, _profile_posterior_modes(lik, sigma2, search)):
             out[i] = mode if isinstance(mode, ClosedFormError) else BayesEstimate(*mode, solver="profile-map")
     return out
 
@@ -575,7 +564,7 @@ def bayes_closed_form(e: ExcessSet, tau: float, sigma2: float) -> BayesEstimate:
     ``BayesEstimate.solver`` records which route ran. This is
     ``_closed_forms`` on one lane.
     """
-    (est,) = _closed_forms([(e, _Likelihood(e, tau), sigma2)])
+    (est,) = _closed_forms(_Likelihood([(e, tau)]), [e], [sigma2])
     if isinstance(est, Exception):
         raise est
     return est
@@ -632,7 +621,7 @@ def metropolis_sample(
     accepted_post = 0
     batch_accepts = 0
     table = _BoundTable(target.lik)
-    cells, fill, n_cells, lo = table.cells, table.fill, len(table.cells), target.lik.lo
+    cells, fill, n_cells, lo = table.cells, table.fill, len(table.cells), table.lo
     log_prior, normal, uniform = target.log_prior, rng.standard_normal, rng.random
     exp, log = math.exp, math.log
 
@@ -714,21 +703,25 @@ def bayes_tail_prob(
     return epd_tail_prob(s, k, x, params)
 
 
-def smooth_path(series, window: int = 5) -> np.ndarray:
-    """Centered moving average with a symmetric shrinking window at the edges.
+def smooth_path(paths, window: int = 5) -> np.ndarray:
+    """Centered moving average along the last axis, with a symmetric shrinking window at the edges.
 
-    Missing (non-finite) cells are skipped, and a cell whose window holds
-    no finite value is NaN. The window must be odd; width 1 is the
-    identity on finite cells. Output length equals input length.
+    ``paths`` is one path or an array of them (lanes x k). Missing
+    (non-finite) cells are skipped, and a cell whose window holds no
+    finite value is NaN. The window must be odd; width 1 is the identity
+    on finite cells. A cell's finite values are summed left to right from
+    0.0 and divided by their count: the bits of their ``np.mean`` when
+    they are fewer than 8, as numpy's ``add.reduce`` sums those in order.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
-    x = np.asarray(series, dtype=float)
-    r = window // 2
-    out = np.empty_like(x)
-    for i in range(x.size):
-        ri = min(r, i, x.size - 1 - i)
-        seg = x[i - ri: i + ri + 1]
-        good = np.isfinite(seg)
-        out[i] = seg[good].mean() if good.any() else np.nan
-    return out
+    x = np.asarray(paths, dtype=float)
+    i = np.arange(x.shape[-1])
+    half = np.minimum(i, i[::-1])  # the half-width at which a cell's window meets an end
+    total, count = np.zeros(x.shape), np.zeros(x.shape, dtype=int)
+    for j in range(-(window // 2), window // 2 + 1):
+        v = x[..., np.clip(i + j, 0, i.size - 1)]
+        take = (abs(j) <= half) & np.isfinite(v)
+        np.add(total, v, out=total, where=take)
+        count += take
+    return np.divide(total, count, out=np.full(x.shape, np.nan), where=count > 0)

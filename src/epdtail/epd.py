@@ -3,7 +3,8 @@
 The model perturbs the strict Pareto survival y**(-1/xi) by a bounded
 power term: survival(y) = (y * (1 + delta - delta * y**tau))**(-1/xi) on
 y >= 1, with tau < 0 < xi and delta > max(-1, 1/tau). delta = 0 recovers
-the strict Pareto exactly.
+the strict Pareto exactly. The likelihood is built once as a stack of
+lanes, excess sets that share k, and the ML fits read it in place.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -85,89 +86,84 @@ class EPDFit:
 
 
 class _Likelihood:
-    """The mean log-likelihood of one excess set at fixed tau, built once.
+    """The mean log-likelihoods of lanes (excess sets that share k, each at its own tau) as one stack.
 
-    Holds what stays fixed while (xi, delta) move: tau, log y and its sum
-    (k times the Hill estimate), and the coefficients a = 1 - y**tau and
-    b = 1 - (1 + tau) * y**tau (the rows of ``coef``) with their extremes.
-    Both perturbation terms 1 + delta*a and 1 + delta*b are affine in
-    delta, and rounded products and sums are monotone, so positivity over
-    the sample is exactly positivity at the coefficient extremes. Means
-    are a row-wise ``np.add.reduce`` divided by k, the value ``np.mean``
-    returns for each row.
-
-    A call writes into scratch space owned by the instance, so one
-    instance serves one caller at a time.
+    Holds what stays fixed while (xi, delta) move, one row per lane: tau,
+    the model bound ``lo``, log y and its sum (k times the Hill estimate),
+    and the coefficients a = 1 - y**tau and b = 1 - (1 + tau) * y**tau
+    (``coef``, lanes x 2 x k) with their extremes ``ext`` (a_lo, a_hi,
+    b_lo, b_hi). Both perturbation terms are affine in delta, and rounded
+    products and sums are monotone, so positivity over the sample is
+    exactly positivity at the coefficient extremes. Means are a row-wise
+    ``np.add.reduce`` divided by k, the value ``np.mean`` returns.
     """
 
-    def __init__(self, e: ExcessSet, tau: float) -> None:
-        y = e.y
+    def __init__(self, lanes: Sequence[tuple[ExcessSet, float]]) -> None:
+        self.k = k = lanes[0][0].k
+        if any(e.k != k for e, _ in lanes):
+            raise ValueError("the lanes' k differ")
+        self.tau = tau = np.array([t for _, t in lanes], dtype=float)
+        # delta_lower_bound where tau < 0: max(-1, 1/tau) is -1 for every tau above -1
+        self.lo = np.where(tau < 0, np.maximum(-1.0, 1.0 / np.minimum(tau, -1.0)), math.inf)
+        y = np.array([e.y for e, _ in lanes])
         if (y < 1.0).any():
             raise ValueError("excesses must be >= 1")
-        self.k, self.tau = e.k, tau
-        self.lo = delta_lower_bound(tau) if tau < 0 else math.inf
         self.log_y = np.log(y)
-        self.sum_log_y = float(np.add.reduce(self.log_y))
-        p = y ** tau
-        self.coef = np.empty((2, y.size))
-        self.a, self.b = self.coef
-        np.subtract(1.0, p, out=self.a)
-        np.subtract(1.0, np.multiply(1.0 + tau, p, out=self.b), out=self.b)
-        (a_lo, b_lo), (a_hi, b_hi) = self.coef.min(axis=1).tolist(), self.coef.max(axis=1).tolist()
-        self.ext = (a_lo, a_hi, b_lo, b_hi)
-        self._work = np.empty_like(self.coef)
-        self._work_a = self._work[0]
+        self.sum_log_y = np.add.reduce(self.log_y, axis=1)
+        # each lane's scalar power: numpy rounds special exponents such as -1 otherwise in an array
+        p = np.array([e.y ** t for e, t in lanes])
+        self.coef = np.empty((len(lanes), 2, k))
+        a, b = self.coef[:, 0], self.coef[:, 1]
+        np.subtract(1.0, p, out=a)
+        np.subtract(1.0, np.multiply((1.0 + tau)[:, None], p, out=b), out=b)
+        self.ext = np.column_stack([a.min(axis=1), a.max(axis=1), b.min(axis=1), b.max(axis=1)])
 
-    def inadmissible(self, delta: float) -> bool:
-        """Whether 1 + delta*a or 1 + delta*b fails to be positive somewhere on the sample."""
-        a_lo, a_hi, b_lo, b_hi = self.ext
-        return (1.0 + delta * a_lo <= 0.0 or 1.0 + delta * a_hi <= 0.0
-                or 1.0 + delta * b_lo <= 0.0 or 1.0 + delta * b_hi <= 0.0)
+    @cached_property
+    def _one(self) -> tuple:
+        """A one-lane stack's bound, extremes, rows and log y; its calls' (2 x k) scratch and first row."""
+        w = np.empty((2, self.k))
+        return float(self.lo[0]), self.ext[0].tolist(), self.coef[0], self.log_y[0], w, w[0]
 
     def __call__(self, xi: float, delta: float) -> float:
-        if not (xi > 0 and delta > self.lo) or self.inadmissible(delta):
+        """The mean log-likelihood of a one-lane stack at (xi, delta); -inf outside the region."""
+        lo, ext, coef, log_y, w, w0 = self._one
+        if not (xi > 0 and delta > lo) or _inadmissible(ext, delta):
             return -math.inf
-        w = self._work
-        np.multiply(self.coef, delta, out=w)
+        np.multiply(coef, delta, out=w)
         np.add(w, 1.0, out=w)
         np.log(w, out=w)
-        np.add(self._work_a, self.log_y, out=self._work_a)
+        np.add(w0, log_y, out=w0)
         s1, s2 = np.add.reduce(w, axis=1)
         k = self.k
         return -math.log(xi) - (1.0 / xi + 1.0) * (float(s1) / k) + float(s2) / k
 
-    def value_and_grad(self, xi: float, delta: float) -> tuple[float, float, float] | None:
-        """The value and gradient by the ML fit's pass, on one lane; None outside the region."""
-        if not (xi > 0 and delta > self.lo) or self.inadmissible(delta):
-            return None
-        (sums,) = _fg_sums(self.coef[:, None], self.log_y[None], np.array([[delta]]),
-                           _fg_views(np.empty((4, 1, self.k))))
-        return _value_and_grad(xi, self.k, *sums)
+
+def _inadmissible(ext: Sequence[float], delta: float) -> bool:
+    """Whether 1 + delta*a or 1 + delta*b fails to be positive somewhere on a lane with extremes ``ext``."""
+    a_lo, a_hi, b_lo, b_hi = ext
+    return (1.0 + delta * a_lo <= 0.0 or 1.0 + delta * a_hi <= 0.0
+            or 1.0 + delta * b_lo <= 0.0 or 1.0 + delta * b_hi <= 0.0)
 
 
-def _fg_views(w: np.ndarray) -> tuple:
-    """A (4 x lanes x k) scratch block and the views of it that ``_fg_sums`` writes."""
-    return w, w[:2], w[2:], w[0]
-
-
-def _fg_sums(coef: np.ndarray, log_y: np.ndarray, deltas: np.ndarray, views: tuple):
+def _fg_sums(coef: np.ndarray, log_y: np.ndarray, deltas: np.ndarray, w: np.ndarray) -> list:
     """Per lane, the four sums that the value and gradient need, by one pass.
 
-    ``coef`` stacks the lanes' coefficient rows as (2 x lanes x k),
+    ``coef`` stacks the lanes' coefficient rows as (lanes x 2 x k),
     ``log_y`` their log excesses (lanes x k), and ``deltas`` holds one
-    delta per lane as a (lanes x 1) column. Yields per lane the sums of
-    log y + log(1 + delta*a), log(1 + delta*b), a/(1 + delta*a) and
-    b/(1 + delta*b): one multiply, add, divide and log over a scratch
-    block with its ``_fg_views``, and one row-wise ``np.add.reduce``.
-    Each row is reduced alone, so a lane's sums do not depend on the others.
+    delta per lane as a (lanes x 1 x 1) array. Returns per lane the sums
+    [s1, s2, r1, r2] of log y + log(1 + delta*a), log(1 + delta*b),
+    a/(1 + delta*a) and b/(1 + delta*b): one multiply, add, divide and log
+    into the lane-major (lanes x 4 x k) scratch ``w``, and one row-wise
+    ``np.add.reduce``. Each row is reduced alone, so a lane's sums do not
+    depend on the others.
     """
-    w, t, r, s1 = views
+    t, s1 = w[:, :2], w[:, 0]
     np.multiply(coef, deltas, out=t)
     np.add(t, 1.0, out=t)
-    np.divide(coef, t, out=r)
+    np.divide(coef, t, out=w[:, 2:])
     np.log(t, out=t)
     np.add(s1, log_y, out=s1)
-    return zip(*np.add.reduce(w, axis=2).tolist())
+    return np.add.reduce(w, axis=2).tolist()
 
 
 def _value_and_grad(xi: float, k: int, s1: float, s2: float,
@@ -266,27 +262,27 @@ def epd_log_likelihood(xi: float, delta: float, tau: float, e: ExcessSet) -> flo
     optimizers and samplers can reject naturally; malformed excess data
     raises instead.
     """
-    return _Likelihood(e, tau)(xi, delta)
+    return _Likelihood([(e, tau)])(xi, delta)
 
 
 class _Lane:
-    """One ML fit's L-BFGS-B state: the point, value and gradient, and the core's workspace.
+    """One ML fit's L-BFGS-B state: its lane i of the stack, the point, value, gradient and workspace.
 
     The arguments of ``_lbfgsb.setulb`` keep scipy's order and workspace
     sizes; nbd = 0 leaves both coordinates unbounded, so the two bound
     vectors are never read.
     """
 
-    def __init__(self, lik: _Likelihood) -> None:
+    def __init__(self, lik: _Likelihood, i: int) -> None:
         if lik.k < 10:
             raise ValueError(f"need at least 10 excesses to fit, got {lik.k}")
-        if lik.tau >= 0:
-            raise ValueError(f"tau must be negative, got {lik.tau}")
-        h = lik.sum_log_y / lik.k  # the Hill estimate, as ``hill`` computes it
+        self.tau = float(lik.tau[i])
+        if self.tau >= 0:
+            raise ValueError(f"tau must be negative, got {self.tau}")
+        h = float(lik.sum_log_y[i]) / lik.k  # the Hill estimate, as ``hill`` computes it
         if h <= 0:
             raise ValueError("all excesses are ties; the likelihood has no interior maximum")
-        self.lik = lik
-        self.lo = lik.lo
+        self.i, self.lo, self.ext = i, float(lik.lo[i]), lik.ext[i].tolist()
         self.span = DELTA_MAX - self.lo
         n = 2
         self.x = np.array([math.log(h), float(logit((0.0 - self.lo) / self.span))])
@@ -330,58 +326,51 @@ class _Lane:
         # x at the stop is the start or an accepted iterate, whose value is below the
         # start's and so far below the penalty: a point inside the region
         xi, delta, _ = self.unpack()
-        return EPDFit(params=EPDParams(xi=xi, delta=delta, tau=self.lik.tau), loglik=-self.f,
+        return EPDFit(params=EPDParams(xi=xi, delta=delta, tau=self.tau), loglik=-self.f,
                       converged=bool(self.task[0] == 4), iterations=self.iterations)
 
 
-def epd_ml_fits(lanes: Sequence[_Likelihood]) -> list[EPDFit | ValueError]:
-    """Maximum-likelihood fits of (xi, delta) at fixed tau, one per lane's likelihood at its tau.
+def epd_ml_fits(lik: _Likelihood) -> list[EPDFit | ValueError]:
+    """Maximum-likelihood fits of (xi, delta) at fixed tau, one per lane of the stack ``lik``.
 
     Every lane runs its own L-BFGS-B search, ``_Lane``, and the lanes
     advance in lockstep: each round, one ``_fg_sums`` pass answers every
-    lane that asks for a value and gradient. A lane's fit is the bits it
-    gets alone, since no sum mixes lanes. The lanes share k; a lane that
-    cannot be fit holds its ValueError.
+    lane that asks for a value and gradient, on the stack itself when all
+    of them ask. A lane's fit is the bits it gets alone, since no sum
+    mixes lanes. A lane that cannot be fit holds its ValueError.
     """
     out: list = []
-    for lik in lanes:
+    for i in range(len(lik.coef)):
         try:
-            out.append(_Lane(lik))
+            out.append(_Lane(lik, i))
         except ValueError as exc:
             out.append(exc)
     live = [lane for lane in out if isinstance(lane, _Lane)]
     if live:
-        k = live[0].lik.k
-        if any(lane.lik.k != k for lane in live):
-            raise ValueError("the lanes' k differ")
-        coef, log_y = np.empty((2, len(live), k)), np.empty((len(live), k))
-        for i, lane in enumerate(live):
-            coef[:, i], log_y[i] = lane.lik.coef, lane.lik.log_y
-        work, deltas = _fg_views(np.empty((4, len(live), k))), np.empty((len(live), 1))
+        work, deltas = np.empty((len(live), 4, lik.k)), np.empty((len(live), 1, 1))
         with _ONE_BLAS_THREAD:
-            asking = [i for i, lane in enumerate(live) if lane.advance()]
+            asking = [lane for lane in live if lane.advance()]
             while asking:
-                rows, todo = [], []
-                for i in asking:
-                    lane = live[i]
+                todo = []
+                for lane in asking:
                     xi, delta, sig = lane.unpack()
-                    if xi > 0 and delta > lane.lo and not lane.lik.inadmissible(delta):
-                        deltas[len(rows), 0] = delta
-                        rows.append(i)
+                    if xi > 0 and delta > lane.lo and not _inadmissible(lane.ext, delta):
+                        deltas[len(todo)] = delta
                         todo.append((lane, xi, sig))
                     else:  # big finite penalty so the line search backtracks from the region edge
                         lane.f = 1e12
                         lane.g[:] = 0.0
-                if todo:  # one pass for the lanes inside the region, all of them if all ask
-                    m = len(rows)
-                    block = ((coef, log_y, deltas, work) if m == len(live) else
-                             (coef[:, rows], log_y[rows], deltas[:m], _fg_views(work[0][:, :m])))
+                if todo:  # one pass for the lanes inside the region
+                    m = len(todo)
+                    rows = [lane.i for lane, _, _ in todo]
+                    block = ((lik.coef, lik.log_y, deltas, work) if m == len(lik.coef) else
+                             (lik.coef[rows], lik.log_y[rows], deltas[:m], work[:m]))
                     for (lane, xi, sig), sums in zip(todo, _fg_sums(*block)):
-                        value, d_xi, d_delta = _value_and_grad(xi, k, *sums)
+                        value, d_xi, d_delta = _value_and_grad(xi, lik.k, *sums)
                         lane.f = -value
                         lane.g[0] = -(d_xi * xi)
                         lane.g[1] = -(d_delta * lane.span * sig * (1.0 - sig))
-                asking = [i for i in asking if live[i].advance()]
+                asking = [lane for lane in asking if lane.advance()]
     return [lane.result() if isinstance(lane, _Lane) else lane for lane in out]
 
 
@@ -399,7 +388,7 @@ def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
     converged when the core stops with CONVERGENCE (task 4); the
     log-likelihood is minus the last value handed to the core.
     """
-    (fit,) = epd_ml_fits([_Likelihood(e, tau)])
+    (fit,) = epd_ml_fits(_Likelihood([(e, tau)]))
     if isinstance(fit, ValueError):
         raise fit
     return fit

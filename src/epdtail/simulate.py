@@ -4,12 +4,14 @@ Every replication draws its sample from its own seed, derived from the
 master seed. A study runs its replications in chunks, the work unit of
 the process pool, and a chunk runs threshold by threshold: at each k,
 ``estimate_cells`` estimates on every replication of the chunk (its
-lanes), as ``epdtail estimate`` does on its one sample. The lanes' ML
-fits run in lockstep, one likelihood pass per step for all of them
-(``epd_ml_fits``), and so do the exact posterior-mode searches of the
-lanes whose first-order system has no admissible root; the other
-estimators run lane by lane. No sum mixes lanes, so results are
-bit-identical for any chunking and worker count.
+lanes), as ``epdtail estimate`` does on its one sample. At each k one
+coefficient stack of the lanes (``epd._Likelihood``) is built, and the
+lanes' ML fits run on it in lockstep, one likelihood pass per step for
+all of them (``epd_ml_fits``), and so do the exact posterior-mode
+searches of the lanes whose first-order system has no admissible root;
+neither copies the stack. The other estimators run lane by lane, and the
+Bayes paths of a chunk are smoothed as one array. No sum mixes lanes, so
+results are bit-identical for any chunking and worker count.
 An estimator's ValueError or RuntimeError is excluded cell-wise and
 counted, and a run aborts when exclusions exceed 5%.
 """
@@ -285,10 +287,10 @@ def estimate_cells(lanes: Sequence[tuple[SortedSample, float, tuple[int, ...]]],
     """Run each of ``estimators`` (names from ``ESTIMATORS``) at threshold k, lane by lane.
 
     A lane is a (sample, rho, run_key) triple; one Cell per lane comes
-    back. Each lane's likelihood at (excesses, tau) is built once. The ML
-    fits of all lanes run in lockstep (``epd_ml_fits``), and so do the
-    exact mode searches of the lanes whose ``bayes_closed`` linear route
-    fails (``bayes._closed_forms``); each gives the bits of a lane alone.
+    back. The ML fits of all lanes run in lockstep (``epd_ml_fits``), and
+    so do the exact mode searches of the lanes whose ``bayes_closed``
+    linear route fails (``bayes._closed_forms``); both read one likelihood
+    stack of the lanes, and each gives the bits of a lane alone.
     A ValueError or RuntimeError fails only the estimator that raised it;
     when tau cannot be estimated every estimator fails. Other errors
     propagate. The ``bayes_mcmc`` chain runs ``mcmc`` with its seed drawn
@@ -302,10 +304,13 @@ def estimate_cells(lanes: Sequence[tuple[SortedSample, float, tuple[int, ...]]],
             heads.append((e, h, (tau_hat(rho, h), prior_variance(k, sample.n, rho))))
         except _CELL_ERRORS as exc:  # every estimator needs tau
             heads.append((e, h, exc))
-    ready = [(e, _Likelihood(e, prior[0]), prior[1]) for e, _, prior in heads
-             if isinstance(prior, tuple) and {"epd_ml", "bayes_closed"}.intersection(estimators)]
-    fits = iter(epd_ml_fits([lik for _, lik, _ in ready]) if "epd_ml" in estimators else ())
-    closed = iter(_closed_forms(ready) if "bayes_closed" in estimators else ())
+    ready = [(e, *prior) for e, _, prior in heads if isinstance(prior, tuple)]
+    fits = closed = iter(())
+    if ready and {"epd_ml", "bayes_closed"}.intersection(estimators):
+        excess, taus, sigma2 = zip(*ready)
+        lik = _Likelihood(list(zip(excess, taus)))
+        fits = iter(epd_ml_fits(lik) if "epd_ml" in estimators else ())
+        closed = iter(_closed_forms(lik, excess, sigma2) if "bayes_closed" in estimators else ())
     cells = []
     for (sample, _, run_key), (e, h, prior) in zip(lanes, heads):
         if not isinstance(prior, tuple):
@@ -376,9 +381,8 @@ def _study_chunk(cfg: MCStudyConfig, k_grid: tuple[int, ...], x_level: float, re
     if cfg.smooth_window >= 3:
         for i, name in enumerate(cfg.estimators):
             if name in ("bayes_closed", "bayes_mcmc"):
-                for lane in range(len(reps)):
-                    xi_out[lane, i] = smooth_path(xi_out[lane, i], cfg.smooth_window)
-                    p_out[lane, i] = smooth_path(p_out[lane, i], cfg.smooth_window)
+                xi_out[:, i] = smooth_path(xi_out[:, i], cfg.smooth_window)
+                p_out[:, i] = smooth_path(p_out[:, i], cfg.smooth_window)
     return xi_out, p_out
 
 

@@ -5,8 +5,10 @@ library (brute-force grid refinement, quadrature, batch means) so that
 agreement is evidence, not tautology. The exceptions keep a
 straightforward form of a library computation as the reference that the
 library must reproduce bit for bit: ``oracle_epd_log_likelihood``,
-``oracle_metropolis``, ``oracle_loglik_grad``, ``oracle_epd_ml_fit`` and
-``oracle_profile_posterior_mode``. ``oracle_first_order`` keeps the estimating-system
+``oracle_metropolis``, ``OracleLikelihood`` (the one-lane build of the
+coefficient rows that the library stacks), ``oracle_loglik_grad``,
+``oracle_epd_ml_fit``, ``oracle_profile_posterior_mode`` and
+``oracle_smooth_path``. ``oracle_first_order`` keeps the estimating-system
 variants that the library rejects, and ``asym_var_raw`` the literal form
 of the limiting variance. ``mu_opt``, ``sigma2_opt`` and ``log_posterior``
 are formulas the library does not need: the optimal prior scale in its
@@ -15,6 +17,9 @@ of the library's Metropolis target. ``log_prior_xi`` and
 ``log_prior_delta`` are the two log priors that the library's target
 inlines, and ``mse_opt_weighted`` the paper's weighted-average form of
 the optimal limiting MSE, a second route to ``mse_opt``.
+``loglik_value_and_grad`` and ``profile_posterior_mode`` are not oracles:
+they run the library's own ML pass and mode search on a one-lane stack,
+the one-lane forms that only tests call.
 """
 
 from __future__ import annotations
@@ -27,8 +32,15 @@ from scipy.special import expit, gammaln, logit, ndtr
 from scipy.stats import norm
 
 from epdtail import EPDFit, EPDParams, delta_lower_bound, hill, moment_stat
-from epdtail.bayes import ClosedFormError, _LogTarget
-from epdtail.epd import _ONE_BLAS_THREAD, DELTA_MAX, _Likelihood
+from epdtail.bayes import ClosedFormError, _LogTarget, _profile_posterior_modes
+from epdtail.epd import (
+    _ONE_BLAS_THREAD,
+    DELTA_MAX,
+    _fg_sums,
+    _inadmissible,
+    _Likelihood,
+    _value_and_grad,
+)
 
 
 def log_prior_xi(xi, gamma_shape=1e-4):
@@ -315,8 +327,62 @@ def asym_var_raw(r):
     )
 
 
+class OracleLikelihood:
+    """The mean log-likelihood of one excess set at fixed tau, built lane by lane.
+
+    The one-lane arithmetic that the library's stack ``epd._Likelihood``
+    runs on all lanes at once: log y, one ``y ** tau`` on the lane's row,
+    and the rows a = 1 - y**tau and b = 1 - (1 + tau) * y**tau of ``coef``
+    with their extremes. A call multiplies, adds and takes the log over
+    ``coef``, adds log y to the first row and reduces each row with
+    ``np.add.reduce``.
+    """
+
+    def __init__(self, e, tau):
+        y = e.y
+        self.k, self.tau = e.k, tau
+        self.lo = delta_lower_bound(tau) if tau < 0 else math.inf
+        self.log_y = np.log(y)
+        p = y ** tau
+        self.coef = np.empty((2, y.size))
+        self.a, self.b = self.coef
+        np.subtract(1.0, p, out=self.a)
+        np.subtract(1.0, np.multiply(1.0 + tau, p, out=self.b), out=self.b)
+        (a_lo, b_lo), (a_hi, b_hi) = self.coef.min(axis=1).tolist(), self.coef.max(axis=1).tolist()
+        self.ext = (a_lo, a_hi, b_lo, b_hi)
+
+    def inadmissible(self, delta):
+        a_lo, a_hi, b_lo, b_hi = self.ext
+        return (1.0 + delta * a_lo <= 0.0 or 1.0 + delta * a_hi <= 0.0
+                or 1.0 + delta * b_lo <= 0.0 or 1.0 + delta * b_hi <= 0.0)
+
+    def __call__(self, xi, delta):
+        if not (xi > 0 and delta > self.lo) or self.inadmissible(delta):
+            return -math.inf
+        w = np.log(self.coef * delta + 1.0)
+        w[0] += self.log_y
+        s1, s2 = np.add.reduce(w, axis=1)
+        return -math.log(xi) - (1.0 / xi + 1.0) * (float(s1) / self.k) + float(s2) / self.k
+
+
+def loglik_value_and_grad(lik, xi, delta):
+    """The value and gradient of a one-lane stack ``lik`` by the ML fit's pass; None outside the region."""
+    if not (xi > 0 and delta > lik.lo[0]) or _inadmissible(lik.ext[0].tolist(), delta):
+        return None
+    (sums,) = _fg_sums(lik.coef, lik.log_y, np.array([[[delta]]]), np.empty((1, 4, lik.k)))
+    return _value_and_grad(xi, lik.k, *sums)
+
+
+def profile_posterior_mode(e, tau, sigma2):
+    """The exact posterior mode of one (excesses, tau, sigma2): the lockstep search on a one-lane stack."""
+    (mode,) = _profile_posterior_modes(_Likelihood([(e, tau)]), [sigma2])
+    if isinstance(mode, ClosedFormError):
+        raise mode
+    return mode
+
+
 def oracle_loglik_grad(lik, xi, delta):
-    """Gradient of ``_Likelihood`` ``lik`` in (xi, delta), with its own 1 + delta*coef and log.
+    """Gradient of the ``OracleLikelihood`` ``lik`` in (xi, delta), with its own 1 + delta*coef and log.
 
     The arithmetic the library's gradient had before it shared one pass
     with the value. Raises ValueError outside the parameter region.
@@ -348,7 +414,7 @@ def oracle_epd_ml_fit(e, tau, maxiter=500, maxfun=15000):
     h = hill(e)
     if h <= 0:
         raise ValueError("all excesses are ties; the likelihood has no interior maximum")
-    lik = _Likelihood(e, tau)
+    lik = OracleLikelihood(e, tau)
     lo = lik.lo
     span = DELTA_MAX - lo
 
@@ -381,7 +447,7 @@ def oracle_epd_ml_fit(e, tau, maxiter=500, maxfun=15000):
 
 
 def oracle_profile_posterior_mode(e, tau, sigma2, gamma_shape=1e-4):
-    """``bayes._profile_posterior_mode`` without pruning: the unpruned reference.
+    """The exact posterior mode of ``bayes._profile_posterior_modes`` without pruning, one lane alone.
 
     The grid evaluates all 481 nodes, where the library evaluates only
     those whose upper bound reaches its best coarse node, and the polish
@@ -392,7 +458,7 @@ def oracle_profile_posterior_mode(e, tau, sigma2, gamma_shape=1e-4):
     arrays, and the prior truncation comes from ``scipy.stats.norm.sf``.
     The library must return the same bits.
     """
-    lik = _Likelihood(e, tau)
+    lik = OracleLikelihood(e, tau)
     k = e.k
     lo = lik.lo
     a, b = lik.a, lik.b
@@ -447,3 +513,16 @@ def oracle_profile_posterior_mode(e, tau, sigma2, gamma_shape=1e-4):
     delta_hat = float(res.x) if res.fun <= -vals[best] else float(grid[best])
     g_hat = mean_logy + float(np.mean(np.log1p(delta_hat * a)))
     return float(profile_xi(np.array(g_hat))), delta_hat
+
+
+def oracle_smooth_path(series, window=5):
+    """``bayes.smooth_path`` on one path: a loop over its cells, a ``mean`` of each window's finite values."""
+    x = np.asarray(series, dtype=float)
+    r = window // 2
+    out = np.empty_like(x)
+    for i in range(x.size):
+        ri = min(r, i, x.size - 1 - i)
+        seg = x[i - ri: i + ri + 1]
+        good = np.isfinite(seg)
+        out[i] = seg[good].mean() if good.any() else np.nan
+    return out

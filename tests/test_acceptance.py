@@ -22,6 +22,7 @@ from conftest import pareto_excesses
 from oracles import (
     batch_means_se,
     grid_map_oracle,
+    loglik_value_and_grad,
     mse_opt_weighted,
     oracle_first_order,
     oracle_metropolis,
@@ -59,7 +60,7 @@ def test_criterion_02_likelihood_gradients():
         e = et.ExcessSet(y=y, k=100, threshold=1.0)
         xi = float(rng.uniform(0.4, 1.2))
         delta = float(rng.uniform(max(et.delta_lower_bound(tau) + 0.2, -0.5), 1.0))
-        _, g_xi, g_delta = _Likelihood(e, tau).value_and_grad(xi, delta)
+        _, g_xi, g_delta = loglik_value_and_grad(_Likelihood([(e, tau)]), xi, delta)
         fd_xi = (et.epd_log_likelihood(xi + step, delta, tau, e)
                  - et.epd_log_likelihood(xi - step, delta, tau, e)) / (2 * step)
         fd_delta = (et.epd_log_likelihood(xi, delta + step, tau, e)

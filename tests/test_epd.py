@@ -15,7 +15,7 @@ import epdtail as et
 from epdtail import epd
 from epdtail.epd import _Likelihood
 from conftest import pareto_excesses
-from oracles import oracle_epd_log_likelihood
+from oracles import loglik_value_and_grad, oracle_epd_log_likelihood
 
 
 def _excess_set(y):
@@ -116,7 +116,7 @@ class TestGradient:
         xi = float(rng.uniform(0.4, 1.2))
         lo = et.delta_lower_bound(tau)
         delta = float(rng.uniform(max(lo + 0.2, -0.5), 1.0))
-        _, g_xi, g_delta = _Likelihood(e, tau).value_and_grad(xi, delta)
+        _, g_xi, g_delta = loglik_value_and_grad(_Likelihood([(e, tau)]), xi, delta)
         h = 1e-6
         fd_xi = (et.epd_log_likelihood(xi + h, delta, tau, e)
                  - et.epd_log_likelihood(xi - h, delta, tau, e)) / (2 * h)
@@ -226,7 +226,7 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(epd._lbfgsb, "setulb", spy)
         monkeypatch.setattr(epd, "_ONE_BLAS_THREAD", CountingCap())
-        fits = epd.epd_ml_fits([epd._Likelihood(pareto_excesses(1.0, 100, (0, j)), -1.0) for j in range(8)])
+        fits = epd.epd_ml_fits(_Likelihood([(pareto_excesses(1.0, 100, (0, j)), -1.0) for j in range(8)]))
         assert all(isinstance(fit, et.EPDFit) for fit in fits)
         assert entries == [2]
         assert len(seen) > 8 and set(seen) == {1}
@@ -245,7 +245,7 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(epd._lbfgsb, "setulb", failing)
         with pytest.raises(RuntimeError, match="minimizer failed"):
-            epd.epd_ml_fits([epd._Likelihood(pareto_excesses(1.0, 100, (0, j)), -1.0) for j in range(8)])
+            epd.epd_ml_fits(_Likelihood([(pareto_excesses(1.0, 100, (0, j)), -1.0) for j in range(8)]))
         assert len(calls) == 20 and set(calls) == {1}
         assert threads() == 2
 

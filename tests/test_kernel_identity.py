@@ -1,7 +1,8 @@
 """The study kernels return the bits of their earlier, slower forms.
 
-``_profile_posterior_mode`` and ``epd_ml_fit`` are compared with the
-copies in ``tests/oracles.py`` through ``repr``, which round-trips every
+The mode search on one lane (``profile_posterior_mode``) and
+``epd_ml_fit`` are compared with the copies in ``tests/oracles.py``,
+which build each lane's coefficients alone, through ``repr``, which round-trips every
 bit of a float, on every k of one replication of each bundled study
 design and of a design with tau < -1, and of a second Fréchet
 replication whose fits include one that does not converge. The mode
@@ -37,12 +38,18 @@ from epdtail.bayes import (
     ClosedFormError,
     _closed_forms,
     _polish,
-    _profile_posterior_mode,
     _profile_posterior_modes,
     _Profiles,
 )
 from epdtail.epd import _Likelihood, epd_ml_fits
-from oracles import oracle_epd_ml_fit, oracle_loglik_grad, oracle_profile_posterior_mode
+from oracles import (
+    OracleLikelihood,
+    loglik_value_and_grad,
+    oracle_epd_ml_fit,
+    oracle_loglik_grad,
+    oracle_profile_posterior_mode,
+    profile_posterior_mode,
+)
 
 DESIGN_SEED = 202408  # master seed of both bundled study designs
 
@@ -98,13 +105,13 @@ def test_designs_cover_tau_below_minus_one():
 @pytest.mark.parametrize("name, rep", MODE_REPS, ids=[_rep_id(p) for p in MODE_REPS])
 def test_profile_posterior_mode_matches_oracle(name, rep):
     for k, e, tau, sigma2 in _rep_cells(*DESIGNS[name], rep=rep):
-        got = _outcome(_profile_posterior_mode, e, tau, sigma2)
+        got = _outcome(profile_posterior_mode, e, tau, sigma2)
         assert got == _outcome(oracle_profile_posterior_mode, e, tau, sigma2), k
 
 
 def _full_scan(e, tau, sigma2):
     """The exact profile at every node of the search's grid."""
-    p = _Profiles([(_Likelihood(e, tau), sigma2)])
+    p = _Profiles(_Likelihood([(e, tau)]), [sigma2])
     return p.exact(np.zeros(p.grid.shape[1], int), p.grid[0])[0]
 
 
@@ -143,7 +150,7 @@ EDGE_CELLS = {
 def test_profile_posterior_mode_matches_oracle_at_the_edges(name):
     e, tau, sigma2, shows = EDGE_CELLS[name]
     assert shows(_full_scan(e, tau, sigma2))
-    got = _outcome(_profile_posterior_mode, e, tau, sigma2)
+    got = _outcome(profile_posterior_mode, e, tau, sigma2)
     assert not got.startswith("ClosedFormError")
     assert got == _outcome(oracle_profile_posterior_mode, e, tau, sigma2)
 
@@ -167,7 +174,7 @@ def test_mode_search_prunes_most_of_the_grid(monkeypatch):
     monkeypatch.setattr(_Profiles, "exact", exact_spy)
     for _, e, tau, sigma2 in _rep_cells(*DESIGNS["burr_fig2"]):
         rows.append(0)
-        _profile_posterior_mode(e, tau, sigma2)
+        profile_posterior_mode(e, tau, sigma2)
     assert len(rows) == 65
     assert min(rows) > 481 // _STRIDE + 1, rows
     assert max(rows) <= 0.4 * 481, rows
@@ -202,30 +209,34 @@ def test_ml_fit_stops_at_scipys_limits_like_the_oracle(monkeypatch, limit, optio
 def test_both_raise_where_no_grid_point_is_admissible():
     # all excesses tie at the threshold: g = 0 on the whole grid
     e = et.ExcessSet(y=np.ones(20), k=20, threshold=1.0)
-    got = _outcome(_profile_posterior_mode, e, -1.0, 1.0)
+    got = _outcome(profile_posterior_mode, e, -1.0, 1.0)
     assert got.startswith("ClosedFormError")
     assert got == _outcome(oracle_profile_posterior_mode, e, -1.0, 1.0)
 
 
 class TestFusedLikelihood:
-    def _lik(self, tau=-1.5):
-        e = _rep_cells(*DESIGNS["burr_fig2"])[20][1]
-        return _Likelihood(e, tau)
+    TAU = -1.5
+
+    def _e(self):
+        return _rep_cells(*DESIGNS["burr_fig2"])[20][1]
 
     @pytest.mark.parametrize("xi, delta", [(0.7, 0.0), (0.3, -0.4), (1.9, 2.5), (1e-3, 9.9)])
     def test_same_bits_as_call_and_grad(self, xi, delta):
-        lik = self._lik()
-        value, d_xi, d_delta = lik.value_and_grad(xi, delta)
+        e = self._e()
+        lik = _Likelihood([(e, self.TAU)])
+        value, d_xi, d_delta = loglik_value_and_grad(lik, xi, delta)
         assert repr(value) == repr(lik(xi, delta))
-        assert repr((d_xi, d_delta)) == repr(oracle_loglik_grad(lik, xi, delta))
+        assert repr(value) == repr(OracleLikelihood(e, self.TAU)(xi, delta))
+        assert repr((d_xi, d_delta)) == repr(oracle_loglik_grad(OracleLikelihood(e, self.TAU), xi, delta))
 
     @pytest.mark.parametrize("xi, delta", [(0.0, 0.1), (-1.0, 0.1), (0.5, -0.7), (0.5, -5.0)])
     def test_none_outside_the_region(self, xi, delta):
-        lik = self._lik()
+        e = self._e()
+        lik = _Likelihood([(e, self.TAU)])
         assert lik(xi, delta) == -math.inf
-        assert lik.value_and_grad(xi, delta) is None
+        assert loglik_value_and_grad(lik, xi, delta) is None
         with pytest.raises(ValueError, match="outside the parameter region"):
-            oracle_loglik_grad(lik, xi, delta)
+            oracle_loglik_grad(OracleLikelihood(e, self.TAU), xi, delta)
 
     def test_fit_callback_penalises_outside_the_region(self, monkeypatch):
         # the fit answers an inadmissible point with the finite penalty and a
@@ -273,8 +284,8 @@ def _lanes(name, k, count):
 
 
 def _liks(lanes):
-    """The likelihood of each (excesses, tau) lane, as ``epd_ml_fits`` takes them."""
-    return [_Likelihood(e, tau) for e, tau in lanes]
+    """The stack of (excesses, tau) lanes, as ``epd_ml_fits`` takes them."""
+    return _Likelihood(lanes)
 
 
 @pytest.fixture(scope="module", params=sorted(LANE_KS))
@@ -338,8 +349,8 @@ def _shown(result):
 
 def _lockstep(cells):
     """The lockstep search on cells (excesses, tau, sigma2), each mode as ``_outcome`` shows it."""
-    return [_shown(mode) for mode in
-            _profile_posterior_modes([(_Likelihood(e, tau), sigma2) for e, tau, sigma2 in cells])]
+    lik = _Likelihood([(e, tau) for e, tau, _ in cells])
+    return [_shown(mode) for mode in _profile_posterior_modes(lik, [sigma2 for _, _, sigma2 in cells])]
 
 
 def _oracle(cells):
@@ -428,7 +439,8 @@ def test_closed_forms_equal_one_lane_calls():
     cells = _mode_cells("burr_fig2", 150, 8)
     e, tau, sigma2 = cells[0]
     cells += [_tie(150), (e, tau, 0.0), (e, 0.5, sigma2)]
-    got = [_shown(est) for est in _closed_forms([(e, _Likelihood(e, tau), s) for e, tau, s in cells])]
+    lik = _Likelihood([(e, tau) for e, tau, _ in cells])
+    got = [_shown(est) for est in _closed_forms(lik, [e for e, _, _ in cells], [s for _, _, s in cells])]
     assert got == [_outcome(et.bayes_closed_form, *cell) for cell in cells]
     assert {est.split("solver=")[-1] for est in got[:8]} == {"'linear')", "'profile-map')"}
     assert [est.split(":")[0] for est in got[8:]] == ["ClosedFormError", "ValueError", "ValueError"]
@@ -482,10 +494,11 @@ def test_search_memory_stays_within_its_blocks():
     # for the slopes, and the scan's bound algebra about as much again; the
     # coarse nodes of all lanes in one pass would hold 32 * 61 * 2 * 450 doubles
     # (14 MB), and the kept nodes about a third of that
-    lanes = [(_Likelihood(e, tau), sigma2) for e, tau, sigma2 in _mode_cells("burr_fig2", 450, 32)]
+    cells = _mode_cells("burr_fig2", 450, 32)
+    lik = _Likelihood([(e, tau) for e, tau, _ in cells])
     tracemalloc.start()
     try:
-        modes = _profile_posterior_modes(lanes)
+        modes = _profile_posterior_modes(lik, [sigma2 for _, _, sigma2 in cells])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

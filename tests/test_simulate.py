@@ -275,7 +275,7 @@ class TestRunStudy:
     def test_arithmetic_error_in_a_cell_propagates(self, burr_dist, monkeypatch):
         # only ValueError and RuntimeError fail an estimator; anything else is
         # a fault and stops the study instead of becoming an exclusion
-        def dividing(lanes):
+        def dividing(lik, excess, sigma2):
             raise ZeroDivisionError("a fault, not a domain error")
 
         monkeypatch.setattr(sim, "_closed_forms", dividing)
@@ -298,3 +298,42 @@ class TestRunStudy:
         assert set(payload["config"]["dist"]) == {"kind", "args", "true_xi", "true_rho"}
         assert payload["config"]["k_grid"] == [20, 40, 60]
         assert payload["reps_used"] == cfg.reps
+
+
+def test_one_coefficient_stack_per_threshold_read_in_place(burr_dist, monkeypatch):
+    # at one k, one stack holds every lane's coefficient rows; the ML pass and the
+    # mode search read it, not copies of it
+    from epdtail import bayes, epd
+
+    stacks, passes, profiles = [], [], []
+    build, fg_sums, profile = epd._Likelihood.__init__, epd._fg_sums, bayes._Profiles.__init__
+
+    def build_spy(self, *args):
+        build(self, *args)
+        stacks.append(self)
+
+    def fg_sums_spy(coef, log_y, *rest):
+        passes.append((coef, log_y))
+        return fg_sums(coef, log_y, *rest)
+
+    def profile_spy(self, *args):
+        profile(self, *args)
+        profiles.append(self)
+
+    monkeypatch.setattr(epd._Likelihood, "__init__", build_spy)
+    monkeypatch.setattr(epd, "_fg_sums", fg_sums_spy)
+    monkeypatch.setattr(bayes._Profiles, "__init__", profile_spy)
+    lanes = []
+    for rep in range(8):
+        s = et.sample_distribution(burr_dist, 500, np.random.SeedSequence((202408, rep)))
+        lanes.append((s, et.resolve_rho(s)[0], (202408, rep)))
+    cells = sim.estimate_cells(lanes, 200, ("epd_ml", "bayes_closed"))
+    assert not any(cell.errors for cell in cells)
+    (stack,) = stacks
+    assert stack.coef.shape == (8, 2, 200)
+    # the first round of the ML fits asks for every lane, and reads the stack itself
+    coef, log_y = passes[0]
+    assert np.shares_memory(coef, stack.coef) and np.shares_memory(log_y, stack.log_y)
+    # the linear route leaves some lanes to the mode search, which reads the stack too
+    (p,) = profiles
+    assert np.shares_memory(p.coef, stack.coef)
