@@ -5,10 +5,10 @@ variance shrinks with the threshold, and the tail index gets a proper
 gamma approximation of the maximal-data-information prior. Estimation is
 by posterior mode, either through the first-order estimating equations
 (with an exact-mode fallback where those have no solution) or through a
-random-walk Metropolis chain. The exact-mode search runs on lanes of a
-likelihood stack (``epd._Likelihood``) in lockstep, reading the stack in
-place in passes of a fixed size, and polishes with an in-house port of
-scipy's bounded scalar minimizer.
+random-walk Metropolis chain. On the lanes of a likelihood stack
+(``epd._Likelihood``) the equations are solved as one array computation,
+and the exact-mode search runs the lanes left in lockstep, in passes of a
+fixed size over the stack, polished by a port of scipy's bounded minimizer.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import gammaln, ndtr
+from scipy.special import ndtr
 
-from .classical import hill, moment_stat
 from .data import ExcessSet, SortedSample
 from .epd import DELTA_MAX, EPDParams, _inadmissible, _Likelihood, delta_lower_bound, epd_tail_prob
 
@@ -40,9 +39,9 @@ __all__ = [
 ]
 
 # shape of the proper gamma (scale 1) approximation to the information prior on xi, and
-# the log of its normaliser
+# the log of its normaliser: scipy's gammaln(1e-4), one ulp below math.lgamma(1e-4)
 _GAMMA_SHAPE = 1e-4
-_LOG_GAMMA = float(gammaln(_GAMMA_SHAPE))
+_LOG_GAMMA = 9.210282658633961
 # Metropolis tuning: initial step scales in (log xi, delta), and the burn-in
 # adaptation that every _ADAPT_INTERVAL proposals nudges both scales toward
 # the _TARGET_ACCEPT acceptance rate (Roberts, Gelman & Gilks 1997)
@@ -162,23 +161,22 @@ def _row_sums(coef: np.ndarray, lane: np.ndarray, deltas: np.ndarray,
     the n sums of b/(1 + delta*b), the second's derivative in delta, if
     ``slope`` (else None). The rows run in blocks, each in the ``scratch``
     space of ``_row_scratch``: a block gathers its lanes' coefficients and
-    scales them by delta in place.
+    scales them by delta in place, and reduces into its rows of the outputs.
     Each row is reduced alone, so its sums are those of a pass over its
     lane alone.
     """
     work, u = scratch
-    sums, slopes, size = [], [], len(work)
-    for i in range(0, len(deltas) or 1, size):  # one empty block for no rows
+    n, size = len(deltas), len(work)
+    sums, slopes = np.empty((n, 2)), (np.empty(n) if slope else None)
+    for i in range(0, n, size):
         d = deltas[i:i + size, None]
         w = work[:len(d)]
         c = coef.take(lane[i:i + size], axis=0, out=w, mode="clip")
         if slope:
             t = np.add(np.multiply(c[:, 1], d, out=u[:len(d)]), 1.0, out=u[:len(d)])
-            slopes.append(np.add.reduce(np.divide(c[:, 1], t, out=t), axis=1))
-        sums.append(np.add.reduce(np.log1p(np.multiply(c, d[:, None], out=w), out=w), axis=2))
-    if len(sums) > 1:
-        return np.concatenate(sums), (np.concatenate(slopes) if slope else None)
-    return sums[0], (slopes[0] if slope else None)
+            np.add.reduce(np.divide(c[:, 1], t, out=t), axis=1, out=slopes[i:i + size])
+        np.add.reduce(np.log1p(np.multiply(c, d[:, None], out=w), out=w), axis=2, out=sums[i:i + size])
+    return sums, slopes
 
 
 class _BoundTable:
@@ -214,66 +212,42 @@ class _BoundTable:
         return self.cells[j]
 
 
-def _system_coefficients(
-    e: ExcessSet, tau: float, weight: float
-) -> tuple[float, float, float, float, float]:
-    """Coefficients of the first-order estimating system.
+def _first_order(lik: _Likelihood, weight) -> tuple[np.ndarray, np.ndarray]:
+    """Each lane's solution (xi, delta) of the first-order estimating system; NaN where it has none.
 
-    With E1 = moment_stat(tau) and E2 = moment_stat(2*tau), the system is
+    The system, with H the Hill estimate, E1 = mean(y**tau) and E2 = mean(y**(2*tau)), is
         xi    = H + delta * (1 - E1)
         delta = (1 - H*tau) * (E1 - 1/(1 - H*tau)) / D(xi)
-    where D(xi) = weight*xi - bracket(xi) and bracket is affine in xi.
-    Returns (H, E1, rhs, a2, a1) for the equivalent quadratic
-    a2*delta**2 + a1*delta - rhs = 0.
+    where D(xi) = weight*xi - bracket(xi) and bracket is affine in xi. It
+    is solved exactly through the equivalent quadratic
+    a2*delta**2 + a1*delta - rhs = 0 (linear where |a2| < 1e-300, singular
+    where also |a1| < 1e-12). Among its real roots, the admissible one of
+    smallest magnitude wins, the smaller on a tie: the branch that
+    vanishes in the strong-prior limit. ``weight`` is one number or one
+    per lane. Every lane runs the arithmetic of scalar floats, so its
+    result is the bits it gets alone.
     """
-    h = hill(e)
-    if h <= 0:
-        raise ClosedFormError("the estimating system requires a positive Hill estimate")
-    e1 = moment_stat(e, tau)
-    e2 = moment_stat(e, 2.0 * tau)
-    rhs = (1.0 - h * tau) * (e1 - 1.0 / (1.0 - h * tau))
-    b0 = 1.0 - 2.0 * e1 + e2 - tau * (1.0 - e1) * e1
-    b1 = 2.0 * tau * e1 - (2.0 * tau + tau * tau) * e2
-    a1 = (weight - b1) * h - b0
-    a2 = (weight - b1) * (1.0 - e1)
-    return h, e1, rhs, a2, a1
-
-
-def _solve_first_order(e: ExcessSet, tau: float, weight: float) -> tuple[float, float]:
-    """Solve the estimating system exactly via its quadratic reduction.
-
-    Among real roots, picks the admissible one of smallest magnitude (the
-    branch that vanishes in the strong-prior limit). Raises
-    ClosedFormError when no admissible real root exists.
-    """
-    h, e1, rhs, a2, a1 = _system_coefficients(e, tau, weight)
-    lo = delta_lower_bound(tau)
-    candidates: list[float] = []
-    if abs(a2) < 1e-300:
-        if abs(a1) < 1e-12:
-            raise ClosedFormError("singular estimating system")
-        candidates.append(rhs / a1)
-    else:
+    k, tau = lik.k, lik.tau
+    h, e1 = lik.sum_log_y / k, lik.sum_pow / k
+    # each lane's scalar power, as in the stack's build
+    e2 = np.array([np.add.reduce(y ** (2.0 * t)) for y, t in zip(lik.y, tau.tolist())]) / k
+    with np.errstate(all="ignore"):  # lanes without a root compute NaN and inf, then drop out
+        rhs = (1.0 - h * tau) * (e1 - 1.0 / (1.0 - h * tau))
+        b0 = 1.0 - 2.0 * e1 + e2 - tau * (1.0 - e1) * e1
+        b1 = 2.0 * tau * e1 - (2.0 * tau + tau * tau) * e2
+        a1 = (weight - b1) * h - b0
+        a2 = (weight - b1) * (1.0 - e1)
         disc = a1 * a1 + 4.0 * a2 * rhs
-        if disc < 0.0:
-            raise ClosedFormError("the estimating system has no real solution")
-        sq = math.sqrt(disc)
-        if rhs == 0.0:
-            candidates.append(0.0)
-        else:
-            q = -(a1 + math.copysign(sq, a1)) / 2.0
-            candidates.append(q / a2)
-            if abs(q) > 0:
-                candidates.append(-rhs / q)
-    feasible = []
-    for d in candidates:
+        q = -(a1 + np.copysign(np.sqrt(disc), a1)) / 2.0
+        linear = abs(a2) < 1e-300
+        d = np.array([np.where(linear, rhs / a1, np.where(rhs == 0.0, 0.0, q / a2)),
+                      np.where(linear | (rhs == 0.0) | ~(abs(q) > 0), np.nan, -rhs / q)])
+        d[:, np.where(linear, abs(a1) < 1e-12, disc < 0.0)] = np.nan
         xi = h + d * (1.0 - e1)
-        if xi > 0 and lo < d <= DELTA_MAX:
-            feasible.append((abs(d), d, xi))
-    if not feasible:
-        raise ClosedFormError("no admissible solution of the estimating system")
-    _, delta, xi = min(feasible)
-    return xi, delta
+    ok = (xi > 0) & (lik.lo < d) & (d <= DELTA_MAX)  # all ties: H = 0 and E1 = 1, so xi = 0
+    xi, d = np.where(ok, xi, np.nan), np.where(ok, d, np.nan)
+    second = np.isnan(d[0]) | (abs(d[1]) < abs(d[0])) | (abs(d[1]) == abs(d[0])) & (d[1] < d[0])
+    return np.where(second, xi[1], xi[0]), np.where(second, d[1], d[0])
 
 
 class _Profiles:
@@ -334,11 +308,11 @@ class _Profiles:
                + self.lp_const[lane])
         return np.where(ok, val, -np.inf)
 
-    def exact(self, lane: np.ndarray, deltas: np.ndarray, slope: bool = False) -> tuple:
-        """The profile at rows (lane, delta) by row-sum passes, with its admissible mask, sums and slopes."""
+    def exact(self, lane: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """The profile at rows (lane, delta) by row-sum passes."""
         ok = (1.0 + deltas[:, None] * self.ext[lane] > 0.0).all(axis=1)
-        s, q = _row_sums(self.coef, self.rows[lane], np.where(ok, deltas, 0.0), self.scratch, slope)
-        return self.from_sums(lane, deltas, ok, s[:, 0], s[:, 1]), ok, s, q
+        s = _row_sums(self.coef, self.rows[lane], np.where(ok, deltas, 0.0), self.scratch)[0]
+        return self.from_sums(lane, deltas, ok, s[:, 0], s[:, 1])
 
     def bounds(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
         """Per lane of ``block``, the profile at every _STRIDE-th grid node, and upper bounds of it at the others.
@@ -472,7 +446,7 @@ def _profile_posterior_modes(
         lane, cell, node = np.nonzero(bound >= vals[block].max(axis=1)[:, None, None])
         lane += first
         node += _STRIDE * cell + 1
-        vals[lane, node] = p.exact(lane, grid[lane, node])[0]
+        vals[lane, node] = p.exact(lane, grid[lane, node])
     best, top = vals.argmax(axis=1), vals.max(axis=1).tolist()
     mean_logy, xi_floor, sigma2, lp_const, ext, lo = (a.tolist() for a in (
         p.mean_logy, p.xi_floor, p.sigma2, p.lp_const, p.ext, p.lo))
@@ -522,31 +496,29 @@ def _profile_posterior_modes(
     return out
 
 
-def _closed_forms(
-    lik: _Likelihood, excess: Sequence[ExcessSet], sigma2: Sequence[float]
-) -> list[BayesEstimate | ValueError | ClosedFormError]:
-    """``bayes_closed_form`` on the lanes of the stack ``lik``: their excesses and their sigma2.
+def _closed_forms(lik: _Likelihood,
+                  sigma2: Sequence[float]) -> list[BayesEstimate | ValueError | ClosedFormError]:
+    """``bayes_closed_form`` on the lanes of the stack ``lik``, each with its prior variance ``sigma2``.
 
-    The linear route runs lane by lane; the lanes it leaves run the exact
+    One array computation solves every lane's first-order system
+    (``_first_order``); the lanes without an admissible root run the exact
     mode search together (``_profile_posterior_modes``). A lane that
     cannot be estimated holds its error.
     """
+    with np.errstate(all="ignore"):  # a lane whose sigma2 is not positive gets its ValueError below
+        xi, delta = _first_order(lik, 1.0 / (lik.k * np.asarray(sigma2, dtype=float)))
     out: list = []
-    search = []
-    for e, tau, s2 in zip(excess, lik.tau.tolist(), sigma2):
+    for tau, s2, x, d in zip(lik.tau.tolist(), sigma2, xi.tolist(), delta.tolist()):
         try:
-            if e.k < 10:
-                raise ValueError(f"need at least 10 excesses, got {e.k}")
+            if lik.k < 10:
+                raise ValueError(f"need at least 10 excesses, got {lik.k}")
             if tau >= 0:
                 raise ValueError(f"tau must be negative, got {tau}")
             _check_sigma2(s2)
-            xi, delta = _solve_first_order(e, tau, 1.0 / (e.k * s2))
-            out.append(BayesEstimate(xi=xi, delta=delta, solver="linear"))
-        except ClosedFormError:
-            search.append(len(out))
-            out.append(None)
+            out.append(None if math.isnan(d) else BayesEstimate(xi=x, delta=d, solver="linear"))
         except ValueError as exc:
             out.append(exc)
+    search = [i for i, est in enumerate(out) if est is None]
     if search:
         for i, mode in zip(search, _profile_posterior_modes(lik, sigma2, search)):
             out[i] = mode if isinstance(mode, ClosedFormError) else BayesEstimate(*mode, solver="profile-map")
@@ -564,7 +536,7 @@ def bayes_closed_form(e: ExcessSet, tau: float, sigma2: float) -> BayesEstimate:
     ``BayesEstimate.solver`` records which route ran. This is
     ``_closed_forms`` on one lane.
     """
-    (est,) = _closed_forms(_Likelihood([(e, tau)]), [e], [sigma2])
+    (est,) = _closed_forms(_Likelihood([(e, tau)]), [sigma2])
     if isinstance(est, Exception):
         raise est
     return est
@@ -604,7 +576,7 @@ def metropolis_sample(
     k = e.k
     target = _LogTarget(e, tau, sigma2)
     rng = np.random.default_rng(config.seed)
-    h = hill(e)
+    h = float(target.lik.sum_log_y[0]) / k  # the Hill estimate
     if h <= 0:
         raise ValueError("all excesses are ties; posterior has no interior mass")
 
@@ -613,13 +585,11 @@ def metropolis_sample(
     if lp == -math.inf:
         raise ValueError("starting point has zero posterior density")
 
-    s_u = _STEP_LOG_XI
-    s_d = _STEP_DELTA
+    s_u, s_d = _STEP_LOG_XI, _STEP_DELTA
     retained = config.iterations - config.burn_in
     draws = np.empty((retained, 2))
     logpost = np.empty(retained)
-    accepted_post = 0
-    batch_accepts = 0
+    accepted_post = batch_accepts = 0
     table = _BoundTable(target.lik)
     cells, fill, n_cells, lo = table.cells, table.fill, len(table.cells), table.lo
     log_prior, normal, uniform = target.log_prior, rng.standard_normal, rng.random
@@ -653,8 +623,6 @@ def metropolis_sample(
             factor = exp(1.5 * (rate - _TARGET_ACCEPT))
             s_u = min(10.0, max(1e-4, s_u * factor))
             s_d = min(10.0, max(1e-4, s_d * factor))
-            batch_accepts = 0
-        elif (t + 1) == config.burn_in:
             batch_accepts = 0
         if t >= config.burn_in:
             i = t - config.burn_in

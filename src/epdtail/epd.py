@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 import scipy
 from scipy.optimize import _lbfgsb
-from scipy.special import logit
 
 from .data import ExcessSet, SortedSample
 
@@ -89,8 +88,9 @@ class _Likelihood:
     """The mean log-likelihoods of lanes (excess sets that share k, each at its own tau) as one stack.
 
     Holds what stays fixed while (xi, delta) move, one row per lane: tau,
-    the model bound ``lo``, log y and its sum (k times the Hill estimate),
-    and the coefficients a = 1 - y**tau and b = 1 - (1 + tau) * y**tau
+    the model bound ``lo``, the excesses y, log y and its sum (k times the
+    Hill estimate), the sum of y**tau (k times its moment statistic), and
+    the coefficients a = 1 - y**tau and b = 1 - (1 + tau) * y**tau
     (``coef``, lanes x 2 x k) with their extremes ``ext`` (a_lo, a_hi,
     b_lo, b_hi). Both perturbation terms are affine in delta, and rounded
     products and sums are monotone, so positivity over the sample is
@@ -105,13 +105,14 @@ class _Likelihood:
         self.tau = tau = np.array([t for _, t in lanes], dtype=float)
         # delta_lower_bound where tau < 0: max(-1, 1/tau) is -1 for every tau above -1
         self.lo = np.where(tau < 0, np.maximum(-1.0, 1.0 / np.minimum(tau, -1.0)), math.inf)
-        y = np.array([e.y for e, _ in lanes])
+        self.y = y = np.array([e.y for e, _ in lanes])
         if (y < 1.0).any():
             raise ValueError("excesses must be >= 1")
         self.log_y = np.log(y)
         self.sum_log_y = np.add.reduce(self.log_y, axis=1)
         # each lane's scalar power: numpy rounds special exponents such as -1 otherwise in an array
         p = np.array([e.y ** t for e, t in lanes])
+        self.sum_pow = np.add.reduce(p, axis=1)
         self.coef = np.empty((len(lanes), 2, k))
         a, b = self.coef[:, 0], self.coef[:, 1]
         np.subtract(1.0, p, out=a)
@@ -285,7 +286,8 @@ class _Lane:
         self.i, self.lo, self.ext = i, float(lik.lo[i]), lik.ext[i].tolist()
         self.span = DELTA_MAX - self.lo
         n = 2
-        self.x = np.array([math.log(h), float(logit((0.0 - self.lo) / self.span))])
+        p = (0.0 - self.lo) / self.span  # scipy's logit(p) takes log(p / (1 - p)) for p < 0.3
+        self.x = np.array([math.log(h), math.log(p / (1.0 - p))])
         self.f, self.g = 0.0, np.zeros(n)
         self.no_bound, self.nbd = np.zeros(n), np.zeros(n, np.int32)
         self.wa = np.zeros(2 * _LBFGSB_M * n + 5 * n + 11 * _LBFGSB_M ** 2 + 8 * _LBFGSB_M)

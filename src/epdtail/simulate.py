@@ -7,10 +7,11 @@ the process pool, and a chunk runs threshold by threshold: at each k,
 lanes), as ``epdtail estimate`` does on its one sample. At each k one
 coefficient stack of the lanes (``epd._Likelihood``) is built, and the
 lanes' ML fits run on it in lockstep, one likelihood pass per step for
-all of them (``epd_ml_fits``), and so do the exact posterior-mode
-searches of the lanes whose first-order system has no admissible root;
-neither copies the stack. The other estimators run lane by lane, and the
-Bayes paths of a chunk are smoothed as one array. No sum mixes lanes, so
+all of them (``epd_ml_fits``); their first-order systems are solved as
+one array computation, and the lanes without an admissible root run the
+exact posterior-mode search in lockstep. None of these copies the stack.
+The other estimators run lane by lane, and the Bayes paths of a chunk
+are smoothed as one array. No sum mixes lanes, so
 results are bit-identical for any chunking and worker count.
 An estimator's ValueError or RuntimeError is excluded cell-wise and
 counted, and a run aborts when exclusions exceed 5%.
@@ -25,7 +26,6 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv
 
 from .bayes import (
     BayesEstimate,
@@ -117,6 +117,8 @@ def survival(d: SimDistribution, x) -> np.ndarray | float:
         xi, rho = d.args
         out = (1.0 + np.power(x_arr, -rho / xi)) ** (1.0 / rho)
     elif d.kind == "loggamma":
+        from scipy.special import gammaincc
+
         shape, rate = d.args
         out = np.where(x_arr <= 1.0, 1.0, gammaincc(shape, rate * np.log(np.maximum(x_arr, 1.0))))
     else:
@@ -140,6 +142,8 @@ def true_quantile(d: SimDistribution, p: float) -> float:
         s = 1.0 - p
         return float((s ** rho - 1.0) ** (-xi / rho))
     if d.kind == "loggamma":
+        from scipy.special import gammainccinv
+
         shape, rate = d.args
         return math.exp(float(gammainccinv(shape, 1.0 - p)) / rate)
     raise ValueError(f"unknown distribution kind {d.kind!r}")
@@ -288,9 +292,10 @@ def estimate_cells(lanes: Sequence[tuple[SortedSample, float, tuple[int, ...]]],
 
     A lane is a (sample, rho, run_key) triple; one Cell per lane comes
     back. The ML fits of all lanes run in lockstep (``epd_ml_fits``), and
-    so do the exact mode searches of the lanes whose ``bayes_closed``
-    linear route fails (``bayes._closed_forms``); both read one likelihood
-    stack of the lanes, and each gives the bits of a lane alone.
+    ``bayes_closed`` solves all lanes' first-order systems at once and runs
+    the exact mode searches of the lanes without a root in lockstep
+    (``bayes._closed_forms``); both read one likelihood stack of the
+    lanes, and each gives the bits of a lane alone.
     A ValueError or RuntimeError fails only the estimator that raised it;
     when tau cannot be estimated every estimator fails. Other errors
     propagate. The ``bayes_mcmc`` chain runs ``mcmc`` with its seed drawn
@@ -310,7 +315,7 @@ def estimate_cells(lanes: Sequence[tuple[SortedSample, float, tuple[int, ...]]],
         excess, taus, sigma2 = zip(*ready)
         lik = _Likelihood(list(zip(excess, taus)))
         fits = iter(epd_ml_fits(lik) if "epd_ml" in estimators else ())
-        closed = iter(_closed_forms(lik, excess, sigma2) if "bayes_closed" in estimators else ())
+        closed = iter(_closed_forms(lik, sigma2) if "bayes_closed" in estimators else ())
     cells = []
     for (sample, _, run_key), (e, h, prior) in zip(lanes, heads):
         if not isinstance(prior, tuple):

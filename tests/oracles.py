@@ -17,9 +17,10 @@ of the library's Metropolis target. ``log_prior_xi`` and
 ``log_prior_delta`` are the two log priors that the library's target
 inlines, and ``mse_opt_weighted`` the paper's weighted-average form of
 the optimal limiting MSE, a second route to ``mse_opt``.
-``loglik_value_and_grad`` and ``profile_posterior_mode`` are not oracles:
-they run the library's own ML pass and mode search on a one-lane stack,
-the one-lane forms that only tests call.
+``loglik_value_and_grad``, ``profile_posterior_mode`` and
+``solve_first_order`` are not oracles: they run the library's own ML
+pass, mode search and first-order solution on a one-lane stack, the
+one-lane forms that only tests call.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from scipy.special import expit, gammaln, logit, ndtr
 from scipy.stats import norm
 
 from epdtail import EPDFit, EPDParams, delta_lower_bound, hill, moment_stat
-from epdtail.bayes import ClosedFormError, _LogTarget, _profile_posterior_modes
+from epdtail.bayes import ClosedFormError, _first_order, _LogTarget, _profile_posterior_modes
 from epdtail.epd import (
     _ONE_BLAS_THREAD,
     DELTA_MAX,
@@ -379,6 +380,18 @@ def profile_posterior_mode(e, tau, sigma2):
     if isinstance(mode, ClosedFormError):
         raise mode
     return mode
+
+
+def solve_first_order(e, tau, weight):
+    """The library's first-order solution of one (excesses, tau) at ``weight``, 1/(k*sigma2).
+
+    Returns (xi, delta), or raises ClosedFormError where ``_first_order``
+    finds no admissible root.
+    """
+    xi, delta = (float(v[0]) for v in _first_order(_Likelihood([(e, tau)]), weight))
+    if math.isnan(delta):
+        raise ClosedFormError("no admissible solution of the estimating system")
+    return xi, delta
 
 
 def oracle_loglik_grad(lik, xi, delta):

@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import kstest
 
 import epdtail as et
-from epdtail.bayes import ClosedFormError, _solve_first_order
+from epdtail.bayes import ClosedFormError
 from epdtail.cli import main
 from epdtail.epd import _Likelihood
 from conftest import pareto_excesses
@@ -27,6 +27,7 @@ from oracles import (
     oracle_first_order,
     oracle_metropolis,
     quadrature_xi_mean,
+    solve_first_order,
 )
 
 
@@ -137,7 +138,7 @@ def test_criterion_04_closed_form_vs_map_oracle():
         tau50 = et.tau_hat(rho, et.hill(e50))
         s50 = et.prior_variance(50, n, rho)
         try:
-            xi_d, _ = _solve_first_order(e50, tau50, 1.0 / (e50.k * s50))
+            xi_d, _ = solve_first_order(e50, tau50, 1.0 / (e50.k * s50))
             xi_s, _ = oracle_first_order(e50, tau50, s50, prior_term_sign=-1.0)
             xm, _, _ = grid_map_oracle(e50.y, tau50, s50)
             gaps_sign_default.append(abs(xi_d - xm))
@@ -172,7 +173,7 @@ def test_criterion_05_prior_limits():
         e = pareto_excesses(1.0, 100, (71, seed))
         tau = -1.0 / et.hill(e)
         try:
-            _solve_first_order(e, tau, 1.0 / (e.k * 1e12))
+            solve_first_order(e, tau, 1.0 / (e.k * 1e12))
             cases.append((e, tau))
         except ClosedFormError:
             pass
@@ -184,7 +185,7 @@ def test_criterion_05_prior_limits():
         h = et.hill(e)
         est_inf = et.bayes_closed_form(e, tau, 1e12)
         assert est_inf.solver == "linear"
-        xi_ml, d_ml = _solve_first_order(e, tau, 0.0)
+        xi_ml, d_ml = solve_first_order(e, tau, 0.0)
         worst_flat = max(worst_flat, abs(est_inf.xi - xi_ml), abs(est_inf.delta - d_ml))
         est_0 = et.bayes_closed_form(e, tau, 1e-12)
         worst_delta = max(worst_delta, abs(est_0.delta))

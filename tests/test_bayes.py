@@ -21,7 +21,8 @@ from epdtail.bayes import (
     _BoundTable,
     _LogTarget,
     _Profiles,
-    _solve_first_order,
+    _row_scratch,
+    _row_sums,
 )
 from epdtail.epd import DELTA_MAX, _Likelihood
 from conftest import pareto_excesses
@@ -35,6 +36,7 @@ from oracles import (
     oracle_metropolis,
     oracle_smooth_path,
     profile_posterior_mode,
+    solve_first_order,
 )
 
 
@@ -76,6 +78,9 @@ class TestPriorSpec:
             target = _LogTarget(e, tau, 1.0)
             assert target(1.0, lo) == -math.inf
             assert math.isfinite(target(1.0, lo + 1e-9))
+
+    def test_gamma_normaliser_is_scipys_gammaln(self):
+        assert repr(bayes._LOG_GAMMA) == repr(float(gammaln(bayes._GAMMA_SHAPE)))
 
     def test_validation(self):
         e = _excess_set([1.0, 2.0, 4.0])
@@ -135,7 +140,7 @@ def _solvable_pareto_cases(count=20, k=100, sigma2=1e12):
         e = pareto_excesses(1.0, k, (71, seed))
         tau = -1.0 / et.hill(e)
         try:
-            _solve_first_order(e, tau, 1.0 / (e.k * sigma2))
+            solve_first_order(e, tau, 1.0 / (e.k * sigma2))
             cases.append((e, tau))
         except ClosedFormError:
             pass
@@ -159,7 +164,7 @@ class TestClosedForm:
         for e, tau in _solvable_pareto_cases():
             est = et.bayes_closed_form(e, tau, 1e12)
             assert est.solver == "linear"
-            xi_ml, d_ml = _solve_first_order(e, tau, 0.0)
+            xi_ml, d_ml = solve_first_order(e, tau, 0.0)
             assert est.xi == pytest.approx(xi_ml, abs=1e-6)
             assert est.delta == pytest.approx(d_ml, abs=1e-6)
 
@@ -200,7 +205,7 @@ class TestClosedForm:
         # the linearized system provably has no real solution here
         e, tau, sigma2 = burr_k200
         with pytest.raises(ClosedFormError):
-            _solve_first_order(e, tau, 1.0 / (e.k * sigma2))
+            solve_first_order(e, tau, 1.0 / (e.k * sigma2))
         est = et.bayes_closed_form(e, tau, sigma2)
         assert est.solver == "profile-map"
         xi_map, d_map, _ = grid_map_oracle(e.y, tau, sigma2)
@@ -392,6 +397,19 @@ class TestBoundTable:
         assert checked or where == "near_lo"
 
 
+def test_row_sums_reduce_each_block_into_its_rows():
+    # blocks of 3 over 8 rows give each row's sums and slope as a pass over that row alone;
+    # no rows give empty outputs
+    lik = _Likelihood([(pareto_excesses(1.0, 50, 0), -1.0), (pareto_excesses(0.5, 50, 1), -0.7)])
+    lane, deltas = np.array([0, 1, 0, 1, 1, 0, 0, 1]), np.linspace(-0.3, 2.0, 8)
+    s, q = _row_sums(lik.coef, lane, deltas, _row_scratch(3, lik.k), slope=True)
+    for i in range(8):
+        s_i, q_i = _row_sums(lik.coef, lane[i:i + 1], deltas[i:i + 1], _row_scratch(1, lik.k), slope=True)
+        assert s[i].tobytes() == s_i[0].tobytes() and q[i].tobytes() == q_i[0].tobytes()
+    s, q = _row_sums(lik.coef, lane[:0], deltas[:0], _row_scratch(3, lik.k))
+    assert s.shape == (0, 2) and q is None
+
+
 class TestProfileBound:
     """The bounds that let the mode search skip grid nodes are never below the exact profile."""
 
@@ -411,7 +429,7 @@ class TestProfileBound:
         e = et.excesses(et.sample_distribution(dist, 500, seed), k)
         p = _Profiles(_Likelihood([(e, -(10.0 ** log10_neg_tau))]), [10.0 ** log10_sigma2])
         coarse, bound = (a[0] for a in p.bounds(slice(None)))
-        exact = p.exact(np.zeros(p.grid.shape[1], int), p.grid[0])[0]
+        exact = p.exact(np.zeros(p.grid.shape[1], int), p.grid[0])
         assert np.array_equal(coarse, exact[::_STRIDE])
         inner = exact[:-1].reshape(-1, _STRIDE)[:, 1:]
         assert bound.shape == inner.shape

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.special import expit
+from scipy.special import expit, logit
 from scipy.stats import kstest
 
 import epdtail as et
@@ -309,6 +309,16 @@ def test_expit_is_scipys_to_the_bit(v):
     # the fit maps its second coordinate to delta through this sigmoid; an
     # overflow of exp(-v) must give scipy's 0, not raise
     assert repr(epd._expit(v)) == repr(float(expit(v)))
+
+
+@given(st.floats(-1e6, -1e-6))
+@example(-1.0)
+@example(-1.0 - 2.0 ** -52)
+def test_lane_start_is_scipys_logit_to_the_bit(tau):
+    # the fit starts at delta = 0, mapped through log(p / (1 - p)); scipy's logit
+    # takes another route for p in [0.3, 0.65], but p = -lo / (DELTA_MAX - lo) is at most 1/11
+    lane = epd._Lane(_Likelihood([(pareto_excesses(1.0, 20, 0), tau)]), 0)
+    assert repr(float(lane.x[1])) == repr(float(logit((0.0 - lane.lo) / lane.span)))
 
 
 class TestQuantileAndSampling:

@@ -14,7 +14,8 @@ lane gets alone, on chunks of up to 32 replications of both designs, and
 the lockstep mode search, ``_profile_posterior_modes``, the oracle's mode
 on chunks of up to 32 replications of all three designs and on the edge
 cells. Its polish, ``_polish``, must return scipy's bounded minimizer's
-bits.
+bits. The first-order solution of random stacks, ``_first_order``, must
+give every lane the bits of the one-lane system ``oracle_first_order``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from epdtail.bayes import (
     _STRIDE,
     ClosedFormError,
     _closed_forms,
+    _first_order,
     _polish,
     _profile_posterior_modes,
     _Profiles,
@@ -46,6 +48,7 @@ from oracles import (
     OracleLikelihood,
     loglik_value_and_grad,
     oracle_epd_ml_fit,
+    oracle_first_order,
     oracle_loglik_grad,
     oracle_profile_posterior_mode,
     profile_posterior_mode,
@@ -112,7 +115,7 @@ def test_profile_posterior_mode_matches_oracle(name, rep):
 def _full_scan(e, tau, sigma2):
     """The exact profile at every node of the search's grid."""
     p = _Profiles(_Likelihood([(e, tau)]), [sigma2])
-    return p.exact(np.zeros(p.grid.shape[1], int), p.grid[0])[0]
+    return p.exact(np.zeros(p.grid.shape[1], int), p.grid[0])
 
 
 def _sample_cell(dist, seed, k):
@@ -166,9 +169,9 @@ def test_mode_search_prunes_most_of_the_grid(monkeypatch):
         rows[-1] += v.size
         return v, bound
 
-    def exact_spy(self, lane, deltas, slope=False):
+    def exact_spy(self, lane, deltas):
         rows[-1] += len(deltas)
-        return exact(self, lane, deltas, slope)
+        return exact(self, lane, deltas)
 
     monkeypatch.setattr(_Profiles, "bounds", bounds_spy)
     monkeypatch.setattr(_Profiles, "exact", exact_spy)
@@ -440,10 +443,38 @@ def test_closed_forms_equal_one_lane_calls():
     e, tau, sigma2 = cells[0]
     cells += [_tie(150), (e, tau, 0.0), (e, 0.5, sigma2)]
     lik = _Likelihood([(e, tau) for e, tau, _ in cells])
-    got = [_shown(est) for est in _closed_forms(lik, [e for e, _, _ in cells], [s for _, _, s in cells])]
+    got = [_shown(est) for est in _closed_forms(lik, [s for _, _, s in cells])]
     assert got == [_outcome(et.bayes_closed_form, *cell) for cell in cells]
     assert {est.split("solver=")[-1] for est in got[:8]} == {"'linear')", "'profile-map')"}
     assert [est.split(":")[0] for est in got[8:]] == ["ClosedFormError", "ValueError", "ValueError"]
+
+
+@given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 32), k=st.integers(10, 479),
+       tau_kind=st.sampled_from(["-1", "-0.5", "-2", "random"]))
+@example(seed=0, lanes=32, k=200, tau_kind="random")
+def test_first_order_is_the_oracles_system_to_the_bit(seed, lanes, k, tau_kind):
+    # random stacks: three laws, tau fixed or drawn per lane, sigma2 from 1e-4 to 1e12,
+    # some lanes without a prior term (weight 0) and some all ties at the threshold
+    rng = np.random.default_rng(seed)
+    laws = [et.burr(0.75, -0.75), et.frechet(0.5), et.burr(0.5, -2.0)]
+    cells = []
+    for lane in range(lanes):
+        if rng.random() < 0.05:
+            e = _tie(k)[0]
+        else:
+            e = _sample_cell(laws[rng.integers(3)], (seed, lane), k)
+        tau = -(10.0 ** rng.uniform(-3.0, 1.0)) if tau_kind == "random" else float(tau_kind)
+        sigma2 = math.inf if rng.random() < 0.1 else 10.0 ** rng.uniform(-4.0, 12.0)
+        cells.append((e, tau, sigma2))
+    lik = _Likelihood([(e, tau) for e, tau, _ in cells])
+    xi, delta = _first_order(lik, 1.0 / (k * np.array([s for _, _, s in cells])))
+    want = []
+    for cell in cells:
+        try:
+            want.append(repr(oracle_first_order(*cell)))
+        except ClosedFormError:
+            want.append(repr((math.nan, math.nan)))
+    assert [repr(pair) for pair in zip(xi.tolist(), delta.tolist())] == want
 
 
 def _drive(search, f):

@@ -275,7 +275,7 @@ class TestRunStudy:
     def test_arithmetic_error_in_a_cell_propagates(self, burr_dist, monkeypatch):
         # only ValueError and RuntimeError fail an estimator; anything else is
         # a fault and stops the study instead of becoming an exclusion
-        def dividing(lik, excess, sigma2):
+        def dividing(lik, sigma2):
             raise ZeroDivisionError("a fault, not a domain error")
 
         monkeypatch.setattr(sim, "_closed_forms", dividing)
