@@ -27,7 +27,7 @@ from .bayes import (
     prior_variance,
     smooth_path,
 )
-from .classical import hill, moment_stat, weissman_tail_prob
+from .classical import hill, weissman_tail_prob
 from .data import DataFormatError, ExcessSet, SortedSample, excesses, load_sample
 from .epd import (
     EPDFit,

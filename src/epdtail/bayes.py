@@ -8,7 +8,8 @@ by posterior mode, either through the first-order estimating equations
 random-walk Metropolis chain. On the lanes of a likelihood stack
 (``epd._Likelihood``) the equations are solved as one array computation,
 and the exact-mode search runs the lanes left in lockstep, in passes of a
-fixed size over the stack, polished by a port of scipy's bounded minimizer.
+fixed size over the stack, polished by a port of scipy's bounded minimizer
+that the lockstep runner ``epd._lockstep`` drives for all of them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .data import ExcessSet, SortedSample
-from .epd import DELTA_MAX, EPDParams, _inadmissible, _Likelihood, delta_lower_bound, epd_tail_prob
+from .epd import DELTA_MAX, EPDParams, _inadmissible, _Likelihood, _lockstep, delta_lower_bound, epd_tail_prob
 
 __all__ = [
     "ClosedFormError",
@@ -433,9 +434,10 @@ def _profile_posterior_modes(
     stays -inf, and it could not have been the maximum, so the result is
     that of the full scan. The lanes run in lockstep: one set of row-sum
     passes for the coarse nodes of all lanes, one for the nodes kept, and
-    one per polish round for every lane's next point. No sum mixes lanes,
-    so a lane's mode is the bits it gets alone. A lane with no admissible
-    grid node holds a ClosedFormError.
+    one per polish round for every lane's next point, the polishes run by
+    ``epd._lockstep``. No sum mixes lanes, so a lane's mode is the bits it
+    gets alone. A lane with no admissible grid node holds a
+    ClosedFormError.
     """
     p = _Profiles(lik, sigma2, lanes)
     n, k, grid = len(p.rows), p.k, p.grid
@@ -450,8 +452,9 @@ def _profile_posterior_modes(
     best, top = vals.argmax(axis=1), vals.max(axis=1).tolist()
     mean_logy, xi_floor, sigma2, lp_const, ext, lo = (a.tolist() for a in (
         p.mean_logy, p.xi_floor, p.sigma2, p.lp_const, p.ext, p.lo))
-    out: list = [None] * n
-    asks, penalty = {}, {}  # per lane in the polish: its search and the point it asks for; its penalty
+    # finite, so the polish's parabolic steps never do arithmetic on inf, and worse
+    # than the grid's best, so the rule below rejects a polish ending there
+    penalty = [1.0 - v for v in top]
 
     def neg_total(i: int, delta: float, inside: bool, m1: float, m2: float) -> float:
         g = mean_logy[i] + m1
@@ -463,32 +466,25 @@ def _profile_posterior_modes(
         return -(k * (-math.log(xi) - (1.0 / xi + 1.0) * g + m2) + (_GAMMA_SHAPE - 1.0) * math.log(xi)
                  - xi - 0.5 * delta * delta / sigma2[i] + lp_const[i])
 
+    def evaluate(lanes: list[int], xs: list[float]) -> list[float]:
+        inside = [not _inadmissible(ext[i], x) for i, x in zip(lanes, xs)]
+        s = _row_sums(p.coef, p.rows[lanes], np.array([x if ok else 0.0 for x, ok in zip(xs, inside)]),
+                      p.scratch)[0]
+        return [neg_total(i, x, ok, m1, m2) for i, x, ok, (m1, m2) in zip(lanes, xs, inside, (s / k).tolist())]
+
+    searches: list = []
     for i, (b, v) in enumerate(zip(best.tolist(), top)):
         if v == -math.inf:
-            out[i] = ClosedFormError("posterior mode search found no admissible point")
+            searches.append(ClosedFormError("posterior mode search found no admissible point"))
             continue
-        # finite, so the polish's parabolic steps never do arithmetic on inf, and
-        # worse than the grid's best, so the rule below rejects a polish ending there
-        penalty[i] = 1.0 - v
         step = grid[i, 1] - grid[i, 0]
-        polish = _polish(max(lo[i] + 1e-12 * max(1.0, abs(lo[i])), float(grid[i, b] - step)),
-                         min(DELTA_MAX, float(grid[i, b] + step)))
-        asks[i] = (polish, next(polish))
-    while asks:  # a round: every lane's next point by one row-sum pass
-        rows = list(asks)
-        xs = [asks[i][1] for i in rows]
-        inside = [not _inadmissible(ext[i], x) for i, x in zip(rows, xs)]
-        s = _row_sums(p.coef, p.rows[rows], np.array([x if ok else 0.0 for x, ok in zip(xs, inside)]),
-                      p.scratch)[0]
-        for i, x, ok, (m1, m2) in zip(rows, xs, inside, (s / k).tolist()):
-            polish = asks[i][0]
-            try:
-                asks[i] = (polish, polish.send(neg_total(i, x, ok, m1, m2)))
-            except StopIteration as stop:
-                del asks[i]
-                x_hat, f_hat, _ = stop.value
-                out[i] = x_hat if f_hat <= -top[i] else float(grid[i, best[i]])
-    done = [i for i, mode in enumerate(out) if not isinstance(mode, ClosedFormError)]
+        searches.append(_polish(max(lo[i] + 1e-12 * max(1.0, abs(lo[i])), float(grid[i, b] - step)),
+                                min(DELTA_MAX, float(grid[i, b] + step))))
+    out = _lockstep(searches, evaluate)
+    done = [i for i, end in enumerate(out) if not isinstance(end, ClosedFormError)]
+    for i in done:
+        x_hat, f_hat, _ = out[i]
+        out[i] = x_hat if f_hat <= -top[i] else float(grid[i, best[i]])
     if done:
         s = _row_sums(p.coef, p.rows[done], np.array([out[i] for i in done]), p.scratch)[0]
         for i, s1 in zip(done, (s[:, 0] / k).tolist()):

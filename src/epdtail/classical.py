@@ -1,4 +1,4 @@
-"""Classical tail estimators: Hill index, moment statistics, Weissman probability."""
+"""Classical tail estimators: Hill index, Weissman probability."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from .data import ExcessSet, SortedSample
 
-__all__ = ["hill", "moment_stat", "weissman_tail_prob"]
+__all__ = ["hill", "weissman_tail_prob"]
 
 
 def hill(e: ExcessSet) -> float:
@@ -19,17 +19,6 @@ def hill(e: ExcessSet) -> float:
     return float(np.add.reduce(np.log(e.y))) / e.k
 
 
-def moment_stat(e: ExcessSet, s: float) -> float:
-    """Empirical negative-power moment of the excesses, mean(y**s) for s < 0.
-
-    The result lies in (0, 1] and equals 1 exactly when all excesses are
-    ties at the threshold.
-    """
-    if s >= 0:
-        raise ValueError(f"exponent must be negative, got {s}")
-    return float(np.add.reduce(e.y ** s)) / e.k
-
-
 def weissman_tail_prob(s: SortedSample, k: int, x: float, xi: float) -> float:
     """Extrapolated exceedance probability (k/n) * (x/threshold)**(-1/xi).
 
@@ -38,7 +27,7 @@ def weissman_tail_prob(s: SortedSample, k: int, x: float, xi: float) -> float:
     """
     if xi <= 0:
         raise ValueError(f"tail index must be positive, got {xi}")
-    threshold = float(s.values[s.n - k - 1])
+    threshold = s.threshold(k)
     if x < threshold:
         raise ValueError(f"x={x} is below the threshold {threshold}; extrapolation invalid")
     return (k / s.n) * (x / threshold) ** (-1.0 / xi)

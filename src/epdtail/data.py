@@ -45,6 +45,12 @@ class SortedSample:
     def n(self) -> int:
         return int(self.values.size)
 
+    def threshold(self, k: int) -> float:
+        """The (k+1)-th largest value, over which the k largest are excesses; k must be in [1, n-1]."""
+        if not 1 <= k <= self.n - 1:
+            raise ValueError(f"k must be in [1, {self.n - 1}], got {k}")
+        return float(self.values[self.n - k - 1])
+
 
 @dataclass(frozen=True)
 class ExcessSet:
@@ -80,9 +86,7 @@ def excesses(s: SortedSample, k: int) -> ExcessSet:
     Exact ratios are taken, so the result is invariant under rescaling of
     the raw data.
     """
-    if not 1 <= k <= s.n - 1:
-        raise ValueError(f"k must be in [1, {s.n - 1}], got {k}")
-    threshold = float(s.values[s.n - k - 1])
+    threshold = s.threshold(k)
     y = s.values[s.n - k:][::-1] / threshold
     return ExcessSet(y=y, k=k, threshold=threshold)
 

@@ -4,7 +4,10 @@ The model perturbs the strict Pareto survival y**(-1/xi) by a bounded
 power term: survival(y) = (y * (1 + delta - delta * y**tau))**(-1/xi) on
 y >= 1, with tau < 0 < xi and delta > max(-1, 1/tau). delta = 0 recovers
 the strict Pareto exactly. The likelihood is built once as a stack of
-lanes, excess sets that share k, and the ML fits read it in place.
+lanes, excess sets that share k, and the ML fits read it in place. Each
+lane's fit is a generator search, and one runner, ``_lockstep``, runs
+the searches of all lanes together, as it runs the posterior-mode polish
+of ``bayes``.
 """
 
 from __future__ import annotations
@@ -266,114 +269,113 @@ def epd_log_likelihood(xi: float, delta: float, tau: float, e: ExcessSet) -> flo
     return _Likelihood([(e, tau)])(xi, delta)
 
 
-class _Lane:
-    """One ML fit's L-BFGS-B state: its lane i of the stack, the point, value, gradient and workspace.
+def _lockstep(searches: Sequence, evaluate) -> list:
+    """Run searches in lockstep and return what each one returns, in order.
 
-    The arguments of ``_lbfgsb.setulb`` keep scipy's order and workspace
-    sizes; nbd = 0 leaves both coordinates unbounded, so the two bound
+    A search is a generator that yields the point it needs and is sent the
+    answer. An exception in place of a search stands for a lane that cannot
+    run, and is that lane's result. Each round, one call
+    ``evaluate(lanes, points)`` answers every lane that asks, in ascending
+    lane order, with one answer per lane.
+    """
+    out = list(searches)
+    lanes = [i for i, search in enumerate(out) if not isinstance(search, Exception)]
+    answers: Sequence = [None] * len(lanes)  # a generator starts on None
+    while lanes:
+        asking, points = [], []
+        for i, answer in zip(lanes, answers):
+            try:
+                points.append(out[i].send(answer))
+                asking.append(i)
+            except StopIteration as stop:
+                out[i] = stop.value
+        lanes = asking
+        answers = evaluate(lanes, points) if lanes else ()
+    return out
+
+
+def _ml_search(k: int, tau: float, lo: float, ext: Sequence[float], h: float):
+    """One lane's ML fit, the L-BFGS-B loop of ``scipy.optimize.minimize``, as a generator.
+
+    It searches (log xi, logit-mapped delta) from (log h, delta = 0), with
+    h the lane's Hill estimate. At each point inside the region it yields
+    delta and is sent the lane's ``_fg_sums``; a point outside it answers
+    itself with a big finite penalty and a zero gradient, so that the line
+    search backtracks from the region edge. It returns the ``EPDFit``. The
+    arguments of ``_lbfgsb.setulb`` keep scipy's order and workspace
+    sizes, and nbd = 0 leaves both coordinates unbounded, so the two bound
     vectors are never read.
     """
-
-    def __init__(self, lik: _Likelihood, i: int) -> None:
-        if lik.k < 10:
-            raise ValueError(f"need at least 10 excesses to fit, got {lik.k}")
-        self.tau = float(lik.tau[i])
-        if self.tau >= 0:
-            raise ValueError(f"tau must be negative, got {self.tau}")
-        h = float(lik.sum_log_y[i]) / lik.k  # the Hill estimate, as ``hill`` computes it
-        if h <= 0:
-            raise ValueError("all excesses are ties; the likelihood has no interior maximum")
-        self.i, self.lo, self.ext = i, float(lik.lo[i]), lik.ext[i].tolist()
-        self.span = DELTA_MAX - self.lo
-        n = 2
-        p = (0.0 - self.lo) / self.span  # scipy's logit(p) takes log(p / (1 - p)) for p < 0.3
-        self.x = np.array([math.log(h), math.log(p / (1.0 - p))])
-        self.f, self.g = 0.0, np.zeros(n)
-        self.no_bound, self.nbd = np.zeros(n), np.zeros(n, np.int32)
-        self.wa = np.zeros(2 * _LBFGSB_M * n + 5 * n + 11 * _LBFGSB_M ** 2 + 8 * _LBFGSB_M)
-        self.iwa = np.zeros(3 * n, np.int32)
-        self.task, self.ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
-        self.lsave, self.isave, self.dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
-        self.iterations = self.evaluations = 0
-
-    def unpack(self) -> tuple[float, float, float]:
-        """(xi, delta, sigmoid) at the core's point (log xi, logit-mapped delta)."""
-        u, v = self.x.tolist()
-        sig = _expit(v)
-        return math.exp(min(max(u, -40.0), 40.0)), self.lo + self.span * sig, sig
-
-    def advance(self) -> bool:
-        """Run the core until it asks for the value and gradient at x (True) or stops (False).
-
-        The loop is the one ``scipy.optimize.minimize(method="L-BFGS-B")``
-        runs, with scipy's iteration and evaluation limits.
-        """
-        task = self.task
-        while True:
-            _lbfgsb.setulb(_LBFGSB_M, self.x, self.no_bound, self.no_bound, self.nbd, self.f,
-                           self.g, _LBFGSB_FACTR, _LBFGSB_PGTOL, self.wa, self.iwa, task,
-                           self.lsave, self.isave, self.dsave, _LBFGSB_MAXLS, self.ln_task)
-            if task[0] == 3:  # FG: the value and the gradient at x
-                self.evaluations += 1
-                return True
-            if task[0] != 1:
-                return False
-            self.iterations += 1  # NEW_X: an iteration is done; scipy's two limits
-            if self.iterations >= _LBFGSB_MAXITER:
+    span, n = DELTA_MAX - lo, 2
+    p = (0.0 - lo) / span  # scipy's logit(p) takes log(p / (1 - p)) for p < 0.3
+    x = np.array([math.log(h), math.log(p / (1.0 - p))])
+    f, g = 0.0, np.zeros(n)
+    no_bound, nbd = np.zeros(n), np.zeros(n, np.int32)
+    wa = np.zeros(2 * _LBFGSB_M * n + 5 * n + 11 * _LBFGSB_M ** 2 + 8 * _LBFGSB_M)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    iterations = evaluations = 0
+    while True:
+        _lbfgsb.setulb(_LBFGSB_M, x, no_bound, no_bound, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
+                       wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+        if task[0] == 1:  # NEW_X: an iteration is done; scipy's two limits
+            iterations += 1
+            if iterations >= _LBFGSB_MAXITER:
                 task[:] = 5, 504
-            elif self.evaluations > _LBFGSB_MAXFUN:
+            elif evaluations > _LBFGSB_MAXFUN:
                 task[:] = 5, 502
-
-    def result(self) -> EPDFit:
-        # x at the stop is the start or an accepted iterate, whose value is below the
-        # start's and so far below the penalty: a point inside the region
-        xi, delta, _ = self.unpack()
-        return EPDFit(params=EPDParams(xi=xi, delta=delta, tau=self.tau), loglik=-self.f,
-                      converged=bool(self.task[0] == 4), iterations=self.iterations)
+            continue
+        u, v = x.tolist()
+        sig = _expit(v)
+        xi, delta = math.exp(min(max(u, -40.0), 40.0)), lo + span * sig
+        if task[0] != 3:  # the stop, at the start or an accepted iterate: a point inside the region
+            return EPDFit(params=EPDParams(xi=xi, delta=delta, tau=tau), loglik=-f,
+                          converged=bool(task[0] == 4), iterations=iterations)
+        evaluations += 1  # FG: the value and the gradient at x
+        if xi > 0 and delta > lo and not _inadmissible(ext, delta):
+            value, d_xi, d_delta = _value_and_grad(xi, k, *(yield delta))
+            f = -value
+            g[0] = -(d_xi * xi)
+            g[1] = -(d_delta * span * sig * (1.0 - sig))
+        else:
+            f = 1e12
+            g[:] = 0.0
 
 
 def epd_ml_fits(lik: _Likelihood) -> list[EPDFit | ValueError]:
     """Maximum-likelihood fits of (xi, delta) at fixed tau, one per lane of the stack ``lik``.
 
-    Every lane runs its own L-BFGS-B search, ``_Lane``, and the lanes
-    advance in lockstep: each round, one ``_fg_sums`` pass answers every
-    lane that asks for a value and gradient, on the stack itself when all
-    of them ask. A lane's fit is the bits it gets alone, since no sum
-    mixes lanes. A lane that cannot be fit holds its ValueError.
+    Every lane runs its own L-BFGS-B search, ``_ml_search``, and
+    ``_lockstep`` runs them together: each round, one ``_fg_sums`` pass
+    answers every lane that asks for a value and gradient, on the stack
+    itself when all of them ask. A lane's fit is the bits it gets alone,
+    since no sum mixes lanes. A lane that cannot be fit holds its
+    ValueError.
     """
-    out: list = []
-    for i in range(len(lik.coef)):
-        try:
-            out.append(_Lane(lik, i))
-        except ValueError as exc:
-            out.append(exc)
-    live = [lane for lane in out if isinstance(lane, _Lane)]
-    if live:
-        work, deltas = np.empty((len(live), 4, lik.k)), np.empty((len(live), 1, 1))
-        with _ONE_BLAS_THREAD:
-            asking = [lane for lane in live if lane.advance()]
-            while asking:
-                todo = []
-                for lane in asking:
-                    xi, delta, sig = lane.unpack()
-                    if xi > 0 and delta > lane.lo and not _inadmissible(lane.ext, delta):
-                        deltas[len(todo)] = delta
-                        todo.append((lane, xi, sig))
-                    else:  # big finite penalty so the line search backtracks from the region edge
-                        lane.f = 1e12
-                        lane.g[:] = 0.0
-                if todo:  # one pass for the lanes inside the region
-                    m = len(todo)
-                    rows = [lane.i for lane, _, _ in todo]
-                    block = ((lik.coef, lik.log_y, deltas, work) if m == len(lik.coef) else
-                             (lik.coef[rows], lik.log_y[rows], deltas[:m], work[:m]))
-                    for (lane, xi, sig), sums in zip(todo, _fg_sums(*block)):
-                        value, d_xi, d_delta = _value_and_grad(xi, lik.k, *sums)
-                        lane.f = -value
-                        lane.g[0] = -(d_xi * xi)
-                        lane.g[1] = -(d_delta * lane.span * sig * (1.0 - sig))
-                asking = [lane for lane in asking if lane.advance()]
-    return [lane.result() if isinstance(lane, _Lane) else lane for lane in out]
+    k, searches = lik.k, []
+    for tau, lo, ext, sum_log_y in zip(lik.tau.tolist(), lik.lo.tolist(), lik.ext.tolist(),
+                                       lik.sum_log_y.tolist()):
+        h = sum_log_y / k  # the Hill estimate, as ``hill`` computes it
+        if k < 10:
+            searches.append(ValueError(f"need at least 10 excesses to fit, got {k}"))
+        elif tau >= 0:
+            searches.append(ValueError(f"tau must be negative, got {tau}"))
+        elif h <= 0:
+            searches.append(ValueError("all excesses are ties; the likelihood has no interior maximum"))
+        else:
+            searches.append(_ml_search(k, tau, lo, ext, h))
+    work, deltas = np.empty((len(searches), 4, k)), np.empty((len(searches), 1, 1))
+
+    def fg_sums(lanes: list[int], points: list[float]) -> list:
+        m = len(lanes)
+        deltas[:m, 0, 0] = points
+        if m == len(searches):
+            return _fg_sums(lik.coef, lik.log_y, deltas, work)
+        return _fg_sums(lik.coef[lanes], lik.log_y[lanes], deltas[:m], work[:m])
+
+    with _ONE_BLAS_THREAD:
+        return _lockstep(searches, fg_sums)
 
 
 def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
@@ -383,10 +385,11 @@ def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
     constraints hold throughout; started at the Hill estimate with
     delta = 0. Requires at least 10 excesses.
 
-    The search is scipy's L-BFGS-B core, ``_lbfgsb.setulb``, driven by
-    the loop that ``scipy.optimize.minimize(method="L-BFGS-B")`` runs,
-    with its settings and stopping rules: the same calls give the same
-    bits, without the per-point cost of scipy's Python wrappers. The fit
+    The search, ``_ml_search``, is scipy's L-BFGS-B core,
+    ``_lbfgsb.setulb``, driven by the loop that
+    ``scipy.optimize.minimize(method="L-BFGS-B")`` runs, with its
+    settings and stopping rules: the same calls give the same bits,
+    without the per-point cost of scipy's Python wrappers. The fit
     converged when the core stops with CONVERGENCE (task 4); the
     log-likelihood is minus the last value handed to the core.
     """
@@ -433,7 +436,7 @@ def epd_sample(p: EPDParams, count: int, seed) -> np.ndarray:
 
 def epd_tail_prob(s: SortedSample, k: int, x: float, p: EPDParams) -> float:
     """Exceedance probability (k/n) * survival(x / threshold) under the fit."""
-    threshold = float(s.values[s.n - k - 1])
+    threshold = s.threshold(k)
     if x < threshold:
         raise ValueError(f"x={x} is below the threshold {threshold}; extrapolation invalid")
     return (k / s.n) * float(epd_survival(p, x / threshold))

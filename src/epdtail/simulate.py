@@ -6,10 +6,11 @@ the process pool, and a chunk runs threshold by threshold: at each k,
 ``estimate_cells`` estimates on every replication of the chunk (its
 lanes), as ``epdtail estimate`` does on its one sample. At each k one
 coefficient stack of the lanes (``epd._Likelihood``) is built, and the
-lanes' ML fits run on it in lockstep, one likelihood pass per step for
-all of them (``epd_ml_fits``); their first-order systems are solved as
-one array computation, and the lanes without an admissible root run the
-exact posterior-mode search in lockstep. None of these copies the stack.
+lanes' ML fits run on it in lockstep, one likelihood pass per round for
+every lane that asks (``epd_ml_fits``); their first-order systems are
+solved as one array computation, and the lanes without an admissible
+root run the exact posterior-mode search in lockstep. None of these
+copies the stack.
 The other estimators run lane by lane, and the Bayes paths of a chunk
 are smoothed as one array. No sum mixes lanes, so
 results are bit-identical for any chunking and worker count.

@@ -9,8 +9,9 @@ library must reproduce bit for bit: ``oracle_epd_log_likelihood``,
 coefficient rows that the library stacks), ``oracle_loglik_grad``,
 ``oracle_epd_ml_fit``, ``oracle_profile_posterior_mode`` and
 ``oracle_smooth_path``. ``oracle_first_order`` keeps the estimating-system
-variants that the library rejects, and ``asym_var_raw`` the literal form
-of the limiting variance. ``mu_opt``, ``sigma2_opt`` and ``log_posterior``
+variants that the library rejects, with the moment statistics
+``moment_stat`` that it reads, and ``asym_var_raw`` the literal form of
+the limiting variance. ``mu_opt``, ``sigma2_opt`` and ``log_posterior``
 are formulas the library does not need: the optimal prior scale in its
 two parametrisations, and the per-observation log posterior as one call
 of the library's Metropolis target. ``log_prior_xi`` and
@@ -32,7 +33,7 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import expit, gammaln, logit, ndtr
 from scipy.stats import norm
 
-from epdtail import EPDFit, EPDParams, delta_lower_bound, hill, moment_stat
+from epdtail import EPDFit, EPDParams, delta_lower_bound, hill
 from epdtail.bayes import ClosedFormError, _first_order, _LogTarget, _profile_posterior_modes
 from epdtail.epd import (
     _ONE_BLAS_THREAD,
@@ -241,6 +242,18 @@ def oracle_metropolis(e, tau, sigma2, config, adapt_interval=ADAPT_INTERVAL, fix
             draws[i, 1] = d
             logpost[i] = lp
     return draws, logpost, accepted_post / retained
+
+
+def moment_stat(e, s):
+    """Empirical negative-power moment of the excesses, mean(y**s) for s < 0.
+
+    The result lies in (0, 1] and equals 1 exactly when all excesses are
+    ties at the threshold. The library reads the tau moment from its
+    coefficient stack; ``oracle_first_order`` computes both moments here.
+    """
+    if s >= 0:
+        raise ValueError(f"exponent must be negative, got {s}")
+    return float(np.add.reduce(e.y ** s)) / e.k
 
 
 def oracle_first_order(e, tau, sigma2, centering="pareto-limit", prior_term_sign=1.0):

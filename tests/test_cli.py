@@ -588,7 +588,7 @@ def test_import_loads_no_scipy_stats():
     ("bayes", "log_prior_xi"), ("bayes", "log_prior_delta"), ("classical", "HillEstimate"),
     ("asymptotics", "mse_opt_weighted"), ("epd", "epd_loglik_grad"),
     ("bayes", "_profile_posterior_mode"), ("epd", "_Likelihood.value_and_grad"),
-    ("bayes", "_solve_first_order"), ("bayes", "_system_coefficients"),
+    ("bayes", "_solve_first_order"), ("bayes", "_system_coefficients"), ("classical", "moment_stat"),
 ])
 def test_test_only_names_are_not_in_the_library(module, name):
     # their reference copies, where a test still needs one, are in tests/oracles.py;

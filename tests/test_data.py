@@ -97,6 +97,28 @@ class TestSortedSample:
         with pytest.raises(ValueError):
             s.values[0] = 5.0
 
+    def test_threshold(self):
+        s = et.SortedSample([8, 1, 4, 2])
+        assert [s.threshold(k) for k in (1, 2, 3)] == [4.0, 2.0, 1.0]
+
+
+# every reader of the threshold at k, with the other arguments valid: x = 30 lies above every value
+THRESHOLD_READERS = {
+    "weissman": lambda s, k: et.weissman_tail_prob(s, k, 30.0, 0.5),
+    "epd": lambda s, k: et.epd_tail_prob(s, k, 30.0, et.EPDParams(xi=0.5, delta=0.1, tau=-1.0)),
+    "bayes": lambda s, k: et.bayes_tail_prob(s, k, 30.0, et.BayesEstimate(0.5, 0.1, "linear"), -1.0),
+    "excesses": et.excesses,
+    "threshold": et.SortedSample.threshold,
+}
+
+
+@pytest.mark.parametrize("k", [20, 25, 0, -3])
+@pytest.mark.parametrize("reader", THRESHOLD_READERS)
+def test_threshold_readers_reject_k_out_of_range(reader, k):
+    # k = 20 read the largest of 20 values as the threshold, and k = -3 raised an IndexError
+    with pytest.raises(ValueError, match=rf"k must be in \[1, 19\], got {k}"):
+        THRESHOLD_READERS[reader](et.SortedSample(np.arange(1.0, 21.0)), k)
+
 
 class TestExcesses:
     def test_basic(self):

@@ -316,9 +316,21 @@ def test_expit_is_scipys_to_the_bit(v):
 @example(-1.0 - 2.0 ** -52)
 def test_lane_start_is_scipys_logit_to_the_bit(tau):
     # the fit starts at delta = 0, mapped through log(p / (1 - p)); scipy's logit
-    # takes another route for p in [0.3, 0.65], but p = -lo / (DELTA_MAX - lo) is at most 1/11
-    lane = epd._Lane(_Likelihood([(pareto_excesses(1.0, 20, 0), tau)]), 0)
-    assert repr(float(lane.x[1])) == repr(float(logit((0.0 - lane.lo) / lane.span)))
+    # takes another route for p in [0.3, 0.65], but p = -lo / (DELTA_MAX - lo) is at most 1/11.
+    # The start is the x of the first call into the L-BFGS-B core
+    starts = []
+    setulb = epd._lbfgsb.setulb
+
+    def spy(m, x, *rest):
+        if not starts:
+            starts.append(float(x[1]))
+        return setulb(m, x, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(epd._lbfgsb, "setulb", spy)
+        et.epd_ml_fit(pareto_excesses(1.0, 20, 0), tau)
+    lo = et.delta_lower_bound(tau)
+    assert repr(starts[0]) == repr(float(logit((0.0 - lo) / (epd.DELTA_MAX - lo))))
 
 
 class TestQuantileAndSampling:

@@ -14,7 +14,9 @@ lane gets alone, on chunks of up to 32 replications of both designs, and
 the lockstep mode search, ``_profile_posterior_modes``, the oracle's mode
 on chunks of up to 32 replications of all three designs and on the edge
 cells. Its polish, ``_polish``, must return scipy's bounded minimizer's
-bits. The first-order solution of random stacks, ``_first_order``, must
+bits. The runner of both lockstep searches, ``epd._lockstep``, must give
+fake searches what each gets alone, and a penalised ML point must cost
+no row of a likelihood pass. The first-order solution of random stacks, ``_first_order``, must
 give every lane the bits of the one-lane system ``oracle_first_order``.
 """
 
@@ -334,6 +336,87 @@ def test_lockstep_lanes_stop_at_scipys_limits_like_the_oracle(monkeypatch, limit
                                           for e, tau in lanes]
 
 
+def _fake_search(lane, asks):
+    """A search that asks ``asks`` points (lane, 0), (lane, 1), ... and returns the answers it was sent."""
+    answers = []
+    for j in range(asks):
+        answers.append((yield (lane, j)))
+    return answers
+
+
+def _answer(point):
+    return ("answer", point)
+
+
+def test_runner_gives_each_search_what_it_gets_alone():
+    # searches of different lengths, one that returns before it yields, and a placeholder
+    placeholder = ValueError("this lane cannot run")
+    asks = [3, 0, 5, None, 1, 3]
+
+    def searches():
+        return [placeholder if n is None else _fake_search(i, n) for i, n in enumerate(asks)]
+
+    rounds = []
+
+    def evaluate(lanes, points):
+        rounds.append(lanes)
+        assert [lane for lane, _ in points] == lanes
+        return [_answer(point) for point in points]
+
+    got = et.epd._lockstep(searches(), evaluate)
+    assert got[3] is placeholder
+    assert got == [search if isinstance(search, Exception) else _drive(search, _answer)
+                   for search in searches()]
+    assert got[1] == [] and got[2] == [_answer((2, j)) for j in range(5)]
+    # each round answers only the lanes that ask, in ascending order
+    assert rounds == [[i for i, n in enumerate(asks) if n is not None and n > r] for r in range(5)]
+
+
+def test_ml_fits_and_mode_search_run_through_the_runner(monkeypatch):
+    runner, calls = et.epd._lockstep, []
+
+    def spy(searches, evaluate):
+        calls.append(len(searches))
+        return runner(searches, evaluate)
+
+    monkeypatch.setattr(et.epd, "_lockstep", spy)
+    monkeypatch.setattr(bayes, "_lockstep", spy)
+    epd_ml_fits(_liks(_lanes("frechet_fig1", 20, 3)))
+    assert calls == [3]
+    cells = _mode_cells("burr_fig2", 150, 4)
+    assert _lockstep(cells) == _oracle(cells)
+    assert calls == [3, 4]
+
+
+def test_a_penalised_ml_point_costs_no_pass_row(monkeypatch):
+    # EPD samples near the model bound, where two lanes' line searches reach the region
+    # edge and are answered with the penalty, between two lanes that stay inside it
+    lanes = [(_epd_cell(0.5, -0.99, tau, 200, seed), tau) for tau, seed in
+             ((-0.8, 0), (-0.8, 2), (-0.7, 4), (-0.8, 1))]
+    count = {"fg": 0, "penalised": 0, "rows": 0}
+    asked = {}  # per lane, by its task array: whether the core's last return asked for FG
+    setulb, fg_sums = et.epd._lbfgsb.setulb, et.epd._fg_sums
+
+    def setulb_spy(m, x, l, u, nbd, f, g, factr, pgtol, wa, iwa, task, *rest):
+        count["penalised"] += asked.get(id(task), False) and f == 1e12
+        setulb(m, x, l, u, nbd, f, g, factr, pgtol, wa, iwa, task, *rest)
+        asked[id(task)] = task[0] == 3
+        count["fg"] += task[0] == 3
+
+    def fg_sums_spy(coef, *rest):
+        count["rows"] += len(coef)
+        return fg_sums(coef, *rest)
+
+    monkeypatch.setattr(et.epd._lbfgsb, "setulb", setulb_spy)
+    monkeypatch.setattr(et.epd, "_fg_sums", fg_sums_spy)
+    got = [repr(fit) for fit in epd_ml_fits(_liks(lanes))]
+    assert count["penalised"] == 5
+    assert count["rows"] == count["fg"] - count["penalised"]
+    monkeypatch.undo()
+    assert got == [repr(et.epd_ml_fit(e, tau)) for e, tau in lanes]
+    assert got == [repr(oracle_epd_ml_fit(e, tau)) for e, tau in lanes]
+
+
 # the lockstep mode search: the thresholds at which it is compared, both ends and the middle of each grid
 MODE_KS = {"burr_fig2": (90, 250, 410), "frechet_fig1": (10, 35, 60),
            "burr_tau_below_minus_one": (20, 240, 480)}
@@ -478,11 +561,11 @@ def test_first_order_is_the_oracles_system_to_the_bit(seed, lanes, k, tau_kind):
 
 
 def _drive(search, f):
-    """Run a ``_polish`` search on f; return its end (x, f(x), evaluations)."""
-    x = next(search)
+    """Run a generator search alone on f; return what it returns (a ``_polish`` search: (x, f(x), evaluations))."""
+    answer = None
     try:
         while True:
-            x = search.send(f(x))
+            answer = f(search.send(answer))
     except StopIteration as stop:
         return stop.value
 
