@@ -8,12 +8,20 @@ lanes, excess sets that share k, and the ML fits read it in place. Each
 lane's fit is a generator search, and one runner, ``_lockstep``, runs
 the searches of all lanes together, as it runs the posterior-mode polish
 of ``bayes``.
+
+The fit drives scipy's compiled L-BFGS-B core, the extension module
+``scipy.optimize._lbfgsb``. ``_load_lbfgsb`` loads it from its file, so
+the ``scipy.optimize`` package, which imports ``scipy.special``,
+``scipy.linalg`` and ``scipy.sparse`` in about 0.4 s, never runs.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import math
+import sys
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -22,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.optimize import _lbfgsb
 
 from .data import ExcessSet, SortedSample
 
@@ -49,6 +56,33 @@ _LBFGSB_PGTOL = 1e-9
 _LBFGSB_MAXLS = 20
 _LBFGSB_MAXITER = 500
 _LBFGSB_MAXFUN = 15000
+
+
+def _load_lbfgsb():
+    """scipy's compiled L-BFGS-B core, the module ``scipy.optimize._lbfgsb``, loaded alone.
+
+    The extension file in scipy's ``optimize`` directory is loaded under
+    its own name without running ``scipy/optimize/__init__.py``, and
+    registered in ``sys.modules``; a module already registered there is
+    reused. So a process holds one copy of the core whichever of
+    ``epdtail`` and ``scipy.optimize`` it imports first: scipy's own
+    ``from . import _lbfgsb`` finds the registered module. Loaded first
+    this way, the module is not an attribute of ``scipy.optimize``.
+    """
+    name = "scipy.optimize._lbfgsb"
+    if name in sys.modules:
+        return sys.modules[name]
+    directory = Path(scipy.__file__).parent / "optimize"
+    spec = importlib.machinery.PathFinder.find_spec(name, [str(directory)])
+    if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+        raise ImportError(f"scipy's compiled L-BFGS-B core, _lbfgsb, is not in {directory}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_lbfgsb = _load_lbfgsb()
 
 
 def delta_lower_bound(tau: float) -> float:

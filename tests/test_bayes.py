@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr
 from scipy.stats import norm
 
 import epdtail as et
@@ -81,6 +81,27 @@ class TestPriorSpec:
 
     def test_gamma_normaliser_is_scipys_gammaln(self):
         assert repr(bayes._LOG_GAMMA) == repr(float(gammaln(bayes._GAMMA_SHAPE)))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))  # finite, subnormals included
+    @example(0.0)
+    @example(-0.0)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    @example(5e-324)
+    @example(-5e-324)
+    def test_ndtr_is_scipys_ndtr_to_the_bit(self, a):
+        assert repr(bayes._ndtr(a)) == repr(float(ndtr(a)))
+
+    def test_ndtr_is_scipys_ndtr_at_every_branch_edge(self):
+        # |a| = 1 (erf to erfc), 8*sqrt(2) (P/Q to R/S) and sqrt(2*MAXLOG) = 37.68, past
+        # which exp(-a*a/2) underflows and the lower tail is 0
+        edges = [1.0, 8.0 * math.sqrt(2.0), math.sqrt(2.0 * bayes._MAXLOG), 37.5, 38.6]
+        near = [e + d * math.ulp(e) for e in edges for d in range(-4, 5)]
+        points = near + np.linspace(37.5, 38.6, 1101).tolist() + np.linspace(-40.0, 40.0, 16001).tolist()
+        got = [repr(bayes._ndtr(s * a)) for a in points for s in (1.0, -1.0)]
+        assert got == [repr(float(ndtr(s * a))) for a in points for s in (1.0, -1.0)]
+        assert bayes._ndtr(-38.6) == 0.0 and bayes._ndtr(-37.5) > 0.0
 
     def test_validation(self):
         e = _excess_set([1.0, 2.0, 4.0])

@@ -577,11 +577,25 @@ class TestAsymptoticsCmd:
 
 
 def test_import_loads_no_scipy_stats():
-    # importing scipy.stats costs about half a second and 20 MB in every process
-    code = "import sys, epdtail, epdtail.cli; print('scipy.stats' in sys.modules)"
+    # importing scipy.stats costs about half a second and 20 MB in every process, and
+    # scipy.special and the scipy.optimize package about 0.4 s more: the library loads
+    # only the compiled L-BFGS-B core (epd._load_lbfgsb) and ports ndtr (bayes._ndtr)
+    heavy = ("scipy.special", "scipy.optimize", "scipy.stats", "scipy.linalg", "scipy.sparse")
+    code = f"import sys, epdtail, epdtail.cli; print(any(m in sys.modules for m in {heavy!r}))"
     proc = subprocess.run([sys.executable, "-c", code], cwd=Path(et.__file__).parent.parent,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_loggamma_study_runs_in_a_fresh_process(tmp_path):
+    # the loggamma law imports gammaincc and gammainccinv where it runs
+    argv = ["simulate", "--dist", "loggamma:4:2", "--n", "100", "--reps", "2", "--k-min", "10",
+            "--k-max", "20", "--out", str(tmp_path / "lg")]
+    code = f"import sys; from epdtail.cli import main; print(main({argv!r}), 'scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(et.__file__).parent.parent,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 True"
+    assert (tmp_path / "lg").read_text().startswith("estimator,k,")
 
 
 @pytest.mark.parametrize("module, name", [

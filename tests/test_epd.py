@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import math
+import re
+import subprocess
 import sys
 import threading
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import expit, logit
@@ -297,6 +302,46 @@ class TestOneBlasThread:
         capped = fits()
         monkeypatch.setattr(epd, "_scipy_openblas", lambda: None)
         assert fits() == capped
+
+
+def _fresh(code: str) -> str:
+    """The last line that ``code`` prints in a fresh interpreter that imports from ``src``."""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(et.__file__).parent.parent,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
+class TestCoreLoader:
+    """``epd._load_lbfgsb`` loads scipy's compiled L-BFGS-B core alone, and one copy of it."""
+
+    @pytest.mark.parametrize("first, second", [("epdtail", "scipy.optimize"), ("scipy.optimize", "epdtail")])
+    def test_one_copy_whichever_is_imported_first(self, first, second):
+        # scipy's own L-BFGS-B driver calls the module that the fit calls; the test session
+        # imports epdtail first, so test_ml_fit_matches_oracle runs scipy's minimize on it
+        code = (f"import sys, {first}, {second}; from epdtail import epd; import scipy.optimize._lbfgsb_py as py; "
+                "print(epd._lbfgsb is sys.modules['scipy.optimize._lbfgsb'] is py._lbfgsb)")
+        assert _fresh(code) == "True"
+
+    def test_a_registered_core_is_reused(self, monkeypatch):
+        core = object()
+        monkeypatch.setitem(sys.modules, "scipy.optimize._lbfgsb", core)
+        assert epd._load_lbfgsb() is core
+
+    def test_a_missing_core_names_its_directory(self, monkeypatch, tmp_path):
+        (tmp_path / "scipy" / "optimize").mkdir(parents=True)
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb")
+        monkeypatch.setattr(epd, "scipy", SimpleNamespace(__file__=str(tmp_path / "scipy" / "__init__.py")))
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "scipy" / "optimize"))):
+            epd._load_lbfgsb()
+        assert "scipy.optimize._lbfgsb" not in sys.modules
+
+    def test_the_blas_cap_finds_the_library_without_scipy_linalg(self):
+        # the core links scipy's bundled OpenBLAS, so the cap finds it in a lean process too
+        if not list((Path(scipy.__file__).parent.parent / "scipy.libs").glob("*scipy_openblas*")):
+            pytest.skip("this scipy bundles no OpenBLAS")
+        code = ("import sys, epdtail; from epdtail import epd; api = epd._scipy_openblas(); "
+                "print(api is not None and api[0]() >= 1, 'scipy.linalg' in sys.modules)")
+        assert _fresh(code) == "True False"
 
 
 @given(st.one_of(st.floats(-50.0, 50.0), st.floats(allow_nan=True, allow_infinity=True)))

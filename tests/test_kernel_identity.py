@@ -23,12 +23,14 @@ give every lane the bits of the one-lane system ``oracle_first_order``.
 from __future__ import annotations
 
 import ast
+import importlib.machinery
 import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
@@ -620,16 +622,38 @@ def test_search_memory_stays_within_its_blocks():
     assert peak < 4 * 8 * _BUDGET, peak
 
 
+def _docstrings(tree: ast.AST) -> set[int]:
+    """The ids of the docstring nodes of a module and of its classes and functions."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant) and isinstance(node.body[0].value.value, str)}
+
+
 def test_only_the_ml_core_comes_from_scipy_optimize():
-    # the mode search's polish is in-house; scipy's minimizers serve only as oracles
-    found = set()
+    # the mode search's polish is in-house; scipy's minimizers serve only as oracles. The
+    # ML fit's core is loaded from its file by name (epd._load_lbfgsb), so a string that
+    # names a module counts as an import, and the loaded module must be that extension
+    found, core_attrs = set(), set()
     for path in sorted(Path(et.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
                 found |= {(path.name, f"{node.module}.{alias.name}") for alias in node.names}
             elif isinstance(node, ast.Import):
                 found |= {(path.name, alias.name) for alias in node.names}
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 found.add((path.name, f"{node.value.id}.{node.attr}"))
-    assert {(name, what) for name, what in found if "scipy.optimize" in what} == {
-        ("epd.py", "scipy.optimize._lbfgsb")}
+                if node.value.id == "_lbfgsb":
+                    core_attrs.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                found.add((path.name, node.value))
+    assert {(name, what) for name, what in found if "optimize" in what} == {
+        ("epd.py", "scipy.optimize._lbfgsb"), ("epd.py", "optimize")}
+    assert core_attrs == {"setulb"}
+    core = et.epd._lbfgsb
+    assert core.__name__ == "scipy.optimize._lbfgsb"
+    assert isinstance(core.__spec__.loader, importlib.machinery.ExtensionFileLoader)
+    assert Path(core.__file__).parent == Path(scipy.__file__).parent / "optimize"
