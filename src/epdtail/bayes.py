@@ -24,7 +24,8 @@ from typing import Literal
 import numpy as np
 
 from .data import ExcessSet, SortedSample
-from .epd import DELTA_MAX, EPDParams, _inadmissible, _Likelihood, _lockstep, delta_lower_bound, epd_tail_prob
+from .epd import (DELTA_MAX, EPDParams, _inadmissible, _Likelihood, _lockstep, _row_powers,
+                  delta_lower_bound, epd_tail_prob)
 
 __all__ = [
     "ClosedFormError",
@@ -184,7 +185,7 @@ class _LogTarget:
 
     def __init__(self, e: ExcessSet, tau: float, sigma2: float) -> None:
         _check_sigma2(sigma2)
-        self.lik = _Likelihood([(e, tau)])
+        self.lik = _Likelihood(e.y[None], [tau])
         self.k = e.k
         self.sigma2 = sigma2
         self.log_norm, self.log_trunc = _delta_prior_logs(delta_lower_bound(tau), sigma2)
@@ -287,8 +288,7 @@ def _first_order(lik: _Likelihood, weight) -> tuple[np.ndarray, np.ndarray]:
     """
     k, tau = lik.k, lik.tau
     h, e1 = lik.sum_log_y / k, lik.sum_pow / k
-    # each lane's scalar power, as in the stack's build
-    e2 = np.array([np.add.reduce(y ** (2.0 * t)) for y, t in zip(lik.y, tau.tolist())]) / k
+    e2 = np.add.reduce(_row_powers(lik.y, 2.0 * tau), axis=1) / k
     with np.errstate(all="ignore"):  # lanes without a root compute NaN and inf, then drop out
         rhs = (1.0 - h * tau) * (e1 - 1.0 / (1.0 - h * tau))
         b0 = 1.0 - 2.0 * e1 + e2 - tau * (1.0 - e1) * e1
@@ -550,31 +550,32 @@ def _profile_posterior_modes(
 
 
 def _closed_forms(lik: _Likelihood,
-                  sigma2: Sequence[float]) -> list[BayesEstimate | ValueError | ClosedFormError]:
+                  sigma2: Sequence[float]) -> list[tuple[float, float, str] | ValueError | ClosedFormError]:
     """``bayes_closed_form`` on the lanes of the stack ``lik``, each with its prior variance ``sigma2``.
 
     One array computation solves every lane's first-order system
     (``_first_order``); the lanes without an admissible root run the exact
-    mode search together (``_profile_posterior_modes``). A lane that
-    cannot be estimated holds its error.
+    mode search together (``_profile_posterior_modes``). A lane's estimate
+    is the tuple (xi, delta, solver), the fields of ``BayesEstimate``; a
+    lane that cannot be estimated holds its error.
     """
+    s2 = np.asarray(sigma2, dtype=float)
     with np.errstate(all="ignore"):  # a lane whose sigma2 is not positive gets its ValueError below
-        xi, delta = _first_order(lik, 1.0 / (lik.k * np.asarray(sigma2, dtype=float)))
-    out: list = []
-    for tau, s2, x, d in zip(lik.tau.tolist(), sigma2, xi.tolist(), delta.tolist()):
+        xi, delta = _first_order(lik, 1.0 / (lik.k * s2))
+    out: list = [None if math.isnan(d) else (x, d, "linear") for x, d in zip(xi.tolist(), delta.tolist())]
+    for i in np.flatnonzero((lik.k < 10) | (lik.tau >= 0) | ~(s2 > 0)).tolist():
         try:
             if lik.k < 10:
                 raise ValueError(f"need at least 10 excesses, got {lik.k}")
-            if tau >= 0:
-                raise ValueError(f"tau must be negative, got {tau}")
-            _check_sigma2(s2)
-            out.append(None if math.isnan(d) else BayesEstimate(xi=x, delta=d, solver="linear"))
+            if lik.tau[i] >= 0:
+                raise ValueError(f"tau must be negative, got {float(lik.tau[i])}")
+            _check_sigma2(sigma2[i])
         except ValueError as exc:
-            out.append(exc)
+            out[i] = exc
     search = [i for i, est in enumerate(out) if est is None]
     if search:
         for i, mode in zip(search, _profile_posterior_modes(lik, sigma2, search)):
-            out[i] = mode if isinstance(mode, ClosedFormError) else BayesEstimate(*mode, solver="profile-map")
+            out[i] = mode if isinstance(mode, ClosedFormError) else (*mode, "profile-map")
     return out
 
 
@@ -589,10 +590,10 @@ def bayes_closed_form(e: ExcessSet, tau: float, sigma2: float) -> BayesEstimate:
     ``BayesEstimate.solver`` records which route ran. This is
     ``_closed_forms`` on one lane.
     """
-    (est,) = _closed_forms(_Likelihood([(e, tau)]), [sigma2])
+    (est,) = _closed_forms(_Likelihood(e.y[None], [tau]), [sigma2])
     if isinstance(est, Exception):
         raise est
-    return est
+    return BayesEstimate(*est)
 
 
 @dataclass(frozen=True)

@@ -71,9 +71,14 @@ def _jnum(value):
     if value is None:
         return None
     v = float(value)
-    if np.isnan(v):
+    if not np.isfinite(v):  # JSON has no NaN or infinity
         return None
     return float(f"{v:.12g}")
+
+
+def _write_json(path: Path, payload) -> None:
+    """Write ``payload`` as standard JSON: a NaN or infinity in it is a ValueError, not a token."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -94,13 +99,15 @@ def _write_manifest(out: Path, args: argparse.Namespace, seed: int | None = None
     if config is None:
         config = {key: value for key, value in vars(args).items()
                   if key not in ("command", "func")} | resolved
+    # a non-finite flag, such as --x inf, is recorded as its string
+    config = {key: str(value) if isinstance(value, float) and not np.isfinite(value) else value
+              for key, value in config.items()}
     manifest = {
         "command": args.command, "config": config, "seed": seed,
         "input_digest": hashlib.sha256(Path(data).read_bytes()).hexdigest() if data else None,
         "version": __version__, "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    path = out.with_name(out.name + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out.with_name(out.name + ".manifest.json"), manifest)
 
 
 def _parse_rho_flag(text: str) -> tuple[str, float | None]:
@@ -162,10 +169,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     if args.x is not None and np.isnan(args.x):
         raise UsageError("--x must be a number, got nan")
+    if not 0.0 < args.alpha < 1.0:  # under every method, so that NaN fails too
+        raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
     mcmc = None
     if args.method == "mcmc":
-        if not 0.0 < args.alpha < 1.0:
-            raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
         if args.seed < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
         try:
@@ -184,19 +191,20 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     header.append("error")
 
     rows: list[list] = []
+    values = sample.values[None]  # one lane
     for k in k_values:
-        (cell,) = estimate_cells([(sample, rho, (args.seed,))], k, names, args.x, mcmc)
-        row: list = [k, cell.threshold, cell.hill]
-        if cell.errors:  # the row names the first estimator that failed
-            rows.append(row + [None] * (len(header) - 4) + [next(iter(cell.errors.values()))])
+        cells = estimate_cells(values, [rho], [(args.seed,)], k, names, args.x, mcmc)
+        row: list = [k, cells.threshold[0], cells.hill[0]]
+        if cells.errors[0]:  # the row names the first estimator that failed
+            rows.append(row + [None] * (len(header) - 4) + [next(iter(cells.errors[0].values()))])
             continue
-        ml, bayes = cell.estimates["epd_ml"], cell.estimates[names[2]]
-        row += [*ml[:2], *bayes[:2], rho, cell.tau, cell.sigma2]
+        (_, ml, bayes) = cells.estimates[0]
+        row += [*ml[:2], *bayes[:2], rho, cells.tau[0], cells.sigma2[0]]
         if args.x is not None:  # a probability below the threshold is NaN, written blank
-            row += [cell.estimates[name][2] for name in names]
+            row += list(cells.estimates[0, :, 2])
         if mcmc:
-            row += list(hpd_interval(cell.chain.draws[:, 0], args.alpha))
-        below = args.x is not None and args.x < cell.threshold
+            row += list(hpd_interval(cells.chains[0].draws[:, 0], args.alpha))
+        below = args.x is not None and args.x < cells.threshold[0]
         rows.append(row + ["x_below_threshold" if below else ""])
 
     out = Path(args.out)
@@ -210,7 +218,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             ],
             "rho_source": rho_source,
         }
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(out, payload)
     _write_manifest(out, args, seed=args.seed, data=args.data, k_min=k_min, k_max=k_max,
                     k_step=k_step, rho_source=rho_source)
     return EXIT_OK
@@ -296,7 +304,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     rows = study_rows(result)
     _write_csv(out, list(rows[0]), [list(r.values()) for r in rows])
     payload = study_payload(result)
-    out.with_suffix(".json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out.with_suffix(".json"), payload)
     _write_manifest(out, args, seed=cfg.master_seed, config=payload["config"])
     print(f"study written to {out} ({len(rows)} rows, "
           f"{result.exclusion_fraction:.2%} cells excluded)")

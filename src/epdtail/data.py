@@ -9,7 +9,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-__all__ = ["DataFormatError", "SortedSample", "ExcessSet", "load_sample", "excesses"]
+__all__ = ["DataFormatError", "SortedSample", "ExcessSet", "load_sample", "excesses", "excess_matrix"]
 
 
 class DataFormatError(ValueError):
@@ -84,11 +84,33 @@ def excesses(s: SortedSample, k: int) -> ExcessSet:
     """Form the k relative excesses of ``s`` over its (k+1)-th largest value.
 
     Exact ratios are taken, so the result is invariant under rescaling of
-    the raw data.
+    the raw data. This is ``excess_matrix`` on one sample.
     """
-    threshold = s.threshold(k)
-    y = s.values[s.n - k:][::-1] / threshold
-    return ExcessSet(y=y, k=k, threshold=threshold)
+    threshold, y = excess_matrix(s.values[None], k)
+    return ExcessSet(y=y[0], k=k, threshold=float(threshold[0]))
+
+
+def excess_matrix(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The thresholds and relative excesses at k of samples of one size, by the array.
+
+    ``values`` holds the ascending values of each sample as a row (lanes x
+    n). Returns each row's (k+1)-th largest value and its k excesses over
+    it in descending order (lanes x k, C-contiguous): row by row, what
+    ``excesses`` returns, with the checks of ``SortedSample.threshold`` and
+    ``ExcessSet`` made on the whole array.
+    """
+    n = values.shape[1]
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    threshold = values[:, n - k - 1]
+    if not (threshold > 0.0).all():
+        raise ValueError("threshold must be positive")
+    y = values[:, :n - k - 1:-1] / threshold[:, None]
+    if (y < 1.0).any():
+        raise ValueError("excesses must be >= 1")
+    if (y[:, :-1] < y[:, 1:]).any():
+        raise ValueError("excesses must be non-increasing")
+    return threshold, y
 
 
 def _open_text(source: str | Path | bytes | IO[str] | IO[bytes]) -> Iterable[str]:

@@ -124,33 +124,33 @@ class EPDFit:
 class _Likelihood:
     """The mean log-likelihoods of lanes (excess sets that share k, each at its own tau) as one stack.
 
-    Holds what stays fixed while (xi, delta) move, one row per lane: tau,
-    the model bound ``lo``, the excesses y, log y and its sum (k times the
-    Hill estimate), the sum of y**tau (k times its moment statistic), and
-    the coefficients a = 1 - y**tau and b = 1 - (1 + tau) * y**tau
-    (``coef``, lanes x 2 x k) with their extremes ``ext`` (a_lo, a_hi,
-    b_lo, b_hi). Both perturbation terms are affine in delta, and rounded
-    products and sums are monotone, so positivity over the sample is
-    exactly positivity at the coefficient extremes. Means are a row-wise
-    ``np.add.reduce`` divided by k, the value ``np.mean`` returns.
+    It is built from the lanes' excesses as the rows of ``y`` (lanes x k,
+    as ``data.excess_matrix`` returns them), their ``tau`` and, when the
+    caller has it, ``log_y``. It holds what stays fixed while (xi, delta)
+    move, one row per lane: tau, the model bound ``lo``, the excesses y,
+    log y and its sum (k times the Hill estimate), the sum of y**tau (k
+    times its moment statistic), and the coefficients a = 1 - y**tau and
+    b = 1 - (1 + tau) * y**tau (``coef``, lanes x 2 x k) with their
+    extremes ``ext`` (a_lo, a_hi, b_lo, b_hi). Both perturbation terms
+    are affine in delta, and rounded products and sums are monotone, so
+    positivity over the sample is exactly positivity at the coefficient
+    extremes. Means are a row-wise ``np.add.reduce`` divided by k, the
+    value ``np.mean`` returns.
     """
 
-    def __init__(self, lanes: Sequence[tuple[ExcessSet, float]]) -> None:
-        self.k = k = lanes[0][0].k
-        if any(e.k != k for e, _ in lanes):
-            raise ValueError("the lanes' k differ")
-        self.tau = tau = np.array([t for _, t in lanes], dtype=float)
+    def __init__(self, y: np.ndarray, tau, log_y: np.ndarray | None = None) -> None:
+        self.y = y  # (lanes x k), each row non-increasing
+        self.k = k = y.shape[1]
+        self.tau = tau = np.array(tau, dtype=float)
         # delta_lower_bound where tau < 0: max(-1, 1/tau) is -1 for every tau above -1
         self.lo = np.where(tau < 0, np.maximum(-1.0, 1.0 / np.minimum(tau, -1.0)), math.inf)
-        self.y = y = np.array([e.y for e, _ in lanes])
         if (y < 1.0).any():
             raise ValueError("excesses must be >= 1")
-        self.log_y = np.log(y)
+        self.log_y = np.log(y) if log_y is None else log_y
         self.sum_log_y = np.add.reduce(self.log_y, axis=1)
-        # each lane's scalar power: numpy rounds special exponents such as -1 otherwise in an array
-        p = np.array([e.y ** t for e, t in lanes])
+        p = _row_powers(y, tau)
         self.sum_pow = np.add.reduce(p, axis=1)
-        self.coef = np.empty((len(lanes), 2, k))
+        self.coef = np.empty((len(y), 2, k))
         a, b = self.coef[:, 0], self.coef[:, 1]
         np.subtract(1.0, p, out=a)
         np.subtract(1.0, np.multiply((1.0 + tau)[:, None], p, out=b), out=b)
@@ -174,6 +174,20 @@ class _Likelihood:
         s1, s2 = np.add.reduce(w, axis=1)
         k = self.k
         return -math.log(xi) - (1.0 / xi + 1.0) * (float(s1) / k) + float(s2) / k
+
+
+def _row_powers(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row i of ``y`` to the power t[i], with the bits of ``y[i] ** t[i]`` for a float t[i].
+
+    One array power serves every row except those whose exponent is -1,
+    0.5 or 2: numpy raises an array to such a scalar exponent by another
+    route (reciprocal, square root, square), which rounds otherwise, so
+    those rows take their scalar power.
+    """
+    p = y ** t[:, None]
+    for i in np.flatnonzero((t == -1.0) | (t == 0.5) | (t == 2.0)).tolist():
+        p[i] = y[i] ** float(t[i])
+    return p
 
 
 def _inadmissible(ext: Sequence[float], delta: float) -> bool:
@@ -204,9 +218,9 @@ def _fg_sums(coef: np.ndarray, log_y: np.ndarray, deltas: np.ndarray, w: np.ndar
     return np.add.reduce(w, axis=2).tolist()
 
 
-def _value_and_grad(xi: float, k: int, s1: float, s2: float,
-                    r1: float, r2: float) -> tuple[float, float, float]:
+def _value_and_grad(xi: float, k: int, sums: Sequence[float]) -> tuple[float, float, float]:
     """The mean log-likelihood and its gradient in (xi, delta) from one lane's ``_fg_sums``."""
+    s1, s2, r1, r2 = sums
     value = -math.log(xi) - (1.0 / xi + 1.0) * (s1 / k) + s2 / k
     d_xi = -1.0 / xi + (s1 / k) / xi ** 2
     d_delta = -(1.0 / xi + 1.0) * (r1 / k) + r2 / k
@@ -300,7 +314,7 @@ def epd_log_likelihood(xi: float, delta: float, tau: float, e: ExcessSet) -> flo
     optimizers and samplers can reject naturally; malformed excess data
     raises instead.
     """
-    return _Likelihood([(e, tau)])(xi, delta)
+    return _Likelihood(e.y[None], [tau])(xi, delta)
 
 
 def _lockstep(searches: Sequence, evaluate) -> list:
@@ -328,17 +342,19 @@ def _lockstep(searches: Sequence, evaluate) -> list:
     return out
 
 
-def _ml_search(k: int, tau: float, lo: float, ext: Sequence[float], h: float):
+def _ml_search(k: int, lo: float, ext: Sequence[float], h: float):
     """One lane's ML fit, the L-BFGS-B loop of ``scipy.optimize.minimize``, as a generator.
 
     It searches (log xi, logit-mapped delta) from (log h, delta = 0), with
     h the lane's Hill estimate. At each point inside the region it yields
     delta and is sent the lane's ``_fg_sums``; a point outside it answers
     itself with a big finite penalty and a zero gradient, so that the line
-    search backtracks from the region edge. It returns the ``EPDFit``. The
-    arguments of ``_lbfgsb.setulb`` keep scipy's order and workspace
-    sizes, and nbd = 0 leaves both coordinates unbounded, so the two bound
-    vectors are never read.
+    search backtracks from the region edge. It returns the fit as the
+    tuple (xi, delta, loglik, converged, iterations). The arguments of
+    ``_lbfgsb.setulb`` keep scipy's order and workspace sizes, and nbd = 0
+    leaves both coordinates unbounded, so the two bound vectors are never
+    read. The loop reads and writes x, g and task through memoryviews,
+    which give Python floats and ints without a numpy scalar per access.
     """
     span, n = DELTA_MAX - lo, 2
     p = (0.0 - lo) / span  # scipy's logit(p) takes log(p / (1 - p)) for p < 0.3
@@ -349,43 +365,45 @@ def _ml_search(k: int, tau: float, lo: float, ext: Sequence[float], h: float):
     iwa = np.zeros(3 * n, np.int32)
     task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
     lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    xs, gs, ts = memoryview(x), memoryview(g), memoryview(task)
+    setulb, m, factr, pgtol, maxls = _lbfgsb.setulb, _LBFGSB_M, _LBFGSB_FACTR, _LBFGSB_PGTOL, _LBFGSB_MAXLS
     iterations = evaluations = 0
     while True:
-        _lbfgsb.setulb(_LBFGSB_M, x, no_bound, no_bound, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
-                       wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
-        if task[0] == 1:  # NEW_X: an iteration is done; scipy's two limits
+        setulb(m, x, no_bound, no_bound, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave, dsave,
+               maxls, ln_task)
+        t = ts[0]
+        if t == 1:  # NEW_X: an iteration is done; scipy's two limits
             iterations += 1
             if iterations >= _LBFGSB_MAXITER:
                 task[:] = 5, 504
             elif evaluations > _LBFGSB_MAXFUN:
                 task[:] = 5, 502
             continue
-        u, v = x.tolist()
+        u, v = xs
         sig = _expit(v)
-        xi, delta = math.exp(min(max(u, -40.0), 40.0)), lo + span * sig
-        if task[0] != 3:  # the stop, at the start or an accepted iterate: a point inside the region
-            return EPDFit(params=EPDParams(xi=xi, delta=delta, tau=tau), loglik=-f,
-                          converged=bool(task[0] == 4), iterations=iterations)
+        xi, delta = math.exp(-40.0 if u < -40.0 else 40.0 if u > 40.0 else u), lo + span * sig
+        if t != 3:  # the stop, at the start or an accepted iterate: a point inside the region
+            return xi, delta, -f, t == 4, iterations
         evaluations += 1  # FG: the value and the gradient at x
         if xi > 0 and delta > lo and not _inadmissible(ext, delta):
-            value, d_xi, d_delta = _value_and_grad(xi, k, *(yield delta))
+            value, d_xi, d_delta = _value_and_grad(xi, k, (yield delta))
             f = -value
-            g[0] = -(d_xi * xi)
-            g[1] = -(d_delta * span * sig * (1.0 - sig))
+            gs[0] = -(d_xi * xi)
+            gs[1] = -(d_delta * span * sig * (1.0 - sig))
         else:
             f = 1e12
-            g[:] = 0.0
+            gs[0] = gs[1] = 0.0
 
 
-def epd_ml_fits(lik: _Likelihood) -> list[EPDFit | ValueError]:
+def epd_ml_fits(lik: _Likelihood) -> list[tuple[float, float, float, bool, int] | ValueError]:
     """Maximum-likelihood fits of (xi, delta) at fixed tau, one per lane of the stack ``lik``.
 
     Every lane runs its own L-BFGS-B search, ``_ml_search``, and
     ``_lockstep`` runs them together: each round, one ``_fg_sums`` pass
     answers every lane that asks for a value and gradient, on the stack
-    itself when all of them ask. A lane's fit is the bits it gets alone,
-    since no sum mixes lanes. A lane that cannot be fit holds its
-    ValueError.
+    itself when all of them ask. A lane's fit, the tuple (xi, delta,
+    loglik, converged, iterations), is the bits it gets alone, since no sum
+    mixes lanes. A lane that cannot be fit holds its ValueError.
     """
     k, searches = lik.k, []
     for tau, lo, ext, sum_log_y in zip(lik.tau.tolist(), lik.lo.tolist(), lik.ext.tolist(),
@@ -398,7 +416,7 @@ def epd_ml_fits(lik: _Likelihood) -> list[EPDFit | ValueError]:
         elif h <= 0:
             searches.append(ValueError("all excesses are ties; the likelihood has no interior maximum"))
         else:
-            searches.append(_ml_search(k, tau, lo, ext, h))
+            searches.append(_ml_search(k, lo, ext, h))
     work, deltas = np.empty((len(searches), 4, k)), np.empty((len(searches), 1, 1))
 
     def fg_sums(lanes: list[int], points: list[float]) -> list:
@@ -427,10 +445,12 @@ def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
     converged when the core stops with CONVERGENCE (task 4); the
     log-likelihood is minus the last value handed to the core.
     """
-    (fit,) = epd_ml_fits(_Likelihood([(e, tau)]))
+    (fit,) = epd_ml_fits(_Likelihood(e.y[None], [tau]))
     if isinstance(fit, ValueError):
         raise fit
-    return fit
+    xi, delta, loglik, converged, iterations = fit
+    return EPDFit(params=EPDParams(xi=xi, delta=delta, tau=tau), loglik=loglik, converged=converged,
+                  iterations=iterations)
 
 
 def _invert_survival(p: EPDParams, targets: np.ndarray, rtol: float = 1e-13) -> np.ndarray:
@@ -474,3 +494,19 @@ def epd_tail_prob(s: SortedSample, k: int, x: float, p: EPDParams) -> float:
     if x < threshold:
         raise ValueError(f"x={x} is below the threshold {threshold}; extrapolation invalid")
     return (k / s.n) * float(epd_survival(p, x / threshold))
+
+
+def _tail_probs(level: float, z: np.ndarray, tau: np.ndarray, xi: np.ndarray,
+                delta: np.ndarray) -> np.ndarray:
+    """``epd_tail_prob`` of lanes at one k by the array; at delta = 0, ``weissman_tail_prob``.
+
+    Lane i has z[i] = x / threshold >= 1 and rate tau[i], and row i of
+    ``xi`` and ``delta`` (lanes x fits) holds its fits. Returns ``level``
+    (k/n) times the survival of z under each fit, NaN for a fit of NaNs.
+    Each value has the bits of the one-lane call: z ** tau is taken as
+    ``_row_powers`` takes it, and the last power is each value's scalar
+    power, as ``epd_survival`` takes it.
+    """
+    z = z[:, None]
+    base = z * (1.0 + delta - delta * _row_powers(z, tau))
+    return level * np.array([b ** e for b, e in zip(base.flat, (-1.0 / xi).flat)]).reshape(xi.shape)

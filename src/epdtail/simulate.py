@@ -4,16 +4,18 @@ Every replication draws its sample from its own seed, derived from the
 master seed. A study runs its replications in chunks, the work unit of
 the process pool, and a chunk runs threshold by threshold: at each k,
 ``estimate_cells`` estimates on every replication of the chunk (its
-lanes), as ``epdtail estimate`` does on its one sample. At each k one
-coefficient stack of the lanes (``epd._Likelihood``) is built, and the
-lanes' ML fits run on it in lockstep, one likelihood pass per round for
-every lane that asks (``epd_ml_fits``); their first-order systems are
-solved as one array computation, and the lanes without an admissible
-root run the exact posterior-mode search in lockstep. None of these
-copies the stack.
-The other estimators run lane by lane, and the Bayes paths of a chunk
-are smoothed as one array. No sum mixes lanes, so
-results are bit-identical for any chunking and worker count.
+lanes), as ``epdtail estimate`` does on its one sample. The chunk holds
+its lanes' sorted samples as one (lanes x n) matrix, and at each k the
+lanes' excesses, Hill, tau, prior variance and tail probabilities are
+array computations on it. One coefficient stack of the lanes
+(``epd._Likelihood``) is built per k, and the lanes' ML fits run on it in
+lockstep, one likelihood pass per round for every lane that asks
+(``epd_ml_fits``); their first-order systems are solved as one array
+computation, and the lanes without an admissible root run the exact
+posterior-mode search in lockstep. None of these copies the stack. Only
+the Metropolis chains run lane by lane, and the Bayes paths of a chunk
+are smoothed as one array. No sum mixes lanes, so results are
+bit-identical for any chunking and worker count.
 An estimator's ValueError or RuntimeError is excluded cell-wise and
 counted, and a run aborts when exclusions exceed 5%.
 """
@@ -33,16 +35,14 @@ from .bayes import (
     MCMCConfig,
     PosteriorChain,
     _closed_forms,
-    bayes_tail_prob,
     metropolis_sample,
     posterior_mode,
     prior_variance,
     smooth_path,
 )
-from .classical import hill, weissman_tail_prob
-from .data import SortedSample, excesses
-from .epd import _Likelihood, epd_ml_fits, epd_tail_prob
-from .second_order import resolve_rho, tau_hat
+from .data import ExcessSet, SortedSample, excess_matrix
+from .epd import _Likelihood, _tail_probs, epd_ml_fits
+from .second_order import resolve_rho
 
 __all__ = [
     "StudyError",
@@ -54,7 +54,7 @@ __all__ = [
     "true_quantile",
     "sample_distribution",
     "k_range",
-    "Cell",
+    "Cells",
     "estimate_cells",
     "MCStudyConfig",
     "EstimatorMetrics",
@@ -69,7 +69,7 @@ ESTIMATORS = ("hill", "epd_ml", "bayes_closed", "bayes_mcmc")
 # what an estimator may raise on data it cannot estimate from, among them
 # NonEstimableError (a ValueError) and ClosedFormError (a RuntimeError)
 _CELL_ERRORS = (ValueError, RuntimeError)
-_FAILED = (math.nan, math.nan, math.nan)
+_FAILED = (math.nan, math.nan)  # the (xi, delta) of a failed estimator
 _CHUNK_MIN, _CHUNK_MAX = 8, 32  # the bounds of a chunk's replications, see _chunk_size
 
 
@@ -268,94 +268,98 @@ class MCStudyResult:
 
 
 @dataclass(frozen=True)
-class Cell:
-    """The estimates at one threshold k: each requested estimator's (xi, delta, P(X > x)).
+class Cells:
+    """The estimates of lanes at one threshold k.
 
-    Hill's delta is 0; a probability is NaN without x or with x below the
-    threshold. A failed estimator has three NaNs and the class name of its
-    error in ``errors``, which keeps the requested order. ``chain`` holds
-    the draws of ``bayes_mcmc`` when it ran.
+    Per lane: the threshold, Hill, and tau and the prior variance sigma2
+    (both NaN where tau cannot be estimated). ``estimates`` (lanes x
+    estimators x 3) holds each requested estimator's (xi, delta, P(X > x))
+    in the requested order. Hill's delta is 0; a probability is NaN
+    without x or with x below the threshold. A failed estimator has three
+    NaNs and the class name of its error in its lane's ``errors``, which
+    keeps the requested order. ``chains`` holds each lane's ``bayes_mcmc``
+    draws when it ran.
     """
 
-    threshold: float
-    hill: float
-    tau: float
-    sigma2: float
-    estimates: dict[str, tuple[float, float, float]]
-    errors: dict[str, str]
-    chain: PosteriorChain | None = None
+    threshold: np.ndarray
+    hill: np.ndarray
+    tau: np.ndarray
+    sigma2: np.ndarray
+    estimates: np.ndarray
+    errors: list[dict[str, str]]
+    chains: list[PosteriorChain | None]
 
 
-def estimate_cells(lanes: Sequence[tuple[SortedSample, float, tuple[int, ...]]], k: int,
+def estimate_cells(values: np.ndarray, rho: Sequence[float], run_keys: Sequence[tuple[int, ...]], k: int,
                    estimators: tuple[str, ...], x: float | None = None,
-                   mcmc: MCMCConfig | None = None) -> list[Cell]:
-    """Run each of ``estimators`` (names from ``ESTIMATORS``) at threshold k, lane by lane.
+                   mcmc: MCMCConfig | None = None) -> Cells:
+    """Run each of ``estimators`` (names from ``ESTIMATORS``) at threshold k on lanes, by the array.
 
-    A lane is a (sample, rho, run_key) triple; one Cell per lane comes
-    back. The ML fits of all lanes run in lockstep (``epd_ml_fits``), and
-    ``bayes_closed`` solves all lanes' first-order systems at once and runs
-    the exact mode searches of the lanes without a root in lockstep
-    (``bayes._closed_forms``); both read one likelihood stack of the
-    lanes, and each gives the bits of a lane alone.
+    Lane i is the sorted sample in row i of ``values`` (lanes x n), with
+    its ``rho[i]`` and ``run_keys[i]``. The lanes' excesses, Hill, tau and
+    prior variance are array computations. One likelihood stack of the
+    lanes serves their ML fits, run in lockstep (``epd_ml_fits``), and the
+    ``bayes_closed`` estimates, whose first-order systems are solved at
+    once and whose exact mode searches run in lockstep
+    (``bayes._closed_forms``). One array call gives the tail probabilities
+    of every lane and estimator (``epd._tail_probs``). Each lane gets the
+    bits it gets alone. The ``bayes_mcmc`` chain runs lane by lane,
+    ``mcmc`` with its seed drawn from ``SeedSequence((*run_key, k))``.
     A ValueError or RuntimeError fails only the estimator that raised it;
     when tau cannot be estimated every estimator fails. Other errors
-    propagate. The ``bayes_mcmc`` chain runs ``mcmc`` with its seed drawn
-    from ``SeedSequence((*run_key, k))``.
+    propagate.
     """
-    heads = []  # per lane: its excesses, Hill, and (tau, sigma2) or the error every estimator gets
-    for sample, rho, _ in lanes:
-        e = excesses(sample, k)
-        h = hill(e)
-        try:
-            heads.append((e, h, (tau_hat(rho, h), prior_variance(k, sample.n, rho))))
-        except _CELL_ERRORS as exc:  # every estimator needs tau
-            heads.append((e, h, exc))
-    ready = [(e, *prior) for e, _, prior in heads if isinstance(prior, tuple)]
-    fits = closed = iter(())
-    if ready and {"epd_ml", "bayes_closed"}.intersection(estimators):
-        excess, taus, sigma2 = zip(*ready)
-        lik = _Likelihood(list(zip(excess, taus)))
-        fits = iter(epd_ml_fits(lik) if "epd_ml" in estimators else ())
-        closed = iter(_closed_forms(lik, sigma2) if "bayes_closed" in estimators else ())
-    cells = []
-    for (sample, _, run_key), (e, h, prior) in zip(lanes, heads):
-        if not isinstance(prior, tuple):
-            cells.append(Cell(e.threshold, h, math.nan, math.nan, dict.fromkeys(estimators, _FAILED),
-                              dict.fromkeys(estimators, type(prior).__name__)))
+    lanes, n = values.shape
+    threshold, y = excess_matrix(values, k)
+    log_y = np.log(y)
+    h = np.add.reduce(log_y, axis=1) / k  # the bits of ``hill``
+    rho = np.asarray(rho, dtype=float)
+    # every estimator needs tau = rho / Hill (``tau_hat``) and the prior variance, which
+    # fail where Hill is not positive and where rho is not negative
+    ok = (h > 0) & ~(rho >= 0)
+    errors: list[dict[str, str]] = [{} for _ in range(lanes)]
+    for i in np.flatnonzero(~ok).tolist():
+        errors[i] = dict.fromkeys(estimators, "NonEstimableError" if h[i] <= 0 else "ValueError")
+    ready = np.flatnonzero(ok)
+    tau = np.divide(rho, h, out=np.full(lanes, math.nan), where=ok)
+    sigma2 = np.full(lanes, math.nan)
+    sigma2[ready] = [prior_variance(k, n, r) for r in rho[ready].tolist()]
+    est = np.full((lanes, len(estimators), 3), math.nan)
+    chains: list[PosteriorChain | None] = [None] * lanes
+    if not ready.size:  # no lane has a tau
+        return Cells(threshold, h, tau, sigma2, est, errors, chains)
+    if {"epd_ml", "bayes_closed"}.intersection(estimators):
+        sub = ready if ready.size < lanes else slice(None)
+        lik = _Likelihood(y[sub], tau[sub], log_y[sub])
+    for j, name in enumerate(estimators):
+        if name == "hill":
+            est[ready, j, 0], est[ready, j, 1] = h[ready], 0.0
             continue
-        tau, sigma2 = prior
-        tail = x is not None and x >= e.threshold
-        estimates, errors, chain = {}, {}, None
-        for name in estimators:
-            try:
-                if name == "hill":
-                    estimates[name] = (h, 0.0, weissman_tail_prob(sample, k, x, h) if tail else math.nan)
-                elif name == "epd_ml":
-                    fit = _result(fits)
-                    estimates[name] = (fit.params.xi, fit.params.delta,
-                                       epd_tail_prob(sample, k, x, fit.params) if tail else math.nan)
-                else:
-                    if name == "bayes_closed":
-                        est = _result(closed)
-                    else:
-                        seed = int(np.random.SeedSequence((*run_key, k)).generate_state(1)[0])
-                        chain = metropolis_sample(e, tau, sigma2, replace(mcmc, seed=seed))
-                        est = BayesEstimate(*posterior_mode(chain), solver="mcmc")
-                    estimates[name] = (est.xi, est.delta,
-                                       bayes_tail_prob(sample, k, x, est, tau) if tail else math.nan)
-            except _CELL_ERRORS as exc:
-                estimates[name] = _FAILED
-                errors[name] = type(exc).__name__
-        cells.append(Cell(e.threshold, h, tau, sigma2, estimates, errors, chain))
-    return cells
-
-
-def _result(results):
-    """The next of a lockstep driver's per-lane results, raising it if it is an error."""
-    result = next(results)
-    if isinstance(result, Exception):
-        raise result
-    return result
+        if name == "epd_ml":
+            results = epd_ml_fits(lik)
+        elif name == "bayes_closed":
+            results = _closed_forms(lik, sigma2[ready].tolist())
+        else:
+            results = []
+            for i in ready.tolist():
+                e = ExcessSet(y=y[i], k=k, threshold=float(threshold[i]))
+                seed = int(np.random.SeedSequence((*run_keys[i], k)).generate_state(1)[0])
+                try:
+                    chains[i] = metropolis_sample(e, float(tau[i]), float(sigma2[i]),
+                                                  replace(mcmc, seed=seed))
+                    mode = BayesEstimate(*posterior_mode(chains[i]), solver="mcmc")
+                    results.append((mode.xi, mode.delta))
+                except _CELL_ERRORS as exc:
+                    results.append(exc)
+        for i, result in zip(ready.tolist(), results):
+            if isinstance(result, Exception):
+                errors[i][name] = type(result).__name__
+        est[ready, j, :2] = [_FAILED if isinstance(r, Exception) else r[:2] for r in results]
+    if x is not None:
+        tail = ready[x >= threshold[ready]]
+        est[tail, :, 2] = _tail_probs(k / n, x / threshold[tail], tau[tail], est[tail, :, 0],
+                                      est[tail, :, 1])
+    return Cells(threshold, h, tau, sigma2, est, errors, chains)
 
 
 def _chunk_size(reps: int, workers: int) -> int:
@@ -372,16 +376,16 @@ def _study_chunk(cfg: MCStudyConfig, k_grid: tuple[int, ...], x_level: float, re
 
     Returns two (n_reps, n_estimators, n_k) arrays; failed cells are nan.
     """
-    lanes = []
+    samples, rho = [], []
     for rep in reps:
         s = sample_distribution(cfg.dist, cfg.n, np.random.SeedSequence((cfg.master_seed, rep)))
-        rho = resolve_rho(s)[0] if cfg.rho_mode == "fraga" else -1.0
-        lanes.append((s, rho, (cfg.master_seed, rep)))
+        samples.append(s.values)
+        rho.append(resolve_rho(s)[0] if cfg.rho_mode == "fraga" else -1.0)
+    values, run_keys = np.array(samples), [(cfg.master_seed, rep) for rep in reps]
     mcmc = MCMCConfig(cfg.mcmc_iterations, cfg.mcmc_burn_in)
     est = np.empty((len(reps), len(cfg.estimators), len(k_grid), 3))
     for j, k in enumerate(k_grid):
-        for lane, cell in enumerate(estimate_cells(lanes, k, cfg.estimators, x_level, mcmc)):
-            est[lane, :, j] = [cell.estimates[name] for name in cfg.estimators]
+        est[:, :, j] = estimate_cells(values, rho, run_keys, k, cfg.estimators, x_level, mcmc).estimates
     xi_out, p_out = est[..., 0], est[..., 2]
 
     if cfg.smooth_window >= 3:
@@ -473,12 +477,15 @@ def study_rows(result: MCStudyResult) -> list[dict]:
 def study_payload(result: MCStudyResult) -> dict:
     """Full provenance payload: the config with its resolved k grid, exclusions, metrics.
 
-    It holds no volatile field, so it is byte-stable across reruns.
+    It holds no volatile field, so it is byte-stable across reruns. A
+    metric that is not finite, as at a k where every replication failed,
+    is None, so the payload is standard JSON.
     """
     cfg = result.config
     return {
         "config": {**asdict(cfg), "k_grid": list(result.k_grid)},
         "reps_used": cfg.reps,
         "exclusion_fraction": result.exclusion_fraction,
-        "rows": study_rows(result),
+        "rows": [{key: None if isinstance(v, float) and not math.isfinite(v) else v for key, v in row.items()}
+                 for row in study_rows(result)],
     }

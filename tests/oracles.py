@@ -21,7 +21,8 @@ the optimal limiting MSE, a second route to ``mse_opt``.
 ``loglik_value_and_grad``, ``profile_posterior_mode`` and
 ``solve_first_order`` are not oracles: they run the library's own ML
 pass, mode search and first-order solution on a one-lane stack, the
-one-lane forms that only tests call.
+one-lane forms that only tests call. Nor is ``stack``, which builds the
+library's stack from (excesses, tau) lanes.
 """
 
 from __future__ import annotations
@@ -379,17 +380,22 @@ class OracleLikelihood:
         return -math.log(xi) - (1.0 / xi + 1.0) * (float(s1) / self.k) + float(s2) / self.k
 
 
+def stack(lanes):
+    """The library's likelihood stack of (excesses, tau) lanes that share k, their rows as one matrix."""
+    return _Likelihood(np.array([e.y for e, _ in lanes]), [tau for _, tau in lanes])
+
+
 def loglik_value_and_grad(lik, xi, delta):
     """The value and gradient of a one-lane stack ``lik`` by the ML fit's pass; None outside the region."""
     if not (xi > 0 and delta > lik.lo[0]) or _inadmissible(lik.ext[0].tolist(), delta):
         return None
     (sums,) = _fg_sums(lik.coef, lik.log_y, np.array([[[delta]]]), np.empty((1, 4, lik.k)))
-    return _value_and_grad(xi, lik.k, *sums)
+    return _value_and_grad(xi, lik.k, sums)
 
 
 def profile_posterior_mode(e, tau, sigma2):
     """The exact posterior mode of one (excesses, tau, sigma2): the lockstep search on a one-lane stack."""
-    (mode,) = _profile_posterior_modes(_Likelihood([(e, tau)]), [sigma2])
+    (mode,) = _profile_posterior_modes(stack([(e, tau)]), [sigma2])
     if isinstance(mode, ClosedFormError):
         raise mode
     return mode
@@ -401,7 +407,7 @@ def solve_first_order(e, tau, weight):
     Returns (xi, delta), or raises ClosedFormError where ``_first_order``
     finds no admissible root.
     """
-    xi, delta = (float(v[0]) for v in _first_order(_Likelihood([(e, tau)]), weight))
+    xi, delta = (float(v[0]) for v in _first_order(stack([(e, tau)]), weight))
     if math.isnan(delta):
         raise ClosedFormError("no admissible solution of the estimating system")
     return xi, delta

@@ -17,7 +17,6 @@ from scipy.stats import kstest
 import epdtail as et
 from epdtail.bayes import ClosedFormError
 from epdtail.cli import main
-from epdtail.epd import _Likelihood
 from conftest import pareto_excesses
 from oracles import (
     batch_means_se,
@@ -28,6 +27,7 @@ from oracles import (
     oracle_metropolis,
     quadrature_xi_mean,
     solve_first_order,
+    stack,
 )
 
 
@@ -61,7 +61,7 @@ def test_criterion_02_likelihood_gradients():
         e = et.ExcessSet(y=y, k=100, threshold=1.0)
         xi = float(rng.uniform(0.4, 1.2))
         delta = float(rng.uniform(max(et.delta_lower_bound(tau) + 0.2, -0.5), 1.0))
-        _, g_xi, g_delta = loglik_value_and_grad(_Likelihood([(e, tau)]), xi, delta)
+        _, g_xi, g_delta = loglik_value_and_grad(stack([(e, tau)]), xi, delta)
         fd_xi = (et.epd_log_likelihood(xi + step, delta, tau, e)
                  - et.epd_log_likelihood(xi - step, delta, tau, e)) / (2 * step)
         fd_delta = (et.epd_log_likelihood(xi, delta + step, tau, e)

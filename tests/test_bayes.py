@@ -24,7 +24,7 @@ from epdtail.bayes import (
     _row_scratch,
     _row_sums,
 )
-from epdtail.epd import DELTA_MAX, _Likelihood
+from epdtail.epd import DELTA_MAX
 from conftest import pareto_excesses
 from oracles import (
     grid_map_oracle,
@@ -37,6 +37,7 @@ from oracles import (
     oracle_smooth_path,
     profile_posterior_mode,
     solve_first_order,
+    stack,
 )
 
 
@@ -421,7 +422,7 @@ class TestBoundTable:
 def test_row_sums_reduce_each_block_into_its_rows():
     # blocks of 3 over 8 rows give each row's sums and slope as a pass over that row alone;
     # no rows give empty outputs
-    lik = _Likelihood([(pareto_excesses(1.0, 50, 0), -1.0), (pareto_excesses(0.5, 50, 1), -0.7)])
+    lik = stack([(pareto_excesses(1.0, 50, 0), -1.0), (pareto_excesses(0.5, 50, 1), -0.7)])
     lane, deltas = np.array([0, 1, 0, 1, 1, 0, 0, 1]), np.linspace(-0.3, 2.0, 8)
     s, q = _row_sums(lik.coef, lane, deltas, _row_scratch(3, lik.k), slope=True)
     for i in range(8):
@@ -448,7 +449,7 @@ class TestProfileBound:
     @example(dist=et.frechet(0.5), seed=2, k=10, log10_neg_tau=-7.0, log10_sigma2=2.0)
     def test_bound_is_above_the_exact_value(self, dist, seed, k, log10_neg_tau, log10_sigma2):
         e = et.excesses(et.sample_distribution(dist, 500, seed), k)
-        p = _Profiles(_Likelihood([(e, -(10.0 ** log10_neg_tau))]), [10.0 ** log10_sigma2])
+        p = _Profiles(stack([(e, -(10.0 ** log10_neg_tau))]), [10.0 ** log10_sigma2])
         coarse, bound = (a[0] for a in p.bounds(slice(None)))
         exact = p.exact(np.zeros(p.grid.shape[1], int), p.grid[0])
         assert np.array_equal(coarse, exact[::_STRIDE])

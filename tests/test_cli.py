@@ -31,6 +31,14 @@ def _read_rows(path: Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+def _strict_json(path: Path):
+    """The JSON in ``path``, which must not hold NaN, Infinity or -Infinity."""
+    def reject(token):
+        raise ValueError(f"{path.name} holds the nonstandard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestEstimate:
     def test_hill_column_matches_hand_formula(self, tmp_path):
         data = _pareto_grid_file(tmp_path)
@@ -187,12 +195,15 @@ class TestEstimate:
         ["--method", "mcmc", "--mcmc-iters", "201", "--burn-in", "200"],
         ["--column", "-1"],
         ["--column", "-5"],
+        ["--alpha", "1.5"],
+        ["--alpha", "nan"],
     ])
     def test_bad_flags_are_usage_errors_before_any_row(self, tmp_path, capsys, flags):
         # these used to run every row and exit 0 with ValueError in each row
         # (with blank probabilities and no error for --x nan), or, for the rho
         # estimate's flags, end in a ValueError traceback; a negative --column
-        # would index the fields from the end
+        # would index the fields from the end, and --alpha was checked only
+        # under --method mcmc
         data = _pareto_grid_file(tmp_path)
         out = tmp_path / "est.csv"
         assert main(["estimate", str(data), "--k-min", "50", "--k-max", "50",
@@ -226,12 +237,25 @@ class TestEstimate:
         assert not out.exists()
 
     def test_chain_flags_are_ignored_by_the_closed_form(self, tmp_path):
+        # a chain without draws is no error where no chain runs; --alpha is checked
+        # under every method (test_bad_flags_are_usage_errors_before_any_row)
         data = _pareto_grid_file(tmp_path)
         out = tmp_path / "est.csv"
         assert main(["estimate", str(data), "--k-min", "50", "--k-max", "50",
-                     "--alpha", "1.5", "--mcmc-iters", "100", "--burn-in", "200",
+                     "--mcmc-iters", "100", "--burn-in", "200",
                      "--out", str(out)]) == 0
         assert _read_rows(out)[0]["error"] == ""
+
+    def test_non_finite_x_makes_standard_json(self, tmp_path):
+        # the manifest records --x inf as its string, and the JSON rows hold numbers or null
+        data = _pareto_grid_file(tmp_path)
+        out = tmp_path / "est.json"
+        assert main(["estimate", str(data), "--k-min", "50", "--k-max", "60", "--k-step", "10",
+                     "--x", "inf", "--format", "json", "--out", str(out)]) == 0
+        manifest = _strict_json(tmp_path / "est.json.manifest.json")
+        assert manifest["config"]["x"] == "inf"
+        rows = _strict_json(out)["rows"]
+        assert len(rows) == 2 and all(v is None or isinstance(v, (int, float, str)) for r in rows for v in r)
 
 
 def _write_sample(path: Path, sample) -> Path:
@@ -340,6 +364,22 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["config"] == payload["config"] and manifest["seed"] == 9
         assert manifest["input_digest"] is None
+
+    def test_a_k_where_every_replication_failed_is_null_in_the_json(self, tmp_path):
+        # a chain of 12 iterations fails at small k, where the one replication is then
+        # excluded: its metrics are NaN, blank in the CSV and null in the JSON
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--dist", "frechet:0.5", "--n", "400", "--reps", "1",
+                     "--estimators", "hill,bayes_mcmc", "--mcmc-iters", "12", "--burn-in", "2",
+                     "--seed", "1", "--out", str(out)]) == 0
+        rows = _strict_json(out.with_suffix(".json"))["rows"]
+        failed = [r for r in rows if r["excluded"]]
+        assert failed and all(r[m] is None for r in failed
+                              for m in ("bias", "variance", "mse", "rel_bias", "rel_variance", "rel_mse"))
+        assert all(r["bias"] is not None for r in rows if not r["excluded"])
+        csv_failed = [r for r in _read_rows(out) if r["excluded"] != "0"]
+        assert len(csv_failed) == len(failed) and all(r["bias"] == "" for r in csv_failed)
+        _strict_json(tmp_path / "s.csv.manifest.json")
 
     def test_byte_identical_across_reruns_and_workers(self, tmp_path):
         out1 = tmp_path / "s1.csv"

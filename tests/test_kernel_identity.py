@@ -18,6 +18,9 @@ bits. The runner of both lockstep searches, ``epd._lockstep``, must give
 fake searches what each gets alone, and a penalised ML point must cost
 no row of a likelihood pass. The first-order solution of random stacks, ``_first_order``, must
 give every lane the bits of the one-lane system ``oracle_first_order``.
+The tail probabilities that ``estimate_cells`` computes for all lanes at
+once, ``epd._tail_probs``, must be the bits of ``weissman_tail_prob``,
+``epd_tail_prob`` and ``bayes_tail_prob`` on each lane alone.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from scipy.optimize import minimize_scalar
 
 import epdtail as et
 from epdtail import bayes
+from epdtail import simulate as sim
 from epdtail.bayes import (
     _BUDGET,
     _STRIDE,
@@ -47,7 +51,7 @@ from epdtail.bayes import (
     _profile_posterior_modes,
     _Profiles,
 )
-from epdtail.epd import _Likelihood, epd_ml_fits
+from epdtail.epd import _tail_probs, epd_ml_fits
 from oracles import (
     OracleLikelihood,
     loglik_value_and_grad,
@@ -56,6 +60,7 @@ from oracles import (
     oracle_loglik_grad,
     oracle_profile_posterior_mode,
     profile_posterior_mode,
+    stack,
 )
 
 DESIGN_SEED = 202408  # master seed of both bundled study designs
@@ -118,7 +123,7 @@ def test_profile_posterior_mode_matches_oracle(name, rep):
 
 def _full_scan(e, tau, sigma2):
     """The exact profile at every node of the search's grid."""
-    p = _Profiles(_Likelihood([(e, tau)]), [sigma2])
+    p = _Profiles(stack([(e, tau)]), [sigma2])
     return p.exact(np.zeros(p.grid.shape[1], int), p.grid[0])
 
 
@@ -230,7 +235,7 @@ class TestFusedLikelihood:
     @pytest.mark.parametrize("xi, delta", [(0.7, 0.0), (0.3, -0.4), (1.9, 2.5), (1e-3, 9.9)])
     def test_same_bits_as_call_and_grad(self, xi, delta):
         e = self._e()
-        lik = _Likelihood([(e, self.TAU)])
+        lik = stack([(e, self.TAU)])
         value, d_xi, d_delta = loglik_value_and_grad(lik, xi, delta)
         assert repr(value) == repr(lik(xi, delta))
         assert repr(value) == repr(OracleLikelihood(e, self.TAU)(xi, delta))
@@ -239,7 +244,7 @@ class TestFusedLikelihood:
     @pytest.mark.parametrize("xi, delta", [(0.0, 0.1), (-1.0, 0.1), (0.5, -0.7), (0.5, -5.0)])
     def test_none_outside_the_region(self, xi, delta):
         e = self._e()
-        lik = _Likelihood([(e, self.TAU)])
+        lik = stack([(e, self.TAU)])
         assert lik(xi, delta) == -math.inf
         assert loglik_value_and_grad(lik, xi, delta) is None
         with pytest.raises(ValueError, match="outside the parameter region"):
@@ -290,9 +295,9 @@ def _lanes(name, k, count):
     return lanes
 
 
-def _liks(lanes):
-    """The stack of (excesses, tau) lanes, as ``epd_ml_fits`` takes them."""
-    return _Likelihood(lanes)
+def _fields(fit):
+    """A one-lane ``EPDFit`` as ``epd_ml_fits`` gives a lane's fit: (xi, delta, loglik, converged, iterations)."""
+    return fit.params.xi, fit.params.delta, fit.loglik, fit.converged, fit.iterations
 
 
 @pytest.fixture(scope="module", params=sorted(LANE_KS))
@@ -303,27 +308,22 @@ def lane_sets(request):
 @pytest.mark.parametrize("count", [1, 2, 8, 32])
 def test_lockstep_fits_equal_one_lane_fits_and_the_oracle(lane_sets, count):
     for k, lanes in lane_sets.items():
-        got = [repr(fit) for fit in epd_ml_fits(_liks(lanes[:count]))]
-        assert got == [repr(et.epd_ml_fit(e, tau)) for e, tau in lanes[:count]], k
-        assert got == [repr(oracle_epd_ml_fit(e, tau)) for e, tau in lanes[:count]], k
+        got = [repr(fit) for fit in epd_ml_fits(stack(lanes[:count]))]
+        assert got == [repr(_fields(et.epd_ml_fit(e, tau))) for e, tau in lanes[:count]], k
+        assert got == [repr(_fields(oracle_epd_ml_fit(e, tau))) for e, tau in lanes[:count]], k
 
 
 def test_a_lane_that_raises_leaves_the_others_alone():
     # all excesses tie at the threshold: Hill is 0 and the fit has no interior maximum
     lanes = _lanes("frechet_fig1", 20, 3)
     tie = (et.ExcessSet(y=np.ones(20), k=20, threshold=1.0), -1.0)
-    got = epd_ml_fits(_liks([tie, lanes[0], lanes[1], tie, lanes[2]]))
+    got = epd_ml_fits(stack([tie, lanes[0], lanes[1], tie, lanes[2]]))
     for fit in (got[0], got[3]):
         assert isinstance(fit, ValueError) and "ties" in str(fit)
-    assert [repr(got[i]) for i in (1, 2, 4)] == [repr(et.epd_ml_fit(e, tau)) for e, tau in lanes]
+    assert [repr(got[i]) for i in (1, 2, 4)] == [repr(_fields(et.epd_ml_fit(e, tau))) for e, tau in lanes]
     with pytest.raises(ValueError, match="ties"):
         et.epd_ml_fit(*tie)
-    assert epd_ml_fits(_liks([tie, tie]))[1].args == got[0].args
-
-
-def test_lanes_of_different_k_are_rejected():
-    with pytest.raises(ValueError):
-        epd_ml_fits(_liks(_lanes("frechet_fig1", 20, 1) + _lanes("frechet_fig1", 25, 1)))
+    assert epd_ml_fits(stack([tie, tie]))[1].args == got[0].args
 
 
 @pytest.mark.parametrize("limit, option, value", [("_LBFGSB_MAXITER", "maxiter", 2),
@@ -331,10 +331,10 @@ def test_lanes_of_different_k_are_rejected():
 def test_lockstep_lanes_stop_at_scipys_limits_like_the_oracle(monkeypatch, limit, option, value):
     monkeypatch.setattr(et.epd, limit, value)
     lanes = _lanes("burr_fig2", 200, 8)
-    got = epd_ml_fits(_liks(lanes))
-    assert not any(fit.converged for fit in got)
-    assert [repr(fit) for fit in got] == [repr(et.epd_ml_fit(e, tau)) for e, tau in lanes]
-    assert [repr(fit) for fit in got] == [repr(oracle_epd_ml_fit(e, tau, **{option: value}))
+    got = epd_ml_fits(stack(lanes))
+    assert not any(converged for _, _, _, converged, _ in got)
+    assert [repr(fit) for fit in got] == [repr(_fields(et.epd_ml_fit(e, tau))) for e, tau in lanes]
+    assert [repr(fit) for fit in got] == [repr(_fields(oracle_epd_ml_fit(e, tau, **{option: value})))
                                           for e, tau in lanes]
 
 
@@ -383,7 +383,7 @@ def test_ml_fits_and_mode_search_run_through_the_runner(monkeypatch):
 
     monkeypatch.setattr(et.epd, "_lockstep", spy)
     monkeypatch.setattr(bayes, "_lockstep", spy)
-    epd_ml_fits(_liks(_lanes("frechet_fig1", 20, 3)))
+    epd_ml_fits(stack(_lanes("frechet_fig1", 20, 3)))
     assert calls == [3]
     cells = _mode_cells("burr_fig2", 150, 4)
     assert _lockstep(cells) == _oracle(cells)
@@ -411,12 +411,12 @@ def test_a_penalised_ml_point_costs_no_pass_row(monkeypatch):
 
     monkeypatch.setattr(et.epd._lbfgsb, "setulb", setulb_spy)
     monkeypatch.setattr(et.epd, "_fg_sums", fg_sums_spy)
-    got = [repr(fit) for fit in epd_ml_fits(_liks(lanes))]
+    got = [repr(fit) for fit in epd_ml_fits(stack(lanes))]
     assert count["penalised"] == 5
     assert count["rows"] == count["fg"] - count["penalised"]
     monkeypatch.undo()
-    assert got == [repr(et.epd_ml_fit(e, tau)) for e, tau in lanes]
-    assert got == [repr(oracle_epd_ml_fit(e, tau)) for e, tau in lanes]
+    assert got == [repr(_fields(et.epd_ml_fit(e, tau))) for e, tau in lanes]
+    assert got == [repr(_fields(oracle_epd_ml_fit(e, tau))) for e, tau in lanes]
 
 
 # the lockstep mode search: the thresholds at which it is compared, both ends and the middle of each grid
@@ -437,7 +437,7 @@ def _shown(result):
 
 def _lockstep(cells):
     """The lockstep search on cells (excesses, tau, sigma2), each mode as ``_outcome`` shows it."""
-    lik = _Likelihood([(e, tau) for e, tau, _ in cells])
+    lik = stack([(e, tau) for e, tau, _ in cells])
     return [_shown(mode) for mode in _profile_posterior_modes(lik, [sigma2 for _, _, sigma2 in cells])]
 
 
@@ -516,19 +516,14 @@ def test_lanes_without_a_mode_leave_the_others_alone(monkeypatch):
     assert runs[3]["end"][1] > -tops["max_at_delta_max"]
 
 
-def test_mode_lanes_of_different_k_are_rejected():
-    cells = _mode_cells("frechet_fig1", 20, 1) + _mode_cells("frechet_fig1", 25, 1)
-    with pytest.raises(ValueError):
-        _lockstep(cells)
-
-
 def test_closed_forms_equal_one_lane_calls():
     # both routes, a lane without a mode and two lanes that cannot be estimated, at one k
     cells = _mode_cells("burr_fig2", 150, 8)
     e, tau, sigma2 = cells[0]
     cells += [_tie(150), (e, tau, 0.0), (e, 0.5, sigma2)]
-    lik = _Likelihood([(e, tau) for e, tau, _ in cells])
-    got = [_shown(est) for est in _closed_forms(lik, [s for _, _, s in cells])]
+    lik = stack([(e, tau) for e, tau, _ in cells])
+    got = [_shown(est if isinstance(est, Exception) else et.BayesEstimate(*est))
+           for est in _closed_forms(lik, [s for _, _, s in cells])]
     assert got == [_outcome(et.bayes_closed_form, *cell) for cell in cells]
     assert {est.split("solver=")[-1] for est in got[:8]} == {"'linear')", "'profile-map')"}
     assert [est.split(":")[0] for est in got[8:]] == ["ClosedFormError", "ValueError", "ValueError"]
@@ -551,7 +546,7 @@ def test_first_order_is_the_oracles_system_to_the_bit(seed, lanes, k, tau_kind):
         tau = -(10.0 ** rng.uniform(-3.0, 1.0)) if tau_kind == "random" else float(tau_kind)
         sigma2 = math.inf if rng.random() < 0.1 else 10.0 ** rng.uniform(-4.0, 12.0)
         cells.append((e, tau, sigma2))
-    lik = _Likelihood([(e, tau) for e, tau, _ in cells])
+    lik = stack([(e, tau) for e, tau, _ in cells])
     xi, delta = _first_order(lik, 1.0 / (k * np.array([s for _, _, s in cells])))
     want = []
     for cell in cells:
@@ -611,7 +606,7 @@ def test_search_memory_stays_within_its_blocks():
     # coarse nodes of all lanes in one pass would hold 32 * 61 * 2 * 450 doubles
     # (14 MB), and the kept nodes about a third of that
     cells = _mode_cells("burr_fig2", 450, 32)
-    lik = _Likelihood([(e, tau) for e, tau, _ in cells])
+    lik = stack([(e, tau) for e, tau, _ in cells])
     tracemalloc.start()
     try:
         modes = _profile_posterior_modes(lik, [sigma2 for _, _, sigma2 in cells])
@@ -657,3 +652,60 @@ def test_only_the_ml_core_comes_from_scipy_optimize():
     assert core.__name__ == "scipy.optimize._lbfgsb"
     assert isinstance(core.__spec__.loader, importlib.machinery.ExtensionFileLoader)
     assert Path(core.__file__).parent == Path(scipy.__file__).parent / "optimize"
+
+
+def test_tail_probabilities_equal_one_lane_calls():
+    # Fréchet replications at k = 30, with lane 2's rho minus its Hill estimate, so
+    # that its tau is exactly -1, which numpy's power of a scalar exponent rounds by
+    # another route; lane 4 ties at the threshold and lane 6 has rho > 0, so every
+    # estimator fails on them. The first x lies below some lanes' thresholds
+    k, n = 30, 500
+    samples = [et.sample_distribution(et.frechet(0.5), n, np.random.SeedSequence((DESIGN_SEED, rep)))
+               for rep in range(6)]
+    samples.insert(4, et.SortedSample(np.r_[np.linspace(1.0, 4.0, n - k - 1), np.full(k + 1, 5.0)]))
+    rho = [-1.0] * len(samples)
+    rho[2] = -et.hill(et.excesses(samples[2], k))
+    rho[6] = 0.5
+    values = np.array([s.values for s in samples])
+    thresholds = sorted(s.threshold(k) for s in samples)
+    for x in (thresholds[3], 40.0):
+        cells = sim.estimate_cells(values, rho, [(0, i) for i in range(len(samples))], k,
+                                   ("hill", "epd_ml", "bayes_closed"), x)
+        assert cells.tau[2] == -1.0
+        assert [set(cells.errors[i].values()) for i in (4, 6)] == [{"NonEstimableError"}, {"ValueError"}]
+        below = 0
+        for i, s in enumerate(samples):
+            p = cells.estimates[i, :, 2]
+            if cells.errors[i] or x < s.threshold(k):
+                below += not cells.errors[i]
+                assert np.isnan(p).all()
+                continue
+            (h, _, _), (ml_xi, ml_delta, _), (b_xi, b_delta, _) = cells.estimates[i].tolist()
+            assert repr(h) == repr(et.hill(et.excesses(s, k)))
+            tau = float(cells.tau[i])
+            want = [et.weissman_tail_prob(s, k, x, h),
+                    et.epd_tail_prob(s, k, x, et.EPDParams(ml_xi, ml_delta, tau)),
+                    et.bayes_tail_prob(s, k, x, et.BayesEstimate(b_xi, b_delta, "linear"), tau)]
+            assert [repr(v) for v in p.tolist()] == [repr(v) for v in want], (x, i)
+        assert below == (2 if x < 40.0 else 0)
+
+
+def test_array_tail_probabilities_are_the_one_lane_bits():
+    # random lanes, a quarter of them at tau = -1, each with three fits, the first at
+    # delta = 0; every value must be that of epd_tail_prob's arithmetic on the lane
+    # alone, and at delta = 0 also that of weissman_tail_prob's
+    rng = np.random.default_rng(7)
+    lanes, level = 4000, 30 / 500
+    z = 1.0 + rng.exponential(20.0, lanes)
+    z[:50] = 1.0
+    tau = np.where(rng.random(lanes) < 0.25, -1.0, -(10.0 ** rng.uniform(-2.0, 1.0, lanes)))
+    lo = np.maximum(-1.0, 1.0 / tau)
+    xi = 10.0 ** rng.uniform(-1.5, 0.5, (lanes, 3))
+    delta = lo[:, None] + (10.0 - lo[:, None]) * rng.random((lanes, 3))
+    delta[:, 0] = 0.0
+    got = _tail_probs(level, z, tau, xi, delta)
+    for i in range(lanes):
+        want = [level * float(et.epd_survival(et.EPDParams(a, d, tau[i]), float(z[i])))
+                for a, d in zip(xi[i].tolist(), delta[i].tolist())]
+        assert [repr(v) for v in got[i].tolist()] == [repr(v) for v in want], i
+        assert repr(float(got[i, 0])) == repr(level * float(z[i]) ** (-1.0 / float(xi[i, 0])))

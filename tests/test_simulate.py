@@ -323,12 +323,10 @@ def test_one_coefficient_stack_per_threshold_read_in_place(burr_dist, monkeypatc
     monkeypatch.setattr(epd._Likelihood, "__init__", build_spy)
     monkeypatch.setattr(epd, "_fg_sums", fg_sums_spy)
     monkeypatch.setattr(bayes._Profiles, "__init__", profile_spy)
-    lanes = []
-    for rep in range(8):
-        s = et.sample_distribution(burr_dist, 500, np.random.SeedSequence((202408, rep)))
-        lanes.append((s, et.resolve_rho(s)[0], (202408, rep)))
-    cells = sim.estimate_cells(lanes, 200, ("epd_ml", "bayes_closed"))
-    assert not any(cell.errors for cell in cells)
+    samples = [et.sample_distribution(burr_dist, 500, np.random.SeedSequence((202408, rep))) for rep in range(8)]
+    cells = sim.estimate_cells(np.array([s.values for s in samples]), [et.resolve_rho(s)[0] for s in samples],
+                               [(202408, rep) for rep in range(8)], 200, ("epd_ml", "bayes_closed"))
+    assert not any(cells.errors)
     (stack,) = stacks
     assert stack.coef.shape == (8, 2, 200)
     # the first round of the ML fits asks for every lane, and reads the stack itself
@@ -337,3 +335,26 @@ def test_one_coefficient_stack_per_threshold_read_in_place(burr_dist, monkeypatc
     # the linear route leaves some lanes to the mode search, which reads the stack too
     (p,) = profiles
     assert np.shares_memory(p.coef, stack.coef)
+
+
+def test_a_study_chunk_builds_no_per_lane_objects(burr_dist, frechet_dist, monkeypatch):
+    # a chunk keeps its lanes' excesses, fits and tail probabilities in arrays at each
+    # k: an ExcessSet, EPDParams, EPDFit or BayesEstimate per lane would cost a
+    # Python object per lane and k again
+    built = []
+    for cls in (et.ExcessSet, et.EPDParams, et.EPDFit, et.BayesEstimate):
+        def spy(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
+            built.append(name)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    sample = et.sample_distribution(burr_dist, 500, 0)
+    et.epd_ml_fit(et.excesses(sample, 100), -1.0)
+    assert built == ["ExcessSet", "EPDParams", "EPDFit"]  # the spies see a build
+    built.clear()
+    for dist, k_grid, rho_mode in ((burr_dist, (90, 200, 300, 410), "fraga"),
+                                   (frechet_dist, (10, 35, 60), "fixed_minus_one")):
+        cfg = _small_cfg(dist, n=500, reps=8, k_grid=k_grid, rho_mode=rho_mode, target_p=0.002)
+        xi, p = sim._study_chunk(cfg, k_grid, et.true_quantile(dist, 1.0 - cfg.target_p), range(8))
+        assert np.isfinite(xi).all() and np.isfinite(p).all()
+    assert built == []
