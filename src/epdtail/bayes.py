@@ -10,8 +10,8 @@ random-walk Metropolis chain. On the lanes of a likelihood stack
 and the exact-mode search runs the lanes left in lockstep, in passes of a
 fixed size over the stack, polished by a port of scipy's bounded minimizer
 that the lockstep runner ``epd._lockstep`` drives for all of them. The
-truncated normal prior's mass comes from ``_ndtr``, a port of scipy's
-cephes ``ndtr`` that returns its bits, so no ``scipy.special`` import runs.
+priors' constants come from the standard library (``math.erfc`` and
+``math.lgamma``), so no ``scipy.special`` import runs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from .data import ExcessSet, SortedSample
-from .epd import (DELTA_MAX, EPDParams, _inadmissible, _Likelihood, _lockstep, _row_powers,
+from .epd import (DELTA_MAX, EPDParams, _inadmissible, _lane_powers, _Likelihood, _lockstep,
                   delta_lower_bound, epd_tail_prob)
 
 __all__ = [
@@ -42,9 +42,9 @@ __all__ = [
 ]
 
 # shape of the proper gamma (scale 1) approximation to the information prior on xi, and
-# the log of its normaliser: scipy's gammaln(1e-4), one ulp below math.lgamma(1e-4)
+# the log of its normaliser
 _GAMMA_SHAPE = 1e-4
-_LOG_GAMMA = 9.210282658633961
+_LOG_GAMMA = math.lgamma(_GAMMA_SHAPE)
 # Metropolis tuning: initial step scales in (log xi, delta), and the burn-in
 # adaptation that every _ADAPT_INTERVAL proposals nudges both scales toward
 # the _TARGET_ACCEPT acceptance rate (Roberts, Gelman & Gilks 1997)
@@ -61,26 +61,6 @@ _CELL, _BLOCK, _FLOOR, _MARGIN = 0.005, 32, 0.05, 1e-9
 _STRIDE = 8
 _BUDGET = 2 ** 16
 _SCAN_LANES = _BUDGET // (16 * 481)
-# cephes' ndtr as scipy builds it: the rational approximations of erf on [0, 1] (T/U), of
-# erfc on [1, 8) (P/Q) and on [8, inf) (R/S), highest degree first, with the leading 1 of
-# Q, S and U that cephes' p1evl leaves out (1*x is exact); MAXLOG, the log of the largest
-# double; M_SQRT1_2
-_NDTR_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
-           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
-           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
-_NDTR_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
-           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
-           1.65666309194161350182E3, 5.57535340817727675546E2)
-_NDTR_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
-           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
-_NDTR_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
-           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
-_NDTR_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
-           7.00332514112805075473E3, 5.55923013010394962768E4)
-_NDTR_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
-           2.26290000613890934246E4, 4.92673942608635921086E4)
-_MAXLOG = 7.09782712893383996843E2
-_SQRT1_2 = 0.70710678118654752440
 
 
 class ClosedFormError(RuntimeError):
@@ -130,46 +110,11 @@ def prior_variance(k: int, n: int, rho: float) -> float:
     return (k / n) ** (-2.0 * rho)
 
 
-def _polevl(x: float, coef: tuple) -> float:
-    """cephes' polevl: the polynomial ``coef`` at x by Horner's rule."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _erf(x: float) -> float:
-    """cephes' erf on [-1, 1]."""
-    z = x * x
-    return x * _polevl(z, _NDTR_T) / _polevl(z, _NDTR_U)
-
-
-def _ndtr(a: float) -> float:
-    """The standard normal CDF, scipy's ``ndtr``: cephes' ndtr, erf and erfc, to the bit.
-
-    Left out are the branches of erf and erfc that ndtr never takes, for a
-    negative argument or an erf argument above 1; cephes' erf(x) = -erf(-x)
-    is x * T/U itself, since rounding is symmetric. NaN falls through to NaN.
-    """
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    if z < 1.0:  # erfc(z) = 1 - erf(z)
-        y = 1.0 - _erf(z)
-    elif -z * z < -_MAXLOG:  # exp(-z*z) underflows
-        y = 0.0
-    else:
-        p, q = (_NDTR_P, _NDTR_Q) if z < 8.0 else (_NDTR_R, _NDTR_S)
-        y = (math.exp(-z * z) * _polevl(z, p)) / _polevl(z, q)
-    y = 0.5 * y
-    return 1.0 - y if x > 0 else y
-
-
 def _delta_prior_logs(lo: float, sigma2: float) -> tuple[float, float]:
     """The logs of the delta prior's normal normaliser and of its mass above the bound lo."""
     sigma = math.sqrt(sigma2)
-    return math.log(math.sqrt(2.0 * math.pi) * sigma), math.log(_ndtr(-(lo / sigma)))
+    mass = 0.5 * math.erfc(lo / (sigma * math.sqrt(2.0)))
+    return math.log(math.sqrt(2.0 * math.pi) * sigma), math.log(mass)
 
 
 class _LogTarget:
@@ -283,12 +228,12 @@ def _first_order(lik: _Likelihood, weight) -> tuple[np.ndarray, np.ndarray]:
     where also |a1| < 1e-12). Among its real roots, the admissible one of
     smallest magnitude wins, the smaller on a tie: the branch that
     vanishes in the strong-prior limit. ``weight`` is one number or one
-    per lane. Every lane runs the arithmetic of scalar floats, so its
-    result is the bits it gets alone.
+    per lane. No value reads another lane, so a lane's result is the bits
+    it gets alone.
     """
     k, tau = lik.k, lik.tau
     h, e1 = lik.sum_log_y / k, lik.sum_pow / k
-    e2 = np.add.reduce(_row_powers(lik.y, 2.0 * tau), axis=1) / k
+    e2 = np.add.reduce(_lane_powers(lik.y, 2.0 * tau), axis=1) / k
     with np.errstate(all="ignore"):  # lanes without a root compute NaN and inf, then drop out
         rhs = (1.0 - h * tau) * (e1 - 1.0 / (1.0 - h * tau))
         b0 = 1.0 - 2.0 * e1 + e2 - tau * (1.0 - e1) * e1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import ExcessSet, SortedSample
+from .epd import EPDParams, epd_tail_prob
 
 __all__ = ["hill", "weissman_tail_prob"]
 
@@ -23,11 +24,8 @@ def weissman_tail_prob(s: SortedSample, k: int, x: float, xi: float) -> float:
     """Extrapolated exceedance probability (k/n) * (x/threshold)**(-1/xi).
 
     Valid only at or beyond the threshold set by k; returns k/n exactly
-    at the threshold and decreases in x.
+    at the threshold and decreases in x: ``epd_tail_prob`` at delta = 0, for any tau.
     """
     if xi <= 0:
         raise ValueError(f"tail index must be positive, got {xi}")
-    threshold = s.threshold(k)
-    if x < threshold:
-        raise ValueError(f"x={x} is below the threshold {threshold}; extrapolation invalid")
-    return (k / s.n) * (x / threshold) ** (-1.0 / xi)
+    return epd_tail_prob(s, k, x, EPDParams(xi=xi, delta=0.0, tau=-1.0))

@@ -315,8 +315,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
     stop = args.lambda_max + 1e-12
-    # written so that NaN fails every check; np.arange gets at most 10**6 rows
-    if not (args.lambda_max >= args.lambda_min and args.lambda_step > 0
+    # written so that NaN fails every check; lambda is nonnegative and np.arange gets at most 10**6 rows
+    if not (args.lambda_max >= args.lambda_min >= 0 and args.lambda_step > 0
             and (stop - args.lambda_min) / args.lambda_step <= 10**6):
         raise UsageError("bad lambda grid")
     if not (0 < args.xi < np.inf and -np.inf < args.rho < 0):

@@ -114,14 +114,15 @@ def excess_matrix(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _open_text(source: str | Path | bytes | IO[str] | IO[bytes]) -> Iterable[str]:
+    # UTF-8 without the byte-order mark that Excel's "CSV UTF-8" starts with
     if isinstance(source, (str, Path)):
-        return Path(source).read_text().splitlines()
+        return Path(source).read_text(encoding="utf-8-sig").splitlines()
     if isinstance(source, bytes):
-        return source.decode("utf-8").splitlines()
+        return source.decode("utf-8-sig").splitlines()
     data = source.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data.splitlines()
+        data = data.decode("utf-8-sig")
+    return data.removeprefix("\ufeff").splitlines()
 
 
 def load_sample(

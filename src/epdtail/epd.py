@@ -7,7 +7,8 @@ the strict Pareto exactly. The likelihood is built once as a stack of
 lanes, excess sets that share k, and the ML fits read it in place. Each
 lane's fit is a generator search, and one runner, ``_lockstep``, runs
 the searches of all lanes together, as it runs the posterior-mode polish
-of ``bayes``.
+of ``bayes``. The survival is one array formula, ``_tail_probs``, for
+lanes and for one lane alike.
 
 The fit drives scipy's compiled L-BFGS-B core, the extension module
 ``scipy.optimize._lbfgsb``. ``_load_lbfgsb`` loads it from its file, so
@@ -148,7 +149,7 @@ class _Likelihood:
             raise ValueError("excesses must be >= 1")
         self.log_y = np.log(y) if log_y is None else log_y
         self.sum_log_y = np.add.reduce(self.log_y, axis=1)
-        p = _row_powers(y, tau)
+        p = _lane_powers(y, tau)
         self.sum_pow = np.add.reduce(p, axis=1)
         self.coef = np.empty((len(y), 2, k))
         a, b = self.coef[:, 0], self.coef[:, 1]
@@ -176,18 +177,14 @@ class _Likelihood:
         return -math.log(xi) - (1.0 / xi + 1.0) * (float(s1) / k) + float(s2) / k
 
 
-def _row_powers(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Row i of ``y`` to the power t[i], with the bits of ``y[i] ** t[i]`` for a float t[i].
+def _lane_powers(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row i of ``y`` (lanes x k) to the power t[i], by one array power with the exponent spread over ``y``.
 
-    One array power serves every row except those whose exponent is -1,
-    0.5 or 2: numpy raises an array to such a scalar exponent by another
-    route (reciprocal, square root, square), which rounds otherwise, so
-    those rows take their scalar power.
+    numpy takes an exponent that is one value for the whole call, as a
+    one-lane stack's would be, by another route at -1, 0.5 and 2 that
+    rounds otherwise; spread, a lane's powers do not depend on the others.
     """
-    p = y ** t[:, None]
-    for i in np.flatnonzero((t == -1.0) | (t == 0.5) | (t == 2.0)).tolist():
-        p[i] = y[i] ** float(t[i])
-    return p
+    return y ** np.repeat(t[:, None], y.shape[1], axis=1)
 
 
 def _inadmissible(ext: Sequence[float], delta: float) -> bool:
@@ -297,13 +294,30 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
+def _tail_probs(level: float, z: np.ndarray, tau: np.ndarray, xi: np.ndarray,
+                delta: np.ndarray) -> np.ndarray:
+    """``level`` times the survival of lanes by the array; at delta = 0, ``weissman_tail_prob``.
+
+    Lane i has z[i] = x / threshold >= 1 and rate tau[i], and row i of
+    ``xi`` and ``delta`` (lanes x fits) holds its fits. Returns ``level``
+    (k/n for a tail probability) times the survival (z * (1 + delta * a))
+    ** (-1/xi), with the likelihood's a = 1 - z**tau, under each fit, NaN
+    for a fit of NaNs; at z = 1, a is 0 and the value ``level``. Neither
+    exponent is one value for the whole call (see ``_lane_powers``), and no
+    value reads another lane, so a value does not depend on the others.
+    """
+    z = z[:, None]
+    return level * (z * (1.0 + delta * (1.0 - z ** tau[:, None]))) ** (-1.0 / xi)
+
+
 def epd_survival(p: EPDParams, y):
-    """Survival function of the excess model, vectorized over y >= 1."""
+    """Survival function of the excess model, vectorized over y >= 1: ``_tail_probs`` at level 1."""
     y_arr = np.asarray(y, dtype=float)
     if (y_arr < 1.0).any():
         raise ValueError("survival is defined for y >= 1 only")
-    base = y_arr * (1.0 + p.delta - p.delta * y_arr ** p.tau)
-    out = base ** (-1.0 / p.xi)
+    # a lane per y, so that no exponent is one value for the whole call (see ``_lane_powers``)
+    tau, xi, delta = (np.full((y_arr.size, 1), v) for v in (p.tau, p.xi, p.delta))
+    out = _tail_probs(1.0, y_arr.reshape(-1), tau[:, 0], xi, delta).reshape(y_arr.shape)
     return out if out.ndim else float(out)
 
 
@@ -489,24 +503,8 @@ def epd_sample(p: EPDParams, count: int, seed) -> np.ndarray:
 
 
 def epd_tail_prob(s: SortedSample, k: int, x: float, p: EPDParams) -> float:
-    """Exceedance probability (k/n) * survival(x / threshold) under the fit."""
+    """Exceedance probability (k/n) * survival(x / threshold) under the fit: ``_tail_probs`` on one lane."""
     threshold = s.threshold(k)
     if x < threshold:
         raise ValueError(f"x={x} is below the threshold {threshold}; extrapolation invalid")
     return (k / s.n) * float(epd_survival(p, x / threshold))
-
-
-def _tail_probs(level: float, z: np.ndarray, tau: np.ndarray, xi: np.ndarray,
-                delta: np.ndarray) -> np.ndarray:
-    """``epd_tail_prob`` of lanes at one k by the array; at delta = 0, ``weissman_tail_prob``.
-
-    Lane i has z[i] = x / threshold >= 1 and rate tau[i], and row i of
-    ``xi`` and ``delta`` (lanes x fits) holds its fits. Returns ``level``
-    (k/n) times the survival of z under each fit, NaN for a fit of NaNs.
-    Each value has the bits of the one-lane call: z ** tau is taken as
-    ``_row_powers`` takes it, and the last power is each value's scalar
-    power, as ``epd_survival`` takes it.
-    """
-    z = z[:, None]
-    base = z * (1.0 + delta - delta * _row_powers(z, tau))
-    return level * np.array([b ** e for b, e in zip(base.flat, (-1.0 / xi).flat)]).reshape(xi.shape)

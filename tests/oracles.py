@@ -2,36 +2,43 @@
 
 These deliberately re-derive quantities through different routes than the
 library (brute-force grid refinement, quadrature, batch means) so that
-agreement is evidence, not tautology. The exceptions keep a
+agreement is evidence, not tautology; ``oracle_survival`` is one, the
+model's survival to 40 digits by ``decimal``. The exceptions keep a
 straightforward form of a library computation as the reference that the
 library must reproduce bit for bit: ``oracle_epd_log_likelihood``,
 ``oracle_metropolis``, ``OracleLikelihood`` (the one-lane build of the
 coefficient rows that the library stacks), ``oracle_loglik_grad``,
 ``oracle_epd_ml_fit``, ``oracle_profile_posterior_mode`` and
-``oracle_smooth_path``. ``oracle_first_order`` keeps the estimating-system
-variants that the library rejects, with the moment statistics
-``moment_stat`` that it reads, and ``asym_var_raw`` the literal form of
-the limiting variance. ``mu_opt``, ``sigma2_opt`` and ``log_posterior``
-are formulas the library does not need: the optimal prior scale in its
-two parametrisations, and the per-observation log posterior as one call
-of the library's Metropolis target. ``log_prior_xi`` and
-``log_prior_delta`` are the two log priors that the library's target
-inlines, and ``mse_opt_weighted`` the paper's weighted-average form of
-the optimal limiting MSE, a second route to ``mse_opt``.
+``oracle_smooth_path``. Each pins an optimisation that must change no bit
+(the chain's bound table, the pruned scan, the lockstep runner, the fused
+likelihood pass, the array solve), so each takes the library's formula for
+what that optimisation leaves alone: the priors' constants (``math.erfc``
+and ``math.lgamma``) and the array power ``y ** tau``. A difference can
+then come only from the optimisation. ``oracle_first_order`` keeps the
+estimating-system variants that the library rejects, with the moment
+statistics ``moment_stat`` that it reads, and ``asym_var_raw`` the literal
+form of the limiting variance. ``mu_opt``, ``sigma2_opt`` and
+``log_posterior`` are formulas the library does not need: the optimal
+prior scale in its two parametrisations, and the per-observation log
+posterior as one call of the library's Metropolis target. ``log_prior_xi``
+and ``log_prior_delta`` are the two log priors that the library's target
+inlines, and ``mse_opt_weighted`` the paper's weighted-average form of the
+optimal limiting MSE, a second route to ``mse_opt``.
 ``loglik_value_and_grad``, ``profile_posterior_mode`` and
-``solve_first_order`` are not oracles: they run the library's own ML
-pass, mode search and first-order solution on a one-lane stack, the
-one-lane forms that only tests call. Nor is ``stack``, which builds the
-library's stack from (excesses, tau) lanes.
+``solve_first_order`` are not oracles: they run the library's own ML pass,
+mode search and first-order solution on a one-lane stack, the one-lane
+forms that only tests call. Nor is ``stack``, which builds the library's
+stack from (excesses, tau) lanes.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import expit, gammaln, logit, ndtr
+from scipy.special import expit, gammaln, logit
 from scipy.stats import norm
 
 from epdtail import EPDFit, EPDParams, delta_lower_bound, hill
@@ -50,7 +57,7 @@ def log_prior_xi(xi, gamma_shape=1e-4):
     """Log density of the gamma(shape, scale=1) prior on the tail index."""
     if xi <= 0:
         return -math.inf
-    return (gamma_shape - 1.0) * math.log(xi) - xi - float(gammaln(gamma_shape))
+    return (gamma_shape - 1.0) * math.log(xi) - xi - math.lgamma(gamma_shape)
 
 
 def log_prior_delta(delta, sigma2, tau):
@@ -64,7 +71,7 @@ def log_prior_delta(delta, sigma2, tau):
     return (
         -0.5 * delta * delta / sigma2
         - math.log(math.sqrt(2.0 * math.pi) * sigma)
-        - math.log(float(ndtr(-(lo / sigma))))
+        - math.log(0.5 * math.erfc(lo / (sigma * math.sqrt(2.0))))
     )
 
 
@@ -75,7 +82,7 @@ def oracle_epd_log_likelihood(xi, delta, tau, e):
         raise ValueError("excesses must be >= 1")
     if not (xi > 0 and tau < 0 and delta > delta_lower_bound(tau)):
         return -math.inf
-    p = y ** tau
+    p = y ** np.full(y.shape, tau)
     t1 = 1.0 + delta * (1.0 - p)
     t2 = 1.0 + delta * (1.0 - (1.0 + tau) * p)
     if np.any(t1 <= 0.0) or np.any(t2 <= 0.0):
@@ -254,7 +261,7 @@ def moment_stat(e, s):
     """
     if s >= 0:
         raise ValueError(f"exponent must be negative, got {s}")
-    return float(np.add.reduce(e.y ** s)) / e.k
+    return float(np.add.reduce(e.y ** np.full(e.k, s))) / e.k
 
 
 def oracle_first_order(e, tau, sigma2, centering="pareto-limit", prior_term_sign=1.0):
@@ -302,6 +309,26 @@ def oracle_first_order(e, tau, sigma2, centering="pareto-limit", prior_term_sign
     return xi, delta
 
 
+def oracle_survival(z, tau, xi, delta):
+    """The model's survival at z to 40 digits, and the condition number of its double form.
+
+    ``decimal`` evaluates (z * (1 + delta * (1 - z**tau))) ** (-1/xi) at
+    the exact values of the doubles given, apart from numpy. The condition
+    number bounds the relative error, in units of roundoff, of that form in
+    doubles with every operation and power rounded once: the base loses
+    2 + (|delta*z**tau| + 2|delta*(1 - z**tau)|) / (1 + delta*(1 - z**tau))
+    units, which the power multiplies by 1/xi; the rounding of -1/xi adds
+    |log(base)| / xi, and the last power one more.
+    """
+    with decimal.localcontext(prec=40):
+        z, tau, xi, delta = map(decimal.Decimal, (z, tau, xi, delta))
+        p = z ** tau
+        v = 1 + delta * (1 - p)
+        base = z * v
+        cond = (2 + (abs(delta * p) + 2 * abs(delta * (1 - p))) / v + abs(base.ln())) / xi + 1
+        return float(base ** (-1 / xi)), float(cond)
+
+
 def mu_opt(rho, lam):
     """Optimal limit of k times the prior variance."""
     return (1.0 - rho) ** 2 * lam * lam
@@ -346,7 +373,7 @@ class OracleLikelihood:
     """The mean log-likelihood of one excess set at fixed tau, built lane by lane.
 
     The one-lane arithmetic that the library's stack ``epd._Likelihood``
-    runs on all lanes at once: log y, one ``y ** tau`` on the lane's row,
+    runs on all lanes at once: log y, one array power ``y ** tau`` on the lane's row,
     and the rows a = 1 - y**tau and b = 1 - (1 + tau) * y**tau of ``coef``
     with their extremes. A call multiplies, adds and takes the log over
     ``coef``, adds log y to the first row and reduces each row with
@@ -358,7 +385,7 @@ class OracleLikelihood:
         self.k, self.tau = e.k, tau
         self.lo = delta_lower_bound(tau) if tau < 0 else math.inf
         self.log_y = np.log(y)
-        p = y ** tau
+        p = y ** np.full(y.shape, tau)
         self.coef = np.empty((2, y.size))
         self.a, self.b = self.coef
         np.subtract(1.0, p, out=self.a)
@@ -487,8 +514,7 @@ def oracle_profile_posterior_mode(e, tau, sigma2, gamma_shape=1e-4):
     ``_polish`` reproduces, one lane at a time. It fills two
     zero-filled (grid x k) arrays, one per coefficient row, and takes
     ``mean`` of each; the polish and the final xi use ``np.mean`` and 0-d
-    arrays, and the prior truncation comes from ``scipy.stats.norm.sf``.
-    The library must return the same bits.
+    arrays. The library must return the same bits.
     """
     lik = OracleLikelihood(e, tau)
     k = e.k
@@ -499,8 +525,8 @@ def oracle_profile_posterior_mode(e, tau, sigma2, gamma_shape=1e-4):
     xi_floor = 0.05 * mean_logy
     sigma = math.sqrt(sigma2)
     lp_const = (-math.log(math.sqrt(2.0 * math.pi) * sigma)
-                - math.log(float(norm.sf(delta_lower_bound(tau) / sigma)))
-                - float(gammaln(gamma_shape)))
+                - math.log(0.5 * math.erfc(delta_lower_bound(tau) / (sigma * math.sqrt(2.0))))
+                - math.lgamma(gamma_shape))
     bq = k + 1.0 - gamma_shape
 
     def profile_xi(g):

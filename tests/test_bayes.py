@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,6 +47,13 @@ def _excess_set(y):
     return et.ExcessSet(y=arr, k=arr.size, threshold=1.0)
 
 
+def _delta_prior_mass(lo, sigma2):
+    """The delta prior's mass above lo, read from the last log `_delta_prior_logs` takes."""
+    with mock.patch("math.log", wraps=math.log) as log:
+        bayes._delta_prior_logs(lo, sigma2)
+    return log.call_args.args[0]
+
+
 class TestPriorVariance:
     def test_hand_values(self):
         assert et.prior_variance(100, 500, -1.0) == pytest.approx(0.04)
@@ -80,29 +88,29 @@ class TestPriorSpec:
             assert target(1.0, lo) == -math.inf
             assert math.isfinite(target(1.0, lo + 1e-9))
 
-    def test_gamma_normaliser_is_scipys_gammaln(self):
-        assert repr(bayes._LOG_GAMMA) == repr(float(gammaln(bayes._GAMMA_SHAPE)))
+    def test_gamma_normaliser_within_1_ulp_of_scipys_gammaln(self):
+        want = float(gammaln(bayes._GAMMA_SHAPE))
+        assert abs(bayes._LOG_GAMMA - want) <= math.ulp(want)
 
-    @given(st.floats(allow_nan=False, allow_infinity=False))  # finite, subnormals included
-    @example(0.0)
-    @example(-0.0)
-    @example(math.inf)
-    @example(-math.inf)
-    @example(math.nan)
-    @example(5e-324)
-    @example(-5e-324)
-    def test_ndtr_is_scipys_ndtr_to_the_bit(self, a):
-        assert repr(bayes._ndtr(a)) == repr(float(ndtr(a)))
+    @given(lo=st.floats(-1.0, 0.0, exclude_max=True), log10_sigma2=st.floats(-4.0, 12.0))
+    @example(lo=-1.0, log10_sigma2=-4.0)  # the largest argument, 100: the mass rounds to 1
+    @example(lo=-5e-324, log10_sigma2=12.0)  # the smallest: the mass rounds to 1/2
+    def test_delta_prior_mass_is_scipys_ndtr_within_2_ulp(self, lo, log10_sigma2):
+        # the mass above lo of the N(0, sigma2) delta prior, 0.5 * erfc(lo / (sigma * sqrt(2))),
+        # is scipy's ndtr(-lo / sigma) within 2 ulp
+        sigma2 = 10.0 ** log10_sigma2
+        want = float(ndtr(-lo / math.sqrt(sigma2)))
+        assert abs(_delta_prior_mass(lo, sigma2) - want) <= 2 * math.ulp(want)
 
-    def test_ndtr_is_scipys_ndtr_at_every_branch_edge(self):
-        # |a| = 1 (erf to erfc), 8*sqrt(2) (P/Q to R/S) and sqrt(2*MAXLOG) = 37.68, past
-        # which exp(-a*a/2) underflows and the lower tail is 0
-        edges = [1.0, 8.0 * math.sqrt(2.0), math.sqrt(2.0 * bayes._MAXLOG), 37.5, 38.6]
+    def test_delta_prior_mass_is_scipys_ndtr_within_2_ulp_at_its_branch_edges(self):
+        # scipy's ndtr switches formula at |a| = 1 (erf to erfc) and 8*sqrt(2) (P/Q to R/S);
+        # with sigma = 1/64 the argument a = -lo/sigma is exact for every lo = -a/64 in [-1, 0)
+        sigma2 = 2.0 ** -12
+        edges = [1.0, 8.0 * math.sqrt(2.0)]
         near = [e + d * math.ulp(e) for e in edges for d in range(-4, 5)]
-        points = near + np.linspace(37.5, 38.6, 1101).tolist() + np.linspace(-40.0, 40.0, 16001).tolist()
-        got = [repr(bayes._ndtr(s * a)) for a in points for s in (1.0, -1.0)]
-        assert got == [repr(float(ndtr(s * a))) for a in points for s in (1.0, -1.0)]
-        assert bayes._ndtr(-38.6) == 0.0 and bayes._ndtr(-37.5) > 0.0
+        for a in near + np.linspace(0.0, 64.0, 6401)[1:].tolist():
+            want = float(ndtr(a))
+            assert abs(_delta_prior_mass(-a / 64.0, sigma2) - want) <= 2 * math.ulp(want), a
 
     def test_validation(self):
         e = _excess_set([1.0, 2.0, 4.0])

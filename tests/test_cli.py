@@ -594,6 +594,14 @@ class TestAsymptoticsCmd:
             assert "usage error: bad lambda grid" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_negative_lambda_min_is_usage_error(self, tmp_path, capsys):
+        # the bias scale lambda is nonnegative; a negative start ended in a ValueError traceback
+        out = tmp_path / "curves.csv"
+        assert main(["asymptotics", "--xi", "0.5", "--rho", "-1", "--lambda-min", "-1",
+                     "--lambda-max", "0", "--out", str(out)]) == 1
+        assert "usage error: bad lambda grid" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("step", ["1e-12", "1e-9"])
     def test_long_grid_is_rejected_before_allocating(self, tmp_path, capsys, monkeypatch, step):
         # 5e12 and 5e9 rows: numpy would try to allocate 36.4 TiB and 37 GiB
@@ -619,7 +627,8 @@ class TestAsymptoticsCmd:
 def test_import_loads_no_scipy_stats():
     # importing scipy.stats costs about half a second and 20 MB in every process, and
     # scipy.special and the scipy.optimize package about 0.4 s more: the library loads
-    # only the compiled L-BFGS-B core (epd._load_lbfgsb) and ports ndtr (bayes._ndtr)
+    # only the compiled L-BFGS-B core (epd._load_lbfgsb), and the priors' constants come
+    # from the standard library (math.erfc, math.lgamma)
     heavy = ("scipy.special", "scipy.optimize", "scipy.stats", "scipy.linalg", "scipy.sparse")
     code = f"import sys, epdtail, epdtail.cli; print(any(m in sys.modules for m in {heavy!r}))"
     proc = subprocess.run([sys.executable, "-c", code], cwd=Path(et.__file__).parent.parent,

@@ -78,6 +78,16 @@ class TestLoadSample:
         assert np.array_equal(et.load_sample(path).values, [1.0, 2.0, 4.0])
         assert np.array_equal(et.load_sample(io.StringIO("2\n1\n")).values, [1.0, 2.0])
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM, which made the first value
+        # unparsable, so that it was taken for a header and dropped
+        raw = b"\xef\xbb\xbf1.5\n2.5\n3.5\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(raw)
+        for source in (path, str(path), raw, io.BytesIO(raw), io.StringIO(raw.decode("utf-8"))):
+            assert et.load_sample(source).values.tolist() == [1.5, 2.5, 3.5]
+        assert et.load_sample(b"\xef\xbb\xbfloss\n2.5\n3.5\n").values.tolist() == [2.5, 3.5]
+
     def test_blank_lines_skipped(self):
         s = et.load_sample(b"\n1\n\n2\n\n")
         assert s.n == 2

@@ -19,8 +19,11 @@ fake searches what each gets alone, and a penalised ML point must cost
 no row of a likelihood pass. The first-order solution of random stacks, ``_first_order``, must
 give every lane the bits of the one-lane system ``oracle_first_order``.
 The tail probabilities that ``estimate_cells`` computes for all lanes at
-once, ``epd._tail_probs``, must be the bits of ``weissman_tail_prob``,
-``epd_tail_prob`` and ``bayes_tail_prob`` on each lane alone.
+once, ``epd._tail_probs``, must be the survival to within its rounding
+(``oracle_survival``), fall as x grows, be k/n at the threshold and
+Weissman's at delta = 0, and agree with ``weissman_tail_prob``,
+``epd_tail_prob`` and ``bayes_tail_prob``, which run that formula on one
+lane.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -51,7 +54,7 @@ from epdtail.bayes import (
     _profile_posterior_modes,
     _Profiles,
 )
-from epdtail.epd import _tail_probs, epd_ml_fits
+from epdtail.epd import DELTA_MAX, _tail_probs, epd_ml_fits
 from oracles import (
     OracleLikelihood,
     loglik_value_and_grad,
@@ -59,6 +62,7 @@ from oracles import (
     oracle_first_order,
     oracle_loglik_grad,
     oracle_profile_posterior_mode,
+    oracle_survival,
     profile_posterior_mode,
     stack,
 )
@@ -656,9 +660,9 @@ def test_only_the_ml_core_comes_from_scipy_optimize():
 
 def test_tail_probabilities_equal_one_lane_calls():
     # Fréchet replications at k = 30, with lane 2's rho minus its Hill estimate, so
-    # that its tau is exactly -1, which numpy's power of a scalar exponent rounds by
-    # another route; lane 4 ties at the threshold and lane 6 has rho > 0, so every
-    # estimator fails on them. The first x lies below some lanes' thresholds
+    # that its tau is exactly -1; lane 4 ties at the threshold and lane 6 has rho > 0,
+    # so every estimator fails on them. The first x lies below some lanes' thresholds.
+    # The one-lane calls run the same array formula, so they agree within an ulp
     k, n = 30, 500
     samples = [et.sample_distribution(et.frechet(0.5), n, np.random.SeedSequence((DESIGN_SEED, rep)))
                for rep in range(6)]
@@ -686,26 +690,41 @@ def test_tail_probabilities_equal_one_lane_calls():
             want = [et.weissman_tail_prob(s, k, x, h),
                     et.epd_tail_prob(s, k, x, et.EPDParams(ml_xi, ml_delta, tau)),
                     et.bayes_tail_prob(s, k, x, et.BayesEstimate(b_xi, b_delta, "linear"), tau)]
-            assert [repr(v) for v in p.tolist()] == [repr(v) for v in want], (x, i)
+            assert all(abs(got - w) <= math.ulp(w) for got, w in zip(p.tolist(), want)), (x, i)
         assert below == (2 if x < 40.0 else 0)
 
 
-def test_array_tail_probabilities_are_the_one_lane_bits():
-    # random lanes, a quarter of them at tau = -1, each with three fits, the first at
-    # delta = 0; every value must be that of epd_tail_prob's arithmetic on the lane
-    # alone, and at delta = 0 also that of weissman_tail_prob's
-    rng = np.random.default_rng(7)
-    lanes, level = 4000, 30 / 500
-    z = 1.0 + rng.exponential(20.0, lanes)
-    z[:50] = 1.0
-    tau = np.where(rng.random(lanes) < 0.25, -1.0, -(10.0 ** rng.uniform(-2.0, 1.0, lanes)))
-    lo = np.maximum(-1.0, 1.0 / tau)
-    xi = 10.0 ** rng.uniform(-1.5, 0.5, (lanes, 3))
-    delta = lo[:, None] + (10.0 - lo[:, None]) * rng.random((lanes, 3))
-    delta[:, 0] = 0.0
-    got = _tail_probs(level, z, tau, xi, delta)
-    for i in range(lanes):
-        want = [level * float(et.epd_survival(et.EPDParams(a, d, tau[i]), float(z[i])))
-                for a, d in zip(xi[i].tolist(), delta[i].tolist())]
-        assert [repr(v) for v in got[i].tolist()] == [repr(v) for v in want], i
-        assert repr(float(got[i, 0])) == repr(level * float(z[i]) ** (-1.0 / float(xi[i, 0])))
+@given(xi=st.floats(0.03, 3.0), tau=st.one_of(st.just(-1.0), st.floats(-10.0, -0.01)),
+       frac=st.floats(0.0, 1.0, exclude_min=True), steps=st.lists(st.floats(1.01, 4.0), max_size=8))
+# fits just above the model bound: flat at the threshold (tau < -1), and flat throughout
+@example(xi=0.05, tau=-4.0, frac=1e-15, steps=[1.01, 1.01])
+@example(xi=1.0, tau=-1.0, frac=2.2e-16, steps=[1.203125, 1.03125])
+def test_tail_probabilities_are_the_survival(xi, tau, frac, steps):
+    # one lane per x, from the threshold (z = x / threshold = 1) up by steps of at least
+    # 1%, each with a fit at delta = 0 and one in (lo, DELTA_MAX]
+    k, n = 30, 500
+    lo = et.delta_lower_bound(tau)
+    delta = lo + (DELTA_MAX - lo) * frac
+    assume(delta > lo)
+    z = np.cumprod([1.0, *steps])
+    got = _tail_probs(k / n, z, np.full(z.size, tau), np.full((z.size, 2), xi),
+                      np.tile([0.0, delta], (z.size, 1)))
+    # within 4 ulp, times the formula's condition number, of the survival to 40 digits
+    bound = np.empty(got.shape)
+    for i, (zi, row) in enumerate(zip(z.tolist(), got.tolist())):
+        for j, (d, p) in enumerate(zip((0.0, delta), row)):
+            survival, cond = oracle_survival(zi, tau, xi, d)
+            want = k / n * survival
+            bound[i, j] = 4 * math.ulp(want) * cond
+            assert abs(p - want) <= bound[i, j], (zi, d)
+    # non-increasing in x: strictly at delta = 0; under the other fit, which is flat where
+    # delta and tau both near -1, it rises by no more than the rounding of both values
+    assert (np.diff(got[:, 0]) < 0.0).all()
+    assert (np.diff(got[:, 1]) <= bound[:-1, 1] + bound[1:, 1]).all()
+    # k/n at the threshold under every fit
+    assert got[0].tolist() == [k / n, k / n]
+    # at delta = 0, Weissman's, on a sample whose threshold at k is 1, so that x = z
+    s = et.SortedSample(np.r_[np.linspace(0.5, 1.0, n - k), np.linspace(2.0, 3.0, k)])
+    for zi, p in zip(z.tolist(), got[:, 0].tolist()):
+        want = et.weissman_tail_prob(s, k, zi, xi)
+        assert abs(p - want) <= math.ulp(want)
