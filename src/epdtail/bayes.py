@@ -10,8 +10,10 @@ random-walk Metropolis chain. On the lanes of a likelihood stack
 and the exact-mode search runs the lanes left in lockstep, in passes of a
 fixed size over the stack, polished by a port of scipy's bounded minimizer
 that the lockstep runner ``epd._lockstep`` drives for all of them. The
-priors' constants come from the standard library (``math.erfc`` and
-``math.lgamma``), so no ``scipy.special`` import runs.
+search's profile (``_Profiles.from_sums``) and the chain's log posterior
+(``_log_post``) are each one formula on a lane's row sums or bounds of
+them. The priors' constants come from the standard library
+(``math.erfc`` and ``math.lgamma``), so no ``scipy.special`` import runs.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Literal
 import numpy as np
 
 from .data import ExcessSet, SortedSample
-from .epd import (DELTA_MAX, EPDParams, _inadmissible, _lane_powers, _Likelihood, _lockstep,
-                  delta_lower_bound, epd_tail_prob)
+from .epd import (DELTA_MAX, EPDParams, _lane_powers, _Likelihood, _lockstep, _loglik, delta_lower_bound,
+                  epd_tail_prob)
 
 __all__ = [
     "ClosedFormError",
@@ -117,37 +119,16 @@ def _delta_prior_logs(lo: float, sigma2: float) -> tuple[float, float]:
     return math.log(math.sqrt(2.0 * math.pi) * sigma), math.log(mass)
 
 
-class _LogTarget:
-    """The per-observation log posterior of one (excesses, tau, sigma2), built once.
+def _log_post(xi: float, delta: float, k: int, s1: float, s2: float, sigma2: float, log_norm: float,
+              log_trunc: float) -> float:
+    """k times the log posterior at xi > 0 from a lane's sums s1, s2 of ``_Likelihood.sums``, or bounds of them.
 
-    Adds the prior normalisers to the likelihood kernel ``lik``, which
-    already returns -inf at or below the truncation point of the delta
-    prior. A call performs the same floating-point operations in the same
-    order as composing ``epd_log_likelihood`` with the gamma log prior on
-    xi and the truncated normal log prior on delta, so it returns the same
-    bits as that composition.
+    The mean log-likelihood ``epd._loglik`` plus 1/k times the gamma log prior on xi and the
+    normal log prior on delta, with the logs ``_delta_prior_logs`` of its normaliser and mass.
     """
-
-    def __init__(self, e: ExcessSet, tau: float, sigma2: float) -> None:
-        _check_sigma2(sigma2)
-        self.lik = _Likelihood(e.y[None], [tau])
-        self.k = e.k
-        self.sigma2 = sigma2
-        self.log_norm, self.log_trunc = _delta_prior_logs(delta_lower_bound(tau), sigma2)
-
-    def log_prior(self, xi: float, delta: float) -> float:
-        """The total log prior at xi > 0 and delta above the truncation point."""
-        return ((_GAMMA_SHAPE - 1.0) * math.log(xi) - xi - _LOG_GAMMA
-                + (-0.5 * delta * delta / self.sigma2 - self.log_norm - self.log_trunc))
-
-    def __call__(self, xi: float, delta: float) -> float:
-        ll = self.lik(xi, delta)
-        if ll == -math.inf:
-            return -math.inf
-        lp = self.log_prior(xi, delta)
-        if lp == -math.inf:
-            return -math.inf
-        return ll + lp / self.k
+    log_prior = ((_GAMMA_SHAPE - 1.0) * math.log(xi) - xi - _LOG_GAMMA
+                 + (-0.5 * delta * delta / sigma2 - log_norm - log_trunc))
+    return k * (_loglik(xi, k, s1, s2) + log_prior / k)
 
 
 def _row_scratch(rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -292,10 +273,10 @@ class _Profiles:
         coarse = min(len(rows), _SCAN_LANES) * (480 // _STRIDE + 1)
         self.scratch = _row_scratch(min(_BUDGET // (2 * k), coarse), k)
 
-    def xi(self, g, sqrt=math.sqrt):
+    def xi(self, g: np.ndarray) -> np.ndarray:
         """The profiled tail index at g."""
         bq = self.bq
-        return (-bq + sqrt(bq * bq + 4.0 * self.k * g)) / 2.0
+        return (-bq + np.sqrt(bq * bq + 4.0 * self.k * g)) / 2.0
 
     def from_sums(self, lane, deltas, ok, s1, s2) -> np.ndarray:
         """The profile at rows (lane, delta) from their row sums; -inf where ok is False or masked."""
@@ -303,7 +284,7 @@ class _Profiles:
         g = self.mean_logy[lane] + s1 / k
         ok = ok & (g > 0.0)
         g_safe = np.where(ok, g, 1.0)
-        xi = self.xi(g_safe, np.sqrt)
+        xi = self.xi(g_safe)
         ok &= xi >= self.xi_floor[lane]
         log_xi = np.log(xi)
         val = (k * (-log_xi - (1.0 / xi + 1.0) * g_safe + s2 / k)
@@ -452,27 +433,14 @@ def _profile_posterior_modes(
         node += _STRIDE * cell + 1
         vals[lane, node] = p.exact(lane, grid[lane, node])
     best, top = vals.argmax(axis=1), vals.max(axis=1).tolist()
-    mean_logy, xi_floor, sigma2, lp_const, ext, lo = (a.tolist() for a in (
-        p.mean_logy, p.xi_floor, p.sigma2, p.lp_const, p.ext, p.lo))
+    lo = p.lo.tolist()
     # finite, so the polish's parabolic steps never do arithmetic on inf, and worse
     # than the grid's best, so the rule below rejects a polish ending there
     penalty = [1.0 - v for v in top]
 
-    def neg_total(i: int, delta: float, inside: bool, m1: float, m2: float) -> float:
-        g = mean_logy[i] + m1
-        if not inside or g <= 0.0:
-            return penalty[i]
-        xi = p.xi(g)
-        if xi < xi_floor[i]:
-            return penalty[i]
-        return -(k * (-math.log(xi) - (1.0 / xi + 1.0) * g + m2) + (_GAMMA_SHAPE - 1.0) * math.log(xi)
-                 - xi - 0.5 * delta * delta / sigma2[i] + lp_const[i])
-
     def evaluate(lanes: list[int], xs: list[float]) -> list[float]:
-        inside = [not _inadmissible(ext[i], x) for i, x in zip(lanes, xs)]
-        s = _row_sums(p.coef, p.rows[lanes], np.array([x if ok else 0.0 for x, ok in zip(xs, inside)]),
-                      p.scratch)[0]
-        return [neg_total(i, x, ok, m1, m2) for i, x, ok, (m1, m2) in zip(lanes, xs, inside, (s / k).tolist())]
+        v = p.exact(np.array(lanes), np.array(xs)).tolist()
+        return [penalty[i] if f == -math.inf else -f for i, f in zip(lanes, v)]
 
     searches: list = []
     for i, (b, v) in enumerate(zip(best.tolist(), top)):
@@ -489,8 +457,8 @@ def _profile_posterior_modes(
         out[i] = x_hat if f_hat <= -top[i] else float(grid[i, best[i]])
     if done:
         s = _row_sums(p.coef, p.rows[done], np.array([out[i] for i in done]), p.scratch)[0]
-        for i, s1 in zip(done, (s[:, 0] / k).tolist()):
-            out[i] = (p.xi(mean_logy[i] + s1), out[i])
+        for i, xi in zip(done, p.xi(p.mean_logy[done] + s[:, 0] / k).tolist()):
+            out[i] = (xi, out[i])
     return out
 
 
@@ -568,30 +536,30 @@ def metropolis_sample(
     log-posterior values are on the total (not per-observation) scale.
     Deterministic for a fixed seed.
 
-    A proposal is first tested against a ``_BoundTable`` upper bound of its
-    log posterior, by the exact value's arithmetic. Rounding is monotone, so
-    the likelihood runs only where the bound is not already rejected.
+    The log posterior is ``_log_post`` on the sums of ``_Likelihood.sums``.
+    A proposal is first tested against an upper bound of it, ``_log_post``
+    on the ``_BoundTable`` bounds of the two sums. Rounding is monotone, so
+    the likelihood pass runs only where the bound is not already rejected.
     """
-    k = e.k
-    target = _LogTarget(e, tau, sigma2)
+    _check_sigma2(sigma2)
+    k, lik = e.k, _Likelihood(e.y[None], [tau])
+    log_norm, log_trunc = _delta_prior_logs(delta_lower_bound(tau), sigma2)
     rng = np.random.default_rng(config.seed)
-    h = float(target.lik.sum_log_y[0]) / k  # the Hill estimate
+    h = float(lik.sum_log_y[0]) / k  # the Hill estimate
     if h <= 0:
         raise ValueError("all excesses are ties; posterior has no interior mass")
 
-    u, d = math.log(h), 0.0
-    lp = k * target(math.exp(u), d)
-    if lp == -math.inf:
-        raise ValueError("starting point has zero posterior density")
+    u, d = math.log(h), 0.0  # delta = 0 is inside every lane's region
+    lp = _log_post(math.exp(u), d, k, *lik.sums(d), sigma2, log_norm, log_trunc)
 
     s_u, s_d = _STEP_LOG_XI, _STEP_DELTA
     retained = config.iterations - config.burn_in
     draws = np.empty((retained, 2))
     logpost = np.empty(retained)
     accepted_post = batch_accepts = 0
-    table = _BoundTable(target.lik)
+    table = _BoundTable(lik)
     cells, fill, n_cells, lo = table.cells, table.fill, len(table.cells), table.lo
-    log_prior, normal, uniform = target.log_prior, rng.standard_normal, rng.random
+    sums, normal, uniform = lik.sums, rng.standard_normal, rng.random
     exp, log = math.exp, math.log
 
     for t in range(config.iterations):
@@ -600,18 +568,19 @@ def metropolis_sample(
         log_u = log(uniform())
         xi_new = exp(u_new)
         x = (d_new - lo) / _CELL
-        rejected = False
-        if 0.0 <= x < n_cells and xi_new > 0.0:
+        # an xi that underflows to 0 has zero posterior density
+        rejected = not xi_new > 0.0
+        if not rejected and 0.0 <= x < n_cells:
             j = int(x)
             c1, e1, p0, q0, p1, q1 = cells[j] or fill(j)
             f = x - j
-            lp_hi = k * (-log(xi_new) - (1.0 / xi_new + 1.0) * ((c1 + e1 * f) / k)
-                         + min(p0 + q0 * f, p1 + q1 * f) / k + log_prior(xi_new, d_new) / k)
+            lp_hi = _log_post(xi_new, d_new, k, c1 + e1 * f, min(p0 + q0 * f, p1 + q1 * f), sigma2, log_norm,
+                              log_trunc)
             # Jacobian of xi = exp(u): add u to the log target on the sampling scale;
             # a left-out cell's NaN bound rejects nothing
             rejected = log_u >= (lp_hi + u_new) - (lp + u)
-        if not rejected:
-            lp_new = k * target(xi_new, d_new)
+        if not rejected and (s := sums(d_new)) is not None:
+            lp_new = _log_post(xi_new, d_new, k, *s, sigma2, log_norm, log_trunc)
             if log_u < (lp_new + u_new) - (lp + u):
                 u, d, lp = u_new, d_new, lp_new
                 batch_accepts += 1

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import AsymptoticRegime, asym_mean, asym_var, limit_mse, mse_opt, zeta_opt
 from .bayes import ClosedFormError, MCMCConfig, hpd_interval
-from .data import DataFormatError, load_sample
+from .data import DataFormatError, _open_text, load_sample
 from .second_order import NonEstimableError, resolve_rho
 from .simulate import (
     MCStudyConfig,
@@ -242,15 +242,15 @@ _CONFIG_KEYS = {
 def _load_config_file(name: str) -> dict[str, object]:
     path = Path(name)
     if path.is_file():
-        text = path.read_text()
+        lines = _open_text(path)
     else:
         candidate = resources.files("epdtail").joinpath(f"configs/{name}.conf")
         if candidate.is_file():
-            text = candidate.read_text()
+            lines = _open_text(candidate.read_bytes())
         else:
             raise DataFormatError(f"config file {name!r} not found (and not a bundled name)")
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line or (line.startswith("[") and line.endswith("]")):
             continue

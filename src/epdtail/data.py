@@ -114,14 +114,16 @@ def excess_matrix(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _open_text(source: str | Path | bytes | IO[str] | IO[bytes]) -> Iterable[str]:
-    # UTF-8 without the byte-order mark that Excel's "CSV UTF-8" starts with
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8-sig").splitlines()
-    if isinstance(source, bytes):
-        return source.decode("utf-8-sig").splitlines()
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8-sig")
+    # the lines of UTF-8 text, less a byte-order mark (Excel, Notepad); other bytes are a DataFormatError
+    try:
+        if isinstance(source, (str, Path)):
+            data = Path(source).read_bytes()
+        else:
+            data = source if isinstance(source, bytes) else source.read()
+        if isinstance(data, bytes):
+            data = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"not UTF-8 text ({exc.reason} at offset {exc.start})") from None
     return data.removeprefix("\ufeff").splitlines()
 
 

@@ -8,7 +8,9 @@ lanes, excess sets that share k, and the ML fits read it in place. Each
 lane's fit is a generator search, and one runner, ``_lockstep``, runs
 the searches of all lanes together, as it runs the posterior-mode polish
 of ``bayes``. The survival is one array formula, ``_tail_probs``, for
-lanes and for one lane alike.
+lanes and for one lane alike. The mean log-likelihood is one formula,
+``_loglik``, on a lane's two sums from the ML pass ``_fg_sums``, from
+``_Likelihood.sums`` or from the bound table of the chain in ``bayes``.
 
 The fit drives scipy's compiled L-BFGS-B core, the extension module
 ``scipy.optimize._lbfgsb``. ``_load_lbfgsb`` loads it from its file, so
@@ -143,8 +145,7 @@ class _Likelihood:
         self.y = y  # (lanes x k), each row non-increasing
         self.k = k = y.shape[1]
         self.tau = tau = np.array(tau, dtype=float)
-        # delta_lower_bound where tau < 0: max(-1, 1/tau) is -1 for every tau above -1
-        self.lo = np.where(tau < 0, np.maximum(-1.0, 1.0 / np.minimum(tau, -1.0)), math.inf)
+        self.lo = np.array([delta_lower_bound(t) if t < 0 else math.inf for t in tau.tolist()])
         if (y < 1.0).any():
             raise ValueError("excesses must be >= 1")
         self.log_y = np.log(y) if log_y is None else log_y
@@ -159,22 +160,30 @@ class _Likelihood:
 
     @cached_property
     def _one(self) -> tuple:
-        """A one-lane stack's bound, extremes, rows and log y; its calls' (2 x k) scratch and first row."""
+        """A one-lane stack's bound, extremes, rows and log y; the (2 x k) scratch of ``sums``, its first row."""
         w = np.empty((2, self.k))
         return float(self.lo[0]), self.ext[0].tolist(), self.coef[0], self.log_y[0], w, w[0]
 
-    def __call__(self, xi: float, delta: float) -> float:
-        """The mean log-likelihood of a one-lane stack at (xi, delta); -inf outside the region."""
+    def sums(self, delta: float) -> list[float] | None:
+        """A one-lane stack's sums [s1, s2] of ``_fg_sums`` at delta; None outside the region."""
         lo, ext, coef, log_y, w, w0 = self._one
-        if not (xi > 0 and delta > lo) or _inadmissible(ext, delta):
-            return -math.inf
+        if not delta > lo or _inadmissible(ext, delta):
+            return None
         np.multiply(coef, delta, out=w)
         np.add(w, 1.0, out=w)
         np.log(w, out=w)
         np.add(w0, log_y, out=w0)
-        s1, s2 = np.add.reduce(w, axis=1)
-        k = self.k
-        return -math.log(xi) - (1.0 / xi + 1.0) * (float(s1) / k) + float(s2) / k
+        return np.add.reduce(w, axis=1).tolist()
+
+    def __call__(self, xi: float, delta: float) -> float:
+        """The mean log-likelihood of a one-lane stack at (xi, delta); -inf outside the region."""
+        s = self.sums(delta) if xi > 0 else None
+        return -math.inf if s is None else _loglik(xi, self.k, *s)
+
+
+def _loglik(xi: float, k: int, s1: float, s2: float) -> float:
+    """The mean log-likelihood at xi > 0 from one lane's sums s1 and s2 (see ``_fg_sums``)."""
+    return -math.log(xi) - (1.0 / xi + 1.0) * (s1 / k) + s2 / k
 
 
 def _lane_powers(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -218,7 +227,7 @@ def _fg_sums(coef: np.ndarray, log_y: np.ndarray, deltas: np.ndarray, w: np.ndar
 def _value_and_grad(xi: float, k: int, sums: Sequence[float]) -> tuple[float, float, float]:
     """The mean log-likelihood and its gradient in (xi, delta) from one lane's ``_fg_sums``."""
     s1, s2, r1, r2 = sums
-    value = -math.log(xi) - (1.0 / xi + 1.0) * (s1 / k) + s2 / k
+    value = _loglik(xi, k, s1, s2)
     d_xi = -1.0 / xi + (s1 / k) / xi ** 2
     d_delta = -(1.0 / xi + 1.0) * (r1 / k) + r2 / k
     return value, d_xi, d_delta

@@ -19,11 +19,12 @@ estimating-system variants that the library rejects, with the moment
 statistics ``moment_stat`` that it reads, and ``asym_var_raw`` the literal
 form of the limiting variance. ``mu_opt``, ``sigma2_opt`` and
 ``log_posterior`` are formulas the library does not need: the optimal
-prior scale in its two parametrisations, and the per-observation log
-posterior as one call of the library's Metropolis target. ``log_prior_xi``
-and ``log_prior_delta`` are the two log priors that the library's target
-inlines, and ``mse_opt_weighted`` the paper's weighted-average form of the
-optimal limiting MSE, a second route to ``mse_opt``.
+prior scale in its two parametrisations, and the log posterior at one
+point on the chain's total scale, the library's ``_log_post`` on the sums
+of a one-lane stack. ``log_prior_xi`` and ``log_prior_delta`` are the two
+log priors that ``_log_post`` inlines, and ``mse_opt_weighted`` the
+paper's weighted-average form of the optimal limiting MSE, a second route
+to ``mse_opt``.
 ``loglik_value_and_grad``, ``profile_posterior_mode`` and
 ``solve_first_order`` are not oracles: they run the library's own ML pass,
 mode search and first-order solution on a one-lane stack, the one-lane
@@ -42,7 +43,8 @@ from scipy.special import expit, gammaln, logit
 from scipy.stats import norm
 
 from epdtail import EPDFit, EPDParams, delta_lower_bound, hill
-from epdtail.bayes import ClosedFormError, _first_order, _LogTarget, _profile_posterior_modes
+from epdtail.bayes import (ClosedFormError, _check_sigma2, _delta_prior_logs, _first_order, _log_post,
+                           _profile_posterior_modes)
 from epdtail.epd import (
     _ONE_BLAS_THREAD,
     DELTA_MAX,
@@ -340,11 +342,15 @@ def sigma2_opt(rho, a_nk):
 
 
 def log_posterior(xi, delta, e, tau, sigma2):
-    """Per-observation log posterior: mean log-likelihood plus (1/k) log priors.
+    """The log posterior on the chain's total scale: ``_log_post`` on the sums of a one-lane stack.
 
     Out-of-region parameters give -inf, matching the likelihood sentinel.
     """
-    return _LogTarget(e, tau, sigma2)(xi, delta)
+    _check_sigma2(sigma2)
+    lik = _Likelihood(e.y[None], [tau])
+    log_norm, log_trunc = _delta_prior_logs(delta_lower_bound(tau), sigma2)
+    sums = lik.sums(delta) if xi > 0 else None
+    return -math.inf if sums is None else _log_post(xi, delta, e.k, *sums, sigma2, log_norm, log_trunc)
 
 
 def mse_opt_weighted(xi, rho, lam):
@@ -513,8 +519,9 @@ def oracle_profile_posterior_mode(e, tau, sigma2, gamma_shape=1e-4):
     is scipy's ``minimize_scalar``, which the library's in-house
     ``_polish`` reproduces, one lane at a time. It fills two
     zero-filled (grid x k) arrays, one per coefficient row, and takes
-    ``mean`` of each; the polish and the final xi use ``np.mean`` and 0-d
-    arrays. The library must return the same bits.
+    ``mean`` of each; the polish evaluates that grid formula on one node,
+    and the final xi uses ``np.mean`` and a 0-d array. The library must
+    return the same bits.
     """
     lik = OracleLikelihood(e, tau)
     k = e.k
@@ -546,17 +553,7 @@ def oracle_profile_posterior_mode(e, tau, sigma2, gamma_shape=1e-4):
         return np.where(ok, val, -np.inf)
 
     def neg_total(delta):
-        if lik.inadmissible(delta):
-            return math.inf
-        g = mean_logy + float(np.mean(np.log1p(delta * a)))
-        if g <= 0.0:
-            return math.inf
-        xi = float(profile_xi(np.array(g)))
-        if xi < xi_floor:
-            return math.inf
-        val = (k * (-math.log(xi) - (1.0 / xi + 1.0) * g + float(np.mean(np.log1p(delta * b))))
-               + (gamma_shape - 1.0) * math.log(xi) - xi - 0.5 * delta * delta / sigma2 + lp_const)
-        return -val
+        return -float(total_grid(np.array([delta]))[0])
 
     grid = np.linspace(lo + 1e-9 * max(1.0, abs(lo)), DELTA_MAX, 481)
     vals = total_grid(grid)

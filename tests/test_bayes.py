@@ -13,19 +13,20 @@ from scipy.special import gammaln, ndtr
 from scipy.stats import norm
 
 import epdtail as et
-from epdtail import bayes
+from epdtail import bayes, epd
 from epdtail.bayes import (
     _BLOCK,
     _CELL,
     _STRIDE,
     ClosedFormError,
     _BoundTable,
-    _LogTarget,
+    _delta_prior_logs,
+    _log_post,
     _Profiles,
     _row_scratch,
     _row_sums,
 )
-from epdtail.epd import DELTA_MAX
+from epdtail.epd import DELTA_MAX, _Likelihood
 from conftest import pareto_excesses
 from oracles import (
     grid_map_oracle,
@@ -84,9 +85,8 @@ class TestPriorSpec:
     def test_for_tau_sets_truncation(self):
         e = _excess_set([1.0, 2.0, 4.0])
         for tau, lo in ((-2.0, -0.5), (-0.5, -1.0)):
-            target = _LogTarget(e, tau, 1.0)
-            assert target(1.0, lo) == -math.inf
-            assert math.isfinite(target(1.0, lo + 1e-9))
+            assert log_posterior(1.0, lo, e, tau, 1.0) == -math.inf
+            assert math.isfinite(log_posterior(1.0, lo + 1e-9, e, tau, 1.0))
 
     def test_gamma_normaliser_within_1_ulp_of_scipys_gammaln(self):
         want = float(gammaln(bayes._GAMMA_SHAPE))
@@ -113,11 +113,11 @@ class TestPriorSpec:
             assert abs(_delta_prior_mass(-a / 64.0, sigma2) - want) <= 2 * math.ulp(want), a
 
     def test_validation(self):
-        e = _excess_set([1.0, 2.0, 4.0])
+        e, cfg = _excess_set([1.0, 2.0, 4.0]), et.MCMCConfig(iterations=20, burn_in=10)
         with pytest.raises(ValueError, match="sigma2"):
-            _LogTarget(e, -1.0, 0.0)
+            et.metropolis_sample(e, -1.0, 0.0, cfg)
         with pytest.raises(ValueError, match="tau"):
-            _LogTarget(e, 0.5, 1.0)
+            et.metropolis_sample(e, 0.5, 1.0, cfg)
 
 
 class TestLogPosterior:
@@ -126,7 +126,7 @@ class TestLogPosterior:
         loglik = -3.0 * math.log(2.0)
         lp_xi = (1e-4 - 1.0) * 0.0 - 1.0 - float(gammaln(1e-4))
         lp_delta = -0.0 - math.log(math.sqrt(2 * math.pi)) - math.log(float(norm.sf(-1.0)))
-        expected = loglik + (lp_xi + lp_delta) / 2.0
+        expected = 2.0 * loglik + lp_xi + lp_delta
         assert log_posterior(1.0, 0.0, e, -1.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_truncation_sentinel(self):
@@ -140,7 +140,7 @@ class TestLogPosterior:
         pts = [(0.5, 0.1), (0.9, -0.2), (1.4, 0.6)]
 
         def centered(xi, d):
-            return log_posterior(xi, d, e, -1.0, 1e12) - log_prior_xi(xi) / e.k
+            return (log_posterior(xi, d, e, -1.0, 1e12) - log_prior_xi(xi)) / e.k
 
         base_c = centered(*pts[0])
         base_l = et.epd_log_likelihood(*pts[0], -1.0, e)
@@ -155,11 +155,46 @@ class TestLogPosterior:
         for _ in range(20):
             xi = float(rng.uniform(0.2, 2.0))
             d = float(rng.uniform(et.delta_lower_bound(tau) + 0.05, 2.0))
-            mine = e.k * log_posterior(xi, d, e, tau, sigma2)
+            mine = log_posterior(xi, d, e, tau, sigma2)
             other = float(
                 oracle_log_posterior(np.array([xi]), np.array([d]), e.y, tau, sigma2)[0, 0]
             )
             assert mine == pytest.approx(other, rel=1e-10)
+
+
+def test_every_log_likelihood_is_the_one_formula(burr_k200, monkeypatch):
+    # the ML pass, the one-lane likelihood, and the chain's bound and exact values all
+    # reach the one mean log-likelihood formula, epd._loglik
+    e, tau, sigma2 = burr_k200
+    loglik, sums, calls, exact = epd._loglik, _Likelihood.sums, [], []
+
+    def loglik_spy(xi, k, s1, s2):
+        calls.append((s1, s2))
+        return loglik(xi, k, s1, s2)
+
+    def sums_spy(self, delta):
+        out = sums(self, delta)
+        exact.extend([] if out is None else [tuple(out)])
+        return out
+
+    # ``bayes`` holds its own reference, bound at import
+    monkeypatch.setattr(epd, "_loglik", loglik_spy)
+    monkeypatch.setattr(bayes, "_loglik", loglik_spy)
+    monkeypatch.setattr(_Likelihood, "sums", sums_spy)
+    assert epd._value_and_grad(0.5, 200, [300.0, 2.0, 1.0, 0.5])[0] == loglik(0.5, 200, 300.0, 2.0)
+    assert calls == [(300.0, 2.0)]
+    calls.clear()
+    et.epd_ml_fit(e, tau)
+    assert calls and not exact
+    calls.clear()
+    value = et.epd_log_likelihood(0.5, 0.2, tau, e)
+    assert calls == exact and value == loglik(0.5, e.k, *exact[0])
+    calls.clear()
+    exact.clear()
+    et.metropolis_sample(e, tau, sigma2, et.MCMCConfig(iterations=400, burn_in=100, seed=1))
+    # every exact value, and a bound for most proposals
+    assert exact and set(exact) <= set(calls)
+    assert len(calls) - len(exact) > 200
 
 
 def _solvable_pareto_cases(count=20, k=100, sigma2=1e12):
@@ -338,7 +373,7 @@ class TestMetropolisMatchesSeedLoop:
             for d in (lo - 0.1, lo, lo + 1e-12, -0.2, -0.1, 0.0, 0.7, 9.0, 1e200):
                 ll = oracle_epd_log_likelihood(xi, d, tau, e)
                 lp = log_prior_xi(xi) + log_prior_delta(d, sigma2, tau)
-                want = -math.inf if -math.inf in (ll, lp) else ll + lp / e.k
+                want = -math.inf if -math.inf in (ll, lp) else e.k * (ll + lp / e.k)
                 got = log_posterior(xi, d, e, tau, sigma2)
                 assert got == want, (xi, d)
 
@@ -358,13 +393,13 @@ class TestMetropolisMcmcCliRegime:
         cfg = et.MCMCConfig(seed=k)
         draws, logpost, rate = oracle_metropolis(e, tau, sigma2, cfg)
         passes = []
-        exact = _LogTarget.__call__
+        exact = _Likelihood.sums
 
-        def spy(self, xi, delta):
+        def spy(self, delta):
             passes.append(delta)
-            return exact(self, xi, delta)
+            return exact(self, delta)
 
-        monkeypatch.setattr(_LogTarget, "__call__", spy)
+        monkeypatch.setattr(_Likelihood, "sums", spy)
         chain = et.metropolis_sample(e, tau, sigma2, cfg)
         assert np.array_equal(chain.draws, draws)
         assert np.array_equal(chain.logpost, logpost)
@@ -373,10 +408,11 @@ class TestMetropolisMcmcCliRegime:
         assert len(passes) - 1 < 0.6 * cfg.iterations
 
 
-def _bound(target, table, xi, delta):
-    """The chain's upper bound of k * target(xi, delta); None outside the table.
+def _bound(table, xi, delta, sigma2):
+    """The chain's upper bound of the log posterior at (xi, delta); None outside the table.
 
-    The same arithmetic as the bound test in ``metropolis_sample``.
+    ``_log_post`` on the table's bounds of the two sums, as the bound test in
+    ``metropolis_sample`` computes it.
     """
     x = (delta - table.lo) / _CELL
     if not 0.0 <= x < len(table.cells):
@@ -384,11 +420,8 @@ def _bound(target, table, xi, delta):
     j = int(x)
     c1, e1, p0, q0, p1, q1 = table.cells[j] or table.fill(j)
     f = x - j
-    k = target.k
-    s1 = c1 + e1 * f
-    s2 = min(p0 + q0 * f, p1 + q1 * f)
-    return k * (-math.log(xi) - (1.0 / xi + 1.0) * (s1 / k) + s2 / k
-                + target.log_prior(xi, delta) / k)
+    return _log_post(xi, delta, table.lik.k, c1 + e1 * f, min(p0 + q0 * f, p1 + q1 * f), sigma2,
+                     *_delta_prior_logs(table.lo, sigma2))
 
 
 class TestBoundTable:
@@ -407,8 +440,7 @@ class TestBoundTable:
     def test_bound_is_above_the_exact_value(self, dist, seed, k, tau, log_xi, sigma2,
                                              where, pos):
         e = et.excesses(et.sample_distribution(dist, 500, seed), k)
-        target = _LogTarget(e, tau, sigma2)
-        table = _BoundTable(target.lik)
+        table = _BoundTable(_Likelihood(e.y[None], [tau]))
         lo, n_cells = table.lo, len(table.cells)
         far_out = (DELTA_MAX / 2 - lo + pos * DELTA_MAX / 2) / _CELL
         x = {"node": math.floor(pos * (n_cells - 1)), "between": pos * (n_cells - 1),
@@ -420,7 +452,7 @@ class TestBoundTable:
         checked = 0
         for off in offsets:
             delta = lo + _CELL * off
-            bound, value = _bound(target, table, xi, delta), e.k * target(xi, delta)
+            bound, value = _bound(table, xi, delta, sigma2), log_posterior(xi, delta, e, tau, sigma2)
             if bound is not None and math.isfinite(bound) and math.isfinite(value):
                 assert bound >= value, (delta, bound, value)
                 checked += 1

@@ -168,6 +168,12 @@ class TestEstimate:
         bad.write_text("1\nx\ny\n")
         assert main(["estimate", str(bad)]) == 2
 
+    def test_file_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"loss\n1.5\n2.5\xff\n3.5\n")
+        assert main(["estimate", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("data error: not UTF-8 text")
+
     def test_non_finite_first_value_is_data_error(self, tmp_path, capsys):
         # a first line of inf was taken for a header: the run exited 0 without it
         bad = tmp_path / "inf_first.csv"
@@ -521,6 +527,21 @@ class TestSimulate:
         conf = tmp_path / "bad.conf"
         conf.write_text("dist frechet:0.5\n")
         assert main(["simulate", "--config", str(conf)]) == 2
+
+    def test_config_file_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        conf = tmp_path / "latin1.conf"
+        conf.write_bytes(b"dist = frechet:0.5\n# r\xe9sum\xe9\nn = 150\n")
+        assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.startswith("data error: not UTF-8 text")
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        # Notepad saves UTF-8 with a BOM, which was read as part of the first key
+        conf = tmp_path / "bom.conf"
+        conf.write_bytes(b"\xef\xbb\xbfdist = frechet:0.5\nn = 150\nreps = 2\n"
+                         b"k-min = 20\nk-max = 40\nk-step = 20\nestimators = hill\n")
+        out = tmp_path / "bom.csv"
+        assert main(["simulate", "--config", str(conf), "--out", str(out)]) == 0
+        assert json.loads(out.with_suffix(".json").read_text())["config"]["dist"]["kind"] == "frechet"
 
     @pytest.mark.parametrize("line, key", [
         ("n = abc", "'n'"),

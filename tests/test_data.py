@@ -88,6 +88,15 @@ class TestLoadSample:
             assert et.load_sample(source).values.tolist() == [1.5, 2.5, 3.5]
         assert et.load_sample(b"\xef\xbb\xbfloss\n2.5\n3.5\n").values.tolist() == [2.5, 3.5]
 
+    def test_bytes_that_are_not_utf8_are_a_data_error(self, tmp_path):
+        # a stray Latin-1 byte ended in a UnicodeDecodeError, which the CLI did not catch
+        raw = b"loss\n1.5\n2.5\xff\n3.5\n"
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(raw)
+        for source in (path, str(path), raw, io.BytesIO(raw)):
+            with pytest.raises(DataFormatError, match="not UTF-8 text"):
+                et.load_sample(source)
+
     def test_blank_lines_skipped(self):
         s = et.load_sample(b"\n1\n\n2\n\n")
         assert s.n == 2
