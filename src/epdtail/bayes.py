@@ -131,36 +131,29 @@ def _log_post(xi: float, delta: float, k: int, s1: float, s2: float, sigma2: flo
     return k * (_loglik(xi, k, s1, s2) + log_prior / k)
 
 
-def _row_scratch(rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch space for ``_row_sums`` in blocks of ``rows`` rows (at least one): sums, then slopes."""
-    rows = max(1, rows)
-    return np.empty((rows, 2, k)), np.empty((rows, k))
-
-
-def _row_sums(coef: np.ndarray, lane: np.ndarray, deltas: np.ndarray,
-              scratch: tuple[np.ndarray, np.ndarray], slope: bool = False) -> tuple:
+def _row_sums(coef: np.ndarray, lane: np.ndarray, deltas: np.ndarray, slope: bool = False) -> tuple:
     """Per row, its lane's sums of log1p(delta*a) and log1p(delta*b) at an admissible delta.
 
     ``coef`` stacks the lanes' coefficient rows as (lanes x 2 x k), and
     row i is lane ``lane[i]``. Returns the sums as an (n, 2) array, and
     the n sums of b/(1 + delta*b), the second's derivative in delta, if
-    ``slope`` (else None). The rows run in blocks, each in the ``scratch``
-    space of ``_row_scratch``: a block gathers its lanes' coefficients and
-    scales them by delta in place, and reduces into its rows of the outputs.
-    Each row is reduced alone, so its sums are those of a pass over its
-    lane alone.
+    ``slope`` (else None). The rows run in blocks of at most _BUDGET
+    doubles (half as many again for the slopes), in buffers of the call:
+    a block gathers its lanes' coefficients, scales them by delta in
+    place, and reduces into its rows of the outputs. Each row is reduced
+    alone, so its sums are those of a pass over its lane alone.
     """
-    work, u = scratch
-    n, size = len(deltas), len(work)
+    n, k = len(deltas), coef.shape[2]
+    size = max(1, min(n, _BUDGET // (2 * k)))
+    work, u = np.empty((size, 2, k)), (np.empty((size, k)) if slope else None)
     sums, slopes = np.empty((n, 2)), (np.empty(n) if slope else None)
     for i in range(0, n, size):
         d = deltas[i:i + size, None]
-        w = work[:len(d)]
-        c = coef.take(lane[i:i + size], axis=0, out=w, mode="clip")
+        c = coef.take(lane[i:i + size], axis=0, out=work[:len(d)], mode="clip")
         if slope:
             t = np.add(np.multiply(c[:, 1], d, out=u[:len(d)]), 1.0, out=u[:len(d)])
             np.add.reduce(np.divide(c[:, 1], t, out=t), axis=1, out=slopes[i:i + size])
-        np.add.reduce(np.log1p(np.multiply(c, d[:, None], out=w), out=w), axis=2, out=sums[i:i + size])
+        np.add.reduce(np.log1p(np.multiply(c, d[:, None], out=c), out=c), axis=2, out=sums[i:i + size])
     return sums, slopes
 
 
@@ -176,7 +169,6 @@ class _BoundTable:
     def __init__(self, lik: _Likelihood) -> None:
         self.lik, self.lo = lik, float(lik.lo[0])  # a one-lane stack
         self.cells: list = [None] * (_BLOCK * math.ceil((DELTA_MAX - self.lo) / (_CELL * _BLOCK)))
-        self._scratch = _row_scratch(min(_BLOCK + 1, _BUDGET // (2 * lik.k)), lik.k)
 
     def fill(self, j: int) -> tuple:
         """Fill the block of cell j by row-sum passes over its _BLOCK + 1 nodes; return cell j."""
@@ -184,8 +176,7 @@ class _BoundTable:
         j0 = j - j % _BLOCK
         nodes = self.lo + _CELL * np.arange(j0, j0 + _BLOCK + 1)
         ok = (1.0 + np.outer(nodes, lik.ext)).min(axis=1) >= _FLOOR
-        s, q = _row_sums(lik.coef, np.zeros(_BLOCK + 1, int), np.where(ok, nodes, 0.0), self._scratch,
-                         slope=True)
+        s, q = _row_sums(lik.coef, np.zeros(_BLOCK + 1, int), np.where(ok, nodes, 0.0), slope=True)
         q = _CELL * q  # _CELL * dS2/ddelta
         s1, s2 = s.T
         s1 = s1 + lik.sum_log_y[0]
@@ -248,9 +239,7 @@ class _Profiles:
 
     It searches the stack lanes ``rows``, ascending. A row is one (lane,
     delta) pair: the per-lane constants are arrays over those lanes, and
-    the row sums of any rows come from passes over the stack's ``coef`` of
-    at most _BUDGET doubles (half as many again for the slopes), in
-    scratch space reused across blocks and calls.
+    the row sums of any rows come from ``_row_sums`` on the stack's ``coef``.
     """
 
     def __init__(self, lik: _Likelihood, sigma2: Sequence[float], lanes: Sequence[int] | None = None) -> None:
@@ -269,9 +258,6 @@ class _Profiles:
         start = (lo + 1e-9 * np.maximum(1.0, abs(lo)))[:, None]
         self.grid = np.arange(481.0) * ((DELTA_MAX - start) / 480) + start
         self.grid[:, -1] = DELTA_MAX
-        # a block holds the coarse nodes of a scan's lanes, or as many rows as fit in _BUDGET
-        coarse = min(len(rows), _SCAN_LANES) * (480 // _STRIDE + 1)
-        self.scratch = _row_scratch(min(_BUDGET // (2 * k), coarse), k)
 
     def xi(self, g: np.ndarray) -> np.ndarray:
         """The profiled tail index at g."""
@@ -295,7 +281,7 @@ class _Profiles:
     def exact(self, lane: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         """The profile at rows (lane, delta) by row-sum passes."""
         ok = (1.0 + deltas[:, None] * self.ext[lane] > 0.0).all(axis=1)
-        s = _row_sums(self.coef, self.rows[lane], np.where(ok, deltas, 0.0), self.scratch)[0]
+        s = _row_sums(self.coef, self.rows[lane], np.where(ok, deltas, 0.0))[0]
         return self.from_sums(lane, deltas, ok, s[:, 0], s[:, 1])
 
     def bounds(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -312,7 +298,7 @@ class _Profiles:
         c = grid[:, ::_STRIDE].copy()
         ok = (1.0 + c[:, :, None] * self.ext[block, None] > 0.0).all(axis=2)
         lane = self.rows[block].repeat(c.shape[1])
-        s, q = _row_sums(self.coef, lane, np.where(ok, c, 0.0).ravel(), self.scratch, slope=True)
+        s, q = _row_sums(self.coef, lane, np.where(ok, c, 0.0).ravel(), slope=True)
         s1, s2 = s.T.reshape(2, *c.shape, 1)  # copies, so that each is contiguous
         q = q.reshape(*c.shape, 1)
         v = self.from_sums((block, None), c, ok, s1[..., 0], s2[..., 0])
@@ -456,7 +442,7 @@ def _profile_posterior_modes(
         x_hat, f_hat, _ = out[i]
         out[i] = x_hat if f_hat <= -top[i] else float(grid[i, best[i]])
     if done:
-        s = _row_sums(p.coef, p.rows[done], np.array([out[i] for i in done]), p.scratch)[0]
+        s = _row_sums(p.coef, p.rows[done], np.array([out[i] for i in done]))[0]
         for i, xi in zip(done, p.xi(p.mean_logy[done] + s[:, 0] / k).tolist()):
             out[i] = (xi, out[i])
     return out

@@ -476,18 +476,18 @@ def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
                   iterations=iterations)
 
 
-def _invert_survival(p: EPDParams, targets: np.ndarray, rtol: float = 1e-13) -> np.ndarray:
-    """Solve y*(1+delta-delta*y**tau) = t for each target t >= 1 by bisection."""
+def _invert_survival(p: EPDParams, targets: np.ndarray) -> np.ndarray:
+    """Solve y*(1 + delta*(1 - y**tau)) = t for each target t >= 1 by bisection, to relative width 1e-13."""
     lo_fac = min(1.0, 1.0 + p.delta)
     lower = np.ones_like(targets)
     upper = 1.0 + targets / lo_fac
     for _ in range(200):
         mid = 0.5 * (lower + upper)
-        g = mid * (1.0 + p.delta - p.delta * mid ** p.tau)
+        g = mid * (1.0 + p.delta * (1.0 - mid ** p.tau))
         high = g >= targets
         upper = np.where(high, mid, upper)
         lower = np.where(high, lower, mid)
-        if np.all(upper - lower <= rtol * lower):
+        if np.all(upper - lower <= 1e-13 * lower):
             break
     return 0.5 * (lower + upper)
 

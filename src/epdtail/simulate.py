@@ -15,8 +15,9 @@ computation, and the lanes without an admissible root run the exact
 posterior-mode search in lockstep. None of these copies the stack. Only
 the Metropolis chains run lane by lane, and the Bayes paths of a chunk
 are smoothed as one array. No sum mixes lanes, so results are
-bit-identical for any chunking and worker count.
-An estimator's ValueError or RuntimeError is excluded cell-wise and
+bit-identical for any chunking and worker count. The study aggregates
+every (estimator, k) at once along the replications (``_moments``). An
+estimator's ValueError or RuntimeError is excluded cell-wise and
 counted, and a run aborts when exclusions exceed 5%.
 """
 
@@ -396,8 +397,30 @@ def _study_chunk(cfg: MCStudyConfig, k_grid: tuple[int, ...], x_level: float, re
     return xi_out, p_out
 
 
+def _moments(values: np.ndarray, ok: np.ndarray, truth: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bias against ``truth``, variance and MSE of the ``values`` where ``ok``, along their last axis.
+
+    By ``np.mean`` and ``np.var``'s arithmetic (population form, so mse = bias**2 + variance): the sum
+    divided by the count, then the squared deviations summed and divided by the count. A cell where every
+    value is ok gets those calls' bits; elsewhere the zeros standing in for the rest change the pairwise
+    summation, so the last bits may differ. A cell with no value ok is NaN.
+    """
+    count = ok.sum(axis=-1)
+    with np.errstate(invalid="ignore"):  # 0/0 where no value is ok
+        mean = np.add.reduce(np.where(ok, values, 0.0), axis=-1) / count
+        dev = np.where(ok, values - mean[..., None], 0.0)
+        var = np.add.reduce(dev * dev, axis=-1) / count
+    bias = mean - truth
+    return bias, var, bias ** 2 + var
+
+
 def run_study(cfg: MCStudyConfig, workers: int = 1) -> MCStudyResult:
-    """Run the replicated study; deterministic in master_seed, any worker count."""
+    """Run the replicated study; deterministic in master_seed, any worker count.
+
+    The chunks' xi and tail probabilities are gathered as (estimators, k,
+    reps) arrays, contiguous along the replications, and ``_moments``
+    aggregates every (estimator, k) of each at once.
+    """
     k_grid = cfg.resolved_k_grid()
     x_level = true_quantile(cfg.dist, 1.0 - cfg.target_p)
     chunk_fn = partial(_study_chunk, cfg, k_grid, x_level)
@@ -410,45 +433,16 @@ def run_study(cfg: MCStudyConfig, workers: int = 1) -> MCStudyResult:
     else:
         per_chunk = [chunk_fn(c) for c in chunks]
 
-    xi_all = np.concatenate([c[0] for c in per_chunk])  # (reps, est, k)
-    p_all = np.concatenate([c[1] for c in per_chunk])
+    xi_all, p_all = (np.moveaxis(np.concatenate(parts), 0, -1).copy() for parts in zip(*per_chunk))
     valid = np.isfinite(xi_all) & np.isfinite(p_all)
-    excluded_total = int(valid.size - valid.sum())
-    frac = excluded_total / valid.size
+    excluded = cfg.reps - valid.sum(axis=-1)
+    frac = int(excluded.sum()) / valid.size
     if frac > 0.05:
-        raise StudyError(
-            f"{excluded_total} of {valid.size} cells failed ({frac:.1%}); "
-            "aborting study aggregation"
-        )
-
-    metrics: dict[str, EstimatorMetrics] = {}
-    for i, name in enumerate(cfg.estimators):
-        bias = np.empty(len(k_grid))
-        var = np.empty(len(k_grid))
-        rel_bias = np.empty(len(k_grid))
-        rel_var = np.empty(len(k_grid))
-        excl = np.empty(len(k_grid), dtype=int)
-        for j in range(len(k_grid)):
-            mask = valid[:, i, j]
-            excl[j] = int(cfg.reps - mask.sum())
-            if not mask.any():
-                bias[j] = var[j] = rel_bias[j] = rel_var[j] = np.nan
-                continue
-            xi_vals = xi_all[mask, i, j]
-            ratio = p_all[mask, i, j] / cfg.target_p - 1.0
-            bias[j] = xi_vals.mean() - cfg.dist.true_xi
-            var[j] = xi_vals.var()  # population form, so mse = bias**2 + variance
-            rel_bias[j] = ratio.mean()
-            rel_var[j] = ratio.var()
-        metrics[name] = EstimatorMetrics(
-            bias=bias,
-            variance=var,
-            mse=bias ** 2 + var,
-            rel_bias=rel_bias,
-            rel_variance=rel_var,
-            rel_mse=rel_bias ** 2 + rel_var,
-            excluded=excl,
-        )
+        raise StudyError(f"{excluded.sum()} of {valid.size} cells failed ({frac:.1%}); aborting study aggregation")
+    index = _moments(xi_all, valid, cfg.dist.true_xi)
+    tail = _moments(p_all / cfg.target_p - 1.0, valid, 0.0)
+    metrics = {name: EstimatorMetrics(*(m[i] for m in index), *(m[i] for m in tail), excluded=excluded[i])
+               for i, name in enumerate(cfg.estimators)}
     return MCStudyResult(config=cfg, k_grid=k_grid, metrics=metrics, exclusion_fraction=frac)
 
 

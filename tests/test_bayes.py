@@ -23,7 +23,6 @@ from epdtail.bayes import (
     _delta_prior_logs,
     _log_post,
     _Profiles,
-    _row_scratch,
     _row_sums,
 )
 from epdtail.epd import DELTA_MAX, _Likelihood
@@ -459,17 +458,19 @@ class TestBoundTable:
         assert checked or where == "near_lo"
 
 
-def test_row_sums_reduce_each_block_into_its_rows():
+def test_row_sums_reduce_each_block_into_its_rows(monkeypatch):
     # blocks of 3 over 8 rows give each row's sums and slope as a pass over that row alone;
     # no rows give empty outputs
     lik = stack([(pareto_excesses(1.0, 50, 0), -1.0), (pareto_excesses(0.5, 50, 1), -0.7)])
     lane, deltas = np.array([0, 1, 0, 1, 1, 0, 0, 1]), np.linspace(-0.3, 2.0, 8)
-    s, q = _row_sums(lik.coef, lane, deltas, _row_scratch(3, lik.k), slope=True)
+    monkeypatch.setattr(bayes, "_BUDGET", 3 * 2 * lik.k)
+    s, q = _row_sums(lik.coef, lane, deltas, slope=True)
+    empty = _row_sums(lik.coef, lane[:0], deltas[:0])
+    monkeypatch.setattr(bayes, "_BUDGET", 2 * lik.k)
     for i in range(8):
-        s_i, q_i = _row_sums(lik.coef, lane[i:i + 1], deltas[i:i + 1], _row_scratch(1, lik.k), slope=True)
+        s_i, q_i = _row_sums(lik.coef, lane[i:i + 1], deltas[i:i + 1], slope=True)
         assert s[i].tobytes() == s_i[0].tobytes() and q[i].tobytes() == q_i[0].tobytes()
-    s, q = _row_sums(lik.coef, lane[:0], deltas[:0], _row_scratch(3, lik.k))
-    assert s.shape == (0, 2) and q is None
+    assert empty[0].shape == (0, 2) and empty[1] is None
 
 
 class TestProfileBound:

@@ -388,6 +388,23 @@ class TestQuantileAndSampling:
         for q in (0.05, 0.5, 0.9, 0.999):
             assert et.epd_survival(p, et.epd_quantile(p, q)) == pytest.approx(1 - q, abs=1e-10)
 
+    @pytest.mark.parametrize("tau, delta", [(-1.0, -1.0 + 1e-12), (-1.0, -1.0 + 1e-6), (-1.0, 0.3),
+                                            (-0.5, -1.0 + 1e-9), (-2.0, -0.5 + 1e-9)])
+    @pytest.mark.parametrize("xi", [0.25, 1.0])
+    def test_round_trip_to_the_bisection_width(self, tau, delta, xi):
+        # The bisection stops at relative width 1e-13, so the quantile y lies within 5e-14 of where
+        # the survival's own base, y*(1 + delta*(1 - y**tau)), crosses (1 - q)**(-xi). That base
+        # moves with y at a log-slope of at most 1 + max(delta, 0)*|tau|, and the survival is its
+        # power -1/xi; each of the two powers rounds by up to 2 eps. An ulp of 1 - q is at least
+        # 2**-53 of it.
+        eps = 2.0 ** -52
+        slope = 1.0 + max(delta, 0.0) * -tau
+        ulps = ((slope * 5e-14 + 2 * eps) / xi + 2 * eps) / 2.0 ** -53
+        p = et.EPDParams(xi=xi, delta=delta, tau=tau)
+        for q in (1e-3, 0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 0.9999):
+            got = et.epd_survival(p, et.epd_quantile(p, q))
+            assert abs(got - (1.0 - q)) <= ulps * np.spacing(1.0 - q), (q, got)
+
     def test_inverse_of_hand_survival(self):
         p = et.EPDParams(xi=0.5, delta=0.1, tau=-1.0)
         q = 1.0 - (2.0 * 1.05) ** -2

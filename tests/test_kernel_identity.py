@@ -395,10 +395,11 @@ def test_ml_fits_and_mode_search_run_through_the_runner(monkeypatch):
 
 
 def test_a_penalised_ml_point_costs_no_pass_row(monkeypatch):
-    # EPD samples near the model bound, where two lanes' line searches reach the region
-    # edge and are answered with the penalty, between two lanes that stay inside it
-    lanes = [(_epd_cell(0.5, -0.99, tau, 200, seed), tau) for tau, seed in
-             ((-0.8, 0), (-0.8, 2), (-0.7, 4), (-0.8, 1))]
+    # EPD samples near the model bound, where four lanes' line searches each reach the
+    # region edge once and are answered with the penalty, between two lanes that stay inside it
+    lanes = [(_epd_cell(xi, delta, tau, 200, seed), tau) for xi, delta, tau, seed in
+             ((0.5, -0.99, -0.8, 0), (0.5, -0.99, -0.8, 2), (0.5, -0.99, -0.7, 4), (1.0, -0.99, -0.7, 7),
+              (1.0, -0.999, -0.9, 20), (0.5, -0.99, -0.8, 1))]
     count = {"fg": 0, "penalised": 0, "rows": 0}
     asked = {}  # per lane, by its task array: whether the core's last return asked for FG
     setulb, fg_sums = et.epd._lbfgsb.setulb, et.epd._fg_sums
@@ -416,7 +417,7 @@ def test_a_penalised_ml_point_costs_no_pass_row(monkeypatch):
     monkeypatch.setattr(et.epd._lbfgsb, "setulb", setulb_spy)
     monkeypatch.setattr(et.epd, "_fg_sums", fg_sums_spy)
     got = [repr(fit) for fit in epd_ml_fits(stack(lanes))]
-    assert count["penalised"] == 5
+    assert count["penalised"] == 4
     assert count["rows"] == count["fg"] - count["penalised"]
     monkeypatch.undo()
     assert got == [repr(_fields(et.epd_ml_fit(e, tau))) for e, tau in lanes]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 import epdtail as et
 import epdtail.second_order as so
@@ -92,11 +94,35 @@ class TestRhoFraga:
         rho = et.rho_fraga(s, tuning=1.0)
         assert rho < 0
 
-    def test_scale_invariance(self, burr_dist):
-        s = et.sample_distribution(burr_dist, 2000, 8)
-        r1 = et.rho_fraga(s)
-        r2 = et.rho_fraga(et.SortedSample(math.pi * s.values))
-        assert r1 == pytest.approx(r2, rel=1e-9)
+    @given(dist=st.sampled_from([et.burr(0.75, -0.75), et.frechet(0.5), et.burr(0.5, -2.0)]),
+           n=st.integers(200, 3000), seed=st.integers(0, 2**32 - 1), log10_scale=st.floats(-30.0, 30.0))
+    @example(dist=et.burr(0.75, -0.75), n=2000, seed=8, log10_scale=math.log10(math.pi))
+    def test_scale_invariance(self, dist, n, seed, log10_scale):
+        # Scaling leaves the log-spacings d_i = log x_i - log x_0 unchanged but for rounding: the
+        # scaled values round by eps/2, and each of the eight logs the two samples take is within
+        # 2 ulp of its exact value, at most 2 eps * L with L the largest |log x| of both. So every
+        # spacing moves by at most D = 16 eps (L + 1), and the moment m_j = mean(d**j) by the
+        # relative r_j = j D mean(d**(j-1)) / m_j, plus the rounding of its power and its sum. The
+        # bound carries r_j through the ratio statistic t = num / den and rho = -|3 (t-1)/(t-3)|
+        # to first order, doubled for the terms of higher order.
+        eps = np.finfo(float).eps
+        s = et.sample_distribution(dist, n, seed)
+        scaled = et.SortedSample(10.0 ** log10_scale * s.values)
+        try:
+            r1, r2 = et.rho_fraga(s), et.rho_fraga(scaled)
+        except NonEstimableError:
+            assume(False)
+        k1 = min(n - 1, math.floor(n ** 0.975))
+        d = np.log(s.values[n - k1:]) - np.log(s.values[n - k1 - 1])
+        spread = 16 * eps * (max(abs(np.log(v[[0, -1]])).max() for v in (s.values, scaled.values)) + 1)
+        m = [np.mean(d ** j) for j in range(4)]  # m[0] = 1
+        r = [0.0] + [j * spread * m[j - 1] / m[j] + 2 * (math.log2(n) + j) * eps for j in (1, 2, 3)]
+        num = math.log(m[1]) - 0.5 * math.log(m[2] / 2.0)
+        den = 0.5 * math.log(m[2] / 2.0) - math.log(m[3] / 6.0) / 3.0
+        logs = 8 * eps * (abs(math.log(m[1])) + abs(math.log(m[2])) + abs(math.log(m[3])) + 1)
+        t = num / den
+        dt = (r[1] + 0.5 * r[2] + logs + abs(t) * (0.5 * r[2] + r[3] / 3.0 + logs)) / abs(den)
+        assert abs(r2 - r1) <= 2 * 6 * dt / (t - 3.0) ** 2 + 4 * eps * abs(r1), (r1, r2)
 
     def test_default_k1(self, burr_dist):
         s = et.sample_distribution(burr_dist, 500, 3)

@@ -219,6 +219,33 @@ class TestRunStudy:
                 np.abs(m.rel_mse - (m.rel_bias ** 2 + m.rel_variance))[good] <= 1e-12
             )
 
+    @pytest.mark.parametrize("reps", [1, 7, 200, 333])
+    def test_moments_are_numpys_along_the_replications(self, reps):
+        # (estimators x k x reps) values: cell (0, 0) has no failure, (0, 1) only failures, and
+        # the others drop about a third of their replications
+        rng = np.random.default_rng(reps)
+        values = 3.0 + rng.standard_normal((2, 3, reps)) * rng.uniform(1e-3, 1e3, (2, 3, 1))
+        ok = rng.random(values.shape) > 0.35
+        ok[0, 0], ok[0, 1], ok[1, :, 0] = True, False, True
+        values[~ok] = np.nan
+        bias, var, mse = sim._moments(values, ok, 0.5)
+        assert (bias[0, 0], var[0, 0]) == (np.mean(values[0, 0]) - 0.5, np.var(values[0, 0]))
+        assert mse[0, 0] == bias[0, 0] ** 2 + var[0, 0]
+        assert np.isnan([bias[0, 1], var[0, 1], mse[0, 1]]).all()
+        # Where some failed, the zeros in place of the failures change only the pairwise
+        # summation tree. numpy sums up to 128 values in 8 running sums and pairs the blocks
+        # beyond, so each sum is within (reps/8 + log2(reps) + 4) eps of the sum of |x|, and
+        # the two means within twice that over the count of each other. The variances are then
+        # sums of squared deviations from means that differ by that move: they differ by the
+        # square of the move, twice the sum's rounding, and 4 eps for the rounded deviations.
+        eps = np.finfo(float).eps
+        gamma = 2 * (reps / 8 + math.log2(reps) + 4) * eps
+        for e, j in zip(*np.nonzero(ok.any(axis=-1))):
+            x = values[e, j][ok[e, j]]
+            move = gamma * np.mean(abs(x))
+            assert abs(bias[e, j] + 0.5 - np.mean(x)) <= move
+            assert abs(var[e, j] - np.var(x)) <= (gamma + 4 * eps) * np.var(x) + move ** 2
+
     def test_hill_cells_match_direct_recomputation(self, frechet_dist):
         cfg = _small_cfg(frechet_dist, estimators=("hill",), smooth_window=0)
         res = et.run_study(cfg)
