@@ -10,10 +10,10 @@ random-walk Metropolis chain. On the lanes of a likelihood stack
 and the exact-mode search runs the lanes left in lockstep, in passes of a
 fixed size over the stack, polished by a port of scipy's bounded minimizer
 that the lockstep runner ``epd._lockstep`` drives for all of them. The
-search's profile (``_Profiles.from_sums``) and the chain's log posterior
-(``_log_post``) are each one formula on a lane's row sums or bounds of
-them. The priors' constants come from the standard library
-(``math.erfc`` and ``math.lgamma``), so no ``scipy.special`` import runs.
+search's profile (``_Profiles.from_sums``) and the chain evaluate one log
+posterior formula, ``_log_post``, on a lane's row sums by one arithmetic,
+``_log1p_sums``, or on bounds of them. The priors' constants come from the
+standard library (``math.erfc``, ``math.lgamma``): no ``scipy.special`` runs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Literal
 import numpy as np
 
 from .data import ExcessSet, SortedSample
-from .epd import (DELTA_MAX, EPDParams, _lane_powers, _Likelihood, _lockstep, _loglik, delta_lower_bound,
+from .epd import (DELTA_MAX, EPDParams, _inadmissible, _lane_powers, _Likelihood, _lockstep, delta_lower_bound,
                   epd_tail_prob)
 
 __all__ = [
@@ -112,23 +112,27 @@ def prior_variance(k: int, n: int, rho: float) -> float:
     return (k / n) ** (-2.0 * rho)
 
 
-def _delta_prior_logs(lo: float, sigma2: float) -> tuple[float, float]:
-    """The logs of the delta prior's normal normaliser and of its mass above the bound lo."""
+def _log_prior_const(lo: float, sigma2: float) -> float:
+    """``_log_post``'s constant: -log of the delta prior's normaliser, of its mass above lo, of Gamma(shape)."""
     sigma = math.sqrt(sigma2)
     mass = 0.5 * math.erfc(lo / (sigma * math.sqrt(2.0)))
-    return math.log(math.sqrt(2.0 * math.pi) * sigma), math.log(mass)
+    return -math.log(math.sqrt(2.0 * math.pi) * sigma) - math.log(mass) - _LOG_GAMMA
 
 
-def _log_post(xi: float, delta: float, k: int, s1: float, s2: float, sigma2: float, log_norm: float,
-              log_trunc: float) -> float:
-    """k times the log posterior at xi > 0 from a lane's sums s1, s2 of ``_Likelihood.sums``, or bounds of them.
+def _log_post(xi, log_xi, g, s2, delta, sigma2, const, k):
+    """The log posterior at xi > 0 on the total (not per-observation) scale, for floats or arrays.
 
-    The mean log-likelihood ``epd._loglik`` plus 1/k times the gamma log prior on xi and the
-    normal log prior on delta, with the logs ``_delta_prior_logs`` of its normaliser and mass.
+    ``g`` is mean(log y) + S1/k and ``s2`` is S2, from a lane's row sums S1 of log1p(delta*a) and S2
+    of log1p(delta*b) or bounds of them; ``const`` is ``_log_prior_const``. The log likelihood, then
+    the gamma log prior on xi and the normal one on delta.
     """
-    log_prior = ((_GAMMA_SHAPE - 1.0) * math.log(xi) - xi - _LOG_GAMMA
-                 + (-0.5 * delta * delta / sigma2 - log_norm - log_trunc))
-    return k * (_loglik(xi, k, s1, s2) + log_prior / k)
+    return (k * (-log_xi - (1.0 / xi + 1.0) * g + s2 / k)
+            + (_GAMMA_SHAPE - 1.0) * log_xi - xi - 0.5 * delta * delta / sigma2 + const)
+
+
+def _log1p_sums(coef: np.ndarray, delta, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sums of log1p(delta*coef) along the last axis, by a multiply and a log1p in place into ``w``."""
+    return np.add.reduce(np.log1p(np.multiply(coef, delta, out=w), out=w), axis=-1, out=out)
 
 
 def _row_sums(coef: np.ndarray, lane: np.ndarray, deltas: np.ndarray, slope: bool = False) -> tuple:
@@ -153,12 +157,12 @@ def _row_sums(coef: np.ndarray, lane: np.ndarray, deltas: np.ndarray, slope: boo
         if slope:
             t = np.add(np.multiply(c[:, 1], d, out=u[:len(d)]), 1.0, out=u[:len(d)])
             np.add.reduce(np.divide(c[:, 1], t, out=t), axis=1, out=slopes[i:i + size])
-        np.add.reduce(np.log1p(np.multiply(c, d[:, None], out=c), out=c), axis=2, out=sums[i:i + size])
+        _log1p_sums(c, d[:, None], c, sums[i:i + size])
     return sums, slopes
 
 
 class _BoundTable:
-    """Bounds on the row sums S1 = sum(log(1 + delta*a) + log y), S2 = sum(log(1 + delta*b)).
+    """Bounds on the row sums S1 of log1p(delta*a) and S2 of log1p(delta*b) of a one-lane stack.
 
     Both are concave in delta: over a cell the chord lies below S1 and the
     lower end tangent above S2. At fraction f of cell j = (c1, e1, p0, q0, p1, q1),
@@ -179,7 +183,6 @@ class _BoundTable:
         s, q = _row_sums(lik.coef, np.zeros(_BLOCK + 1, int), np.where(ok, nodes, 0.0), slope=True)
         q = _CELL * q  # _CELL * dS2/ddelta
         s1, s2 = s.T
-        s1 = s1 + lik.sum_log_y[0]
         m1, m2 = (_MARGIN * (np.maximum(abs(s[:-1]), abs(s[1:])) + lik.k) for s in (s1, s2))
         rows = np.column_stack([s1[:-1] - m1, s1[1:] - s1[:-1], s2[:-1] + m2, q[:-1],
                                 s2[1:] - q[1:] + m2, q[1:]])
@@ -251,8 +254,7 @@ class _Profiles:
         self.mean_logy = lik.sum_log_y[rows] / k
         self.xi_floor = 0.05 * self.mean_logy
         self.lo = lo = lik.lo[rows]
-        self.lp_const = np.array([-log_norm - log_trunc - _LOG_GAMMA for log_norm, log_trunc in
-                                  map(_delta_prior_logs, lo.tolist(), self.sigma2.tolist())])
+        self.lp_const = np.array(list(map(_log_prior_const, lo.tolist(), self.sigma2.tolist())))
         self.bq = k + 1.0 - _GAMMA_SHAPE
         # np.linspace(start, DELTA_MAX, 481) of every lane, by linspace's own arithmetic
         start = (lo + 1e-9 * np.maximum(1.0, abs(lo)))[:, None]
@@ -272,10 +274,7 @@ class _Profiles:
         g_safe = np.where(ok, g, 1.0)
         xi = self.xi(g_safe)
         ok &= xi >= self.xi_floor[lane]
-        log_xi = np.log(xi)
-        val = (k * (-log_xi - (1.0 / xi + 1.0) * g_safe + s2 / k)
-               + (_GAMMA_SHAPE - 1.0) * log_xi - xi - 0.5 * deltas * deltas / self.sigma2[lane]
-               + self.lp_const[lane])
+        val = _log_post(xi, np.log(xi), g_safe, s2, deltas, self.sigma2[lane], self.lp_const[lane], k)
         return np.where(ok, val, -np.inf)
 
     def exact(self, lane: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -462,12 +461,11 @@ def _closed_forms(lik: _Likelihood,
     with np.errstate(all="ignore"):  # a lane whose sigma2 is not positive gets its ValueError below
         xi, delta = _first_order(lik, 1.0 / (lik.k * s2))
     out: list = [None if math.isnan(d) else (x, d, "linear") for x, d in zip(xi.tolist(), delta.tolist())]
-    for i in np.flatnonzero((lik.k < 10) | (lik.tau >= 0) | ~(s2 > 0)).tolist():
+    for i in np.flatnonzero((lik.k < 10) | ~(lik.lo < math.inf) | ~(s2 > 0)).tolist():
         try:
             if lik.k < 10:
                 raise ValueError(f"need at least 10 excesses, got {lik.k}")
-            if lik.tau[i] >= 0:
-                raise ValueError(f"tau must be negative, got {float(lik.tau[i])}")
+            delta_lower_bound(float(lik.tau[i]))  # a tau outside (-inf, 0) raises
             _check_sigma2(sigma2[i])
         except ValueError as exc:
             out[i] = exc
@@ -522,21 +520,23 @@ def metropolis_sample(
     log-posterior values are on the total (not per-observation) scale.
     Deterministic for a fixed seed.
 
-    The log posterior is ``_log_post`` on the sums of ``_Likelihood.sums``.
-    A proposal is first tested against an upper bound of it, ``_log_post``
-    on the ``_BoundTable`` bounds of the two sums. Rounding is monotone, so
-    the likelihood pass runs only where the bound is not already rejected.
+    The log posterior is ``_log_post`` on the lane's row sums, by
+    ``_log1p_sums`` on its two coefficient rows, with u as log xi. A
+    proposal is first tested against an upper bound of it, ``_log_post`` on
+    the ``_BoundTable`` bounds of the two sums. Rounding is monotone, so the
+    row-sum pass runs only where the bound is not already rejected.
     """
     _check_sigma2(sigma2)
     k, lik = e.k, _Likelihood(e.y[None], [tau])
-    log_norm, log_trunc = _delta_prior_logs(delta_lower_bound(tau), sigma2)
+    const = _log_prior_const(delta_lower_bound(tau), sigma2)
     rng = np.random.default_rng(config.seed)
-    h = float(lik.sum_log_y[0]) / k  # the Hill estimate
+    h = float(lik.sum_log_y[0]) / k  # the Hill estimate, mean(log y)
     if h <= 0:
         raise ValueError("all excesses are ties; posterior has no interior mass")
 
+    coef, ext, w = lik.coef[0], lik.ext[0].tolist(), np.empty((2, k))
     u, d = math.log(h), 0.0  # delta = 0 is inside every lane's region
-    lp = _log_post(math.exp(u), d, k, *lik.sums(d), sigma2, log_norm, log_trunc)
+    lp = _log_post(math.exp(u), u, h, 0.0, d, sigma2, const, k)  # both sums are 0 at delta = 0
 
     s_u, s_d = _STEP_LOG_XI, _STEP_DELTA
     retained = config.iterations - config.burn_in
@@ -545,7 +545,7 @@ def metropolis_sample(
     accepted_post = batch_accepts = 0
     table = _BoundTable(lik)
     cells, fill, n_cells, lo = table.cells, table.fill, len(table.cells), table.lo
-    sums, normal, uniform = lik.sums, rng.standard_normal, rng.random
+    normal, uniform = rng.standard_normal, rng.random
     exp, log = math.exp, math.log
 
     for t in range(config.iterations):
@@ -560,13 +560,14 @@ def metropolis_sample(
             j = int(x)
             c1, e1, p0, q0, p1, q1 = cells[j] or fill(j)
             f = x - j
-            lp_hi = _log_post(xi_new, d_new, k, c1 + e1 * f, min(p0 + q0 * f, p1 + q1 * f), sigma2, log_norm,
-                              log_trunc)
+            lp_hi = _log_post(xi_new, u_new, h + (c1 + e1 * f) / k, min(p0 + q0 * f, p1 + q1 * f), d_new,
+                              sigma2, const, k)
             # Jacobian of xi = exp(u): add u to the log target on the sampling scale;
             # a left-out cell's NaN bound rejects nothing
             rejected = log_u >= (lp_hi + u_new) - (lp + u)
-        if not rejected and (s := sums(d_new)) is not None:
-            lp_new = _log_post(xi_new, d_new, k, *s, sigma2, log_norm, log_trunc)
+        if not rejected and d_new > lo and not _inadmissible(ext, d_new):
+            s1, s2 = _log1p_sums(coef, d_new, w).tolist()
+            lp_new = _log_post(xi_new, u_new, h + s1 / k, s2, d_new, sigma2, const, k)
             if log_u < (lp_new + u_new) - (lp + u):
                 u, d, lp = u_new, d_new, lp_new
                 batch_accepts += 1

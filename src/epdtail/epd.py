@@ -4,13 +4,14 @@ The model perturbs the strict Pareto survival y**(-1/xi) by a bounded
 power term: survival(y) = (y * (1 + delta - delta * y**tau))**(-1/xi) on
 y >= 1, with tau < 0 < xi and delta > max(-1, 1/tau). delta = 0 recovers
 the strict Pareto exactly. The likelihood is built once as a stack of
-lanes, excess sets that share k, and the ML fits read it in place. Each
-lane's fit is a generator search, and one runner, ``_lockstep``, runs
-the searches of all lanes together, as it runs the posterior-mode polish
-of ``bayes``. The survival is one array formula, ``_tail_probs``, for
-lanes and for one lane alike. The mean log-likelihood is one formula,
-``_loglik``, on a lane's two sums from the ML pass ``_fg_sums``, from
-``_Likelihood.sums`` or from the bound table of the chain in ``bayes``.
+lanes, excess sets that share k. Each lane's fit is a generator search,
+and one runner, ``_lockstep``, runs the searches of all lanes together,
+as it runs the posterior-mode polish of ``bayes``. The survival is one
+array formula, ``_tail_probs``, for lanes and for one lane alike. The
+mean log-likelihood is one formula, ``_loglik``, on a lane's two sums
+from the ML pass ``_fg_sums``, which also answers the one-lane
+``epd_log_likelihood``; the log posterior of ``bayes`` is one formula of
+its own on the row sums of log1p, for the mode search and the chain.
 
 The fit drives scipy's compiled L-BFGS-B core, the extension module
 ``scipy.optimize._lbfgsb``. ``_load_lbfgsb`` loads it from its file, so
@@ -28,7 +29,7 @@ import sys
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -89,9 +90,9 @@ _lbfgsb = _load_lbfgsb()
 
 
 def delta_lower_bound(tau: float) -> float:
-    """Left endpoint of the admissible perturbation range, max(-1, 1/tau)."""
-    if tau >= 0:
-        raise ValueError(f"tau must be negative, got {tau}")
+    """Left endpoint of the admissible perturbation range, max(-1, 1/tau), for tau in (-inf, 0)."""
+    if not -math.inf < tau < 0:
+        raise ValueError(f"tau must be negative and finite, got {tau}")
     return max(-1.0, 1.0 / tau)
 
 
@@ -145,7 +146,7 @@ class _Likelihood:
         self.y = y  # (lanes x k), each row non-increasing
         self.k = k = y.shape[1]
         self.tau = tau = np.array(tau, dtype=float)
-        self.lo = np.array([delta_lower_bound(t) if t < 0 else math.inf for t in tau.tolist()])
+        self.lo = np.array([delta_lower_bound(t) if -math.inf < t < 0 else math.inf for t in tau.tolist()])
         if (y < 1.0).any():
             raise ValueError("excesses must be >= 1")
         self.log_y = np.log(y) if log_y is None else log_y
@@ -155,30 +156,16 @@ class _Likelihood:
         self.coef = np.empty((len(y), 2, k))
         a, b = self.coef[:, 0], self.coef[:, 1]
         np.subtract(1.0, p, out=a)
-        np.subtract(1.0, np.multiply((1.0 + tau)[:, None], p, out=b), out=b)
+        with np.errstate(invalid="ignore"):  # -inf * 0 at tau = -inf, a lane that fails on its tau
+            np.subtract(1.0, np.multiply((1.0 + tau)[:, None], p, out=b), out=b)
         self.ext = np.column_stack([a.min(axis=1), a.max(axis=1), b.min(axis=1), b.max(axis=1)])
 
-    @cached_property
-    def _one(self) -> tuple:
-        """A one-lane stack's bound, extremes, rows and log y; the (2 x k) scratch of ``sums``, its first row."""
-        w = np.empty((2, self.k))
-        return float(self.lo[0]), self.ext[0].tolist(), self.coef[0], self.log_y[0], w, w[0]
-
-    def sums(self, delta: float) -> list[float] | None:
-        """A one-lane stack's sums [s1, s2] of ``_fg_sums`` at delta; None outside the region."""
-        lo, ext, coef, log_y, w, w0 = self._one
-        if not delta > lo or _inadmissible(ext, delta):
-            return None
-        np.multiply(coef, delta, out=w)
-        np.add(w, 1.0, out=w)
-        np.log(w, out=w)
-        np.add(w0, log_y, out=w0)
-        return np.add.reduce(w, axis=1).tolist()
-
     def __call__(self, xi: float, delta: float) -> float:
-        """The mean log-likelihood of a one-lane stack at (xi, delta); -inf outside the region."""
-        s = self.sums(delta) if xi > 0 else None
-        return -math.inf if s is None else _loglik(xi, self.k, *s)
+        """The mean log-likelihood of a one-lane stack at (xi, delta), by ``_fg_sums``; -inf outside the region."""
+        if not (xi > 0 and delta > self.lo[0]) or _inadmissible(self.ext[0].tolist(), delta):
+            return -math.inf
+        (sums,) = _fg_sums(self.coef, self.log_y, np.full((1, 1, 1), delta), np.empty((1, 4, self.k)))
+        return _loglik(xi, self.k, *sums[:2])
 
 
 def _loglik(xi: float, k: int, s1: float, s2: float) -> float:
@@ -423,10 +410,10 @@ def epd_ml_fits(lik: _Likelihood) -> list[tuple[float, float, float, bool, int] 
 
     Every lane runs its own L-BFGS-B search, ``_ml_search``, and
     ``_lockstep`` runs them together: each round, one ``_fg_sums`` pass
-    answers every lane that asks for a value and gradient, on the stack
-    itself when all of them ask. A lane's fit, the tuple (xi, delta,
-    loglik, converged, iterations), is the bits it gets alone, since no sum
-    mixes lanes. A lane that cannot be fit holds its ValueError.
+    over the stack rows of the lanes that ask answers each with a value and
+    gradient. A lane's fit, the tuple (xi, delta, loglik, converged,
+    iterations), is the bits it gets alone, since no sum mixes lanes. A
+    lane that cannot be fit holds its ValueError.
     """
     k, searches = lik.k, []
     for tau, lo, ext, sum_log_y in zip(lik.tau.tolist(), lik.lo.tolist(), lik.ext.tolist(),
@@ -434,8 +421,8 @@ def epd_ml_fits(lik: _Likelihood) -> list[tuple[float, float, float, bool, int] 
         h = sum_log_y / k  # the Hill estimate, as ``hill`` computes it
         if k < 10:
             searches.append(ValueError(f"need at least 10 excesses to fit, got {k}"))
-        elif tau >= 0:
-            searches.append(ValueError(f"tau must be negative, got {tau}"))
+        elif not -math.inf < tau < 0:
+            searches.append(ValueError(f"tau must be negative and finite, got {tau}"))
         elif h <= 0:
             searches.append(ValueError("all excesses are ties; the likelihood has no interior maximum"))
         else:
@@ -445,8 +432,6 @@ def epd_ml_fits(lik: _Likelihood) -> list[tuple[float, float, float, bool, int] 
     def fg_sums(lanes: list[int], points: list[float]) -> list:
         m = len(lanes)
         deltas[:m, 0, 0] = points
-        if m == len(searches):
-            return _fg_sums(lik.coef, lik.log_y, deltas, work)
         return _fg_sums(lik.coef[lanes], lik.log_y[lanes], deltas[:m], work[:m])
 
     with _ONE_BLAS_THREAD:

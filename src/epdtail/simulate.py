@@ -156,22 +156,23 @@ def sample_distribution(d: SimDistribution, n: int, seed) -> SortedSample:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rng = np.random.default_rng(seed)
-    if d.kind == "frechet":
-        (xi,) = d.args
-        u = np.maximum(rng.random(n), np.finfo(float).tiny)
-        x = (-np.log(u)) ** (-xi)
-    elif d.kind == "burr":
-        xi, rho = d.args
-        s = np.minimum(1.0 - rng.random(n), np.nextafter(1.0, 0.0))
-        x = (s ** rho - 1.0) ** (-xi / rho)
-    elif d.kind == "loggamma":
-        shape, rate = d.args
-        with np.errstate(over="ignore"):  # reported below, as an OverflowError
+    with np.errstate(over="ignore"):  # reported below, as an OverflowError
+        if d.kind == "frechet":
+            (xi,) = d.args
+            u = np.maximum(rng.random(n), np.finfo(float).tiny)
+            x = (-np.log(u)) ** (-xi)
+        elif d.kind == "burr":
+            xi, rho = d.args
+            s = np.minimum(1.0 - rng.random(n), np.nextafter(1.0, 0.0))
+            x = (s ** rho - 1.0) ** (-xi / rho)
+        elif d.kind == "loggamma":
+            shape, rate = d.args
             x = np.exp(rng.gamma(shape, 1.0 / rate, size=n))
-        if not np.isfinite(x).all():
-            raise OverflowError(f"a {d.kind}{d.args} draw overflows a float")
-    else:
-        raise ValueError(f"unknown distribution kind {d.kind!r}")
+        else:
+            raise ValueError(f"unknown distribution kind {d.kind!r}")
+    if not ((x > 0) & (x < math.inf)).all():
+        how = "underflows to 0" if (x < math.inf).all() else "overflows a float"
+        raise OverflowError(f"a {d.kind}{d.args} draw {how}")
     return SortedSample(x)
 
 
@@ -316,13 +317,16 @@ def estimate_cells(values: np.ndarray, rho: Sequence[float], run_keys: Sequence[
     h = np.add.reduce(log_y, axis=1) / k  # the bits of ``hill``
     rho = np.asarray(rho, dtype=float)
     # every estimator needs tau = rho / Hill (``tau_hat``) and the prior variance, which
-    # fail where Hill is not positive and where rho is not negative
+    # fail where Hill is not positive, where rho is not negative and where tau is not finite
     ok = (h > 0) & ~(rho >= 0)
+    with np.errstate(over="ignore"):  # a rho / Hill that overflows fails its lane below
+        tau = np.divide(rho, h, out=np.full(lanes, math.nan), where=ok)
+    ok &= np.isfinite(tau)
+    tau[~ok] = math.nan
     errors: list[dict[str, str]] = [{} for _ in range(lanes)]
     for i in np.flatnonzero(~ok).tolist():
         errors[i] = dict.fromkeys(estimators, "NonEstimableError" if h[i] <= 0 else "ValueError")
     ready = np.flatnonzero(ok)
-    tau = np.divide(rho, h, out=np.full(lanes, math.nan), where=ok)
     sigma2 = np.full(lanes, math.nan)
     sigma2[ready] = [prior_variance(k, n, r) for r in rho[ready].tolist()]
     est = np.full((lanes, len(estimators), 3), math.nan)

@@ -6,7 +6,9 @@ agreement is evidence, not tautology; ``oracle_survival`` is one, the
 model's survival to 40 digits by ``decimal``. The exceptions keep a
 straightforward form of a library computation as the reference that the
 library must reproduce bit for bit: ``oracle_epd_log_likelihood``,
-``oracle_metropolis``, ``OracleLikelihood`` (the one-lane build of the
+``oracle_log_post`` (the log posterior in the association of the
+library's one formula), ``oracle_metropolis`` (which composes it on
+every proposal), ``OracleLikelihood`` (the one-lane build of the
 coefficient rows that the library stacks), ``oracle_loglik_grad``,
 ``oracle_epd_ml_fit``, ``oracle_profile_posterior_mode`` and
 ``oracle_smooth_path``. Each pins an optimisation that must change no bit
@@ -20,9 +22,9 @@ statistics ``moment_stat`` that it reads, and ``asym_var_raw`` the literal
 form of the limiting variance. ``mu_opt``, ``sigma2_opt`` and
 ``log_posterior`` are formulas the library does not need: the optimal
 prior scale in its two parametrisations, and the log posterior at one
-point on the chain's total scale, the library's ``_log_post`` on the sums
-of a one-lane stack. ``log_prior_xi`` and ``log_prior_delta`` are the two
-log priors that ``_log_post`` inlines, and ``mse_opt_weighted`` the
+point on the chain's total scale, the library's ``_log_post`` on the
+``_log1p_sums`` of a one-lane stack. ``log_prior_xi`` is the gamma log
+prior on xi that ``_log_post`` inlines, and ``mse_opt_weighted`` the
 paper's weighted-average form of the optimal limiting MSE, a second route
 to ``mse_opt``.
 ``loglik_value_and_grad``, ``profile_posterior_mode`` and
@@ -43,7 +45,7 @@ from scipy.special import expit, gammaln, logit
 from scipy.stats import norm
 
 from epdtail import EPDFit, EPDParams, delta_lower_bound, hill
-from epdtail.bayes import (ClosedFormError, _check_sigma2, _delta_prior_logs, _first_order, _log_post,
+from epdtail.bayes import (ClosedFormError, _check_sigma2, _first_order, _log1p_sums, _log_post, _log_prior_const,
                            _profile_posterior_modes)
 from epdtail.epd import (
     _ONE_BLAS_THREAD,
@@ -60,21 +62,6 @@ def log_prior_xi(xi, gamma_shape=1e-4):
     if xi <= 0:
         return -math.inf
     return (gamma_shape - 1.0) * math.log(xi) - xi - math.lgamma(gamma_shape)
-
-
-def log_prior_delta(delta, sigma2, tau):
-    """Log density of the normal(0, sigma2) prior on delta, truncated at the model bound."""
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    lo = delta_lower_bound(tau)
-    if delta <= lo:
-        return -math.inf
-    sigma = math.sqrt(sigma2)
-    return (
-        -0.5 * delta * delta / sigma2
-        - math.log(math.sqrt(2.0 * math.pi) * sigma)
-        - math.log(0.5 * math.erfc(lo / (sigma * math.sqrt(2.0))))
-    )
 
 
 def oracle_epd_log_likelihood(xi, delta, tau, e):
@@ -94,6 +81,30 @@ def oracle_epd_log_likelihood(xi, delta, tau, e):
         - (1.0 / xi + 1.0) * np.mean(np.log(y) + np.log(t1))
         + np.mean(np.log(t2))
     )
+
+
+def oracle_log_post(xi, log_xi, delta, tau, e, sigma2, gamma_shape=1e-4):
+    """The log posterior on the chain's total scale, composed from scratch in ``bayes._log_post``'s association.
+
+    The row sums S1 of log1p(delta*a) and S2 of log1p(delta*b) of an
+    ``OracleLikelihood`` built on this call, g = mean(log y) + S1/k, and
+    ``log_xi`` the log of xi as the caller has it (the chain's coordinate):
+    k*(-log_xi - (1/xi + 1)*g + S2/k) + (shape - 1)*log_xi - xi
+    - 0.5*delta*delta/sigma2 + const, where const is minus the logs of the
+    delta prior's normaliser, of its mass above the model bound and of
+    Gamma(shape). Out-of-region parameters give -inf.
+    """
+    lik = OracleLikelihood(e, tau)
+    if not (xi > 0 and delta > lik.lo) or lik.inadmissible(delta):
+        return -math.inf
+    k = lik.k
+    s1, s2 = (float(np.add.reduce(np.log1p(delta * c))) for c in (lik.a, lik.b))
+    g = float(np.add.reduce(lik.log_y)) / k + s1 / k
+    sigma = math.sqrt(sigma2)
+    const = (-math.log(math.sqrt(2.0 * math.pi) * sigma)
+             - math.log(0.5 * math.erfc(lik.lo / (sigma * math.sqrt(2.0)))) - math.lgamma(gamma_shape))
+    return (k * (-log_xi - (1.0 / xi + 1.0) * g + s2 / k)
+            + (gamma_shape - 1.0) * log_xi - xi - 0.5 * delta * delta / sigma2 + const)
 
 
 def oracle_log_posterior(xi, delta, y, tau, sigma2, gamma_shape=1e-4):
@@ -201,26 +212,19 @@ TARGET_ACCEPT = 0.234
 def oracle_metropolis(e, tau, sigma2, config, adapt_interval=ADAPT_INTERVAL, fix_delta=None):
     """The Metropolis loop with the log posterior composed on every proposal.
 
-    Evaluates ``oracle_epd_log_likelihood + (log_prior_xi + log_prior_delta) / k``
-    from scratch for each proposal and draws random numbers in the same
-    order as ``metropolis_sample``. ``fix_delta`` pins delta at that value
-    and moves only xi: the one-dimensional slice that a quadrature can
-    check. Returns ``(draws, logpost, acceptance_rate)``.
+    Evaluates ``oracle_log_post`` at xi = exp(u), with the chain's
+    coordinate u as log xi, from scratch for each proposal and draws random
+    numbers in the same order as ``metropolis_sample``. ``fix_delta`` pins
+    delta at that value and moves only xi: the one-dimensional slice that a
+    quadrature can check. Returns ``(draws, logpost, acceptance_rate)``.
     """
-    def log_post(xi, delta):
-        ll = oracle_epd_log_likelihood(xi, delta, tau, e)
-        if ll == -math.inf:
-            return -math.inf
-        lp = log_prior_xi(xi) + log_prior_delta(delta, sigma2, tau)
-        if lp == -math.inf:
-            return -math.inf
-        return ll + lp / e.k
+    def log_post(u, delta):
+        return oracle_log_post(math.exp(u), u, delta, tau, e, sigma2)
 
-    k = e.k
     rng = np.random.default_rng(config.seed)
     u = math.log(hill(e))
     d = 0.0 if fix_delta is None else fix_delta
-    lp = k * log_post(math.exp(u), d)
+    lp = log_post(u, d)
     s_u, s_d = STEP_LOG_XI, STEP_DELTA
     retained = config.iterations - config.burn_in
     draws = np.empty((retained, 2))
@@ -231,7 +235,7 @@ def oracle_metropolis(e, tau, sigma2, config, adapt_interval=ADAPT_INTERVAL, fix
         z = rng.standard_normal(2)
         u_new = u + s_u * z[0]
         d_new = d if fix_delta is not None else d + s_d * z[1]
-        lp_new = k * log_post(math.exp(u_new), d_new)
+        lp_new = log_post(u_new, d_new)
         log_alpha = (lp_new + u_new) - (lp + u)
         if math.log(rng.random()) < log_alpha:
             u, d, lp = u_new, d_new, lp_new
@@ -342,15 +346,17 @@ def sigma2_opt(rho, a_nk):
 
 
 def log_posterior(xi, delta, e, tau, sigma2):
-    """The log posterior on the chain's total scale: ``_log_post`` on the sums of a one-lane stack.
+    """The log posterior on the chain's total scale: ``_log_post`` on the ``_log1p_sums`` of a one-lane stack.
 
     Out-of-region parameters give -inf, matching the likelihood sentinel.
     """
     _check_sigma2(sigma2)
     lik = _Likelihood(e.y[None], [tau])
-    log_norm, log_trunc = _delta_prior_logs(delta_lower_bound(tau), sigma2)
-    sums = lik.sums(delta) if xi > 0 else None
-    return -math.inf if sums is None else _log_post(xi, delta, e.k, *sums, sigma2, log_norm, log_trunc)
+    const = _log_prior_const(delta_lower_bound(tau), sigma2)
+    if not (xi > 0 and delta > lik.lo[0]) or _inadmissible(lik.ext[0].tolist(), delta):
+        return -math.inf
+    s1, s2 = _log1p_sums(lik.coef[0], delta, np.empty((2, e.k))).tolist()
+    return _log_post(xi, math.log(xi), float(lik.sum_log_y[0]) / e.k + s1 / e.k, s2, delta, sigma2, const, e.k)
 
 
 def mse_opt_weighted(xi, rho, lam):

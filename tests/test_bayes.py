@@ -20,8 +20,8 @@ from epdtail.bayes import (
     _STRIDE,
     ClosedFormError,
     _BoundTable,
-    _delta_prior_logs,
     _log_post,
+    _log_prior_const,
     _Profiles,
     _row_sums,
 )
@@ -30,9 +30,8 @@ from conftest import pareto_excesses
 from oracles import (
     grid_map_oracle,
     log_posterior,
-    log_prior_delta,
     log_prior_xi,
-    oracle_epd_log_likelihood,
+    oracle_log_post,
     oracle_log_posterior,
     oracle_metropolis,
     oracle_smooth_path,
@@ -48,9 +47,9 @@ def _excess_set(y):
 
 
 def _delta_prior_mass(lo, sigma2):
-    """The delta prior's mass above lo, read from the last log `_delta_prior_logs` takes."""
+    """The delta prior's mass above lo, read from the last log `_log_prior_const` takes."""
     with mock.patch("math.log", wraps=math.log) as log:
-        bayes._delta_prior_logs(lo, sigma2)
+        bayes._log_prior_const(lo, sigma2)
     return log.call_args.args[0]
 
 
@@ -162,38 +161,67 @@ class TestLogPosterior:
 
 
 def test_every_log_likelihood_is_the_one_formula(burr_k200, monkeypatch):
-    # the ML pass, the one-lane likelihood, and the chain's bound and exact values all
-    # reach the one mean log-likelihood formula, epd._loglik
+    # the ML pass and the one-lane likelihood reach the one mean log-likelihood
+    # formula, epd._loglik; the chain does not
     e, tau, sigma2 = burr_k200
-    loglik, sums, calls, exact = epd._loglik, _Likelihood.sums, [], []
+    loglik, fg_sums, calls, passes = epd._loglik, epd._fg_sums, [], []
 
     def loglik_spy(xi, k, s1, s2):
         calls.append((s1, s2))
         return loglik(xi, k, s1, s2)
 
-    def sums_spy(self, delta):
-        out = sums(self, delta)
-        exact.extend([] if out is None else [tuple(out)])
+    def fg_sums_spy(*args):
+        out = fg_sums(*args)
+        passes.extend(tuple(s[:2]) for s in out)
         return out
 
-    # ``bayes`` holds its own reference, bound at import
     monkeypatch.setattr(epd, "_loglik", loglik_spy)
-    monkeypatch.setattr(bayes, "_loglik", loglik_spy)
-    monkeypatch.setattr(_Likelihood, "sums", sums_spy)
+    monkeypatch.setattr(epd, "_fg_sums", fg_sums_spy)
     assert epd._value_and_grad(0.5, 200, [300.0, 2.0, 1.0, 0.5])[0] == loglik(0.5, 200, 300.0, 2.0)
     assert calls == [(300.0, 2.0)]
     calls.clear()
     et.epd_ml_fit(e, tau)
-    assert calls and not exact
+    assert calls and calls == passes
     calls.clear()
+    passes.clear()
     value = et.epd_log_likelihood(0.5, 0.2, tau, e)
-    assert calls == exact and value == loglik(0.5, e.k, *exact[0])
+    assert len(calls) == 1 and calls == passes and value == loglik(0.5, e.k, *passes[0])
     calls.clear()
-    exact.clear()
     et.metropolis_sample(e, tau, sigma2, et.MCMCConfig(iterations=400, burn_in=100, seed=1))
-    # every exact value, and a bound for most proposals
-    assert exact and set(exact) <= set(calls)
-    assert len(calls) - len(exact) > 200
+    assert not calls and not hasattr(bayes, "_loglik")
+
+
+def test_every_log_posterior_is_the_one_formula(burr_k200, monkeypatch):
+    # the mode search's profile and the chain's exact values and bounds all reach the
+    # one log-posterior formula, bayes._log_post, and the chain's exact values take
+    # their sums from the one row-sum arithmetic, bayes._log1p_sums, on the lane's rows
+    e, tau, sigma2 = burr_k200
+    log_post, log1p_sums, calls, passes = bayes._log_post, bayes._log1p_sums, [], []
+
+    def log_post_spy(xi, log_xi, g, s2, *rest):
+        calls.append((xi, log_xi, g, s2))
+        return log_post(xi, log_xi, g, s2, *rest)
+
+    def log1p_sums_spy(coef, delta, *rest):
+        out = log1p_sums(coef, delta, *rest)
+        if coef.ndim == 2:  # a pass of the chain, on its lane's two rows
+            passes.append(tuple(out.tolist()))
+        return out
+
+    monkeypatch.setattr(bayes, "_log_post", log_post_spy)
+    monkeypatch.setattr(bayes, "_log1p_sums", log1p_sums_spy)
+    est = et.bayes_closed_form(e, tau, sigma2)
+    assert est.solver == "profile-map" and calls and not passes
+    assert all(isinstance(c[0], np.ndarray) for c in calls)  # the profile, by the array
+    calls.clear()
+    et.metropolis_sample(e, tau, sigma2, et.MCMCConfig(iterations=400, burn_in=100, seed=1))
+    h, k = float(np.add.reduce(np.log(e.y))) / e.k, e.k
+    assert all(type(c[0]) is float and c[0] == math.exp(c[1]) for c in calls)  # log xi is the chain's u
+    # the starting point at both sums 0, every exact value, and a bound for most proposals
+    exact = {(h + s1 / k, s2) for s1, s2 in passes}
+    values = [c[2:] for c in calls]
+    assert passes and values[0] == (h, 0.0) and exact <= set(values)
+    assert len(values) - len(passes) - 1 > 200
 
 
 def _solvable_pareto_cases(count=20, k=100, sigma2=1e12):
@@ -370,9 +398,7 @@ class TestMetropolisMatchesSeedLoop:
         lo = et.delta_lower_bound(tau)
         for xi in (1e-300, 0.3, 0.8, 5.0, math.inf):
             for d in (lo - 0.1, lo, lo + 1e-12, -0.2, -0.1, 0.0, 0.7, 9.0, 1e200):
-                ll = oracle_epd_log_likelihood(xi, d, tau, e)
-                lp = log_prior_xi(xi) + log_prior_delta(d, sigma2, tau)
-                want = -math.inf if -math.inf in (ll, lp) else e.k * (ll + lp / e.k)
+                want = oracle_log_post(xi, math.log(xi), d, tau, e, sigma2)
                 got = log_posterior(xi, d, e, tau, sigma2)
                 assert got == want, (xi, d)
 
@@ -392,26 +418,27 @@ class TestMetropolisMcmcCliRegime:
         cfg = et.MCMCConfig(seed=k)
         draws, logpost, rate = oracle_metropolis(e, tau, sigma2, cfg)
         passes = []
-        exact = _Likelihood.sums
+        log1p_sums = bayes._log1p_sums
 
-        def spy(self, delta):
-            passes.append(delta)
-            return exact(self, delta)
+        def spy(coef, delta, *rest):
+            if coef.ndim == 2:  # a pass of the chain, on its lane's two rows
+                passes.append(delta)
+            return log1p_sums(coef, delta, *rest)
 
-        monkeypatch.setattr(_Likelihood, "sums", spy)
+        monkeypatch.setattr(bayes, "_log1p_sums", spy)
         chain = et.metropolis_sample(e, tau, sigma2, cfg)
         assert np.array_equal(chain.draws, draws)
         assert np.array_equal(chain.logpost, logpost)
         assert chain.acceptance_rate == rate
-        # one pass at the starting point, then one per proposal the bound let through
-        assert len(passes) - 1 < 0.6 * cfg.iterations
+        # one pass per proposal the bound let through; the starting point needs none
+        assert 0 < len(passes) < 0.6 * cfg.iterations
 
 
 def _bound(table, xi, delta, sigma2):
     """The chain's upper bound of the log posterior at (xi, delta); None outside the table.
 
     ``_log_post`` on the table's bounds of the two sums, as the bound test in
-    ``metropolis_sample`` computes it.
+    ``metropolis_sample`` computes it, with log xi as ``log_posterior`` takes it.
     """
     x = (delta - table.lo) / _CELL
     if not 0.0 <= x < len(table.cells):
@@ -419,8 +446,10 @@ def _bound(table, xi, delta, sigma2):
     j = int(x)
     c1, e1, p0, q0, p1, q1 = table.cells[j] or table.fill(j)
     f = x - j
-    return _log_post(xi, delta, table.lik.k, c1 + e1 * f, min(p0 + q0 * f, p1 + q1 * f), sigma2,
-                     *_delta_prior_logs(table.lo, sigma2))
+    k = table.lik.k
+    g = float(table.lik.sum_log_y[0]) / k + (c1 + e1 * f) / k
+    return _log_post(xi, math.log(xi), g, min(p0 + q0 * f, p1 + q1 * f), delta, sigma2,
+                     _log_prior_const(table.lo, sigma2), k)
 
 
 class TestBoundTable:

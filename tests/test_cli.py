@@ -81,6 +81,20 @@ class TestEstimate:
         assert [r["error"] for r in rows] == ["ValueError", "ValueError"]
         assert all(r["hill_xi"] and not r["bayes_xi"] for r in rows)
 
+    @pytest.mark.parametrize("method", ["closed", "mcmc"])
+    def test_tau_that_overflows_marks_rows_and_continues(self, tmp_path, method):
+        # at rho = -1e308, tau = rho / Hill overflows to -inf where Hill is below 1
+        data = _pareto_grid_file(tmp_path, xi=0.5)
+        out = tmp_path / "est.csv"
+        code = main(["estimate", str(data), "--rho", "fixed:-1e308", "--method", method,
+                     "--mcmc-iters", "400", "--burn-in", "100",
+                     "--k-min", "20", "--k-max", "50", "--k-step", "30", "--out", str(out)])
+        assert code == 0
+        rows = _read_rows(out)
+        assert [r["error"] for r in rows] == ["ValueError", "ValueError"]
+        assert all(0 < float(r["hill_xi"]) < 1 and not r["ml_xi"] and not r["bayes_xi"] and not r["tau"]
+                   for r in rows)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         data = _pareto_grid_file(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -433,9 +447,10 @@ class TestSimulate:
         assert err == "usage error: not enough memory for the requested run (MemoryError)\n"
         assert not (tmp_path / "study.csv").exists()
 
-    @pytest.mark.parametrize("dist", ["frechet:1e308", "loggamma:4:1e-308"])
+    @pytest.mark.parametrize("dist", ["frechet:1e308", "loggamma:4:1e-308", "burr:0.5:-1e-300", "burr:300:-0.001"])
     def test_overflowing_law_is_a_numerical_failure(self, tmp_path, capsys, dist):
-        # the Fréchet quantile or the loggamma draws overflow a float: one line, exit 3
+        # the Fréchet quantile or the loggamma draws overflow a float, or every Burr draw
+        # underflows to 0: one line, exit 3
         out = tmp_path / "study.csv"
         assert main(["simulate", "--dist", dist, "--n", "60", "--reps", "2", "--out", str(out)]) == 3
         err = capsys.readouterr().err

@@ -41,6 +41,16 @@ class TestParams:
         assert et.delta_lower_bound(-2.0) == -0.5
         assert et.delta_lower_bound(-0.5) == -1.0
 
+    @pytest.mark.parametrize("tau", [-math.inf, math.nan, 0.0])
+    def test_a_tau_outside_the_negative_reals_is_a_value_error(self, tau):
+        # 1/tau is -0.0 at tau = -inf: a bound of -0.0 sent the ML fit's start to log(0)
+        e, cfg = pareto_excesses(0.5, 50, 0), et.MCMCConfig(iterations=20, burn_in=10)
+        calls = (lambda: et.delta_lower_bound(tau), lambda: et.epd_ml_fit(e, tau),
+                 lambda: et.bayes_closed_form(e, tau, 1.0), lambda: et.metropolis_sample(e, tau, 1.0, cfg))
+        for call in calls:
+            with pytest.raises(ValueError, match="tau must be negative and finite"):
+                call()
+
 
 class TestSurvival:
     @pytest.mark.parametrize("xi", [0.25, 0.5, 1.0, 2.0])

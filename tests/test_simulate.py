@@ -77,6 +77,15 @@ class TestSampling:
         with pytest.raises(OverflowError, match="overflows"):
             et.sample_distribution(et.loggamma(4.0, 1e-308), 60, 0)
 
+    @pytest.mark.parametrize("dist, how", [
+        (et.frechet(1000.0), "overflows a float"),  # (-log u)**-1000 is inf for u above 1/e
+        (et.burr(0.5, -1e-300), "underflows to 0"),  # s**rho rounds to 1, and 0**(-xi/rho) is 0
+        (et.burr(300.0, -0.001), "underflows to 0"),  # (s**rho - 1)**3e5 is below the subnormals
+    ])
+    def test_draws_that_are_not_positive_finite_floats_are_an_arithmetic_error(self, dist, how):
+        with pytest.raises(OverflowError, match=f"a {dist.kind}.* draw {how}"):
+            et.sample_distribution(dist, 60, 0)
+
 
 class TestConfig:
     def test_defaults_resolve_k_grid(self, burr_dist):
@@ -327,9 +336,23 @@ class TestRunStudy:
         assert payload["reps_used"] == cfg.reps
 
 
+def test_a_tau_that_overflows_fails_its_lane_with_a_value_error(burr_dist):
+    # rho / Hill overflows to -inf where Hill is below 1; that lane fails every estimator,
+    # with tau and sigma2 NaN and no RuntimeWarning, and the other lane is estimated
+    samples = [et.sample_distribution(burr_dist, 500, seed) for seed in range(2)]
+    rho = [-1.7e308, et.resolve_rho(samples[1])[0]]
+    names = ("hill", "epd_ml", "bayes_closed", "bayes_mcmc")
+    cells = sim.estimate_cells(np.array([s.values for s in samples]), rho, [(0,), (1,)], 50, names,
+                               mcmc=et.MCMCConfig(iterations=400, burn_in=100))
+    assert rho[0] / float(cells.hill[0]) == -math.inf
+    assert cells.errors == [dict.fromkeys(names, "ValueError"), {}]
+    assert np.isnan(cells.tau[0]) and np.isnan(cells.sigma2[0]) and np.isnan(cells.estimates[0]).all()
+    assert np.isfinite(cells.estimates[1, :, :2]).all()
+
+
 def test_one_coefficient_stack_per_threshold_read_in_place(burr_dist, monkeypatch):
-    # at one k, one stack holds every lane's coefficient rows; the ML pass and the
-    # mode search read it, not copies of it
+    # at one k, one stack holds every lane's coefficient rows; the mode search reads
+    # it, not a copy of it, and the ML pass gathers the rows of the lanes that ask
     from epdtail import bayes, epd
 
     stacks, passes, profiles = [], [], []
@@ -356,9 +379,9 @@ def test_one_coefficient_stack_per_threshold_read_in_place(burr_dist, monkeypatc
     assert not any(cells.errors)
     (stack,) = stacks
     assert stack.coef.shape == (8, 2, 200)
-    # the first round of the ML fits asks for every lane, and reads the stack itself
+    # the first round of the ML fits asks for every lane: its rows are the stack's
     coef, log_y = passes[0]
-    assert np.shares_memory(coef, stack.coef) and np.shares_memory(log_y, stack.log_y)
+    assert coef.tobytes() == stack.coef.tobytes() and log_y.tobytes() == stack.log_y.tobytes()
     # the linear route leaves some lanes to the mode search, which reads the stack too
     (p,) = profiles
     assert np.shares_memory(p.coef, stack.coef)
