@@ -26,8 +26,7 @@ from typing import Literal
 import numpy as np
 
 from .data import ExcessSet, SortedSample
-from .epd import (DELTA_MAX, EPDParams, _inadmissible, _lane_powers, _Likelihood, _lockstep, delta_lower_bound,
-                  epd_tail_prob)
+from .epd import DELTA_MAX, EPDParams, _inadmissible, _lane_powers, _Likelihood, _lockstep, _unwrap, epd_tail_prob
 
 __all__ = [
     "ClosedFormError",
@@ -97,12 +96,6 @@ class PosteriorChain:
             raise ValueError("acceptance rate must lie in [0, 1]")
 
 
-def _check_sigma2(sigma2: float) -> None:
-    # prior_variance underflows to 0.0 when |rho| is huge
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-
-
 def prior_variance(k: int, n: int, rho: float) -> float:
     """Threshold-driven prior variance (k/n)**(-2*rho)."""
     if not 1 <= k < n:
@@ -110,6 +103,13 @@ def prior_variance(k: int, n: int, rho: float) -> float:
     if rho >= 0:
         raise ValueError(f"rho must be negative, got {rho}")
     return (k / n) ** (-2.0 * rho)
+
+
+def _lane_error(lik: _Likelihood, lane: int, sigma2: float) -> ValueError | None:
+    """A stack lane's ``fail`` entry, else a ValueError where its prior variance sigma2 is not positive."""
+    if lik.fail[lane] is None and not sigma2 > 0:  # prior_variance underflows to 0.0 when |rho| is huge
+        return ValueError(f"sigma2 must be positive, got {sigma2}")
+    return lik.fail[lane]
 
 
 def _log_prior_const(lo: float, sigma2: float) -> float:
@@ -162,7 +162,7 @@ def _row_sums(coef: np.ndarray, lane: np.ndarray, deltas: np.ndarray, slope: boo
 
 
 class _BoundTable:
-    """Bounds on the row sums S1 of log1p(delta*a) and S2 of log1p(delta*b) of a one-lane stack.
+    """Bounds on the row sums S1 of log1p(delta*a) and S2 of log1p(delta*b) of the stack lane ``lane``.
 
     Both are concave in delta: over a cell the chord lies below S1 and the
     lower end tangent above S2. At fraction f of cell j = (c1, e1, p0, q0, p1, q1),
@@ -170,17 +170,17 @@ class _BoundTable:
     far above any rounding. A cell is None until filled, and NaN where left out.
     """
 
-    def __init__(self, lik: _Likelihood) -> None:
-        self.lik, self.lo = lik, float(lik.lo[0])  # a one-lane stack
+    def __init__(self, lik: _Likelihood, lane: int) -> None:
+        self.lik, self.lane, self.lo = lik, lane, float(lik.lo[lane])
         self.cells: list = [None] * (_BLOCK * math.ceil((DELTA_MAX - self.lo) / (_CELL * _BLOCK)))
 
     def fill(self, j: int) -> tuple:
         """Fill the block of cell j by row-sum passes over its _BLOCK + 1 nodes; return cell j."""
-        lik = self.lik
+        lik, lane = self.lik, self.lane
         j0 = j - j % _BLOCK
         nodes = self.lo + _CELL * np.arange(j0, j0 + _BLOCK + 1)
-        ok = (1.0 + np.outer(nodes, lik.ext)).min(axis=1) >= _FLOOR
-        s, q = _row_sums(lik.coef, np.zeros(_BLOCK + 1, int), np.where(ok, nodes, 0.0), slope=True)
+        ok = (1.0 + np.outer(nodes, lik.ext[lane])).min(axis=1) >= _FLOOR
+        s, q = _row_sums(lik.coef, np.full(_BLOCK + 1, lane), np.where(ok, nodes, 0.0), slope=True)
         q = _CELL * q  # _CELL * dS2/ddelta
         s1, s2 = s.T
         m1, m2 = (_MARGIN * (np.maximum(abs(s[:-1]), abs(s[1:])) + lik.k) for s in (s1, s2))
@@ -447,32 +447,24 @@ def _profile_posterior_modes(
     return out
 
 
-def _closed_forms(lik: _Likelihood,
-                  sigma2: Sequence[float]) -> list[tuple[float, float, str] | ValueError | ClosedFormError]:
+def _closed_forms(lik: _Likelihood, sigma2: Sequence[float]) -> list[tuple[float, float, str] | Exception]:
     """``bayes_closed_form`` on the lanes of the stack ``lik``, each with its prior variance ``sigma2``.
 
     One array computation solves every lane's first-order system
     (``_first_order``); the lanes without an admissible root run the exact
     mode search together (``_profile_posterior_modes``). A lane's estimate
     is the tuple (xi, delta, solver), the fields of ``BayesEstimate``; a
-    lane that cannot be estimated holds its error.
+    lane that cannot be estimated holds its error (``_lane_error``'s, which
+    no search is sent, or the mode search's ClosedFormError).
     """
-    s2 = np.asarray(sigma2, dtype=float)
-    with np.errstate(all="ignore"):  # a lane whose sigma2 is not positive gets its ValueError below
-        xi, delta = _first_order(lik, 1.0 / (lik.k * s2))
-    out: list = [None if math.isnan(d) else (x, d, "linear") for x, d in zip(xi.tolist(), delta.tolist())]
-    for i in np.flatnonzero((lik.k < 10) | ~(lik.lo < math.inf) | ~(s2 > 0)).tolist():
-        try:
-            if lik.k < 10:
-                raise ValueError(f"need at least 10 excesses, got {lik.k}")
-            delta_lower_bound(float(lik.tau[i]))  # a tau outside (-inf, 0) raises
-            _check_sigma2(sigma2[i])
-        except ValueError as exc:
-            out[i] = exc
+    with np.errstate(all="ignore"):  # a lane that cannot be estimated gets its ValueError below
+        xi, delta = _first_order(lik, 1.0 / (lik.k * np.asarray(sigma2, dtype=float)))
+    few = ValueError(f"need at least 10 excesses, got {lik.k}") if lik.k < 10 else None
+    out: list = [few or _lane_error(lik, i, s2) or (None if math.isnan(d) else (x, d, "linear"))
+                 for i, (s2, x, d) in enumerate(zip(sigma2, xi.tolist(), delta.tolist()))]
     search = [i for i, est in enumerate(out) if est is None]
-    if search:
-        for i, mode in zip(search, _profile_posterior_modes(lik, sigma2, search)):
-            out[i] = mode if isinstance(mode, ClosedFormError) else (*mode, "profile-map")
+    for i, mode in zip(search, _profile_posterior_modes(lik, sigma2, search)):
+        out[i] = mode if isinstance(mode, ClosedFormError) else (*mode, "profile-map")
     return out
 
 
@@ -487,10 +479,7 @@ def bayes_closed_form(e: ExcessSet, tau: float, sigma2: float) -> BayesEstimate:
     ``BayesEstimate.solver`` records which route ran. This is
     ``_closed_forms`` on one lane.
     """
-    (est,) = _closed_forms(_Likelihood(e.y[None], [tau]), [sigma2])
-    if isinstance(est, Exception):
-        raise est
-    return BayesEstimate(*est)
+    return BayesEstimate(*_unwrap(_closed_forms(_Likelihood(e.y[None], [tau]), [sigma2])[0]))
 
 
 @dataclass(frozen=True)
@@ -510,31 +499,23 @@ class MCMCConfig:
             raise ValueError("need iterations > burn_in >= 0")
 
 
-def metropolis_sample(
-    e: ExcessSet, tau: float, sigma2: float, config: MCMCConfig
-) -> PosteriorChain:
-    """Random-walk Metropolis on (log xi, delta) targeting the posterior.
+def _chain(lik: _Likelihood, lane: int, sigma2: float, config: MCMCConfig) -> PosteriorChain | Exception:
+    """``metropolis_sample`` on the stack lane ``lane``: its chain, ``_lane_error``'s error, or a RuntimeError.
 
-    The chain moves in log xi (with the Jacobian correction), so the
-    retained draws follow the posterior of (xi, delta) itself. Stored
-    log-posterior values are on the total (not per-observation) scale.
-    Deterministic for a fixed seed.
-
-    The log posterior is ``_log_post`` on the lane's row sums, by
-    ``_log1p_sums`` on its two coefficient rows, with u as log xi. A
-    proposal is first tested against an upper bound of it, ``_log_post`` on
-    the ``_BoundTable`` bounds of the two sums. Rounding is monotone, so the
-    row-sum pass runs only where the bound is not already rejected.
+    The RuntimeError is a post-burn-in acceptance rate of 0 or 1. The log
+    posterior is ``_log_post`` on the lane's row sums, by ``_log1p_sums`` on
+    its two coefficient rows, with u as log xi. A proposal is first tested
+    against an upper bound of it, ``_log_post`` on the ``_BoundTable``
+    bounds of the two sums. Rounding is monotone, so the row-sum pass runs
+    only where the bound is not already rejected.
     """
-    _check_sigma2(sigma2)
-    k, lik = e.k, _Likelihood(e.y[None], [tau])
-    const = _log_prior_const(delta_lower_bound(tau), sigma2)
+    if fail := _lane_error(lik, lane, sigma2):
+        return fail
+    k, const = lik.k, _log_prior_const(float(lik.lo[lane]), sigma2)
     rng = np.random.default_rng(config.seed)
-    h = float(lik.sum_log_y[0]) / k  # the Hill estimate, mean(log y)
-    if h <= 0:
-        raise ValueError("all excesses are ties; posterior has no interior mass")
+    h = float(lik.sum_log_y[lane]) / k  # the Hill estimate, mean(log y)
 
-    coef, ext, w = lik.coef[0], lik.ext[0].tolist(), np.empty((2, k))
+    coef, ext, w = lik.coef[lane], lik.ext[lane].tolist(), np.empty((2, k))
     u, d = math.log(h), 0.0  # delta = 0 is inside every lane's region
     lp = _log_post(math.exp(u), u, h, 0.0, d, sigma2, const, k)  # both sums are 0 at delta = 0
 
@@ -543,7 +524,7 @@ def metropolis_sample(
     draws = np.empty((retained, 2))
     logpost = np.empty(retained)
     accepted_post = batch_accepts = 0
-    table = _BoundTable(lik)
+    table = _BoundTable(lik, lane)
     cells, fill, n_cells, lo = table.cells, table.fill, len(table.cells), table.lo
     normal, uniform = rng.standard_normal, rng.random
     exp, log = math.exp, math.log
@@ -587,10 +568,21 @@ def metropolis_sample(
 
     rate = accepted_post / retained
     if rate <= 0.0 or rate >= 1.0:
-        raise RuntimeError(f"degenerate chain: post-burn-in acceptance rate {rate}")
+        return RuntimeError(f"degenerate chain: post-burn-in acceptance rate {rate}")
     draws.setflags(write=False)
     logpost.setflags(write=False)
     return PosteriorChain(draws=draws, logpost=logpost, acceptance_rate=float(rate))
+
+
+def metropolis_sample(e: ExcessSet, tau: float, sigma2: float, config: MCMCConfig) -> PosteriorChain:
+    """Random-walk Metropolis on (log xi, delta) targeting the posterior: ``_chain`` on a one-lane stack.
+
+    The chain moves in log xi (with the Jacobian correction), so the
+    retained draws follow the posterior of (xi, delta) itself. Stored
+    log-posterior values are on the total (not per-observation) scale.
+    Deterministic for a fixed seed. An error ``_chain`` returns is raised.
+    """
+    return _unwrap(_chain(_Likelihood(e.y[None], [tau]), 0, sigma2, config))
 
 
 def posterior_mode(chain: PosteriorChain) -> tuple[float, float]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from importlib import resources
@@ -21,21 +22,11 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import AsymptoticRegime, asym_mean, asym_var, limit_mse, mse_opt, zeta_opt
-from .bayes import ClosedFormError, MCMCConfig, hpd_interval
+from .bayes import MCMCConfig, hpd_interval
 from .data import DataFormatError, _open_text, load_sample
 from .second_order import NonEstimableError, resolve_rho
-from .simulate import (
-    MCStudyConfig,
-    StudyError,
-    burr,
-    estimate_cells,
-    frechet,
-    k_range,
-    loggamma,
-    run_study,
-    study_payload,
-    study_rows,
-)
+from .simulate import (MCStudyConfig, burr, estimate_cells, frechet, k_range, loggamma, run_study, study_payload,
+                       study_rows)
 
 __all__ = ["main"]
 
@@ -50,6 +41,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")  # Python 3.13's: -1e-3 is a value, not a flag
+
     def error(self, message: str) -> None:  # argparse would exit(2); we map to 1
         raise UsageError(message)
 
@@ -194,18 +189,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     values = sample.values[None]  # one lane
     for k in k_values:
         cells = estimate_cells(values, [rho], [(args.seed,)], k, names, args.x, mcmc)
-        row: list = [k, cells.threshold[0], cells.hill[0]]
-        if cells.errors[0]:  # the row names the first estimator that failed
-            rows.append(row + [None] * (len(header) - 4) + [next(iter(cells.errors[0].values()))])
-            continue
-        (_, ml, bayes) = cells.estimates[0]
-        row += [*ml[:2], *bayes[:2], rho, cells.tau[0], cells.sigma2[0]]
+        (_, ml, bayes), chain = cells.estimates[0], cells.chains[0]
+        row: list = [k, cells.threshold[0], cells.hill[0], *ml[:2], *bayes[:2], rho, cells.tau[0], cells.sigma2[0]]
         if args.x is not None:  # a probability below the threshold is NaN, written blank
             row += list(cells.estimates[0, :, 2])
         if mcmc:
-            row += list(hpd_interval(cells.chains[0].draws[:, 0], args.alpha))
+            row += list(hpd_interval(chain.draws[:, 0], args.alpha)) if chain is not None else [None, None]
         below = args.x is not None and args.x < cells.threshold[0]
-        rows.append(row + ["x_below_threshold" if below else ""])
+        # the cell as it is: a failed estimator's NaNs are blank, and the first failure is named
+        rows.append(row + [next(iter(cells.errors[0].values()), "x_below_threshold" if below else "")])
 
     out = Path(args.out)
     if args.format == "csv":
@@ -403,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataFormatError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (StudyError, ClosedFormError, NonEstimableError, ArithmeticError, RuntimeError) as exc:
+    except (NonEstimableError, ArithmeticError, RuntimeError) as exc:  # among them StudyError, ClosedFormError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -107,9 +107,7 @@ class EPDParams:
     def __post_init__(self) -> None:
         if not self.xi > 0:
             raise ValueError(f"xi must be positive, got {self.xi}")
-        if not self.tau < 0:
-            raise ValueError(f"tau must be negative, got {self.tau}")
-        lo = delta_lower_bound(self.tau)
+        lo = delta_lower_bound(self.tau)  # a tau outside (-inf, 0) is a ValueError
         # delta > max(-1, 1/tau) keeps 1 + delta - delta*y**tau positive on y >= 1
         if not self.delta > lo:
             raise ValueError(f"delta must exceed {lo}, got {self.delta}")
@@ -139,18 +137,23 @@ class _Likelihood:
     are affine in delta, and rounded products and sums are monotone, so
     positivity over the sample is exactly positivity at the coefficient
     extremes. Means are a row-wise ``np.add.reduce`` divided by k, the
-    value ``np.mean`` returns.
+    value ``np.mean`` returns. ``fail`` decides once, for every estimator,
+    which lanes cannot be estimated: a lane's ValueError where its tau lies
+    outside (-inf, 0) (``lo`` is inf there) or every excess ties, else None.
     """
 
     def __init__(self, y: np.ndarray, tau, log_y: np.ndarray | None = None) -> None:
         self.y = y  # (lanes x k), each row non-increasing
         self.k = k = y.shape[1]
         self.tau = tau = np.array(tau, dtype=float)
-        self.lo = np.array([delta_lower_bound(t) if -math.inf < t < 0 else math.inf for t in tau.tolist()])
         if (y < 1.0).any():
             raise ValueError("excesses must be >= 1")
         self.log_y = np.log(y) if log_y is None else log_y
         self.sum_log_y = np.add.reduce(self.log_y, axis=1)
+        self.lo = np.array([delta_lower_bound(t) if -math.inf < t < 0 else math.inf for t in tau.tolist()])
+        self.fail = [ValueError(f"tau must be negative and finite, got {t}") if lo == math.inf else None if s > 0
+                     else ValueError("all excesses are ties; the likelihood has no interior maximum")
+                     for t, lo, s in zip(tau.tolist(), self.lo.tolist(), self.sum_log_y.tolist())]
         p = _lane_powers(y, tau)
         self.sum_pow = np.add.reduce(p, axis=1)
         self.coef = np.empty((len(y), 2, k))
@@ -327,6 +330,13 @@ def epd_log_likelihood(xi: float, delta: float, tau: float, e: ExcessSet) -> flo
     return _Likelihood(e.y[None], [tau])(xi, delta)
 
 
+def _unwrap(result):
+    """A lane's result from a stack estimator, raised if it is the lane's error: a one-lane caller's end."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def _lockstep(searches: Sequence, evaluate) -> list:
     """Run searches in lockstep and return what each one returns, in order.
 
@@ -413,20 +423,13 @@ def epd_ml_fits(lik: _Likelihood) -> list[tuple[float, float, float, bool, int] 
     over the stack rows of the lanes that ask answers each with a value and
     gradient. A lane's fit, the tuple (xi, delta, loglik, converged,
     iterations), is the bits it gets alone, since no sum mixes lanes. A
-    lane that cannot be fit holds its ValueError.
+    lane that cannot be fit holds its ``fail`` entry, or a ValueError for
+    fewer than 10 excesses.
     """
-    k, searches = lik.k, []
-    for tau, lo, ext, sum_log_y in zip(lik.tau.tolist(), lik.lo.tolist(), lik.ext.tolist(),
-                                       lik.sum_log_y.tolist()):
-        h = sum_log_y / k  # the Hill estimate, as ``hill`` computes it
-        if k < 10:
-            searches.append(ValueError(f"need at least 10 excesses to fit, got {k}"))
-        elif not -math.inf < tau < 0:
-            searches.append(ValueError(f"tau must be negative and finite, got {tau}"))
-        elif h <= 0:
-            searches.append(ValueError("all excesses are ties; the likelihood has no interior maximum"))
-        else:
-            searches.append(_ml_search(k, lo, ext, h))
+    k = lik.k
+    few = ValueError(f"need at least 10 excesses to fit, got {k}") if k < 10 else None
+    searches = [few or fail or _ml_search(k, lo, ext, s / k)  # from the Hill estimate s / k, as ``hill`` has it
+                for fail, lo, ext, s in zip(lik.fail, lik.lo.tolist(), lik.ext.tolist(), lik.sum_log_y.tolist())]
     work, deltas = np.empty((len(searches), 4, k)), np.empty((len(searches), 1, 1))
 
     def fg_sums(lanes: list[int], points: list[float]) -> list:
@@ -453,10 +456,7 @@ def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
     converged when the core stops with CONVERGENCE (task 4); the
     log-likelihood is minus the last value handed to the core.
     """
-    (fit,) = epd_ml_fits(_Likelihood(e.y[None], [tau]))
-    if isinstance(fit, ValueError):
-        raise fit
-    xi, delta, loglik, converged, iterations = fit
+    xi, delta, loglik, converged, iterations = _unwrap(epd_ml_fits(_Likelihood(e.y[None], [tau]))[0])
     return EPDFit(params=EPDParams(xi=xi, delta=delta, tau=tau), loglik=loglik, converged=converged,
                   iterations=iterations)
 

@@ -12,13 +12,13 @@ array computations on it. One coefficient stack of the lanes
 lockstep, one likelihood pass per round for every lane that asks
 (``epd_ml_fits``); their first-order systems are solved as one array
 computation, and the lanes without an admissible root run the exact
-posterior-mode search in lockstep. None of these copies the stack. Only
-the Metropolis chains run lane by lane, and the Bayes paths of a chunk
-are smoothed as one array. No sum mixes lanes, so results are
+posterior-mode search in lockstep; the Metropolis chains run lane by
+lane on the same stack. None of these copies it, and the Bayes paths of
+a chunk are smoothed as one array. No sum mixes lanes, so results are
 bit-identical for any chunking and worker count. The study aggregates
-every (estimator, k) at once along the replications (``_moments``). An
-estimator's ValueError or RuntimeError is excluded cell-wise and
-counted, and a run aborts when exclusions exceed 5%.
+every (estimator, k) at once along the replications (``_moments``). A
+cell whose estimator hands back an error is excluded and counted, and a
+run aborts when exclusions exceed 5%; nothing is caught.
 """
 
 from __future__ import annotations
@@ -31,17 +31,8 @@ from functools import partial
 
 import numpy as np
 
-from .bayes import (
-    BayesEstimate,
-    MCMCConfig,
-    PosteriorChain,
-    _closed_forms,
-    metropolis_sample,
-    posterior_mode,
-    prior_variance,
-    smooth_path,
-)
-from .data import ExcessSet, SortedSample, excess_matrix
+from .bayes import MCMCConfig, PosteriorChain, _chain, _closed_forms, posterior_mode, prior_variance, smooth_path
+from .data import SortedSample, excess_matrix
 from .epd import _Likelihood, _tail_probs, epd_ml_fits
 from .second_order import resolve_rho
 
@@ -67,9 +58,6 @@ __all__ = [
 
 ESTIMATORS = ("hill", "epd_ml", "bayes_closed", "bayes_mcmc")
 
-# what an estimator may raise on data it cannot estimate from, among them
-# NonEstimableError (a ValueError) and ClosedFormError (a RuntimeError)
-_CELL_ERRORS = (ValueError, RuntimeError)
 _FAILED = (math.nan, math.nan)  # the (xi, delta) of a failed estimator
 _CHUNK_MIN, _CHUNK_MAX = 8, 32  # the bounds of a chunk's replications, see _chunk_size
 
@@ -86,6 +74,9 @@ class SimDistribution:
     args: tuple[float, ...]
     true_xi: float
     true_rho: float
+
+    def __str__(self) -> str:
+        return f"{self.kind}({', '.join(map(str, self.args))})"
 
 
 def frechet(xi: float) -> SimDistribution:
@@ -132,23 +123,35 @@ def true_quantile(d: SimDistribution, p: float) -> float:
     """Quantile function of the reference law at probability p.
 
     Analytic for the Fréchet and Burr laws; through the inverse of the
-    regularized upper incomplete gamma function for the loggamma law.
+    regularized upper incomplete gamma function for the loggamma law. A
+    quantile that is not a positive finite float is an OverflowError.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    if d.kind == "frechet":
-        (xi,) = d.args
-        return float((-math.log(p)) ** (-xi))
-    if d.kind == "burr":
-        xi, rho = d.args
-        s = 1.0 - p
-        return float((s ** rho - 1.0) ** (-xi / rho))
-    if d.kind == "loggamma":
-        from scipy.special import gammainccinv
+    with np.errstate(over="ignore"):  # reported below; numpy's scalar power is the float power
+        if d.kind == "frechet":
+            (xi,) = d.args
+            q = np.float64(-math.log(p)) ** (-xi)
+        elif d.kind == "burr":
+            xi, rho = d.args
+            q = (np.float64(1.0 - p) ** rho - 1.0) ** (-xi / rho)
+        elif d.kind == "loggamma":
+            from scipy.special import gammainccinv
 
-        shape, rate = d.args
-        return math.exp(float(gammainccinv(shape, 1.0 - p)) / rate)
-    raise ValueError(f"unknown distribution kind {d.kind!r}")
+            shape, rate = d.args
+            z = float(gammainccinv(shape, 1.0 - p)) / rate
+            q = math.exp(z) if z <= math.log(np.finfo(float).max) else math.inf  # math.exp raises past it
+        else:
+            raise ValueError(f"unknown distribution kind {d.kind!r}")
+    _check_floats(np.array(q), f"the {d} quantile at p = {p}")
+    return float(q)
+
+
+def _check_floats(x: np.ndarray, what: str) -> None:
+    """Raise an OverflowError where a value of ``x`` is not a positive finite float, saying which way it failed."""
+    if not ((x > 0) & (x < math.inf)).all():
+        how = "underflows to 0" if (x < math.inf).all() else "overflows a float"
+        raise OverflowError(f"{what} {how}")
 
 
 def sample_distribution(d: SimDistribution, n: int, seed) -> SortedSample:
@@ -170,9 +173,7 @@ def sample_distribution(d: SimDistribution, n: int, seed) -> SortedSample:
             x = np.exp(rng.gamma(shape, 1.0 / rate, size=n))
         else:
             raise ValueError(f"unknown distribution kind {d.kind!r}")
-    if not ((x > 0) & (x < math.inf)).all():
-        how = "underflows to 0" if (x < math.inf).all() else "overflows a float"
-        raise OverflowError(f"a {d.kind}{d.args} draw {how}")
+    _check_floats(x, f"a {d} draw")
     return SortedSample(x)
 
 
@@ -278,9 +279,9 @@ class Cells:
     estimators x 3) holds each requested estimator's (xi, delta, P(X > x))
     in the requested order. Hill's delta is 0; a probability is NaN
     without x or with x below the threshold. A failed estimator has three
-    NaNs and the class name of its error in its lane's ``errors``, which
-    keeps the requested order. ``chains`` holds each lane's ``bayes_mcmc``
-    draws when it ran.
+    NaNs and the class name of the error it handed back in its lane's
+    ``errors``, which keeps the requested order. ``chains`` holds each
+    lane's ``bayes_mcmc`` draws when its chain ran and did not fail.
     """
 
     threshold: np.ndarray
@@ -300,16 +301,16 @@ def estimate_cells(values: np.ndarray, rho: Sequence[float], run_keys: Sequence[
     Lane i is the sorted sample in row i of ``values`` (lanes x n), with
     its ``rho[i]`` and ``run_keys[i]``. The lanes' excesses, Hill, tau and
     prior variance are array computations. One likelihood stack of the
-    lanes serves their ML fits, run in lockstep (``epd_ml_fits``), and the
-    ``bayes_closed`` estimates, whose first-order systems are solved at
-    once and whose exact mode searches run in lockstep
-    (``bayes._closed_forms``). One array call gives the tail probabilities
-    of every lane and estimator (``epd._tail_probs``). Each lane gets the
-    bits it gets alone. The ``bayes_mcmc`` chain runs lane by lane,
-    ``mcmc`` with its seed drawn from ``SeedSequence((*run_key, k))``.
-    A ValueError or RuntimeError fails only the estimator that raised it;
-    when tau cannot be estimated every estimator fails. Other errors
-    propagate.
+    lanes serves every estimator but Hill: their ML fits, run in lockstep
+    (``epd_ml_fits``), the ``bayes_closed`` estimates, whose first-order
+    systems are solved at once and whose exact mode searches run in
+    lockstep (``bayes._closed_forms``), and the ``bayes_mcmc`` chains, lane
+    by lane (``bayes._chain``), ``mcmc`` seeded from
+    ``SeedSequence((*run_key, k))``. One array call gives the tail
+    probabilities of every lane and estimator (``epd._tail_probs``). Each
+    lane gets the bits it gets alone. An estimator's error fails only that
+    estimator, and where tau cannot be estimated every estimator fails.
+    Nothing is caught: an error raised in a cell propagates.
     """
     lanes, n = values.shape
     threshold, y = excess_matrix(values, k)
@@ -333,7 +334,7 @@ def estimate_cells(values: np.ndarray, rho: Sequence[float], run_keys: Sequence[
     chains: list[PosteriorChain | None] = [None] * lanes
     if not ready.size:  # no lane has a tau
         return Cells(threshold, h, tau, sigma2, est, errors, chains)
-    if {"epd_ml", "bayes_closed"}.intersection(estimators):
+    if set(estimators) - {"hill"}:
         sub = ready if ready.size < lanes else slice(None)
         lik = _Likelihood(y[sub], tau[sub], log_y[sub])
     for j, name in enumerate(estimators):
@@ -346,16 +347,12 @@ def estimate_cells(values: np.ndarray, rho: Sequence[float], run_keys: Sequence[
             results = _closed_forms(lik, sigma2[ready].tolist())
         else:
             results = []
-            for i in ready.tolist():
-                e = ExcessSet(y=y[i], k=k, threshold=float(threshold[i]))
+            for lane, i in enumerate(ready.tolist()):
                 seed = int(np.random.SeedSequence((*run_keys[i], k)).generate_state(1)[0])
-                try:
-                    chains[i] = metropolis_sample(e, float(tau[i]), float(sigma2[i]),
-                                                  replace(mcmc, seed=seed))
-                    mode = BayesEstimate(*posterior_mode(chains[i]), solver="mcmc")
-                    results.append((mode.xi, mode.delta))
-                except _CELL_ERRORS as exc:
-                    results.append(exc)
+                result = _chain(lik, lane, float(sigma2[i]), replace(mcmc, seed=seed))
+                if isinstance(result, PosteriorChain):
+                    chains[i], result = result, posterior_mode(result)
+                results.append(result)
         for i, result in zip(ready.tolist(), results):
             if isinstance(result, Exception):
                 errors[i][name] = type(result).__name__

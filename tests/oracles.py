@@ -45,7 +45,7 @@ from scipy.special import expit, gammaln, logit
 from scipy.stats import norm
 
 from epdtail import EPDFit, EPDParams, delta_lower_bound, hill
-from epdtail.bayes import (ClosedFormError, _check_sigma2, _first_order, _log1p_sums, _log_post, _log_prior_const,
+from epdtail.bayes import (ClosedFormError, _first_order, _log1p_sums, _log_post, _log_prior_const,
                            _profile_posterior_modes)
 from epdtail.epd import (
     _ONE_BLAS_THREAD,
@@ -350,7 +350,8 @@ def log_posterior(xi, delta, e, tau, sigma2):
 
     Out-of-region parameters give -inf, matching the likelihood sentinel.
     """
-    _check_sigma2(sigma2)
+    if not sigma2 > 0:
+        raise ValueError(f"sigma2 must be positive, got {sigma2}")
     lik = _Likelihood(e.y[None], [tau])
     const = _log_prior_const(delta_lower_bound(tau), sigma2)
     if not (xi > 0 and delta > lik.lo[0]) or _inadmissible(lik.ext[0].tolist(), delta):

@@ -468,7 +468,7 @@ class TestBoundTable:
     def test_bound_is_above_the_exact_value(self, dist, seed, k, tau, log_xi, sigma2,
                                              where, pos):
         e = et.excesses(et.sample_distribution(dist, 500, seed), k)
-        table = _BoundTable(_Likelihood(e.y[None], [tau]))
+        table = _BoundTable(_Likelihood(e.y[None], [tau]), 0)
         lo, n_cells = table.lo, len(table.cells)
         far_out = (DELTA_MAX / 2 - lo + pos * DELTA_MAX / 2) / _CELL
         x = {"node": math.floor(pos * (n_cells - 1)), "between": pos * (n_cells - 1),

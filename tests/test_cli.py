@@ -95,6 +95,26 @@ class TestEstimate:
         assert all(0 < float(r["hill_xi"]) < 1 and not r["ml_xi"] and not r["bayes_xi"] and not r["tau"]
                    for r in rows)
 
+    @pytest.mark.parametrize("method", ["closed", "mcmc"])
+    def test_a_failed_bayes_estimate_keeps_the_ml_fit(self, tmp_path, method):
+        # a Burr(0.75, -0.75) sample of 2 000 at k = 100 and rho = -400: tau is -507.4 and the
+        # prior variance underflows to 0, so only the Bayes estimate fails; the row keeps the
+        # ML fit, tau, sigma2 and the probabilities of the estimators that did not fail
+        u = np.random.default_rng([0, 2000]).random(2000)
+        x = (np.minimum(1.0 - u, np.nextafter(1.0, 0.0)) ** -0.75 - 1.0) ** 1.0
+        data, out = tmp_path / "burr.csv", tmp_path / "est.csv"
+        data.write_text("\n".join(repr(float(v)) for v in x) + "\n")
+        assert main(["estimate", str(data), "--rho", "fixed:-400", "--method", method,
+                     "--x", repr((1e-3 ** -0.75 - 1.0) ** 1.0), "--mcmc-iters", "400", "--burn-in", "100",
+                     "--k-min", "100", "--k-max", "100", "--out", str(out)]) == 0
+        (row,) = _read_rows(out)
+        tau = et.tau_hat(-400.0, et.hill(et.excesses(et.load_sample(data), 100)))
+        assert [row[c] for c in ("ml_xi", "ml_delta", "rho", "tau", "sigma2", "error")] == [
+            "0.786305258293", "-0.00197068528684", "-400", _fmt(tau), "0", "ValueError"]
+        assert row["hill_xi"] and row["p_weissman"] and row["p_epd_ml"]
+        blank = ["bayes_xi", "bayes_delta", "p_bayes"] + (["hpd_lower", "hpd_upper"] if method == "mcmc" else [])
+        assert [row[c] for c in blank] == [""] * len(blank)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         data = _pareto_grid_file(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -106,11 +126,11 @@ class TestEstimate:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_chain_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        # --mcmc-iters 1000000000000 asks metropolis_sample for a 14.6 TiB draw array
+        # --mcmc-iters 1000000000000 asks the chain for a 14.6 TiB draw array
         def out_of_memory(*args):
             raise MemoryError("Unable to allocate 14.6 TiB")
 
-        monkeypatch.setattr(sim, "metropolis_sample", out_of_memory)
+        monkeypatch.setattr(sim, "_chain", out_of_memory)
         out = tmp_path / "est.csv"
         assert main(["estimate", str(_pareto_grid_file(tmp_path)), "--method", "mcmc",
                      "--mcmc-iters", "1000000000000", "--out", str(out)]) == 1
@@ -339,7 +359,10 @@ class TestSharedCell:
         assert np.isfinite(xi[:, [0, 2]]).all()
         rows = self._estimate(tmp_path, sample, x)
         assert [r["error"] for r in rows] == ["", "RuntimeError", ""]
-        assert rows[1]["hill_xi"] and not rows[1]["ml_xi"] and not rows[1]["bayes_xi"]
+        # the row keeps the estimators that did not fail, as the study does
+        assert [rows[1][c] for c in ("hill_xi", "bayes_xi", "p_weissman", "p_bayes")] == [
+            _fmt(v) for v in (xi[0, 1], xi[2, 1], p[0, 1], p[2, 1])]
+        assert not rows[1]["ml_xi"] and not rows[1]["ml_delta"] and not rows[1]["p_epd_ml"]
 
     def test_mcmc_row_is_the_chain_seeded_from_seed_and_k(self, tmp_path):
         cfg, x, sample = self._study()
@@ -439,7 +462,7 @@ class TestSimulate:
         def out_of_memory(*args):
             raise MemoryError
 
-        monkeypatch.setattr(sim, "metropolis_sample", out_of_memory)
+        monkeypatch.setattr(sim, "_chain", out_of_memory)
         argv = self._args(tmp_path, **{"--estimators": "bayes_mcmc",
                                        "--mcmc-iters": "1000000000000"})
         assert main(argv) == 1
@@ -455,6 +478,14 @@ class TestSimulate:
         assert main(["simulate", "--dist", dist, "--n", "60", "--reps", "2", "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_a_quantile_that_overflows_names_its_law(self, tmp_path, capsys):
+        # the true quantile (-log p)**-1000 overflows before any draw is made
+        out = tmp_path / "study.csv"
+        assert main(["simulate", "--dist", "frechet:1000", "--n", "60", "--reps", "3", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: the frechet(1000.0) quantile at p = 0.998 overflows a float\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("target_p", ["5e-17", "1e-320"])
@@ -650,6 +681,13 @@ class TestAsymptoticsCmd:
                      "--out", str(out)]) == 1
         assert "usage error: bad lambda grid" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_negative_value_in_exponent_form_is_a_value_not_a_flag(self, tmp_path):
+        # Python 3.11's argparse took "-1e-3" for a flag and asked --rho for its argument
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["asymptotics", "--xi", "0.5", "--rho", "-1e-3", "--out", str(a)]) == 0
+        assert main(["asymptotics", "--xi", "0.5", "--rho=-1e-3", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_positive_xi_required(self, tmp_path, capsys):
         # an infinite xi wrote a file of inf and blank cells

@@ -522,7 +522,8 @@ def test_lanes_without_a_mode_leave_the_others_alone(monkeypatch):
 
 
 def test_closed_forms_equal_one_lane_calls():
-    # both routes, a lane without a mode and two lanes that cannot be estimated, at one k
+    # both routes and three lanes that cannot be estimated, at one k: the tie lane's stack
+    # entry fails it, so it is not sent to the mode search
     cells = _mode_cells("burr_fig2", 150, 8)
     e, tau, sigma2 = cells[0]
     cells += [_tie(150), (e, tau, 0.0), (e, 0.5, sigma2)]
@@ -531,7 +532,35 @@ def test_closed_forms_equal_one_lane_calls():
            for est in _closed_forms(lik, [s for _, _, s in cells])]
     assert got == [_outcome(et.bayes_closed_form, *cell) for cell in cells]
     assert {est.split("solver=")[-1] for est in got[:8]} == {"'linear')", "'profile-map')"}
-    assert [est.split(":")[0] for est in got[8:]] == ["ClosedFormError", "ValueError", "ValueError"]
+    assert [est.split(":")[0] for est in got[8:]] == ["ValueError", "ValueError", "ValueError"]
+
+
+def test_every_estimator_hands_back_the_stacks_lane_error():
+    # one stack with a tie lane, a lane at tau = 0.5 and good lanes: the ML fits, the closed
+    # forms and the chains hand back the stack's ``fail`` entry for both bad lanes
+    good = _lanes("burr_fig2", 150, 3)
+    tie = (et.ExcessSet(y=np.ones(150), k=150, threshold=1.0), -1.0)
+    lik = stack([tie, good[0], (good[0][0], 0.5), good[1], good[2]])
+    fits, modes = epd_ml_fits(lik), _closed_forms(lik, [0.25] * 5)
+    chains = [bayes._chain(lik, lane, 0.25, et.MCMCConfig(iterations=400, burn_in=100)) for lane in range(5)]
+    for i, message in ((0, "all excesses are ties"), (2, "tau must be negative and finite, got 0.5")):
+        assert fits[i] is modes[i] is chains[i] is lik.fail[i]
+        assert isinstance(lik.fail[i], ValueError) and str(lik.fail[i]).startswith(message)
+    assert lik.fail[1::2] == [None, None] and lik.fail[4] is None
+    assert not any(isinstance(r, Exception) for r in [*fits[1::2], fits[4], *modes[1::2], modes[4],
+                                                       *chains[1::2], chains[4]])
+
+
+@pytest.mark.parametrize("lane", [0, 15, 31])
+def test_a_chain_on_a_stack_lane_is_the_one_lane_chain(lane):
+    # the chain reads its lane's rows of a 32-lane stack in place: the draws, log posteriors
+    # and acceptance rate of the chain on that lane alone
+    lanes = _lanes("burr_fig2", 200, 32)
+    cfg = et.MCMCConfig(iterations=2000, burn_in=500, seed=lane)
+    got = bayes._chain(stack(lanes), lane, 0.25, cfg)
+    want = et.metropolis_sample(*lanes[lane], 0.25, cfg)
+    assert np.array_equal(got.draws, want.draws) and np.array_equal(got.logpost, want.logpost)
+    assert got.acceptance_rate == want.acceptance_rate
 
 
 @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 32), k=st.integers(10, 479),

@@ -29,6 +29,18 @@ class TestDistributions:
             q = et.true_quantile(d, p)
             assert et.survival(d, q) == pytest.approx(1 - p, abs=1e-10)
 
+    @pytest.mark.parametrize("dist, message", [
+        # (-log p)**-1000 is inf, and so is exp(z / rate) at rate 1e-300
+        (et.frechet(1000.0), "the frechet(1000.0) quantile at p = 0.998 overflows a float"),
+        (et.loggamma(4.0, 1e-300), "the loggamma(4.0, 1e-300) quantile at p = 0.998 overflows a float"),
+        # (s**rho - 1)**3e5 is below the subnormals
+        (et.burr(300.0, -0.001), "the burr(300.0, -0.001) quantile at p = 0.998 underflows to 0"),
+    ])
+    def test_a_quantile_that_is_not_a_positive_finite_float_is_an_arithmetic_error(self, dist, message):
+        with pytest.raises(OverflowError) as info:
+            et.true_quantile(dist, 0.998)
+        assert str(info.value) == message
+
     def test_quantile_domain(self, frechet_dist):
         with pytest.raises(ValueError):
             et.true_quantile(frechet_dist, 0.0)
@@ -348,6 +360,21 @@ def test_a_tau_that_overflows_fails_its_lane_with_a_value_error(burr_dist):
     assert cells.errors == [dict.fromkeys(names, "ValueError"), {}]
     assert np.isnan(cells.tau[0]) and np.isnan(cells.sigma2[0]) and np.isnan(cells.estimates[0]).all()
     assert np.isfinite(cells.estimates[1, :, :2]).all()
+
+
+def test_an_exception_raised_in_a_cell_propagates(monkeypatch):
+    # an estimator hands back the error of a lane it cannot estimate; an exception raised in
+    # a cell, as by a bug, is not caught and counted as exclusions
+    from epdtail import bayes
+
+    def bug(self, j):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(bayes._BoundTable, "fill", bug)
+    cfg = et.MCStudyConfig(dist=et.frechet(0.5), n=200, reps=2, k_grid=(20, 40), estimators=("hill", "bayes_mcmc"),
+                           mcmc_iterations=60, mcmc_burn_in=10)
+    with pytest.raises(ValueError, match="^bug$"):
+        sim.run_study(cfg)
 
 
 def test_one_coefficient_stack_per_threshold_read_in_place(burr_dist, monkeypatch):
