@@ -4,6 +4,9 @@ The package fits the extended Pareto model to threshold excesses,
 shrinks the second-order perturbation with a threshold-driven prior, and
 provides the classical Hill/Weissman baselines, the limiting
 bias/variance theory, and a reproducible Monte Carlo study harness.
+Every estimator runs on a stack of samples of one size, one per row:
+``estimate_cells`` estimates at one threshold and returns its ``Cells``,
+and one sample is a stack of one row.
 """
 
 from .asymptotics import (
@@ -15,48 +18,34 @@ from .asymptotics import (
     zeta_opt,
 )
 from .bayes import (
-    BayesEstimate,
     ClosedFormError,
     MCMCConfig,
     PosteriorChain,
-    bayes_closed_form,
-    bayes_tail_prob,
     hpd_interval,
-    metropolis_sample,
     posterior_mode,
     prior_variance,
     smooth_path,
 )
-from .classical import hill, weissman_tail_prob
-from .data import DataFormatError, ExcessSet, SortedSample, excesses, load_sample
-from .epd import (
-    EPDFit,
-    EPDParams,
-    delta_lower_bound,
-    epd_log_likelihood,
-    epd_ml_fit,
-    epd_quantile,
-    epd_sample,
-    epd_survival,
-    epd_tail_prob,
-)
+from .data import DataFormatError, SortedSample, load_sample
+from .epd import delta_lower_bound
 from .second_order import (
     NonEstimableError,
     resolve_rho,
     rho_fraga,
-    tau_hat,
 )
 from .simulate import (
+    Cells,
     MCStudyConfig,
     MCStudyResult,
     SimDistribution,
     StudyError,
     burr,
+    estimate_cells,
     frechet,
+    k_range,
     loggamma,
     run_study,
     sample_distribution,
-    survival,
     true_quantile,
 )
 

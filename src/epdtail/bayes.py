@@ -21,24 +21,18 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .data import ExcessSet, SortedSample
-from .epd import DELTA_MAX, EPDParams, _inadmissible, _lane_powers, _Likelihood, _lockstep, _unwrap, epd_tail_prob
+from .epd import DELTA_MAX, _inadmissible, _lane_powers, _Likelihood, _lockstep
 
 __all__ = [
     "ClosedFormError",
     "PosteriorChain",
-    "BayesEstimate",
     "MCMCConfig",
     "prior_variance",
-    "bayes_closed_form",
-    "metropolis_sample",
     "posterior_mode",
     "hpd_interval",
-    "bayes_tail_prob",
     "smooth_path",
 ]
 
@@ -66,19 +60,6 @@ _SCAN_LANES = _BUDGET // (16 * 481)
 
 class ClosedFormError(RuntimeError):
     """The first-order estimating system has no usable solution."""
-
-
-@dataclass(frozen=True)
-class BayesEstimate:
-    """Posterior-mode estimate of (xi, delta) and the route that found it."""
-
-    xi: float
-    delta: float
-    solver: Literal["linear", "profile-map", "mcmc"]
-
-    def __post_init__(self) -> None:
-        if not self.xi > 0:
-            raise ValueError("xi must be positive")
 
 
 @dataclass(frozen=True)
@@ -200,7 +181,9 @@ def _first_order(lik: _Likelihood, weight) -> tuple[np.ndarray, np.ndarray]:
     where D(xi) = weight*xi - bracket(xi) and bracket is affine in xi. It
     is solved exactly through the equivalent quadratic
     a2*delta**2 + a1*delta - rhs = 0 (linear where |a2| < 1e-300, singular
-    where also |a1| < 1e-12). Among its real roots, the admissible one of
+    where also |a1| < 1e-12). An infinite ``weight``, where k*sigma2 is
+    below 1/DBL_MAX, is the strong-prior limit: the linear route then
+    gives its root (H, 0). Among the real roots, the admissible one of
     smallest magnitude wins, the smaller on a tie: the branch that
     vanishes in the strong-prior limit. ``weight`` is one number or one
     per lane. No value reads another lane, so a lane's result is the bits
@@ -217,7 +200,7 @@ def _first_order(lik: _Likelihood, weight) -> tuple[np.ndarray, np.ndarray]:
         a2 = (weight - b1) * (1.0 - e1)
         disc = a1 * a1 + 4.0 * a2 * rhs
         q = -(a1 + np.copysign(np.sqrt(disc), a1)) / 2.0
-        linear = abs(a2) < 1e-300
+        linear = (abs(a2) < 1e-300) | (weight == math.inf)
         d = np.array([np.where(linear, rhs / a1, np.where(rhs == 0.0, 0.0, q / a2)),
                       np.where(linear | (rhs == 0.0) | ~(abs(q) > 0), np.nan, -rhs / q)])
         d[:, np.where(linear, abs(a1) < 1e-12, disc < 0.0)] = np.nan
@@ -448,14 +431,18 @@ def _profile_posterior_modes(
 
 
 def _closed_forms(lik: _Likelihood, sigma2: Sequence[float]) -> list[tuple[float, float, str] | Exception]:
-    """``bayes_closed_form`` on the lanes of the stack ``lik``, each with its prior variance ``sigma2``.
+    """Posterior-mode estimates of the lanes of the stack ``lik``, each with its prior variance ``sigma2``.
 
-    One array computation solves every lane's first-order system
-    (``_first_order``); the lanes without an admissible root run the exact
-    mode search together (``_profile_posterior_modes``). A lane's estimate
-    is the tuple (xi, delta, solver), the fields of ``BayesEstimate``; a
-    lane that cannot be estimated holds its error (``_lane_error``'s, which
-    no search is sent, or the mode search's ClosedFormError).
+    The first-order estimating system couples a lane's Hill estimate with
+    its tau and 2*tau moment statistics, and the prior variance enters
+    through xi / (k * sigma2). One array computation solves every lane's
+    system exactly (``_first_order``). In strong-bias regimes the system
+    can lack an admissible root, and those lanes run the exact mode search
+    together (``_profile_posterior_modes``). A lane's estimate is the tuple
+    (xi, delta, solver), the solver "linear" or "profile-map" as the route
+    that ran; a lane that cannot be estimated holds its error
+    (``_lane_error``'s, which no search is sent, or the mode search's
+    ClosedFormError).
     """
     with np.errstate(all="ignore"):  # a lane that cannot be estimated gets its ValueError below
         xi, delta = _first_order(lik, 1.0 / (lik.k * np.asarray(sigma2, dtype=float)))
@@ -466,20 +453,6 @@ def _closed_forms(lik: _Likelihood, sigma2: Sequence[float]) -> list[tuple[float
     for i, mode in zip(search, _profile_posterior_modes(lik, sigma2, search)):
         out[i] = mode if isinstance(mode, ClosedFormError) else (*mode, "profile-map")
     return out
-
-
-def bayes_closed_form(e: ExcessSet, tau: float, sigma2: float) -> BayesEstimate:
-    """Posterior-mode approximation from the first-order estimating system.
-
-    The system couples the Hill estimate with the tau and 2*tau moment
-    statistics; the prior variance sigma2 enters through xi / (k * sigma2). It is solved
-    exactly through its quadratic reduction. In strong-bias regimes the
-    linearized system can lack a real admissible solution; the estimator
-    then falls back to the exact posterior mode found by profile search.
-    ``BayesEstimate.solver`` records which route ran. This is
-    ``_closed_forms`` on one lane.
-    """
-    return BayesEstimate(*_unwrap(_closed_forms(_Likelihood(e.y[None], [tau]), [sigma2])[0]))
 
 
 @dataclass(frozen=True)
@@ -500,14 +473,19 @@ class MCMCConfig:
 
 
 def _chain(lik: _Likelihood, lane: int, sigma2: float, config: MCMCConfig) -> PosteriorChain | Exception:
-    """``metropolis_sample`` on the stack lane ``lane``: its chain, ``_lane_error``'s error, or a RuntimeError.
+    """Random-walk Metropolis on the posterior of the stack lane ``lane``: its chain, an error, or a RuntimeError.
 
-    The RuntimeError is a post-burn-in acceptance rate of 0 or 1. The log
-    posterior is ``_log_post`` on the lane's row sums, by ``_log1p_sums`` on
-    its two coefficient rows, with u as log xi. A proposal is first tested
-    against an upper bound of it, ``_log_post`` on the ``_BoundTable``
-    bounds of the two sums. Rounding is monotone, so the row-sum pass runs
-    only where the bound is not already rejected.
+    The chain moves in (log xi, delta), with the Jacobian correction, so the
+    retained draws follow the posterior of (xi, delta) itself; their log
+    posteriors are on the total (not per-observation) scale, and a fixed
+    seed gives the same draws. A lane that cannot be estimated gets its
+    ``_lane_error``, and a post-burn-in acceptance rate of 0 or 1 the
+    RuntimeError. The log posterior is ``_log_post`` on the lane's row
+    sums, by ``_log1p_sums`` on its two coefficient rows, with u as log
+    xi. A proposal is first tested against an upper bound of it,
+    ``_log_post`` on the ``_BoundTable`` bounds of the two sums. Rounding
+    is monotone, so the row-sum pass runs only where the bound is not
+    already rejected.
     """
     if fail := _lane_error(lik, lane, sigma2):
         return fail
@@ -574,17 +552,6 @@ def _chain(lik: _Likelihood, lane: int, sigma2: float, config: MCMCConfig) -> Po
     return PosteriorChain(draws=draws, logpost=logpost, acceptance_rate=float(rate))
 
 
-def metropolis_sample(e: ExcessSet, tau: float, sigma2: float, config: MCMCConfig) -> PosteriorChain:
-    """Random-walk Metropolis on (log xi, delta) targeting the posterior: ``_chain`` on a one-lane stack.
-
-    The chain moves in log xi (with the Jacobian correction), so the
-    retained draws follow the posterior of (xi, delta) itself. Stored
-    log-posterior values are on the total (not per-observation) scale.
-    Deterministic for a fixed seed. An error ``_chain`` returns is raised.
-    """
-    return _unwrap(_chain(_Likelihood(e.y[None], [tau]), 0, sigma2, config))
-
-
 def posterior_mode(chain: PosteriorChain) -> tuple[float, float]:
     """The retained draw with the highest log posterior; ties go to the earliest."""
     if chain.draws.shape[0] == 0:
@@ -608,14 +575,6 @@ def hpd_interval(draws, alpha: float) -> tuple[float, float]:
     widths = xs[w - 1:] - xs[: m - w + 1]
     i = int(np.argmin(widths))
     return float(xs[i]), float(xs[i + w - 1])
-
-
-def bayes_tail_prob(
-    s: SortedSample, k: int, x: float, est: BayesEstimate, tau: float
-) -> float:
-    """Exceedance probability under the posterior-mode excess model."""
-    params = EPDParams(xi=est.xi, delta=est.delta, tau=tau)
-    return epd_tail_prob(s, k, x, params)
 
 
 def smooth_path(paths, window: int = 5) -> np.ndarray:

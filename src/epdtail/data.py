@@ -9,7 +9,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-__all__ = ["DataFormatError", "SortedSample", "ExcessSet", "load_sample", "excesses", "excess_matrix"]
+__all__ = ["DataFormatError", "SortedSample", "load_sample", "excess_matrix"]
 
 
 class DataFormatError(ValueError):
@@ -52,52 +52,14 @@ class SortedSample:
         return float(self.values[self.n - k - 1])
 
 
-@dataclass(frozen=True)
-class ExcessSet:
-    """The k relative excesses over the (k+1)-th largest observation.
-
-    ``y`` holds the ratios of the k largest observations to the threshold,
-    in descending order; every entry is >= 1. Ties with the threshold
-    produce excesses exactly equal to 1.
-    """
-
-    y: np.ndarray
-    k: int
-    threshold: float
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.y, dtype=float)
-        if arr.size != self.k or self.k < 1:
-            raise ValueError("k must match the number of excesses and be >= 1")
-        if self.threshold <= 0.0:
-            raise ValueError("threshold must be positive")
-        if (arr < 1.0).any():
-            raise ValueError("excesses must be >= 1")
-        if (arr[:-1] < arr[1:]).any():
-            raise ValueError("excesses must be non-increasing")
-        arr = np.array(arr, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "y", arr)
-
-
-def excesses(s: SortedSample, k: int) -> ExcessSet:
-    """Form the k relative excesses of ``s`` over its (k+1)-th largest value.
-
-    Exact ratios are taken, so the result is invariant under rescaling of
-    the raw data. This is ``excess_matrix`` on one sample.
-    """
-    threshold, y = excess_matrix(s.values[None], k)
-    return ExcessSet(y=y[0], k=k, threshold=float(threshold[0]))
-
-
 def excess_matrix(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The thresholds and relative excesses at k of samples of one size, by the array.
 
     ``values`` holds the ascending values of each sample as a row (lanes x
     n). Returns each row's (k+1)-th largest value and its k excesses over
-    it in descending order (lanes x k, C-contiguous): row by row, what
-    ``excesses`` returns, with the checks of ``SortedSample.threshold`` and
-    ``ExcessSet`` made on the whole array.
+    it in descending order (lanes x k, C-contiguous), exact ratios that a
+    rescaling of the data leaves alone. A k outside [1, n-1], a threshold
+    that is not positive and excesses below 1 or not descending are a ValueError.
     """
     n = values.shape[1]
     if not 1 <= k <= n - 1:

@@ -1,16 +1,15 @@
-"""The extended Pareto excess model: survival, likelihood, fitting, sampling.
+"""The extended Pareto excess model: survival, likelihood and fitting, on stacks of lanes.
 
 The model perturbs the strict Pareto survival y**(-1/xi) by a bounded
 power term: survival(y) = (y * (1 + delta - delta * y**tau))**(-1/xi) on
 y >= 1, with tau < 0 < xi and delta > max(-1, 1/tau). delta = 0 recovers
 the strict Pareto exactly. The likelihood is built once as a stack of
-lanes, excess sets that share k. Each lane's fit is a generator search,
-and one runner, ``_lockstep``, runs the searches of all lanes together,
-as it runs the posterior-mode polish of ``bayes``. The survival is one
-array formula, ``_tail_probs``, for lanes and for one lane alike. The
-mean log-likelihood is one formula, ``_loglik``, on a lane's two sums
-from the ML pass ``_fg_sums``, which also answers the one-lane
-``epd_log_likelihood``; the log posterior of ``bayes`` is one formula of
+lanes, excess sets that share k; one sample is a stack of one lane. Each
+lane's fit is a generator search, and one runner, ``_lockstep``, runs the
+searches of all lanes together, as it runs the posterior-mode polish of
+``bayes``. The survival is one array formula, ``_tail_probs``. The mean
+log-likelihood is one formula, ``_loglik``, on a lane's two sums from the
+ML pass ``_fg_sums``; the log posterior of ``bayes`` is one formula of
 its own on the row sums of log1p, for the mode search and the chain.
 
 The fit drives scipy's compiled L-BFGS-B core, the extension module
@@ -28,27 +27,13 @@ import math
 import sys
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from .data import ExcessSet, SortedSample
-
-__all__ = [
-    "EPDParams",
-    "EPDFit",
-    "delta_lower_bound",
-    "epd_survival",
-    "epd_log_likelihood",
-    "epd_ml_fit",
-    "epd_ml_fits",
-    "epd_quantile",
-    "epd_sample",
-    "epd_tail_prob",
-]
+__all__ = ["delta_lower_bound", "epd_ml_fits"]
 
 DELTA_MAX = 10.0  # upper search bound for the perturbation amplitude
 
@@ -96,33 +81,6 @@ def delta_lower_bound(tau: float) -> float:
     return max(-1.0, 1.0 / tau)
 
 
-@dataclass(frozen=True)
-class EPDParams:
-    """Parameters (xi, delta, tau) of the extended Pareto excess model."""
-
-    xi: float
-    delta: float
-    tau: float
-
-    def __post_init__(self) -> None:
-        if not self.xi > 0:
-            raise ValueError(f"xi must be positive, got {self.xi}")
-        lo = delta_lower_bound(self.tau)  # a tau outside (-inf, 0) is a ValueError
-        # delta > max(-1, 1/tau) keeps 1 + delta - delta*y**tau positive on y >= 1
-        if not self.delta > lo:
-            raise ValueError(f"delta must exceed {lo}, got {self.delta}")
-
-
-@dataclass(frozen=True)
-class EPDFit:
-    """Result of the two-parameter likelihood fit at fixed tau."""
-
-    params: EPDParams
-    loglik: float
-    converged: bool
-    iterations: int
-
-
 class _Likelihood:
     """The mean log-likelihoods of lanes (excess sets that share k, each at its own tau) as one stack.
 
@@ -162,14 +120,6 @@ class _Likelihood:
         with np.errstate(invalid="ignore"):  # -inf * 0 at tau = -inf, a lane that fails on its tau
             np.subtract(1.0, np.multiply((1.0 + tau)[:, None], p, out=b), out=b)
         self.ext = np.column_stack([a.min(axis=1), a.max(axis=1), b.min(axis=1), b.max(axis=1)])
-
-    def __call__(self, xi: float, delta: float) -> float:
-        """The mean log-likelihood of a one-lane stack at (xi, delta), by ``_fg_sums``; -inf outside the region."""
-        if not (xi > 0 and delta > self.lo[0]) or _inadmissible(self.ext[0].tolist(), delta):
-            return -math.inf
-        (sums,) = _fg_sums(self.coef, self.log_y, np.full((1, 1, 1), delta), np.empty((1, 4, self.k)))
-        return _loglik(xi, self.k, *sums[:2])
-
 
 def _loglik(xi: float, k: int, s1: float, s2: float) -> float:
     """The mean log-likelihood at xi > 0 from one lane's sums s1 and s2 (see ``_fg_sums``)."""
@@ -295,7 +245,7 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 
 def _tail_probs(level: float, z: np.ndarray, tau: np.ndarray, xi: np.ndarray,
                 delta: np.ndarray) -> np.ndarray:
-    """``level`` times the survival of lanes by the array; at delta = 0, ``weissman_tail_prob``.
+    """``level`` times the survival of lanes by the array; at delta = 0, Weissman's extrapolation.
 
     Lane i has z[i] = x / threshold >= 1 and rate tau[i], and row i of
     ``xi`` and ``delta`` (lanes x fits) holds its fits. Returns ``level``
@@ -307,34 +257,6 @@ def _tail_probs(level: float, z: np.ndarray, tau: np.ndarray, xi: np.ndarray,
     """
     z = z[:, None]
     return level * (z * (1.0 + delta * (1.0 - z ** tau[:, None]))) ** (-1.0 / xi)
-
-
-def epd_survival(p: EPDParams, y):
-    """Survival function of the excess model, vectorized over y >= 1: ``_tail_probs`` at level 1."""
-    y_arr = np.asarray(y, dtype=float)
-    if (y_arr < 1.0).any():
-        raise ValueError("survival is defined for y >= 1 only")
-    # a lane per y, so that no exponent is one value for the whole call (see ``_lane_powers``)
-    tau, xi, delta = (np.full((y_arr.size, 1), v) for v in (p.tau, p.xi, p.delta))
-    out = _tail_probs(1.0, y_arr.reshape(-1), tau[:, 0], xi, delta).reshape(y_arr.shape)
-    return out if out.ndim else float(out)
-
-
-def epd_log_likelihood(xi: float, delta: float, tau: float, e: ExcessSet) -> float:
-    """Mean log-likelihood of the excesses under the extended Pareto model.
-
-    Returns -inf for parameters outside the admissible region so that
-    optimizers and samplers can reject naturally; malformed excess data
-    raises instead.
-    """
-    return _Likelihood(e.y[None], [tau])(xi, delta)
-
-
-def _unwrap(result):
-    """A lane's result from a stack estimator, raised if it is the lane's error: a one-lane caller's end."""
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def _lockstep(searches: Sequence, evaluate) -> list:
@@ -422,13 +344,16 @@ def epd_ml_fits(lik: _Likelihood) -> list[tuple[float, float, float, bool, int] 
     ``_lockstep`` runs them together: each round, one ``_fg_sums`` pass
     over the stack rows of the lanes that ask answers each with a value and
     gradient. A lane's fit, the tuple (xi, delta, loglik, converged,
-    iterations), is the bits it gets alone, since no sum mixes lanes. A
-    lane that cannot be fit holds its ``fail`` entry, or a ValueError for
-    fewer than 10 excesses.
+    iterations), is the bits it gets alone, since no sum mixes lanes. It
+    is also the bits of ``scipy.optimize.minimize(method="L-BFGS-B")``
+    with the same settings and stopping rules: it converged when the core
+    stopped with CONVERGENCE (task 4), and its loglik is minus the last
+    value handed to the core. A lane that cannot be fit holds its ``fail``
+    entry, or a ValueError for fewer than 10 excesses.
     """
     k = lik.k
     few = ValueError(f"need at least 10 excesses to fit, got {k}") if k < 10 else None
-    searches = [few or fail or _ml_search(k, lo, ext, s / k)  # from the Hill estimate s / k, as ``hill`` has it
+    searches = [few or fail or _ml_search(k, lo, ext, s / k)  # from the Hill estimate s / k
                 for fail, lo, ext, s in zip(lik.fail, lik.lo.tolist(), lik.ext.tolist(), lik.sum_log_y.tolist())]
     work, deltas = np.empty((len(searches), 4, k)), np.empty((len(searches), 1, 1))
 
@@ -439,66 +364,3 @@ def epd_ml_fits(lik: _Likelihood) -> list[tuple[float, float, float, bool, int] 
 
     with _ONE_BLAS_THREAD:
         return _lockstep(searches, fg_sums)
-
-
-def epd_ml_fit(e: ExcessSet, tau: float) -> EPDFit:
-    """Maximum-likelihood fit of (xi, delta) at fixed tau: ``epd_ml_fits`` on one lane.
-
-    Quasi-Newton search on (log xi, logit-mapped delta) so both
-    constraints hold throughout; started at the Hill estimate with
-    delta = 0. Requires at least 10 excesses.
-
-    The search, ``_ml_search``, is scipy's L-BFGS-B core,
-    ``_lbfgsb.setulb``, driven by the loop that
-    ``scipy.optimize.minimize(method="L-BFGS-B")`` runs, with its
-    settings and stopping rules: the same calls give the same bits,
-    without the per-point cost of scipy's Python wrappers. The fit
-    converged when the core stops with CONVERGENCE (task 4); the
-    log-likelihood is minus the last value handed to the core.
-    """
-    xi, delta, loglik, converged, iterations = _unwrap(epd_ml_fits(_Likelihood(e.y[None], [tau]))[0])
-    return EPDFit(params=EPDParams(xi=xi, delta=delta, tau=tau), loglik=loglik, converged=converged,
-                  iterations=iterations)
-
-
-def _invert_survival(p: EPDParams, targets: np.ndarray) -> np.ndarray:
-    """Solve y*(1 + delta*(1 - y**tau)) = t for each target t >= 1 by bisection, to relative width 1e-13."""
-    lo_fac = min(1.0, 1.0 + p.delta)
-    lower = np.ones_like(targets)
-    upper = 1.0 + targets / lo_fac
-    for _ in range(200):
-        mid = 0.5 * (lower + upper)
-        g = mid * (1.0 + p.delta * (1.0 - mid ** p.tau))
-        high = g >= targets
-        upper = np.where(high, mid, upper)
-        lower = np.where(high, lower, mid)
-        if np.all(upper - lower <= 1e-13 * lower):
-            break
-    return 0.5 * (lower + upper)
-
-
-def epd_quantile(p: EPDParams, q: float) -> float:
-    """Quantile of the excess model: the y with survival(y) = 1 - q."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be in (0, 1), got {q}")
-    target = np.array([(1.0 - q) ** (-p.xi)])
-    return float(_invert_survival(p, target)[0])
-
-
-def epd_sample(p: EPDParams, count: int, seed) -> np.ndarray:
-    """Inverse-transform draws from the excess model, deterministic per seed."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    survival_levels = np.maximum(1.0 - u, np.finfo(float).tiny)
-    targets = survival_levels ** (-p.xi)
-    return _invert_survival(p, targets)
-
-
-def epd_tail_prob(s: SortedSample, k: int, x: float, p: EPDParams) -> float:
-    """Exceedance probability (k/n) * survival(x / threshold) under the fit: ``_tail_probs`` on one lane."""
-    threshold = s.threshold(k)
-    if x < threshold:
-        raise ValueError(f"x={x} is below the threshold {threshold}; extrapolation invalid")
-    return (k / s.n) * float(epd_survival(p, x / threshold))

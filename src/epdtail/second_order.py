@@ -1,4 +1,4 @@
-"""Second-order rate parameter estimation and the threshold-rate mapping."""
+"""Second-order rate parameter estimation: the three-moment estimator of rho and its fallback."""
 
 from __future__ import annotations
 
@@ -8,12 +8,7 @@ import numpy as np
 
 from .data import SortedSample
 
-__all__ = [
-    "NonEstimableError",
-    "rho_fraga",
-    "tau_hat",
-    "resolve_rho",
-]
+__all__ = ["NonEstimableError", "rho_fraga", "resolve_rho"]
 
 
 class NonEstimableError(ValueError):
@@ -66,13 +61,6 @@ def rho_fraga(s: SortedSample, k1: int | None = None, tuning: float = 0.0) -> fl
     if rho >= 0.0:
         raise NonEstimableError("estimate collapsed to a nonnegative value")
     return rho
-
-
-def tau_hat(rho: float, hill: float) -> float:
-    """Map the second-order rate to the excess-scale rate, rho / hill."""
-    if hill <= 0:
-        raise NonEstimableError("tau requires a positive Hill estimate")
-    return rho / hill
 
 
 def resolve_rho(

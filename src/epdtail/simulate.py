@@ -42,7 +42,6 @@ __all__ = [
     "frechet",
     "burr",
     "loggamma",
-    "survival",
     "true_quantile",
     "sample_distribution",
     "k_range",
@@ -98,25 +97,6 @@ def loggamma(shape: float = 4.0, rate: float = 2.0) -> SimDistribution:
     if not (0 < shape < math.inf and 0 < rate < math.inf):
         raise ValueError("shape and rate must be positive and finite")
     return SimDistribution("loggamma", (shape, rate), true_xi=1.0 / rate, true_rho=0.0)
-
-
-def survival(d: SimDistribution, x) -> np.ndarray | float:
-    """Exact survival function of the reference law, vectorized over x."""
-    x_arr = np.asarray(x, dtype=float)
-    if d.kind == "frechet":
-        (xi,) = d.args
-        out = 1.0 - np.exp(-np.power(x_arr, -1.0 / xi))
-    elif d.kind == "burr":
-        xi, rho = d.args
-        out = (1.0 + np.power(x_arr, -rho / xi)) ** (1.0 / rho)
-    elif d.kind == "loggamma":
-        from scipy.special import gammaincc
-
-        shape, rate = d.args
-        out = np.where(x_arr <= 1.0, 1.0, gammaincc(shape, rate * np.log(np.maximum(x_arr, 1.0))))
-    else:
-        raise ValueError(f"unknown distribution kind {d.kind!r}")
-    return out if out.ndim else float(out)
 
 
 def true_quantile(d: SimDistribution, p: float) -> float:
@@ -272,7 +252,7 @@ class MCStudyResult:
 
 @dataclass(frozen=True)
 class Cells:
-    """The estimates of lanes at one threshold k.
+    """The result of ``estimate_cells``: the estimates of lanes at one threshold k.
 
     Per lane: the threshold, Hill, and tau and the prior variance sigma2
     (both NaN where tau cannot be estimated). ``estimates`` (lanes x
@@ -299,13 +279,15 @@ def estimate_cells(values: np.ndarray, rho: Sequence[float], run_keys: Sequence[
     """Run each of ``estimators`` (names from ``ESTIMATORS``) at threshold k on lanes, by the array.
 
     Lane i is the sorted sample in row i of ``values`` (lanes x n), with
-    its ``rho[i]`` and ``run_keys[i]``. The lanes' excesses, Hill, tau and
+    its ``rho[i]`` and ``run_keys[i]``; one sample is one lane, as
+    ``estimate_cells(sample.values[None], [rho], [(seed,)], k, estimators, x)``,
+    the call ``epdtail estimate`` makes at each k. The lanes' excesses, Hill, tau and
     prior variance are array computations. One likelihood stack of the
     lanes serves every estimator but Hill: their ML fits, run in lockstep
     (``epd_ml_fits``), the ``bayes_closed`` estimates, whose first-order
     systems are solved at once and whose exact mode searches run in
     lockstep (``bayes._closed_forms``), and the ``bayes_mcmc`` chains, lane
-    by lane (``bayes._chain``), ``mcmc`` seeded from
+    by lane (``bayes._chain``), ``mcmc`` (which they need) seeded from
     ``SeedSequence((*run_key, k))``. One array call gives the tail
     probabilities of every lane and estimator (``epd._tail_probs``). Each
     lane gets the bits it gets alone. An estimator's error fails only that
@@ -315,9 +297,9 @@ def estimate_cells(values: np.ndarray, rho: Sequence[float], run_keys: Sequence[
     lanes, n = values.shape
     threshold, y = excess_matrix(values, k)
     log_y = np.log(y)
-    h = np.add.reduce(log_y, axis=1) / k  # the bits of ``hill``
+    h = np.add.reduce(log_y, axis=1) / k  # Hill, the mean log excess
     rho = np.asarray(rho, dtype=float)
-    # every estimator needs tau = rho / Hill (``tau_hat``) and the prior variance, which
+    # every estimator needs tau = rho / Hill and the prior variance, which
     # fail where Hill is not positive, where rho is not negative and where tau is not finite
     ok = (h > 0) & ~(rho >= 0)
     with np.errstate(over="ignore"):  # a rho / Hill that overflows fails its lane below

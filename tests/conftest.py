@@ -11,6 +11,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 import epdtail as et
+from epdtail.data import excess_matrix
 
 # property tests draw the same examples on every run and have no time limit
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
@@ -49,17 +50,14 @@ def burr_sample(burr_dist):
 
 @pytest.fixture(scope="session")
 def burr_k200(burr_sample):
-    """Excesses, tau and prior variance at k=200 on the shared Burr sample."""
-    e = et.excesses(burr_sample, 200)
-    h = et.hill(e)
+    """Excesses, tau and prior variance at k=200 on the shared Burr sample, as ``estimate_cells`` has them."""
     rho, _ = et.resolve_rho(burr_sample)
-    tau = et.tau_hat(rho, h)
-    return e, tau, et.prior_variance(200, 500, rho)
+    cells = et.estimate_cells(burr_sample.values[None], [rho], [(0,)], 200, ("hill",))
+    return excess_matrix(burr_sample.values[None], 200)[1][0], float(cells.tau[0]), float(cells.sigma2[0])
 
 
-def pareto_excesses(xi: float, k: int, seed) -> "et.ExcessSet":
-    """Excess set drawn directly from the strict Pareto excess law."""
+def pareto_excesses(xi: float, k: int, seed) -> np.ndarray:
+    """k excesses drawn directly from the strict Pareto excess law, descending."""
     rng = np.random.default_rng(seed)
     u = np.maximum(rng.random(k), np.finfo(float).tiny)
-    y = np.sort(u ** (-xi))[::-1]
-    return et.ExcessSet(y=y, k=k, threshold=1.0)
+    return np.sort(u ** (-xi))[::-1].copy()

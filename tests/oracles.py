@@ -26,12 +26,18 @@ point on the chain's total scale, the library's ``_log_post`` on the
 ``_log1p_sums`` of a one-lane stack. ``log_prior_xi`` is the gamma log
 prior on xi that ``_log_post`` inlines, and ``mse_opt_weighted`` the
 paper's weighted-average form of the optimal limiting MSE, a second route
-to ``mse_opt``.
-``loglik_value_and_grad``, ``profile_posterior_mode`` and
+to ``mse_opt``. ``law_survival`` is the exact survival of the study's
+reference laws, and ``epd_sample`` and ``epd_quantile`` are the test
+sampler of the extended Pareto model: they invert its survival by
+bisection, apart from the library's survival formula ``epd._tail_probs``,
+which the sampler's KS tests check.
+``loglik``, ``loglik_value_and_grad``, ``profile_posterior_mode`` and
 ``solve_first_order`` are not oracles: they run the library's own ML pass,
 mode search and first-order solution on a one-lane stack, the one-lane
 forms that only tests call. Nor is ``stack``, which builds the library's
-stack from (excesses, tau) lanes.
+stack from (excesses, tau) lanes. Excesses are arrays, descending and
+C-contiguous as ``data.excess_matrix`` gives its rows: numpy may round a
+power of a strided array otherwise.
 """
 
 from __future__ import annotations
@@ -41,10 +47,10 @@ import math
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import expit, gammaln, logit
+from scipy.special import expit, gammaincc, gammaln, logit
 from scipy.stats import norm
 
-from epdtail import EPDFit, EPDParams, delta_lower_bound, hill
+from epdtail import delta_lower_bound
 from epdtail.bayes import (ClosedFormError, _first_order, _log1p_sums, _log_post, _log_prior_const,
                            _profile_posterior_modes)
 from epdtail.epd import (
@@ -53,6 +59,7 @@ from epdtail.epd import (
     _fg_sums,
     _inadmissible,
     _Likelihood,
+    _loglik,
     _value_and_grad,
 )
 
@@ -64,9 +71,8 @@ def log_prior_xi(xi, gamma_shape=1e-4):
     return (gamma_shape - 1.0) * math.log(xi) - xi - math.lgamma(gamma_shape)
 
 
-def oracle_epd_log_likelihood(xi, delta, tau, e):
-    """Mean EPD log-likelihood, rebuilding every term from the excesses on each call."""
-    y = e.y
+def oracle_epd_log_likelihood(xi, delta, tau, y):
+    """Mean EPD log-likelihood of the excesses ``y``, rebuilding every term on each call."""
     if np.any(y < 1.0):
         raise ValueError("excesses must be >= 1")
     if not (xi > 0 and tau < 0 and delta > delta_lower_bound(tau)):
@@ -83,7 +89,7 @@ def oracle_epd_log_likelihood(xi, delta, tau, e):
     )
 
 
-def oracle_log_post(xi, log_xi, delta, tau, e, sigma2, gamma_shape=1e-4):
+def oracle_log_post(xi, log_xi, delta, tau, y, sigma2, gamma_shape=1e-4):
     """The log posterior on the chain's total scale, composed from scratch in ``bayes._log_post``'s association.
 
     The row sums S1 of log1p(delta*a) and S2 of log1p(delta*b) of an
@@ -94,7 +100,7 @@ def oracle_log_post(xi, log_xi, delta, tau, e, sigma2, gamma_shape=1e-4):
     delta prior's normaliser, of its mass above the model bound and of
     Gamma(shape). Out-of-region parameters give -inf.
     """
-    lik = OracleLikelihood(e, tau)
+    lik = OracleLikelihood(y, tau)
     if not (xi > 0 and delta > lik.lo) or lik.inadmissible(delta):
         return -math.inf
     k = lik.k
@@ -209,20 +215,20 @@ ADAPT_INTERVAL = 50
 TARGET_ACCEPT = 0.234
 
 
-def oracle_metropolis(e, tau, sigma2, config, adapt_interval=ADAPT_INTERVAL, fix_delta=None):
+def oracle_metropolis(y, tau, sigma2, config, adapt_interval=ADAPT_INTERVAL, fix_delta=None):
     """The Metropolis loop with the log posterior composed on every proposal.
 
     Evaluates ``oracle_log_post`` at xi = exp(u), with the chain's
     coordinate u as log xi, from scratch for each proposal and draws random
-    numbers in the same order as ``metropolis_sample``. ``fix_delta`` pins
+    numbers in the same order as the library's chain, ``bayes._chain``. ``fix_delta`` pins
     delta at that value and moves only xi: the one-dimensional slice that a
     quadrature can check. Returns ``(draws, logpost, acceptance_rate)``.
     """
     def log_post(u, delta):
-        return oracle_log_post(math.exp(u), u, delta, tau, e, sigma2)
+        return oracle_log_post(math.exp(u), u, delta, tau, y, sigma2)
 
     rng = np.random.default_rng(config.seed)
-    u = math.log(hill(e))
+    u = math.log(float(np.add.reduce(np.log(y))) / y.size)  # the Hill estimate
     d = 0.0 if fix_delta is None else fix_delta
     lp = log_post(u, d)
     s_u, s_d = STEP_LOG_XI, STEP_DELTA
@@ -258,7 +264,7 @@ def oracle_metropolis(e, tau, sigma2, config, adapt_interval=ADAPT_INTERVAL, fix
     return draws, logpost, accepted_post / retained
 
 
-def moment_stat(e, s):
+def moment_stat(y, s):
     """Empirical negative-power moment of the excesses, mean(y**s) for s < 0.
 
     The result lies in (0, 1] and equals 1 exactly when all excesses are
@@ -267,10 +273,10 @@ def moment_stat(e, s):
     """
     if s >= 0:
         raise ValueError(f"exponent must be negative, got {s}")
-    return float(np.add.reduce(e.y ** np.full(e.k, s))) / e.k
+    return float(np.add.reduce(y ** np.full(y.size, s))) / y.size
 
 
-def oracle_first_order(e, tau, sigma2, centering="pareto-limit", prior_term_sign=1.0):
+def oracle_first_order(y, tau, sigma2, centering="pareto-limit", prior_term_sign=1.0):
     """The first-order estimating system with the conventions the library rejects.
 
     A copy of the library's quadratic reduction with two switches:
@@ -280,10 +286,10 @@ def oracle_first_order(e, tau, sigma2, centering="pareto-limit", prior_term_sign
     flips the sign of the prior term. Returns (xi, delta), or raises
     ClosedFormError where the system has no admissible root.
     """
-    weight = prior_term_sign / (e.k * sigma2)
-    h = hill(e)
-    e1 = moment_stat(e, tau)
-    e2 = moment_stat(e, 2.0 * tau)
+    weight = prior_term_sign / (y.size * sigma2)
+    h = float(np.add.reduce(np.log(y))) / y.size
+    e1 = moment_stat(y, tau)
+    e2 = moment_stat(y, 2.0 * tau)
     c = 1.0 / (1.0 - h * tau) if centering == "pareto-limit" else 1.0 / (h * tau)
     rhs = (1.0 - h * tau) * (e1 - c)
     b0 = 1.0 - 2.0 * e1 + e2 - tau * (1.0 - e1) * e1
@@ -335,6 +341,54 @@ def oracle_survival(z, tau, xi, delta):
         return float(base ** (-1 / xi)), float(cond)
 
 
+def law_survival(d, x):
+    """The exact survival of a reference law of ``epdtail.simulate`` at x, vectorized over x."""
+    x = np.asarray(x, dtype=float)
+    if d.kind == "frechet":
+        (xi,) = d.args
+        out = 1.0 - np.exp(-np.power(x, -1.0 / xi))
+    elif d.kind == "burr":
+        xi, rho = d.args
+        out = (1.0 + np.power(x, -rho / xi)) ** (1.0 / rho)
+    else:
+        shape, rate = d.args
+        out = np.where(x <= 1.0, 1.0, gammaincc(shape, rate * np.log(np.maximum(x, 1.0))))
+    return out if out.ndim else float(out)
+
+
+def _invert_survival(delta, tau, targets):
+    """Solve y*(1 + delta*(1 - y**tau)) = t for each target t >= 1 by bisection, to relative width 1e-13."""
+    lo_fac = min(1.0, 1.0 + delta)
+    lower = np.ones_like(targets)
+    upper = 1.0 + targets / lo_fac
+    for _ in range(200):
+        mid = 0.5 * (lower + upper)
+        g = mid * (1.0 + delta * (1.0 - mid ** tau))
+        high = g >= targets
+        upper = np.where(high, mid, upper)
+        lower = np.where(high, lower, mid)
+        if np.all(upper - lower <= 1e-13 * lower):
+            break
+    return 0.5 * (lower + upper)
+
+
+def epd_quantile(xi, delta, tau, q):
+    """Quantile of the extended Pareto excess model at q: the y whose survival is 1 - q, by bisection."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"q must be in (0, 1), got {q}")
+    return float(_invert_survival(delta, tau, np.array([(1.0 - q) ** (-xi)]))[0])
+
+
+def epd_sample(xi, delta, tau, count, seed):
+    """Inverse-transform draws from the extended Pareto excess model, deterministic per seed.
+
+    The test sampler: it inverts the model's survival by bisection, a route
+    apart from the library's survival formula ``epd._tail_probs``.
+    """
+    u = np.random.default_rng(seed).random(count)
+    return _invert_survival(delta, tau, np.maximum(1.0 - u, np.finfo(float).tiny) ** (-xi))
+
+
 def mu_opt(rho, lam):
     """Optimal limit of k times the prior variance."""
     return (1.0 - rho) ** 2 * lam * lam
@@ -345,19 +399,19 @@ def sigma2_opt(rho, a_nk):
     return (1.0 - rho) ** 2 * a_nk * a_nk
 
 
-def log_posterior(xi, delta, e, tau, sigma2):
+def log_posterior(xi, delta, y, tau, sigma2):
     """The log posterior on the chain's total scale: ``_log_post`` on the ``_log1p_sums`` of a one-lane stack.
 
     Out-of-region parameters give -inf, matching the likelihood sentinel.
     """
     if not sigma2 > 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    lik = _Likelihood(e.y[None], [tau])
+    lik, k = _Likelihood(y[None], [tau]), y.size
     const = _log_prior_const(delta_lower_bound(tau), sigma2)
     if not (xi > 0 and delta > lik.lo[0]) or _inadmissible(lik.ext[0].tolist(), delta):
         return -math.inf
-    s1, s2 = _log1p_sums(lik.coef[0], delta, np.empty((2, e.k))).tolist()
-    return _log_post(xi, math.log(xi), float(lik.sum_log_y[0]) / e.k + s1 / e.k, s2, delta, sigma2, const, e.k)
+    s1, s2 = _log1p_sums(lik.coef[0], delta, np.empty((2, k))).tolist()
+    return _log_post(xi, math.log(xi), float(lik.sum_log_y[0]) / k + s1 / k, s2, delta, sigma2, const, k)
 
 
 def mse_opt_weighted(xi, rho, lam):
@@ -393,9 +447,8 @@ class OracleLikelihood:
     ``np.add.reduce``.
     """
 
-    def __init__(self, e, tau):
-        y = e.y
-        self.k, self.tau = e.k, tau
+    def __init__(self, y, tau):
+        self.k, self.tau = y.size, tau
         self.lo = delta_lower_bound(tau) if tau < 0 else math.inf
         self.log_y = np.log(y)
         p = y ** np.full(y.shape, tau)
@@ -422,32 +475,43 @@ class OracleLikelihood:
 
 def stack(lanes):
     """The library's likelihood stack of (excesses, tau) lanes that share k, their rows as one matrix."""
-    return _Likelihood(np.array([e.y for e, _ in lanes]), [tau for _, tau in lanes])
+    return _Likelihood(np.array([y for y, _ in lanes]), [tau for _, tau in lanes])
+
+
+def _ml_pass(lik, xi, delta):
+    """The sums of the ML fit's pass on a one-lane stack ``lik`` at delta; None outside the region."""
+    if not (xi > 0 and delta > lik.lo[0]) or _inadmissible(lik.ext[0].tolist(), delta):
+        return None
+    return _fg_sums(lik.coef, lik.log_y, np.array([[[delta]]]), np.empty((1, 4, lik.k)))[0]
+
+
+def loglik(lik, xi, delta):
+    """The mean log-likelihood of a one-lane stack ``lik``, ``epd._loglik`` on the ML pass; -inf outside the region."""
+    sums = _ml_pass(lik, xi, delta)
+    return -math.inf if sums is None else _loglik(xi, lik.k, *sums[:2])
 
 
 def loglik_value_and_grad(lik, xi, delta):
     """The value and gradient of a one-lane stack ``lik`` by the ML fit's pass; None outside the region."""
-    if not (xi > 0 and delta > lik.lo[0]) or _inadmissible(lik.ext[0].tolist(), delta):
-        return None
-    (sums,) = _fg_sums(lik.coef, lik.log_y, np.array([[[delta]]]), np.empty((1, 4, lik.k)))
-    return _value_and_grad(xi, lik.k, sums)
+    sums = _ml_pass(lik, xi, delta)
+    return None if sums is None else _value_and_grad(xi, lik.k, sums)
 
 
-def profile_posterior_mode(e, tau, sigma2):
+def profile_posterior_mode(y, tau, sigma2):
     """The exact posterior mode of one (excesses, tau, sigma2): the lockstep search on a one-lane stack."""
-    (mode,) = _profile_posterior_modes(stack([(e, tau)]), [sigma2])
+    (mode,) = _profile_posterior_modes(stack([(y, tau)]), [sigma2])
     if isinstance(mode, ClosedFormError):
         raise mode
     return mode
 
 
-def solve_first_order(e, tau, weight):
+def solve_first_order(y, tau, weight):
     """The library's first-order solution of one (excesses, tau) at ``weight``, 1/(k*sigma2).
 
     Returns (xi, delta), or raises ClosedFormError where ``_first_order``
     finds no admissible root.
     """
-    xi, delta = (float(v[0]) for v in _first_order(stack([(e, tau)]), weight))
+    xi, delta = (float(v[0]) for v in _first_order(stack([(y, tau)]), weight))
     if math.isnan(delta):
         raise ClosedFormError("no admissible solution of the estimating system")
     return xi, delta
@@ -470,23 +534,24 @@ def oracle_loglik_grad(lik, xi, delta):
     return d_xi, d_delta
 
 
-def oracle_epd_ml_fit(e, tau, maxiter=500, maxfun=15000):
-    """``epd_ml_fit`` through ``scipy.optimize.minimize``, with two callbacks.
+def oracle_epd_ml_fit(y, tau, maxiter=500, maxfun=15000):
+    """One lane's ML fit through ``scipy.optimize.minimize``, with two callbacks.
 
     The value and the gradient each build their own 1 + delta*coef and
     log. The library drives scipy's private L-BFGS-B core itself, with
-    one evaluation per point, and must give the same fit, bit for bit: a
-    scipy release that changes that core's arguments or its loop shows
+    one evaluation per point, and must give the same fit, the tuple (xi,
+    delta, loglik, converged, iterations) of ``epd_ml_fits``, bit for bit:
+    a scipy release that changes that core's arguments or its loop shows
     here.
     """
-    if e.k < 10:
-        raise ValueError(f"need at least 10 excesses to fit, got {e.k}")
+    if y.size < 10:
+        raise ValueError(f"need at least 10 excesses to fit, got {y.size}")
     if tau >= 0:
         raise ValueError(f"tau must be negative, got {tau}")
-    h = hill(e)
+    h = float(np.add.reduce(np.log(y))) / y.size
     if h <= 0:
         raise ValueError("all excesses are ties; the likelihood has no interior maximum")
-    lik = OracleLikelihood(e, tau)
+    lik = OracleLikelihood(y, tau)
     lo = lik.lo
     span = DELTA_MAX - lo
 
@@ -514,11 +579,10 @@ def oracle_epd_ml_fit(e, tau, maxiter=500, maxfun=15000):
                        options={"gtol": 1e-9, "ftol": 1e-14, "maxiter": maxiter,
                                 "maxfun": maxfun})
     xi_hat, delta_hat, _ = unpack(res.x)
-    return EPDFit(params=EPDParams(xi=xi_hat, delta=delta_hat, tau=tau), loglik=-float(res.fun),
-                  converged=bool(res.success), iterations=int(res.nit))
+    return xi_hat, delta_hat, -float(res.fun), bool(res.success), int(res.nit)
 
 
-def oracle_profile_posterior_mode(e, tau, sigma2, gamma_shape=1e-4):
+def oracle_profile_posterior_mode(y, tau, sigma2, gamma_shape=1e-4):
     """The exact posterior mode of ``bayes._profile_posterior_modes`` without pruning, one lane alone.
 
     The grid evaluates all 481 nodes, where the library evaluates only
@@ -530,8 +594,8 @@ def oracle_profile_posterior_mode(e, tau, sigma2, gamma_shape=1e-4):
     and the final xi uses ``np.mean`` and a 0-d array. The library must
     return the same bits.
     """
-    lik = OracleLikelihood(e, tau)
-    k = e.k
+    lik = OracleLikelihood(y, tau)
+    k = y.size
     lo = lik.lo
     a, b = lik.a, lik.b
     ext = np.array(lik.ext)

@@ -15,12 +15,17 @@ import pytest
 from scipy.stats import kstest
 
 import epdtail as et
-from epdtail.bayes import ClosedFormError
+from epdtail.bayes import ClosedFormError, _chain, _closed_forms
 from epdtail.cli import main
+from epdtail.data import excess_matrix
+from epdtail.epd import _tail_probs
 from conftest import pareto_excesses
 from oracles import (
     batch_means_se,
+    epd_sample,
     grid_map_oracle,
+    law_survival,
+    loglik,
     loglik_value_and_grad,
     mse_opt_weighted,
     oracle_first_order,
@@ -38,12 +43,17 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 # ------------------------------------------------------------------ 1
 
+def _survival(y, xi, delta, tau):
+    """The model's survival at each y >= 1: ``_tail_probs`` at level 1, one lane per y."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return _tail_probs(1.0, y, np.full(y.size, tau), np.full((y.size, 1), xi), np.full((y.size, 1), delta))[:, 0]
+
+
 def test_criterion_01_pareto_reduction():
     worst = 0.0
     for xi in (0.25, 0.5, 1.0, 2.0):
-        p = et.EPDParams(xi=xi, delta=0.0, tau=-1.0)
         for y in (1.0, 1.5, 2.0, 10.0, 100.0):
-            worst = max(worst, abs(et.epd_survival(p, y) - y ** (-1.0 / xi)))
+            worst = max(worst, abs(_survival(y, xi, 0.0, -1.0)[0] - y ** (-1.0 / xi)))
     _report(1, "pareto-reduction", worst <= 1e-12, f"max |deviation| {worst:.2e}")
 
 
@@ -55,17 +65,13 @@ def test_criterion_02_likelihood_gradients():
     step = 1e-6
     for i in range(50):
         tau = -float(rng.uniform(0.3, 2.0))
-        truth = et.EPDParams(xi=float(rng.uniform(0.3, 1.5)),
-                             delta=float(rng.uniform(-0.3, 0.8)), tau=tau)
-        y = np.sort(et.epd_sample(truth, 100, (221, i)))[::-1]
-        e = et.ExcessSet(y=y, k=100, threshold=1.0)
+        truth = float(rng.uniform(0.3, 1.5)), float(rng.uniform(-0.3, 0.8))
+        lik = stack([(np.sort(epd_sample(*truth, tau, 100, (221, i)))[::-1].copy(), tau)])
         xi = float(rng.uniform(0.4, 1.2))
         delta = float(rng.uniform(max(et.delta_lower_bound(tau) + 0.2, -0.5), 1.0))
-        _, g_xi, g_delta = loglik_value_and_grad(stack([(e, tau)]), xi, delta)
-        fd_xi = (et.epd_log_likelihood(xi + step, delta, tau, e)
-                 - et.epd_log_likelihood(xi - step, delta, tau, e)) / (2 * step)
-        fd_delta = (et.epd_log_likelihood(xi, delta + step, tau, e)
-                    - et.epd_log_likelihood(xi, delta - step, tau, e)) / (2 * step)
+        _, g_xi, g_delta = loglik_value_and_grad(lik, xi, delta)
+        fd_xi = (loglik(lik, xi + step, delta) - loglik(lik, xi - step, delta)) / (2 * step)
+        fd_delta = (loglik(lik, xi, delta + step) - loglik(lik, xi, delta - step)) / (2 * step)
         worst = max(worst, abs(g_xi - fd_xi) / abs(fd_xi),
                     abs(g_delta - fd_delta) / abs(fd_delta))
     _report(2, "likelihood-gradients", worst <= 1e-6,
@@ -113,34 +119,32 @@ def test_criterion_04_closed_form_vs_map_oracle():
     agree = small_delta = 0
     gaps_default, gaps_centering = [], []
     gaps_sign_default, gaps_sign_variant = [], []
-    for rep in range(50):
-        s = et.sample_distribution(et.burr(0.75, -0.75), n, (20250808, rep))
-        e = et.excesses(s, k)
-        h = et.hill(e)
-        rho, _ = et.resolve_rho(s)
-        tau = et.tau_hat(rho, h)
-        sigma2 = et.prior_variance(k, n, rho)
-        est = et.bayes_closed_form(e, tau, sigma2)
-        xi_map, _, _ = grid_map_oracle(e.y, tau, sigma2)
-        gaps_default.append(abs(est.xi - xi_map))
-        if abs(est.xi - xi_map) < 0.05:
+    # the 50 samples as the lanes of one estimate, at k and at 50
+    samples = [et.sample_distribution(et.burr(0.75, -0.75), n, (20250808, rep)) for rep in range(50)]
+    values, keys = np.array([s.values for s in samples]), [(rep,) for rep in range(50)]
+    rho = [et.resolve_rho(s)[0] for s in samples]
+    cells = et.estimate_cells(values, rho, keys, k, ("bayes_closed",))
+    cells50 = et.estimate_cells(values, rho, keys, 50, ("hill",))
+    for y, tau, sigma2, (xi, delta, _), y50, tau50, s50 in zip(
+            excess_matrix(values, k)[1], cells.tau.tolist(), cells.sigma2.tolist(), cells.estimates[:, 0].tolist(),
+            excess_matrix(values, 50)[1], cells50.tau.tolist(), cells50.sigma2.tolist()):
+        xi_map, _, _ = grid_map_oracle(y, tau, sigma2)
+        gaps_default.append(abs(xi - xi_map))
+        if abs(xi - xi_map) < 0.05:
             agree += 1
-        if abs(est.delta) < 0.1:
+        if abs(delta) < 0.1:
             small_delta += 1
         # centering adjudication at the same design point
         try:
-            xi_v, _ = oracle_first_order(e, tau, sigma2, centering="rate-reciprocal")
+            xi_v, _ = oracle_first_order(y, tau, sigma2, centering="rate-reciprocal")
             gaps_centering.append(abs(xi_v - xi_map))
         except (ClosedFormError, ValueError):
             gaps_centering.append(math.inf)
         # prior-term-sign adjudication where the linear branch solves (k=50)
-        e50 = et.excesses(s, 50)
-        tau50 = et.tau_hat(rho, et.hill(e50))
-        s50 = et.prior_variance(50, n, rho)
         try:
-            xi_d, _ = solve_first_order(e50, tau50, 1.0 / (e50.k * s50))
-            xi_s, _ = oracle_first_order(e50, tau50, s50, prior_term_sign=-1.0)
-            xm, _, _ = grid_map_oracle(e50.y, tau50, s50)
+            xi_d, _ = solve_first_order(y50, tau50, 1.0 / (y50.size * s50))
+            xi_s, _ = oracle_first_order(y50, tau50, s50, prior_term_sign=-1.0)
+            xm, _, _ = grid_map_oracle(y50, tau50, s50)
             gaps_sign_default.append(abs(xi_d - xm))
             gaps_sign_variant.append(abs(xi_s - xm))
         except (ClosedFormError, ValueError):
@@ -170,26 +174,25 @@ def test_criterion_05_prior_limits():
     cases = []
     seed = 0
     while len(cases) < 20 and seed < 300:
-        e = pareto_excesses(1.0, 100, (71, seed))
-        tau = -1.0 / et.hill(e)
+        y = pareto_excesses(1.0, 100, (71, seed))
+        tau = -1.0 / (float(np.add.reduce(np.log(y))) / y.size)
         try:
-            solve_first_order(e, tau, 1.0 / (e.k * 1e12))
-            cases.append((e, tau))
+            solve_first_order(y, tau, 1.0 / (y.size * 1e12))
+            cases.append((y, tau))
         except ClosedFormError:
             pass
         seed += 1
     assert len(cases) == 20, "could not assemble 20 datasets with a solvable flat-prior system"
 
     worst_flat = worst_delta = worst_xi = 0.0
-    for e, tau in cases:
-        h = et.hill(e)
-        est_inf = et.bayes_closed_form(e, tau, 1e12)
-        assert est_inf.solver == "linear"
-        xi_ml, d_ml = solve_first_order(e, tau, 0.0)
-        worst_flat = max(worst_flat, abs(est_inf.xi - xi_ml), abs(est_inf.delta - d_ml))
-        est_0 = et.bayes_closed_form(e, tau, 1e-12)
-        worst_delta = max(worst_delta, abs(est_0.delta))
-        worst_xi = max(worst_xi, abs(est_0.xi - h))
+    lik = stack(cases)
+    for (y, tau), h, est_inf, est_0 in zip(cases, (lik.sum_log_y / lik.k).tolist(),
+                                           _closed_forms(lik, [1e12] * 20), _closed_forms(lik, [1e-12] * 20)):
+        assert est_inf[2] == "linear"
+        xi_ml, d_ml = solve_first_order(y, tau, 0.0)
+        worst_flat = max(worst_flat, abs(est_inf[0] - xi_ml), abs(est_inf[1] - d_ml))
+        worst_delta = max(worst_delta, abs(est_0[1]))
+        worst_xi = max(worst_xi, abs(est_0[0] - h))
     ok = worst_flat <= 1e-6 and worst_delta < 1e-6 and worst_xi < 1e-8
     _report(5, "prior-limits", ok,
             f"flat-prior vs ML system gap {worst_flat:.2e}; degenerate-prior "
@@ -199,23 +202,23 @@ def test_criterion_05_prior_limits():
 # ------------------------------------------------------------------ 6
 
 def test_criterion_06_mcmc_validity(burr_k200):
-    e, tau, sigma2 = burr_k200
+    y, tau, sigma2 = burr_k200
     cfg = et.MCMCConfig(iterations=12000, burn_in=2000, seed=606)
-    chain = et.metropolis_sample(e, tau, sigma2, cfg)
-    chain_again = et.metropolis_sample(e, tau, sigma2, cfg)
+    chain = _chain(stack([(y, tau)]), 0, sigma2, cfg)
+    chain_again = _chain(stack([(y, tau)]), 0, sigma2, cfg)
     identical = np.array_equal(chain.draws, chain_again.draws) and np.array_equal(
         chain.logpost, chain_again.logpost
     )
     xi_mode, _ = et.posterior_mode(chain)
-    xi_map, _, _ = grid_map_oracle(e.y, tau, sigma2)
+    xi_map, _, _ = grid_map_oracle(y, tau, sigma2)
     mode_gap = abs(xi_mode - xi_map)
 
     # the delta = 0 slice: the reference chain, which moves xi alone
     slice_draws, _, _ = oracle_metropolis(
-        e, tau, sigma2, et.MCMCConfig(iterations=12000, burn_in=2000, seed=607), fix_delta=0.0
+        y, tau, sigma2, et.MCMCConfig(iterations=12000, burn_in=2000, seed=607), fix_delta=0.0
     )
     mean_chain = float(slice_draws[:, 0].mean())
-    mean_quad = quadrature_xi_mean(e.y, tau, sigma2)
+    mean_quad = quadrature_xi_mean(y, tau, sigma2)
     se = batch_means_se(slice_draws[:, 0])
     quad_ok = abs(mean_chain - mean_quad) <= 3.0 * se
     ok = identical and mode_gap < 0.05 and quad_ok
@@ -241,12 +244,12 @@ def test_criterion_07_hpd():
 def test_criterion_08_sampler_correctness():
     targets = {
         "frechet": (lambda seed: et.sample_distribution(et.frechet(0.5), 10_000, seed).values,
-                    lambda v: 1.0 - np.atleast_1d(et.survival(et.frechet(0.5), v))),
+                    lambda v: 1.0 - np.atleast_1d(law_survival(et.frechet(0.5), v))),
         "burr": (lambda seed: et.sample_distribution(et.burr(0.75, -0.75), 10_000, seed).values,
                  lambda v: 1.0 - (1.0 + np.asarray(v)) ** (-4.0 / 3.0)),
-        "epd": (lambda seed: et.epd_sample(et.EPDParams(0.5, 0.3, -1.0), 10_000, seed),
-                lambda v: 1.0 - np.atleast_1d(
-                    et.epd_survival(et.EPDParams(0.5, 0.3, -1.0), v))),
+        # the test sampler, by bisection, against the library's survival formula
+        "epd": (lambda seed: epd_sample(0.5, 0.3, -1.0, 10_000, seed),
+                lambda v: 1.0 - _survival(v, 0.5, 0.3, -1.0)),
     }
     detail = []
     ok = True

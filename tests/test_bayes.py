@@ -20,16 +20,20 @@ from epdtail.bayes import (
     _STRIDE,
     ClosedFormError,
     _BoundTable,
+    _chain,
+    _closed_forms,
     _log_post,
     _log_prior_const,
     _Profiles,
     _row_sums,
 )
+from epdtail.data import excess_matrix
 from epdtail.epd import DELTA_MAX, _Likelihood
 from conftest import pareto_excesses
 from oracles import (
     grid_map_oracle,
     log_posterior,
+    loglik,
     log_prior_xi,
     oracle_log_post,
     oracle_log_posterior,
@@ -41,9 +45,12 @@ from oracles import (
 )
 
 
-def _excess_set(y):
-    arr = np.sort(np.asarray(y, dtype=float))[::-1]
-    return et.ExcessSet(y=arr, k=arr.size, threshold=1.0)
+def _y(values):
+    return np.sort(np.asarray(values, dtype=float))[::-1].copy()
+
+
+def _hill(y):
+    return float(np.add.reduce(np.log(y))) / y.size
 
 
 def _delta_prior_mass(lo, sigma2):
@@ -68,23 +75,22 @@ class TestPriorVariance:
     @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan])
     def test_nonpositive_value_rejected_by_the_estimators(self, burr_k200, sigma2):
         # prior_variance underflows to 0.0 for a huge |rho|; it must not be divided by
-        e, tau, _ = burr_k200
+        y, tau, _ = burr_k200
+        lik = stack([(y, tau)])
+        for result in (_closed_forms(lik, [sigma2])[0], _chain(lik, 0, sigma2, et.MCMCConfig(iterations=20, burn_in=10))):
+            assert isinstance(result, ValueError) and "sigma2" in str(result)
         with pytest.raises(ValueError, match="sigma2"):
-            et.bayes_closed_form(e, tau, sigma2)
-        with pytest.raises(ValueError, match="sigma2"):
-            et.metropolis_sample(e, tau, sigma2, et.MCMCConfig(iterations=20, burn_in=10))
-        with pytest.raises(ValueError, match="sigma2"):
-            log_posterior(0.5, 0.0, e, tau, sigma2)
+            log_posterior(0.5, 0.0, y, tau, sigma2)
 
 
 class TestPriorSpec:
     """The delta prior is specified by sigma2 alone and truncated at the model bound."""
 
     def test_for_tau_sets_truncation(self):
-        e = _excess_set([1.0, 2.0, 4.0])
+        y = _y([1.0, 2.0, 4.0])
         for tau, lo in ((-2.0, -0.5), (-0.5, -1.0)):
-            assert log_posterior(1.0, lo, e, tau, 1.0) == -math.inf
-            assert math.isfinite(log_posterior(1.0, lo + 1e-9, e, tau, 1.0))
+            assert log_posterior(1.0, lo, y, tau, 1.0) == -math.inf
+            assert math.isfinite(log_posterior(1.0, lo + 1e-9, y, tau, 1.0))
 
     def test_gamma_normaliser_within_1_ulp_of_scipys_gammaln(self):
         want = float(gammaln(bayes._GAMMA_SHAPE))
@@ -111,59 +117,55 @@ class TestPriorSpec:
             assert abs(_delta_prior_mass(-a / 64.0, sigma2) - want) <= 2 * math.ulp(want), a
 
     def test_validation(self):
-        e, cfg = _excess_set([1.0, 2.0, 4.0]), et.MCMCConfig(iterations=20, burn_in=10)
-        with pytest.raises(ValueError, match="sigma2"):
-            et.metropolis_sample(e, -1.0, 0.0, cfg)
-        with pytest.raises(ValueError, match="tau"):
-            et.metropolis_sample(e, 0.5, 1.0, cfg)
+        lik, cfg = stack([(_y([1.0, 2.0, 4.0]), -1.0), (_y([1.0, 2.0, 4.0]), 0.5)]), et.MCMCConfig(20, 10)
+        for lane, sigma2, message in ((0, 0.0, "sigma2"), (1, 1.0, "tau")):
+            result = _chain(lik, lane, sigma2, cfg)
+            assert isinstance(result, ValueError) and message in str(result)
 
 
 class TestLogPosterior:
     def test_hand_value(self):
-        e = _excess_set([2.0, 4.0])
+        y = _y([2.0, 4.0])
         loglik = -3.0 * math.log(2.0)
         lp_xi = (1e-4 - 1.0) * 0.0 - 1.0 - float(gammaln(1e-4))
         lp_delta = -0.0 - math.log(math.sqrt(2 * math.pi)) - math.log(float(norm.sf(-1.0)))
         expected = 2.0 * loglik + lp_xi + lp_delta
-        assert log_posterior(1.0, 0.0, e, -1.0, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert log_posterior(1.0, 0.0, y, -1.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_truncation_sentinel(self):
-        e = _excess_set([2.0, 4.0])
-        assert log_posterior(1.0, -0.5, e, -2.0, 1.0) == -math.inf
+        assert log_posterior(1.0, -0.5, _y([2.0, 4.0]), -2.0, 1.0) == -math.inf
 
     def test_flat_prior_limit(self):
         # with a huge sigma2 the delta prior is flat: posterior differences
         # minus the xi-prior differences reduce to likelihood differences
-        e = pareto_excesses(0.8, 60, 5)
+        y = pareto_excesses(0.8, 60, 5)
+        lik = stack([(y, -1.0)])
         pts = [(0.5, 0.1), (0.9, -0.2), (1.4, 0.6)]
 
         def centered(xi, d):
-            return (log_posterior(xi, d, e, -1.0, 1e12) - log_prior_xi(xi)) / e.k
+            return (log_posterior(xi, d, y, -1.0, 1e12) - log_prior_xi(xi)) / y.size
 
         base_c = centered(*pts[0])
-        base_l = et.epd_log_likelihood(*pts[0], -1.0, e)
+        base_l = loglik(lik, *pts[0])
         for xi, d in pts[1:]:
             diff_c = centered(xi, d) - base_c
-            diff_l = et.epd_log_likelihood(xi, d, -1.0, e) - base_l
+            diff_l = loglik(lik, xi, d) - base_l
             assert diff_c == pytest.approx(diff_l, abs=1e-6)
 
     def test_agrees_with_oracle_implementation(self, burr_k200):
-        e, tau, sigma2 = burr_k200
+        y, tau, sigma2 = burr_k200
         rng = np.random.default_rng(3)
         for _ in range(20):
             xi = float(rng.uniform(0.2, 2.0))
             d = float(rng.uniform(et.delta_lower_bound(tau) + 0.05, 2.0))
-            mine = log_posterior(xi, d, e, tau, sigma2)
-            other = float(
-                oracle_log_posterior(np.array([xi]), np.array([d]), e.y, tau, sigma2)[0, 0]
-            )
+            mine = log_posterior(xi, d, y, tau, sigma2)
+            other = float(oracle_log_posterior(np.array([xi]), np.array([d]), y, tau, sigma2)[0, 0])
             assert mine == pytest.approx(other, rel=1e-10)
 
 
 def test_every_log_likelihood_is_the_one_formula(burr_k200, monkeypatch):
-    # the ML pass and the one-lane likelihood reach the one mean log-likelihood
-    # formula, epd._loglik; the chain does not
-    e, tau, sigma2 = burr_k200
+    # the ML pass reaches the one mean log-likelihood formula, epd._loglik; the chain does not
+    y, tau, sigma2 = burr_k200
     loglik, fg_sums, calls, passes = epd._loglik, epd._fg_sums, [], []
 
     def loglik_spy(xi, k, s1, s2):
@@ -180,14 +182,10 @@ def test_every_log_likelihood_is_the_one_formula(burr_k200, monkeypatch):
     assert epd._value_and_grad(0.5, 200, [300.0, 2.0, 1.0, 0.5])[0] == loglik(0.5, 200, 300.0, 2.0)
     assert calls == [(300.0, 2.0)]
     calls.clear()
-    et.epd_ml_fit(e, tau)
+    epd.epd_ml_fits(stack([(y, tau)]))
     assert calls and calls == passes
     calls.clear()
-    passes.clear()
-    value = et.epd_log_likelihood(0.5, 0.2, tau, e)
-    assert len(calls) == 1 and calls == passes and value == loglik(0.5, e.k, *passes[0])
-    calls.clear()
-    et.metropolis_sample(e, tau, sigma2, et.MCMCConfig(iterations=400, burn_in=100, seed=1))
+    _chain(stack([(y, tau)]), 0, sigma2, et.MCMCConfig(iterations=400, burn_in=100, seed=1))
     assert not calls and not hasattr(bayes, "_loglik")
 
 
@@ -195,7 +193,7 @@ def test_every_log_posterior_is_the_one_formula(burr_k200, monkeypatch):
     # the mode search's profile and the chain's exact values and bounds all reach the
     # one log-posterior formula, bayes._log_post, and the chain's exact values take
     # their sums from the one row-sum arithmetic, bayes._log1p_sums, on the lane's rows
-    e, tau, sigma2 = burr_k200
+    y, tau, sigma2 = burr_k200
     log_post, log1p_sums, calls, passes = bayes._log_post, bayes._log1p_sums, [], []
 
     def log_post_spy(xi, log_xi, g, s2, *rest):
@@ -210,12 +208,12 @@ def test_every_log_posterior_is_the_one_formula(burr_k200, monkeypatch):
 
     monkeypatch.setattr(bayes, "_log_post", log_post_spy)
     monkeypatch.setattr(bayes, "_log1p_sums", log1p_sums_spy)
-    est = et.bayes_closed_form(e, tau, sigma2)
-    assert est.solver == "profile-map" and calls and not passes
+    (est,) = _closed_forms(stack([(y, tau)]), [sigma2])
+    assert est[2] == "profile-map" and calls and not passes
     assert all(isinstance(c[0], np.ndarray) for c in calls)  # the profile, by the array
     calls.clear()
-    et.metropolis_sample(e, tau, sigma2, et.MCMCConfig(iterations=400, burn_in=100, seed=1))
-    h, k = float(np.add.reduce(np.log(e.y))) / e.k, e.k
+    _chain(stack([(y, tau)]), 0, sigma2, et.MCMCConfig(iterations=400, burn_in=100, seed=1))
+    h, k = _hill(y), y.size
     assert all(type(c[0]) is float and c[0] == math.exp(c[1]) for c in calls)  # log xi is the chain's u
     # the starting point at both sums 0, every exact value, and a bound for most proposals
     exact = {(h + s1 / k, s2) for s1, s2 in passes}
@@ -229,11 +227,11 @@ def _solvable_pareto_cases(count=20, k=100, sigma2=1e12):
     cases = []
     seed = 0
     while len(cases) < count and seed < 200:
-        e = pareto_excesses(1.0, k, (71, seed))
-        tau = -1.0 / et.hill(e)
+        y = pareto_excesses(1.0, k, (71, seed))
+        tau = -1.0 / _hill(y)
         try:
-            solve_first_order(e, tau, 1.0 / (e.k * sigma2))
-            cases.append((e, tau))
+            solve_first_order(y, tau, 1.0 / (y.size * sigma2))
+            cases.append((y, tau))
         except ClosedFormError:
             pass
         seed += 1
@@ -243,71 +241,86 @@ def _solvable_pareto_cases(count=20, k=100, sigma2=1e12):
 
 class TestClosedForm:
     def test_degenerate_prior_recovers_hill(self):
-        for rep in range(20):
-            e = pareto_excesses(0.7, 80, (61, rep))
-            h = et.hill(e)
-            tau = -1.0 / h
-            est = et.bayes_closed_form(e, tau, 1e-12)
-            assert est.solver == "linear"
-            assert abs(est.delta) < 1e-6
-            assert abs(est.xi - h) < 1e-8
+        ys = [pareto_excesses(0.7, 80, (61, rep)) for rep in range(20)]
+        lik = stack([(y, -1.0 / _hill(y)) for y in ys])
+        for y, (xi, delta, solver) in zip(ys, _closed_forms(lik, [1e-12] * 20)):
+            assert solver == "linear"
+            assert abs(delta) < 1e-6
+            assert abs(xi - _hill(y)) < 1e-8
 
     def test_flat_prior_matches_ml_system(self):
-        for e, tau in _solvable_pareto_cases():
-            est = et.bayes_closed_form(e, tau, 1e12)
-            assert est.solver == "linear"
-            xi_ml, d_ml = solve_first_order(e, tau, 0.0)
-            assert est.xi == pytest.approx(xi_ml, abs=1e-6)
-            assert est.delta == pytest.approx(d_ml, abs=1e-6)
+        cases = _solvable_pareto_cases()
+        for (y, tau), (xi, delta, solver) in zip(cases, _closed_forms(stack(cases), [1e12] * len(cases))):
+            assert solver == "linear"
+            xi_ml, d_ml = solve_first_order(y, tau, 0.0)
+            assert xi == pytest.approx(xi_ml, abs=1e-6)
+            assert delta == pytest.approx(d_ml, abs=1e-6)
 
     def test_shrinkage_is_monotone_in_sigma2(self):
-        e, tau = _solvable_pareto_cases(count=1)[0]
-        h = et.hill(e)
+        y, tau = _solvable_pareto_cases(count=1)[0]
         grid = [1e2, 1.0, 1e-2, 1e-4, 1e-6]
-        deltas = []
-        for s2 in grid:
-            est = et.bayes_closed_form(e, tau, s2)
-            assert est.solver == "linear"
-            deltas.append(abs(est.delta))
+        ests = _closed_forms(stack([(y, tau)] * len(grid)), grid)
+        assert {solver for _, _, solver in ests} == {"linear"}
+        deltas = [abs(delta) for _, delta, _ in ests]
         assert all(a >= b - 1e-14 for a, b in zip(deltas, deltas[1:]))
-        final = et.bayes_closed_form(e, tau, grid[-1])
-        assert final.xi == pytest.approx(h, abs=1e-3)
+        assert ests[-1][0] == pytest.approx(_hill(y), abs=1e-3)
 
     def test_small_k_rejected(self):
-        with pytest.raises(ValueError, match="at least 10"):
-            et.bayes_closed_form(pareto_excesses(1.0, 5, 0), -1.0, 1.0)
+        (est,) = _closed_forms(stack([(pareto_excesses(1.0, 5, 0), -1.0)]), [1.0])
+        assert isinstance(est, ValueError) and "at least 10" in str(est)
+
+    @pytest.mark.parametrize("sigma2", [1e-200, 1e-300, 4.4e-319, 5e-324])
+    def test_strong_prior_limit_is_hill(self, sigma2):
+        # a prior variance so small that 1/(k*sigma2) overflows made the first-order system NaN
+        # where its right-hand side is negative; the mode search then warned of an overflow in
+        # the delta prior and failed. The lanes at k = 800: the n = 2 000 Burr sample of
+        # ``estimate --rho fixed:-400``, at its tau and at -1, and strict Pareto excesses, so
+        # that the right-hand side takes both signs
+        u = np.random.default_rng([0, 2000]).random(2000)
+        s = et.SortedSample((np.minimum(1.0 - u, np.nextafter(1.0, 0.0)) ** -0.75 - 1.0) ** 1.0)
+        y = excess_matrix(s.values[None], 800)[1][0]
+        lik = stack([(y, -360.5), (y, -1.0)] + [(pareto_excesses(1.0, 800, seed), -1.0) for seed in range(4)])
+        h, e1 = lik.sum_log_y / lik.k, lik.sum_pow / lik.k
+        rhs = (1.0 - h * lik.tau) * (e1 - 1.0 / (1.0 - h * lik.tau))
+        assert (rhs < 0).any() and (rhs > 0).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ests = _closed_forms(lik, [sigma2] * 6)
+        for (xi, delta, solver), hill in zip(ests, h.tolist()):
+            assert solver == "linear" and math.isfinite(xi) and delta == 0.0
+            assert abs(xi - hill) <= 4e-12
 
     def test_linear_branch_tracks_grid_map(self, burr_dist):
         # benign regime: moderate k, shrinkage active, linearization valid
+        samples = [et.sample_distribution(burr_dist, 500, (81, rep)) for rep in range(10)]
+        values = np.array([s.values for s in samples])
+        cells = et.estimate_cells(values, [et.resolve_rho(s)[0] for s in samples], [(rep,) for rep in range(10)],
+                                  50, ("bayes_closed",))
+        ys = excess_matrix(values, 50)[1]
+        ests = _closed_forms(stack(list(zip(ys, cells.tau.tolist()))), cells.sigma2.tolist())
+        assert cells.estimates[:, 0, :2].tolist() == [list(est[:2]) for est in ests]
         hits = 0
-        for rep in range(10):
-            s = et.sample_distribution(burr_dist, 500, (81, rep))
-            e = et.excesses(s, 50)
-            h = et.hill(e)
-            rho, _ = et.resolve_rho(s)
-            tau = et.tau_hat(rho, h)
-            sigma2 = et.prior_variance(50, 500, rho)
-            est = et.bayes_closed_form(e, tau, sigma2)
-            xi_map, _, _ = grid_map_oracle(e.y, tau, sigma2, xi_hint=h)
-            if est.solver == "linear" and abs(est.xi - xi_map) < 0.05:
+        for y, tau, sigma2, h, (xi, _, solver) in zip(ys, cells.tau, cells.sigma2, cells.hill, ests):
+            xi_map, _, _ = grid_map_oracle(y, tau, sigma2, xi_hint=h)
+            if solver == "linear" and abs(xi - xi_map) < 0.05:
                 hits += 1
         assert hits >= 8
 
     def test_map_fallback_in_strong_bias_regime(self, burr_k200):
         # the linearized system provably has no real solution here
-        e, tau, sigma2 = burr_k200
+        y, tau, sigma2 = burr_k200
         with pytest.raises(ClosedFormError):
-            solve_first_order(e, tau, 1.0 / (e.k * sigma2))
-        est = et.bayes_closed_form(e, tau, sigma2)
-        assert est.solver == "profile-map"
-        xi_map, d_map, _ = grid_map_oracle(e.y, tau, sigma2)
-        assert est.xi == pytest.approx(xi_map, abs=0.01)
-        assert est.delta == pytest.approx(d_map, abs=0.02)
+            solve_first_order(y, tau, 1.0 / (y.size * sigma2))
+        ((xi, delta, solver),) = _closed_forms(stack([(y, tau)]), [sigma2])
+        assert solver == "profile-map"
+        xi_map, d_map, _ = grid_map_oracle(y, tau, sigma2)
+        assert xi == pytest.approx(xi_map, abs=0.01)
+        assert delta == pytest.approx(d_map, abs=0.02)
 
     def test_profile_mode_matches_grid_oracle(self, burr_k200):
-        e, tau, sigma2 = burr_k200
-        xi_p, d_p = profile_posterior_mode(e, tau, sigma2)
-        xi_g, d_g, _ = grid_map_oracle(e.y, tau, sigma2)
+        y, tau, sigma2 = burr_k200
+        xi_p, d_p = profile_posterior_mode(y, tau, sigma2)
+        xi_g, d_g, _ = grid_map_oracle(y, tau, sigma2)
         assert xi_p == pytest.approx(xi_g, abs=0.01)
         assert d_p == pytest.approx(d_g, abs=0.02)
 
@@ -316,34 +329,32 @@ class TestClosedForm:
         # --reps 6 --rho fixed:-1`: the polish bracket holds inadmissible deltas,
         # and an infinite objective there made scipy's parabolic step subtract inf
         s = et.sample_distribution(et.frechet(0.5), 200, np.random.SeedSequence((0, 4)))
-        e = et.excesses(s, 190)
-        tau, sigma2 = et.tau_hat(-1.0, et.hill(e)), et.prior_variance(190, 200, -1.0)
+        cells = et.estimate_cells(s.values[None], [-1.0], [(0, 4)], 190, ("hill",))
+        y, tau, sigma2 = excess_matrix(s.values[None], 190)[1][0], float(cells.tau[0]), float(cells.sigma2[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            xi_p, d_p = profile_posterior_mode(e, tau, sigma2)
-        _, _, best = grid_map_oracle(e.y, tau, sigma2)
-        assert oracle_log_posterior(xi_p, d_p, e.y, tau, sigma2) >= best - 1e-9
+            xi_p, d_p = profile_posterior_mode(y, tau, sigma2)
+        _, _, best = grid_map_oracle(y, tau, sigma2)
+        assert oracle_log_posterior(xi_p, d_p, y, tau, sigma2) >= best - 1e-9
 
 
 class TestMetropolis:
     def test_deterministic(self, burr_k200):
-        e, tau, sigma2 = burr_k200
+        y, tau, sigma2 = burr_k200
         cfg = et.MCMCConfig(iterations=1500, burn_in=500, seed=4)
-        c1 = et.metropolis_sample(e, tau, sigma2, cfg)
-        c2 = et.metropolis_sample(e, tau, sigma2, cfg)
+        c1 = _chain(stack([(y, tau)]), 0, sigma2, cfg)
+        c2 = _chain(stack([(y, tau)]), 0, sigma2, cfg)
         assert np.array_equal(c1.draws, c2.draws)
         assert np.array_equal(c1.logpost, c2.logpost)
 
     def test_acceptance_in_band(self, burr_k200):
-        e, tau, sigma2 = burr_k200
-        cfg = et.MCMCConfig(iterations=4000, burn_in=1000, seed=11)
-        chain = et.metropolis_sample(e, tau, sigma2, cfg)
+        y, tau, sigma2 = burr_k200
+        chain = _chain(stack([(y, tau)]), 0, sigma2, et.MCMCConfig(iterations=4000, burn_in=1000, seed=11))
         assert 0.1 <= chain.acceptance_rate <= 0.6
 
     def test_draws_stay_in_region(self, burr_k200):
-        e, tau, sigma2 = burr_k200
-        chain = et.metropolis_sample(e, tau, sigma2,
-                                     et.MCMCConfig(iterations=2000, burn_in=500, seed=2))
+        y, tau, sigma2 = burr_k200
+        chain = _chain(stack([(y, tau)]), 0, sigma2, et.MCMCConfig(iterations=2000, burn_in=500, seed=2))
         assert np.all(chain.draws[:, 0] > 0)
         assert np.all(chain.draws[:, 1] > et.delta_lower_bound(tau))
 
@@ -374,15 +385,15 @@ class TestMetropolisMatchesSeedLoop:
     @pytest.mark.parametrize("k", [10, 200])
     def test_bit_identical(self, k, sigma2, truncation, config, monkeypatch):
         tau = _TRUNCATIONS[truncation]
-        e = pareto_excesses(0.6, k, (83, k))
+        y = pareto_excesses(0.6, k, (83, k))
         fields, adapt_interval = _MATCH_CONFIGS[config]
         cfg = et.MCMCConfig(seed=k + 7, **fields)
         if adapt_interval is None:
-            oracle = oracle_metropolis(e, tau, sigma2, cfg)
+            oracle = oracle_metropolis(y, tau, sigma2, cfg)
         else:
             monkeypatch.setattr(bayes, "_ADAPT_INTERVAL", adapt_interval)
-            oracle = oracle_metropolis(e, tau, sigma2, cfg, adapt_interval)
-        chain = et.metropolis_sample(e, tau, sigma2, cfg)
+            oracle = oracle_metropolis(y, tau, sigma2, cfg, adapt_interval)
+        chain = _chain(stack([(y, tau)]), 0, sigma2, cfg)
         draws, logpost, rate = oracle
         assert np.array_equal(chain.draws, draws)
         assert np.array_equal(chain.logpost, logpost)
@@ -392,14 +403,14 @@ class TestMetropolisMatchesSeedLoop:
     # None keeps the fixture's tau
     @pytest.mark.parametrize("trunc_lower", [None, -0.1])
     def test_log_posterior_matches_composition(self, burr_k200, trunc_lower):
-        e, tau, sigma2 = burr_k200
+        y, tau, sigma2 = burr_k200
         if trunc_lower is not None:
             tau = 1.0 / trunc_lower
         lo = et.delta_lower_bound(tau)
         for xi in (1e-300, 0.3, 0.8, 5.0, math.inf):
             for d in (lo - 0.1, lo, lo + 1e-12, -0.2, -0.1, 0.0, 0.7, 9.0, 1e200):
-                want = oracle_log_post(xi, math.log(xi), d, tau, e, sigma2)
-                got = log_posterior(xi, d, e, tau, sigma2)
+                want = oracle_log_post(xi, math.log(xi), d, tau, y, sigma2)
+                got = log_posterior(xi, d, y, tau, sigma2)
                 assert got == want, (xi, d)
 
 
@@ -412,11 +423,10 @@ class TestMetropolisMcmcCliRegime:
 
     @pytest.mark.parametrize("k", [100, 500])
     def test_bound_skips_most_passes_and_keeps_every_draw(self, burr_2000, k, monkeypatch):
-        e = et.excesses(burr_2000, k)
-        rho, _ = et.resolve_rho(burr_2000)
-        tau, sigma2 = et.tau_hat(rho, et.hill(e)), et.prior_variance(k, burr_2000.n, rho)
+        cells = et.estimate_cells(burr_2000.values[None], [et.resolve_rho(burr_2000)[0]], [(0,)], k, ("hill",))
+        y, tau, sigma2 = excess_matrix(burr_2000.values[None], k)[1][0], float(cells.tau[0]), float(cells.sigma2[0])
         cfg = et.MCMCConfig(seed=k)
-        draws, logpost, rate = oracle_metropolis(e, tau, sigma2, cfg)
+        draws, logpost, rate = oracle_metropolis(y, tau, sigma2, cfg)
         passes = []
         log1p_sums = bayes._log1p_sums
 
@@ -426,7 +436,7 @@ class TestMetropolisMcmcCliRegime:
             return log1p_sums(coef, delta, *rest)
 
         monkeypatch.setattr(bayes, "_log1p_sums", spy)
-        chain = et.metropolis_sample(e, tau, sigma2, cfg)
+        chain = _chain(stack([(y, tau)]), 0, sigma2, cfg)
         assert np.array_equal(chain.draws, draws)
         assert np.array_equal(chain.logpost, logpost)
         assert chain.acceptance_rate == rate
@@ -438,7 +448,7 @@ def _bound(table, xi, delta, sigma2):
     """The chain's upper bound of the log posterior at (xi, delta); None outside the table.
 
     ``_log_post`` on the table's bounds of the two sums, as the bound test in
-    ``metropolis_sample`` computes it, with log xi as ``log_posterior`` takes it.
+    ``_chain`` computes it, with log xi as ``log_posterior`` takes it.
     """
     x = (delta - table.lo) / _CELL
     if not 0.0 <= x < len(table.cells):
@@ -467,8 +477,8 @@ class TestBoundTable:
     )
     def test_bound_is_above_the_exact_value(self, dist, seed, k, tau, log_xi, sigma2,
                                              where, pos):
-        e = et.excesses(et.sample_distribution(dist, 500, seed), k)
-        table = _BoundTable(_Likelihood(e.y[None], [tau]), 0)
+        y = excess_matrix(et.sample_distribution(dist, 500, seed).values[None], k)[1][0]
+        table = _BoundTable(_Likelihood(y[None], [tau]), 0)
         lo, n_cells = table.lo, len(table.cells)
         far_out = (DELTA_MAX / 2 - lo + pos * DELTA_MAX / 2) / _CELL
         x = {"node": math.floor(pos * (n_cells - 1)), "between": pos * (n_cells - 1),
@@ -480,7 +490,7 @@ class TestBoundTable:
         checked = 0
         for off in offsets:
             delta = lo + _CELL * off
-            bound, value = _bound(table, xi, delta, sigma2), log_posterior(xi, delta, e, tau, sigma2)
+            bound, value = _bound(table, xi, delta, sigma2), log_posterior(xi, delta, y, tau, sigma2)
             if bound is not None and math.isfinite(bound) and math.isfinite(value):
                 assert bound >= value, (delta, bound, value)
                 checked += 1
@@ -518,8 +528,8 @@ class TestProfileBound:
     @example(dist=et.burr(0.75, -0.75), seed=2, k=10, log10_neg_tau=-7.0, log10_sigma2=2.0)
     @example(dist=et.frechet(0.5), seed=2, k=10, log10_neg_tau=-7.0, log10_sigma2=2.0)
     def test_bound_is_above_the_exact_value(self, dist, seed, k, log10_neg_tau, log10_sigma2):
-        e = et.excesses(et.sample_distribution(dist, 500, seed), k)
-        p = _Profiles(stack([(e, -(10.0 ** log10_neg_tau))]), [10.0 ** log10_sigma2])
+        y = excess_matrix(et.sample_distribution(dist, 500, seed).values[None], k)[1][0]
+        p = _Profiles(stack([(y, -(10.0 ** log10_neg_tau))]), [10.0 ** log10_sigma2])
         coarse, bound = (a[0] for a in p.bounds(slice(None)))
         exact = p.exact(np.zeros(p.grid.shape[1], int), p.grid[0])
         assert np.array_equal(coarse, exact[::_STRIDE])
@@ -584,25 +594,27 @@ class TestHPD:
 
 
 class TestBayesTailProb:
-    def _sample(self):
-        return et.SortedSample(np.arange(1.0, 101.0))
+    """The Bayes tail probability of ``estimate_cells``: the model's under the posterior mode."""
+
+    def _cells(self, rho, x):
+        return et.estimate_cells(np.arange(1.0, 101.0)[None], [rho], [(0,)], 10, ("hill", "bayes_closed"), x)
 
     def test_reduces_to_weissman_at_zero_delta(self):
-        est = et.BayesEstimate(xi=0.5, delta=0.0, solver="linear")
-        s = self._sample()
-        assert et.bayes_tail_prob(s, 10, 360.0, est, -1.0) == et.weissman_tail_prob(
-            s, 10, 360.0, 0.5
-        )
+        # a prior variance of 0.1**315 takes the mode to its strong-prior limit (Hill, 0), where the
+        # Bayes probability is Weissman's at the Hill estimate
+        cells = self._cells(-157.5, 360.0)
+        (hill, _, p_weissman), (xi, delta, p_bayes) = cells.estimates[0].tolist()
+        assert (xi, delta) == (hill, 0.0) and p_bayes == p_weissman
 
     def test_at_threshold(self):
-        est = et.BayesEstimate(xi=0.5, delta=0.2, solver="linear")
-        assert et.bayes_tail_prob(self._sample(), 10, 90.0, est, -1.0) == pytest.approx(0.1)
+        assert self._cells(-1.0, 90.0).estimates[0, :, 2].tolist() == [0.1, 0.1]
 
     def test_hand_value(self):
-        est = et.BayesEstimate(xi=0.5, delta=0.1, solver="linear")
-        assert et.bayes_tail_prob(self._sample(), 10, 180.0, est, -1.0) == pytest.approx(
-            0.1 * (2.0 * 1.05) ** -2
-        )
+        # k/n = 0.1, x/threshold = 2 -> 0.1 * (2 * (1 + delta*(1 - 2**tau)))**(-1/xi) at the mode
+        cells = self._cells(-1.0, 180.0)
+        xi, delta, p = cells.estimates[0, 1].tolist()
+        tau = float(cells.tau[0])
+        assert delta != 0.0 and p == pytest.approx(0.1 * (2.0 * (1.0 + delta * (1.0 - 2.0 ** tau))) ** (-1.0 / xi))
 
 
 # float paths of any length up to 40, with NaN and infinite cells among them

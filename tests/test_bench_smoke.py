@@ -1,7 +1,7 @@
 """The benchmark's own smoke run: tiny units of every workload, traced and untraced.
 
 It fails when a library change breaks what ``bench/`` relies on, such as a
-layer function the tracer wraps by name (``metropolis_sample`` among them).
+layer function the tracer wraps by name (``posterior_mode`` and ``run_study`` among them).
 """
 
 from __future__ import annotations

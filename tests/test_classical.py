@@ -1,3 +1,6 @@
+"""The classical baselines: Hill's estimate, which ``estimate_cells`` computes for every lane,
+and Weissman's extrapolation, the tail probability ``epd._tail_probs`` at delta = 0."""
+
 from __future__ import annotations
 
 import math
@@ -6,42 +9,59 @@ import numpy as np
 import pytest
 
 import epdtail as et
+from epdtail.epd import _tail_probs
 from conftest import pareto_excesses
 from oracles import moment_stat
 
 
-def _excess_set(y):
-    arr = np.sort(np.asarray(y, dtype=float))[::-1]
-    return et.ExcessSet(y=arr, k=arr.size, threshold=1.0)
+def _y(values):
+    return np.sort(np.asarray(values, dtype=float))[::-1].copy()
+
+
+def _hill_cells(rows, k, x=None):
+    """``estimate_cells`` with Hill alone on sorted samples of one size, one per row, at rho = -1."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    return et.estimate_cells(rows, [-1.0] * len(rows), [(i,) for i in range(len(rows))], k, ("hill",), x)
+
+
+def _weissman(level, z, xi):
+    """Weissman's extrapolation at z = x / threshold, one lane per z: ``_tail_probs`` at delta = 0."""
+    z = np.asarray(z, dtype=float)
+    return _tail_probs(level, z, np.full(z.size, -1.0), np.full((z.size, 1), xi), np.zeros((z.size, 1)))[:, 0]
 
 
 class TestHill:
     def test_hand_value(self):
-        est = et.hill(_excess_set([8.0, 4.0, 2.0]))
-        assert est == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+        # excesses 8, 4 and 2 over the threshold 1
+        cells = _hill_cells([1.0, 2.0, 4.0, 8.0], 3)
+        assert cells.hill[0] == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+        assert cells.estimates[0, 0, :2].tolist() == [cells.hill[0], 0.0]
 
     def test_all_ties_give_zero(self):
-        assert et.hill(_excess_set([1.0, 1.0, 1.0])) == 0.0
+        # a Hill estimate of 0 gives no tau, so the lane's estimators fail
+        cells = _hill_cells([1.0, 1.0, 1.0, 1.0], 3)
+        assert cells.hill[0] == 0.0
+        assert cells.errors == [{"hill": "NonEstimableError"}]
 
     def test_unbiased_on_strict_pareto(self):
-        # exactly unbiased under the strict Pareto: mean over replications ~ xi
-        means = [et.hill(pareto_excesses(1.0, 100, (3, r))) for r in range(1000)]
-        assert abs(np.mean(means) - 1.0) < 0.01
+        # exactly unbiased under the strict Pareto: mean over replications ~ xi. Each row
+        # is the threshold 1 below 100 strict Pareto excesses
+        rows = [np.r_[1.0, pareto_excesses(1.0, 100, (3, r))[::-1]] for r in range(1000)]
+        assert abs(np.mean(_hill_cells(rows, 100).hill) - 1.0) < 0.01
 
     def test_scale_invariance_through_excesses(self):
         rng = np.random.default_rng(0)
         raw = rng.pareto(1.0, 50) + 1.0
-        h1 = et.hill(et.excesses(et.SortedSample(raw), 20))
-        h2 = et.hill(et.excesses(et.SortedSample(8.0 * raw), 20))
+        h1, h2 = _hill_cells([np.sort(raw), np.sort(8.0 * raw)], 20).hill
         assert h1 == h2
 
 
 class TestMomentStat:
     def test_unit_excesses(self):
-        assert moment_stat(_excess_set([1.0, 1.0]), -0.7) == 1.0
+        assert moment_stat(_y([1.0, 1.0]), -0.7) == 1.0
 
     def test_hand_value(self):
-        assert moment_stat(_excess_set([2.0, 4.0]), -1.0) == pytest.approx(0.375)
+        assert moment_stat(_y([2.0, 4.0]), -1.0) == pytest.approx(0.375)
 
     def test_pareto_limit(self):
         # mean(y**-1) -> 1/(1 - xi*s) = 2/3 for xi = 0.5, s = -1
@@ -51,7 +71,7 @@ class TestMomentStat:
     @pytest.mark.parametrize("s", [0.0, 0.5])
     def test_nonnegative_exponent_rejected(self, s):
         with pytest.raises(ValueError, match="negative"):
-            moment_stat(_excess_set([2.0, 4.0]), s)
+            moment_stat(_y([2.0, 4.0]), s)
 
     def test_decreasing_in_exponent_magnitude(self):
         e = pareto_excesses(0.5, 200, 9)
@@ -63,27 +83,28 @@ class TestMomentStat:
 class TestWeissman:
     def test_at_threshold(self):
         s = et.SortedSample(np.arange(1.0, 101.0))
-        # k=10: threshold is the 90th value
-        assert et.weissman_tail_prob(s, 10, 90.0, 0.7) == pytest.approx(0.1)
+        # k=10: threshold is the 90th value, and P(X > x) there is k/n
+        assert _weissman(10 / 100, [90.0 / s.threshold(10)], 0.7)[0] == pytest.approx(0.1)
 
     def test_hand_value(self):
-        s = et.SortedSample(np.arange(1.0, 101.0))
         # k/n = 0.1, x/threshold = 4, xi = 0.5 -> 0.1 * 4**-2
-        assert et.weissman_tail_prob(s, 10, 360.0, 0.5) == pytest.approx(0.00625)
+        assert _weissman(0.1, [4.0], 0.5)[0] == pytest.approx(0.00625)
 
     def test_nonpositive_xi_rejected(self):
-        s = et.SortedSample(np.arange(1.0, 101.0))
-        with pytest.raises(ValueError, match="positive"):
-            et.weissman_tail_prob(s, 10, 360.0, 0.0)
+        # Hill is the only xi Weissman's extrapolation gets; where it is 0 the lane has no probability
+        cells = _hill_cells(np.r_[np.arange(1.0, 91.0), np.full(10, 90.0)], 10, 360.0)
+        assert cells.hill[0] == 0.0 and np.isnan(cells.estimates[0, 0, 2])
+        assert cells.errors == [{"hill": "NonEstimableError"}]
 
     def test_below_threshold_rejected(self):
-        s = et.SortedSample(np.arange(1.0, 101.0))
-        with pytest.raises(ValueError, match="below the threshold"):
-            et.weissman_tail_prob(s, 10, 89.0, 0.5)
+        # an x below the threshold gives no extrapolation, and no error
+        cells = _hill_cells(np.arange(1.0, 101.0), 10, 89.0)
+        assert np.isnan(cells.estimates[0, 0, 2]) and cells.errors == [{}]
+        assert _hill_cells(np.arange(1.0, 101.0), 10, 90.0).estimates[0, 0, 2] == 0.1
 
     def test_decreasing_in_x(self):
         s = et.SortedSample(np.arange(1.0, 101.0))
         xs = np.linspace(90.0, 500.0, 20)
-        ps = [et.weissman_tail_prob(s, 10, x, 0.5) for x in xs]
+        ps = _weissman(0.1, xs / s.threshold(10), 0.5).tolist()
         assert all(a >= b for a, b in zip(ps, ps[1:]))
         assert all(0.0 < p <= 0.1 for p in ps)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import epdtail as et
-from epdtail.data import DataFormatError
+from epdtail.data import DataFormatError, excess_matrix
 
 
 class TestLoadSample:
@@ -121,12 +121,18 @@ class TestSortedSample:
         assert [s.threshold(k) for k in (1, 2, 3)] == [4.0, 2.0, 1.0]
 
 
-# every reader of the threshold at k, with the other arguments valid: x = 30 lies above every value
+def _estimate(*estimators):
+    """``estimate_cells`` on one sample at rho = -1, with x = 30 above every value."""
+    return lambda s, k: et.estimate_cells(s.values[None], [-1.0], [(0,)], k, estimators, 30.0)
+
+
+# every reader of the threshold at k, with the other arguments valid: the tail probabilities of
+# each estimator, which ``estimate_cells`` computes, the excesses and the sample's own lookup
 THRESHOLD_READERS = {
-    "weissman": lambda s, k: et.weissman_tail_prob(s, k, 30.0, 0.5),
-    "epd": lambda s, k: et.epd_tail_prob(s, k, 30.0, et.EPDParams(xi=0.5, delta=0.1, tau=-1.0)),
-    "bayes": lambda s, k: et.bayes_tail_prob(s, k, 30.0, et.BayesEstimate(0.5, 0.1, "linear"), -1.0),
-    "excesses": et.excesses,
+    "weissman": _estimate("hill"),
+    "epd": _estimate("epd_ml"),
+    "bayes": _estimate("bayes_closed"),
+    "excesses": lambda s, k: excess_matrix(s.values[None], k),
     "threshold": et.SortedSample.threshold,
 }
 
@@ -139,48 +145,58 @@ def test_threshold_readers_reject_k_out_of_range(reader, k):
         THRESHOLD_READERS[reader](et.SortedSample(np.arange(1.0, 21.0)), k)
 
 
+def _excesses(values, k):
+    """The threshold and the excesses of one sorted sample: ``excess_matrix`` on one row."""
+    threshold, y = excess_matrix(np.asarray(values, dtype=float)[None], k)
+    return float(threshold[0]), y[0]
+
+
 class TestExcesses:
     def test_basic(self):
-        s = et.SortedSample([1, 2, 4, 8])
-        e = et.excesses(s, 3)
-        assert np.array_equal(e.y, [8.0, 4.0, 2.0])
-        assert e.threshold == 1.0
+        threshold, y = _excesses([1, 2, 4, 8], 3)
+        assert np.array_equal(y, [8.0, 4.0, 2.0])
+        assert threshold == 1.0
 
     def test_k_one(self):
-        e = et.excesses(et.SortedSample([1, 2, 4, 8]), 1)
-        assert np.array_equal(e.y, [2.0])
-        assert e.threshold == 4.0
+        threshold, y = _excesses([1, 2, 4, 8], 1)
+        assert np.array_equal(y, [2.0])
+        assert threshold == 4.0
 
     def test_ties_give_unit_excesses(self):
-        e = et.excesses(et.SortedSample([5, 5, 5]), 2)
-        assert np.array_equal(e.y, [1.0, 1.0])
-        assert e.threshold == 5.0
+        threshold, y = _excesses([5, 5, 5], 2)
+        assert np.array_equal(y, [1.0, 1.0])
+        assert threshold == 5.0
 
     @pytest.mark.parametrize("k", [0, 4, -1])
     def test_k_out_of_range(self, k):
         with pytest.raises(ValueError, match="k must be"):
-            et.excesses(et.SortedSample([1, 2, 4, 8]), k)
+            _excesses([1, 2, 4, 8], k)
+
+    def test_rows_that_are_not_sorted_positive_samples_rejected(self):
+        for row, message in (([0.0, 1.0, 2.0], "threshold must be positive"),
+                             ([2.0, 1.5, 3.0], "excesses must be >= 1"),
+                             ([1.0, 3.0, 2.0, 4.0], "excesses must be non-increasing")):
+            with pytest.raises(ValueError, match=message):
+                excess_matrix(np.array([[1.0] * len(row), row]), len(row) - 1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_excesses_are_valid(self, seed):
         rng = np.random.default_rng(seed)
-        s = et.SortedSample(rng.pareto(2.0, size=60) + 1.0)
+        values = np.sort(rng.pareto(2.0, size=(3, 60)) + 1.0)
         for k in (1, 10, 59):
-            e = et.excesses(s, k)
-            assert e.y.min() >= 1.0
-            assert np.all(e.y[:-1] >= e.y[1:])
+            threshold, y = excess_matrix(values, k)
+            assert y.shape == (3, k) and y.flags.c_contiguous
+            assert np.array_equal(threshold, values[:, 60 - k - 1])
+            assert y.min() >= 1.0
+            assert np.all(y[:, :-1] >= y[:, 1:])
 
     @pytest.mark.parametrize("c", [2.0, 0.5, 1024.0])
     def test_scale_invariance_exact_binary_scalings(self, c):
         rng = np.random.default_rng(11)
-        raw = rng.pareto(1.5, size=40) + 1.0
-        e1 = et.excesses(et.SortedSample(raw), 17)
-        e2 = et.excesses(et.SortedSample(c * raw), 17)
-        assert np.array_equal(e1.y, e2.y)
+        raw = np.sort(rng.pareto(1.5, size=40) + 1.0)
+        assert np.array_equal(_excesses(raw, 17)[1], _excesses(c * raw, 17)[1])
 
     def test_scale_invariance_general_scaling(self):
         rng = np.random.default_rng(12)
-        raw = rng.pareto(1.5, size=40) + 1.0
-        e1 = et.excesses(et.SortedSample(raw), 17)
-        e2 = et.excesses(et.SortedSample(np.pi * raw), 17)
-        np.testing.assert_allclose(e2.y, e1.y, rtol=5e-16)
+        raw = np.sort(rng.pareto(1.5, size=40) + 1.0)
+        np.testing.assert_allclose(_excesses(np.pi * raw, 17)[1], _excesses(raw, 17)[1], rtol=5e-16)

@@ -19,23 +19,35 @@ from scipy.stats import kstest
 import epdtail as et
 from epdtail import epd
 from conftest import pareto_excesses
-from oracles import loglik_value_and_grad, oracle_epd_log_likelihood, stack
+from epdtail.bayes import _chain, _closed_forms
+from epdtail.data import excess_matrix
+from epdtail.epd import _tail_probs
+from oracles import epd_quantile, epd_sample, loglik, loglik_value_and_grad, oracle_epd_log_likelihood, stack
 
 
-def _excess_set(y):
-    arr = np.sort(np.asarray(y, dtype=float))[::-1]
-    return et.ExcessSet(y=arr, k=arr.size, threshold=1.0)
+def _y(values):
+    return np.sort(np.asarray(values, dtype=float))[::-1].copy()
+
+
+def _survival(y, xi, delta, tau):
+    """The model's survival at each y >= 1, ``_tail_probs`` at level 1 with one lane per y."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return _tail_probs(1.0, y, np.full(y.size, tau), np.full((y.size, 1), xi), np.full((y.size, 1), delta))[:, 0]
+
+
+def _epd_excesses(xi, delta, tau, count, seed):
+    return np.sort(epd_sample(xi, delta, tau, count, seed))[::-1].copy()
 
 
 class TestParams:
     def test_validation(self):
-        et.EPDParams(xi=0.5, delta=0.1, tau=-1.0)
-        with pytest.raises(ValueError):
-            et.EPDParams(xi=0.0, delta=0.1, tau=-1.0)
-        with pytest.raises(ValueError):
-            et.EPDParams(xi=0.5, delta=0.1, tau=0.0)
-        with pytest.raises(ValueError):
-            et.EPDParams(xi=0.5, delta=-1.0, tau=-1.0)
+        # the model's region, xi > 0, tau < 0 and delta > max(-1, 1/tau), as the likelihood stack reads it
+        lik = stack([(_y([2.0, 4.0]), -1.0)])
+        assert loglik_value_and_grad(lik, 0.5, 0.1) is not None
+        assert loglik_value_and_grad(lik, 0.0, 0.1) is None
+        assert loglik_value_and_grad(lik, 0.5, -1.0) is None
+        assert lik.fail == [None]
+        assert isinstance(stack([(_y([2.0, 4.0]), 0.0)]).fail[0], ValueError)
 
     def test_delta_lower_bound(self):
         assert et.delta_lower_bound(-2.0) == -0.5
@@ -44,75 +56,65 @@ class TestParams:
     @pytest.mark.parametrize("tau", [-math.inf, math.nan, 0.0])
     def test_a_tau_outside_the_negative_reals_is_a_value_error(self, tau):
         # 1/tau is -0.0 at tau = -inf: a bound of -0.0 sent the ML fit's start to log(0)
-        e, cfg = pareto_excesses(0.5, 50, 0), et.MCMCConfig(iterations=20, burn_in=10)
-        calls = (lambda: et.delta_lower_bound(tau), lambda: et.epd_ml_fit(e, tau),
-                 lambda: et.bayes_closed_form(e, tau, 1.0), lambda: et.metropolis_sample(e, tau, 1.0, cfg))
-        for call in calls:
-            with pytest.raises(ValueError, match="tau must be negative and finite"):
-                call()
+        with pytest.raises(ValueError, match="tau must be negative and finite"):
+            et.delta_lower_bound(tau)
+        lik = stack([(pareto_excesses(0.5, 50, 0), tau)])
+        for result in (epd.epd_ml_fits(lik)[0], _closed_forms(lik, [1.0])[0],
+                       _chain(lik, 0, 1.0, et.MCMCConfig(iterations=20, burn_in=10))):
+            assert isinstance(result, ValueError) and str(result).startswith("tau must be negative and finite")
 
 
 class TestSurvival:
     @pytest.mark.parametrize("xi", [0.25, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("y", [1.0, 1.5, 2.0, 10.0, 100.0])
     def test_pareto_reduction(self, xi, y):
-        p = et.EPDParams(xi=xi, delta=0.0, tau=-1.0)
-        assert abs(et.epd_survival(p, y) - y ** (-1.0 / xi)) <= 1e-12
+        assert abs(_survival(y, xi, 0.0, -1.0)[0] - y ** (-1.0 / xi)) <= 1e-12
 
     def test_left_endpoint(self):
-        p = et.EPDParams(xi=0.5, delta=0.3, tau=-1.0)
-        assert et.epd_survival(p, 1.0) == 1.0
+        assert _survival(1.0, 0.5, 0.3, -1.0)[0] == 1.0
 
     def test_hand_value(self):
-        p = et.EPDParams(xi=0.5, delta=0.1, tau=-1.0)
-        assert et.epd_survival(p, 2.0) == pytest.approx((2.0 * 1.05) ** -2, abs=1e-12)
+        assert _survival(2.0, 0.5, 0.1, -1.0)[0] == pytest.approx((2.0 * 1.05) ** -2, abs=1e-12)
 
     def test_strictly_decreasing_to_zero(self):
-        p = et.EPDParams(xi=0.7, delta=-0.4, tau=-0.8)
-        ys = np.linspace(1.0, 500.0, 300)
-        vals = et.epd_survival(p, ys)
+        vals = _survival(np.linspace(1.0, 500.0, 300), 0.7, -0.4, -0.8)
         assert np.all(np.diff(vals) < 0)
         assert vals[-1] < 1e-3
 
     def test_below_support_rejected(self):
-        p = et.EPDParams(xi=0.5, delta=0.1, tau=-1.0)
-        with pytest.raises(ValueError, match="y >= 1"):
-            et.epd_survival(p, 0.5)
+        # the survival is read at x / threshold >= 1 only: an x below the threshold gives no probability
+        cells = et.estimate_cells(np.arange(1.0, 101.0)[None], [-1.0], [(0,)], 10, ("bayes_closed",), 50.0)
+        assert np.isfinite(cells.estimates[0, 0, :2]).all() and np.isnan(cells.estimates[0, 0, 2])
 
 
 class TestLogLikelihood:
     def test_pareto_reduction(self):
-        e = pareto_excesses(0.8, 50, 1)
-        h = et.hill(e)
+        y = pareto_excesses(0.8, 50, 1)
+        h = float(np.add.reduce(np.log(y))) / y.size
         for xi in (0.4, 0.8, 1.5):
             expected = -math.log(xi) - (1.0 / xi + 1.0) * h
-            assert et.epd_log_likelihood(xi, 0.0, -1.0, e) == pytest.approx(expected)
+            assert loglik(stack([(y, -1.0)]), xi, 0.0) == pytest.approx(expected)
 
     def test_hand_value(self):
-        e = _excess_set([2.0, 4.0])
-        assert et.epd_log_likelihood(1.0, 0.0, -1.0, e) == pytest.approx(-3.0 * math.log(2.0))
+        assert loglik(stack([(_y([2.0, 4.0]), -1.0)]), 1.0, 0.0) == pytest.approx(-3.0 * math.log(2.0))
 
     def test_boundary_gives_sentinel(self):
-        e = _excess_set([2.0, 4.0])
-        assert et.epd_log_likelihood(1.0, -1.0, -1.0, e) == -math.inf
-        assert et.epd_log_likelihood(-0.5, 0.0, -1.0, e) == -math.inf
-        assert et.epd_log_likelihood(1.0, 0.0, 0.5, e) == -math.inf
+        y = _y([2.0, 4.0])
+        assert loglik(stack([(y, -1.0)]), 1.0, -1.0) == -math.inf
+        assert loglik(stack([(y, -1.0)]), -0.5, 0.0) == -math.inf
+        assert loglik(stack([(y, 0.5)]), 1.0, 0.0) == -math.inf
 
     def test_matches_straightforward_form_bit_for_bit(self, burr_k200):
-        e, tau, _ = burr_k200
+        y, tau, _ = burr_k200
+        lik = stack([(y, tau)])
         lo = et.delta_lower_bound(tau)
         for xi in (1e-300, 0.3, 0.8, 5.0, math.inf):
             for d in (lo - 0.1, lo, lo + 1e-12, -0.2, 0.0, 0.7, 9.0, 1e200):
-                assert et.epd_log_likelihood(xi, d, tau, e) == oracle_epd_log_likelihood(
-                    xi, d, tau, e), (xi, d)
+                assert loglik(lik, xi, d) == oracle_epd_log_likelihood(xi, d, tau, y), (xi, d)
 
     def test_malformed_excesses_raise(self):
-        bad = et.ExcessSet.__new__(et.ExcessSet)
-        object.__setattr__(bad, "y", np.array([0.5, 0.2]))
-        object.__setattr__(bad, "k", 2)
-        object.__setattr__(bad, "threshold", 1.0)
         with pytest.raises(ValueError, match=">= 1"):
-            et.epd_log_likelihood(1.0, 0.0, -1.0, bad)
+            stack([(np.array([0.5, 0.2]), -1.0)])
 
 
 class TestGradient:
@@ -120,22 +122,15 @@ class TestGradient:
     def test_matches_central_differences(self, seed):
         rng = np.random.default_rng((21, seed))
         tau = -float(rng.uniform(0.3, 2.0))
-        truth = et.EPDParams(
-            xi=float(rng.uniform(0.3, 1.5)),
-            delta=float(rng.uniform(-0.3, 0.8)),
-            tau=tau,
-        )
-        y = np.sort(et.epd_sample(truth, 80, (22, seed)))[::-1]
-        e = et.ExcessSet(y=y, k=80, threshold=1.0)
+        truth = float(rng.uniform(0.3, 1.5)), float(rng.uniform(-0.3, 0.8))
+        lik = stack([(_epd_excesses(*truth, tau, 80, (22, seed)), tau)])
         xi = float(rng.uniform(0.4, 1.2))
         lo = et.delta_lower_bound(tau)
         delta = float(rng.uniform(max(lo + 0.2, -0.5), 1.0))
-        _, g_xi, g_delta = loglik_value_and_grad(stack([(e, tau)]), xi, delta)
+        _, g_xi, g_delta = loglik_value_and_grad(lik, xi, delta)
         h = 1e-6
-        fd_xi = (et.epd_log_likelihood(xi + h, delta, tau, e)
-                 - et.epd_log_likelihood(xi - h, delta, tau, e)) / (2 * h)
-        fd_delta = (et.epd_log_likelihood(xi, delta + h, tau, e)
-                    - et.epd_log_likelihood(xi, delta - h, tau, e)) / (2 * h)
+        fd_xi = (loglik(lik, xi + h, delta) - loglik(lik, xi - h, delta)) / (2 * h)
+        fd_delta = (loglik(lik, xi, delta + h) - loglik(lik, xi, delta - h)) / (2 * h)
         assert g_xi == pytest.approx(fd_xi, rel=1e-6)
         assert g_delta == pytest.approx(fd_delta, rel=1e-6)
 
@@ -143,46 +138,33 @@ class TestGradient:
 class TestMLFit:
     def test_pareto_data_recovers_pareto(self):
         # under the strict Pareto the fitted perturbation vanishes on average
-        deltas, gaps = [], []
-        for rep in range(30):
-            e = pareto_excesses(1.0, 500, (31, rep))
-            fit = et.epd_ml_fit(e, -1.0)
-            deltas.append(fit.params.delta)
-            gaps.append(fit.params.xi - et.hill(e))
-        assert abs(np.mean(deltas)) < 0.1
-        assert abs(np.mean(gaps)) < 0.1
+        lik = stack([(pareto_excesses(1.0, 500, (31, rep)), -1.0) for rep in range(30)])
+        fits = np.array([fit[:2] for fit in epd.epd_ml_fits(lik)])
+        assert abs(np.mean(fits[:, 1])) < 0.1
+        assert abs(np.mean(fits[:, 0] - lik.sum_log_y / lik.k)) < 0.1
 
     def test_recovers_known_parameters(self):
-        truth = et.EPDParams(xi=0.5, delta=0.3, tau=-1.0)
-        xis, deltas = [], []
-        for rep in range(24):
-            y = np.sort(et.epd_sample(truth, 2000, (37, rep)))[::-1]
-            e = et.ExcessSet(y=y, k=2000, threshold=1.0)
-            fit = et.epd_ml_fit(e, -1.0)
-            xis.append(fit.params.xi)
-            deltas.append(fit.params.delta)
+        lik = stack([(_epd_excesses(0.5, 0.3, -1.0, 2000, (37, rep)), -1.0) for rep in range(24)])
+        xis, deltas = np.array([fit[:2] for fit in epd.epd_ml_fits(lik)]).T
         n = len(xis)
         assert abs(np.mean(xis) - 0.5) <= 3.0 * np.std(xis, ddof=1) / math.sqrt(n)
         assert abs(np.mean(deltas) - 0.3) <= 3.0 * np.std(deltas, ddof=1) / math.sqrt(n)
 
     def test_small_k_rejected(self):
-        with pytest.raises(ValueError, match="at least 10"):
-            et.epd_ml_fit(pareto_excesses(1.0, 5, 0), -1.0)
+        (fit,) = epd.epd_ml_fits(stack([(pareto_excesses(1.0, 5, 0), -1.0)]))
+        assert isinstance(fit, ValueError) and "at least 10" in str(fit)
 
     def test_beats_pareto_start(self):
         for rep in range(5):
-            e = pareto_excesses(0.6, 200, (41, rep))
-            h = et.hill(e)
-            fit = et.epd_ml_fit(e, -1.5)
-            assert fit.loglik >= et.epd_log_likelihood(h, 0.0, -1.5, e) - 1e-9
+            lik = stack([(pareto_excesses(0.6, 200, (41, rep)), -1.5)])
+            (fit,) = epd.epd_ml_fits(lik)
+            assert fit[2] >= loglik(lik, float(lik.sum_log_y[0]) / lik.k, 0.0) - 1e-9
 
     def test_depends_only_on_excesses(self, burr_dist):
         s = et.sample_distribution(burr_dist, 400, 3)
-        scaled = et.SortedSample(2.0 * s.values)
-        f1 = et.epd_ml_fit(et.excesses(s, 100), -1.0)
-        f2 = et.epd_ml_fit(et.excesses(scaled, 100), -1.0)
-        assert f1.params.xi == f2.params.xi
-        assert f1.params.delta == f2.params.delta
+        cells = et.estimate_cells(np.array([s.values, 2.0 * s.values]), [-1.0, -1.0], [(0,), (1,)], 100,
+                                  ("epd_ml",))
+        assert cells.estimates[0, 0, :2].tobytes() == cells.estimates[1, 0, :2].tobytes()
 
 
 class TestOneBlasThread:
@@ -208,7 +190,7 @@ class TestOneBlasThread:
             return setulb(*args)
 
         monkeypatch.setattr(epd._lbfgsb, "setulb", spy)
-        et.epd_ml_fit(pareto_excesses(1.0, 100, 0), -1.0)
+        epd.epd_ml_fits(stack([(pareto_excesses(1.0, 100, 0), -1.0)]))
         assert seen and set(seen) == {1}
         assert threads() == 2
 
@@ -218,7 +200,7 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(epd._lbfgsb, "setulb", boom)
         with pytest.raises(RuntimeError, match="minimizer failed"):
-            et.epd_ml_fit(pareto_excesses(1.0, 100, 0), -1.0)
+            epd.epd_ml_fits(stack([(pareto_excesses(1.0, 100, 0), -1.0)]))
         assert threads() == 2
 
     def test_lockstep_fits_enter_the_cap_once_and_run_on_one_thread(self, threads, monkeypatch):
@@ -278,7 +260,7 @@ class TestOneBlasThread:
         def work(rep):
             try:
                 for j in range(10):
-                    et.epd_ml_fit(pareto_excesses(1.0, 60, (rep, j)), -1.0)
+                    epd.epd_ml_fits(stack([(pareto_excesses(1.0, 60, (rep, j)), -1.0)]))
             except Exception as exc:  # reported below, a thread cannot raise into the test
                 errors.append(exc)
 
@@ -300,13 +282,12 @@ class TestOneBlasThread:
         # one repetition of the burr_fig2 design: its 65 thresholds and its rho estimate
         s = et.sample_distribution(et.burr(0.75, -0.75), 500, np.random.SeedSequence((202408, 0)))
         rho, _ = et.resolve_rho(s)
+        lanes = [(excess_matrix(s.values[None], k)[1][0],
+                  float(et.estimate_cells(s.values[None], [rho], [(0,)], k, ("hill",)).tau[0]))
+                 for k in range(90, 411, 5)]
 
         def fits():
-            out = []
-            for k in range(90, 411, 5):
-                e = et.excesses(s, k)
-                out.append(repr(et.epd_ml_fit(e, et.tau_hat(rho, et.hill(e)))))
-            return out
+            return [repr(epd.epd_ml_fits(stack([lane]))) for lane in lanes]
 
         capped = fits()
         monkeypatch.setattr(epd, "_scipy_openblas", lambda: None)
@@ -382,21 +363,21 @@ def test_lane_start_is_scipys_logit_to_the_bit(tau):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(epd._lbfgsb, "setulb", spy)
-        et.epd_ml_fit(pareto_excesses(1.0, 20, 0), tau)
+        epd.epd_ml_fits(stack([(pareto_excesses(1.0, 20, 0), tau)]))
     lo = et.delta_lower_bound(tau)
     assert repr(starts[0]) == repr(float(logit((0.0 - lo) / (epd.DELTA_MAX - lo))))
 
 
 class TestQuantileAndSampling:
+    """The test sampler of ``tests/oracles.py`` against the library's survival, ``_tail_probs``."""
+
     def test_pareto_inverse(self):
-        p = et.EPDParams(xi=0.5, delta=0.0, tau=-1.0)
         for q in (0.1, 0.5, 0.99):
-            assert et.epd_quantile(p, q) == pytest.approx((1 - q) ** -0.5, rel=1e-10)
+            assert epd_quantile(0.5, 0.0, -1.0, q) == pytest.approx((1 - q) ** -0.5, rel=1e-10)
 
     def test_round_trip(self):
-        p = et.EPDParams(xi=0.7, delta=-0.3, tau=-0.6)
         for q in (0.05, 0.5, 0.9, 0.999):
-            assert et.epd_survival(p, et.epd_quantile(p, q)) == pytest.approx(1 - q, abs=1e-10)
+            assert _survival(epd_quantile(0.7, -0.3, -0.6, q), 0.7, -0.3, -0.6)[0] == pytest.approx(1 - q, abs=1e-10)
 
     @pytest.mark.parametrize("tau, delta", [(-1.0, -1.0 + 1e-12), (-1.0, -1.0 + 1e-6), (-1.0, 0.3),
                                             (-0.5, -1.0 + 1e-9), (-2.0, -0.5 + 1e-9)])
@@ -410,59 +391,48 @@ class TestQuantileAndSampling:
         eps = 2.0 ** -52
         slope = 1.0 + max(delta, 0.0) * -tau
         ulps = ((slope * 5e-14 + 2 * eps) / xi + 2 * eps) / 2.0 ** -53
-        p = et.EPDParams(xi=xi, delta=delta, tau=tau)
         for q in (1e-3, 0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 0.9999):
-            got = et.epd_survival(p, et.epd_quantile(p, q))
+            got = _survival(epd_quantile(xi, delta, tau, q), xi, delta, tau)[0]
             assert abs(got - (1.0 - q)) <= ulps * np.spacing(1.0 - q), (q, got)
 
     def test_inverse_of_hand_survival(self):
-        p = et.EPDParams(xi=0.5, delta=0.1, tau=-1.0)
         q = 1.0 - (2.0 * 1.05) ** -2
-        assert et.epd_quantile(p, q) == pytest.approx(2.0, rel=1e-9)
+        assert epd_quantile(0.5, 0.1, -1.0, q) == pytest.approx(2.0, rel=1e-9)
 
     def test_bad_q_rejected(self):
-        p = et.EPDParams(xi=0.5, delta=0.1, tau=-1.0)
         with pytest.raises(ValueError):
-            et.epd_quantile(p, 1.0)
+            epd_quantile(0.5, 0.1, -1.0, 1.0)
 
     def test_deterministic(self):
-        p = et.EPDParams(xi=0.5, delta=0.2, tau=-1.0)
-        assert np.array_equal(et.epd_sample(p, 100, 9), et.epd_sample(p, 100, 9))
+        assert np.array_equal(epd_sample(0.5, 0.2, -1.0, 100, 9), epd_sample(0.5, 0.2, -1.0, 100, 9))
 
     def test_ks_against_pareto_when_delta_zero(self):
-        p = et.EPDParams(xi=0.5, delta=0.0, tau=-1.0)
-        draws = et.epd_sample(p, 10_000, 13)
+        draws = epd_sample(0.5, 0.0, -1.0, 10_000, 13)
         res = kstest(draws, lambda v: 1.0 - np.asarray(v) ** -2.0)
         assert res.pvalue > 0.01
 
     def test_ks_against_own_survival(self):
-        p = et.EPDParams(xi=0.5, delta=0.3, tau=-1.0)
-        draws = et.epd_sample(p, 10_000, 17)
-        res = kstest(draws, lambda v: 1.0 - np.atleast_1d(et.epd_survival(p, v)))
+        draws = epd_sample(0.5, 0.3, -1.0, 10_000, 17)
+        res = kstest(draws, lambda v: 1.0 - _survival(v, 0.5, 0.3, -1.0))
         assert res.pvalue > 0.01
 
 
 class TestTailProb:
-    def _sample(self):
-        return et.SortedSample(np.arange(1.0, 101.0))
+    """``level`` times the survival at z = x / threshold: with k/n = 10/100, the tail probability."""
 
     def test_at_threshold(self):
-        p = et.EPDParams(xi=0.5, delta=0.3, tau=-1.0)
-        assert et.epd_tail_prob(self._sample(), 10, 90.0, p) == pytest.approx(0.1)
+        assert _tail_probs(0.1, np.array([1.0]), np.array([-1.0]), np.array([[0.5]]), np.array([[0.3]]))[0, 0] == 0.1
 
     def test_reduces_to_weissman(self):
-        p = et.EPDParams(xi=0.5, delta=0.0, tau=-1.0)
-        s = self._sample()
-        assert et.epd_tail_prob(s, 10, 360.0, p) == et.weissman_tail_prob(s, 10, 360.0, 0.5)
+        # at delta = 0 the value is Weissman's, whatever tau
+        got = _tail_probs(0.1, np.array([4.0, 4.0]), np.array([-1.0, -3.7]), np.full((2, 1), 0.5), np.zeros((2, 1)))
+        assert got[:, 0].tolist() == [0.1 * 4.0 ** -2.0] * 2
 
     def test_hand_value(self):
         # k/n = 0.1, x/threshold = 2 -> 0.1 * survival(2)
-        p = et.EPDParams(xi=0.5, delta=0.1, tau=-1.0)
-        assert et.epd_tail_prob(self._sample(), 10, 180.0, p) == pytest.approx(
-            0.1 * (2.0 * 1.05) ** -2
-        )
+        got = _tail_probs(0.1, np.array([2.0]), np.array([-1.0]), np.array([[0.5]]), np.array([[0.1]]))[0, 0]
+        assert got == pytest.approx(0.1 * (2.0 * 1.05) ** -2)
 
     def test_below_threshold_rejected(self):
-        p = et.EPDParams(xi=0.5, delta=0.1, tau=-1.0)
-        with pytest.raises(ValueError, match="below the threshold"):
-            et.epd_tail_prob(self._sample(), 10, 50.0, p)
+        cells = et.estimate_cells(np.arange(1.0, 101.0)[None], [-1.0], [(0,)], 10, ("epd_ml",), 50.0)
+        assert np.isfinite(cells.estimates[0, 0, :2]).all() and np.isnan(cells.estimates[0, 0, 2])

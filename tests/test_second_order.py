@@ -34,17 +34,30 @@ class TestClampRho:
 
 
 class TestTauHat:
+    """``estimate_cells`` maps rho to the excess-scale rate tau = rho / Hill on every lane."""
+
+    @staticmethod
+    def _cells(values, rho):
+        return et.estimate_cells(np.array([values], dtype=float), [rho], [(0,)], len(values) - 1, ("hill",))
+
     def test_hand_values(self):
-        assert et.tau_hat(-1.0, 0.5) == -2.0
-        assert et.tau_hat(-0.5, 0.5) == -1.0
+        # excesses 2 and 2: Hill is log 2
+        for rho in (-1.0, -0.5):
+            cells = self._cells([1.0, 2.0, 2.0], rho)
+            assert cells.hill[0] == math.log(2.0) and cells.tau[0] == rho / math.log(2.0)
 
     def test_zero_hill_rejected(self):
-        with pytest.raises(NonEstimableError):
-            et.tau_hat(-1.0, 0.0)
+        cells = self._cells([1.0, 1.0, 1.0], -1.0)
+        assert np.isnan(cells.tau[0]) and cells.errors == [{"hill": "NonEstimableError"}]
+        # and a rho that is not negative gives no tau either
+        cells = self._cells([1.0, 2.0, 2.0], 0.5)
+        assert np.isnan(cells.tau[0]) and cells.errors == [{"hill": "ValueError"}]
 
     @pytest.mark.parametrize("rho,h", [(-0.7, 0.3), (-2.5, 1.7), (-1.0, 0.9)])
     def test_product_recovers_rho(self, rho, h):
-        assert et.tau_hat(rho, h) * h == pytest.approx(rho, rel=1e-15)
+        cells = self._cells([1.0, math.exp(h)], rho)
+        assert cells.hill[0] == pytest.approx(h, rel=1e-15)
+        assert cells.tau[0] * cells.hill[0] == pytest.approx(rho, rel=1e-15)
 
 
 class TestRhoFraga:

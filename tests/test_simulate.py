@@ -8,6 +8,7 @@ from scipy.stats import kstest
 
 import epdtail as et
 import epdtail.simulate as sim
+from oracles import law_survival
 
 
 class TestDistributions:
@@ -27,7 +28,7 @@ class TestDistributions:
         for d, p in [(et.loggamma(), 0.5), (et.loggamma(), 0.99),
                      (et.loggamma(), 1 - 1 / 500), (et.loggamma(0.5, 3.0), 1e-6)]:
             q = et.true_quantile(d, p)
-            assert et.survival(d, q) == pytest.approx(1 - p, abs=1e-10)
+            assert law_survival(d, q) == pytest.approx(1 - p, abs=1e-10)
 
     @pytest.mark.parametrize("dist, message", [
         # (-log p)**-1000 is inf, and so is exp(z / rate) at rate 1e-300
@@ -49,7 +50,7 @@ class TestDistributions:
 
     def test_survival_matches_quantile(self, burr_dist):
         for p in (0.1, 0.9, 0.999):
-            assert et.survival(burr_dist, et.true_quantile(burr_dist, p)) == pytest.approx(
+            assert law_survival(burr_dist, et.true_quantile(burr_dist, p)) == pytest.approx(
                 1 - p, rel=1e-10
             )
 
@@ -67,7 +68,7 @@ class TestSampling:
 
     def test_ks_frechet(self, frechet_dist):
         draws = et.sample_distribution(frechet_dist, 10_000, 3).values
-        res = kstest(draws, lambda v: 1.0 - np.atleast_1d(et.survival(frechet_dist, v)))
+        res = kstest(draws, lambda v: 1.0 - np.atleast_1d(law_survival(frechet_dist, v)))
         assert res.pvalue > 0.01
 
     def test_ks_burr(self, burr_dist):
@@ -78,7 +79,7 @@ class TestSampling:
     def test_ks_loggamma(self):
         d = et.loggamma()
         draws = et.sample_distribution(d, 10_000, 11).values
-        res = kstest(draws, lambda v: 1.0 - np.atleast_1d(et.survival(d, v)))
+        res = kstest(draws, lambda v: 1.0 - np.atleast_1d(law_survival(d, v)))
         assert res.pvalue > 0.01
 
     def test_all_positive(self, frechet_dist):
@@ -275,7 +276,7 @@ class TestRunStudy:
             for rep in range(cfg.reps):
                 s = et.sample_distribution(cfg.dist, cfg.n,
                                            np.random.SeedSequence((cfg.master_seed, rep)))
-                xis.append(et.hill(et.excesses(s, k)))
+                xis.append(np.mean(np.log(s.values[-k:] / s.threshold(k))))
             assert res.metrics["hill"].bias[j] == pytest.approx(
                 np.mean(xis) - cfg.dist.true_xi, abs=1e-12
             )
@@ -416,22 +417,21 @@ def test_one_coefficient_stack_per_threshold_read_in_place(burr_dist, monkeypatc
 
 def test_a_study_chunk_builds_no_per_lane_objects(burr_dist, frechet_dist, monkeypatch):
     # a chunk keeps its lanes' excesses, fits and tail probabilities in arrays at each
-    # k: an ExcessSet, EPDParams, EPDFit or BayesEstimate per lane would cost a
-    # Python object per lane and k again
+    # k: the records it builds are one Cells per k, and a chain only for bayes_mcmc; a
+    # record per lane would cost a Python object per lane and k again
     built = []
-    for cls in (et.ExcessSet, et.EPDParams, et.EPDFit, et.BayesEstimate):
+    for cls in (et.Cells, et.PosteriorChain):
         def spy(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
             built.append(name)
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", spy)
-    sample = et.sample_distribution(burr_dist, 500, 0)
-    et.epd_ml_fit(et.excesses(sample, 100), -1.0)
-    assert built == ["ExcessSet", "EPDParams", "EPDFit"]  # the spies see a build
-    built.clear()
+    et.PosteriorChain(draws=np.empty((0, 2)), logpost=np.empty(0), acceptance_rate=0.5)
+    assert built == ["PosteriorChain"]  # the spies see a build
     for dist, k_grid, rho_mode in ((burr_dist, (90, 200, 300, 410), "fraga"),
                                    (frechet_dist, (10, 35, 60), "fixed_minus_one")):
+        built.clear()
         cfg = _small_cfg(dist, n=500, reps=8, k_grid=k_grid, rho_mode=rho_mode, target_p=0.002)
         xi, p = sim._study_chunk(cfg, k_grid, et.true_quantile(dist, 1.0 - cfg.target_p), range(8))
         assert np.isfinite(xi).all() and np.isfinite(p).all()
-    assert built == []
+        assert built == ["Cells"] * len(k_grid)
