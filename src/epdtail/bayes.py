@@ -8,12 +8,14 @@ by posterior mode, either through the first-order estimating equations
 random-walk Metropolis chain. On the lanes of a likelihood stack
 (``epd._Likelihood``) the equations are solved as one array computation,
 and the exact-mode search runs the lanes left in lockstep, in passes of a
-fixed size over the stack, polished by a port of scipy's bounded minimizer
-that the lockstep runner ``epd._lockstep`` drives for all of them. The
-search's profile (``_Profiles.from_sums``) and the chain evaluate one log
-posterior formula, ``_log_post``, on a lane's row sums by one arithmetic,
-``_log1p_sums``, or on bounds of them. The priors' constants come from the
-standard library (``math.erfc``, ``math.lgamma``): no ``scipy.special`` runs.
+fixed size over the stack: a scan of a delta grid, coarse to fine, that
+computes only the nodes its concavity bounds cannot rule out, polished by a
+port of scipy's bounded minimizer that the lockstep runner ``epd._lockstep``
+drives for all of them. The search's profile (``_Profiles.from_sums``) and
+the chain evaluate one log posterior formula, ``_log_post``, on a lane's row
+sums by one arithmetic, ``_log1p_sums``, or on bounds of them. The priors'
+constants come from the standard library (``math.erfc``, ``math.lgamma``):
+no ``scipy.special`` runs.
 """
 
 from __future__ import annotations
@@ -50,12 +52,14 @@ _TARGET_ACCEPT = 0.234
 # the chain's bound table: cells _CELL wide in delta from the model bound, filled
 # _BLOCK at a time, none where some 1 + delta*coef is below _FLOOR, widened by _MARGIN
 _CELL, _BLOCK, _FLOOR, _MARGIN = 0.005, 32, 0.05, 1e-9
-# the posterior-mode scan computes every _STRIDE-th grid node, then the others its bounds keep.
-# Its row-sum passes hold at most _BUDGET doubles at a time, and its bound algebra, about 16
-# arrays of 481 doubles per lane, runs on _SCAN_LANES lanes at a time
-_STRIDE = 8
+# the posterior-mode scan computes the grid nodes _WIDTHS[0] apart, then, in each cell between
+# two computed nodes whose bounds reach its lane's best value, the nodes of the next width, and
+# in the cells of the last width the nodes whose bounds reach it. Of the widths tried on the Burr
+# design these took the least scan time, at about 44 of the 481 nodes per search. Its row-sum
+# passes hold at most _BUDGET doubles at a time, and its bound algebra, about 16 arrays of the
+# nodes it bounds, runs on _BUDGET // 16 nodes at a time
+_WIDTHS = (96, 16)
 _BUDGET = 2 ** 16
-_SCAN_LANES = _BUDGET // (16 * 481)
 
 
 class ClosedFormError(RuntimeError):
@@ -221,7 +225,7 @@ class _Profiles:
     direction where the profiled xi falls below 5% of mean(log y): the
     density is unbounded there but carries negligible posterior mass. The
     mode search scans ``grid``, 481 nodes per lane from just above its
-    model bound.
+    model bound, coarse to fine (``scan``).
 
     It searches the stack lanes ``rows``, ascending. A row is one (lane,
     delta) pair: the per-lane constants are arrays over those lanes, and
@@ -266,32 +270,66 @@ class _Profiles:
         s = _row_sums(self.coef, self.rows[lane], np.where(ok, deltas, 0.0))[0]
         return self.from_sums(lane, deltas, ok, s[:, 0], s[:, 1])
 
-    def bounds(self, block: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Per lane of ``block``, the profile at every _STRIDE-th grid node, and upper bounds of it at the others.
+    def bounds(self, lane: np.ndarray, left: np.ndarray, w: int, ends: np.ndarray, ok: np.ndarray) -> np.ndarray:
+        """Upper bounds of the profile in cells w nodes wide: row i at the w - 1 nodes after node left[i] of lane[i].
 
-        Row j of a lane bounds the nodes between coarse nodes j and j + 1.
-        S1 and S2 are concave in delta, so on a cell S1 lies above its chord
-        and S2 below both end tangents; the profile falls as S1 rises and
-        rises with S2. Both are widened by _MARGIN*(|S| + k), far above any
-        rounding. A bound is inf where it is masked or an end of its cell is
-        inadmissible.
+        ``ends`` holds S1, S2 and dS2/ddelta (3 x lanes x nodes), and ``ok``
+        the admissibility, at every _WIDTHS[-1]-th node of every lane; only
+        the cells' ends are read. S1 and S2 are concave in delta, so on a
+        cell of any width S1 lies above its chord and S2 below both end
+        tangents; the profile falls as S1 rises and rises with S2. Both are
+        widened by _MARGIN*(|S| + k), far above any rounding. A bound is inf
+        where it is masked or an end of its cell is inadmissible.
         """
-        grid = self.grid[block]
-        c = grid[:, ::_STRIDE].copy()
-        ok = (1.0 + c[:, :, None] * self.ext[block, None] > 0.0).all(axis=2)
-        lane = self.rows[block].repeat(c.shape[1])
-        s, q = _row_sums(self.coef, lane, np.where(ok, c, 0.0).ravel(), slope=True)
-        s1, s2 = s.T.reshape(2, *c.shape, 1)  # copies, so that each is contiguous
-        q = q.reshape(*c.shape, 1)
-        v = self.from_sums((block, None), c, ok, s1[..., 0], s2[..., 0])
-        x = grid[:, :-1].reshape(len(c), -1, _STRIDE)[:, :, 1:]
-        lo, hi = c[:, :-1, None], c[:, 1:, None]
-        s1 = s1[:, :-1] + (s1[:, 1:] - s1[:, :-1]) * ((x - lo) / (hi - lo))
-        s2 = np.minimum(s2[:, :-1] + q[:, :-1] * (x - lo), s2[:, 1:] + q[:, 1:] * (x - hi))
+        a, b = left // _WIDTHS[-1], (left + w) // _WIDTHS[-1]
+        x = self.grid[lane[:, None], left[:, None] + np.arange(1, w)]
+        lo, hi = self.grid[lane, left, None], self.grid[lane, left + w, None]
+        (s1a, s2a, qa), (s1b, s2b, qb) = ends[:, lane, a, None], ends[:, lane, b, None]
+        s1 = s1a + (s1b - s1a) * ((x - lo) / (hi - lo))
+        s2 = np.minimum(s2a + qa * (x - lo), s2b + qb * (x - hi))
         k = self.k
-        bound = self.from_sums((block, None, None), x, True,
-                               s1 - _MARGIN * (abs(s1) + k), s2 + _MARGIN * (abs(s2) + k))
-        return v, np.where((ok[:, :-1] & ok[:, 1:])[:, :, None] & (bound > -np.inf), bound, np.inf)
+        bound = self.from_sums(lane[:, None], x, True, s1 - _MARGIN * (abs(s1) + k), s2 + _MARGIN * (abs(s2) + k))
+        return np.where((ok[lane, a] & ok[lane, b])[:, None] & (bound > -np.inf), bound, np.inf)
+
+    def scan(self) -> np.ndarray:
+        """The profile on every lane's grid, coarse to fine: -inf at the nodes it rules out.
+
+        It computes the nodes _WIDTHS[0] apart of every lane, with the slope
+        of S2, and bounds the nodes of each cell between two of them
+        (``bounds``). A cell where some bound reaches its lane's best value
+        so far is split at the next width, and the new nodes are computed
+        with slopes; in the cells of the last width, only the nodes whose
+        bounds reach it are computed. A node left out is below a value the
+        scan reached, so the grid's maximum and its first node are those of
+        the full scan. Each width's nodes take one set of row-sum passes for
+        all lanes, and its bound algebra runs on _BUDGET // 16 nodes at a
+        time.
+        """
+        n, f = len(self.rows), _WIDTHS[-1]
+        vals = np.full(self.grid.shape, -np.inf)
+        ends, ok = np.empty((3, n, 480 // f + 1)), np.zeros((n, 480 // f + 1), bool)
+        w = _WIDTHS[0]
+        lane, left = np.arange(n).repeat(480 // w), np.tile(np.arange(0, 480, w), n)
+        at, node = np.arange(n).repeat(480 // w + 1), np.tile(np.arange(0, 481, w), n)
+        for w, split in zip(_WIDTHS, _WIDTHS[1:] + (1,)):
+            d = self.grid[at, node]
+            ok[at, node // f] = o = (1.0 + d[:, None] * self.ext[at] > 0.0).all(axis=1)
+            s, ends[2, at, node // f] = _row_sums(self.coef, self.rows[at], np.where(o, d, 0.0), slope=True)
+            ends[:2, at, node // f] = s.T
+            vals[at, node] = self.from_sums(at, d, o, s[:, 0], s[:, 1])
+            best, size = vals.max(axis=1), _BUDGET // (16 * w)
+            keep = np.empty((len(lane), w - 1), bool)
+            for i in range(0, len(lane), size):
+                c = slice(i, i + size)
+                keep[c] = self.bounds(lane[c], left[c], w, ends, ok) >= best[lane[c], None]
+            if split == 1:
+                cell, j = np.nonzero(keep)
+                at, node = lane[cell], left[cell] + j + 1
+                vals[at, node] = self.exact(at, self.grid[at, node])
+                return vals
+            m, cell = w // split, keep.any(axis=1)
+            lane, left = lane[cell].repeat(m), (left[cell, None] + split * np.arange(m)).ravel()
+            at, node = lane.reshape(-1, m)[:, 1:].ravel(), left.reshape(-1, m)[:, 1:].ravel()
 
 
 def _polish(a: float, b: float):
@@ -379,27 +417,20 @@ def _profile_posterior_modes(
 
     ``sigma2`` holds every stack lane's prior variance. Each lane's profile
     is scanned on its grid over the admissible delta range, and a bounded
-    local polish, ``_polish``, runs around the grid's maximum. The scan
-    computes every _STRIDE-th node of every lane, then only the nodes
-    whose upper bound reaches the best of their lane's. A node it skips
-    stays -inf, and it could not have been the maximum, so the result is
-    that of the full scan. The lanes run in lockstep: one set of row-sum
-    passes for the coarse nodes of all lanes, one for the nodes kept, and
-    one per polish round for every lane's next point, the polishes run by
-    ``epd._lockstep``. No sum mixes lanes, so a lane's mode is the bits it
-    gets alone. A lane with no admissible grid node holds a
-    ClosedFormError.
+    local polish, ``_polish``, runs around the grid's maximum. The scan,
+    ``_Profiles.scan``, computes the grid coarse to fine, and only the
+    nodes whose upper bounds reach the best value of their lane's so far.
+    A node it skips stays -inf, and it could not have been the maximum,
+    so the result is that of the full scan. The lanes run in lockstep:
+    one set of row-sum passes per width of the scan and one for the nodes
+    it keeps last, for all lanes, and one per polish round for every
+    lane's next point, the polishes run by ``epd._lockstep``. No sum mixes
+    lanes, so a lane's mode is the bits it gets alone. A lane with no
+    admissible grid node holds a ClosedFormError.
     """
     p = _Profiles(lik, sigma2, lanes)
-    n, k, grid = len(p.rows), p.k, p.grid
-    vals = np.full(grid.shape, -np.inf)
-    for first in range(0, n, _SCAN_LANES):  # the scan, a block of lanes at a time
-        block = slice(first, first + _SCAN_LANES)
-        vals[block, ::_STRIDE], bound = p.bounds(block)
-        lane, cell, node = np.nonzero(bound >= vals[block].max(axis=1)[:, None, None])
-        lane += first
-        node += _STRIDE * cell + 1
-        vals[lane, node] = p.exact(lane, grid[lane, node])
+    k, grid = p.k, p.grid
+    vals = p.scan()
     best, top = vals.argmax(axis=1), vals.max(axis=1).tolist()
     lo = p.lo.tolist()
     # finite, so the polish's parabolic steps never do arithmetic on inf, and worse
@@ -450,8 +481,9 @@ def _closed_forms(lik: _Likelihood, sigma2: Sequence[float]) -> list[tuple[float
     out: list = [few or _lane_error(lik, i, s2) or (None if math.isnan(d) else (x, d, "linear"))
                  for i, (s2, x, d) in enumerate(zip(sigma2, xi.tolist(), delta.tolist()))]
     search = [i for i, est in enumerate(out) if est is None]
-    for i, mode in zip(search, _profile_posterior_modes(lik, sigma2, search)):
-        out[i] = mode if isinstance(mode, ClosedFormError) else (*mode, "profile-map")
+    if search:  # where every lane took the linear route, as at most Fréchet thresholds, none runs
+        for i, mode in zip(search, _profile_posterior_modes(lik, sigma2, search)):
+            out[i] = mode if isinstance(mode, ClosedFormError) else (*mode, "profile-map")
     return out
 
 

@@ -169,6 +169,17 @@ def k_range(n: int, k_min: int = 10, k_max: int | None = None, k_step: int = 5) 
     return range(k_min, (n - 10 if k_max is None else k_max) + 1, k_step)
 
 
+def _check_estimators(estimators: Sequence[str]) -> None:
+    """A ValueError unless ``estimators`` names one or more of ``ESTIMATORS``, each once."""
+    for name in estimators:
+        if name not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {name!r}; supported: {ESTIMATORS}")
+    if not estimators:
+        raise ValueError("need at least one estimator")
+    if len(set(estimators)) < len(estimators):
+        raise ValueError(f"an estimator is named twice in {','.join(estimators)}")
+
+
 @dataclass(frozen=True)
 class MCStudyConfig:
     """Design of a replicated estimation study on a reference law.
@@ -201,13 +212,7 @@ class MCStudyConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n < 21:
             raise ValueError("n must allow k in [10, n-10]")
-        for name in self.estimators:
-            if name not in ESTIMATORS:
-                raise ValueError(f"unknown estimator {name!r}; supported: {ESTIMATORS}")
-        if not self.estimators:
-            raise ValueError("need at least one estimator")
-        if len(set(self.estimators)) < len(self.estimators):
-            raise ValueError(f"an estimator is named twice in {','.join(self.estimators)}")
+        _check_estimators(self.estimators)
         if self.rho_mode not in ("fraga", "fixed_minus_one"):
             raise ValueError("rho_mode must be 'fraga' or 'fixed_minus_one'")
         # 1 - target_p, the level of the true quantile, must also lie below 1: it
@@ -287,13 +292,16 @@ def estimate_cells(values: np.ndarray, rho: Sequence[float], run_keys: Sequence[
     (``epd_ml_fits``), the ``bayes_closed`` estimates, whose first-order
     systems are solved at once and whose exact mode searches run in
     lockstep (``bayes._closed_forms``), and the ``bayes_mcmc`` chains, lane
-    by lane (``bayes._chain``), ``mcmc`` (which they need) seeded from
-    ``SeedSequence((*run_key, k))``. One array call gives the tail
-    probabilities of every lane and estimator (``epd._tail_probs``). Each
-    lane gets the bits it gets alone. An estimator's error fails only that
-    estimator, and where tau cannot be estimated every estimator fails.
-    Nothing is caught: an error raised in a cell propagates.
+    by lane (``bayes._chain``), ``mcmc`` (``MCMCConfig()`` where None)
+    seeded from ``SeedSequence((*run_key, k))``. One array call gives the
+    tail probabilities of every lane and estimator (``epd._tail_probs``).
+    Each lane gets the bits it gets alone. No name, a name not in
+    ``ESTIMATORS`` or one named twice is a ValueError, as in
+    ``MCStudyConfig``. An estimator's error fails only that estimator, and
+    where tau cannot be estimated every estimator fails. Nothing is
+    caught: an error raised in a cell propagates.
     """
+    _check_estimators(estimators)
     lanes, n = values.shape
     threshold, y = excess_matrix(values, k)
     log_y = np.log(y)
@@ -331,7 +339,7 @@ def estimate_cells(values: np.ndarray, rho: Sequence[float], run_keys: Sequence[
             results = []
             for lane, i in enumerate(ready.tolist()):
                 seed = int(np.random.SeedSequence((*run_keys[i], k)).generate_state(1)[0])
-                result = _chain(lik, lane, float(sigma2[i]), replace(mcmc, seed=seed))
+                result = _chain(lik, lane, float(sigma2[i]), replace(mcmc or MCMCConfig(), seed=seed))
                 if isinstance(result, PosteriorChain):
                     chains[i], result = result, posterior_mode(result)
                 results.append(result)

@@ -17,7 +17,7 @@ from epdtail import bayes, epd
 from epdtail.bayes import (
     _BLOCK,
     _CELL,
-    _STRIDE,
+    _WIDTHS,
     ClosedFormError,
     _BoundTable,
     _chain,
@@ -240,7 +240,11 @@ def _solvable_pareto_cases(count=20, k=100, sigma2=1e12):
 
 
 class TestClosedForm:
-    def test_degenerate_prior_recovers_hill(self):
+    def test_degenerate_prior_recovers_hill(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("a mode search ran where every lane takes the linear route")
+
+        monkeypatch.setattr(bayes, "_profile_posterior_modes", search)
         ys = [pareto_excesses(0.7, 80, (61, rep)) for rep in range(20)]
         lik = stack([(y, -1.0 / _hill(y)) for y in ys])
         for y, (xi, delta, solver) in zip(ys, _closed_forms(lik, [1e-12] * 20)):
@@ -530,15 +534,28 @@ class TestProfileBound:
     def test_bound_is_above_the_exact_value(self, dist, seed, k, log10_neg_tau, log10_sigma2):
         y = excess_matrix(et.sample_distribution(dist, 500, seed).values[None], k)[1][0]
         p = _Profiles(stack([(y, -(10.0 ** log10_neg_tau))]), [10.0 ** log10_sigma2])
-        coarse, bound = (a[0] for a in p.bounds(slice(None)))
         exact = p.exact(np.zeros(p.grid.shape[1], int), p.grid[0])
-        assert np.array_equal(coarse, exact[::_STRIDE])
-        inner = exact[:-1].reshape(-1, _STRIDE)[:, 1:]
-        assert bound.shape == inner.shape
-        bad = np.argwhere(bound < inner)
-        assert bad.size == 0, [(j, i, bound[j, i], inner[j, i]) for j, i in bad[:5]]
-        # a bound the search can prune with stands at nearly every node
-        assert np.isfinite(bound).mean() > 0.9
+        # the scan computes every node of the first width, and each node it computes is the full scan's
+        vals = p.scan()[0]
+        computed = vals > -np.inf
+        assert np.array_equal(vals[::_WIDTHS[0]], exact[::_WIDTHS[0]])
+        assert np.array_equal(vals[computed], exact[computed])
+        assert (vals.argmax(), vals.max()) == (exact.argmax(), exact.max())
+        # the bounds inside the cells of every width, from the row sums at their ends
+        f = _WIDTHS[-1]
+        d = p.grid[0, ::f]
+        ok = (1.0 + d[:, None] * p.ext[0] > 0.0).all(axis=1)
+        s, q = _row_sums(p.coef, np.zeros(d.size, int), np.where(ok, d, 0.0), slope=True)
+        ends = np.array([s[:, 0], s[:, 1], q])[:, None]
+        for w in _WIDTHS:
+            left = np.arange(0, 480, w)
+            bound = p.bounds(np.zeros(left.size, int), left, w, ends, ok[None])
+            inner = exact[left[:, None] + np.arange(1, w)]
+            assert bound.shape == inner.shape
+            bad = np.argwhere(bound < inner)
+            assert bad.size == 0, [(w, j, i, bound[j, i], inner[j, i]) for j, i in bad[:5]]
+            # a bound the search can prune with stands at nearly every node
+            assert np.isfinite(bound).mean() > 0.9, w
 
 
 class TestPosteriorMode:

@@ -47,7 +47,7 @@ import epdtail as et
 from epdtail import bayes
 from epdtail.bayes import (
     _BUDGET,
-    _STRIDE,
+    _WIDTHS,
     ClosedFormError,
     _closed_forms,
     _first_order,
@@ -168,7 +168,7 @@ EDGE_CELLS = {
     "max_at_delta_max": (_epd_cell(0.3, 30.0, -0.5, 300, 7), -0.5, 1e4,
                          lambda v: _first(v) == 0 and np.argmax(v) == v.size - 1),
     "coarse_node_masked": (_sample_cell(et.burr(0.75, -0.75), 153, 46), -0.9976, 0.00472,
-                           lambda v: v[0] == -np.inf and _first(v[::_STRIDE]) == 1),
+                           lambda v: v[0] == -np.inf and _first(v[::_WIDTHS[0]]) == 1),
     "floor_masks_inner_nodes": (_epd_cell(0.5, 50.0, -1.0, 300, 7), -1.0, 1e4,
                                 lambda v: _first(v) == 3 and np.argmax(v) == v.size - 1),
 }
@@ -183,29 +183,56 @@ def test_profile_posterior_mode_matches_oracle_at_the_edges(name):
     assert got == _outcome(oracle_profile_posterior_mode, y, tau, sigma2)
 
 
+def _scan_rows(monkeypatch) -> list[int]:
+    """Record the row-sum rows each mode-search scan computes for each lane it searches, slopes included.
+
+    The polish's rows are not counted; a full scan would compute 481 rows
+    for every lane.
+    """
+    rows: list[int] = []
+    scan, row_sums = _Profiles.scan, bayes._row_sums
+
+    def scan_spy(self):
+        count = np.zeros(len(self.rows), int)
+
+        def row_sums_spy(coef, lane, deltas, slope=False):
+            count[:] += np.bincount(np.searchsorted(self.rows, lane), minlength=count.size)
+            return row_sums(coef, lane, deltas, slope)
+
+        monkeypatch.setattr(bayes, "_row_sums", row_sums_spy)
+        try:
+            return scan(self)
+        finally:
+            monkeypatch.setattr(bayes, "_row_sums", row_sums)
+            rows.extend(count.tolist())
+
+    monkeypatch.setattr(_Profiles, "scan", scan_spy)
+    return rows
+
+
 def test_mode_search_prunes_most_of_the_grid(monkeypatch):
-    # the scan evaluates the coarse nodes in ``bounds`` and the nodes it keeps
-    # in ``exact``; with pruning bypassed it would evaluate all 481 of each call
-    rows = []
-    bounds, exact = _Profiles.bounds, _Profiles.exact
-
-    def bounds_spy(self, block):
-        v, bound = bounds(self, block)
-        rows[-1] += v.size
-        return v, bound
-
-    def exact_spy(self, lane, deltas):
-        rows[-1] += len(deltas)
-        return exact(self, lane, deltas)
-
-    monkeypatch.setattr(_Profiles, "bounds", bounds_spy)
-    monkeypatch.setattr(_Profiles, "exact", exact_spy)
+    rows = _scan_rows(monkeypatch)
     for _, y, tau, sigma2 in _rep_cells(*DESIGNS["burr_fig2"]):
-        rows.append(0)
         profile_posterior_mode(y, tau, sigma2)
+    # the scan's work, printed into the CI job summary: deterministic, as the cells are
+    print(f"\nMODE-SEARCH rows per search: mean {np.mean(rows):.2f} max {max(rows)} "
+          f"({len(rows)} burr_fig2 cells of replication 0)")
     assert len(rows) == 65
-    assert min(rows) > 481 // _STRIDE + 1, rows
-    assert max(rows) <= 0.4 * 481, rows
+    # every search computes more than the nodes of the first width. The most any
+    # of these computes is 48 rows, and the bound leaves a quarter of that as headroom
+    assert min(rows) > 480 // _WIDTHS[0] + 1, rows
+    assert max(rows) <= 60, rows
+
+
+def test_mode_search_rows_on_a_serial_burr_unit(monkeypatch):
+    # one unit of the serial burr_fig2 study, 16 replications at the design's
+    # master seed, as the benchmark's burr_w1 runs it at seed 0: every k runs
+    # its searches in one lockstep stack
+    rows = _scan_rows(monkeypatch)
+    et.run_study(et.MCStudyConfig(dist=et.burr(0.75, -0.75), n=500, reps=16, k_grid=tuple(range(90, 411, 5)),
+                                  estimators=("bayes_closed",), master_seed=DESIGN_SEED))
+    assert len(rows) == 983
+    assert np.mean(rows) <= 50.0, np.mean(rows)
 
 
 def test_ml_fit_matches_oracle(cells):
@@ -681,9 +708,9 @@ def test_polish_is_scipys_bounded_minimizer(kind, coefs, a, log10_width, cut):
 
 def test_search_memory_stays_within_its_blocks():
     # 32 lanes at k = 450: the passes hold one block of _BUDGET doubles and half one
-    # for the slopes, and the scan's bound algebra about as much again; the
-    # coarse nodes of all lanes in one pass would hold 32 * 61 * 2 * 450 doubles
-    # (14 MB), and the kept nodes about a third of that
+    # for the slopes, and the scan's bound algebra about as much again; the rows
+    # the scan computes, about 44 per lane, would hold 32 * 44 * 2 * 450 doubles
+    # (10 MB) in one pass
     cells = _mode_cells("burr_fig2", 450, 32)
     lik = stack([(y, tau) for y, tau, _ in cells])
     tracemalloc.start()

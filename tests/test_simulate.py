@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -361,6 +362,30 @@ def test_a_tau_that_overflows_fails_its_lane_with_a_value_error(burr_dist):
     assert cells.errors == [dict.fromkeys(names, "ValueError"), {}]
     assert np.isnan(cells.tau[0]) and np.isnan(cells.sigma2[0]) and np.isnan(cells.estimates[0]).all()
     assert np.isfinite(cells.estimates[1, :, :2]).all()
+
+
+@pytest.mark.parametrize("names, message", [
+    (("bogus",), "unknown estimator 'bogus'; supported: "),  # was the chain's estimates
+    (("hill", "bayes_closed", "hill"), "an estimator is named twice in hill,bayes_closed,hill"),
+    ((), "need at least one estimator"),
+], ids=["unknown", "repeated", "empty"])
+def test_estimate_cells_rejects_what_a_study_config_rejects(names, message):
+    values = np.arange(1.0, 101.0)[None]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        sim.estimate_cells(values, [-1.0], [(0,)], 20, names, None, et.MCMCConfig(400, 100))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        et.MCStudyConfig(dist=et.frechet(0.5), estimators=names)
+
+
+def test_estimate_cells_runs_the_default_chain_where_mcmc_is_none():
+    # a call that asks for bayes_mcmc without a config ran into
+    # ``TypeError: replace() should be called on dataclass instances``
+    values = np.arange(1.0, 101.0)[None]
+    cells = sim.estimate_cells(values, [-1.0], [(0,)], 20, ("bayes_mcmc",))
+    given = sim.estimate_cells(values, [-1.0], [(0,)], 20, ("bayes_mcmc",), mcmc=et.MCMCConfig())
+    assert cells.errors == [{}] and np.isfinite(cells.estimates[0, 0, :2]).all()
+    assert cells.estimates.tobytes() == given.estimates.tobytes()
+    assert cells.chains[0].draws.shape == (et.MCMCConfig().iterations - et.MCMCConfig().burn_in, 2)
 
 
 def test_an_exception_raised_in_a_cell_propagates(monkeypatch):
