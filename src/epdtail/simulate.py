@@ -1,13 +1,15 @@
 """Monte Carlo study harness: reference distributions, replication, aggregation.
 
 Every replication draws its sample from its own seed, derived from the
-master seed. A study runs its replications in chunks, the work unit of
-the process pool, and a chunk runs threshold by threshold: at each k,
-``estimate_cells`` estimates on every replication of the chunk (its
-lanes), as ``epdtail estimate`` does on its one sample. The chunk holds
-its lanes' sorted samples as one (lanes x n) matrix, and at each k the
-lanes' excesses, Hill, tau, prior variance and tail probabilities are
-array computations on it. One coefficient stack of the lanes
+master seed. A study splits its replications into equal chunks, the work
+unit of the process pool, of up to 128 replications at n <= 512 and up
+to 32 at n >= 2 048 (``_chunk_size``): a serial study of 200 replications
+at n = 500 runs 2 chunks of 100. A chunk runs threshold by threshold:
+at each k, ``estimate_cells`` estimates on every replication of the
+chunk (its lanes), as ``epdtail estimate`` does on its one sample. The
+chunk draws its lanes' sorted samples into one (lanes x n) matrix, row
+by row, and at each k the lanes' excesses, Hill, tau, prior variance
+and tail probabilities are array computations on it. One coefficient stack of the lanes
 (``epd._Likelihood``) is built per k, and the lanes' ML fits run on it in
 lockstep, one likelihood pass per round for every lane that asks
 (``epd_ml_fits``); their first-order systems are solved as one array
@@ -58,7 +60,8 @@ __all__ = [
 ESTIMATORS = ("hill", "epd_ml", "bayes_closed", "bayes_mcmc")
 
 _FAILED = (math.nan, math.nan)  # the (xi, delta) of a failed estimator
-_CHUNK_MIN, _CHUNK_MAX = 8, 32  # the bounds of a chunk's replications, see _chunk_size
+_CHUNK_MIN, _CHUNK_MAX = 8, 128  # the bounds of a chunk's replications, see _chunk_size
+_CHUNK_VALUES = 2 ** 16  # the most sample values a chunk of more than 32 replications holds
 
 
 class StudyError(RuntimeError):
@@ -297,12 +300,16 @@ def estimate_cells(values: np.ndarray, rho: Sequence[float], run_keys: Sequence[
     tail probabilities of every lane and estimator (``epd._tail_probs``).
     Each lane gets the bits it gets alone. No name, a name not in
     ``ESTIMATORS`` or one named twice is a ValueError, as in
-    ``MCStudyConfig``. An estimator's error fails only that estimator, and
-    where tau cannot be estimated every estimator fails. Nothing is
-    caught: an error raised in a cell propagates.
+    ``MCStudyConfig``, and so is a ``rho`` or ``run_keys`` whose length is
+    not the number of rows. An estimator's error fails only that
+    estimator, and where tau cannot be estimated every estimator fails.
+    Nothing is caught: an error raised in a cell propagates.
     """
     _check_estimators(estimators)
     lanes, n = values.shape
+    for name, given in (("rho", rho), ("run_keys", run_keys)):
+        if len(given) != lanes:
+            raise ValueError(f"need one {name} entry per row of values (rows: {lanes}, {name}: {len(given)})")
     threshold, y = excess_matrix(values, k)
     log_y = np.log(y)
     h = np.add.reduce(log_y, axis=1) / k  # Hill, the mean log excess
@@ -354,13 +361,21 @@ def estimate_cells(values: np.ndarray, rho: Sequence[float], run_keys: Sequence[
     return Cells(threshold, h, tau, sigma2, est, errors, chains)
 
 
-def _chunk_size(reps: int, workers: int) -> int:
-    """Replications per chunk: an equal share per worker, clamped to [8, 32].
+def _chunk_size(reps: int, workers: int, n: int) -> int:
+    """Replications per chunk: ``reps`` split equally into at least ``workers`` chunks of at most a cap.
 
-    At least 8 keeps a pool at ``ceil(reps / 8)`` processes; past 32 lanes
-    the lockstep fits gain little.
+    The cap is ``2**16 // n`` lanes within [32, 128]: 128 at n <= 512 and
+    32 at n >= 2 048, so a chunk of more than 32 lanes holds at most 2**16
+    sample values. A chunk holds at least 8, which keeps a pool at
+    ``ceil(reps / 8)`` processes. A lockstep round has a fixed cost of
+    about ten lanes' sums (a likelihood pass at k = 35 takes 9 µs for one
+    lane and 81 µs for 100), so wide stacks pay: at n = 500 a serial study
+    of 200 replications runs 2 chunks of 100, whose ML fits answer about
+    25 lanes per round, where chunks of at most 32 answered 9.
     """
-    return min(max(math.ceil(reps / workers), _CHUNK_MIN), _CHUNK_MAX)
+    cap = min(_CHUNK_MAX, max(32, _CHUNK_VALUES // n))
+    chunks = max(workers, math.ceil(reps / cap))
+    return max(math.ceil(reps / chunks), _CHUNK_MIN)
 
 
 def _study_chunk(cfg: MCStudyConfig, k_grid: tuple[int, ...], x_level: float, reps: range):
@@ -368,12 +383,12 @@ def _study_chunk(cfg: MCStudyConfig, k_grid: tuple[int, ...], x_level: float, re
 
     Returns two (n_reps, n_estimators, n_k) arrays; failed cells are nan.
     """
-    samples, rho = [], []
-    for rep in reps:
+    values, rho = np.empty((len(reps), cfg.n)), []
+    for i, rep in enumerate(reps):
         s = sample_distribution(cfg.dist, cfg.n, np.random.SeedSequence((cfg.master_seed, rep)))
-        samples.append(s.values)
+        values[i] = s.values
         rho.append(resolve_rho(s)[0] if cfg.rho_mode == "fraga" else -1.0)
-    values, run_keys = np.array(samples), [(cfg.master_seed, rep) for rep in reps]
+    run_keys = [(cfg.master_seed, rep) for rep in reps]
     mcmc = MCMCConfig(cfg.mcmc_iterations, cfg.mcmc_burn_in)
     est = np.empty((len(reps), len(cfg.estimators), len(k_grid), 3))
     for j, k in enumerate(k_grid):
@@ -415,7 +430,7 @@ def run_study(cfg: MCStudyConfig, workers: int = 1) -> MCStudyResult:
     k_grid = cfg.resolved_k_grid()
     x_level = true_quantile(cfg.dist, 1.0 - cfg.target_p)
     chunk_fn = partial(_study_chunk, cfg, k_grid, x_level)
-    size = _chunk_size(cfg.reps, workers)
+    size = _chunk_size(cfg.reps, workers, cfg.n)
     chunks = [range(cfg.reps)[start:start + size] for start in range(0, cfg.reps, size)]
 
     if workers > 1:  # a process past one per chunk would have no work

@@ -10,11 +10,14 @@ search is also compared on four more Burr replications and on cells
 built to put its maximum or its masks at the edges of the grid. The
 study cells are built by ``estimate_cells``, as a study replication
 builds them. The lockstep ML driver, ``epd_ml_fits``, must give every
-lane the fit that lane gets alone, on chunks of up to 32 replications of
-both designs, and the lockstep mode search, ``_profile_posterior_modes``, the oracle's mode
-on chunks of up to 32 replications of all three designs and on the edge
-cells. Its polish, ``_polish``, must return scipy's bounded minimizer's
-bits. The runner of both lockstep searches, ``epd._lockstep``, must give
+lane the fit that lane gets alone, on stacks of up to 100 replications
+of both designs, as wide as a chunk of a serial 200-replication study,
+and the lockstep mode search, ``_profile_posterior_modes``, the oracle's
+mode on stacks of up to 100 replications of all three designs and on
+the edge cells; past the 32nd lane, a lane is compared with its one-lane
+search, which the oracle checks. The serial ``frechet_fig1`` study runs
+2 chunks of 100 and about 25 lanes per ML round. Its polish,
+``_polish``, must return scipy's bounded minimizer's bits. The runner of both lockstep searches, ``epd._lockstep``, must give
 fake searches what each gets alone, and a penalised ML point must cost
 no row of a likelihood pass. The first-order solution of random stacks, ``_first_order``, must
 give every lane the bits of the one-lane system ``oracle_first_order``.
@@ -235,6 +238,34 @@ def test_mode_search_rows_on_a_serial_burr_unit(monkeypatch):
     assert np.mean(rows) <= 50.0, np.mean(rows)
 
 
+def test_lockstep_width_of_a_serial_frechet_study(monkeypatch):
+    # the serial frechet_fig1 study, 200 replications at the design's master seed, as the
+    # benchmark's frechet_w1 runs it at seed 0. Its chunks are the lockstep stacks: 2 of 100
+    # lanes run 1 102 ML rounds for 27 433 lane evaluations, and the bound leaves a quarter
+    # of those rounds as headroom
+    chunks, lanes = [], []  # each chunk's replications, each round's lanes
+    study_chunk, fg_sums = et.simulate._study_chunk, et.epd._fg_sums
+
+    def chunk_spy(cfg, k_grid, x_level, reps):
+        chunks.append(len(reps))
+        return study_chunk(cfg, k_grid, x_level, reps)
+
+    def fg_sums_spy(coef, *rest):
+        lanes.append(len(coef))
+        return fg_sums(coef, *rest)
+
+    monkeypatch.setattr(et.simulate, "_study_chunk", chunk_spy)
+    monkeypatch.setattr(et.epd, "_fg_sums", fg_sums_spy)
+    et.run_study(et.MCStudyConfig(dist=et.frechet(0.5), n=500, reps=200, k_grid=tuple(range(10, 61, 5)),
+                                  rho_mode="fixed_minus_one", target_p=0.002, master_seed=DESIGN_SEED))
+    # the stacks' width, printed into the CI job summary: deterministic, as the fits are
+    print(f"\nLOCKSTEP frechet_fig1: {len(chunks)} chunks of {max(chunks)}, {len(lanes)} ML rounds, "
+          f"{sum(lanes) / len(lanes):.2f} lanes per round")
+    assert chunks == [100, 100]
+    assert sum(lanes) == 27_433
+    assert len(lanes) <= 1.25 * 1_102, len(lanes)
+
+
 def test_ml_fit_matches_oracle(cells):
     for k, y, tau, _ in cells:
         assert _fit(y, tau) == _outcome(oracle_epd_ml_fit, y, tau), k
@@ -336,15 +367,17 @@ def _lanes(name, k, count):
 
 @pytest.fixture(scope="module", params=sorted(LANE_KS))
 def lane_sets(request):
-    return {k: _lanes(request.param, k, 32) for k in LANE_KS[request.param]}
+    return {k: _lanes(request.param, k, 100) for k in LANE_KS[request.param]}
 
 
-@pytest.mark.parametrize("count", [1, 2, 8, 32])
+@pytest.mark.parametrize("count", [1, 2, 8, 32, 100])
 def test_lockstep_fits_equal_one_lane_fits_and_the_oracle(lane_sets, count):
+    # 100 lanes are a chunk of a serial 200-replication study at n = 500; the
+    # oracle checks the first 32, and every lane is checked against its fit alone
     for k, lanes in lane_sets.items():
         got = [repr(fit) for fit in epd_ml_fits(stack(lanes[:count]))]
         assert got == [_fit(y, tau) for y, tau in lanes[:count]], k
-        assert got == [repr(oracle_epd_ml_fit(y, tau)) for y, tau in lanes[:count]], k
+        assert got[:32] == [repr(oracle_epd_ml_fit(y, tau)) for y, tau in lanes[:min(count, 32)]], k
 
 
 def test_a_lane_that_raises_leaves_the_others_alone():
@@ -480,15 +513,15 @@ def _tie(k):
 
 @pytest.fixture(scope="module", params=sorted(MODE_KS))
 def mode_sets(request):
-    """Per k: 32 replications' cells and the oracle's mode of each."""
+    """Per k: 100 replications' cells, the oracle's mode of the first 32 and the one-lane search's of the rest."""
     sets = {}
     for k in MODE_KS[request.param]:
-        cells = _mode_cells(request.param, k, 32)
-        sets[k] = cells, _oracle(cells)
+        cells = _mode_cells(request.param, k, 100)
+        sets[k] = cells, _oracle(cells[:32]) + [_lockstep([cell])[0] for cell in cells[32:]]
     return sets
 
 
-@pytest.mark.parametrize("count", [1, 2, 8, 16, 32])
+@pytest.mark.parametrize("count", [1, 2, 8, 16, 32, 100])
 def test_lockstep_modes_equal_the_oracle(mode_sets, count):
     for k, (cells, want) in mode_sets.items():
         assert _lockstep(cells[:count]) == want[:count], k

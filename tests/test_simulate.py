@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,10 +204,20 @@ class TestRunStudy:
         assert np.array_equal(pooled.metrics["hill"].mse, serial.metrics["hill"].mse,
                               equal_nan=True)
 
-    @pytest.mark.parametrize("reps, workers, size", [(1, 1, 8), (5, 2, 8), (33, 1, 32),
-                                                     (40, 2, 20), (200, 1, 32), (200, 16, 13)])
+    @pytest.mark.parametrize("reps, workers, size", [(1, 1, 8), (5, 2, 8), (33, 1, 33), (40, 2, 20),
+                                                     (200, 1, 100), (200, 16, 13), (1000, 1, 125)])
     def test_chunk_size_rule(self, reps, workers, size):
-        assert sim._chunk_size(reps, workers) == size
+        # at n = 500, the n of both bundled designs, a chunk holds up to 128 replications
+        assert sim._chunk_size(reps, workers, 500) == size
+
+    @pytest.mark.parametrize("reps, n, size, chunks", [
+        (129, 512, 65, 2),  # 2**16 // n is 128 up to n = 512
+        (200, 1000, 50, 4),  # and 65 at n = 1 000
+        (200, 2048, 29, 7), (200, 10_000, 29, 7), (33, 10_000, 17, 2),  # 32 from n = 2 048 on
+    ])
+    def test_chunk_cap_falls_with_n(self, reps, n, size, chunks):
+        assert sim._chunk_size(reps, 1, n) == size
+        assert math.ceil(reps / size) == chunks
 
     @pytest.mark.parametrize("reps", [1, 5, 33, 40])
     def test_metrics_do_not_depend_on_chunks_or_workers(self, burr_dist, monkeypatch, reps):
@@ -377,6 +388,16 @@ def test_estimate_cells_rejects_what_a_study_config_rejects(names, message):
         et.MCStudyConfig(dist=et.frechet(0.5), estimators=names)
 
 
+@pytest.mark.parametrize("rho, run_keys, message", [
+    ([-1.0, -0.5], [(0,)], "need one rho entry per row of values (rows: 1, rho: 2)"),  # was numpy's broadcast error
+    ([], [(0,)], "need one rho entry per row of values (rows: 1, rho: 0)"),
+    ([-1.0], [], "need one run_keys entry per row of values (rows: 1, run_keys: 0)"),  # was no error without bayes_mcmc
+], ids=["rho_long", "rho_empty", "run_keys_short"])
+def test_estimate_cells_needs_one_rho_and_run_key_per_row(rho, run_keys, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sim.estimate_cells(np.arange(1.0, 101.0)[None], rho, run_keys, 20, ("hill", "epd_ml"))
+
+
 def test_estimate_cells_runs_the_default_chain_where_mcmc_is_none():
     # a call that asks for bayes_mcmc without a config ran into
     # ``TypeError: replace() should be called on dataclass instances``
@@ -460,3 +481,23 @@ def test_a_study_chunk_builds_no_per_lane_objects(burr_dist, frechet_dist, monke
         xi, p = sim._study_chunk(cfg, k_grid, et.true_quantile(dist, 1.0 - cfg.target_p), range(8))
         assert np.isfinite(xi).all() and np.isfinite(p).all()
         assert built == ["Cells"] * len(k_grid)
+
+
+def test_a_wide_chunk_stays_within_its_memory(frechet_dist):
+    # one chunk of 100 replications of the frechet_fig1 design, the width of a serial
+    # 200-replication study at n = 500. Its traced peak was 2 608 060 bytes, about 26 KB
+    # per lane, of which the lanes' samples take 4 KB and a running L-BFGS-B search about
+    # 10 KB; the bound leaves a quarter of that as headroom. A one-replication chunk
+    # first loads what a first chunk loads once
+    cfg = et.MCStudyConfig(dist=frechet_dist, n=500, reps=100, k_grid=tuple(range(10, 61, 5)),
+                           rho_mode="fixed_minus_one", target_p=0.002, master_seed=202408)
+    x = et.true_quantile(frechet_dist, 1.0 - cfg.target_p)
+    sim._study_chunk(cfg, cfg.k_grid, x, range(1))
+    tracemalloc.start()
+    try:
+        xi, p = sim._study_chunk(cfg, cfg.k_grid, x, range(100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(xi).all() and np.isfinite(p).all()
+    assert peak <= 1.25 * 2_608_060, peak
