@@ -3,8 +3,9 @@
 Every command is a pure function of its inputs, flags and seed: identical
 invocations produce byte-identical output files. Each output is
 accompanied by a ``<out>.manifest.json`` recording the resolved
-configuration, seeds, library version and input digest (the manifest
-carries the timestamp so the data files stay reproducible).
+configuration, seeds, library version and input digest, and the wall and
+CPU seconds of each phase of the command (the manifest carries the
+timestamp and the timings, so the data files stay reproducible).
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
+import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -83,13 +87,29 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_manifest(out: Path, args: argparse.Namespace, seed: int | None = None,
+def _clock() -> tuple[float, float]:
+    """Wall seconds, and the CPU seconds of this process and of its children that have ended."""
+    t = os.times()
+    return time.perf_counter(), time.process_time() + t.children_user + t.children_system
+
+
+@contextmanager
+def _phase(phases: dict, name: str):
+    """Record the wall and CPU seconds of the block as ``phases[name]``, for the manifest."""
+    wall, cpu = _clock()
+    yield
+    end_wall, end_cpu = _clock()
+    phases[name] = {"wall_s": end_wall - wall, "cpu_s": end_cpu - cpu}
+
+
+def _write_manifest(out: Path, args: argparse.Namespace, phases: dict, seed: int | None = None,
                     data: str | None = None, config: dict | None = None, **resolved) -> None:
-    """Write ``<out>.manifest.json``: the command, the settings it ran with, and provenance.
+    """Write ``<out>.manifest.json``: the command, the settings it ran with, provenance and timings.
 
     The settings are ``config`` if given, else every parsed flag (less
     argparse's dispatch fields) updated by ``resolved``, so a new flag is
     recorded with no edit here. ``data`` is the input file to digest.
+    ``phases`` maps each phase of the command to its ``_phase`` timings.
     """
     if config is None:
         config = {key: value for key, value in vars(args).items()
@@ -100,7 +120,7 @@ def _write_manifest(out: Path, args: argparse.Namespace, seed: int | None = None
     manifest = {
         "command": args.command, "config": config, "seed": seed,
         "input_digest": hashlib.sha256(Path(data).read_bytes()).hexdigest() if data else None,
-        "version": __version__, "timestamp": datetime.now(timezone.utc).isoformat(),
+        "version": __version__, "timestamp": datetime.now(timezone.utc).isoformat(), "phases": phases,
     }
     _write_json(out.with_name(out.name + ".manifest.json"), manifest)
 
@@ -139,7 +159,9 @@ def _parse_dist(text: str):
 def cmd_estimate(args: argparse.Namespace) -> int:
     if args.column is not None and args.column < 0:
         raise UsageError(f"--column must be >= 0, got {args.column}")
-    sample = load_sample(args.data, column=args.column)
+    phases: dict = {}
+    with _phase(phases, "load"):
+        sample = load_sample(args.data, column=args.column)
     n = sample.n
     bounds = {key: value for key in ("k_min", "k_max", "k_step")
               if (value := getattr(args, key)) is not None}
@@ -152,15 +174,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise UsageError(f"bad k grid [{k_min}, {k_max}] step {k_step} for n={n}")
 
     rho_mode, rho_fixed = _parse_rho_flag(args.rho)
-    if rho_mode == "auto":
-        try:
-            rho, rho_source = resolve_rho(sample, k1=args.rho_k1, tuning=args.rho_tuning)
-        except ValueError as exc:  # the checks of --rho-k1 and --rho-tuning
-            raise UsageError(f"--rho-k1 or --rho-tuning: {exc}") from None
-    else:
-        if not -np.inf < rho_fixed < 0:
-            raise UsageError("a fixed rho must be finite and negative")
-        rho, rho_source = rho_fixed, "user"
+    with _phase(phases, "rho"):
+        if rho_mode == "auto":
+            try:
+                rho, rho_source = resolve_rho(sample, k1=args.rho_k1, tuning=args.rho_tuning)
+            except ValueError as exc:  # the checks of --rho-k1 and --rho-tuning
+                raise UsageError(f"--rho-k1 or --rho-tuning: {exc}") from None
+        else:
+            if not -np.inf < rho_fixed < 0:
+                raise UsageError("a fixed rho must be finite and negative")
+            rho, rho_source = rho_fixed, "user"
 
     if args.x is not None and np.isnan(args.x):
         raise UsageError("--x must be a number, got nan")
@@ -187,31 +210,34 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     rows: list[list] = []
     values = sample.values[None]  # one lane
-    for k in k_values:
-        cells = estimate_cells(values, [rho], [(args.seed,)], k, names, args.x, mcmc)
-        (_, ml, bayes), chain = cells.estimates[0], cells.chains[0]
-        row: list = [k, cells.threshold[0], cells.hill[0], *ml[:2], *bayes[:2], rho, cells.tau[0], cells.sigma2[0]]
-        if args.x is not None:  # a probability below the threshold is NaN, written blank
-            row += list(cells.estimates[0, :, 2])
-        if mcmc:
-            row += list(hpd_interval(chain.draws[:, 0], args.alpha)) if chain is not None else [None, None]
-        below = args.x is not None and args.x < cells.threshold[0]
-        # the cell as it is: a failed estimator's NaNs are blank, and the first failure is named
-        rows.append(row + [next(iter(cells.errors[0].values()), "x_below_threshold" if below else "")])
+    with _phase(phases, "estimate"):
+        for k in k_values:
+            cells = estimate_cells(values, [rho], [(args.seed,)], k, names, args.x, mcmc)
+            (_, ml, bayes), chain = cells.estimates[0], cells.chains[0]
+            row: list = [k, cells.threshold[0], cells.hill[0], *ml[:2], *bayes[:2], rho, cells.tau[0],
+                         cells.sigma2[0]]
+            if args.x is not None:  # a probability below the threshold is NaN, written blank
+                row += list(cells.estimates[0, :, 2])
+            if mcmc:
+                row += list(hpd_interval(chain.draws[:, 0], args.alpha)) if chain is not None else [None, None]
+            below = args.x is not None and args.x < cells.threshold[0]
+            # the cell as it is: a failed estimator's NaNs are blank, and the first failure is named
+            rows.append(row + [next(iter(cells.errors[0].values()), "x_below_threshold" if below else "")])
 
     out = Path(args.out)
-    if args.format == "csv":
-        _write_csv(out, header, rows)
-    else:
-        payload = {
-            "columns": header,
-            "rows": [
-                [v if isinstance(v, (str, int)) else _jnum(v) for v in row] for row in rows
-            ],
-            "rho_source": rho_source,
-        }
-        _write_json(out, payload)
-    _write_manifest(out, args, seed=args.seed, data=args.data, k_min=k_min, k_max=k_max,
+    with _phase(phases, "write"):
+        if args.format == "csv":
+            _write_csv(out, header, rows)
+        else:
+            payload = {
+                "columns": header,
+                "rows": [
+                    [v if isinstance(v, (str, int)) else _jnum(v) for v in row] for row in rows
+                ],
+                "rho_source": rho_source,
+            }
+            _write_json(out, payload)
+    _write_manifest(out, args, phases, seed=args.seed, data=args.data, k_min=k_min, k_max=k_max,
                     k_step=k_step, rho_source=rho_source)
     return EXIT_OK
 
@@ -290,14 +316,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    result = run_study(cfg, workers=args.workers)
+    phases: dict = {}
+    with _phase(phases, "study"):
+        result = run_study(cfg, workers=args.workers)
 
     out = Path(args.out)
-    rows = study_rows(result)
-    _write_csv(out, list(rows[0]), [list(r.values()) for r in rows])
-    payload = study_payload(result)
-    _write_json(out.with_suffix(".json"), payload)
-    _write_manifest(out, args, seed=cfg.master_seed, config=payload["config"])
+    with _phase(phases, "write"):
+        rows = study_rows(result)
+        _write_csv(out, list(rows[0]), [list(r.values()) for r in rows])
+        payload = study_payload(result)
+        _write_json(out.with_suffix(".json"), payload)
+    _write_manifest(out, args, phases, seed=cfg.master_seed, config=payload["config"])
     print(f"study written to {out} ({len(rows)} rows, "
           f"{result.exclusion_fraction:.2%} cells excluded)")
     return EXIT_OK
@@ -316,21 +345,24 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
     lams = np.arange(args.lambda_min, stop, args.lambda_step)
     header = ["lambda", "mse_hill", "mse_ml", "mse_opt", "bias_opt", "var_opt"]
     rows = []
-    for lam in lams:
-        lam = float(lam)
-        zeta = zeta_opt(args.xi, args.rho, lam)
-        regime = AsymptoticRegime(xi=args.xi, rho=args.rho, lam=lam, zeta=zeta)
-        rows.append([
-            lam,
-            limit_mse("hill", args.xi, args.rho, lam),
-            limit_mse("epd_ml", args.xi, args.rho, lam),
-            mse_opt(args.xi, args.rho, lam),
-            asym_mean(regime),
-            asym_var(regime),
-        ])
+    phases: dict = {}
+    with _phase(phases, "curves"):
+        for lam in lams:
+            lam = float(lam)
+            zeta = zeta_opt(args.xi, args.rho, lam)
+            regime = AsymptoticRegime(xi=args.xi, rho=args.rho, lam=lam, zeta=zeta)
+            rows.append([
+                lam,
+                limit_mse("hill", args.xi, args.rho, lam),
+                limit_mse("epd_ml", args.xi, args.rho, lam),
+                mse_opt(args.xi, args.rho, lam),
+                asym_mean(regime),
+                asym_var(regime),
+            ])
     out = Path(args.out)
-    _write_csv(out, header, rows)
-    _write_manifest(out, args)
+    with _phase(phases, "write"):
+        _write_csv(out, header, rows)
+    _write_manifest(out, args, phases)
     return EXIT_OK
 
 

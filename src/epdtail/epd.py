@@ -13,9 +13,11 @@ ML pass ``_fg_sums``; the log posterior of ``bayes`` is one formula of
 its own on the row sums of log1p, for the mode search and the chain.
 
 The fit drives scipy's compiled L-BFGS-B core, the extension module
-``scipy.optimize._lbfgsb``. ``_load_lbfgsb`` loads it from its file, so
-the ``scipy.optimize`` package, which imports ``scipy.special``,
-``scipy.linalg`` and ``scipy.sparse`` in about 0.4 s, never runs.
+``scipy.optimize._lbfgsb``. ``_load_lbfgsb`` loads it from its file in
+scipy's directory, which ``importlib.util.find_spec`` finds without
+running the package: neither ``scipy/__init__.py`` nor the
+``scipy.optimize`` package, which imports ``scipy.special``,
+``scipy.linalg`` and ``scipy.sparse`` in about 0.4 s, ever runs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from functools import cache
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 __all__ = ["delta_lower_bound", "epd_ml_fits"]
 
@@ -45,6 +46,20 @@ _LBFGSB_PGTOL = 1e-9
 _LBFGSB_MAXLS = 20
 _LBFGSB_MAXITER = 500
 _LBFGSB_MAXFUN = 15000
+# setulb's arguments for two unbounded coordinates: nbd = 0, so the core never
+# reads the bounds and writes neither array
+_NO_BOUND, _NBD = np.zeros(2), np.zeros(2, np.int32)
+# the sizes and types of the arrays that one search hands setulb, in its order:
+# x, g, wa, iwa, task, ln_task, lsave, isave, dsave (scipy's workspace for n = 2)
+_LBFGSB_WORK = ((2, float), (2, float), (2 * _LBFGSB_M * 2 + 5 * 2 + 11 * _LBFGSB_M ** 2 + 8 * _LBFGSB_M, float),
+                (3 * 2, np.int32), (2, np.int32), (2, np.int32), (4, np.int32), (44, np.int32), (29, float))
+
+# scipy's package directory, found without running scipy/__init__.py; without
+# scipy, the error that ``import scipy`` raises
+_SCIPY_SPEC = importlib.util.find_spec("scipy")
+if _SCIPY_SPEC is None:
+    raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+_SCIPY_DIR = Path(_SCIPY_SPEC.origin).parent
 
 
 def _load_lbfgsb():
@@ -61,7 +76,7 @@ def _load_lbfgsb():
     name = "scipy.optimize._lbfgsb"
     if name in sys.modules:
         return sys.modules[name]
-    directory = Path(scipy.__file__).parent / "optimize"
+    directory = _SCIPY_DIR / "optimize"
     spec = importlib.machinery.PathFinder.find_spec(name, [str(directory)])
     if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
         raise ImportError(f"scipy's compiled L-BFGS-B core, _lbfgsb, is not in {directory}", name=name)
@@ -191,7 +206,7 @@ def _scipy_openblas() -> tuple | None:
     BLAS or MKL, another wheel layout) the result is None, and fits leave
     the thread count alone.
     """
-    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob("*scipy_openblas*")):
+    for path in sorted((_SCIPY_DIR.parent / "scipy.libs").glob("*scipy_openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
             get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
@@ -284,7 +299,7 @@ def _lockstep(searches: Sequence, evaluate) -> list:
     return out
 
 
-def _ml_search(k: int, lo: float, ext: Sequence[float], h: float):
+def _ml_search(k: int, lo: float, ext: Sequence[float], h: float, work: Sequence[np.ndarray]):
     """One lane's ML fit, the L-BFGS-B loop of ``scipy.optimize.minimize``, as a generator.
 
     It searches (log xi, logit-mapped delta) from (log h, delta = 0), with
@@ -292,22 +307,19 @@ def _ml_search(k: int, lo: float, ext: Sequence[float], h: float):
     delta and is sent the lane's ``_fg_sums``; a point outside it answers
     itself with a big finite penalty and a zero gradient, so that the line
     search backtracks from the region edge. It returns the fit as the
-    tuple (xi, delta, loglik, converged, iterations). The arguments of
-    ``_lbfgsb.setulb`` keep scipy's order and workspace sizes, and nbd = 0
-    leaves both coordinates unbounded, so the two bound vectors are never
-    read. The loop reads and writes x, g and task through memoryviews,
-    which give Python floats and ints without a numpy scalar per access.
+    tuple (xi, delta, loglik, converged, iterations). ``work`` holds the
+    arrays of ``_lbfgsb.setulb`` in scipy's order and sizes
+    (``_LBFGSB_WORK``), zeroed, and the two bound arrays are the shared
+    ``_NO_BOUND`` and ``_NBD``. The loop reads and writes x, g and task
+    through memoryviews, which give Python floats and ints without a numpy
+    scalar per access.
     """
-    span, n = DELTA_MAX - lo, 2
+    span = DELTA_MAX - lo
     p = (0.0 - lo) / span  # scipy's logit(p) takes log(p / (1 - p)) for p < 0.3
-    x = np.array([math.log(h), math.log(p / (1.0 - p))])
-    f, g = 0.0, np.zeros(n)
-    no_bound, nbd = np.zeros(n), np.zeros(n, np.int32)
-    wa = np.zeros(2 * _LBFGSB_M * n + 5 * n + 11 * _LBFGSB_M ** 2 + 8 * _LBFGSB_M)
-    iwa = np.zeros(3 * n, np.int32)
-    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
-    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    x, g, wa, iwa, task, ln_task, lsave, isave, dsave = work
     xs, gs, ts = memoryview(x), memoryview(g), memoryview(task)
+    xs[0], xs[1] = math.log(h), math.log(p / (1.0 - p))
+    f, no_bound, nbd = 0.0, _NO_BOUND, _NBD
     setulb, m, factr, pgtol, maxls = _lbfgsb.setulb, _LBFGSB_M, _LBFGSB_FACTR, _LBFGSB_PGTOL, _LBFGSB_MAXLS
     iterations = evaluations = 0
     while True:
@@ -343,8 +355,10 @@ def epd_ml_fits(lik: _Likelihood) -> list[tuple[float, float, float, bool, int] 
     Every lane runs its own L-BFGS-B search, ``_ml_search``, and
     ``_lockstep`` runs them together: each round, one ``_fg_sums`` pass
     over the stack rows of the lanes that ask answers each with a value and
-    gradient. A lane's fit, the tuple (xi, delta, loglik, converged,
-    iterations), is the bits it gets alone, since no sum mixes lanes. It
+    gradient. The searches' L-BFGS-B arrays are allocated once, one
+    (lanes x size) block per array, and each lane works in its own rows. A
+    lane's fit, the tuple (xi, delta, loglik, converged, iterations), is
+    the bits it gets alone, since no sum or row mixes lanes. It
     is also the bits of ``scipy.optimize.minimize(method="L-BFGS-B")``
     with the same settings and stopping rules: it converged when the core
     stopped with CONVERGENCE (task 4), and its loglik is minus the last
@@ -353,8 +367,10 @@ def epd_ml_fits(lik: _Likelihood) -> list[tuple[float, float, float, bool, int] 
     """
     k = lik.k
     few = ValueError(f"need at least 10 excesses to fit, got {k}") if k < 10 else None
-    searches = [few or fail or _ml_search(k, lo, ext, s / k)  # from the Hill estimate s / k
-                for fail, lo, ext, s in zip(lik.fail, lik.lo.tolist(), lik.ext.tolist(), lik.sum_log_y.tolist())]
+    blocks = [np.zeros((len(lik.fail), size), dtype) for size, dtype in _LBFGSB_WORK]  # lane i's are rows i
+    searches = [few or fail or _ml_search(k, lo, ext, s / k, [b[i] for b in blocks])  # from the Hill estimate s / k
+                for i, (fail, lo, ext, s) in enumerate(zip(lik.fail, lik.lo.tolist(), lik.ext.tolist(),
+                                                          lik.sum_log_y.tolist()))]
     work, deltas = np.empty((len(searches), 4, k)), np.empty((len(searches), 1, 1))
 
     def fg_sums(lanes: list[int], points: list[float]) -> list:

@@ -4,7 +4,9 @@ Every replication draws its sample from its own seed, derived from the
 master seed. A study splits its replications into equal chunks, the work
 unit of the process pool, of up to 128 replications at n <= 512 and up
 to 32 at n >= 2 048 (``_chunk_size``): a serial study of 200 replications
-at n = 500 runs 2 chunks of 100. A chunk runs threshold by threshold:
+at n = 500 runs 2 chunks of 100. The pool is imported only where a study
+starts one, so a serial study never loads ``concurrent.futures`` and
+``multiprocessing``. A chunk runs threshold by threshold:
 at each k, ``estimate_cells`` estimates on every replication of the
 chunk (its lanes), as ``epdtail estimate`` does on its one sample. The
 chunk draws its lanes' sorted samples into one (lanes x n) matrix, row
@@ -26,7 +28,6 @@ run aborts when exclusions exceed 5%; nothing is caught.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -434,6 +435,8 @@ def run_study(cfg: MCStudyConfig, workers: int = 1) -> MCStudyResult:
     chunks = [range(cfg.reps)[start:start + size] for start in range(0, cfg.reps, size)]
 
     if workers > 1:  # a process past one per chunk would have no work
+        from concurrent.futures import ProcessPoolExecutor  # the pool stack loads only for a pool
+
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             per_chunk = list(pool.map(chunk_fn, chunks))
     else:

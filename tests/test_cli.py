@@ -701,16 +701,43 @@ class TestAsymptoticsCmd:
             assert not out.exists()
 
 
-def test_import_loads_no_scipy_stats():
+def test_import_loads_only_the_lbfgsb_core_and_no_pool():
     # importing scipy.stats costs about half a second and 20 MB in every process, and
     # scipy.special and the scipy.optimize package about 0.4 s more: the library loads
     # only the compiled L-BFGS-B core (epd._load_lbfgsb), and the priors' constants come
-    # from the standard library (math.erfc, math.lgamma)
-    heavy = ("scipy.special", "scipy.optimize", "scipy.stats", "scipy.linalg", "scipy.sparse")
-    code = f"import sys, epdtail, epdtail.cli; print(any(m in sys.modules for m in {heavy!r}))"
+    # from the standard library (math.erfc, math.lgamma). scipy's own package (1.3 MB)
+    # stays out too, and the process-pool stack (2 MB) loads only where a study starts a pool
+    heavy = ("scipy.special", "scipy.optimize", "scipy.stats", "scipy.linalg", "scipy.sparse",
+             "scipy", "concurrent.futures", "multiprocessing")
+    # the peak is the process's own VmHWM: ru_maxrss would report the forking test process's
+    code = ("import sys, numpy; before = set(sys.modules); import epdtail, epdtail.cli; "
+            f"print(any(m in sys.modules for m in {heavy!r}), 'scipy.optimize._lbfgsb' in sys.modules, "
+            "len(set(sys.modules) - before), "
+            "next((int(line.split()[1]) / 1024 for line in open('/proc/self/status') if line.startswith('VmHWM')), "
+            "float('nan')))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=Path(et.__file__).parent.parent,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    loaded, core, modules, peak = proc.stdout.split()
+    print(f"COLD-IMPORT epdtail.cli: {modules} modules, peak RSS {float(peak):.1f} MB")
+    assert (loaded, core) == ("False", "True")
+
+
+@pytest.mark.parametrize("command, flags, phases", [
+    ("estimate", ["--k-max", "60"], {"load", "rho", "estimate", "write"}),
+    ("estimate", ["--k-max", "60", "--method", "mcmc", "--mcmc-iters", "400", "--burn-in", "100",
+                  "--format", "json"], {"load", "rho", "estimate", "write"}),
+    ("simulate", ["--dist", "frechet:0.5", "--n", "200", "--reps", "2", "--k-min", "20", "--k-max", "30"],
+     {"study", "write"}),
+    ("asymptotics", ["--xi", "0.5", "--rho", "-0.75"], {"curves", "write"}),
+], ids=["estimate-closed", "estimate-mcmc", "simulate", "asymptotics"])
+def test_manifest_times_each_phase(tmp_path, command, flags, phases):
+    # the timings are volatile, so they go in the manifest and in no data file
+    data = [str(_pareto_grid_file(tmp_path))] if command == "estimate" else []
+    out = tmp_path / "out"
+    assert main([command, *data, *flags, "--out", str(out)]) == 0
+    got = _strict_json(tmp_path / "out.manifest.json")["phases"]
+    assert set(got) == phases
+    assert all(set(t) == {"wall_s", "cpu_s"} and min(t.values()) >= 0.0 for t in got.values())
 
 
 def test_loggamma_study_runs_in_a_fresh_process(tmp_path):

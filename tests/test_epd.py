@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -320,7 +319,7 @@ class TestCoreLoader:
     def test_a_missing_core_names_its_directory(self, monkeypatch, tmp_path):
         (tmp_path / "scipy" / "optimize").mkdir(parents=True)
         monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb")
-        monkeypatch.setattr(epd, "scipy", SimpleNamespace(__file__=str(tmp_path / "scipy" / "__init__.py")))
+        monkeypatch.setattr(epd, "_SCIPY_DIR", tmp_path / "scipy")
         with pytest.raises(ImportError, match=re.escape(str(tmp_path / "scipy" / "optimize"))):
             epd._load_lbfgsb()
         assert "scipy.optimize._lbfgsb" not in sys.modules

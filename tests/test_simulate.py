@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import re
 import tracemalloc
@@ -198,7 +199,7 @@ class TestRunStudy:
 
         cfg = _small_cfg(frechet_dist, reps=reps, estimators=("hill",))
         serial = et.run_study(cfg, workers=1)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)  # run_study imports it there
         pooled = et.run_study(cfg, workers=workers)
         assert sizes == [started]
         assert np.array_equal(pooled.metrics["hill"].mse, serial.metrics["hill"].mse,
