@@ -90,13 +90,6 @@ def prior_variance(k: int, n: int, rho: float) -> float:
     return (k / n) ** (-2.0 * rho)
 
 
-def _lane_error(lik: _Likelihood, lane: int, sigma2: float) -> ValueError | None:
-    """A stack lane's ``fail`` entry, else a ValueError where its prior variance sigma2 is not positive."""
-    if lik.fail[lane] is None and not sigma2 > 0:  # prior_variance underflows to 0.0 when |rho| is huge
-        return ValueError(f"sigma2 must be positive, got {sigma2}")
-    return lik.fail[lane]
-
-
 def _log_prior_const(lo: float, sigma2: float) -> float:
     """``_log_post``'s constant: -log of the delta prior's normaliser, of its mass above lo, of Gamma(shape)."""
     sigma = math.sqrt(sigma2)
@@ -186,9 +179,10 @@ def _first_order(lik: _Likelihood, weight) -> tuple[np.ndarray, np.ndarray]:
     is solved exactly through the equivalent quadratic
     a2*delta**2 + a1*delta - rhs = 0 (linear where |a2| < 1e-300, singular
     where also |a1| < 1e-12). An infinite ``weight``, where k*sigma2 is
-    below 1/DBL_MAX, is the strong-prior limit: the linear route then
-    gives its root (H, 0). Among the real roots, the admissible one of
-    smallest magnitude wins, the smaller on a tie: the branch that
+    0 or below 1/DBL_MAX, is the strong-prior limit, and its root is (H,
+    +-0), the 0 with the sign of rhs, also where a coefficient overflows
+    (tau**2 at a tau near -1e308). Among the real roots, the admissible one
+    of smallest magnitude wins, the smaller on a tie: the branch that
     vanishes in the strong-prior limit. ``weight`` is one number or one
     per lane. No value reads another lane, so a lane's result is the bits
     it gets alone.
@@ -204,8 +198,10 @@ def _first_order(lik: _Likelihood, weight) -> tuple[np.ndarray, np.ndarray]:
         a2 = (weight - b1) * (1.0 - e1)
         disc = a1 * a1 + 4.0 * a2 * rhs
         q = -(a1 + np.copysign(np.sqrt(disc), a1)) / 2.0
-        linear = (abs(a2) < 1e-300) | (weight == math.inf)
-        d = np.array([np.where(linear, rhs / a1, np.where(rhs == 0.0, 0.0, q / a2)),
+        strong = weight == math.inf  # the root is delta = +-0, even where a coefficient overflows
+        linear = (abs(a2) < 1e-300) | strong
+        first = np.where(linear, rhs / a1, np.where(rhs == 0.0, 0.0, q / a2))
+        d = np.array([np.where(strong, np.copysign(0.0, rhs), first),
                       np.where(linear | (rhs == 0.0) | ~(abs(q) > 0), np.nan, -rhs / q)])
         d[:, np.where(linear, abs(a1) < 1e-12, disc < 0.0)] = np.nan
         xi = h + d * (1.0 - e1)
@@ -232,10 +228,10 @@ class _Profiles:
     the row sums of any rows come from ``_row_sums`` on the stack's ``coef``.
     """
 
-    def __init__(self, lik: _Likelihood, sigma2: Sequence[float], lanes: Sequence[int] | None = None) -> None:
+    def __init__(self, lik: _Likelihood, sigma2: Sequence[float], lanes: Sequence[int]) -> None:
         self.k = k = lik.k
         self.coef = lik.coef
-        self.rows = rows = np.arange(len(lik.coef)) if lanes is None else np.asarray(lanes, dtype=int)
+        self.rows = rows = np.asarray(lanes, dtype=int)
         self.ext = lik.ext[rows]
         self.sigma2 = np.asarray(sigma2, dtype=float)[rows]
         self.mean_logy = lik.sum_log_y[rows] / k
@@ -411,9 +407,9 @@ def _sign(v: float) -> float:
 
 
 def _profile_posterior_modes(
-    lik: _Likelihood, sigma2: Sequence[float], lanes: Sequence[int] | None = None
+    lik: _Likelihood, sigma2: Sequence[float], lanes: Sequence[int]
 ) -> list[tuple[float, float] | ClosedFormError]:
-    """Exact posterior modes of the stack lanes ``lanes`` (all where None), by profiling xi out.
+    """Exact posterior modes of the stack lanes ``lanes``, by profiling xi out.
 
     ``sigma2`` holds every stack lane's prior variance. Each lane's profile
     is scanned on its grid over the admissible delta range, and a bounded
@@ -461,7 +457,7 @@ def _profile_posterior_modes(
     return out
 
 
-def _closed_forms(lik: _Likelihood, sigma2: Sequence[float]) -> list[tuple[float, float, str] | Exception]:
+def _closed_forms(lik: _Likelihood, sigma2: Sequence[float]) -> list[tuple[float, float, str] | ClosedFormError]:
     """Posterior-mode estimates of the lanes of the stack ``lik``, each with its prior variance ``sigma2``.
 
     The first-order estimating system couples a lane's Hill estimate with
@@ -471,15 +467,13 @@ def _closed_forms(lik: _Likelihood, sigma2: Sequence[float]) -> list[tuple[float
     can lack an admissible root, and those lanes run the exact mode search
     together (``_profile_posterior_modes``). A lane's estimate is the tuple
     (xi, delta, solver), the solver "linear" or "profile-map" as the route
-    that ran; a lane that cannot be estimated holds its error
-    (``_lane_error``'s, which no search is sent, or the mode search's
-    ClosedFormError).
+    that ran; a lane whose search finds no mode holds its ClosedFormError.
+    Where sigma2 is 0, as where ``prior_variance`` underflows, the weight is
+    inf, and the linear route gives the strong-prior limit (Hill, +-0).
     """
-    with np.errstate(all="ignore"):  # a lane that cannot be estimated gets its ValueError below
+    with np.errstate(all="ignore"):  # 1/(k*sigma2) is inf where k*sigma2 is 0 or below 1/DBL_MAX
         xi, delta = _first_order(lik, 1.0 / (lik.k * np.asarray(sigma2, dtype=float)))
-    few = ValueError(f"need at least 10 excesses, got {lik.k}") if lik.k < 10 else None
-    out: list = [few or _lane_error(lik, i, s2) or (None if math.isnan(d) else (x, d, "linear"))
-                 for i, (s2, x, d) in enumerate(zip(sigma2, xi.tolist(), delta.tolist()))]
+    out: list = [None if math.isnan(d) else (x, d, "linear") for x, d in zip(xi.tolist(), delta.tolist())]
     search = [i for i, est in enumerate(out) if est is None]
     if search:  # where every lane took the linear route, as at most Fréchet thresholds, none runs
         for i, mode in zip(search, _profile_posterior_modes(lik, sigma2, search)):
@@ -504,23 +498,20 @@ class MCMCConfig:
             raise ValueError("need iterations > burn_in >= 0")
 
 
-def _chain(lik: _Likelihood, lane: int, sigma2: float, config: MCMCConfig) -> PosteriorChain | Exception:
-    """Random-walk Metropolis on the posterior of the stack lane ``lane``: its chain, an error, or a RuntimeError.
+def _chain(lik: _Likelihood, lane: int, sigma2: float, config: MCMCConfig) -> PosteriorChain | RuntimeError:
+    """Random-walk Metropolis on the posterior of the stack lane ``lane`` at sigma2 > 0: its chain or a RuntimeError.
 
     The chain moves in (log xi, delta), with the Jacobian correction, so the
     retained draws follow the posterior of (xi, delta) itself; their log
     posteriors are on the total (not per-observation) scale, and a fixed
-    seed gives the same draws. A lane that cannot be estimated gets its
-    ``_lane_error``, and a post-burn-in acceptance rate of 0 or 1 the
-    RuntimeError. The log posterior is ``_log_post`` on the lane's row
-    sums, by ``_log1p_sums`` on its two coefficient rows, with u as log
-    xi. A proposal is first tested against an upper bound of it,
+    seed gives the same draws; a post-burn-in acceptance rate of 0 or 1
+    gives the RuntimeError. The log posterior is ``_log_post`` on the
+    lane's row sums, by ``_log1p_sums`` on its two coefficient rows, with u
+    as log xi. A proposal is first tested against an upper bound of it,
     ``_log_post`` on the ``_BoundTable`` bounds of the two sums. Rounding
     is monotone, so the row-sum pass runs only where the bound is not
     already rejected.
     """
-    if fail := _lane_error(lik, lane, sigma2):
-        return fail
     k, const = lik.k, _log_prior_const(float(lik.lo[lane]), sigma2)
     rng = np.random.default_rng(config.seed)
     h = float(lik.sum_log_y[lane]) / k  # the Hill estimate, mean(log y)

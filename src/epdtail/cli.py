@@ -67,12 +67,10 @@ def _fmt(value) -> str:
 
 
 def _jnum(value):
-    if value is None:
+    # the number ``_fmt`` writes, negative zero as 0.0; None where JSON has no token (NaN, infinity)
+    if value is None or not np.isfinite(v := float(value)):
         return None
-    v = float(value)
-    if not np.isfinite(v):  # JSON has no NaN or infinity
-        return None
-    return float(f"{v:.12g}")
+    return float(_fmt(v))
 
 
 def _write_json(path: Path, payload) -> None:

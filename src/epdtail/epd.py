@@ -100,40 +100,34 @@ class _Likelihood:
     """The mean log-likelihoods of lanes (excess sets that share k, each at its own tau) as one stack.
 
     It is built from the lanes' excesses as the rows of ``y`` (lanes x k,
-    as ``data.excess_matrix`` returns them), their ``tau`` and, when the
-    caller has it, ``log_y``. It holds what stays fixed while (xi, delta)
-    move, one row per lane: tau, the model bound ``lo``, the excesses y,
-    log y and its sum (k times the Hill estimate), the sum of y**tau (k
-    times its moment statistic), and the coefficients a = 1 - y**tau and
-    b = 1 - (1 + tau) * y**tau (``coef``, lanes x 2 x k) with their
-    extremes ``ext`` (a_lo, a_hi, b_lo, b_hi). Both perturbation terms
-    are affine in delta, and rounded products and sums are monotone, so
-    positivity over the sample is exactly positivity at the coefficient
+    as ``data.excess_matrix`` returns them, which checks them), their
+    ``tau`` and their ``log_y``. It holds what stays fixed while (xi,
+    delta) move, one row per lane: tau, the model bound ``lo``, the
+    excesses y, log y and its sum (k times the Hill estimate), the sum of
+    y**tau (k times its moment statistic), and the coefficients a = 1 -
+    y**tau and b = 1 - (1 + tau) * y**tau (``coef``, lanes x 2 x k) with
+    their extremes ``ext`` (a_lo, a_hi, b_lo, b_hi). Both perturbation
+    terms are affine in delta, and rounded products and sums are monotone,
+    so positivity over the sample is exactly positivity at the coefficient
     extremes. Means are a row-wise ``np.add.reduce`` divided by k, the
-    value ``np.mean`` returns. ``fail`` decides once, for every estimator,
-    which lanes cannot be estimated: a lane's ValueError where its tau lies
-    outside (-inf, 0) (``lo`` is inf there) or every excess ties, else None.
+    value ``np.mean`` returns. Every lane is one that its estimators can
+    run on, as ``simulate.estimate_cells`` decides: a positive Hill
+    estimate and a tau in (-inf, 0).
     """
 
-    def __init__(self, y: np.ndarray, tau, log_y: np.ndarray | None = None) -> None:
+    def __init__(self, y: np.ndarray, tau, log_y: np.ndarray) -> None:
         self.y = y  # (lanes x k), each row non-increasing
         self.k = k = y.shape[1]
         self.tau = tau = np.array(tau, dtype=float)
-        if (y < 1.0).any():
-            raise ValueError("excesses must be >= 1")
-        self.log_y = np.log(y) if log_y is None else log_y
-        self.sum_log_y = np.add.reduce(self.log_y, axis=1)
-        self.lo = np.array([delta_lower_bound(t) if -math.inf < t < 0 else math.inf for t in tau.tolist()])
-        self.fail = [ValueError(f"tau must be negative and finite, got {t}") if lo == math.inf else None if s > 0
-                     else ValueError("all excesses are ties; the likelihood has no interior maximum")
-                     for t, lo, s in zip(tau.tolist(), self.lo.tolist(), self.sum_log_y.tolist())]
+        self.log_y = log_y
+        self.sum_log_y = np.add.reduce(log_y, axis=1)
+        self.lo = np.array([delta_lower_bound(t) for t in tau.tolist()])
         p = _lane_powers(y, tau)
         self.sum_pow = np.add.reduce(p, axis=1)
         self.coef = np.empty((len(y), 2, k))
         a, b = self.coef[:, 0], self.coef[:, 1]
         np.subtract(1.0, p, out=a)
-        with np.errstate(invalid="ignore"):  # -inf * 0 at tau = -inf, a lane that fails on its tau
-            np.subtract(1.0, np.multiply((1.0 + tau)[:, None], p, out=b), out=b)
+        np.subtract(1.0, np.multiply((1.0 + tau)[:, None], p, out=b), out=b)
         self.ext = np.column_stack([a.min(axis=1), a.max(axis=1), b.min(axis=1), b.max(axis=1)])
 
 def _loglik(xi: float, k: int, s1: float, s2: float) -> float:
@@ -349,7 +343,7 @@ def _ml_search(k: int, lo: float, ext: Sequence[float], h: float, work: Sequence
             gs[0] = gs[1] = 0.0
 
 
-def epd_ml_fits(lik: _Likelihood) -> list[tuple[float, float, float, bool, int] | ValueError]:
+def epd_ml_fits(lik: _Likelihood) -> list[tuple[float, float, float, bool, int]]:
     """Maximum-likelihood fits of (xi, delta) at fixed tau, one per lane of the stack ``lik``.
 
     Every lane runs its own L-BFGS-B search, ``_ml_search``, and
@@ -362,16 +356,13 @@ def epd_ml_fits(lik: _Likelihood) -> list[tuple[float, float, float, bool, int] 
     is also the bits of ``scipy.optimize.minimize(method="L-BFGS-B")``
     with the same settings and stopping rules: it converged when the core
     stopped with CONVERGENCE (task 4), and its loglik is minus the last
-    value handed to the core. A lane that cannot be fit holds its ``fail``
-    entry, or a ValueError for fewer than 10 excesses.
+    value handed to the core.
     """
-    k = lik.k
-    few = ValueError(f"need at least 10 excesses to fit, got {k}") if k < 10 else None
-    blocks = [np.zeros((len(lik.fail), size), dtype) for size, dtype in _LBFGSB_WORK]  # lane i's are rows i
-    searches = [few or fail or _ml_search(k, lo, ext, s / k, [b[i] for b in blocks])  # from the Hill estimate s / k
-                for i, (fail, lo, ext, s) in enumerate(zip(lik.fail, lik.lo.tolist(), lik.ext.tolist(),
-                                                          lik.sum_log_y.tolist()))]
-    work, deltas = np.empty((len(searches), 4, k)), np.empty((len(searches), 1, 1))
+    k, lanes = lik.k, len(lik.y)
+    blocks = [np.zeros((lanes, size), dtype) for size, dtype in _LBFGSB_WORK]  # lane i's are rows i
+    searches = [_ml_search(k, lo, ext, s / k, [b[i] for b in blocks])  # from the Hill estimate s / k
+                for i, (lo, ext, s) in enumerate(zip(lik.lo.tolist(), lik.ext.tolist(), lik.sum_log_y.tolist()))]
+    work, deltas = np.empty((lanes, 4, k)), np.empty((lanes, 1, 1))
 
     def fg_sums(lanes: list[int], points: list[float]) -> list:
         m = len(lanes)

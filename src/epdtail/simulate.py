@@ -268,9 +268,10 @@ class Cells:
     estimators x 3) holds each requested estimator's (xi, delta, P(X > x))
     in the requested order. Hill's delta is 0; a probability is NaN
     without x or with x below the threshold. A failed estimator has three
-    NaNs and the class name of the error it handed back in its lane's
-    ``errors``, which keeps the requested order. ``chains`` holds each
-    lane's ``bayes_mcmc`` draws when its chain ran and did not fail.
+    NaNs and, in its lane's ``errors``, which keeps the requested order,
+    the class name of its error: the gate's (see ``estimate_cells``) or
+    its own numerical one. ``chains`` holds each lane's ``bayes_mcmc``
+    draws when its chain ran and did not fail.
     """
 
     threshold: np.ndarray
@@ -302,9 +303,16 @@ def estimate_cells(values: np.ndarray, rho: Sequence[float], run_keys: Sequence[
     Each lane gets the bits it gets alone. No name, a name not in
     ``ESTIMATORS`` or one named twice is a ValueError, as in
     ``MCStudyConfig``, and so is a ``rho`` or ``run_keys`` whose length is
-    not the number of rows. An estimator's error fails only that
-    estimator, and where tau cannot be estimated every estimator fails.
-    Nothing is caught: an error raised in a cell propagates.
+    not the number of rows. This gate alone decides which lanes each
+    estimator runs on, and the stack functions are sent only those: where
+    Hill is not positive (every excess ties) every estimator fails with a
+    NonEstimableError, and where rho is not negative or tau = rho / Hill
+    is not finite, with a ValueError. Every estimator but Hill fails with
+    a ValueError below 10 excesses and at a tau of -0.0, and ``bayes_mcmc``
+    also where sigma2 is not positive. Past the gate an estimator fails
+    only by its own numerics (the mode search's ClosedFormError, a
+    degenerate chain's RuntimeError), and nothing is caught: an error
+    raised in a cell propagates.
     """
     _check_estimators(estimators)
     lanes, n = values.shape
@@ -315,46 +323,50 @@ def estimate_cells(values: np.ndarray, rho: Sequence[float], run_keys: Sequence[
     log_y = np.log(y)
     h = np.add.reduce(log_y, axis=1) / k  # Hill, the mean log excess
     rho = np.asarray(rho, dtype=float)
-    # every estimator needs tau = rho / Hill and the prior variance, which
-    # fail where Hill is not positive, where rho is not negative and where tau is not finite
-    ok = (h > 0) & ~(rho >= 0)
+    ok = (h > 0) & ~(rho >= 0)  # the gate: the lanes with a tau and a prior variance
     with np.errstate(over="ignore"):  # a rho / Hill that overflows fails its lane below
         tau = np.divide(rho, h, out=np.full(lanes, math.nan), where=ok)
     ok &= np.isfinite(tau)
     tau[~ok] = math.nan
-    errors: list[dict[str, str]] = [{} for _ in range(lanes)]
-    for i in np.flatnonzero(~ok).tolist():
-        errors[i] = dict.fromkeys(estimators, "NonEstimableError" if h[i] <= 0 else "ValueError")
     ready = np.flatnonzero(ok)
     sigma2 = np.full(lanes, math.nan)
     sigma2[ready] = [prior_variance(k, n, r) for r in rho[ready].tolist()]
+    fit = ok & (k >= 10) & (tau < 0)  # a rho / Hill that underflows to -0.0 leaves Hill alone
+    runs = {"hill": ok, "epd_ml": fit, "bayes_closed": fit, "bayes_mcmc": fit & (sigma2 > 0)}
     est = np.full((lanes, len(estimators), 3), math.nan)
+    errors: list[dict[str, str]] = [{} for _ in range(lanes)]
     chains: list[PosteriorChain | None] = [None] * lanes
-    if not ready.size:  # no lane has a tau
-        return Cells(threshold, h, tau, sigma2, est, errors, chains)
-    if set(estimators) - {"hill"}:
-        sub = ready if ready.size < lanes else slice(None)
+    rows = np.flatnonzero(fit)  # the lanes of the likelihood stack, in its row order
+    if rows.size and set(estimators) - {"hill"}:
+        sub = rows if rows.size < lanes else slice(None)
         lik = _Likelihood(y[sub], tau[sub], log_y[sub])
     for j, name in enumerate(estimators):
+        run = runs[name]
+        for i in np.flatnonzero(~run).tolist():
+            errors[i][name] = "NonEstimableError" if h[i] <= 0 else "ValueError"
+        at = np.flatnonzero(run).tolist()
+        if not at:
+            continue
         if name == "hill":
-            est[ready, j, 0], est[ready, j, 1] = h[ready], 0.0
+            est[run, j, 0], est[run, j, 1] = h[run], 0.0
             continue
         if name == "epd_ml":
             results = epd_ml_fits(lik)
         elif name == "bayes_closed":
-            results = _closed_forms(lik, sigma2[ready].tolist())
+            results = _closed_forms(lik, sigma2[rows].tolist())
         else:
             results = []
-            for lane, i in enumerate(ready.tolist()):
+            for i in at:
                 seed = int(np.random.SeedSequence((*run_keys[i], k)).generate_state(1)[0])
+                lane = int(np.searchsorted(rows, i))  # the lane's row of the stack
                 result = _chain(lik, lane, float(sigma2[i]), replace(mcmc or MCMCConfig(), seed=seed))
                 if isinstance(result, PosteriorChain):
                     chains[i], result = result, posterior_mode(result)
                 results.append(result)
-        for i, result in zip(ready.tolist(), results):
+        for i, result in zip(at, results):
             if isinstance(result, Exception):
                 errors[i][name] = type(result).__name__
-        est[ready, j, :2] = [_FAILED if isinstance(r, Exception) else r[:2] for r in results]
+        est[run, j, :2] = [_FAILED if isinstance(r, Exception) else r[:2] for r in results]
     if x is not None:
         tail = ready[x >= threshold[ready]]
         est[tail, :, 2] = _tail_probs(k / n, x / threshold[tail], tau[tail], est[tail, :, 0],

@@ -406,7 +406,7 @@ def log_posterior(xi, delta, y, tau, sigma2):
     """
     if not sigma2 > 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    lik, k = _Likelihood(y[None], [tau]), y.size
+    lik, k = stack([(y, tau)]), y.size
     const = _log_prior_const(delta_lower_bound(tau), sigma2)
     if not (xi > 0 and delta > lik.lo[0]) or _inadmissible(lik.ext[0].tolist(), delta):
         return -math.inf
@@ -475,7 +475,8 @@ class OracleLikelihood:
 
 def stack(lanes):
     """The library's likelihood stack of (excesses, tau) lanes that share k, their rows as one matrix."""
-    return _Likelihood(np.array([y for y, _ in lanes]), [tau for _, tau in lanes])
+    y = np.array([y for y, _ in lanes])
+    return _Likelihood(y, [tau for _, tau in lanes], np.log(y))
 
 
 def _ml_pass(lik, xi, delta):
@@ -499,7 +500,7 @@ def loglik_value_and_grad(lik, xi, delta):
 
 def profile_posterior_mode(y, tau, sigma2):
     """The exact posterior mode of one (excesses, tau, sigma2): the lockstep search on a one-lane stack."""
-    (mode,) = _profile_posterior_modes(stack([(y, tau)]), [sigma2])
+    (mode,) = _profile_posterior_modes(stack([(y, tau)]), [sigma2], [0])
     if isinstance(mode, ClosedFormError):
         raise mode
     return mode

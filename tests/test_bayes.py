@@ -13,7 +13,7 @@ from scipy.special import gammaln, ndtr
 from scipy.stats import norm
 
 import epdtail as et
-from epdtail import bayes, epd
+from epdtail import bayes, epd, simulate
 from epdtail.bayes import (
     _BLOCK,
     _CELL,
@@ -28,7 +28,7 @@ from epdtail.bayes import (
     _row_sums,
 )
 from epdtail.data import excess_matrix
-from epdtail.epd import DELTA_MAX, _Likelihood
+from epdtail.epd import DELTA_MAX
 from conftest import pareto_excesses
 from oracles import (
     grid_map_oracle,
@@ -53,6 +53,16 @@ def _hill(y):
     return float(np.add.reduce(np.log(y))) / y.size
 
 
+def _burr_n2000():
+    """The n = 2 000 Burr(0.75, -0.75) sample of ``estimate --rho fixed:-400``, ascending."""
+    u = np.random.default_rng([0, 2000]).random(2000)
+    return et.SortedSample((np.minimum(1.0 - u, np.nextafter(1.0, 0.0)) ** -0.75 - 1.0) ** 1.0)
+
+
+def _chain_not_started(*args):
+    raise AssertionError("a chain was started on a lane that the gate fails")
+
+
 def _delta_prior_mass(lo, sigma2):
     """The delta prior's mass above lo, read from the last log `_log_prior_const` takes."""
     with mock.patch("math.log", wraps=math.log) as log:
@@ -73,12 +83,16 @@ class TestPriorVariance:
             et.prior_variance(500, 500, -1.0)
 
     @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan])
-    def test_nonpositive_value_rejected_by_the_estimators(self, burr_k200, sigma2):
-        # prior_variance underflows to 0.0 for a huge |rho|; it must not be divided by
+    def test_nonpositive_value_rejected_by_the_estimators(self, burr_sample, burr_k200, sigma2, monkeypatch):
+        # prior_variance underflows to 0.0 for a huge |rho|; it must not be divided by. The gate
+        # of estimate_cells fails the chain on a prior variance that is not positive, and starts none
         y, tau, _ = burr_k200
-        lik = stack([(y, tau)])
-        for result in (_closed_forms(lik, [sigma2])[0], _chain(lik, 0, sigma2, et.MCMCConfig(iterations=20, burn_in=10))):
-            assert isinstance(result, ValueError) and "sigma2" in str(result)
+        monkeypatch.setattr(simulate, "prior_variance", lambda k, n, rho: sigma2)
+        monkeypatch.setattr(simulate, "_chain", _chain_not_started)
+        cells = et.estimate_cells(burr_sample.values[None], [-1.0], [(0,)], 200, ("hill", "bayes_mcmc"),
+                                  mcmc=et.MCMCConfig(iterations=20, burn_in=10))
+        assert cells.errors == [{"bayes_mcmc": "ValueError"}] and cells.chains == [None]
+        assert np.isnan(cells.estimates[0, 1]).all() and cells.estimates[0, 0, 0] == cells.hill[0]
         with pytest.raises(ValueError, match="sigma2"):
             log_posterior(0.5, 0.0, y, tau, sigma2)
 
@@ -116,11 +130,15 @@ class TestPriorSpec:
             want = float(ndtr(a))
             assert abs(_delta_prior_mass(-a / 64.0, sigma2) - want) <= 2 * math.ulp(want), a
 
-    def test_validation(self):
-        lik, cfg = stack([(_y([1.0, 2.0, 4.0]), -1.0), (_y([1.0, 2.0, 4.0]), 0.5)]), et.MCMCConfig(20, 10)
-        for lane, sigma2, message in ((0, 0.0, "sigma2"), (1, 1.0, "tau")):
-            result = _chain(lik, lane, sigma2, cfg)
-            assert isinstance(result, ValueError) and message in str(result)
+    def test_validation(self, monkeypatch):
+        # the gate starts no chain on a lane whose prior variance underflows to 0 (rho = -400 at
+        # k/n = 0.02) or that has no tau (rho = 0.5): both chains fail with a ValueError
+        monkeypatch.setattr(simulate, "_chain", _chain_not_started)
+        values = np.tile(np.arange(1.0, 1001.0), (2, 1))
+        cells = et.estimate_cells(values, [-400.0, 0.5], [(0,), (1,)], 20, ("bayes_mcmc",),
+                                  mcmc=et.MCMCConfig(20, 10))
+        assert cells.sigma2[0] == 0.0 and np.isnan(cells.tau[1])
+        assert cells.errors == [{"bayes_mcmc": "ValueError"}] * 2 and cells.chains == [None, None]
 
 
 class TestLogPosterior:
@@ -269,9 +287,34 @@ class TestClosedForm:
         assert all(a >= b - 1e-14 for a, b in zip(deltas, deltas[1:]))
         assert ests[-1][0] == pytest.approx(_hill(y), abs=1e-3)
 
-    def test_small_k_rejected(self):
-        (est,) = _closed_forms(stack([(pareto_excesses(1.0, 5, 0), -1.0)]), [1.0])
-        assert isinstance(est, ValueError) and "at least 10" in str(est)
+    def test_small_k_rejected(self, monkeypatch):
+        # below 10 excesses the gate fails both Bayes estimators and starts no chain; Hill runs
+        values = np.sort(np.r_[1.0, pareto_excesses(1.0, 29, 0)])[None]
+        names = ("hill", "bayes_closed", "bayes_mcmc")
+        cfg = et.MCMCConfig(iterations=400, burn_in=100)
+        cells = et.estimate_cells(values, [-1.0], [(0,)], 10, names, mcmc=cfg)
+        assert cells.errors == [{}] and np.isfinite(cells.estimates[0, :, :2]).all()
+        monkeypatch.setattr(simulate, "_chain", _chain_not_started)
+        for k in (1, 5, 9):
+            cells = et.estimate_cells(values, [-1.0], [(0,)], k, names, mcmc=cfg)
+            assert cells.errors == [{"bayes_closed": "ValueError", "bayes_mcmc": "ValueError"}]
+            assert cells.estimates[0, 0, :2].tolist() == [cells.hill[0], 0.0] and cells.hill[0] > 0
+            assert np.isnan(cells.estimates[0, 1:]).all() and cells.chains == [None]
+
+    @pytest.mark.parametrize("k, rho, sigma2", [(700, -400.0, 0.0), (800, -406.3, 5e-324),
+                                                (800, -400.0, 4.44624e-319), (800, -1e308, 0.0)])
+    def test_zero_prior_variance_gives_the_hill_limit(self, k, rho, sigma2):
+        # on the sample of ``estimate --rho fixed:-400``, the prior variance underflows to 0 at
+        # k = 700, and the closed form failed with a ValueError there, where at the subnormal
+        # sigma2 of k = 800 it gave Hill. At each, 1/(k*sigma2) is inf and the estimate is Hill's
+        # bits with a delta of +-0, as at rho = -1e308, whose tau**2 overflows the system's
+        # coefficients
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = et.estimate_cells(_burr_n2000().values[None], [rho], [(0,)], k, ("hill", "bayes_closed"))
+        assert cells.sigma2[0] == sigma2 and cells.errors == [{}]
+        (hill_xi, hill_delta), (xi, delta) = cells.estimates[0, :, :2].tolist()
+        assert np.float64(xi).tobytes() == np.float64(hill_xi).tobytes() and delta == 0.0
 
     @pytest.mark.parametrize("sigma2", [1e-200, 1e-300, 4.4e-319, 5e-324])
     def test_strong_prior_limit_is_hill(self, sigma2):
@@ -280,9 +323,7 @@ class TestClosedForm:
         # the delta prior and failed. The lanes at k = 800: the n = 2 000 Burr sample of
         # ``estimate --rho fixed:-400``, at its tau and at -1, and strict Pareto excesses, so
         # that the right-hand side takes both signs
-        u = np.random.default_rng([0, 2000]).random(2000)
-        s = et.SortedSample((np.minimum(1.0 - u, np.nextafter(1.0, 0.0)) ** -0.75 - 1.0) ** 1.0)
-        y = excess_matrix(s.values[None], 800)[1][0]
+        y = excess_matrix(_burr_n2000().values[None], 800)[1][0]
         lik = stack([(y, -360.5), (y, -1.0)] + [(pareto_excesses(1.0, 800, seed), -1.0) for seed in range(4)])
         h, e1 = lik.sum_log_y / lik.k, lik.sum_pow / lik.k
         rhs = (1.0 - h * lik.tau) * (e1 - 1.0 / (1.0 - h * lik.tau))
@@ -482,7 +523,7 @@ class TestBoundTable:
     def test_bound_is_above_the_exact_value(self, dist, seed, k, tau, log_xi, sigma2,
                                              where, pos):
         y = excess_matrix(et.sample_distribution(dist, 500, seed).values[None], k)[1][0]
-        table = _BoundTable(_Likelihood(y[None], [tau]), 0)
+        table = _BoundTable(stack([(y, tau)]), 0)
         lo, n_cells = table.lo, len(table.cells)
         far_out = (DELTA_MAX / 2 - lo + pos * DELTA_MAX / 2) / _CELL
         x = {"node": math.floor(pos * (n_cells - 1)), "between": pos * (n_cells - 1),
@@ -533,7 +574,7 @@ class TestProfileBound:
     @example(dist=et.frechet(0.5), seed=2, k=10, log10_neg_tau=-7.0, log10_sigma2=2.0)
     def test_bound_is_above_the_exact_value(self, dist, seed, k, log10_neg_tau, log10_sigma2):
         y = excess_matrix(et.sample_distribution(dist, 500, seed).values[None], k)[1][0]
-        p = _Profiles(stack([(y, -(10.0 ** log10_neg_tau))]), [10.0 ** log10_sigma2])
+        p = _Profiles(stack([(y, -(10.0 ** log10_neg_tau))]), [10.0 ** log10_sigma2], [0])
         exact = p.exact(np.zeros(p.grid.shape[1], int), p.grid[0])
         # the scan computes every node of the first width, and each node it computes is the full scan's
         vals = p.scan()[0]

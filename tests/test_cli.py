@@ -29,6 +29,15 @@ def _pareto_grid_file(tmp_path: Path, n=200, xi=1.0) -> Path:
     return path
 
 
+def _burr_file(tmp_path: Path) -> Path:
+    # a Burr(0.75, -0.75) sample of 2 000, the seed-0 input of ``estimate --method mcmc`` in the bench
+    u = np.random.default_rng([0, 2000]).random(2000)
+    x = (np.minimum(1.0 - u, np.nextafter(1.0, 0.0)) ** -0.75 - 1.0) ** 1.0
+    path = tmp_path / "burr.csv"
+    path.write_text("\n".join(repr(float(v)) for v in x) + "\n")
+    return path
+
+
 def _read_rows(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -73,7 +82,8 @@ class TestEstimate:
 
     @pytest.mark.parametrize("method", ["closed", "mcmc"])
     def test_underflowing_prior_variance_marks_rows_and_continues(self, tmp_path, method):
-        # at rho = -400 the prior variance (k/n)**800 underflows to 0.0
+        # at rho = -400 the prior variance (k/n)**800 underflows to 0.0: the chain fails there,
+        # and the closed form gives its strong-prior limit, Hill with a delta of 0
         data = _pareto_grid_file(tmp_path)
         out = tmp_path / "est.csv"
         code = main(["estimate", str(data), "--rho", "fixed:-400", "--method", method,
@@ -81,8 +91,12 @@ class TestEstimate:
                      "--k-min", "20", "--k-max", "50", "--k-step", "30", "--out", str(out)])
         assert code == 0
         rows = _read_rows(out)
-        assert [r["error"] for r in rows] == ["ValueError", "ValueError"]
-        assert all(r["hill_xi"] and not r["bayes_xi"] for r in rows)
+        assert all(r["sigma2"] == "0" for r in rows) and len(rows) == 2
+        if method == "closed":
+            assert all(not r["error"] and r["bayes_xi"] == r["hill_xi"] and r["bayes_delta"] == "0" for r in rows)
+        else:
+            assert [r["error"] for r in rows] == ["ValueError", "ValueError"]
+            assert all(r["hill_xi"] and not r["bayes_xi"] for r in rows)
 
     @pytest.mark.parametrize("method", ["closed", "mcmc"])
     def test_tau_that_overflows_marks_rows_and_continues(self, tmp_path, method):
@@ -101,23 +115,36 @@ class TestEstimate:
     @pytest.mark.parametrize("method", ["closed", "mcmc"])
     def test_a_failed_bayes_estimate_keeps_the_ml_fit(self, tmp_path, method):
         # a Burr(0.75, -0.75) sample of 2 000 at k = 100 and rho = -400: tau is -507.4 and the
-        # prior variance underflows to 0, so only the Bayes estimate fails; the row keeps the
-        # ML fit, tau, sigma2 and the probabilities of the estimators that did not fail
-        u = np.random.default_rng([0, 2000]).random(2000)
-        x = (np.minimum(1.0 - u, np.nextafter(1.0, 0.0)) ** -0.75 - 1.0) ** 1.0
-        data, out = tmp_path / "burr.csv", tmp_path / "est.csv"
-        data.write_text("\n".join(repr(float(v)) for v in x) + "\n")
+        # prior variance underflows to 0, so only the chain fails; the row keeps the ML fit, tau,
+        # sigma2 and the probabilities of the estimators that did not fail. The closed form gives
+        # its strong-prior limit there: Hill, a delta of 0 and Weissman's probability
+        data, out = _burr_file(tmp_path), tmp_path / "est.csv"
         assert main(["estimate", str(data), "--rho", "fixed:-400", "--method", method,
                      "--x", repr((1e-3 ** -0.75 - 1.0) ** 1.0), "--mcmc-iters", "400", "--burn-in", "100",
                      "--k-min", "100", "--k-max", "100", "--out", str(out)]) == 0
         (row,) = _read_rows(out)
         sample = et.load_sample(data)
         tau = -400.0 / (float(np.add.reduce(np.log(sample.values[:-101:-1] / sample.threshold(100)))) / 100)
-        assert [row[c] for c in ("ml_xi", "ml_delta", "rho", "tau", "sigma2", "error")] == [
-            "0.786305258293", "-0.00197068528684", "-400", _fmt(tau), "0", "ValueError"]
+        assert [row[c] for c in ("ml_xi", "ml_delta", "rho", "tau", "sigma2")] == [
+            "0.786305258293", "-0.00197068528684", "-400", _fmt(tau), "0"]
         assert row["hill_xi"] and row["p_weissman"] and row["p_epd_ml"]
-        blank = ["bayes_xi", "bayes_delta", "p_bayes"] + (["hpd_lower", "hpd_upper"] if method == "mcmc" else [])
-        assert [row[c] for c in blank] == [""] * len(blank)
+        if method == "closed":
+            assert [row[c] for c in ("bayes_xi", "bayes_delta", "p_bayes", "error")] == [
+                row["hill_xi"], "0", row["p_weissman"], ""]
+        else:
+            blank = ["bayes_xi", "bayes_delta", "p_bayes", "hpd_lower", "hpd_upper"]
+            assert [row[c] for c in blank] == [""] * len(blank) and row["error"] == "ValueError"
+
+    def test_json_writes_a_zero_delta_as_zero(self, tmp_path):
+        # the strong-prior limit's delta is -0.0 where the system's right-hand side is negative, as
+        # at k = 800 of this sample; the CSV writes 0 there, and the JSON wrote -0.0
+        data, out = _burr_file(tmp_path), tmp_path / "est.json"
+        assert main(["estimate", str(data), "--rho", "fixed:-400", "--format", "json",
+                     "--k-min", "700", "--k-max", "850", "--k-step", "50", "--out", str(out)]) == 0
+        payload = _strict_json(out)
+        column = payload["columns"].index("bayes_delta")
+        deltas = [row[column] for row in payload["rows"]]
+        assert deltas == [0.0] * 4 and [math.copysign(1.0, d) for d in deltas] == [1.0] * 4
 
     def test_rerun_is_byte_identical(self, tmp_path):
         data = _pareto_grid_file(tmp_path)

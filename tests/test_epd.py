@@ -16,9 +16,8 @@ from scipy.special import expit, logit
 from scipy.stats import kstest
 
 import epdtail as et
-from epdtail import epd
+from epdtail import epd, simulate
 from conftest import pareto_excesses
-from epdtail.bayes import _chain, _closed_forms
 from epdtail.data import excess_matrix
 from epdtail.epd import _tail_probs
 from oracles import epd_quantile, epd_sample, loglik, loglik_value_and_grad, oracle_epd_log_likelihood, stack
@@ -45,22 +44,31 @@ class TestParams:
         assert loglik_value_and_grad(lik, 0.5, 0.1) is not None
         assert loglik_value_and_grad(lik, 0.0, 0.1) is None
         assert loglik_value_and_grad(lik, 0.5, -1.0) is None
-        assert lik.fail == [None]
-        assert isinstance(stack([(_y([2.0, 4.0]), 0.0)]).fail[0], ValueError)
+        # a lane without a negative rho has no tau: the gate of estimate_cells fails every estimator
+        cells = et.estimate_cells(np.sort(pareto_excesses(0.5, 50, 0))[None], [0.0], [(0,)], 20, simulate.ESTIMATORS)
+        assert cells.errors == [dict.fromkeys(simulate.ESTIMATORS, "ValueError")] and np.isnan(cells.tau[0])
 
     def test_delta_lower_bound(self):
         assert et.delta_lower_bound(-2.0) == -0.5
         assert et.delta_lower_bound(-0.5) == -1.0
 
     @pytest.mark.parametrize("tau", [-math.inf, math.nan, 0.0])
-    def test_a_tau_outside_the_negative_reals_is_a_value_error(self, tau):
-        # 1/tau is -0.0 at tau = -inf: a bound of -0.0 sent the ML fit's start to log(0)
+    def test_a_tau_outside_the_negative_reals_is_a_value_error(self, tau, monkeypatch):
+        # 1/tau is -0.0 at tau = -inf: a bound of -0.0 sent the ML fit's start to log(0). The
+        # gate of estimate_cells sends no such lane to the stack: tau = rho / Hill is -inf where
+        # rho = -1.7e308 and Hill is below 0.9, NaN where rho is, and -0.0 where rho = -5e-324 and
+        # Hill is above 2, which rounds it to 0. Hill runs at a tau of -0.0 alone
         with pytest.raises(ValueError, match="tau must be negative and finite"):
             et.delta_lower_bound(tau)
-        lik = stack([(pareto_excesses(0.5, 50, 0), tau)])
-        for result in (epd.epd_ml_fits(lik)[0], _closed_forms(lik, [1.0])[0],
-                       _chain(lik, 0, 1.0, et.MCMCConfig(iterations=20, burn_in=10))):
-            assert isinstance(result, ValueError) and str(result).startswith("tau must be negative and finite")
+        rho, xi = {-math.inf: (-1.7e308, 0.5), 0.0: (-5e-324, 4.0)}.get(tau, (math.nan, 0.5))
+        values = np.sort(pareto_excesses(xi, 50, 0))[None]
+        monkeypatch.setattr(simulate, "_Likelihood", None)  # no stack is built
+        cells = et.estimate_cells(values, [rho], [(0,)], 20, simulate.ESTIMATORS,
+                                  mcmc=et.MCMCConfig(iterations=20, burn_in=10))
+        bad = ("epd_ml", "bayes_closed", "bayes_mcmc") if tau == 0.0 else simulate.ESTIMATORS
+        assert cells.errors == [dict.fromkeys(bad, "ValueError")]
+        assert (cells.tau[0] == 0.0) if tau == 0.0 else np.isnan(cells.tau[0])
+        assert np.isfinite(cells.estimates[0, 0, :2]).all() == (tau == 0.0)
 
 
 class TestSurvival:
@@ -101,7 +109,6 @@ class TestLogLikelihood:
         y = _y([2.0, 4.0])
         assert loglik(stack([(y, -1.0)]), 1.0, -1.0) == -math.inf
         assert loglik(stack([(y, -1.0)]), -0.5, 0.0) == -math.inf
-        assert loglik(stack([(y, 0.5)]), 1.0, 0.0) == -math.inf
 
     def test_matches_straightforward_form_bit_for_bit(self, burr_k200):
         y, tau, _ = burr_k200
@@ -112,8 +119,10 @@ class TestLogLikelihood:
                 assert loglik(lik, xi, d) == oracle_epd_log_likelihood(xi, d, tau, y), (xi, d)
 
     def test_malformed_excesses_raise(self):
+        # the excesses of a likelihood stack come from excess_matrix, which checks them: a sample
+        # that is not sorted has excesses below 1
         with pytest.raises(ValueError, match=">= 1"):
-            stack([(np.array([0.5, 0.2]), -1.0)])
+            et.estimate_cells(np.array([[1.0, 4.0, 2.0, 3.0]]), [-1.0], [(0,)], 2, ("epd_ml",))
 
 
 class TestGradient:
@@ -150,8 +159,12 @@ class TestMLFit:
         assert abs(np.mean(deltas) - 0.3) <= 3.0 * np.std(deltas, ddof=1) / math.sqrt(n)
 
     def test_small_k_rejected(self):
-        (fit,) = epd.epd_ml_fits(stack([(pareto_excesses(1.0, 5, 0), -1.0)]))
-        assert isinstance(fit, ValueError) and "at least 10" in str(fit)
+        # below 10 excesses the gate of estimate_cells fails the ML fit, and Hill runs
+        values = np.sort(np.r_[1.0, pareto_excesses(1.0, 29, 0)])[None]
+        for k, errors in ((9, [{"epd_ml": "ValueError"}]), (10, [{}])):
+            cells = et.estimate_cells(values, [-1.0], [(0,)], k, ("hill", "epd_ml"))
+            assert cells.errors == errors and cells.estimates[0, 0, :2].tolist() == [cells.hill[0], 0.0]
+            assert np.isfinite(cells.estimates[0, 1, :2]).all() == (k == 10)
 
     def test_beats_pareto_start(self):
         for rep in range(5):

@@ -29,6 +29,10 @@ stack, from the excesses to the tail probabilities, must give a lane of a
 random stack the bits that lane gets alone; so must, on fixed stacks, the
 closed forms on both routes, a long chain on three lanes of 32, and
 ``estimate_cells``' estimates and tail probabilities on seven samples.
+The gate of ``estimate_cells``, the one place that decides which lanes
+each estimator runs on, must give every lane of a stack that mixes good
+lanes with lanes that break its rules the errors of those rules and no
+other, and the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -143,7 +147,7 @@ def test_profile_posterior_mode_matches_oracle(name, rep):
 
 def _full_scan(y, tau, sigma2):
     """The exact profile at every node of the search's grid."""
-    p = _Profiles(stack([(y, tau)]), [sigma2])
+    p = _Profiles(stack([(y, tau)]), [sigma2], [0])
     return p.exact(np.zeros(p.grid.shape[1], int), p.grid[0])
 
 
@@ -380,16 +384,23 @@ def test_lockstep_fits_equal_one_lane_fits_and_the_oracle(lane_sets, count):
         assert got[:32] == [repr(oracle_epd_ml_fit(y, tau)) for y, tau in lanes[:min(count, 32)]], k
 
 
-def test_a_lane_that_raises_leaves_the_others_alone():
-    # all excesses tie at the threshold: Hill is 0 and the fit has no interior maximum
-    lanes = _lanes("frechet_fig1", 20, 3)
-    tie = (np.ones(20), -1.0)
-    got = epd_ml_fits(stack([tie, lanes[0], lanes[1], tie, lanes[2]]))
-    for fit in (got[0], got[3]):
-        assert isinstance(fit, ValueError) and "ties" in str(fit)
-    assert [repr(got[i]) for i in (1, 2, 4)] == [_fit(y, tau) for y, tau in lanes]
-    assert _fit(*tie) == _shown(got[0])
-    assert epd_ml_fits(stack([tie, tie]))[1].args == got[0].args
+def test_a_lane_that_raises_leaves_the_others_alone(monkeypatch):
+    # all excesses tie at the threshold: Hill is 0 and the fit has no interior maximum. The gate
+    # of estimate_cells fails the tie lanes with a NonEstimableError and stacks only the others,
+    # whose fits are the fits they get alone
+    dist, _, rho = DESIGNS["frechet_fig1"]
+    good = [et.sample_distribution(dist, 500, np.random.SeedSequence((DESIGN_SEED, rep))).values for rep in range(3)]
+    tie = np.r_[np.linspace(1.0, 4.0, 479), np.full(21, 5.0)]
+    stacked = []
+    monkeypatch.setattr(et.simulate, "_Likelihood", lambda y, *rest: stacked.append(len(y)) or _Likelihood(y, *rest))
+    cells = et.estimate_cells(np.array([tie, good[0], good[1], tie, good[2]]), [rho] * 5, [(i,) for i in range(5)],
+                              20, ("hill", "epd_ml"))
+    assert stacked == [3]
+    tied = dict.fromkeys(("hill", "epd_ml"), "NonEstimableError")
+    assert cells.errors == [tied, {}, {}, tied, {}]
+    assert np.isnan(cells.estimates[[0, 3]]).all()
+    want = [epd_ml_fits(stack([lane]))[0][:2] for lane in _lanes("frechet_fig1", 20, 3)]
+    assert [repr(tuple(cells.estimates[i, 1, :2].tolist())) for i in (1, 2, 4)] == [repr(w) for w in want]
 
 
 @pytest.mark.parametrize("limit, option, value", [("_LBFGSB_MAXITER", "maxiter", 2),
@@ -499,7 +510,8 @@ def _mode_cells(name, k, count):
 def _lockstep(cells):
     """The lockstep search on cells (excesses, tau, sigma2), each mode as ``_outcome`` shows it."""
     lik = stack([(y, tau) for y, tau, _ in cells])
-    return [_shown(mode) for mode in _profile_posterior_modes(lik, [sigma2 for _, _, sigma2 in cells])]
+    modes = _profile_posterior_modes(lik, [sigma2 for _, _, sigma2 in cells], range(len(cells)))
+    return [_shown(mode) for mode in modes]
 
 
 def _oracle(cells):
@@ -578,33 +590,64 @@ def test_lanes_without_a_mode_leave_the_others_alone(monkeypatch):
 
 
 def test_closed_forms_equal_one_lane_calls():
-    # both routes and three lanes that cannot be estimated, at one k: each lane of an
-    # 11-lane stack gets what it gets on a one-lane stack. The tie lane's stack entry
-    # fails it, so it is not sent to the mode search
+    # both routes and a lane at sigma2 = 0, at one k: each lane of a 9-lane stack gets what it
+    # gets on a one-lane stack, and the lane at sigma2 = 0 the strong-prior limit, Hill's bits
+    # with a delta of +-0, by the linear route
     cells = _mode_cells("burr_fig2", 150, 8)
     y, tau, sigma2 = cells[0]
-    cells += [_tie(150), (y, tau, 0.0), (y, 0.5, sigma2)]
+    cells.append((y, tau, 0.0))
     lik = stack([(y, tau) for y, tau, _ in cells])
-    got = [_shown(est) for est in _closed_forms(lik, [s for _, _, s in cells])]
+    ests = _closed_forms(lik, [s for _, _, s in cells])
+    got = [_shown(est) for est in ests]
     assert got == [_shown(_closed_forms(stack([(y, tau)]), [s])[0]) for y, tau, s in cells]
     assert {est.split(", ")[-1] for est in got[:8]} == {"'linear')", "'profile-map')"}
-    assert [est.split(":")[0] for est in got[8:]] == ["ValueError", "ValueError", "ValueError"]
+    xi, delta, solver = ests[8]
+    assert repr(xi) == repr(float(lik.sum_log_y[8]) / lik.k) and delta == 0.0 and solver == "linear"
 
 
-def test_every_estimator_hands_back_the_stacks_lane_error():
-    # one stack with a tie lane, a lane at tau = 0.5 and good lanes: the ML fits, the closed
-    # forms and the chains hand back the stack's ``fail`` entry for both bad lanes
-    good = _lanes("burr_fig2", 150, 3)
-    tie = (np.ones(150), -1.0)
-    lik = stack([tie, good[0], (good[0][0], 0.5), good[1], good[2]])
-    fits, modes = epd_ml_fits(lik), _closed_forms(lik, [0.25] * 5)
-    chains = [bayes._chain(lik, lane, 0.25, et.MCMCConfig(iterations=400, burn_in=100)) for lane in range(5)]
-    for i, message in ((0, "all excesses are ties"), (2, "tau must be negative and finite, got 0.5")):
-        assert fits[i] is modes[i] is chains[i] is lik.fail[i]
-        assert isinstance(lik.fail[i], ValueError) and str(lik.fail[i]).startswith(message)
-    assert lik.fail[1::2] == [None, None] and lik.fail[4] is None
-    assert not any(isinstance(r, Exception) for r in [*fits[1::2], fits[4], *modes[1::2], modes[4],
-                                                       *chains[1::2], chains[4]])
+def _gate(h, rho, k, n):
+    """The errors that the gate's rules give a lane with Hill h and rho at k of n, computed anew."""
+    if not h > 0:
+        return dict.fromkeys(et.simulate.ESTIMATORS, "NonEstimableError")
+    if not (rho < 0 and math.isfinite(rho / h)):
+        return dict.fromkeys(et.simulate.ESTIMATORS, "ValueError")
+    fails = ["epd_ml", "bayes_closed"] if k < 10 else []
+    return dict.fromkeys(fails + ["bayes_mcmc"] * (k < 10 or not (k / n) ** (-2.0 * rho) > 0), "ValueError")
+
+
+# the lanes a gate example mixes: good ones, and one kind for each rule that stops a lane
+GATE_KINDS = ("good", "good", "tie", "rho 0", "rho nan", "rho -1e308", "rho -600")
+
+
+@given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 12), k=st.sampled_from([3, 9, 10, 40, 150]))
+@settings(max_examples=10)
+@example(seed=0, lanes=12, k=40)
+@example(seed=1, lanes=12, k=9)
+def test_estimate_cells_is_the_one_gate_of_every_lane(seed, lanes, k):
+    # a stack that mixes good Burr and Fréchet lanes with lanes that break a rule: every excess
+    # tied (Hill 0), a rho of 0 or NaN, a rho of -1e308 (tau overflows where Hill is below 0.56,
+    # and the prior variance underflows to 0 elsewhere), a rho of -600 (the prior variance is 0)
+    # and, drawn for the whole stack, k < 10. The errors are those of the gate's rules, no other
+    # class appears, and every lane gets the bits it gets alone
+    rng = np.random.default_rng(seed)
+    n, laws = 300, [et.burr(0.75, -0.75), et.frechet(0.5)]
+    values, rho = np.empty((lanes, n)), []
+    for i, kind in enumerate(rng.choice(GATE_KINDS, lanes).tolist()):
+        values[i] = et.sample_distribution(laws[rng.integers(2)], n, (seed, i)).values
+        if kind == "tie":
+            values[i, n - k - 1:] = values[i, n - k - 1]
+        rho.append(-float(rng.uniform(0.2, 2.0)) if kind in ("good", "tie") else float(kind.split()[1]))
+    names, x, cfg = et.simulate.ESTIMATORS, 8.0, et.MCMCConfig(iterations=300, burn_in=100)
+    cells = et.estimate_cells(values, rho, [(seed, i) for i in range(lanes)], k, names, x, cfg)
+    y = excess_matrix(values, k)[1]
+    assert cells.errors == [_gate(float(np.log(y[i]).sum()) / k, rho[i], k, n) for i in range(lanes)]
+    for i in range(lanes):
+        alone = et.estimate_cells(values[i:i + 1], rho[i:i + 1], [(seed, i)], k, names, x, cfg)
+        assert alone.errors[0] == cells.errors[i]
+        for field in ("threshold", "hill", "tau", "sigma2", "estimates"):
+            assert getattr(alone, field)[0].tobytes() == getattr(cells, field)[i].tobytes(), (i, field)
+        got, want = cells.chains[i], alone.chains[0]
+        assert (got is want is None) or _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("lane", [0, 15, 31])
@@ -635,25 +678,22 @@ def _bits(result) -> bytes:
 @example(seed=0, lanes=32, k=150)
 def test_every_stack_function_gives_a_lane_the_bits_it_gets_alone(seed, lanes, k):
     # random stacks of three laws, with mixed tau (-1, -0.5 and -2 among them, where tau or 2*tau is
-    # an exponent that numpy's scalar power takes by its own route), one lane whose excesses all tie
-    # and one at a tau outside (-inf, 0): lane i of the excesses, ML fits, closed forms, chains and
-    # tail probabilities of the stack is the lane alone
+    # an exponent that numpy's scalar power takes by its own route): lane i of the excesses, ML fits,
+    # closed forms, chains and tail probabilities of the stack is the lane alone. The lanes that the
+    # gate of estimate_cells stops are never stacked (test_estimate_cells_is_the_one_gate_of_every_lane)
     rng = np.random.default_rng(seed)
     laws = [et.burr(0.75, -0.75), et.frechet(0.5), et.burr(0.5, -2.0)]
     n = 300
     values = np.array([et.sample_distribution(laws[rng.integers(3)], n, (seed, lane)).values
                        for lane in range(lanes)])
-    tie, bad = rng.choice(lanes, 2, replace=False).tolist()
-    values[tie] = np.r_[np.linspace(1.0, 4.0, n - k - 1), np.full(k + 1, 5.0)]
     tau = np.array([rng.choice([-1.0, -0.5, -2.0, -(10.0 ** rng.uniform(-2.0, 1.0))]) for _ in range(lanes)])
-    tau[bad] = rng.choice([0.5, math.nan, -math.inf])
     sigma2 = 10.0 ** rng.uniform(-4.0, 2.0, lanes)
     z = np.where(rng.random(lanes) < 0.2, 1.0, 1.0 + rng.exponential(2.0, lanes))  # x / threshold
     cfg = et.MCMCConfig(iterations=300, burn_in=100, seed=seed)
 
     def run(rows):
         threshold, y = excess_matrix(values[rows], k)
-        lik = _Likelihood(y, tau[rows])
+        lik = _Likelihood(y, tau[rows], np.log(y))
         fits, modes = epd_ml_fits(lik), _closed_forms(lik, sigma2[rows].tolist())
         chains = [bayes._chain(lik, lane, float(s2), cfg) for lane, s2 in enumerate(sigma2[rows])]
         xi, delta = (np.array([[math.nan] * 2 if isinstance(f, Exception) or isinstance(m, Exception)
@@ -663,7 +703,6 @@ def test_every_stack_function_gives_a_lane_the_bits_it_gets_alone(seed, lanes, k
                  probs[i].tobytes()] for i in range(len(probs))]
 
     whole = run(slice(None))
-    assert all(bits.startswith(b"ValueError: ") for i in (tie, bad) for bits in whole[i][2:5])
     for i in range(lanes):
         assert whole[i] == run(slice(i, i + 1))[0], i
 
@@ -748,7 +787,7 @@ def test_search_memory_stays_within_its_blocks():
     lik = stack([(y, tau) for y, tau, _ in cells])
     tracemalloc.start()
     try:
-        modes = _profile_posterior_modes(lik, [sigma2 for _, _, sigma2 in cells])
+        modes = _profile_posterior_modes(lik, [sigma2 for _, _, sigma2 in cells], range(len(cells)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
