@@ -511,6 +511,13 @@ def _chain(lik: _Likelihood, lane: int, sigma2: float, config: MCMCConfig) -> Po
     ``_log_post`` on the ``_BoundTable`` bounds of the two sums. Rounding
     is monotone, so the row-sum pass runs only where the bound is not
     already rejected.
+
+    One ``standard_normal`` call fills a proposal's two steps, in the
+    stream of two scalar calls; the state carries its xi and its target
+    ``lp + u``, set on acceptance; the pass reduces into a 2-vector, and
+    the retained draws are written through memoryviews of arrays allocated
+    before the first iteration, so that a chain too long for memory fails
+    at once.
     """
     k, const = lik.k, _log_prior_const(float(lik.lo[lane]), sigma2)
     rng = np.random.default_rng(config.seed)
@@ -518,54 +525,64 @@ def _chain(lik: _Likelihood, lane: int, sigma2: float, config: MCMCConfig) -> Po
 
     coef, ext, w = lik.coef[lane], lik.ext[lane].tolist(), np.empty((2, k))
     u, d = math.log(h), 0.0  # delta = 0 is inside every lane's region
-    lp = _log_post(math.exp(u), u, h, 0.0, d, sigma2, const, k)  # both sums are 0 at delta = 0
+    xi = math.exp(u)
+    lp = _log_post(xi, u, h, 0.0, d, sigma2, const, k)  # both sums are 0 at delta = 0
+    target = lp + u
 
     s_u, s_d = _STEP_LOG_XI, _STEP_DELTA
-    retained = config.iterations - config.burn_in
+    burn_in = config.burn_in
+    retained = config.iterations - burn_in
     draws = np.empty((retained, 2))
     logpost = np.empty(retained)
+    z, sums = np.empty(2), np.empty(2)
+    draws_v, logpost_v, z_v, sums_v = memoryview(draws), memoryview(logpost), memoryview(z), memoryview(sums)
     accepted_post = batch_accepts = 0
     table = _BoundTable(lik, lane)
     cells, fill, n_cells, lo = table.cells, table.fill, len(table.cells), table.lo
     normal, uniform = rng.standard_normal, rng.random
+    # local names: a module or attribute lookup in the loop costs about 5% of the chain
     exp, log = math.exp, math.log
+    log_post, log1p_sums, inadmissible, cell = _log_post, _log1p_sums, _inadmissible, _CELL
 
     for t in range(config.iterations):
-        u_new = u + s_u * normal()
-        d_new = d + s_d * normal()
+        normal(out=z)
+        u_new = u + s_u * z_v[0]
+        d_new = d + s_d * z_v[1]
         log_u = log(uniform())
         xi_new = exp(u_new)
-        x = (d_new - lo) / _CELL
+        x = (d_new - lo) / cell
         # an xi that underflows to 0 has zero posterior density
         rejected = not xi_new > 0.0
         if not rejected and 0.0 <= x < n_cells:
             j = int(x)
             c1, e1, p0, q0, p1, q1 = cells[j] or fill(j)
             f = x - j
-            lp_hi = _log_post(xi_new, u_new, h + (c1 + e1 * f) / k, min(p0 + q0 * f, p1 + q1 * f), d_new,
-                              sigma2, const, k)
+            tan0, tan1 = p0 + q0 * f, p1 + q1 * f  # the smaller tangent, as min(tan0, tan1) picks it
+            lp_hi = log_post(xi_new, u_new, h + (c1 + e1 * f) / k, tan1 if tan1 < tan0 else tan0, d_new,
+                             sigma2, const, k)
             # Jacobian of xi = exp(u): add u to the log target on the sampling scale;
             # a left-out cell's NaN bound rejects nothing
-            rejected = log_u >= (lp_hi + u_new) - (lp + u)
-        if not rejected and d_new > lo and not _inadmissible(ext, d_new):
-            s1, s2 = _log1p_sums(coef, d_new, w).tolist()
-            lp_new = _log_post(xi_new, u_new, h + s1 / k, s2, d_new, sigma2, const, k)
-            if log_u < (lp_new + u_new) - (lp + u):
-                u, d, lp = u_new, d_new, lp_new
+            rejected = log_u >= (lp_hi + u_new) - target
+        if not rejected and d_new > lo and not inadmissible(ext, d_new):
+            log1p_sums(coef, d_new, w, sums)
+            lp_new = log_post(xi_new, u_new, h + sums_v[0] / k, sums_v[1], d_new, sigma2, const, k)
+            target_new = lp_new + u_new
+            if log_u < target_new - target:
+                u, d, xi, lp, target = u_new, d_new, xi_new, lp_new, target_new
                 batch_accepts += 1
-                if t >= config.burn_in:
+                if t >= burn_in:
                     accepted_post += 1
-        if t < config.burn_in and (t + 1) % _ADAPT_INTERVAL == 0:
+        if t >= burn_in:
+            i = t - burn_in
+            draws_v[i, 0] = xi
+            draws_v[i, 1] = d
+            logpost_v[i] = lp
+        elif (t + 1) % _ADAPT_INTERVAL == 0:
             rate = batch_accepts / _ADAPT_INTERVAL
             factor = exp(1.5 * (rate - _TARGET_ACCEPT))
             s_u = min(10.0, max(1e-4, s_u * factor))
             s_d = min(10.0, max(1e-4, s_d * factor))
             batch_accepts = 0
-        if t >= config.burn_in:
-            i = t - config.burn_in
-            draws[i, 0] = exp(u)
-            draws[i, 1] = d
-            logpost[i] = lp
 
     rate = accepted_post / retained
     if rate <= 0.0 or rate >= 1.0:

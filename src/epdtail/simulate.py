@@ -194,7 +194,8 @@ class MCStudyConfig:
     paths over k before aggregation; 0 disables smoothing. ``target_p``
     fixes the exceedance level whose probability is re-estimated at x
     equal to the true (1 - target_p) quantile. The chain lengths of the
-    ``bayes_mcmc`` estimator follow the rule of ``MCMCConfig``.
+    ``bayes_mcmc`` estimator follow the rule of ``MCMCConfig`` and, where
+    it runs, leave 2 draws or more after burn-in: one is a degenerate chain.
     """
 
     dist: SimDistribution
@@ -231,6 +232,8 @@ class MCStudyConfig:
             if not 10 <= k <= self.n - 1:
                 raise ValueError(f"every k must lie in [10, n-1]; got {k}")
         MCMCConfig(self.mcmc_iterations, self.mcmc_burn_in)
+        if "bayes_mcmc" in self.estimators and self.mcmc_iterations - self.mcmc_burn_in < 2:
+            raise ValueError(f"bayes_mcmc needs 2 draws after burn-in, got {self.mcmc_iterations - self.mcmc_burn_in}")
 
     def resolved_k_grid(self) -> tuple[int, ...]:
         return tuple(k_range(self.n) if self.k_grid is None else self.k_grid)

@@ -170,6 +170,20 @@ class TestEstimate:
                        "(Unable to allocate 14.6 TiB)\n")
         assert not out.exists()
 
+    def test_an_enormous_chain_fails_at_once(self, tmp_path):
+        # the chain allocates its draws before its first iteration, so 10**15 iterations ask for a
+        # 14.2 PiB array and fail at once; a chain that grew its draws would run until the timeout
+        data, out = _burr_file(tmp_path), tmp_path / "est.csv"
+        argv = ["estimate", str(data), "--method", "mcmc", "--k-min", "100", "--k-max", "100",
+                "--mcmc-iters", "1000000000000000", "--burn-in", "10", "--out", str(out)]
+        code = f"import sys; from epdtail.cli import main; sys.exit(main({argv!r}))"
+        proc = subprocess.run([sys.executable, "-c", code], cwd=Path(et.__file__).parent.parent,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error: not enough memory for the requested run (Unable to allocate ")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_mcmc_adds_hpd_columns(self, tmp_path):
         data = _pareto_grid_file(tmp_path)
         out = tmp_path / "est.csv"
@@ -487,6 +501,19 @@ class TestSimulate:
                                        "--burn-in": "200"})
         assert main(argv) == 1
         assert "usage error: need iterations > burn_in" in capsys.readouterr().err
+
+    def test_chain_with_one_draw_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # one draw after burn-in makes every chain degenerate; the study must not start
+        import epdtail.cli as cli
+
+        def must_not_run(cfg, workers=1):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli, "run_study", must_not_run)
+        argv = self._args(tmp_path, **{"--estimators": "hill,bayes_mcmc", "--mcmc-iters": "1001",
+                                       "--burn-in": "1000"})
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "usage error: bayes_mcmc needs 2 draws after burn-in, got 1\n"
 
     def test_chain_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args):

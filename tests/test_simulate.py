@@ -128,6 +128,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="master_seed"):
             et.MCStudyConfig(dist=burr_dist, master_seed=-1)
 
+    def test_a_chain_needs_two_draws_after_burn_in(self, burr_dist):
+        # one retained draw has an acceptance rate of 0 or 1, so every chain of the study would be
+        # degenerate; the rule binds only where the chain runs
+        with pytest.raises(ValueError, match="^bayes_mcmc needs 2 draws after burn-in, got 1$"):
+            et.MCStudyConfig(dist=burr_dist, estimators=("hill", "bayes_mcmc"), mcmc_iterations=1001,
+                             mcmc_burn_in=1000)
+        et.MCStudyConfig(dist=burr_dist, estimators=("hill", "bayes_mcmc"), mcmc_iterations=1002,
+                         mcmc_burn_in=1000)
+        et.MCStudyConfig(dist=burr_dist, estimators=("hill", "bayes_closed"), mcmc_iterations=1001,
+                         mcmc_burn_in=1000)
+
     def test_rejects_an_estimator_named_twice(self, burr_dist):
         # the cells keep estimates by name, so a second "hill" would be fitted and counted twice
         with pytest.raises(ValueError, match="named twice"):
